@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check build vet test race corpus update-goldens bench-smoke profile bench fig2-ledger dataplane-ledger recovery-ledger scale-ledger tenk-ledger ctrlplane-ledger stateplane-ledger faultsearch-ledger
+.PHONY: check build vet test race corpus update-goldens bench-smoke bench-driver engine-loc profile bench fig2-ledger dataplane-ledger recovery-ledger scale-ledger tenk-ledger ctrlplane-ledger stateplane-ledger faultsearch-ledger
 
 # check is the full gate: vet, build, race-enabled tests, the self-verifying
-# scenario corpus under the full differential matrix, and the benchmark smoke
-# pass (every registered benchmark plus the equivalence/allocation pins).
-check: vet build race corpus bench-smoke
+# scenario corpus under the full differential matrix, the benchmark smoke
+# pass (every registered benchmark plus the equivalence/allocation pins), and
+# the frozen repository-benchmark driver built and smoke-run against this tree.
+check: vet build race corpus bench-smoke bench-driver
 
 build:
 	$(GO) build ./...
@@ -56,6 +57,20 @@ bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkRPF(CacheHit|Uncached)' -benchtime 10x ./internal/rpf/
 	$(GO) test -run XXX -bench 'BenchmarkFanout(Compiled|Reference)' -benchtime 10x ./internal/mfib/
 	$(GO) test -run XXX -bench 'BenchmarkDataplane(Shared|Dense)(Fast|Ref)' -benchtime 1x ./internal/experiments/
+
+# bench-driver proves the frozen benchmark driver still compiles and runs
+# against this tree. benchmarks/pimperf is its own module importing
+# pim/internal/..., so the root `./...` never builds it and an internal
+# refactor can break it silently; nothing under benchmarks/ is edited here.
+bench-driver:
+	cd benchmarks/pimperf && $(GO) vet ./... && $(GO) test ./...
+	bash benchmarks/run.sh -smoke
+
+# engine-loc prints the non-test, non-blank, non-comment Go line count of the
+# protocol engines and their shared chassis — the yardstick for ROADMAP aim 2.
+engine-loc:
+	@find $(addprefix internal/,engine core pimdm dvmrp cbt mospf igmp) -name '*.go' ! -name '*_test.go' \
+		| xargs cat | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'
 
 # bench is the full metric-reporting benchmark suite (EXPERIMENTS.md).
 bench:

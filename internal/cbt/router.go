@@ -4,10 +4,10 @@ import (
 	"slices"
 
 	"pim/internal/addr"
+	"pim/internal/engine"
 	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/packet"
-	"pim/internal/rpf"
 	"pim/internal/telemetry"
 	"pim/internal/unicast"
 )
@@ -64,34 +64,14 @@ type groupState struct {
 
 // Router is one CBT router instance.
 type Router struct {
-	Node    *netsim.Node
-	Cfg     Config
-	Unicast unicast.Router
-	Metrics *metrics.Counters
-
-	// tel is the telemetry sink (nil when disabled).
-	tel *telemetry.Bus
-
-	// rpfc memoizes lookups toward cores (off-tree senders resolve the
-	// core per data packet), invalidated by unicast table generation.
-	rpfc *rpf.Cache
+	engine.Chassis
+	Cfg Config
 
 	groups map[addr.IP]*groupState
 	// pendingAcks holds join-ack retransmission state per (group, child).
 	pendingAcks map[ackKey]*pendingAck
 	// kaScratch is the keepalive walk's reusable sorted-group buffer.
 	kaScratch []addr.IP
-
-	// enc is the reusable control-message encode workspace (see
-	// core.Router.enc): safe because Node.Send copies the payload into its
-	// transmit frame before returning.
-	enc packet.Scratch
-
-	started bool
-	// epoch invalidates scheduled closures across Stop/Restart (see
-	// core.Router): timer bodies fire only under the epoch they were
-	// scheduled in.
-	epoch uint64
 }
 
 // ackKey identifies one downstream child awaiting ack confirmation.
@@ -121,57 +101,25 @@ func New(nd *netsim.Node, cfg Config, uni unicast.Router) *Router {
 	if cfg.CoreMapping == nil {
 		cfg.CoreMapping = map[addr.IP]addr.IP{}
 	}
-	return &Router{
-		Node: nd, Cfg: cfg, Unicast: uni,
-		tel:         cfg.Telemetry,
-		rpfc:        rpf.New(uni),
-		Metrics:     metrics.New(),
-		groups:      map[addr.IP]*groupState{},
-		pendingAcks: map[ackKey]*pendingAck{},
-	}
+	r := &Router{Chassis: engine.NewChassis(nd, uni, cfg.Telemetry), Cfg: cfg}
+	r.reset()
+	r.Handle(packet.ProtoCBT, r.handleCtrl)
+	r.Handle(packet.ProtoUDP, r.handleData)
+	return r
 }
 
 // Start registers handlers and begins keepalives.
 func (r *Router) Start() {
-	if r.started {
-		return
-	}
-	r.started = true
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EpochStart, Router: r.Node.ID,
-			Iface: -1, Epoch: r.epoch, Value: int64(len(r.groups)),
-		})
-	}
-	r.Node.Handle(packet.ProtoCBT, netsim.HandlerFunc(r.handleCtrl))
-	r.Node.Handle(packet.ProtoUDP, netsim.HandlerFunc(r.handleData))
-	var echo func()
-	echo = func() {
-		r.keepalive()
-		r.after(r.Cfg.EchoInterval, echo)
-	}
-	r.after(0, echo)
+	r.Chassis.Start(len(r.groups), func() { r.Every(0, r.Cfg.EchoInterval, r.keepalive) })
 }
 
 // Stop detaches the router and discards all soft state: every group's tree
 // attachment (parent, children, members) and all join/ack retransmission
-// timers. Scheduled closures die via the epoch bump. Neighbors detect the
-// loss through silence — the parent stops answering echoes and children
-// eventually flush.
-func (r *Router) Stop() {
-	if !r.started {
-		return
-	}
-	r.started = false
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EpochEnd, Router: r.Node.ID,
-			Iface: -1, Epoch: r.epoch,
-		})
-	}
-	r.epoch++
-	r.Node.Handle(packet.ProtoCBT, nil)
-	r.Node.Handle(packet.ProtoUDP, nil)
+// timers. Neighbors detect the loss through silence — the parent stops
+// answering echoes and children eventually flush.
+func (r *Router) Stop() { r.Chassis.Stop(0, r.reset) }
+
+func (r *Router) reset() {
 	for _, st := range r.groups {
 		if st.joinTimer != nil {
 			st.joinTimer.Stop()
@@ -180,7 +128,6 @@ func (r *Router) Stop() {
 	for _, p := range r.pendingAcks {
 		p.timer.Stop()
 	}
-	r.rpfc = rpf.New(r.Unicast)
 	r.groups = map[addr.IP]*groupState{}
 	r.pendingAcks = map[ackKey]*pendingAck{}
 }
@@ -191,25 +138,6 @@ func (r *Router) Restart() {
 	r.Stop()
 	r.Start()
 }
-
-// after schedules fn under the current epoch: a Stop/Restart before the
-// timer fires makes the closure a no-op.
-func (r *Router) after(d netsim.Time, fn func()) *netsim.Timer {
-	ep := r.epoch
-	return r.Node.Sched().After(d, func() {
-		if r.epoch == ep {
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: r.now(), Kind: telemetry.TimerFire, Router: r.Node.ID,
-					Iface: -1, Epoch: ep,
-				})
-			}
-			fn()
-		}
-	})
-}
-
-func (r *Router) now() netsim.Time { return r.Node.Sched().Now() }
 
 // StateCount returns the number of per-group tree entries — CBT's state
 // axis (one entry per group regardless of source count).
@@ -231,12 +159,7 @@ func (r *Router) state(g addr.IP) *groupState {
 			pending:   map[int]map[addr.IP]bool{},
 		}
 		r.groups[g] = st
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.EntryCreate, Router: r.Node.ID,
-				Iface: -1, Epoch: r.epoch, Group: g, Value: telemetry.EntryWC,
-			})
-		}
+		r.Pub(telemetry.EntryCreate, -1, 0, g, telemetry.EntryWC)
 	}
 	return st
 }
@@ -246,12 +169,7 @@ func (r *Router) dropState(g addr.IP) {
 	if _, ok := r.groups[g]; !ok {
 		return
 	}
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EntryExpire, Router: r.Node.ID,
-			Iface: -1, Epoch: r.epoch, Group: g, Value: telemetry.EntryWC,
-		})
-	}
+	r.Pub(telemetry.EntryExpire, -1, 0, g, telemetry.EntryWC)
 	delete(r.groups, g)
 }
 
@@ -291,12 +209,7 @@ func (r *Router) maybeQuit(g addr.IP, st *groupState) {
 	}
 	if st.onTree && st.parentAddr != 0 && st.parentIf != nil && st.parentIf.Up() {
 		r.sendTo(st.parentIf, st.parentAddr, &Message{Type: TypeQuit, Group: g})
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.PruneSend, Router: r.Node.ID,
-				Iface: st.parentIf.Index, Epoch: r.epoch, Group: g,
-			})
-		}
+		r.Pub(telemetry.PruneSend, st.parentIf.Index, 0, g, 0)
 	}
 	if st.joinTimer != nil {
 		st.joinTimer.Stop()
@@ -309,7 +222,7 @@ func (r *Router) maybeQuit(g addr.IP, st *groupState) {
 // sendJoinReq transmits (and schedules retransmission of) the join request
 // toward the core.
 func (r *Router) sendJoinReq(g addr.IP, st *groupState) {
-	if rt, ok := r.rpfc.Lookup(st.core); ok {
+	if rt, ok := r.RPF.Lookup(st.core); ok {
 		nextHop := rt.NextHop
 		if nextHop == 0 {
 			nextHop = st.core
@@ -317,19 +230,14 @@ func (r *Router) sendJoinReq(g addr.IP, st *groupState) {
 		st.parentIf, st.parentAddr = rt.Iface, nextHop
 		r.sendTo(rt.Iface, nextHop, &Message{Type: TypeJoinReq, Group: g, Core: st.core})
 		r.Metrics.Inc(metrics.CtrlCBTJoin)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.JoinPruneSend, Router: r.Node.ID,
-				Iface: rt.Iface.Index, Epoch: r.epoch, Group: g, Value: 1,
-			})
-		}
+		r.Pub(telemetry.JoinPruneSend, rt.Iface.Index, 0, g, 1)
 	}
 	// Arm the retry even when the core is momentarily unreachable: the
 	// request repeats until the handshake completes.
 	if st.joinTimer != nil {
 		st.joinTimer.Stop()
 	}
-	st.joinTimer = r.after(r.Cfg.JoinRetry, func() {
+	st.joinTimer = r.After(r.Cfg.JoinRetry, func() {
 		if cur := r.groups[g]; cur == st && !st.onTree {
 			r.sendJoinReq(g, st) // explicit reliability: retransmit until acked
 		}
@@ -367,7 +275,7 @@ func (r *Router) handleCtrl(in *netsim.Iface, pkt *packet.Packet) {
 		}
 	case TypeEchoReply:
 		if st := r.groups[m.Group]; st != nil && in == st.parentIf {
-			st.lastReply = r.now()
+			st.lastReply = r.Now()
 		}
 	case TypeFlush:
 		r.flush(m.Group)
@@ -398,7 +306,7 @@ func (r *Router) handleJoinAck(in *netsim.Iface, m *Message) {
 		return
 	}
 	st.onTree = true
-	st.lastReply = r.now()
+	st.lastReply = r.Now()
 	if st.joinTimer != nil {
 		st.joinTimer.Stop()
 	}
@@ -435,7 +343,7 @@ func (r *Router) armAckRetry(g addr.IP, ifc *netsim.Iface, child addr.IP, attemp
 		return
 	}
 	p := &pendingAck{attempts: attempts}
-	p.timer = r.after(r.Cfg.AckRetry<<uint(attempts), func() {
+	p.timer = r.After(r.Cfg.AckRetry<<uint(attempts), func() {
 		if r.pendingAcks[key] != p {
 			return
 		}
@@ -464,7 +372,7 @@ func (r *Router) cancelAckRetry(g addr.IP, ifIdx int, child addr.IP) {
 // --- Keepalive and failure recovery ---
 
 func (r *Router) keepalive() {
-	now := r.now()
+	now := r.Now()
 	// Echo requests and parent-failure flushes are sends: their order must
 	// not follow map iteration (the expireNeighbors bug class), so walk the
 	// groups in ascending order via a reusable scratch.
@@ -537,24 +445,14 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		core, ok := r.Cfg.CoreMapping[g]
 		if !ok {
 			r.Metrics.Inc(metrics.DataNoState)
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: r.now(), Kind: telemetry.NoState, Router: r.Node.ID,
-					Iface: in.Index, Epoch: r.epoch, Source: pkt.Src, Group: g,
-				})
-			}
+			r.Pub(telemetry.NoState, in.Index, pkt.Src, g, 0)
 			return
 		}
 		// Relay toward the core until an on-tree router takes over.
-		rt, ok := r.rpfc.Lookup(core)
+		rt, ok := r.RPF.Lookup(core)
 		if !ok || rt.Iface == in {
 			r.Metrics.Inc(metrics.DataDropped)
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: r.now(), Kind: telemetry.RPFDrop, Router: r.Node.ID,
-					Iface: in.Index, Epoch: r.epoch, Source: pkt.Src, Group: g,
-				})
-			}
+			r.Pub(telemetry.RPFDrop, in.Index, pkt.Src, g, 0)
 			return
 		}
 		fwd, live := pkt.Forwarded()
@@ -567,12 +465,7 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		}
 		r.Node.Send(rt.Iface, fwd, nextHop)
 		r.Metrics.Inc(metrics.DataForwarded)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.DataForward, Router: r.Node.ID,
-				Iface: rt.Iface.Index, Epoch: r.epoch, Source: pkt.Src, Group: g,
-			})
-		}
+		r.Pub(telemetry.DataForward, rt.Iface.Index, pkt.Src, g, 0)
 		return
 	}
 	// On-tree dissemination: loop safety comes from the tree structure —
@@ -587,12 +480,7 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		}
 		r.Node.Send(ifc, fwd, nextHop)
 		r.Metrics.Inc(metrics.DataForwarded)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.DataForward, Router: r.Node.ID,
-				Iface: ifc.Index, Epoch: r.epoch, Source: pkt.Src, Group: g,
-			})
-		}
+		r.Pub(telemetry.DataForward, ifc.Index, pkt.Src, g, 0)
 	}
 	if st.parentIf != nil && st.parentAddr != 0 {
 		send(st.parentIf, st.parentAddr)
@@ -647,6 +535,6 @@ func (r *Router) sendTo(ifc *netsim.Iface, to addr.IP, m *Message) {
 	if ifc == nil || !ifc.Up() {
 		return
 	}
-	r.enc.Buf = m.MarshalTo(r.enc.Buf[:0])
-	r.Node.Send(ifc, r.enc.Packet(ifc.Addr, to, packet.ProtoCBT, 1), to)
+	r.Enc.Buf = m.MarshalTo(r.Enc.Buf[:0])
+	r.Node.Send(ifc, r.Enc.Packet(ifc.Addr, to, packet.ProtoCBT, 1), to)
 }

@@ -47,7 +47,7 @@ func (r *Router) senderSide(in *netsim.Iface, s, g addr.IP, pkt *packet.Packet) 
 	if len(rps) == 0 {
 		return
 	}
-	now := r.now()
+	now := r.Now()
 	sg := r.MFIB.SG(r.sourceKey(s), g)
 	// With a single RP, any live (S,G) branch means that RP has joined and
 	// native forwarding works; the per-interface check below would be
@@ -60,7 +60,7 @@ func (r *Router) senderSide(in *netsim.Iface, s, g addr.IP, pkt *packet.Packet) 
 			r.rpAcceptSource(r.sourceKey(s), g, in)
 			continue
 		}
-		rt, ok := r.rpfc.Lookup(rp)
+		rt, ok := r.RPF.Lookup(rp)
 		if !ok {
 			continue
 		}
@@ -74,20 +74,15 @@ func (r *Router) senderSide(in *netsim.Iface, s, g addr.IP, pkt *packet.Packet) 
 		if err != nil {
 			continue
 		}
-		r.enc.Buf = pimmsg.AppendEnvelope(r.enc.Buf[:0], pimmsg.TypeRegister)
-		r.enc.Buf = (&pimmsg.Register{Inner: r.regInner}).MarshalTo(r.enc.Buf)
+		r.Enc.Buf = pimmsg.AppendEnvelope(r.Enc.Buf[:0], pimmsg.TypeRegister)
+		r.Enc.Buf = (&pimmsg.Register{Inner: r.regInner}).MarshalTo(r.Enc.Buf)
 		nextHop := rt.NextHop
 		if nextHop == 0 {
 			nextHop = rp
 		}
-		r.Node.Send(rt.Iface, r.enc.Packet(in.Addr, rp, packet.ProtoPIMData, packet.DefaultTTL), nextHop)
+		r.Node.Send(rt.Iface, r.Enc.Packet(in.Addr, rp, packet.ProtoPIMData, packet.DefaultTTL), nextHop)
 		r.Metrics.Inc(metrics.CtrlRegister)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: now, Kind: telemetry.RegisterSend, Router: r.Node.ID,
-				Iface: rt.Iface.Index, Epoch: r.epoch, Source: r.sourceKey(s), Group: g,
-			})
-		}
+		r.Pub(telemetry.RegisterSend, rt.Iface.Index, r.sourceKey(s), g, 0)
 	}
 }
 
@@ -104,12 +99,7 @@ func (r *Router) forwardData(in *netsim.Iface, pkt *packet.Packet) {
 				// §3.5 exception 2: first packet arriving on the SPT
 				// interface completes the transition...
 				sg.SPTBit = true
-				if r.tel != nil {
-					r.tel.Publish(telemetry.Event{
-						At: r.now(), Kind: telemetry.SPTSwitch, Router: r.Node.ID,
-						Iface: -1, Epoch: r.epoch, Source: s, Group: g, Value: 1,
-					})
-				}
+				r.Pub(telemetry.SPTSwitch, -1, s, g, 1)
 				// ...and §3.3: prune the source off the shared tree if the
 				// two trees diverge here.
 				if wc != nil && sg.IIF != wc.IIF {
@@ -127,12 +117,7 @@ func (r *Router) forwardData(in *netsim.Iface, pkt *packet.Packet) {
 			return
 		}
 		r.Metrics.Inc(metrics.DataDropped)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.RPFDrop, Router: r.Node.ID,
-				Iface: in.Index, Epoch: r.epoch, Source: s, Group: g,
-			})
-		}
+		r.Pub(telemetry.RPFDrop, in.Index, s, g, 0)
 		return
 	}
 
@@ -144,32 +129,26 @@ func (r *Router) forwardData(in *netsim.Iface, pkt *packet.Packet) {
 			return
 		}
 		r.Metrics.Inc(metrics.DataDropped)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.RPFDrop, Router: r.Node.ID,
-				Iface: in.Index, Epoch: r.epoch, Source: s, Group: g,
-			})
-		}
+		r.Pub(telemetry.RPFDrop, in.Index, s, g, 0)
 		return
 	}
 	r.Metrics.Inc(metrics.DataNoState)
-	if r.tel != nil {
-		iface := -1
-		if in != nil {
-			iface = in.Index
-		}
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.NoState, Router: r.Node.ID,
-			Iface: iface, Epoch: r.epoch, Source: s, Group: g,
-		})
+	r.Pub(telemetry.NoState, ifaceIndex(in), s, g, 0)
+}
+
+// ifaceIndex is the telemetry interface field: the index, or -1 for none.
+func ifaceIndex(ifc *netsim.Iface) int {
+	if ifc == nil {
+		return -1
 	}
+	return ifc.Index
 }
 
 // sharedOIFs is the (*,G) outgoing list minus effective negative-cache
 // prunes for s (§3.3 fn. 11). The computation lives in internal/mfib so
 // the compiled fast path and the reference path share one implementation.
 func (r *Router) sharedOIFs(wc *mfib.Entry, s addr.IP, except *netsim.Iface) []*netsim.Iface {
-	return mfib.SharedForward(wc, r.MFIB.SGRpt(s, wc.Key.Group), r.now(), except)
+	return mfib.SharedForward(wc, r.MFIB.SGRpt(s, wc.Key.Group), r.Now(), except)
 }
 
 // unionOIFs is the (S,G) list united with the inherited shared-tree list —
@@ -179,7 +158,7 @@ func (r *Router) unionOIFs(sg, wc *mfib.Entry, s addr.IP, except *netsim.Iface) 
 	if wc != nil {
 		rpt = r.MFIB.SGRpt(s, wc.Key.Group)
 	}
-	return mfib.UnionForward(sg, wc, rpt, r.now(), except)
+	return mfib.UnionForward(sg, wc, rpt, r.Now(), except)
 }
 
 // emit transmits the packet over each outgoing interface with a TTL
@@ -194,23 +173,18 @@ func (r *Router) emit(pkt *packet.Packet, in *netsim.Iface, oifs []*netsim.Iface
 	if !ok {
 		return
 	}
+	s := r.sourceKey(pkt.Src)
+	var sharedFlag int64
+	if shared {
+		sharedFlag = 1
+	}
 	for _, out := range oifs {
 		if out == in {
 			continue
 		}
 		r.Node.Send(out, fwd, 0)
 		r.Metrics.Inc(metrics.DataForwarded)
-		if r.tel != nil {
-			var sharedFlag int64
-			if shared {
-				sharedFlag = 1
-			}
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.DataForward, Router: r.Node.ID,
-				Iface: out.Index, Epoch: r.epoch,
-				Source: r.sourceKey(pkt.Src), Group: pkt.Dst, Value: sharedFlag,
-			})
-		}
+		r.Pub(telemetry.DataForward, out.Index, s, pkt.Dst, sharedFlag)
 	}
 }
 
@@ -227,7 +201,7 @@ func (r *Router) considerSPTSwitch(in *netsim.Iface, s, g addr.IP, wc *mfib.Entr
 	if s == 0 || r.MFIB.SG(s, g) != nil {
 		return
 	}
-	now := r.now()
+	now := r.Now()
 	if r.Cfg.SPTPolicy == SwitchThreshold {
 		k := mfib.Key{Source: s, Group: g}
 		c := r.sptCount[k]
@@ -258,7 +232,7 @@ func (r *Router) hasLocalMember(e *mfib.Entry) bool {
 // replicated in the new shortest path tree", §3.3), and sends a join toward
 // the source.
 func (r *Router) initiateSPTSwitch(s, g addr.IP, wc *mfib.Entry) {
-	now := r.now()
+	now := r.Now()
 	iif, up, ok := r.rpf(s)
 	if !ok || up == 0 {
 		return // no route toward the source, or it is directly connected
@@ -270,16 +244,8 @@ func (r *Router) initiateSPTSwitch(s, g addr.IP, wc *mfib.Entry) {
 	sg.RP = wc.RP
 	sg.IIF, sg.UpstreamNeighbor = iif, up
 	sg.SPTBit = false
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: now, Kind: telemetry.IIFSet, Router: r.Node.ID, Iface: iif.Index,
-			Epoch: r.epoch, Source: s, Group: g, Value: entryKind(sg.Key),
-		})
-		r.tel.Publish(telemetry.Event{
-			At: now, Kind: telemetry.SPTSwitch, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Source: s, Group: g, Value: 0,
-		})
-	}
+	r.Pub(telemetry.IIFSet, iif.Index, s, g, entryKind(sg.Key))
+	r.Pub(telemetry.SPTSwitch, -1, s, g, 0)
 	// "All local shared tree branches are replicated in the new shortest
 	// path tree" (§3.3): the local-member interfaces move over; downstream
 	// join-driven branches keep receiving through the inherited shared

@@ -24,22 +24,16 @@ func entryKind(k mfib.Key) int64 {
 // sees every forwarding-state birth.
 func (r *Router) upsert(k mfib.Key, now netsim.Time) (*mfib.Entry, bool) {
 	e, created := r.MFIB.Upsert(k, now)
-	if created && r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: now, Kind: telemetry.EntryCreate, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Source: k.Source, Group: k.Group, Value: entryKind(k),
-		})
+	if created {
+		r.Pub(telemetry.EntryCreate, -1, k.Source, k.Group, entryKind(k))
 	}
 	return e, created
 }
 
 // deleteEntry wraps MFIB.Delete, publishing EntryExpire when the key existed.
 func (r *Router) deleteEntry(k mfib.Key) {
-	if r.tel != nil && r.MFIB.Get(k) != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EntryExpire, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Source: k.Source, Group: k.Group, Value: entryKind(k),
-		})
+	if r.Telemetry != nil && r.MFIB.Get(k) != nil {
+		r.Pub(telemetry.EntryExpire, -1, k.Source, k.Group, entryKind(k))
 	}
 	r.MFIB.Delete(k)
 }

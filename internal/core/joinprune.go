@@ -24,7 +24,7 @@ func (r *Router) LocalJoin(ifc *netsim.Iface, g addr.IP) {
 		// No RP mapping: the group is not handled in sparse mode (§3.1).
 		return
 	}
-	now := r.now()
+	now := r.Now()
 	wc, created := r.upsert(mfib.Key{Group: g, RPBit: true}, now)
 	wc.AddLocalOIF(ifc)
 	if created {
@@ -43,7 +43,7 @@ func (r *Router) LocalJoin(ifc *netsim.Iface, g addr.IP) {
 // disappears the state is pruned upstream and scheduled for deletion
 // (§3.6).
 func (r *Router) LocalLeave(ifc *netsim.Iface, g addr.IP) {
-	now := r.now()
+	now := r.Now()
 	r.MFIB.ForGroup(g, func(e *mfib.Entry) {
 		o := e.OIF(ifc.Index)
 		if o == nil || !o.LocalMember {
@@ -70,7 +70,7 @@ func (r *Router) armRPTimer(g addr.IP) {
 	if tm := r.rpTimer[g]; tm != nil {
 		tm.Stop()
 	}
-	r.rpTimer[g] = r.after(3*r.Cfg.RPReachInterval, func() { r.rpFailover(g) })
+	r.rpTimer[g] = r.After(3*r.Cfg.RPReachInterval, func() { r.rpFailover(g) })
 }
 
 // --- Sending ---
@@ -91,16 +91,11 @@ func (r *Router) sendJoinPrune(out *netsim.Iface, upstream addr.IP, g addr.IP, j
 }
 
 func (r *Router) transmitJoinPrune(out *netsim.Iface, m *pimmsg.JoinPrune) {
-	r.enc.Buf = pimmsg.AppendEnvelope(r.enc.Buf[:0], pimmsg.TypeJoinPrune)
-	r.enc.Buf = m.MarshalTo(r.enc.Buf)
-	r.Node.Send(out, r.enc.Packet(out.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
+	r.Enc.Buf = pimmsg.AppendEnvelope(r.Enc.Buf[:0], pimmsg.TypeJoinPrune)
+	r.Enc.Buf = m.MarshalTo(r.Enc.Buf)
+	r.Node.Send(out, r.Enc.Packet(out.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
 	r.Metrics.Inc(metrics.CtrlJoinPrune)
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.JoinPruneSend, Router: r.Node.ID,
-			Iface: out.Index, Epoch: r.epoch, Value: int64(len(m.Groups)),
-		})
-	}
+	r.Pub(telemetry.JoinPruneSend, out.Index, 0, 0, int64(len(m.Groups)))
 }
 
 // setUpstream resolves and installs the RPF interface and upstream neighbor
@@ -112,16 +107,7 @@ func (r *Router) setUpstream(e *mfib.Entry, target addr.IP) {
 	}
 	e.IIF, e.UpstreamNeighbor = iif, up
 	e.Touch()
-	if r.tel != nil {
-		idx := -1
-		if iif != nil {
-			idx = iif.Index
-		}
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.IIFSet, Router: r.Node.ID, Iface: idx,
-			Epoch: r.epoch, Source: target, Group: e.Key.Group, Value: entryKind(e.Key),
-		})
-	}
+	r.Pub(telemetry.IIFSet, ifaceIndex(iif), target, e.Key.Group, entryKind(e.Key))
 }
 
 // upstreamTarget returns the address an entry's joins/prunes chase: the RP
@@ -155,7 +141,7 @@ type jpDest struct {
 // periodicRefresh re-sends the join/prune state for every entry, batched
 // per (interface, upstream neighbor) so one message carries many groups.
 func (r *Router) periodicRefresh() {
-	now := r.now()
+	now := r.Now()
 	// Transmission order must not depend on map iteration: the simulation
 	// is deterministic, and under injected loss the draw sequence is
 	// consumed in delivery order. Destinations are emitted in the order the
@@ -263,7 +249,7 @@ func (r *Router) periodicRefresh() {
 // The result lives in per-router scratch reused across refreshes; callers
 // consume it before the next call.
 func (r *Router) rptPrunesToRefresh(g addr.IP, wc *mfib.Entry) []addr.IP {
-	now := r.now()
+	now := r.Now()
 	r.rptScratch = r.rptScratch[:0]
 	r.MFIB.ForGroup(g, func(e *mfib.Entry) {
 		switch {
@@ -296,7 +282,7 @@ func containsIP(s []addr.IP, a addr.IP) bool {
 // shared-tree oif, meaning no downstream branch still wants the source via
 // the RP tree and the prune should propagate upstream.
 func (r *Router) rptCoversSharedOifs(rpt, wc *mfib.Entry) bool {
-	now := r.now()
+	now := r.Now()
 	any := false
 	for i := 0; i < wc.OIFCount(); i++ {
 		wo := wc.OIFAt(i)
@@ -345,7 +331,7 @@ func (r *Router) sgEffectivelyEmpty(e *mfib.Entry) bool {
 // list goes null, a prune is sent upstream and the entry is deleted after
 // 3× the refresh period.
 func (r *Router) checkEmptyOIF(e *mfib.Entry) {
-	now := r.now()
+	now := r.Now()
 	if e.DeleteAt != 0 {
 		return
 	}
@@ -367,16 +353,10 @@ func (r *Router) checkEmptyOIF(e *mfib.Entry) {
 // maintain sweeps expired state and empty negative caches each refresh
 // period.
 func (r *Router) maintain() {
-	now := r.now()
+	now := r.Now()
 	swept := r.MFIB.Sweep(now)
-	if r.tel != nil {
-		for _, e := range swept {
-			r.tel.Publish(telemetry.Event{
-				At: now, Kind: telemetry.EntryExpire, Router: r.Node.ID, Iface: -1,
-				Epoch: r.epoch, Source: e.Key.Source, Group: e.Key.Group,
-				Value: entryKind(e.Key),
-			})
-		}
+	for _, e := range swept {
+		r.Pub(telemetry.EntryExpire, -1, e.Key.Source, e.Key.Group, entryKind(e.Key))
 	}
 	// Negative caches with no live pruned interface have no reason to
 	// exist; their upstream copies expire the same way.
@@ -417,12 +397,7 @@ func (r *Router) handleJoinPrune(in *netsim.Iface, body []byte) {
 }
 
 func (r *Router) processJoinPrune(in *netsim.Iface, m *pimmsg.JoinPrune) {
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.JoinPruneRecv, Router: r.Node.ID,
-			Iface: in.Index, Epoch: r.epoch, Value: int64(len(m.Groups)),
-		})
-	}
+	r.Pub(telemetry.JoinPruneRecv, in.Index, 0, 0, int64(len(m.Groups)))
 	hold := netsim.Time(m.HoldTime) * netsim.Second
 	for _, grp := range m.Groups {
 		g := grp.Group
@@ -452,7 +427,7 @@ func (r *Router) processJoinPrune(in *netsim.Iface, m *pimmsg.JoinPrune) {
 // joinShared installs/refreshes (*,G) state for a downstream join with the
 // WC and RP bits (§3.2).
 func (r *Router) joinShared(in *netsim.Iface, g, rp addr.IP, hold netsim.Time) {
-	now := r.now()
+	now := r.Now()
 	wc, created := r.upsert(mfib.Key{Group: g, RPBit: true}, now)
 	if created {
 		wc.RP = rp
@@ -491,7 +466,7 @@ func (r *Router) joinShared(in *netsim.Iface, g, rp addr.IP, hold netsim.Time) {
 
 // joinSPT installs/refreshes (S,G) shortest-path state (§3.3).
 func (r *Router) joinSPT(in *netsim.Iface, g, s addr.IP, hold netsim.Time) {
-	now := r.now()
+	now := r.Now()
 	sg, created := r.upsert(mfib.Key{Source: s, Group: g}, now)
 	if created {
 		if rp, ok := r.rpFor(g); ok {
@@ -518,7 +493,7 @@ func (r *Router) cancelNegativeCache(in *netsim.Iface, g, s addr.IP) {
 		return
 	}
 	rpt.RemoveOIF(in)
-	if rpt.OIFEmpty(r.now()) {
+	if rpt.OIFEmpty(r.Now()) {
 		r.deleteEntry(rpt.Key)
 		// Propagate the cancellation so upstream negative caches clear
 		// promptly rather than waiting for expiry.
@@ -576,17 +551,17 @@ func (r *Router) scheduleOIFPrune(e *mfib.Entry, o *mfib.OIF, in *netsim.Iface, 
 		apply(e)
 		return
 	}
-	now := r.now()
+	now := r.Now()
 	o.PrunePending = true
 	o.PruneDeadline = now + r.Cfg.PruneOverrideDelay
 	e.Touch()
 	key, life := e.Key, e.Life()
-	r.after(r.Cfg.PruneOverrideDelay, func() {
+	r.After(r.Cfg.PruneOverrideDelay, func() {
 		cur := r.MFIB.Get(key)
 		if cur == nil || cur.Life() != life {
 			return
 		}
-		if co := cur.OIF(in.Index); co != nil && co.PrunePending && r.now() >= co.PruneDeadline {
+		if co := cur.OIF(in.Index); co != nil && co.PrunePending && r.Now() >= co.PruneDeadline {
 			apply(cur)
 		}
 	})
@@ -596,7 +571,7 @@ func (r *Router) scheduleOIFPrune(e *mfib.Entry, o *mfib.OIF, in *netsim.Iface, 
 // from the shared tree on the arriving interface, recorded as negative
 // cache (§3.3 fn. 11).
 func (r *Router) pruneSourceOnShared(in *netsim.Iface, g, s addr.IP, hold netsim.Time) {
-	now := r.now()
+	now := r.Now()
 	wc := r.MFIB.Wildcard(g)
 	if wc == nil || !wc.HasOIF(in, now) {
 		return
@@ -616,13 +591,13 @@ func (r *Router) pruneSourceOnShared(in *netsim.Iface, g, s addr.IP, hold netsim
 		o.PruneDeadline = now + r.Cfg.PruneOverrideDelay
 		rpt.Touch()
 		rptKey, rptLife := rpt.Key, rpt.Life()
-		r.after(r.Cfg.PruneOverrideDelay, func() {
+		r.After(r.Cfg.PruneOverrideDelay, func() {
 			cur := r.MFIB.Get(rptKey)
 			if cur == nil || cur.Life() != rptLife {
 				return
 			}
 			co := cur.OIF(in.Index)
-			if co == nil || !co.PrunePending || r.now() < co.PruneDeadline {
+			if co == nil || !co.PrunePending || r.Now() < co.PruneDeadline {
 				return
 			}
 			co.PrunePending = false
@@ -648,7 +623,7 @@ func (r *Router) propagateRptPrune(g, s addr.IP, rpt, wc *mfib.Entry) {
 // overhearJoinPrune implements the LAN behaviour of §3.7 for messages
 // addressed to another upstream router.
 func (r *Router) overhearJoinPrune(in *netsim.Iface, m *pimmsg.JoinPrune) {
-	now := r.now()
+	now := r.Now()
 	for _, grp := range m.Groups {
 		g := grp.Group
 		// Join suppression: an identical overheard join postpones ours.

@@ -12,7 +12,7 @@ import (
 // sent over the old interface (if still operational) to release the stale
 // branch.
 func (r *Router) routesChanged() {
-	now := r.now()
+	now := r.Now()
 	r.MFIB.ForEach(func(e *mfib.Entry) {
 		target := upstreamTarget(e)
 		if target == 0 || r.Node.OwnsAddr(target) {

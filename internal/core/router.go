@@ -4,31 +4,21 @@ import (
 	"slices"
 
 	"pim/internal/addr"
+	"pim/internal/engine"
 	"pim/internal/metrics"
 	"pim/internal/mfib"
 	"pim/internal/netsim"
 	"pim/internal/packet"
 	"pim/internal/pimmsg"
-	"pim/internal/rpf"
 	"pim/internal/telemetry"
 	"pim/internal/unicast"
 )
 
 // Router is one PIM sparse-mode router instance.
 type Router struct {
-	Node    *netsim.Node
-	Cfg     Config
-	Unicast unicast.Router
-	MFIB    *mfib.Table
-	Metrics *metrics.Counters
-
-	// tel is the telemetry bus from Config.Telemetry; nil disables all
-	// publication (every emit site is a single nil-check branch).
-	tel *telemetry.Bus
-
-	// rpfc memoizes Unicast lookups for the per-packet paths (RPF checks,
-	// register targeting, unicast relay), invalidated by table generation.
-	rpfc *rpf.Cache
+	engine.Chassis
+	Cfg  Config
+	MFIB *mfib.Table
 
 	// rpMap holds group -> ordered RP candidates (config plus host RPMap
 	// messages); currentRP tracks which candidate the receiver side of this
@@ -39,8 +29,8 @@ type Router struct {
 	// rpTimer fires RP fail-over for groups with local members (§3.9).
 	rpTimer map[addr.IP]*netsim.Timer
 
-	// neighbors[ifaceIndex][address] = expiry, learned from PIM queries.
-	neighbors map[int]map[addr.IP]netsim.Time
+	// nbrs holds the PIM neighbors learned from queries.
+	nbrs engine.Neighbors
 
 	// sptCount tracks §3.3 threshold switching per (S,G).
 	sptCount map[mfib.Key]*sptCounter
@@ -50,13 +40,9 @@ type Router struct {
 	rpReportSeqs map[addr.IP]uint32
 	learnedRP    map[addr.IP]learnedMapping
 
-	// enc is the reusable control-message encode workspace: every Node.Send
-	// site appends envelope+body into enc.Buf and sends enc.Packet, so warm
-	// periodic refresh allocates nothing. Safe because Send copies the
-	// payload into its transmit frame before returning. regInner is the
-	// second buffer the register path needs for the encapsulated inner
-	// datagram (it is alive while enc.Buf is being built around it).
-	enc      packet.Scratch
+	// regInner is the second buffer the register path needs for the
+	// encapsulated inner datagram (it is alive while Enc.Buf is being built
+	// around it).
 	regInner []byte
 	// jpDec is the join/prune decode scratch; valid only within one
 	// handleJoinPrune call (the record slices are recycled across calls).
@@ -69,12 +55,6 @@ type Router struct {
 	jpMsg      pimmsg.JoinPrune
 	rptScratch []addr.IP
 
-	started bool
-	// epoch invalidates scheduled closures across Stop/Restart: every timer
-	// body is wrapped to fire only if the epoch it was scheduled under is
-	// still current, so a crashed incarnation's callbacks become inert
-	// instead of mutating the fresh state of the next one.
-	epoch uint64
 	// onChangeHooked: Unicast.OnChange registration is append-only, so the
 	// callback is installed once and gated on started instead of being
 	// re-registered per Start.
@@ -95,112 +75,60 @@ type sptCounter struct {
 // New constructs a PIM-SM router bound to a node and a unicast routing view.
 func New(nd *netsim.Node, cfg Config, uni unicast.Router) *Router {
 	cfg.fillDefaults()
-	r := &Router{
-		Node:         nd,
-		Cfg:          cfg,
-		Unicast:      uni,
-		tel:          cfg.Telemetry,
-		rpfc:         rpf.New(uni),
-		MFIB:         mfib.NewTable(),
-		Metrics:      metrics.New(),
-		rpMap:        map[addr.IP][]addr.IP{},
-		currentRP:    map[addr.IP]addr.IP{},
-		rpTimer:      map[addr.IP]*netsim.Timer{},
-		neighbors:    map[int]map[addr.IP]netsim.Time{},
-		sptCount:     map[mfib.Key]*sptCounter{},
-		rpReportSeqs: map[addr.IP]uint32{},
-		learnedRP:    map[addr.IP]learnedMapping{},
-	}
-	for g, rps := range cfg.RPMapping {
-		r.rpMap[g] = append([]addr.IP(nil), rps...)
-	}
+	r := &Router{Chassis: engine.NewChassis(nd, uni, cfg.Telemetry), Cfg: cfg}
+	r.reset()
+	r.Handle(packet.ProtoPIM, r.handlePIM)
+	r.Handle(packet.ProtoPIMData, r.handlePIM)
+	r.Handle(packet.ProtoUDP, r.handleData)
 	return r
 }
 
 // Start registers packet handlers and begins the periodic machinery.
-func (r *Router) Start() {
-	if r.started {
-		return
-	}
-	r.started = true
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EpochStart, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Value: int64(r.MFIB.Len()),
-		})
-	}
-	r.Node.Handle(packet.ProtoPIM, netsim.HandlerFunc(r.handlePIM))
-	r.Node.Handle(packet.ProtoPIMData, netsim.HandlerFunc(r.handlePIM))
-	r.Node.Handle(packet.ProtoUDP, netsim.HandlerFunc(r.handleData))
+func (r *Router) Start() { r.Chassis.Start(r.MFIB.Len(), r.boot) }
+
+func (r *Router) boot() {
 	if !r.onChangeHooked {
 		r.onChangeHooked = true
 		r.Unicast.OnChange(func() {
-			if r.started {
+			if r.Started() {
 				r.routesChanged()
 			}
 		})
 	}
-
-	var refresh func()
-	refresh = func() {
-		r.maintain()
-		r.periodicRefresh()
-		r.after(r.Cfg.JoinPruneInterval, refresh)
-	}
 	// Deterministic per-router phase offset: desynchronized refreshes give
 	// §3.7 join suppression a chance to work on shared LANs.
 	offset := netsim.Time(uint64(r.Node.ID)*1000003) % (r.Cfg.JoinPruneInterval / 2)
-	r.after(offset, refresh)
-
-	var query func()
-	query = func() {
+	r.Every(offset, r.Cfg.JoinPruneInterval, func() {
+		r.maintain()
+		r.periodicRefresh()
+	})
+	r.Every(0, r.Cfg.QueryInterval, func() {
 		r.expireNeighbors()
 		r.sendQueries()
-		r.after(r.Cfg.QueryInterval, query)
-	}
-	r.after(0, query)
-
-	var rpBeacon func()
-	rpBeacon = func() {
+	})
+	r.Every(0, r.Cfg.RPReachInterval, func() {
 		r.originateRPReach()
 		r.originateRPReport()
-		r.after(r.Cfg.RPReachInterval, rpBeacon)
-	}
-	r.after(0, rpBeacon)
+	})
 }
 
 // Stop detaches the router from its node and discards every piece of soft
 // state: MFIB entries, neighbor liveness, joined-RP choices, learned
-// RP-report mappings, SPT counters, and all pending timers. Scheduled
-// closures from this incarnation are invalidated by the epoch bump, so none
-// of them can touch the fresh maps. Static configuration, the metrics
-// ledger, and the RP-report sequence number survive — resetting the
-// sequence number would make peers discard the next incarnation's reports
-// as replays.
-func (r *Router) Stop() {
-	if !r.started {
-		return
-	}
-	r.started = false
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EpochEnd, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Value: int64(r.MFIB.Len()),
-		})
-	}
-	r.epoch++
-	r.Node.Handle(packet.ProtoPIM, nil)
-	r.Node.Handle(packet.ProtoPIMData, nil)
-	r.Node.Handle(packet.ProtoUDP, nil)
+// RP-report mappings, SPT counters, and all pending timers. Static
+// configuration, the metrics ledger, and the RP-report sequence number
+// survive — resetting the sequence number would make peers discard the next
+// incarnation's reports as replays.
+func (r *Router) Stop() { r.Chassis.Stop(r.MFIB.Len(), r.reset) }
+
+func (r *Router) reset() {
 	for _, t := range r.rpTimer {
 		t.Stop()
 	}
-	r.rpfc = rpf.New(r.Unicast)
 	r.MFIB = mfib.NewTable()
 	r.rpMap = map[addr.IP][]addr.IP{}
 	r.currentRP = map[addr.IP]addr.IP{}
 	r.rpTimer = map[addr.IP]*netsim.Timer{}
-	r.neighbors = map[int]map[addr.IP]netsim.Time{}
+	r.nbrs.Reset()
 	r.sptCount = map[mfib.Key]*sptCounter{}
 	r.rpReportSeqs = map[addr.IP]uint32{}
 	r.learnedRP = map[addr.IP]learnedMapping{}
@@ -216,29 +144,6 @@ func (r *Router) Restart() {
 	r.Stop()
 	r.Start()
 }
-
-// after schedules fn under the current epoch: if the router is stopped or
-// restarted before the timer fires, the closure is a no-op.
-func (r *Router) after(d netsim.Time, fn func()) *netsim.Timer {
-	ep := r.epoch
-	return r.sched().After(d, func() {
-		if r.epoch == ep {
-			// Published past the guard: the event records a timer body that
-			// actually executed, carrying the epoch it was armed under, so
-			// the invariant checker can assert no dead incarnation ever acts.
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: r.now(), Kind: telemetry.TimerFire, Router: r.Node.ID,
-					Iface: -1, Epoch: ep,
-				})
-			}
-			fn()
-		}
-	})
-}
-
-func (r *Router) sched() *netsim.Scheduler { return r.Node.Sched() }
-func (r *Router) now() netsim.Time         { return r.sched().Now() }
 
 // SetRPMapping installs or replaces the ordered RP candidate list for a
 // group (configuration path of §3, or host RPMap messages via LearnRPMap).
@@ -265,7 +170,7 @@ func (r *Router) RPsFor(g addr.IP) []addr.IP {
 	if rps := r.rpMap[g]; len(rps) > 0 {
 		return rps
 	}
-	if lm, ok := r.learnedRP[g]; ok && r.now() <= lm.expires {
+	if lm, ok := r.learnedRP[g]; ok && r.Now() <= lm.expires {
 		return []addr.IP{lm.rp}
 	}
 	return nil
@@ -280,7 +185,7 @@ func (r *Router) rpFor(g addr.IP) (addr.IP, bool) {
 	}
 	rps := r.rpMap[g]
 	if len(rps) == 0 {
-		if lm, ok := r.learnedRP[g]; ok && r.now() <= lm.expires {
+		if lm, ok := r.learnedRP[g]; ok && r.Now() <= lm.expires {
 			r.currentRP[g] = lm.rp
 			return lm.rp, true
 		}
@@ -317,7 +222,7 @@ func (r *Router) rpf(target addr.IP) (iif *netsim.Iface, upstream addr.IP, ok bo
 	if r.Node.OwnsAddr(target) {
 		return nil, 0, true
 	}
-	rt, ok := r.rpfc.Lookup(target)
+	rt, ok := r.RPF.Lookup(target)
 	if !ok {
 		return nil, 0, false
 	}
@@ -337,13 +242,13 @@ func (r *Router) rpf(target addr.IP) (iif *netsim.Iface, upstream addr.IP, ok bo
 
 func (r *Router) sendQueries() {
 	q := pimmsg.Query{HoldTime: uint16(3*r.Cfg.QueryInterval/netsim.Second + 15)}
-	r.enc.Buf = pimmsg.AppendEnvelope(r.enc.Buf[:0], pimmsg.TypeQuery)
-	r.enc.Buf = q.MarshalTo(r.enc.Buf)
+	r.Enc.Buf = pimmsg.AppendEnvelope(r.Enc.Buf[:0], pimmsg.TypeQuery)
+	r.Enc.Buf = q.MarshalTo(r.Enc.Buf)
 	for _, ifc := range r.Node.Ifaces {
 		if !ifc.Up() || ifc.Addr == 0 {
 			continue
 		}
-		r.Node.Send(ifc, r.enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
+		r.Node.Send(ifc, r.Enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
 		r.Metrics.Inc(metrics.CtrlQuery)
 	}
 }
@@ -353,68 +258,20 @@ func (r *Router) handleQuery(in *netsim.Iface, src addr.IP, body []byte) {
 	if err := pimmsg.UnmarshalQueryInto(&q, body); err != nil {
 		return
 	}
-	byAddr := r.neighbors[in.Index]
-	if byAddr == nil {
-		byAddr = map[addr.IP]netsim.Time{}
-		r.neighbors[in.Index] = byAddr
+	now := r.Now()
+	if known, _ := r.nbrs.Heard(in.Index, src, now, now+netsim.Time(q.HoldTime)*netsim.Second); !known {
+		r.Pub(telemetry.NeighborUp, in.Index, src, 0, 0)
 	}
-	if _, known := byAddr[src]; !known && r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.NeighborUp, Router: r.Node.ID,
-			Iface: in.Index, Epoch: r.epoch, Source: src,
-		})
-	}
-	byAddr[src] = r.now() + netsim.Time(q.HoldTime)*netsim.Second
 }
 
 func (r *Router) expireNeighbors() {
-	now := r.now()
-	// Collect expiries and process them in (iface, address) order: a sweep
-	// can expire several neighbors at once (simultaneous link failures), and
-	// publishing in map-iteration order would make the telemetry stream
-	// nondeterministic.
-	type expiry struct {
-		idx int
-		a   addr.IP
-	}
-	var dead []expiry
-	for idx, byAddr := range r.neighbors {
-		for a, deadline := range byAddr {
-			if now > deadline {
-				dead = append(dead, expiry{idx, a})
-			}
-		}
-	}
-	slices.SortFunc(dead, func(x, y expiry) int {
-		if x.idx != y.idx {
-			return x.idx - y.idx
-		}
-		switch {
-		case x.a < y.a:
-			return -1
-		case x.a > y.a:
-			return 1
-		}
-		return 0
+	r.nbrs.Expire(r.Now(), func(iface int, a addr.IP) {
+		r.Pub(telemetry.NeighborDown, iface, a, 0, 0)
 	})
-	for _, e := range dead {
-		delete(r.neighbors[e.idx], e.a)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: now, Kind: telemetry.NeighborDown, Router: r.Node.ID,
-				Iface: e.idx, Epoch: r.epoch, Source: e.a,
-			})
-		}
-	}
 }
 
 func (r *Router) isNeighbor(ifc *netsim.Iface, a addr.IP) bool {
-	byAddr := r.neighbors[ifc.Index]
-	if byAddr == nil {
-		return false
-	}
-	deadline, ok := byAddr[a]
-	return ok && r.now() <= deadline
+	return r.nbrs.Alive(ifc.Index, a, r.Now())
 }
 
 // IsDR reports whether this router is the designated router on the
@@ -422,24 +279,17 @@ func (r *Router) isNeighbor(ifc *netsim.Iface, a addr.IP) bool {
 // ("the designated router is the one that takes responsibility for serving
 // the members on the LAN").
 func (r *Router) IsDR(ifc *netsim.Iface) bool {
-	now := r.now()
-	for a, deadline := range r.neighbors[ifc.Index] {
-		if now <= deadline && a > ifc.Addr {
-			return false
-		}
-	}
-	return true
+	return !r.nbrs.Live(ifc.Index, r.Now(), ifc.Addr)
 }
 
 // Neighbors returns the live PIM neighbors on an interface, sorted.
 func (r *Router) Neighbors(ifc *netsim.Iface) []addr.IP {
-	now := r.now()
 	var out []addr.IP
-	for a, deadline := range r.neighbors[ifc.Index] {
-		if now <= deadline {
+	r.nbrs.Each(r.Now(), func(iface int, a addr.IP) {
+		if iface == ifc.Index {
 			out = append(out, a)
 		}
-	}
+	})
 	slices.Sort(out)
 	return out
 }
@@ -473,7 +323,7 @@ func (r *Router) handlePIM(in *netsim.Iface, pkt *packet.Packet) {
 
 // forwardUnicast relays a unicast packet one hop along the unicast route.
 func (r *Router) forwardUnicast(pkt *packet.Packet) {
-	rt, ok := r.rpfc.Lookup(pkt.Dst)
+	rt, ok := r.RPF.Lookup(pkt.Dst)
 	if !ok {
 		return
 	}
@@ -496,18 +346,7 @@ func (r *Router) StateCount() int { return r.MFIB.Len() }
 // interfaces — the recovery tests' stale-neighbor probe: after a peer's
 // crash and hold-time expiry it must drop, and after the peer's restart it
 // must return to the interface's true degree.
-func (r *Router) NeighborCount() int {
-	now := r.now()
-	n := 0
-	for _, byAddr := range r.neighbors {
-		for _, deadline := range byAddr {
-			if now <= deadline {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (r *Router) NeighborCount() int { return r.nbrs.Count(r.Now()) }
 
 // HandlePIMPacket is the exported PIM control entry point, used by border
 // routers (internal/border) that multiplex sparse- and dense-mode protocol

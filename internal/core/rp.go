@@ -48,7 +48,7 @@ func (r *Router) handleRegister(in *netsim.Iface, outer *packet.Packet, body []b
 // and joins toward it. via is the interface the source is directly
 // connected on when the RP is also the source's DR, nil otherwise.
 func (r *Router) rpAcceptSource(s, g addr.IP, via *netsim.Iface) {
-	now := r.now()
+	now := r.Now()
 	sg, created := r.upsert(mfib.Key{Source: s, Group: g}, now)
 	if !created {
 		return
@@ -84,10 +84,10 @@ func (r *Router) originateRPReach() {
 }
 
 func (r *Router) distributeRPReach(wc *mfib.Entry, m *pimmsg.RPReach, except *netsim.Iface) {
-	r.enc.Buf = pimmsg.AppendEnvelope(r.enc.Buf[:0], pimmsg.TypeRPReach)
-	r.enc.Buf = m.MarshalTo(r.enc.Buf)
-	for _, ifc := range wc.LiveOIFs(r.now(), except) {
-		r.Node.Send(ifc, r.enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
+	r.Enc.Buf = pimmsg.AppendEnvelope(r.Enc.Buf[:0], pimmsg.TypeRPReach)
+	r.Enc.Buf = m.MarshalTo(r.Enc.Buf)
+	for _, ifc := range wc.LiveOIFs(r.Now(), except) {
+		r.Node.Send(ifc, r.Enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
 		r.Metrics.Inc(metrics.CtrlRPReach)
 	}
 }
@@ -151,7 +151,7 @@ func (r *Router) handleRPReport(in *netsim.Iface, body []byte) {
 		return
 	}
 	r.rpReportSeqs[rep.RP] = rep.Seq
-	expires := r.now() + 3*r.Cfg.RPReachInterval
+	expires := r.Now() + 3*r.Cfg.RPReachInterval
 	for _, g := range rep.Groups {
 		// Cached mapping; configuration and host-supplied mappings win.
 		r.learnedRP[g] = learnedMapping{rp: rep.RP, expires: expires}
@@ -160,13 +160,13 @@ func (r *Router) handleRPReport(in *netsim.Iface, body []byte) {
 }
 
 func (r *Router) floodRPReport(rep *pimmsg.RPReport, except *netsim.Iface) {
-	r.enc.Buf = pimmsg.AppendEnvelope(r.enc.Buf[:0], pimmsg.TypeRPReport)
-	r.enc.Buf = rep.MarshalTo(r.enc.Buf)
+	r.Enc.Buf = pimmsg.AppendEnvelope(r.Enc.Buf[:0], pimmsg.TypeRPReport)
+	r.Enc.Buf = rep.MarshalTo(r.Enc.Buf)
 	for _, ifc := range r.Node.Ifaces {
 		if ifc == except || !ifc.Up() || ifc.Addr == 0 {
 			continue
 		}
-		r.Node.Send(ifc, r.enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
+		r.Node.Send(ifc, r.Enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
 		r.Metrics.Inc(metrics.CtrlRPReach)
 	}
 }
@@ -205,12 +205,7 @@ func (r *Router) rpFailover(g addr.IP) {
 	if len(localIfaces) == 0 {
 		return // transit-only state: soft-state expiry handles it
 	}
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.RPFailover, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Source: next, Group: g,
-		})
-	}
+	r.Pub(telemetry.RPFailover, -1, next, g, 0)
 	r.deleteEntry(old.Key)
 	// Also drop negative caches tied to the old tree.
 	var stale []mfib.Key
@@ -223,7 +218,7 @@ func (r *Router) rpFailover(g addr.IP) {
 		r.deleteEntry(k)
 	}
 	r.currentRP[g] = next
-	now := r.now()
+	now := r.Now()
 	wc, _ := r.upsert(mfib.Key{Group: g, RPBit: true}, now)
 	wc.RP = next
 	r.setUpstream(wc, next)

@@ -2,11 +2,11 @@ package dvmrp
 
 import (
 	"pim/internal/addr"
+	"pim/internal/engine"
 	"pim/internal/metrics"
 	"pim/internal/mfib"
 	"pim/internal/netsim"
 	"pim/internal/packet"
-	"pim/internal/rpf"
 	"pim/internal/telemetry"
 	"pim/internal/unicast"
 )
@@ -37,51 +37,26 @@ const (
 	DefaultGraftRetry    = 3 * netsim.Second
 )
 
-// infiniteExpiry keeps default-on oifs alive until explicitly pruned.
-const infiniteExpiry = netsim.Time(1) << 60
-
-// Router is one DVMRP router instance.
+// Router is one DVMRP router instance: the shared flood-and-prune machine
+// (engine.Flood — data plane, membership, prune and graft state) speaking
+// the DVMRP wire format of msg.go.
 type Router struct {
-	Node    *netsim.Node
-	Cfg     Config
-	Unicast unicast.Router
-	MFIB    *mfib.Table
-	Metrics *metrics.Counters
-
-	// tel is the telemetry bus from Config.Telemetry; nil disables all
-	// publication.
-	tel *telemetry.Bus
-
-	// rpfc memoizes the per-packet reverse-path lookup, invalidated by
-	// unicast table generation.
-	rpfc *rpf.Cache
-
-	// neighbors[ifaceIndex][addr] = expiry; learned from probes.
-	neighbors map[int]map[addr.IP]netsim.Time
-	// members[ifaceIndex][group] = true; local membership from IGMP.
-	members map[int]map[addr.IP]bool
-	// prunedUpstream[key] = true when we sent a prune toward the source and
-	// have not grafted back.
-	prunedUpstream map[mfib.Key]bool
-	// pendingGrafts holds the retransmission state of unacked grafts.
-	pendingGrafts map[mfib.Key]*pendingGraft
-
-	// enc is the reusable control-message encode workspace (see
-	// core.Router.enc): safe because Node.Send copies the payload into its
-	// transmit frame before returning.
-	enc packet.Scratch
-
-	started bool
-	// epoch invalidates scheduled closures across Stop/Restart (see
-	// core.Router): timer bodies fire only under the epoch they were
-	// scheduled in.
-	epoch uint64
+	engine.Flood
+	Cfg Config
 }
 
-// pendingGraft tracks one unacked graft awaiting retransmission.
-type pendingGraft struct {
-	timer   *netsim.Timer
-	backoff netsim.Time
+// codec spells the machine's upstream messages as DVMRP prunes and grafts,
+// both unicast to the upstream neighbor.
+var codec = engine.Codec{
+	Proto: packet.ProtoDVMRP,
+	Prune: func(b []byte, e *mfib.Entry, holdSec uint16) ([]byte, addr.IP) {
+		m := Message{Type: TypePrune, Source: e.Key.Source, Group: e.Key.Group, Lifetime: holdSec}
+		return m.MarshalTo(b), e.UpstreamNeighbor
+	},
+	Graft: func(b []byte, e *mfib.Entry) []byte {
+		m := Message{Type: TypeGraft, Source: e.Key.Source, Group: e.Key.Group}
+		return m.MarshalTo(b)
+	},
 }
 
 // New builds a DVMRP router.
@@ -95,69 +70,27 @@ func New(nd *netsim.Node, cfg Config, uni unicast.Router) *Router {
 	if cfg.GraftRetry == 0 {
 		cfg.GraftRetry = DefaultGraftRetry
 	}
-	return &Router{
-		Node: nd, Cfg: cfg, Unicast: uni,
-		tel:            cfg.Telemetry,
-		rpfc:           rpf.New(uni),
-		MFIB:           mfib.NewTable(),
-		Metrics:        metrics.New(),
-		neighbors:      map[int]map[addr.IP]netsim.Time{},
-		members:        map[int]map[addr.IP]bool{},
-		prunedUpstream: map[mfib.Key]bool{},
-		pendingGrafts:  map[mfib.Key]*pendingGraft{},
+	r := &Router{
+		Flood: engine.NewFlood(engine.NewChassis(nd, uni, cfg.Telemetry), codec, cfg.PruneLifetime, cfg.GraftRetry),
+		Cfg:   cfg,
 	}
+	r.Handle(packet.ProtoDVMRP, r.handleCtrl)
+	r.Handle(packet.ProtoUDP, func(in *netsim.Iface, pkt *packet.Packet) { r.HandleData(in, pkt) })
+	return r
 }
 
 // Start registers handlers and begins probing.
 func (r *Router) Start() {
-	if r.started {
-		return
-	}
-	r.started = true
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EpochStart, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Value: int64(r.MFIB.Len()),
+	r.Chassis.Start(r.StateCount(), func() {
+		r.Every(0, r.Cfg.ProbeInterval, func() {
+			r.Nbrs.Expire(r.Now(), nil)
+			r.sendProbes()
 		})
-	}
-	r.Node.Handle(packet.ProtoDVMRP, netsim.HandlerFunc(r.handleCtrl))
-	r.Node.Handle(packet.ProtoUDP, netsim.HandlerFunc(r.handleData))
-	var probe func()
-	probe = func() {
-		r.expireNeighbors()
-		r.sendProbes()
-		r.after(r.Cfg.ProbeInterval, probe)
-	}
-	r.after(0, probe)
+	})
 }
 
-// Stop detaches the router and discards all soft state: forwarding entries,
-// neighbor liveness, local membership, prune markers, and graft
-// retransmission timers. Scheduled closures die via the epoch bump.
-func (r *Router) Stop() {
-	if !r.started {
-		return
-	}
-	r.started = false
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EpochEnd, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Value: int64(r.MFIB.Len()),
-		})
-	}
-	r.epoch++
-	r.Node.Handle(packet.ProtoDVMRP, nil)
-	r.Node.Handle(packet.ProtoUDP, nil)
-	for _, p := range r.pendingGrafts {
-		p.timer.Stop()
-	}
-	r.rpfc = rpf.New(r.Unicast)
-	r.MFIB = mfib.NewTable()
-	r.neighbors = map[int]map[addr.IP]netsim.Time{}
-	r.members = map[int]map[addr.IP]bool{}
-	r.prunedUpstream = map[mfib.Key]bool{}
-	r.pendingGrafts = map[mfib.Key]*pendingGraft{}
-}
+// Stop detaches the router and discards all soft state.
+func (r *Router) Stop() { r.Chassis.Stop(r.StateCount(), r.Reset) }
 
 // Restart brings a stopped router back empty; broadcast-and-prune state
 // rebuilds from the data packets themselves.
@@ -166,418 +99,36 @@ func (r *Router) Restart() {
 	r.Start()
 }
 
-// after schedules fn under the current epoch: a Stop/Restart before the
-// timer fires makes the closure a no-op.
-func (r *Router) after(d netsim.Time, fn func()) *netsim.Timer {
-	ep := r.epoch
-	return r.Node.Sched().After(d, func() {
-		if r.epoch == ep {
-			// Published past the epoch guard so the event records a timer
-			// body that actually ran (see core.Router.after).
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: r.now(), Kind: telemetry.TimerFire, Router: r.Node.ID,
-					Iface: -1, Epoch: ep,
-				})
-			}
-			fn()
-		}
-	})
-}
-
-func (r *Router) now() netsim.Time { return r.Node.Sched().Now() }
-
-// StateCount returns the number of multicast forwarding entries.
-func (r *Router) StateCount() int { return r.MFIB.Len() }
-
-// NeighborCount returns the number of live DVMRP neighbor entries across
-// all interfaces — the recovery tests' stale-neighbor probe.
-func (r *Router) NeighborCount() int {
-	now := r.now()
-	n := 0
-	for _, byAddr := range r.neighbors {
-		for _, deadline := range byAddr {
-			if now <= deadline {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// --- Membership (from IGMP) ---
-
-// LocalJoin records a member and grafts pruned branches back (§1.1 graft).
-func (r *Router) LocalJoin(ifc *netsim.Iface, g addr.IP) {
-	byGroup := r.members[ifc.Index]
-	if byGroup == nil {
-		byGroup = map[addr.IP]bool{}
-		r.members[ifc.Index] = byGroup
-	}
-	byGroup[g] = true
-	// Splice this interface back into every active source's tree.
-	r.MFIB.ForGroup(g, func(e *mfib.Entry) {
-		if e.Wildcard || e.Key.RPBit {
-			return
-		}
-		e.AddLocalOIF(ifc)
-		if r.prunedUpstream[e.Key] {
-			r.sendCtrlUpstream(e, TypeGraft, 0)
-			delete(r.prunedUpstream, e.Key)
-		}
-	})
-}
-
-// LocalLeave removes a member; sources flowing to a now-dead branch get
-// pruned.
-func (r *Router) LocalLeave(ifc *netsim.Iface, g addr.IP) {
-	if byGroup := r.members[ifc.Index]; byGroup != nil {
-		delete(byGroup, g)
-	}
-	now := r.now()
-	r.MFIB.ForGroup(g, func(e *mfib.Entry) {
-		if e.Wildcard || e.Key.RPBit {
-			return
-		}
-		if o := e.OIF(ifc.Index); o != nil && o.LocalMember {
-			o.LocalMember = false
-			e.Touch()
-			if !o.Live(now) {
-				e.RemoveOIF(ifc)
-			}
-		}
-		r.maybePruneUpstream(e)
-	})
-}
-
-func (r *Router) hasMember(ifc *netsim.Iface, g addr.IP) bool {
-	byGroup := r.members[ifc.Index]
-	return byGroup != nil && byGroup[g]
-}
-
-// --- Neighbor probes ---
-
 func (r *Router) sendProbes() {
 	m := Message{Type: TypeProbe}
-	r.enc.Buf = m.MarshalTo(r.enc.Buf[:0])
+	r.Enc.Buf = m.MarshalTo(r.Enc.Buf[:0])
 	for _, ifc := range r.Node.Ifaces {
-		if !ifc.Up() || ifc.Addr == 0 {
-			continue
-		}
-		r.Node.Send(ifc, r.enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoDVMRP, 1), 0)
-	}
-}
-
-func (r *Router) expireNeighbors() {
-	now := r.now()
-	for _, byAddr := range r.neighbors {
-		for a, deadline := range byAddr {
-			if now > deadline {
-				delete(byAddr, a)
-			}
+		if r.Eligible(ifc) {
+			r.Node.Send(ifc, r.Enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoDVMRP, 1), 0)
 		}
 	}
 }
-
-// isLeaf reports whether an interface has no DVMRP neighbor: a leaf subnet
-// eligible for truncated broadcast.
-func (r *Router) isLeaf(ifc *netsim.Iface) bool {
-	now := r.now()
-	for _, deadline := range r.neighbors[ifc.Index] {
-		if now <= deadline {
-			return false
-		}
-	}
-	return true
-}
-
-// neighborUp re-evaluates existing (S,G) entries when an adjacency forms on
-// ifc. A restarted transit router that receives data before its downstream
-// neighbor's first probe classifies ifc as a leaf, builds entries that omit
-// it, and prunes upstream; nothing ever grows the branch back because the
-// downstream (which kept forwarding) has no pruned state to graft from. The
-// truncated-broadcast contract (§1.1) says a non-leaf interface carries the
-// flow until its neighbor prunes — so on adjacency-up, restore the branch.
-func (r *Router) neighborUp(ifc *netsim.Iface) {
-	if !ifc.Up() || ifc.Addr == 0 {
-		return
-	}
-	now := r.now()
-	r.MFIB.ForEach(func(e *mfib.Entry) {
-		if e.Wildcard || e.Key.RPBit {
-			return
-		}
-		if e.IIF == ifc {
-			return
-		}
-		if o := e.OIF(ifc.Index); o != nil && o.Live(now) {
-			return
-		}
-		e.AddOIF(ifc, infiniteExpiry)
-		if r.prunedUpstream[e.Key] {
-			r.sendCtrlUpstream(e, TypeGraft, 0)
-			delete(r.prunedUpstream, e.Key)
-		}
-	})
-}
-
-// --- Control messages ---
 
 func (r *Router) handleCtrl(in *netsim.Iface, pkt *packet.Packet) {
-	var msg Message
-	if err := UnmarshalInto(&msg, pkt.Payload); err != nil {
+	var m Message
+	if err := UnmarshalInto(&m, pkt.Payload); err != nil {
 		return
 	}
-	m := &msg
 	switch m.Type {
 	case TypeProbe:
-		byAddr := r.neighbors[in.Index]
-		if byAddr == nil {
-			byAddr = map[addr.IP]netsim.Time{}
-			r.neighbors[in.Index] = byAddr
-		}
-		deadline, known := byAddr[pkt.Src]
-		fresh := !known || r.now() > deadline
-		byAddr[pkt.Src] = r.now() + 3*r.Cfg.ProbeInterval
-		if fresh {
-			r.neighborUp(in)
-		}
+		r.Heard(in, pkt.Src, 3*r.Cfg.ProbeInterval)
 	case TypePrune:
-		r.handlePrune(in, m)
+		// Members still present on that subnet: ignore a stray prune.
+		if e := r.MFIB.SG(m.Source, m.Group); e != nil && !r.Local.Has(in.Index, m.Group) {
+			r.Prune(e, in, netsim.Time(m.Lifetime)*netsim.Second)
+		}
 	case TypeGraft:
-		r.handleGraft(in, pkt.Src, m)
+		ack := Message{Type: TypeGraftAck, Source: m.Source, Group: m.Group}
+		r.Enc.Buf = ack.MarshalTo(r.Enc.Buf[:0])
+		r.Node.Send(in, r.Enc.Packet(in.Addr, pkt.Src, packet.ProtoDVMRP, 1), pkt.Src)
+		r.Metrics.Inc(metrics.CtrlGraft)
+		r.GraftFrom(in, m.Source, m.Group)
 	case TypeGraftAck:
-		// The graft reached upstream: cancel its retransmission timer.
-		key := mfib.Key{Source: m.Source, Group: m.Group}
-		if p := r.pendingGrafts[key]; p != nil {
-			p.timer.Stop()
-			delete(r.pendingGrafts, key)
-		}
-	}
-}
-
-// handlePrune removes the downstream interface and grows it back after the
-// prune lifetime.
-func (r *Router) handlePrune(in *netsim.Iface, m *Message) {
-	e := r.MFIB.SG(m.Source, m.Group)
-	if e == nil {
-		return
-	}
-	if r.hasMember(in, m.Group) {
-		return // members still present on that subnet: ignore stray prune
-	}
-	e.RemoveOIF(in)
-	lifetime := netsim.Time(m.Lifetime) * netsim.Second
-	key := e.Key
-	r.after(lifetime, func() {
-		// Grow back (§1.1): the branch resumes broadcast until re-pruned.
-		if cur := r.MFIB.Get(key); cur != nil && in.Up() {
-			cur.AddOIF(in, infiniteExpiry)
-			delete(r.prunedUpstream, key)
-		}
-	})
-	r.maybePruneUpstream(e)
-}
-
-// handleGraft re-attaches a downstream branch and propagates upstream if we
-// had pruned ourselves.
-func (r *Router) handleGraft(in *netsim.Iface, from addr.IP, m *Message) {
-	ack := Message{Type: TypeGraftAck, Source: m.Source, Group: m.Group}
-	r.enc.Buf = ack.MarshalTo(r.enc.Buf[:0])
-	r.Node.Send(in, r.enc.Packet(in.Addr, from, packet.ProtoDVMRP, 1), from)
-	r.Metrics.Inc(metrics.CtrlGraft)
-
-	e := r.MFIB.SG(m.Source, m.Group)
-	if e == nil {
-		return
-	}
-	e.AddOIF(in, infiniteExpiry)
-	if r.prunedUpstream[e.Key] {
-		r.sendCtrlUpstream(e, TypeGraft, 0)
-		delete(r.prunedUpstream, e.Key)
-	}
-}
-
-// maybePruneUpstream sends a prune toward the source when no outgoing
-// interface remains.
-func (r *Router) maybePruneUpstream(e *mfib.Entry) {
-	if !e.OIFEmpty(r.now()) || r.prunedUpstream[e.Key] {
-		return
-	}
-	if e.UpstreamNeighbor == 0 {
-		return // first-hop router for the source: nothing upstream
-	}
-	r.sendCtrlUpstream(e, TypePrune, uint16(r.Cfg.PruneLifetime/netsim.Second))
-	r.prunedUpstream[e.Key] = true
-	// Self grow-back: after the advertised lifetime upstream resumes
-	// sending, so clear the pruned marker and let data re-populate.
-	key := e.Key
-	r.after(r.Cfg.PruneLifetime, func() {
-		delete(r.prunedUpstream, key)
-	})
-}
-
-func (r *Router) sendCtrlUpstream(e *mfib.Entry, typ byte, lifetime uint16) {
-	if e.IIF == nil || e.UpstreamNeighbor == 0 || !e.IIF.Up() {
-		return
-	}
-	m := Message{Type: typ, Source: e.Key.Source, Group: e.Key.Group, Lifetime: lifetime}
-	r.enc.Buf = m.MarshalTo(r.enc.Buf[:0])
-	r.Node.Send(e.IIF, r.enc.Packet(e.IIF.Addr, e.UpstreamNeighbor, packet.ProtoDVMRP, 1), e.UpstreamNeighbor)
-	switch typ {
-	case TypePrune:
-		r.Metrics.Inc(metrics.CtrlPrune)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.PruneSend, Router: r.Node.ID,
-				Iface: e.IIF.Index, Epoch: r.epoch,
-				Source: e.Key.Source, Group: e.Key.Group,
-			})
-		}
-	case TypeGraft:
-		r.Metrics.Inc(metrics.CtrlGraft)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.GraftSend, Router: r.Node.ID,
-				Iface: e.IIF.Index, Epoch: r.epoch,
-				Source: e.Key.Source, Group: e.Key.Group,
-			})
-		}
-		// Grafts are acknowledged: arm retransmission until the ack lands
-		// or the branch no longer wants traffic.
-		r.armGraftRetry(e.Key, r.Cfg.GraftRetry)
-	}
-}
-
-func (r *Router) armGraftRetry(key mfib.Key, backoff netsim.Time) {
-	if prev := r.pendingGrafts[key]; prev != nil {
-		prev.timer.Stop()
-	}
-	p := &pendingGraft{backoff: backoff}
-	p.timer = r.after(backoff, func() {
-		if r.pendingGrafts[key] != p {
-			return
-		}
-		delete(r.pendingGrafts, key)
-		e := r.MFIB.Get(key)
-		if e == nil || e.OIFEmpty(r.now()) {
-			return
-		}
-		if e.IIF == nil || e.UpstreamNeighbor == 0 || !e.IIF.Up() {
-			return
-		}
-		m := Message{Type: TypeGraft, Source: key.Source, Group: key.Group}
-		r.enc.Buf = m.MarshalTo(r.enc.Buf[:0])
-		r.Node.Send(e.IIF, r.enc.Packet(e.IIF.Addr, e.UpstreamNeighbor, packet.ProtoDVMRP, 1), e.UpstreamNeighbor)
-		r.Metrics.Inc(metrics.CtrlGraft)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.GraftSend, Router: r.Node.ID,
-				Iface: e.IIF.Index, Epoch: r.epoch,
-				Source: key.Source, Group: key.Group,
-			})
-		}
-		next := p.backoff * 2
-		if max := 8 * r.Cfg.GraftRetry; next > max {
-			next = max
-		}
-		r.armGraftRetry(key, next)
-	})
-	r.pendingGrafts[key] = p
-}
-
-// --- Data plane: truncated RPF broadcast (§1.1) ---
-
-func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
-	g := pkt.Dst
-	if !g.IsMulticast() || g.IsLinkLocalMulticast() {
-		return
-	}
-	s := pkt.Src
-	now := r.now()
-	// RPF check: accept only on the interface used to reach the source.
-	srcLocal := in.Addr != 0 && unicast.LinkPrefix(in.Addr).Contains(s)
-	var iif *netsim.Iface
-	var upstream addr.IP
-	if !srcLocal {
-		rt, ok := r.rpfc.Lookup(s)
-		if !ok {
-			r.Metrics.Inc(metrics.DataDropped)
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: now, Kind: telemetry.NoState, Router: r.Node.ID,
-					Iface: in.Index, Epoch: r.epoch, Source: s, Group: g,
-				})
-			}
-			return
-		}
-		iif, upstream = rt.Iface, rt.NextHop
-		if in != iif {
-			r.Metrics.Inc(metrics.DataDropped)
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: now, Kind: telemetry.RPFDrop, Router: r.Node.ID,
-					Iface: in.Index, Epoch: r.epoch, Source: s, Group: g,
-				})
-			}
-			return
-		}
-	} else {
-		iif = in
-	}
-
-	e := r.MFIB.SG(s, g)
-	if e == nil {
-		// First packet from this source: install broadcast state on every
-		// interface except the RPF one, truncating member-less leaves.
-		e, _ = r.MFIB.Upsert(mfib.Key{Source: s, Group: g}, now)
-		e.IIF, e.UpstreamNeighbor = iif, upstream
-		if srcLocal {
-			e.UpstreamNeighbor = 0
-		}
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: now, Kind: telemetry.EntryCreate, Router: r.Node.ID, Iface: -1,
-				Epoch: r.epoch, Source: s, Group: g, Value: telemetry.EntrySG,
-			})
-			if !srcLocal {
-				r.tel.Publish(telemetry.Event{
-					At: now, Kind: telemetry.IIFSet, Router: r.Node.ID,
-					Iface: iif.Index, Epoch: r.epoch, Source: s, Group: g,
-					Value: telemetry.EntrySG,
-				})
-			}
-		}
-		for _, ifc := range r.Node.Ifaces {
-			if ifc == in || !ifc.Up() || ifc.Addr == 0 {
-				continue
-			}
-			if r.isLeaf(ifc) {
-				if r.hasMember(ifc, g) {
-					e.AddLocalOIF(ifc)
-				}
-				continue // truncated broadcast
-			}
-			e.AddOIF(ifc, infiniteExpiry)
-		}
-	}
-	oifs := e.ForwardOIFs(now, in)
-	if len(oifs) == 0 {
-		r.maybePruneUpstream(e)
-		return
-	}
-	fwd, ok := pkt.Forwarded()
-	if !ok {
-		return
-	}
-	for _, out := range oifs {
-		r.Node.Send(out, fwd, 0)
-		r.Metrics.Inc(metrics.DataForwarded)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: now, Kind: telemetry.DataForward, Router: r.Node.ID,
-				Iface: out.Index, Epoch: r.epoch, Source: s, Group: g,
-			})
-		}
+		r.GraftAcked(m.Source, m.Group)
 	}
 }

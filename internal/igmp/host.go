@@ -23,9 +23,8 @@ type Host struct {
 	// Received counts data packets per group, for experiment assertions.
 	Received map[addr.IP]int
 
-	// enc is the reusable report/leave encode workspace (see
-	// core.Router.enc): safe because Node.Send copies the payload into its
-	// transmit frame before returning. dec is the decode scratch, valid
+	// enc is the reusable report/leave encode workspace: safe because
+	// Node.Send copies the payload into its transmit frame before returning. dec is the decode scratch, valid
 	// only within one handleIGMP call.
 	enc packet.Scratch
 	dec Message

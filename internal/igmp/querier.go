@@ -1,7 +1,10 @@
 package igmp
 
 import (
+	"slices"
+
 	"pim/internal/addr"
+	"pim/internal/engine"
 	"pim/internal/netsim"
 	"pim/internal/packet"
 	"pim/internal/telemetry"
@@ -18,7 +21,10 @@ const (
 // G→RP mappings from RPMap host messages, and notifies the multicast routing
 // protocol of membership changes.
 type Querier struct {
-	Node          *netsim.Node
+	// Chassis carries no unicast view. Its Telemetry bus, when non-nil,
+	// receives MemberJoin/MemberLeave and lifecycle events; set it before
+	// Start.
+	engine.Chassis
 	QueryInterval netsim.Time
 	HoldTime      netsim.Time
 
@@ -29,98 +35,42 @@ type Querier struct {
 	// OnRPMap fires when a host pushes a group→RP mapping.
 	OnRPMap func(group addr.IP, rps []addr.IP)
 
-	// Telemetry, when non-nil, receives MemberJoin/MemberLeave and lifecycle
-	// events. Set before Start.
-	Telemetry *telemetry.Bus
+	// members is liveness keyed by (interface, group address): host reports
+	// renew it for HoldTime, the query tick expires it.
+	members engine.Neighbors
 
-	// members[ifaceIndex][group] = expiry time.
-	members map[int]map[addr.IP]netsim.Time
-
-	// enc is the reusable query encode workspace (see core.Router.enc):
-	// safe because Node.Send copies the payload into its transmit frame
-	// before returning. dec is the decode scratch, valid only within one
-	// handle call; the RPMap path copies the RPs slice out of it before
-	// handing it to OnRPMap, which may retain it.
-	enc packet.Scratch
+	// dec is the decode scratch, valid only within one handle call; the
+	// RPMap path copies the RPs slice out of it before handing it to
+	// OnRPMap, which may retain it.
 	dec Message
-
-	started bool
-	// epoch invalidates the query tick across Stop/Restart.
-	epoch uint64
 }
 
 // NewQuerier attaches the router side of IGMP to a node.
 func NewQuerier(nd *netsim.Node) *Querier {
-	return &Querier{
-		Node:          nd,
+	q := &Querier{
+		Chassis:       engine.NewChassis(nd, nil, nil),
 		QueryInterval: DefaultQueryInterval,
 		HoldTime:      DefaultMembershipHoldTime,
-		members:       map[int]map[addr.IP]netsim.Time{},
 	}
+	q.Handle(packet.ProtoIGMP, q.handle)
+	return q
 }
 
 // Start registers the IGMP handler and begins periodic querying.
 func (q *Querier) Start() {
-	if q.started {
-		return
-	}
-	q.started = true
-	if q.Telemetry != nil {
-		q.Telemetry.Publish(telemetry.Event{
-			At: q.Node.Sched().Now(), Kind: telemetry.EpochStart,
-			Router: q.Node.ID, Iface: -1, Epoch: q.epoch, Value: int64(q.memberCount()),
+	q.Chassis.Start(q.members.Count(q.Now()), func() {
+		q.Every(0, q.QueryInterval, func() {
+			q.expire()
+			q.query()
 		})
-	}
-	q.Node.Handle(packet.ProtoIGMP, netsim.HandlerFunc(q.handle))
-	sched := q.Node.Sched()
-	ep := q.epoch
-	var tick func()
-	tick = func() {
-		if q.epoch != ep {
-			return
-		}
-		if q.Telemetry != nil {
-			q.Telemetry.Publish(telemetry.Event{
-				At: sched.Now(), Kind: telemetry.TimerFire,
-				Router: q.Node.ID, Iface: -1, Epoch: ep,
-			})
-		}
-		q.expire()
-		q.query()
-		sched.After(q.QueryInterval, tick)
-	}
-	sched.After(0, tick)
+	})
 }
 
 // Stop detaches the querier and forgets all learned membership. The OnLeave
 // callback is deliberately not fired for the discarded groups: a crash takes
 // the routing protocol down with it, and the restarted instance re-learns
 // membership from host reports to its immediate re-query.
-func (q *Querier) Stop() {
-	if !q.started {
-		return
-	}
-	q.started = false
-	if q.Telemetry != nil {
-		q.Telemetry.Publish(telemetry.Event{
-			At: q.Node.Sched().Now(), Kind: telemetry.EpochEnd,
-			Router: q.Node.ID, Iface: -1, Epoch: q.epoch,
-		})
-	}
-	q.epoch++
-	q.Node.Handle(packet.ProtoIGMP, nil)
-	q.members = map[int]map[addr.IP]netsim.Time{}
-}
-
-// memberCount returns the total number of (interface, group) membership
-// entries — the querier's learned-state size for the restart invariant.
-func (q *Querier) memberCount() int {
-	n := 0
-	for _, byGroup := range q.members {
-		n += len(byGroup)
-	}
-	return n
-}
+func (q *Querier) Stop() { q.Chassis.Stop(0, q.members.Reset) }
 
 // Restart brings a stopped querier back empty; the immediate query triggers
 // host re-reports that rebuild membership and re-fire OnJoin.
@@ -131,12 +81,12 @@ func (q *Querier) Restart() {
 
 func (q *Querier) query() {
 	msg := Message{Type: TypeQuery}
-	q.enc.Buf = msg.MarshalTo(q.enc.Buf[:0])
+	q.Enc.Buf = msg.MarshalTo(q.Enc.Buf[:0])
 	for _, ifc := range q.Node.Ifaces {
 		if !ifc.Up() || ifc.Addr == 0 {
 			continue
 		}
-		q.Node.Send(ifc, q.enc.Packet(ifc.Addr, addr.AllSystems, packet.ProtoIGMP, 1), 0)
+		q.Node.Send(ifc, q.Enc.Packet(ifc.Addr, addr.AllSystems, packet.ProtoIGMP, 1), 0)
 	}
 }
 
@@ -167,20 +117,9 @@ func (q *Querier) handle(in *netsim.Iface, pkt *packet.Packet) {
 }
 
 func (q *Querier) noteMember(in *netsim.Iface, g addr.IP) {
-	byGroup := q.members[in.Index]
-	if byGroup == nil {
-		byGroup = map[addr.IP]netsim.Time{}
-		q.members[in.Index] = byGroup
-	}
-	_, had := byGroup[g]
-	byGroup[g] = q.Node.Sched().Now() + q.HoldTime
-	if !had {
-		if q.Telemetry != nil {
-			q.Telemetry.Publish(telemetry.Event{
-				At: q.Node.Sched().Now(), Kind: telemetry.MemberJoin,
-				Router: q.Node.ID, Iface: in.Index, Epoch: q.epoch, Group: g,
-			})
-		}
+	now := q.Now()
+	if had, _ := q.members.Heard(in.Index, g, now, now+q.HoldTime); !had {
+		q.Pub(telemetry.MemberJoin, in.Index, 0, g, 0)
 		if q.OnJoin != nil {
 			q.OnJoin(in, g)
 		}
@@ -188,18 +127,8 @@ func (q *Querier) noteMember(in *netsim.Iface, g addr.IP) {
 }
 
 func (q *Querier) dropMember(in *netsim.Iface, g addr.IP) {
-	byGroup := q.members[in.Index]
-	if byGroup == nil {
-		return
-	}
-	if _, had := byGroup[g]; had {
-		delete(byGroup, g)
-		if q.Telemetry != nil {
-			q.Telemetry.Publish(telemetry.Event{
-				At: q.Node.Sched().Now(), Kind: telemetry.MemberLeave,
-				Router: q.Node.ID, Iface: in.Index, Epoch: q.epoch, Group: g,
-			})
-		}
+	if q.members.Forget(in.Index, g) {
+		q.Pub(telemetry.MemberLeave, in.Index, 0, g, 0)
 		if q.OnLeave != nil {
 			q.OnLeave(in, g)
 		}
@@ -207,34 +136,18 @@ func (q *Querier) dropMember(in *netsim.Iface, g addr.IP) {
 }
 
 func (q *Querier) expire() {
-	now := q.Node.Sched().Now()
-	for idx, byGroup := range q.members {
-		for g, deadline := range byGroup {
-			if now > deadline {
-				delete(byGroup, g)
-				if q.Telemetry != nil {
-					q.Telemetry.Publish(telemetry.Event{
-						At: now, Kind: telemetry.MemberLeave,
-						Router: q.Node.ID, Iface: idx, Epoch: q.epoch, Group: g,
-					})
-				}
-				if q.OnLeave != nil && idx < len(q.Node.Ifaces) {
-					q.OnLeave(q.Node.Ifaces[idx], g)
-				}
-			}
+	q.members.Expire(q.Now(), func(idx int, g addr.IP) {
+		q.Pub(telemetry.MemberLeave, idx, 0, g, 0)
+		if q.OnLeave != nil && idx < len(q.Node.Ifaces) {
+			q.OnLeave(q.Node.Ifaces[idx], g)
 		}
-	}
+	})
 }
 
 // HasMember reports whether the group has a live local member on the
 // interface.
 func (q *Querier) HasMember(ifc *netsim.Iface, g addr.IP) bool {
-	byGroup := q.members[ifc.Index]
-	if byGroup == nil {
-		return false
-	}
-	deadline, ok := byGroup[g]
-	return ok && q.Node.Sched().Now() <= deadline
+	return q.members.Alive(ifc.Index, g, q.Now())
 }
 
 // HasAnyMember reports whether the group has a member on any interface.
@@ -247,18 +160,11 @@ func (q *Querier) HasAnyMember(g addr.IP) bool {
 	return false
 }
 
-// Groups returns the set of groups with live members on any interface.
+// Groups returns the set of groups with live members on any interface,
+// sorted.
 func (q *Querier) Groups() []addr.IP {
-	seen := map[addr.IP]bool{}
 	var out []addr.IP
-	now := q.Node.Sched().Now()
-	for _, byGroup := range q.members {
-		for g, deadline := range byGroup {
-			if now <= deadline && !seen[g] {
-				seen[g] = true
-				out = append(out, g)
-			}
-		}
-	}
-	return out
+	q.members.Each(q.Now(), func(_ int, g addr.IP) { out = append(out, g) })
+	slices.Sort(out)
+	return slices.Compact(out)
 }

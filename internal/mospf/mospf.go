@@ -21,6 +21,7 @@ import (
 	"slices"
 
 	"pim/internal/addr"
+	"pim/internal/engine"
 	"pim/internal/metrics"
 	"pim/internal/mfib"
 	"pim/internal/netsim"
@@ -150,10 +151,12 @@ func (m *membershipLSA) unmarshal(b []byte) error {
 
 // Router is one MOSPF router instance.
 type Router struct {
-	Node    *netsim.Node
-	Domain  *Domain
-	Metrics *metrics.Counters
-	MFIB    *mfib.Table // (S,G) forwarding cache
+	// Chassis carries no unicast view (the Domain stands in for it). Its
+	// Telemetry bus, when non-nil, receives LSA-flood, cache and lifecycle
+	// events; set it before Start.
+	engine.Chassis
+	Domain *Domain
+	MFIB   *mfib.Table // (S,G) forwarding cache
 
 	// RefreshInterval, when nonzero, re-originates this router's membership
 	// LSA periodically. Base MOSPF floods only on change; periodic
@@ -162,10 +165,6 @@ type Router struct {
 	// it. Zero (the default) keeps the event-driven-only behaviour — and the
 	// LSA counts — of the existing overhead ledgers. Set before Start.
 	RefreshInterval netsim.Time
-
-	// Telemetry, when non-nil, receives LSA-flood, cache and lifecycle
-	// events. Set before Start; nil keeps every emit site a single branch.
-	Telemetry *telemetry.Bus
 
 	self int // index in the domain
 	// seq is this router's LSA sequence number. It survives Stop/Restart:
@@ -177,56 +176,31 @@ type Router struct {
 	// router stores (the §1.1 scaling cost).
 	membership map[uint32]map[addr.IP]bool
 	seqs       map[uint32]uint32
-	// localMembers[ifaceIndex][group] from IGMP.
-	localMembers map[int]map[addr.IP]bool
+	// local is IGMP-reported membership.
+	local engine.Members
 
-	started bool
-	// epoch invalidates scheduled closures across Stop/Restart (see
-	// core.Router).
-	epoch uint64
-
-	// enc/dec are the reusable LSA encode/decode scratches (DESIGN.md §13):
-	// valid only within one flood/handleLSA call.
-	enc packet.Scratch
+	// dec is the reusable LSA decode scratch (DESIGN.md §13), valid only
+	// within one handleLSA call.
 	dec membershipLSA
 }
 
 // New builds an MOSPF router within a domain.
 func New(nd *netsim.Node, d *Domain) *Router {
-	return &Router{
-		Node: nd, Domain: d,
-		Metrics:      metrics.New(),
-		MFIB:         mfib.NewTable(),
-		self:         d.index[nd],
-		membership:   map[uint32]map[addr.IP]bool{},
-		seqs:         map[uint32]uint32{},
-		localMembers: map[int]map[addr.IP]bool{},
-	}
+	r := &Router{Chassis: engine.NewChassis(nd, nil, nil), Domain: d, self: d.index[nd]}
+	r.reset()
+	r.Handle(packet.ProtoMOSPF, r.handleLSA)
+	r.Handle(packet.ProtoUDP, r.handleData)
+	return r
 }
 
 // Start registers handlers and, when RefreshInterval is set, begins
 // periodic LSA re-origination.
 func (r *Router) Start() {
-	if r.started {
-		return
-	}
-	r.started = true
-	if r.Telemetry != nil {
-		r.Telemetry.Publish(telemetry.Event{
-			At: r.Node.Sched().Now(), Kind: telemetry.EpochStart,
-			Router: r.Node.ID, Iface: -1, Epoch: r.epoch, Value: int64(r.StateCount()),
-		})
-	}
-	r.Node.Handle(packet.ProtoMOSPF, netsim.HandlerFunc(r.handleLSA))
-	r.Node.Handle(packet.ProtoUDP, netsim.HandlerFunc(r.handleData))
-	if r.RefreshInterval > 0 {
-		var refresh func()
-		refresh = func() {
-			r.originate()
-			r.after(r.RefreshInterval, refresh)
+	r.Chassis.Start(r.StateCount(), func() {
+		if r.RefreshInterval > 0 {
+			r.Every(0, r.RefreshInterval, r.originate)
 		}
-		r.after(0, refresh)
-	}
+	})
 }
 
 // Stop detaches the router and discards its soft state: the forwarding
@@ -234,24 +208,13 @@ func (r *Router) Start() {
 // and local membership. The router's own LSA sequence number is kept (see
 // its field comment). The shared Domain Dijkstra cache is also dropped so
 // no tree computed with the dead router's membership view survives.
-func (r *Router) Stop() {
-	if !r.started {
-		return
-	}
-	r.started = false
-	if r.Telemetry != nil {
-		r.Telemetry.Publish(telemetry.Event{
-			At: r.Node.Sched().Now(), Kind: telemetry.EpochEnd,
-			Router: r.Node.ID, Iface: -1, Epoch: r.epoch,
-		})
-	}
-	r.epoch++
-	r.Node.Handle(packet.ProtoMOSPF, nil)
-	r.Node.Handle(packet.ProtoUDP, nil)
+func (r *Router) Stop() { r.Chassis.Stop(0, r.reset) }
+
+func (r *Router) reset() {
 	r.MFIB = mfib.NewTable()
 	r.membership = map[uint32]map[addr.IP]bool{}
 	r.seqs = map[uint32]uint32{}
-	r.localMembers = map[int]map[addr.IP]bool{}
+	r.local.Reset()
 	r.Domain.sp = map[int]*topology.ShortestPaths{}
 }
 
@@ -260,23 +223,6 @@ func (r *Router) Stop() {
 func (r *Router) Restart() {
 	r.Stop()
 	r.Start()
-}
-
-// after schedules fn under the current epoch: a Stop/Restart before the
-// timer fires makes the closure a no-op.
-func (r *Router) after(d netsim.Time, fn func()) *netsim.Timer {
-	ep := r.epoch
-	return r.Node.Sched().After(d, func() {
-		if r.epoch == ep {
-			if r.Telemetry != nil {
-				r.Telemetry.Publish(telemetry.Event{
-					At: r.Node.Sched().Now(), Kind: telemetry.TimerFire,
-					Router: r.Node.ID, Iface: -1, Epoch: ep,
-				})
-			}
-			fn()
-		}
-	})
 }
 
 // StateCount returns forwarding cache entries plus stored membership rows —
@@ -302,41 +248,19 @@ func (r *Router) MembershipRows() int {
 
 // LocalJoin records a member and floods an updated membership LSA.
 func (r *Router) LocalJoin(ifc *netsim.Iface, g addr.IP) {
-	byGroup := r.localMembers[ifc.Index]
-	if byGroup == nil {
-		byGroup = map[addr.IP]bool{}
-		r.localMembers[ifc.Index] = byGroup
-	}
-	byGroup[g] = true
+	r.local.Add(ifc.Index, g)
 	r.originate()
 }
 
 // LocalLeave removes a member and floods.
 func (r *Router) LocalLeave(ifc *netsim.Iface, g addr.IP) {
-	if byGroup := r.localMembers[ifc.Index]; byGroup != nil {
-		delete(byGroup, g)
-	}
+	r.local.Remove(ifc.Index, g)
 	r.originate()
-}
-
-func (r *Router) localGroups() []addr.IP {
-	set := map[addr.IP]bool{}
-	for _, byGroup := range r.localMembers {
-		for g := range byGroup {
-			set[g] = true
-		}
-	}
-	out := make([]addr.IP, 0, len(set))
-	for g := range set {
-		out = append(out, g)
-	}
-	slices.Sort(out)
-	return out
 }
 
 func (r *Router) originate() {
 	r.seq++
-	lsa := &membershipLSA{Origin: uint32(r.self), Seq: r.seq, Groups: r.localGroups()}
+	lsa := &membershipLSA{Origin: uint32(r.self), Seq: r.seq, Groups: r.local.Groups(nil)}
 	r.install(lsa)
 	r.flood(lsa, nil)
 }
@@ -366,13 +290,8 @@ func (r *Router) install(lsa *membershipLSA) {
 	// Membership changed: drop cached trees (they will be recomputed on
 	// the next data packet) and any shared Dijkstra cache.
 	if r.Telemetry != nil {
-		now := r.Node.Sched().Now()
 		r.MFIB.ForEach(func(e *mfib.Entry) {
-			r.Telemetry.Publish(telemetry.Event{
-				At: now, Kind: telemetry.EntryExpire, Router: r.Node.ID,
-				Iface: -1, Epoch: r.epoch, Source: e.Key.Source, Group: e.Key.Group,
-				Value: telemetry.EntrySG,
-			})
+			r.Pub(telemetry.EntryExpire, -1, e.Key.Source, e.Key.Group, telemetry.EntrySG)
 		})
 	}
 	r.MFIB = mfib.NewTable()
@@ -380,20 +299,14 @@ func (r *Router) install(lsa *membershipLSA) {
 }
 
 func (r *Router) flood(lsa *membershipLSA, except *netsim.Iface) {
-	r.enc.Buf = lsa.marshalTo(r.enc.Buf[:0])
+	r.Enc.Buf = lsa.marshalTo(r.Enc.Buf[:0])
 	for _, ifc := range r.Node.Ifaces {
 		if ifc == except || !ifc.Up() || ifc.Addr == 0 {
 			continue
 		}
-		r.Node.Send(ifc, r.enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoMOSPF, 1), 0)
+		r.Node.Send(ifc, r.Enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoMOSPF, 1), 0)
 		r.Metrics.Inc(metrics.CtrlLSA)
-		if r.Telemetry != nil {
-			r.Telemetry.Publish(telemetry.Event{
-				At: r.Node.Sched().Now(), Kind: telemetry.LSAFlood,
-				Router: r.Node.ID, Iface: ifc.Index, Epoch: r.epoch,
-				Value: int64(len(lsa.Groups)),
-			})
-		}
+		r.Pub(telemetry.LSAFlood, ifc.Index, 0, 0, int64(len(lsa.Groups)))
 	}
 }
 
@@ -406,23 +319,8 @@ func (r *Router) memberRouters(g addr.IP) []int {
 			out = append(out, int(origin))
 		}
 	}
-	has := false
-	for _, byGroup := range r.localMembers {
-		if byGroup[g] {
-			has = true
-			break
-		}
-	}
-	if has {
-		found := false
-		for _, o := range out {
-			if o == r.self {
-				found = true
-			}
-		}
-		if !found {
-			out = append(out, r.self)
-		}
+	if r.local.Any(g) && !slices.Contains(out, r.self) {
+		out = append(out, r.self)
 	}
 	slices.Sort(out)
 	return out
@@ -441,42 +339,24 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		e = r.computeEntry(s, g)
 		if e == nil {
 			r.Metrics.Inc(metrics.DataNoState)
-			if r.Telemetry != nil {
-				r.Telemetry.Publish(telemetry.Event{
-					At: r.Node.Sched().Now(), Kind: telemetry.NoState,
-					Router: r.Node.ID, Iface: in.Index, Epoch: r.epoch,
-					Source: s, Group: g,
-				})
-			}
+			r.Pub(telemetry.NoState, in.Index, s, g, 0)
 			return
 		}
 	}
 	srcLocal := in.Addr != 0 && unicast.LinkPrefix(in.Addr).Contains(s)
 	if e.IIF != nil && in != e.IIF && !srcLocal {
 		r.Metrics.Inc(metrics.DataDropped)
-		if r.Telemetry != nil {
-			r.Telemetry.Publish(telemetry.Event{
-				At: r.Node.Sched().Now(), Kind: telemetry.RPFDrop,
-				Router: r.Node.ID, Iface: in.Index, Epoch: r.epoch,
-				Source: s, Group: g,
-			})
-		}
+		r.Pub(telemetry.RPFDrop, in.Index, s, g, 0)
 		return
 	}
-	now := r.Node.Sched().Now()
 	fwd, ok := pkt.Forwarded()
 	if !ok {
 		return
 	}
-	for _, out := range e.ForwardOIFs(now, in) {
+	for _, out := range e.ForwardOIFs(r.Now(), in) {
 		r.Node.Send(out, fwd, 0)
 		r.Metrics.Inc(metrics.DataForwarded)
-		if r.Telemetry != nil {
-			r.Telemetry.Publish(telemetry.Event{
-				At: now, Kind: telemetry.DataForward, Router: r.Node.ID,
-				Iface: out.Index, Epoch: r.epoch, Source: s, Group: g,
-			})
-		}
+		r.Pub(telemetry.DataForward, out.Index, s, g, 0)
 	}
 }
 
@@ -491,15 +371,7 @@ func (r *Router) computeEntry(s, g addr.IP) *mfib.Entry {
 	if len(members) == 0 {
 		// Negative cache: remember that this source/group pair has no
 		// members so each packet does not recompute.
-		e, created := r.MFIB.Upsert(mfib.Key{Source: s, Group: g}, r.Node.Sched().Now())
-		if created && r.Telemetry != nil {
-			r.Telemetry.Publish(telemetry.Event{
-				At: r.Node.Sched().Now(), Kind: telemetry.EntryCreate,
-				Router: r.Node.ID, Iface: -1, Epoch: r.epoch,
-				Source: s, Group: g, Value: telemetry.EntrySG,
-			})
-		}
-		return e
+		return r.upsert(s, g)
 	}
 	sp := r.Domain.sp[src]
 	if sp == nil {
@@ -508,14 +380,7 @@ func (r *Router) computeEntry(s, g addr.IP) *mfib.Entry {
 		r.Metrics.Inc(metrics.SPFRuns)
 	}
 	tree := r.Domain.Graph.SPTreeFromSP(sp, members)
-	now := r.Node.Sched().Now()
-	e, created := r.MFIB.Upsert(mfib.Key{Source: s, Group: g}, now)
-	if created && r.Telemetry != nil {
-		r.Telemetry.Publish(telemetry.Event{
-			At: now, Kind: telemetry.EntryCreate, Router: r.Node.ID,
-			Iface: -1, Epoch: r.epoch, Source: s, Group: g, Value: telemetry.EntrySG,
-		})
-	}
+	e := r.upsert(s, g)
 	if !tree.InTree[r.self] {
 		return e // off-tree: entry with no oifs (packets dropped cheaply)
 	}
@@ -526,14 +391,23 @@ func (r *Router) computeEntry(s, g addr.IP) *mfib.Entry {
 	// Children: tree nodes whose parent is self.
 	for v := 0; v < r.Domain.Graph.N(); v++ {
 		if tree.InTree[v] && tree.Parent[v] == r.self {
-			e.AddOIF(r.Domain.ifaceOnEdge(r.self, tree.ParentEdge[v]), 1<<60)
+			e.AddOIF(r.Domain.ifaceOnEdge(r.self, tree.ParentEdge[v]), engine.Forever)
 		}
 	}
 	// Local member LANs.
-	for idx, byGroup := range r.localMembers {
-		if byGroup[g] {
-			e.AddLocalOIF(r.Node.Ifaces[idx])
+	for _, ifc := range r.Node.Ifaces {
+		if r.local.Has(ifc.Index, g) {
+			e.AddLocalOIF(ifc)
 		}
+	}
+	return e
+}
+
+// upsert installs the (s,g) cache entry, publishing EntryCreate when new.
+func (r *Router) upsert(s, g addr.IP) *mfib.Entry {
+	e, created := r.MFIB.Upsert(mfib.Key{Source: s, Group: g}, r.Now())
+	if created {
+		r.Pub(telemetry.EntryCreate, -1, s, g, telemetry.EntrySG)
 	}
 	return e
 }
