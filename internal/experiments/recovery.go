@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"cmp"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"slices"
 
 	"pim/internal/addr"
@@ -133,6 +136,11 @@ type RecoveryCell struct {
 	// mutation (entry create/expire, iif change) when the run ended — the
 	// convergence probe's tree-stabilization measure.
 	TreeQuietSec float64 `json:"tree_quiet_sec"`
+	// TraceHash is the FNV-64a of the canonical delivery trace (every member
+	// delivery's arrival instant, site, source and origination stamp, in
+	// order) — the cell's absolute behavioural fingerprint, pinned by
+	// testdata/recovery_matrix.golden.
+	TraceHash string `json:"trace_fnv64a"`
 	// Identical gates the ledger: reference and fast-path delivery traces
 	// must match exactly.
 	Identical bool `json:"traces_identical"`
@@ -199,6 +207,7 @@ func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 			ResidualState: fast.residual,
 			Delivered:     fast.delivered,
 			TreeQuietSec:  float64(fast.treeQuiet) / float64(netsim.Second),
+			TraceHash:     traceHash(fast.trace),
 			Identical: tracesEqual(ref.trace, fast.trace) &&
 				ref.recovery == fast.recovery && ref.residual == fast.residual,
 			Violations: fast.violations,
@@ -218,6 +227,20 @@ func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 		}
 	}
 	return res
+}
+
+// traceHash fingerprints a canonical delivery trace: an order-sensitive
+// FNV-64a over every field of every event.
+func traceHash(trace []DeliveryEvent) string {
+	h := fnv.New64a()
+	var buf [4 * 8]byte
+	for _, ev := range trace {
+		for i, f := range [...]uint64{uint64(ev.At), uint64(ev.Host), uint64(ev.Src), uint64(ev.Sent)} {
+			binary.LittleEndian.PutUint64(buf[i*8:], f)
+		}
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // recoveryTimings shrinks the soft-state refresh clocks so recovery happens

@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pim/internal/addr"
@@ -18,12 +23,33 @@ func shortRecovery() RecoveryConfig {
 	return cfg
 }
 
-// TestRecoveryMatrix runs the full fault matrix and checks the acceptance
-// properties: traces identical on both forwarding paths in every cell, and
-// the soft-state protocols (PIM-SM, PIM-DM) converging under 20%
-// control-plane loss.
+// update regenerates testdata goldens from the current run, mirroring
+// `pimscript -update`: go test ./internal/experiments/ -run TestRecoveryMatrix -update
+var update = flag.Bool("update", false, "rewrite testdata/recovery_matrix.golden from this run")
+
+const recoveryGolden = "testdata/recovery_matrix.golden"
+
+// renderRecoveryMatrix is the golden's line format: one cell per line, every
+// simulated outcome, nothing host-dependent.
+func renderRecoveryMatrix(res RecoveryResult) string {
+	var b strings.Builder
+	b.WriteString("# SmokeRecovery matrix; regenerate with: go test ./internal/experiments/ -run TestRecoveryMatrix -update\n")
+	b.WriteString("# protocol fault recovered recovery_sec ctrl residual delivered trace_fnv64a\n")
+	for _, c := range res.Cells {
+		fmt.Fprintf(&b, "%s %s %v %.6f %d %d %d %s\n", c.Protocol, c.Fault, c.Recovered,
+			c.RecoverySec, c.CtrlMessages, c.ResidualState, c.Delivered, c.TraceHash)
+	}
+	return b.String()
+}
+
+// TestRecoveryMatrix runs the full fault matrix at smoke size and holds every
+// cell — recovered, recovery time, control messages, residual state,
+// deliveries, and the delivery-trace fingerprint — to the recorded golden,
+// so each cell is pinned absolutely rather than relative to a second run. It
+// also checks the paper's claim directly: the soft-state protocols converge
+// under 20% control-plane loss.
 func TestRecoveryMatrix(t *testing.T) {
-	cfg := shortRecovery()
+	cfg := SmokeRecovery()
 	if testing.Short() {
 		cfg.Workers = 1
 	}
@@ -32,8 +58,6 @@ func TestRecoveryMatrix(t *testing.T) {
 		t.Fatalf("matrix has %d cells", len(res.Cells))
 	}
 	for _, c := range res.Cells {
-		t.Logf("%-8s %-7s recovered=%-5v t=%6.2fs ctrl=%4d residual=%3d delivered=%d identical=%v",
-			c.Protocol, c.Fault, c.Recovered, c.RecoverySec, c.CtrlMessages, c.ResidualState, c.Delivered, c.Identical)
 		if !c.Identical {
 			t.Errorf("%s/%s: reference and fast-path runs diverged", c.Protocol, c.Fault)
 		}
@@ -43,6 +67,29 @@ func TestRecoveryMatrix(t *testing.T) {
 		if c.Fault != FaultFlap && c.Fault != FaultCrash && !c.Recovered {
 			t.Errorf("%s/%s: late join never converged", c.Protocol, c.Fault)
 		}
+	}
+	got := renderRecoveryMatrix(res)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(recoveryGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(recoveryGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(recoveryGolden)
+	if err != nil {
+		t.Fatalf("%v (record it with -update)", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Errorf("cell diverged from %s:\nrecorded %s\ngot      %s", recoveryGolden, wl[i], gl[i])
+			}
+		}
+		t.Fatalf("recovery matrix drifted from its golden; rerun with -update if the change is intended")
 	}
 }
 
