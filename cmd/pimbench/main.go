@@ -14,11 +14,10 @@
 // in the Makefile (DESIGN.md §15).
 //
 // Every ledgered benchmark shares two contracts the registry enforces:
-// entries are stamped with a LedgerHeader (host parallelism, shard count,
-// frame-pool setting, GC figures), and a benchmark whose differential gate
-// fails — fast path diverging from reference, sharded grid from sequential,
-// pooled frames from allocating, corpus replay regressing — records
-// nothing and exits non-zero.
+// entries are stamped with a LedgerHeader (host parallelism, shard count, GC
+// figures), and a benchmark whose differential gate fails — parallel series
+// diverging from sequential, sharded grid from sequential, corpus replay
+// regressing — records nothing and exits non-zero.
 //
 // Run flags:
 //
@@ -44,7 +43,6 @@ import (
 	"strings"
 
 	"pim/internal/bench"
-	"pim/internal/netsim"
 
 	// Benchmark registrations: each blank import wires its package's
 	// bench.Register calls into the registry.
@@ -101,8 +99,6 @@ func runCmd(args []string) {
 	case name == "" || fs.NArg() != 0:
 		usage()
 	}
-
-	netsim.SetShards(*shards)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -25,14 +25,12 @@ import (
 	"runtime"
 	"sort"
 	"time"
-
-	"pim/internal/netsim"
 )
 
 // LedgerHeader is the host/run metadata stamped on every ledger entry of
 // every pimbench ledger, so recorded numbers are self-describing: which
 // host parallelism, which shard count, and which worker-pool width produced
-// them. One helper fills it for all writers.
+// them. Context.Header fills it for all writers.
 type LedgerHeader struct {
 	Label     string `json:"label"`
 	Timestamp string `json:"timestamp"`
@@ -46,8 +44,6 @@ type LedgerHeader struct {
 	Shards int `json:"shards"`
 	// Workers is the experiment worker-pool width (trial fan-out).
 	Workers int `json:"workers"`
-	// FramePool records whether the pooled netsim frame path was on.
-	FramePool bool `json:"frame_pool"`
 	// GC figures at stamp time (i.e. after the measured work): cumulative
 	// collection count, total stop-the-world pause, and live heap. They make
 	// every ledger's numbers interpretable as "how hard was the collector
@@ -55,25 +51,6 @@ type LedgerHeader struct {
 	NumGC          uint32 `json:"num_gc"`
 	GCPauseTotalNs uint64 `json:"gc_pause_total_ns"`
 	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
-}
-
-// NewHeader stamps a ledger header for the current process configuration.
-func NewHeader(label string) LedgerHeader {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return LedgerHeader{
-		Label:          label,
-		Timestamp:      time.Now().UTC().Format(time.RFC3339),
-		GoVersion:      runtime.Version(),
-		NumCPU:         runtime.NumCPU(),
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		Shards:         netsim.Shards(),
-		Workers:        runtime.GOMAXPROCS(0),
-		FramePool:      netsim.UseFramePool(),
-		NumGC:          ms.NumGC,
-		GCPauseTotalNs: ms.PauseTotalNs,
-		HeapAllocBytes: ms.HeapAlloc,
-	}
 }
 
 // Context carries one invocation's knobs into a benchmark and collects the
@@ -111,9 +88,23 @@ func (c *Context) Printf(format string, a ...interface{}) {
 	}
 }
 
-// Header stamps a ledger header labelled Label+suffix.
+// Header stamps a ledger header labelled Label+suffix for the current
+// process and the context's shard count.
 func (c *Context) Header(suffix string) LedgerHeader {
-	return NewHeader(c.Label + suffix)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return LedgerHeader{
+		Label:          c.Label + suffix,
+		Timestamp:      time.Now().UTC().Format(time.RFC3339),
+		GoVersion:      runtime.Version(),
+		NumCPU:         runtime.NumCPU(),
+		GoMaxProcs:     runtime.GOMAXPROCS(0),
+		Shards:         max(c.Shards, 1),
+		Workers:        runtime.GOMAXPROCS(0),
+		NumGC:          ms.NumGC,
+		GCPauseTotalNs: ms.PauseTotalNs,
+		HeapAllocBytes: ms.HeapAlloc,
+	}
 }
 
 // Append queues one ledger entry. Entries are written only if the

@@ -22,12 +22,9 @@ import (
 func TestRegistryCoversEveryBenchmark(t *testing.T) {
 	want := map[string]string{
 		"fig2":        "BENCH_fig2.json",
-		"dataplane":   "BENCH_dataplane.json",
 		"recovery":    "BENCH_recovery.json",
 		"scaling":     "BENCH_scale.json",
 		"tenk":        "BENCH_scale.json",
-		"ctrlplane":   "BENCH_ctrlplane.json",
-		"stateplane":  "BENCH_stateplane.json",
 		"faultsearch": "BENCH_faultsearch.json",
 		"telemetry":   "", // report file, no ledger
 	}
@@ -161,8 +158,11 @@ func TestRunRefusesCorruptLedger(t *testing.T) {
 }
 
 func TestHeaderRecordsProcessConfig(t *testing.T) {
-	h := bench.NewHeader("lbl")
-	if h.Label != "lbl" || h.GoVersion == "" || h.NumCPU < 1 || h.Shards < 1 {
+	h := (&bench.Context{Label: "lbl"}).Header("")
+	if h.Label != "lbl" || h.GoVersion == "" || h.NumCPU < 1 || h.Shards != 1 {
 		t.Errorf("header incomplete: %+v", h)
+	}
+	if h := (&bench.Context{Shards: 4}).Header("-x"); h.Shards != 4 || h.Label != "-x" {
+		t.Errorf("header did not record the context's shard count: %+v", h)
 	}
 }

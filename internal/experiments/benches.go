@@ -26,18 +26,13 @@ func init() {
 		Ledger:  "BENCH_fig2.json",
 		Run:     runFig2Bench,
 	})
-	bench.Register("dataplane", bench.Spec{
-		Summary: "forwarding fast path vs reference path on the N-hop chain",
-		Ledger:  "BENCH_dataplane.json",
-		Run:     runDataplaneBench,
-	})
 	bench.Register("recovery", bench.Spec{
 		Summary: "fault-recovery matrix: every protocol through loss, flap, crash",
 		Ledger:  "BENCH_recovery.json",
 		Run:     runRecoveryBench,
 	})
 	bench.Register("scaling", bench.Spec{
-		Summary: "large-internet scaling sweeps, heap vs wheel (plus shards with -shards N>1)",
+		Summary: "large-internet scaling sweeps (plus a gated sharded pass with -shards N>1)",
 		Ledger:  "BENCH_scale.json",
 		Run:     runScalingBench,
 	})
@@ -45,16 +40,6 @@ func init() {
 		Summary: "10 000-router size cells, sequential and sharded",
 		Ledger:  "BENCH_scale.json",
 		Run:     runTenKBench,
-	})
-	bench.Register("ctrlplane", bench.Spec{
-		Summary: "steady-state control-plane churn, pooled vs allocating frame paths",
-		Ledger:  "BENCH_ctrlplane.json",
-		Run:     runCtrlPlaneBench,
-	})
-	bench.Register("stateplane", bench.Spec{
-		Summary: "MFIB state-plane footprint and refresh-walk cost, flat arena vs map store",
-		Ledger:  "BENCH_stateplane.json",
-		Run:     runStatePlaneBench,
 	})
 	bench.Register("telemetry", bench.Spec{
 		Summary: "PIM-SM crash-recovery telemetry curves (writes JSON report, no ledger)",
@@ -141,30 +126,6 @@ func runFig2Bench(ctx *bench.Context) error {
 	return nil
 }
 
-// DataplaneEntry is one appended record of the data-plane ledger.
-type DataplaneEntry struct {
-	bench.LedgerHeader
-	Result DataplaneResult `json:"result"`
-}
-
-func runDataplaneBench(ctx *bench.Context) error {
-	cfg := DefaultDataplane()
-	if ctx.Smoke {
-		cfg = SmokeDataplane()
-	}
-	res := RunDataplane(cfg)
-	for _, p := range res.Phases {
-		ctx.Printf("dataplane %-6s  ref %8.1f ms  fast %8.1f ms  speedup %5.2fx  identical=%v  delivered=%d crossings=%d",
-			p.Name, p.RefMs, p.FastMs, p.Speedup, p.Identical, p.Delivered, p.Crossings)
-	}
-	if !res.AllIdentical {
-		return fmt.Errorf("fast-path trace diverged from reference path — not recording")
-	}
-	ctx.Printf("dataplane overall speedup %.2fx", res.Speedup)
-	ctx.Append(DataplaneEntry{LedgerHeader: ctx.Header(""), Result: res})
-	return nil
-}
-
 // RecoveryEntry is one appended record of the fault-recovery ledger.
 type RecoveryEntry struct {
 	bench.LedgerHeader
@@ -176,17 +137,15 @@ func runRecoveryBench(ctx *bench.Context) error {
 	if ctx.Smoke {
 		cfg = SmokeRecovery()
 	}
+	cfg.Shards = ctx.Shards
 	res := RunRecovery(cfg)
 	for _, c := range res.Cells {
 		rec := "   never"
 		if c.Recovered {
 			rec = fmt.Sprintf("%7.2fs", c.RecoverySec)
 		}
-		ctx.Printf("recovery %-13s %-7s %s  ctrl=%4d  residual=%3d  delivered=%4d  identical=%v",
-			c.Protocol, c.Fault, rec, c.CtrlMessages, c.ResidualState, c.Delivered, c.Identical)
-	}
-	if !res.AllIdentical {
-		return fmt.Errorf("fast-path trace diverged from reference path — not recording")
+		ctx.Printf("recovery %-13s %-7s %s  ctrl=%4d  residual=%3d  delivered=%4d  trace=%s",
+			c.Protocol, c.Fault, rec, c.CtrlMessages, c.ResidualState, c.Delivered, c.TraceHash)
 	}
 	ctx.Printf("recovery all recovered=%v", res.AllRecovered)
 	ctx.Append(RecoveryEntry{LedgerHeader: ctx.Header(""), Result: res})
@@ -199,25 +158,21 @@ type MicroBench struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// ScalingEntry is one appended record of the scaling ledger. A scaling run
-// appends two: one with UseWheel=false (the reference heap, the "seed"
-// side) and one with UseWheel=true (the timing wheel, the "after" side),
-// both over bit-identical simulated grids.
+// ScalingEntry is one appended record of the scaling ledger: the sequential
+// pass, plus one per gated sharded pass over bit-identical simulated grids.
 type ScalingEntry struct {
 	bench.LedgerHeader
-	UseWheel bool               `json:"use_wheel"`
-	Result   ScalingBenchResult `json:"result"`
-	Churn    MicroBench         `json:"sched_churn"`
-	Dense    MicroBench         `json:"sched_dense"`
+	Result ScalingBenchResult `json:"result"`
+	Churn  MicroBench         `json:"sched_churn"`
+	Dense  MicroBench         `json:"sched_dense"`
 }
 
-// schedMicroBench replays one deterministic scheduler workload on one
-// backing store under testing.Benchmark and reports ns/op and allocs/op.
-// The parked-timer population is rebuilt outside the timed region on each
-// probe.
-func schedMicroBench(wheel bool, workload func(*netsim.Scheduler, int)) MicroBench {
+// schedMicroBench replays one deterministic scheduler workload under
+// testing.Benchmark and reports ns/op and allocs/op. The parked-timer
+// population is rebuilt outside the timed region on each probe.
+func schedMicroBench(workload func(*netsim.Scheduler, int)) MicroBench {
 	r := testing.Benchmark(func(b *testing.B) {
-		s := netsim.PrepSchedulerBench(wheel)
+		s := netsim.PrepSchedulerBench(true)
 		b.ReportAllocs()
 		b.ResetTimer()
 		workload(s, b.N)
@@ -228,25 +183,42 @@ func schedMicroBench(wheel bool, workload func(*netsim.Scheduler, int)) MicroBen
 	}
 }
 
-// scalingPass executes one scaling sweep pass on the given backing store
-// and shard count, printing one line per sweep.
-func scalingPass(ctx *bench.Context, cfg ScalingBenchConfig, wheel bool, shards int) ScalingBenchResult {
-	prevWheel := netsim.SetUseWheel(wheel)
-	prevShards := netsim.SetShards(shards)
-	defer func() {
-		netsim.SetUseWheel(prevWheel)
-		netsim.SetShards(prevShards)
-	}()
+// scalingPass executes one scaling sweep pass on the given shard count,
+// printing one line per sweep.
+func scalingPass(ctx *bench.Context, cfg ScalingBenchConfig, shards int) ScalingBenchResult {
+	cfg.Base.Shards = shards
 	res := RunScalingBench(cfg)
-	store := "heap "
-	if wheel {
-		store = "wheel"
-	}
 	for _, sw := range res.Sweeps {
-		ctx.Printf("scaling %-7s %s shards=%d  %2d cells  %9.1f ms  %9d events  %9.0f events/sec  peak timers %d",
-			sw.Name, store, shards, sw.Cells, sw.WallMs, sw.Events, sw.EventsPerSec, sw.PeakTimers)
+		ctx.Printf("scaling %-7s shards=%d  %2d cells  %9.1f ms  %9d events  %9.0f events/sec  peak timers %d",
+			sw.Name, shards, sw.Cells, sw.WallMs, sw.Events, sw.EventsPerSec, sw.PeakTimers)
 	}
 	return res
+}
+
+// scalingEntries runs cfg sequentially and, with ctx.Shards > 1, once more
+// sharded, refusing (error) unless the sharded grid matches the sequential
+// one. It returns one entry per pass, labelled tag+"-seq" / tag+"-shardsN"
+// (none on a smoke run).
+func scalingEntries(ctx *bench.Context, cfg ScalingBenchConfig, tag string) ([]ScalingEntry, error) {
+	seq := scalingPass(ctx, cfg, 1)
+	h := ctx.Header(tag + "-seq")
+	h.Shards = 1
+	entries := []ScalingEntry{{LedgerHeader: h, Result: seq}}
+	if ctx.Shards > 1 {
+		res := scalingPass(ctx, cfg, ctx.Shards)
+		if !SameGridsSharded(seq, res) {
+			return nil, fmt.Errorf("shards=%d grid diverged from sequential — not recording", ctx.Shards)
+		}
+		ctx.Printf("sharded grid identical; wall %0.1f ms (shards=1) vs %0.1f ms (shards=%d), %.2fx",
+			seq.WallMs, res.WallMs, ctx.Shards, seq.WallMs/res.WallMs)
+		hs := ctx.Header(fmt.Sprintf("%s-shards%d", tag, ctx.Shards))
+		entries = append(entries, ScalingEntry{LedgerHeader: hs, Result: res})
+	}
+	if ctx.Smoke {
+		ctx.Printf("smoke run: grid gate passed, nothing recorded")
+		return nil, nil
+	}
+	return entries, nil
 }
 
 func runScalingBench(ctx *bench.Context) error {
@@ -254,53 +226,15 @@ func runScalingBench(ctx *bench.Context) error {
 	if ctx.Smoke {
 		cfg = SmokeScalingBench()
 	}
-	heap := scalingPass(ctx, cfg, false, 1)
-	wheel := scalingPass(ctx, cfg, true, 1)
-	if !SameGrids(heap, wheel) {
-		return fmt.Errorf("heap and wheel scaling grids diverged — not recording")
+	entries, err := scalingEntries(ctx, cfg, "")
+	if err != nil {
+		return err
 	}
-	ctx.Printf("scaling grids identical; wall %0.1f ms (heap) vs %0.1f ms (wheel), %.2fx",
-		heap.WallMs, wheel.WallMs, heap.WallMs/wheel.WallMs)
-	var sharded *ScalingBenchResult
-	if ctx.Shards > 1 {
-		res := scalingPass(ctx, cfg, true, ctx.Shards)
-		if !SameGridsSharded(wheel, res) {
-			return fmt.Errorf("shards=%d grid diverged from sequential — not recording", ctx.Shards)
-		}
-		ctx.Printf("sharded grid identical; wall %0.1f ms (shards=1) vs %0.1f ms (shards=%d), %.2fx",
-			wheel.WallMs, res.WallMs, ctx.Shards, wheel.WallMs/res.WallMs)
-		sharded = &res
-	}
-	if ctx.Smoke {
-		ctx.Printf("smoke run: grid gate passed, nothing recorded")
-		return nil
-	}
-
-	type side struct {
-		wheel  bool
-		shards int
-		suffix string
-		res    ScalingBenchResult
-	}
-	sides := []side{
-		{false, 1, "-heap", heap},
-		{true, 1, "-wheel", wheel},
-	}
-	if sharded != nil {
-		sides = append(sides, side{true, ctx.Shards, fmt.Sprintf("-shards%d", ctx.Shards), *sharded})
-	}
-	for _, sd := range sides {
-		h := ctx.Header(sd.suffix)
-		h.Shards = sd.shards
-		e := ScalingEntry{
-			LedgerHeader: h,
-			UseWheel:     sd.wheel,
-			Result:       sd.res,
-			Churn:        schedMicroBench(sd.wheel, netsim.SchedulerChurn),
-			Dense:        schedMicroBench(sd.wheel, netsim.SchedulerDense),
-		}
+	for _, e := range entries {
+		e.Churn = schedMicroBench(netsim.SchedulerChurn)
+		e.Dense = schedMicroBench(netsim.SchedulerDense)
 		ctx.Printf("sched micro %s  churn %8.1f ns/op (%d allocs/op)  dense %8.1f ns/op (%d allocs/op)",
-			sd.suffix[1:], e.Churn.NsPerOp, e.Churn.AllocsPerOp, e.Dense.NsPerOp, e.Dense.AllocsPerOp)
+			e.Label, e.Churn.NsPerOp, e.Churn.AllocsPerOp, e.Dense.NsPerOp, e.Dense.AllocsPerOp)
 		ctx.Append(e)
 	}
 	return nil
@@ -313,103 +247,13 @@ func runTenKBench(ctx *bench.Context) error {
 		// sequential-vs-sharded gate on the CI-sized workload instead.
 		cfg = SmokeScalingBench()
 	}
-	seq := scalingPass(ctx, cfg, true, 1)
-	h := ctx.Header("-10k-seq")
-	h.Shards = 1
-	entries := []ScalingEntry{{LedgerHeader: h, UseWheel: true, Result: seq}}
-	if ctx.Shards > 1 {
-		res := scalingPass(ctx, cfg, true, ctx.Shards)
-		if !SameGridsSharded(seq, res) {
-			return fmt.Errorf("10k shards=%d grid diverged from sequential — not recording", ctx.Shards)
-		}
-		ctx.Printf("10k sharded grid identical; wall %0.1f ms (shards=1) vs %0.1f ms (shards=%d), %.2fx",
-			seq.WallMs, res.WallMs, ctx.Shards, seq.WallMs/res.WallMs)
-		hs := ctx.Header(fmt.Sprintf("-10k-shards%d", ctx.Shards))
-		hs.Shards = ctx.Shards
-		entries = append(entries, ScalingEntry{LedgerHeader: hs, UseWheel: true, Result: res})
-	}
-	if ctx.Smoke {
-		ctx.Printf("smoke run: grid gate passed, nothing recorded")
-		return nil
+	entries, err := scalingEntries(ctx, cfg, "-10k")
+	if err != nil {
+		return err
 	}
 	for _, e := range entries {
 		ctx.Append(e)
 	}
-	return nil
-}
-
-// CtrlPlaneEntry is one appended record of the control-plane churn ledger.
-type CtrlPlaneEntry struct {
-	bench.LedgerHeader
-	Result CtrlPlaneResult `json:"result"`
-}
-
-func runCtrlPlaneBench(ctx *bench.Context) error {
-	cfg := DefaultCtrlPlane()
-	if ctx.Smoke {
-		cfg = SmokeCtrlPlane()
-	}
-	res := RunCtrlPlane(cfg)
-	for _, p := range res.Pairs {
-		for _, c := range []CtrlPlaneCell{p.Alloc, p.Pooled} {
-			path := "alloc "
-			if c.Pooled {
-				path = "pooled"
-			}
-			ctx.Printf("ctrlplane %-13s %s  %8d msgs  %9.1f ms  %9.0f msgs/sec  %6.2f allocs/msg  gc=%d pause %6.2f ms  heap %6.1f MB",
-				p.Protocol, path, c.CtrlMessages, c.WallMs, c.MsgsPerSec,
-				c.AllocsPerMsg, c.GCCycles, c.GCPauseMs, c.HeapMB)
-		}
-		ctx.Printf("ctrlplane %-13s speedup %.2fx  identical=%v", p.Protocol, p.Speedup, p.Identical)
-	}
-	if !res.AllIdentical {
-		return fmt.Errorf("pooled run diverged from allocating run — not recording")
-	}
-	if ctx.Smoke {
-		ctx.Printf("smoke run: pooled/allocating gate passed, nothing recorded")
-		return nil
-	}
-	ctx.Append(CtrlPlaneEntry{LedgerHeader: ctx.Header(""), Result: res})
-	return nil
-}
-
-// StatePlaneEntry is one appended record of the state-plane ledger.
-type StatePlaneEntry struct {
-	bench.LedgerHeader
-	Result StatePlaneResult `json:"result"`
-}
-
-func runStatePlaneBench(ctx *bench.Context) error {
-	cfg := DefaultStatePlane()
-	if ctx.Smoke {
-		cfg = SmokeStatePlane()
-	}
-	res := RunStatePlane(cfg)
-	for _, p := range res.Pairs {
-		for _, c := range []StatePlaneCell{p.MapStore, p.FlatStore} {
-			store := "map "
-			if c.Flat {
-				store = "flat"
-			}
-			ctx.Printf("stateplane %-13s %s  state=%5d  %6.1f B/entry  %9.1f ms  gc=%d pause %6.2f ms  heap %6.1f MB  delivered=%d",
-				p.Protocol, store, c.State, c.BytesPerEntry, c.WallMs,
-				c.GCCycles, c.GCPauseMs, c.HeapMB, c.Delivered)
-		}
-		ctx.Printf("stateplane %-13s bytes ratio %.2fx  speedup %.2fx  identical=%v",
-			p.Protocol, p.BytesRatio, p.Speedup, p.Identical)
-	}
-	ctx.Printf("stateplane walk map  %6.1f ns/entry (%d allocs/sweep over %d entries)",
-		res.WalkMap.NsPerEntry, res.WalkMap.AllocsPerSweep, res.WalkMap.Entries)
-	ctx.Printf("stateplane walk flat %6.1f ns/entry (%d allocs/sweep over %d entries)",
-		res.WalkFlat.NsPerEntry, res.WalkFlat.AllocsPerSweep, res.WalkFlat.Entries)
-	if !res.AllIdentical {
-		return fmt.Errorf("flat-store run diverged from map-store run — not recording")
-	}
-	if ctx.Smoke {
-		ctx.Printf("smoke run: flat/map gate passed, nothing recorded")
-		return nil
-	}
-	ctx.Append(StatePlaneEntry{LedgerHeader: ctx.Header(""), Result: res})
 	return nil
 }
 
@@ -422,6 +266,7 @@ func runTelemetryBench(ctx *bench.Context) error {
 	if ctx.Smoke {
 		cfg = SmokeRecovery()
 	}
+	cfg.Shards = ctx.Shards
 	smp := RecoveryTelemetry(cfg, PIMSM, FaultCrash, 5*netsim.Second)
 	if ctx.Smoke {
 		if err := smp.WriteJSON(io.Discard); err != nil {

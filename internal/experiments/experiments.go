@@ -108,6 +108,10 @@ type SparseConfig struct {
 	// Each run is an isolated simulation self-seeded from Seed, so results
 	// are identical for every value.
 	Workers int
+	// Shards is the partition count each simulation executes under (0 or 1
+	// = sequential). Results are identical for every value except
+	// Result.PeakTimers; MOSPF always stays sequential.
+	Shards int
 }
 
 // DefaultSparse returns a laptop-scale default comparable to the paper's
@@ -171,11 +175,10 @@ func runSparseImpl(g *topology.Graph, cfg SparseConfig, proto Protocol, rng *ran
 			sendHosts[gi] = append(sendHosts[gi], ensureHost(s))
 		}
 	}
-	// Shard the simulation when a multi-shard run was requested
-	// (netsim.SetShards). MOSPF stays sequential: its routers flood through
-	// a shared in-memory Domain that cannot be split across shards.
+	// MOSPF stays sequential: its routers flood through a shared in-memory
+	// Domain that cannot be split across shards.
 	if proto != MOSPF {
-		sim.AutoShard()
+		sim.AutoShardN(cfg.Shards)
 	}
 	sim.FinishUnicast(scenario.UseOracle)
 
@@ -267,8 +270,7 @@ func runSparseImpl(g *topology.Graph, cfg SparseConfig, proto Protocol, rng *ran
 // returns accessors for total forwarding state, its byte footprint (nil for
 // the protocols whose state plane is not the shared mfib store), cumulative
 // control-message count, and SPF executions (nil for the non-link-state
-// protocols). Shared between the overhead sweeps and the control-plane churn
-// benchmark so every ledger deploys through one code path.
+// protocols).
 func deployProtocol(sim *scenario.Sim, proto Protocol, rpMap map[addr.IP][]addr.IP,
 	coreMap map[addr.IP]addr.IP, pruneLifetime netsim.Time, extra ...scenario.DeployOption) (state func() int, stateBytes func() int64, ctrl, spf func() int64) {
 	switch proto {
@@ -336,13 +338,6 @@ func deployProtocol(sim *scenario.Sim, proto Protocol, rpMap map[addr.IP][]addr.
 		panic("experiments: unknown protocol " + string(proto))
 	}
 	return state, stateBytes, ctrl, spf
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func depMetrics(dep *scenario.PIMDeployment) []*metrics.Counters {

@@ -9,11 +9,10 @@ import (
 
 // The scaling benchmark wraps the §1.2 overhead sweeps (internal sizes,
 // group counts, sender sets) in wall-clock instrumentation so the simulator
-// itself can be ledgered: cmd/pimbench -scaling runs the same sweeps on both
-// scheduler backing stores (binary heap and timing wheel) and records wall
-// time, events/sec, and peak live timers in BENCH_scale.json. The simulated
-// results must be bit-identical between the two stores — SameGrids gates the
-// ledger — so the wall-time delta is purely the data structure.
+// itself can be ledgered: `pimbench run scaling` records wall time,
+// events/sec, and peak live timers in BENCH_scale.json, and with -shards N
+// repeats the sweeps sharded — SameGridsSharded gates that record on the
+// simulated results being identical to the sequential pass.
 
 // ScalingBenchConfig names the sweeps the benchmark runs. Every sweep varies
 // one axis of Base; Sizes is the headline axis (1000-router internets put
@@ -82,15 +81,16 @@ type ScalingSweep struct {
 	Cells int    `json:"cells"`
 	// WallMs is host wall-clock time for the whole sweep; Events counts
 	// scheduler events processed across all cells, and EventsPerSec is their
-	// ratio — the simulator's throughput on this backing store.
+	// ratio — the simulator's throughput.
 	WallMs       float64 `json:"wall_ms"`
 	Events       int64   `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	// PeakTimers is the largest concurrent live-timer population any cell
-	// reached — the queue size the backing store had to sustain.
+	// reached — the queue size the scheduler had to sustain.
 	PeakTimers int `json:"peak_timers"`
-	// Grid is the simulated outcome, identical across backing stores and
-	// worker counts; it gates the ledger but is not serialized into it.
+	// Grid is the simulated outcome, identical across worker counts (and,
+	// PeakTimers aside, shard counts); it gates the ledger but is not
+	// serialized into it.
 	Grid []ScalingPoint `json:"-"`
 }
 
@@ -100,14 +100,13 @@ type ScalingBenchResult struct {
 	WallMs     float64        `json:"wall_ms"`
 	Events     int64          `json:"events"`
 	PeakTimers int            `json:"peak_timers"`
-	// Shards is the process-global shard count the sweeps executed under
-	// (1 = sequential), recorded so ledger entries are self-describing.
+	// Shards is the shard count the sweeps executed under (1 = sequential),
+	// recorded so ledger entries are self-describing.
 	Shards int `json:"shards"`
 }
 
 // RunScalingBench runs the size, group, and sender sweeps under wall-clock
-// timing on whichever scheduler backing store is currently selected
-// (netsim.SetUseWheel).
+// timing, every cell on cfg.Base.Shards shards.
 func RunScalingBench(cfg ScalingBenchConfig) ScalingBenchResult {
 	type sweepDef struct {
 		name string
@@ -120,7 +119,7 @@ func RunScalingBench(cfg ScalingBenchConfig) ScalingBenchResult {
 	}
 	axes := [][]int{cfg.Sizes, cfg.Groups, cfg.Senders}
 	var res ScalingBenchResult
-	res.Shards = netsim.Shards()
+	res.Shards = max(cfg.Base.Shards, 1)
 	for di, d := range defs {
 		if len(axes[di]) == 0 {
 			continue // axis not configured (e.g. the 10k workload is size-only)
@@ -152,11 +151,15 @@ func RunScalingBench(cfg ScalingBenchConfig) ScalingBenchResult {
 	return res
 }
 
-// SameGrids reports whether two benchmark runs produced bit-identical
-// simulated results — every sweep's grid equal, wall times ignored. This is
-// the ledger gate: a heap run and a wheel run that disagree here mean the
-// scheduler swap changed protocol behavior, and nothing gets recorded.
-func SameGrids(a, b ScalingBenchResult) bool {
+// SameGridsSharded is the ledger gate for multi-shard runs: every sweep's
+// grid must be bit-identical to the sequential pass's (wall times ignored)
+// except for PeakTimers, which a sharded run reports as the sum of per-shard
+// peaks (and which outbox buffering makes incomparable in either direction —
+// see netsim.Network.PeakLiveTimers). Events is NOT masked: both paths
+// execute exactly the same event population, so the processed counts must
+// agree to the event.
+func SameGridsSharded(a, b ScalingBenchResult) bool {
+	a, b = maskPeaks(a), maskPeaks(b)
 	if len(a.Sweeps) != len(b.Sweeps) {
 		return false
 	}
@@ -167,16 +170,6 @@ func SameGrids(a, b ScalingBenchResult) bool {
 		}
 	}
 	return true
-}
-
-// SameGridsSharded is the ledger gate for multi-shard runs: the grids must
-// be bit-identical except for PeakTimers, which a sharded run reports as the
-// sum of per-shard peaks (and which outbox buffering makes incomparable in
-// either direction — see netsim.Network.PeakLiveTimers). Events is NOT
-// masked: both paths execute exactly the same event population, so the
-// processed counts must agree to the event.
-func SameGridsSharded(a, b ScalingBenchResult) bool {
-	return SameGrids(maskPeaks(a), maskPeaks(b))
 }
 
 // maskPeaks zeroes the per-cell and per-sweep peak-timer readings, leaving

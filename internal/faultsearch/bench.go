@@ -55,7 +55,7 @@ func replayCorpus(ctx *bench.Context, dir string) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("%s: %v", path, err)
 		}
-		res, err := s.RunWith(script.RunConfig{})
+		res, err := s.RunWith(script.RunConfig{Shards: ctx.Shards})
 		if err != nil {
 			return 0, fmt.Errorf("%s: %v", path, err)
 		}

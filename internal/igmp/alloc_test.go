@@ -13,9 +13,6 @@ import (
 // for the warm-up rationale; a host with members is excluded deliberately,
 // since its response path legitimately allocates report timers.)
 func TestQueryZeroAlloc(t *testing.T) {
-	prev := netsim.SetFramePool(true)
-	defer netsim.SetFramePool(prev)
-
 	net := netsim.NewNetwork()
 	nr := net.AddNode("r")
 	nh := net.AddNode("h")
@@ -45,9 +42,6 @@ func TestQueryZeroAlloc(t *testing.T) {
 // into the host's scratch and carried by a pooled frame to the querier,
 // whose membership entry already exists and is only refreshed.
 func TestReportZeroAlloc(t *testing.T) {
-	prev := netsim.SetFramePool(true)
-	defer netsim.SetFramePool(prev)
-
 	net := netsim.NewNetwork()
 	nr := net.AddNode("r")
 	nh := net.AddNode("h")

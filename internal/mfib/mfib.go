@@ -103,12 +103,11 @@ type Entry struct {
 	oifSpill  []OIF
 
 	// life identifies this incarnation of the (table, key) pair: the table
-	// assigns a fresh monotone value on every creation, in both stores, so
-	// timer closures can detect delete/re-create across their delay by
-	// comparing Life() (pointer identity is not enough once the flat store
-	// recycles slots).
+	// assigns a fresh monotone value on every creation, so timer closures
+	// can detect delete/re-create across their delay by comparing Life()
+	// (pointer identity is not enough: the arena recycles slots).
 	life uint64
-	// dead marks a freed flat-store slot awaiting recycling.
+	// dead marks a freed arena slot awaiting recycling.
 	dead bool
 	// gen is the entry's mutation generation; plans compiled against this
 	// entry (plan.go) revalidate with one compare. Every method mutating
@@ -133,11 +132,6 @@ func (e *Entry) Gen() uint64 { return e.gen }
 // closure that must act on "the entry as it was scheduled" captures the Key
 // and Life, re-looks the entry up at fire time, and bails if Life changed.
 func (e *Entry) Life() uint64 { return e.life }
-
-// NewEntry builds an empty entry.
-func NewEntry(k Key, now netsim.Time) *Entry {
-	return &Entry{Key: k, Wildcard: k.Source == 0, Created: now}
-}
 
 // oifAt returns the i-th slot of the packed oif list.
 func (e *Entry) oifAt(i int) *OIF {

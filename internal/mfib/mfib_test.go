@@ -7,6 +7,11 @@ import (
 	"pim/internal/netsim"
 )
 
+// NewEntry builds a standalone empty entry, outside any table.
+func NewEntry(k Key, now netsim.Time) *Entry {
+	return &Entry{Key: k, Wildcard: k.Source == 0, Created: now}
+}
+
 func testIfaces(n int) []*netsim.Iface {
 	net := netsim.NewNetwork()
 	nd := net.AddNode("r")

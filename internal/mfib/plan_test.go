@@ -9,9 +9,20 @@ import (
 	"pim/internal/netsim"
 )
 
+// sharedList is the reference shared-tree computation: the uncached list the
+// compiled plan must equal.
+func sharedList(wc, rpt *Entry, now netsim.Time, except *netsim.Iface) []*netsim.Iface {
+	return appendShared(nil, wc, rpt, now, except)
+}
+
+// unionList is the reference SPT∪shared computation.
+func unionList(sg, wc, rpt *Entry, now netsim.Time, except *netsim.Iface) []*netsim.Iface {
+	return appendUnion(nil, sg, wc, rpt, now, except)
+}
+
 // TestPlansMatchReferenceLists is the MFIB differential test: under random
 // interleavings of OIF mutations, in-place field flips (with Touch), and
-// time advances, the compiled fast-path fan-outs must equal the reference
+// time advances, the compiled fan-outs must equal the reference
 // computations exactly — same interfaces, same order.
 func TestPlansMatchReferenceLists(t *testing.T) {
 	ifs := testIfaces(6)

@@ -3,50 +3,30 @@ package mfib
 import (
 	"cmp"
 	"slices"
-	"sync/atomic"
 	"unsafe"
 
 	"pim/internal/addr"
 	"pim/internal/netsim"
 )
 
-// This file holds the two entry stores behind Table (DESIGN.md §16).
-//
-// The flat store (default) keeps entries by value in append-only arena
-// slabs ([]Entry, never reallocated, so &slab[i] is stable for the table's
-// lifetime) addressed by 32-bit handles, with an open-addressed (linear
-// probe + backward-shift delete) index from Key to handle and a sorted key
-// slice driving the deterministic walks. The GC sees a few dozen slabs per
-// router instead of one object per entry plus one per oif.
-//
-// The map store is the differential oracle: the straightforward
-// map[Key]*Entry of heap entries the repo grew up with, kept bit-identical
-// in every observable (same walk order, same walk-mutation semantics, same
-// Sweep results) and exercised by the corpus matrix's map-store cell and a
-// randomized lockstep test. The fastpath/wheel/pool toggles set the
-// precedent; SetFlatStore follows it.
+// This file holds the entry store behind Table (DESIGN.md §16): entries
+// kept by value in append-only arena slabs ([]Entry, never reallocated, so
+// &slab[i] is stable for the table's lifetime) addressed by 32-bit handles,
+// with an open-addressed (linear probe + backward-shift delete) index from
+// Key to handle and a sorted key slice driving the deterministic walks. The
+// GC sees a few dozen slabs per router instead of one object per entry plus
+// one per oif. TestFlatMapStoreLockstep holds every observable — lookups,
+// walk order, walk-mutation visibility, Sweep results, Life() stamps — to a
+// test-local map[Key]*Entry model.
 //
 // Slot recycling contract: Delete marks the slot dead but leaves the fields
 // in place, so entries returned by Sweep stay readable until the next
 // insertion into the table. Recycling bumps the slot's plan generation
-// (never resets it) and the table stamps a fresh Life() on every creation
-// in both stores, so stale plan dependencies and timer closures can never
-// revalidate against a later incarnation of the same key or slot.
+// (never resets it) and the table stamps a fresh Life() on every creation,
+// so stale plan dependencies and timer closures can never revalidate
+// against a later incarnation of the same key or slot.
 
-var flatStore atomic.Bool
-
-func init() { flatStore.Store(true) }
-
-// SetFlatStore switches newly created tables between the flat arena store
-// and the reference map store, returning the previous setting. Tables
-// already built keep their store; the engines rebuild their tables on
-// Stop/Start.
-func SetFlatStore(on bool) (prev bool) { return flatStore.Swap(on) }
-
-// FlatStoreEnabled reports the current default store.
-func FlatStoreEnabled() bool { return flatStore.Load() }
-
-// Handle addresses an entry in the flat store: slot+1, so the zero Handle
+// Handle addresses an entry in the arena: slot+1, so the zero Handle
 // means "none".
 type Handle uint32
 
@@ -193,15 +173,9 @@ func compareKeys(a, b Key) int {
 	return boolToInt(a.RPBit) - boolToInt(b.RPBit)
 }
 
-// Table stores a router's multicast forwarding entries in one of the two
-// stores; the API is identical either way.
+// Table stores a router's multicast forwarding entries. The zero value is
+// an empty table.
 type Table struct {
-	flat bool
-
-	// map store
-	m map[Key]*Entry
-
-	// flat store
 	slabs [][]Entry
 	used  int      // slots ever allocated
 	free  []Handle // recycled slots
@@ -209,8 +183,8 @@ type Table struct {
 	index rhIndex
 	order []Key // live keys sorted by compareKeys
 
-	// lifeSeq stamps each created entry with a fresh incarnation id; shared
-	// by both stores so delete/re-create is detectable identically.
+	// lifeSeq stamps each created entry with a fresh incarnation id, so
+	// delete/re-create of one key is detectable.
 	lifeSeq uint64
 
 	// walks is the per-depth key-snapshot scratch for the deterministic
@@ -220,22 +194,8 @@ type Table struct {
 	depth int
 }
 
-// NewTable returns an empty table using the store selected by SetFlatStore.
-func NewTable() *Table { return NewTableWith(FlatStoreEnabled()) }
-
-// NewTableWith returns an empty table with an explicit store choice — the
-// hook the differential tests and the stateplane benchmark use to hold both
-// stores side by side.
-func NewTableWith(flat bool) *Table {
-	t := &Table{flat: flat}
-	if !flat {
-		t.m = map[Key]*Entry{}
-	}
-	return t
-}
-
-// Flat reports which store backs this table.
-func (t *Table) Flat() bool { return t.flat }
+// NewTable returns an empty table.
+func NewTable() *Table { return &Table{} }
 
 func (t *Table) entryAt(slot int) *Entry {
 	return &t.slabs[slot>>slabShift][slot&slabMask]
@@ -243,21 +203,14 @@ func (t *Table) entryAt(slot int) *Entry {
 
 // Get returns the entry for the exact key, or nil.
 func (t *Table) Get(k Key) *Entry {
-	if !t.flat {
-		return t.m[k]
-	}
 	if slot, ok := t.indexGet(k); ok {
 		return t.entryAt(slot)
 	}
 	return nil
 }
 
-// HandleOf returns the flat-store handle for k, or 0 when absent (always 0
-// on a map-store table).
+// HandleOf returns the handle for k, or 0 when absent.
 func (t *Table) HandleOf(k Key) Handle {
-	if !t.flat {
-		return 0
-	}
 	if slot, ok := t.indexGet(k); ok {
 		return Handle(slot + 1)
 	}
@@ -267,7 +220,7 @@ func (t *Table) HandleOf(k Key) Handle {
 // At resolves a handle to its entry, or nil if the slot is out of range or
 // currently dead.
 func (t *Table) At(h Handle) *Entry {
-	if !t.flat || h == 0 || int(h) > t.used {
+	if h == 0 || int(h) > t.used {
 		return nil
 	}
 	e := t.entryAt(int(h) - 1)
@@ -299,12 +252,6 @@ func (t *Table) Upsert(k Key, now netsim.Time) (e *Entry, created bool) {
 		return e, false
 	}
 	t.lifeSeq++
-	if !t.flat {
-		e = NewEntry(k, now)
-		e.life = t.lifeSeq
-		t.m[k] = e
-		return e, true
-	}
 	var slot int
 	if n := len(t.free); n > 0 {
 		slot = int(t.free[n-1]) - 1
@@ -331,13 +278,9 @@ func (t *Table) Upsert(k Key, now netsim.Time) (e *Entry, created bool) {
 	return e, true
 }
 
-// Delete removes an entry. In the flat store the slot is marked dead and
-// recycled by a later Upsert; its fields stay readable until then.
+// Delete removes an entry. The slot is marked dead and recycled by a later
+// Upsert; its fields stay readable until then.
 func (t *Table) Delete(k Key) {
-	if !t.flat {
-		delete(t.m, k)
-		return
-	}
 	slot, ok := t.indexGet(k)
 	if !ok {
 		return
@@ -355,51 +298,32 @@ func (t *Table) Delete(k Key) {
 
 // Len returns the number of entries — the "state" axis of the paper's
 // overhead metric.
-func (t *Table) Len() int {
-	if !t.flat {
-		return len(t.m)
-	}
-	return t.live
-}
+func (t *Table) Len() int { return t.live }
 
 // ForGroup calls fn for every entry of the group, in deterministic order.
 func (t *Table) ForGroup(g addr.IP, fn func(*Entry)) {
-	t.walkSelected(func(k Key) bool { return k.Group == g }, g, true, fn)
+	// order is group-contiguous: binary-search the range start.
+	lo, _ := slices.BinarySearchFunc(t.order, Key{Group: g}, compareKeys)
+	hi := lo
+	for hi < len(t.order) && t.order[hi].Group == g {
+		hi++
+	}
+	t.walk(lo, hi, fn)
 }
 
 // ForEach calls fn for every entry in deterministic order.
-func (t *Table) ForEach(fn func(*Entry)) {
-	t.walkSelected(nil, 0, false, fn)
-}
+func (t *Table) ForEach(fn func(*Entry)) { t.walk(0, len(t.order), fn) }
 
-// walkSelected snapshots the selected keys, then visits each entry that is
-// still present — both stores share this exact sequence, so fn may insert
-// or delete entries mid-walk with identical visibility: entries deleted
+// walk snapshots order[lo:hi], then visits each entry that is still
+// present, so fn may insert or delete entries mid-walk: entries deleted
 // after the snapshot are skipped, entries created after it are not visited.
-func (t *Table) walkSelected(sel func(Key) bool, g addr.IP, grouped bool, fn func(*Entry)) {
+func (t *Table) walk(lo, hi int, fn func(*Entry)) {
 	d := t.depth
 	t.depth++
 	if d >= len(t.walks) {
 		t.walks = append(t.walks, nil)
 	}
-	keys := t.walks[d][:0]
-	switch {
-	case t.flat && grouped:
-		// order is group-contiguous: binary-search the range start.
-		lo, _ := slices.BinarySearchFunc(t.order, Key{Group: g}, compareKeys)
-		for i := lo; i < len(t.order) && t.order[i].Group == g; i++ {
-			keys = append(keys, t.order[i])
-		}
-	case t.flat:
-		keys = append(keys, t.order...)
-	default:
-		for k := range t.m {
-			if sel == nil || sel(k) {
-				keys = append(keys, k)
-			}
-		}
-		slices.SortFunc(keys, compareKeys)
-	}
+	keys := append(t.walks[d][:0], t.order[lo:hi]...)
 	t.walks[d] = keys
 	for _, k := range keys {
 		if e := t.Get(k); e != nil {
@@ -411,11 +335,11 @@ func (t *Table) walkSelected(sel func(Key) bool, g addr.IP, grouped bool, fn fun
 
 // Sweep removes entries whose DeleteAt deadline has passed and prunes
 // expired non-local oifs; it returns the removed entries so the protocol
-// can emit triggered prunes. In the flat store the returned entries are
-// dead slots whose fields stay readable until the next Upsert.
+// can emit triggered prunes. The returned entries are dead slots whose
+// fields stay readable until the next Upsert.
 func (t *Table) Sweep(now netsim.Time) []*Entry {
 	var removed []*Entry
-	t.walkSelected(nil, 0, false, func(e *Entry) {
+	t.ForEach(func(e *Entry) {
 		for i := int(e.noif) - 1; i >= 0; i-- {
 			o := e.oifAt(i)
 			if !o.LocalMember && now > o.Expires {
@@ -437,50 +361,30 @@ func (t *Table) Sweep(now netsim.Time) []*Entry {
 	return removed
 }
 
-// Footprint sizes, for the Bytes estimator. The map store heap-allocates
-// every entry individually, so each one really occupies its allocator size
-// class (mapEntryAlloc rounds up to the 32-byte granularity the relevant
-// classes follow), and the map adds the key copy and entry pointer in the
-// bucket plus amortized bucket headers on top (mapEntryOverhead).
+// Footprint sizes, for the Bytes estimator.
 const (
-	entryBytes       = int64(unsafe.Sizeof(Entry{}))
-	oifBytes         = int64(unsafe.Sizeof(OIF{}))
-	planBytes        = int64(unsafe.Sizeof(plan{}))
-	keyBytes         = int64(unsafe.Sizeof(Key{}))
-	ptrBytes         = int64(unsafe.Sizeof((*Entry)(nil)))
-	mapEntryAlloc    = (entryBytes + 31) &^ 31
-	mapEntryOverhead = keyBytes + ptrBytes + 16
+	entryBytes = int64(unsafe.Sizeof(Entry{}))
+	oifBytes   = int64(unsafe.Sizeof(OIF{}))
+	planBytes  = int64(unsafe.Sizeof(plan{}))
+	keyBytes   = int64(unsafe.Sizeof(Key{}))
+	ptrBytes   = int64(unsafe.Sizeof((*Entry)(nil)))
 )
 
-// Bytes estimates the table's resident state footprint: everything the
-// store keeps per entry (arena slabs including free slack, index arrays,
-// order slice — or heap entries plus map overhead) plus the spill and
-// compiled-plan capacities hanging off live entries. It is a deterministic
-// estimator, not a heap measurement; the stateplane benchmark pairs it with
-// runtime.ReadMemStats for the ground truth.
+// Bytes estimates the table's resident state footprint: the arena slabs
+// including free slack, the index array, the order slice, plus the spill
+// and compiled-plan capacities hanging off live entries. It is a
+// deterministic estimator, not a heap measurement.
 func (t *Table) Bytes() int64 {
-	var b int64
-	side := func(e *Entry) {
-		b += int64(cap(e.oifSpill)) * oifBytes
-		b += int64(cap(e.plans)) * planBytes
-		for i := range e.plans {
-			b += int64(cap(e.plans[i].out)) * ptrBytes
-		}
-	}
-	if !t.flat {
-		for _, e := range t.m {
-			b += mapEntryAlloc + mapEntryOverhead
-			side(e)
-		}
-		return b
-	}
-	b += int64(len(t.slabs)) * slabSize * entryBytes
+	b := int64(len(t.slabs)) * slabSize * entryBytes
 	b += int64(len(t.index.vals)) * 4
 	b += int64(cap(t.order)) * keyBytes
 	b += int64(cap(t.free)) * 4
 	for _, k := range t.order {
-		if e := t.Get(k); e != nil {
-			side(e)
+		e := t.Get(k)
+		b += int64(cap(e.oifSpill)) * oifBytes
+		b += int64(cap(e.plans)) * planBytes
+		for i := range e.plans {
+			b += int64(cap(e.plans[i].out)) * ptrBytes
 		}
 	}
 	return b

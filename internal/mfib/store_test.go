@@ -1,8 +1,10 @@
 package mfib
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,13 +12,86 @@ import (
 	"pim/internal/netsim"
 )
 
-// dumpEntry renders every visible field of an entry, oif list included, so
-// the lockstep test can compare the two stores' state byte-for-byte.
+// mapModel is the reference store the arena Table is held to: the
+// straightforward map of individually heap-allocated entries, walked by
+// snapshotting and sorting its keys. It defines the observable contract —
+// lookups, (Group, Source, RPBit) walk order, walk-mutation visibility,
+// Sweep results, a fresh Life() per creation — with none of the arena,
+// index, or order-slice machinery.
+type mapModel struct {
+	m       map[Key]*Entry
+	lifeSeq uint64
+}
+
+func (m *mapModel) Get(k Key) *Entry { return m.m[k] }
+func (m *mapModel) Len() int         { return len(m.m) }
+func (m *mapModel) Delete(k Key)     { delete(m.m, k) }
+
+func (m *mapModel) Upsert(k Key, now netsim.Time) (*Entry, bool) {
+	if e := m.m[k]; e != nil {
+		return e, false
+	}
+	m.lifeSeq++
+	e := NewEntry(k, now)
+	e.life = m.lifeSeq
+	m.m[k] = e
+	return e, true
+}
+
+// walk visits the selected entries in canonical order; entries deleted
+// after the key snapshot are skipped, entries created after it are not
+// visited.
+func (m *mapModel) walk(sel func(Key) bool, fn func(*Entry)) {
+	var keys []Key
+	for k := range m.m {
+		if sel(k) {
+			keys = append(keys, k)
+		}
+	}
+	slices.SortFunc(keys, compareKeys)
+	for _, k := range keys {
+		if e := m.m[k]; e != nil {
+			fn(e)
+		}
+	}
+}
+
+func (m *mapModel) ForGroup(g addr.IP, fn func(*Entry)) {
+	m.walk(func(k Key) bool { return k.Group == g }, fn)
+}
+
+func (m *mapModel) ForEach(fn func(*Entry)) { m.walk(func(Key) bool { return true }, fn) }
+
+func (m *mapModel) Sweep(now netsim.Time) []*Entry {
+	var removed []*Entry
+	m.ForEach(func(e *Entry) {
+		for i := e.OIFCount() - 1; i >= 0; i-- {
+			if o := e.OIFAt(i); !o.LocalMember && now > o.Expires {
+				e.RemoveOIF(o.Iface)
+			}
+		}
+		if e.DeleteAt != 0 && now >= e.DeleteAt {
+			removed = append(removed, e)
+			delete(m.m, e.Key)
+		}
+	})
+	slices.SortFunc(removed, func(a, b *Entry) int {
+		if a.Key.Group != b.Key.Group {
+			return cmp.Compare(a.Key.Group, b.Key.Group)
+		}
+		return cmp.Compare(a.Key.Source, b.Key.Source)
+	})
+	return removed
+}
+
+// dumpEntry renders every visible field of an entry, oif list and Life()
+// stamp included, so the lockstep test can compare table and model state
+// byte-for-byte.
 func dumpEntry(e *Entry) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%v/%v/%v rp=%v wc=%v spt=%v up=%v created=%d del=%d sup=%d",
+	fmt.Fprintf(&b, "%v/%v/%v rp=%v wc=%v spt=%v up=%v created=%d del=%d sup=%d life=%d",
 		e.Key.Source, e.Key.Group, e.Key.RPBit, e.RP, e.Wildcard, e.SPTBit,
-		e.UpstreamNeighbor, e.Created, e.DeleteAt, e.SuppressedUntil)
+		e.UpstreamNeighbor, e.Created, e.DeleteAt, e.SuppressedUntil, e.Life())
 	if e.IIF != nil {
 		fmt.Fprintf(&b, " iif=%d", e.IIF.Index)
 	}
@@ -28,7 +103,13 @@ func dumpEntry(e *Entry) string {
 	return b.String()
 }
 
-func dumpTable(t *Table) string {
+// store is what the lockstep test drives on both sides.
+type store interface {
+	Len() int
+	ForEach(func(*Entry))
+}
+
+func dumpTable(t store) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "len=%d\n", t.Len())
 	t.ForEach(func(e *Entry) {
@@ -39,16 +120,17 @@ func dumpTable(t *Table) string {
 }
 
 // TestFlatMapStoreLockstep drives tens of thousands of mixed operations
-// against the flat and map stores in lockstep and requires identical
-// visible state at every step: same lookups, same walk order, same Sweep
-// results, same full-table dumps. This is the differential oracle for the
+// against the arena Table and the map model in lockstep and requires
+// identical visible state at every step: same lookups, same walk order and
+// insert/delete-during-walk visibility, same Sweep results, same Life()
+// stamps, same full-table dumps. This is the differential oracle for the
 // arena/index/order machinery of DESIGN.md §16.
 func TestFlatMapStoreLockstep(t *testing.T) {
 	const ops = 60000
 	rng := rand.New(rand.NewSource(7))
 	ifs := testIfaces(7) // wider than inlineOIFCap to exercise the spill path
-	flat := NewTableWith(true)
-	ref := NewTableWith(false)
+	flat := NewTable()
+	ref := &mapModel{m: map[Key]*Entry{}}
 
 	groups := make([]addr.IP, 5)
 	for i := range groups {
@@ -147,14 +229,16 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 		case op < 18: // walk with mid-walk mutation
 			g := groups[rng.Intn(len(groups))]
 			var fseq, rseq []Key
-			del := randKey()
+			del, ins := randKey(), randKey()
 			flat.ForGroup(g, func(e *Entry) {
 				fseq = append(fseq, e.Key)
 				flat.Delete(del)
+				flat.Upsert(ins, now)
 			})
 			ref.ForGroup(g, func(e *Entry) {
 				rseq = append(rseq, e.Key)
 				ref.Delete(del)
+				ref.Upsert(ins, now)
 			})
 			if len(fseq) != len(rseq) {
 				t.Fatalf("op %d: ForGroup visited %d vs %d", i, len(fseq), len(rseq))
@@ -188,7 +272,7 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 		if flat.Len() != ref.Len() {
 			t.Fatalf("op %d: Len %d vs %d", i, flat.Len(), ref.Len())
 		}
-		// Handle self-consistency on the flat side.
+		// Handle self-consistency on the arena side.
 		if fe2 := flat.Get(k); fe2 != nil {
 			h := flat.HandleOf(k)
 			if h == 0 || flat.At(h) != fe2 {
@@ -209,41 +293,38 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 }
 
 // TestFlatStoreRecycleIdentity pins the slot-recycling contract: deleting
-// and re-creating a key must yield a fresh Life() in both stores, and a
-// recycled flat slot must continue (not reset) its plan generation so a
-// stale plan dependency can never revalidate.
+// and re-creating a key must yield a fresh Life(), and the recycled slot
+// must continue (not reset) its plan generation so a stale plan dependency
+// can never revalidate.
 func TestFlatStoreRecycleIdentity(t *testing.T) {
-	g := addr.GroupForIndex(0)
-	k := Key{Group: g, RPBit: true}
-	for _, flatMode := range []bool{true, false} {
-		tb := NewTableWith(flatMode)
-		e1, _ := tb.Upsert(k, 0)
-		l1, g1 := e1.Life(), e1.Gen()
-		e1.Touch()
-		tb.Delete(k)
-		e2, created := tb.Upsert(k, 5)
-		if !created {
-			t.Fatalf("flat=%v: re-create not reported as created", flatMode)
-		}
-		if e2.Life() == l1 {
-			t.Errorf("flat=%v: recreated entry kept Life %d", flatMode, l1)
-		}
-		if flatMode && e2 == e1 && e2.Gen() <= g1 {
-			t.Errorf("flat=%v: recycled slot reset its generation (%d -> %d)", flatMode, g1, e2.Gen())
-		}
-		if e2.Created != 5 {
-			t.Errorf("flat=%v: recreated entry kept Created", flatMode)
-		}
-		if e2.OIFCount() != 0 {
-			t.Errorf("flat=%v: recreated entry kept oifs", flatMode)
-		}
+	k := Key{Group: addr.GroupForIndex(0), RPBit: true}
+	tb := NewTable()
+	e1, _ := tb.Upsert(k, 0)
+	l1, g1 := e1.Life(), e1.Gen()
+	e1.Touch()
+	tb.Delete(k)
+	e2, created := tb.Upsert(k, 5)
+	if !created {
+		t.Fatal("re-create not reported as created")
+	}
+	if e2.Life() == l1 {
+		t.Errorf("recreated entry kept Life %d", l1)
+	}
+	if e2 == e1 && e2.Gen() <= g1 {
+		t.Errorf("recycled slot reset its generation (%d -> %d)", g1, e2.Gen())
+	}
+	if e2.Created != 5 {
+		t.Error("recreated entry kept Created")
+	}
+	if e2.OIFCount() != 0 {
+		t.Error("recreated entry kept oifs")
 	}
 }
 
 // TestFlatStoreSpill exercises the inline→spill transition both ways.
 func TestFlatStoreSpill(t *testing.T) {
 	ifs := testIfaces(inlineOIFCap + 3)
-	tb := NewTableWith(true)
+	tb := NewTable()
 	e, _ := tb.Upsert(Key{Group: addr.GroupForIndex(0), RPBit: true}, 0)
 	for i, ifc := range ifs {
 		e.AddOIF(ifc, netsim.Time(100+i))

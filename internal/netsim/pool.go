@@ -1,9 +1,9 @@
 package netsim
 
 // Pooled transmit frames: the steady-state control plane of every protocol
-// here is periodic soft-state refresh, and with closure-based delivery each
-// refresh paid one closure plus one marshal buffer plus one decoded Packet
-// per link crossing. A frame makes the whole crossing a single reusable
+// here is periodic soft-state refresh, and a closure-based delivery would pay
+// one closure plus one marshal buffer plus one decoded Packet per link
+// crossing. A frame makes the whole crossing a single reusable
 // object: Node.Send marshals into a recycled buffer, the delivery event
 // carries the frame by pointer (no closure), the arrival decodes into the
 // frame's own header scratch, and after the synchronous fan-out completes
@@ -14,15 +14,13 @@ package netsim
 // is BORROWED for the duration of the HandlePacket call. A handler that
 // retains any of it past return must copy. The poison-on-release debug mode
 // (SetPoisonFrames) overwrites released frame bytes with 0xDB so a retained
-// alias misreads loudly instead of silently going stale; `make ctrl-smoke`
-// runs every scenario under it.
+// alias misreads loudly instead of silently going stale; the internal/script
+// tests run every scenario under it.
 //
 // Pools are per-Scheduler, hence per-shard: a shard's frames are touched
 // only by the goroutine executing that shard's window, so the free list
 // needs no locking. Frames crossing shards transfer ownership to the
-// destination shard's pool at the exchange barrier. The closure-based
-// allocating path is retained as the differential oracle behind the
-// SetFramePool toggle, mirroring fastpath/wheel/shards.
+// destination shard's pool at the exchange barrier.
 
 import (
 	"sync/atomic"
@@ -31,28 +29,13 @@ import (
 	"pim/internal/packet"
 )
 
-// framePoolOn is the process-global toggle: pooled frames by default, the
-// allocating closure path as the differential oracle when disabled.
-var framePoolOn atomic.Bool
-
 // poisonOn enables poison-on-release: frames are filled with poisonByte as
 // they return to the free list, so any handler that retained a borrowed
 // alias reads garbage deterministically instead of stale-but-plausible data.
 var poisonOn atomic.Bool
 
-func init() { framePoolOn.Store(true) }
-
 // poisonByte fills released frame buffers in poison mode.
 const poisonByte = 0xDB
-
-// UseFramePool reports whether Node.Send uses pooled delivery frames.
-func UseFramePool() bool { return framePoolOn.Load() }
-
-// SetFramePool selects pooled (true) or allocating (false) frame delivery
-// for subsequent sends, returning the previous setting. The two paths are
-// observationally identical (the differential gates assert it); the
-// allocating path exists as the oracle and for A/B benchmarking.
-func SetFramePool(on bool) (prev bool) { return framePoolOn.Swap(on) }
 
 // PoisonFrames reports whether poison-on-release is active.
 func PoisonFrames() bool { return poisonOn.Load() }
@@ -110,11 +93,4 @@ func (p *framePool) put(f *frame) {
 	}
 	f.next = p.free
 	p.free = f
-}
-
-// deliverPooled is the pooled twin of deliverFrame: one in-place decode into
-// the frame's header scratch, then the shared fan-out.
-func (n *Network) deliverPooled(f *frame) {
-	err := packet.UnmarshalInto(&f.hdr, f.buf)
-	n.fanout(f.from, f.link, &f.hdr, err, f.nextHop, f.shard, &f.rcv)
 }

@@ -166,8 +166,8 @@ type event struct {
 	ord uint64
 	fn  func()
 	tm  *Timer
-	// fr, when non-nil, makes this a pooled frame-delivery event: fire
-	// dispatches the frame without a closure and recycles it afterwards.
+	// fr, when non-nil, makes this a frame-delivery event: fire dispatches
+	// the frame without a closure and recycles it afterwards.
 	fr *frame
 }
 
@@ -196,11 +196,11 @@ func (e event) dead() bool { return e.tm != nil && (e.tm.stopped || e.tm.seq != 
 // Scheduler is a deterministic discrete-event scheduler. Events scheduled
 // for the same instant fire in scheduling order.
 //
-// Two interchangeable backing stores implement the queue: the hierarchical
-// timing wheel (schedWheel, the default — O(1) insert and lazy cancel) and
-// the binary heap kept as the reference implementation (schedHeap). The
-// UseWheel toggle selects the store at construction; both produce
-// bit-identical fire order (see the differential tests in wheel_test.go).
+// The queue is the hierarchical timing wheel (schedWheel — O(1) insert and
+// lazy cancel). A binary heap (schedHeap) is kept as the reference
+// implementation, reachable only through NewSchedulerWith(false): the
+// differential tests in wheel_test.go hold the wheel's fire order
+// bit-identical to it.
 type Scheduler struct {
 	now   Time
 	seq   uint64
@@ -234,13 +234,13 @@ type Scheduler struct {
 }
 
 // NewScheduler returns a scheduler positioned at time 0, backed by the
-// timing wheel or the reference heap according to UseWheel.
-func NewScheduler() *Scheduler { return NewSchedulerWith(UseWheel()) }
+// timing wheel.
+func NewScheduler() *Scheduler { return NewSchedulerWith(true) }
 
 // NewSchedulerWith returns a scheduler with an explicit backing store:
 // wheel=true for the timing wheel, false for the reference binary heap.
-// Benchmarks and differential tests use this; everything else goes through
-// NewScheduler and the global toggle.
+// Only the scheduler differential tests and microbenchmarks pass false;
+// every simulation goes through NewScheduler.
 func NewSchedulerWith(wheel bool) *Scheduler {
 	if wheel {
 		return &Scheduler{wheel: newWheel()}
@@ -317,26 +317,11 @@ func (s *Scheduler) Post(d Time, fn func()) {
 // deliveryOrd key (localOrd clear). Both execution paths use it — Node.Send
 // locally, shardSet.exchange for merged cross-shard arrivals — so same-
 // instant deliveries fire in (source, transmit sequence) order everywhere.
-// On the timing wheel the deadline's slot is marked for an order-restoring
-// sort at fire time, since structural keys need not match append order.
-func (s *Scheduler) enqueueDelivery(at, bs Time, ord uint64, fn func()) {
-	s.live++
-	if s.live > s.peakLive {
-		s.peakLive = s.live
-	}
-	ev := event{at: at, bs: bs, ord: ord, fn: fn}
-	if s.wheel != nil {
-		s.wheel.markDirty(at)
-		s.wheel.push(ev, s.now)
-	} else {
-		s.heap.push(ev)
-	}
-}
-
-// enqueueDeliveryFrame is enqueueDelivery for a pooled frame: same ordering
-// key, no closure — the event record carries the frame pointer and fire
-// dispatches it directly.
-func (s *Scheduler) enqueueDeliveryFrame(at, bs Time, ord uint64, f *frame) {
+// The event record carries the pooled frame by pointer (no closure) and
+// fire dispatches it directly. On the timing wheel the deadline's slot is
+// marked for an order-restoring sort at fire time, since structural keys
+// need not match append order.
+func (s *Scheduler) enqueueDelivery(at, bs Time, ord uint64, f *frame) {
 	s.live++
 	if s.live > s.peakLive {
 		s.peakLive = s.live
@@ -401,7 +386,7 @@ func (s *Scheduler) fire(ev event) {
 	if f := ev.fr; f != nil {
 		// Pooled frame delivery: fan out synchronously, then the frame —
 		// and everything borrowed from it — is dead and recycled.
-		f.net.deliverPooled(f)
+		f.net.deliverFrame(f)
 		s.frames.put(f)
 		return
 	}
@@ -486,9 +471,8 @@ func (s *Scheduler) Halted() bool { return s.halted }
 func (s *Scheduler) ClearHalt() { s.halted = false }
 
 // schedHeap is the reference queue: a binary heap ordered by (at, seq) with
-// stopped-timer compaction. It is kept selectable (UseWheel=false) so the
-// wheel's fire order can be differentially verified against it and so the
-// scaling ledger records an honest before/after.
+// stopped-timer compaction, kept (behind NewSchedulerWith(false)) so the
+// wheel's fire order can be differentially verified against it.
 type schedHeap struct {
 	events   []event
 	nstopped int // stopped timers still occupying heap slots

@@ -12,9 +12,6 @@ import (
 // path at zero heap allocations per cycle (see the core engine's twin for
 // the warm-up rationale).
 func TestQueryRefreshZeroAlloc(t *testing.T) {
-	prev := netsim.SetFramePool(true)
-	defer netsim.SetFramePool(prev)
-
 	net := netsim.NewNetwork()
 	na := net.AddNode("a")
 	nb := net.AddNode("b")

@@ -23,7 +23,6 @@ package rpf
 
 import (
 	"pim/internal/addr"
-	"pim/internal/fastpath"
 	"pim/internal/unicast"
 )
 
@@ -47,13 +46,9 @@ func New(uni unicast.Router) *Cache {
 	return &Cache{uni: uni, m: make(map[addr.IP]result)}
 }
 
-// Lookup resolves the RPF route toward dst. With the fast path enabled it
-// answers from the cache when the table generation is unchanged; otherwise
-// (or on the reference path) it defers to the underlying router.
+// Lookup resolves the RPF route toward dst: from the cache when the table
+// generation is unchanged, from the underlying router otherwise.
 func (c *Cache) Lookup(dst addr.IP) (unicast.Route, bool) {
-	if !fastpath.Enabled() {
-		return c.uni.Lookup(dst)
-	}
 	if g := c.uni.Gen(); g != c.gen {
 		clear(c.m)
 		c.gen = g

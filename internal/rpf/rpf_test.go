@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pim/internal/addr"
-	"pim/internal/fastpath"
 	"pim/internal/unicast"
 )
 
@@ -84,24 +83,6 @@ func TestDifferentialAgainstDirectLookup(t *testing.T) {
 	}
 }
 
-// TestReferencePathBypassesCache: with the fast path off, the cache is a
-// pure pass-through.
-func TestReferencePathBypassesCache(t *testing.T) {
-	prev := fastpath.Set(true)
-	defer fastpath.Set(prev)
-	tb := &unicast.Table{}
-	p := addr.MustPrefix(addr.V4(10, 1, 0, 0), 16)
-	dst := addr.V4(10, 1, 2, 3)
-	tb.Set(p, reachable(1))
-	c := New(tb)
-	c.Lookup(dst) // populate
-	fastpath.Set(false)
-	tb.Set(p, reachable(9))
-	if r, _ := c.Lookup(dst); r.Metric != 9 {
-		t.Fatalf("reference path served cached result: %+v", r)
-	}
-}
-
 // TestWarmHitAllocFree asserts the steady-state cost: a cache hit with an
 // unchanged generation allocates nothing.
 func TestWarmHitAllocFree(t *testing.T) {
@@ -135,16 +116,13 @@ func BenchmarkRPFCacheHit(b *testing.B) {
 }
 
 func BenchmarkRPFUncached(b *testing.B) {
-	prev := fastpath.Set(false)
-	defer fastpath.Set(prev)
 	tb := &unicast.Table{}
 	for i := 0; i < 128; i++ {
 		tb.Set(addr.MustPrefix(addr.V4(10, 100, byte(i), 0), 24), reachable(int64(i+1)))
 	}
-	c := New(tb)
 	dst := addr.V4(10, 100, 77, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Lookup(dst)
+		tb.Lookup(dst)
 	}
 }

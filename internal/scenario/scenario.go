@@ -136,11 +136,6 @@ func (s *Sim) placeWithRouter(nd *netsim.Node, r int) {
 	}
 }
 
-// AutoShard partitions the topology over the configured shard count
-// (netsim.Shards()) and switches the network to sharded execution. See
-// AutoShardN for constraints.
-func (s *Sim) AutoShard() { s.AutoShardN(netsim.Shards()) }
-
 // AutoShardN partitions the topology into k shards (topology.Partition:
 // greedy min-cut preferring high-delay links as boundaries) and switches the
 // network to sharded parallel execution. Hosts and LAN anchors — existing

@@ -1,12 +1,11 @@
 // Corpus discovery: every scenario under a root directory is a
 // self-verifying document. Each file embeds its golden digest after a
 // `-- golden --` marker (see Parse), and Corpus re-runs every file across
-// the differential matrix — forwarding reference vs fast path, binary heap
-// vs timing wheel, shards 1 vs 2, flat vs map MFIB store — requiring the
-// scripted expectations, the
-// §3.8 invariants, and the embedded digest to hold in every cell. One drift
-// anywhere (a changed delivery count, a new telemetry event, a reordered
-// stream) fails the corpus with a pointer to `pimscript -update`.
+// the matrix — sequential and on 2 shards — requiring the scripted
+// expectations, the §3.8 invariants, and the embedded digest to hold in
+// every cell. One drift anywhere (a changed delivery count, a new telemetry
+// event, a reordered stream) fails the corpus with a pointer to
+// `pimscript -update`.
 package script
 
 import (
@@ -19,60 +18,31 @@ import (
 	"sort"
 	"strings"
 
-	"pim/internal/fastpath"
-	"pim/internal/mfib"
-	"pim/internal/netsim"
 	"pim/internal/telemetry"
 )
 
-// Pass is one cell of the corpus differential matrix.
+// Pass is one cell of the corpus matrix: a name and the captured, checked
+// run configuration it executes under.
 type Pass struct {
-	Name string
-	// Fast selects the forwarding fast path (LPM trie, RPF cache, compiled
-	// fan-out) over the linear reference implementations.
-	Fast bool
-	// Wheel selects the hierarchical timing wheel over the binary heap.
-	Wheel bool
-	// Shards is the partition count the run executes under.
-	Shards int
-	// MapStore selects the reference map-of-pointers MFIB store over the
-	// default flat arena store (DESIGN.md §16).
-	MapStore bool
+	Name   string
+	Config RunConfig
 }
 
-// Matrix is the corpus verification matrix: the default configuration plus
-// one pass flipping each axis, so every scenario witnesses ref==fast,
-// heap==wheel, sequential==sharded, and flat==map store equivalence on
-// every run.
+// Matrix is the corpus verification matrix: the default sequential run plus
+// the same run partitioned over 2 shards, so every scenario witnesses
+// sequential==sharded equivalence against its golden on every run.
 func Matrix() []Pass {
 	return []Pass{
-		{Name: "fast+wheel+shards=1", Fast: true, Wheel: true, Shards: 1},
-		{Name: "ref+wheel+shards=1", Fast: false, Wheel: true, Shards: 1},
-		{Name: "fast+heap+shards=1", Fast: true, Wheel: false, Shards: 1},
-		{Name: "fast+wheel+shards=2", Fast: true, Wheel: true, Shards: 2},
-		{Name: "fast+wheel+shards=1+mapstore", Fast: true, Wheel: true, Shards: 1, MapStore: true},
+		{Name: "shards=1", Config: RunConfig{Captured: true, Checked: true}},
+		{Name: "shards=2", Config: RunConfig{Captured: true, Checked: true, Shards: 2}},
 	}
-}
-
-// runPass executes the scenario captured and checked under one matrix cell,
-// restoring the process-wide toggles afterwards.
-func runPass(s *Script, p Pass) (*Result, error) {
-	prevFast := fastpath.Set(p.Fast)
-	defer fastpath.Set(prevFast)
-	prevWheel := netsim.SetUseWheel(p.Wheel)
-	defer netsim.SetUseWheel(prevWheel)
-	prevShards := netsim.SetShards(p.Shards)
-	defer netsim.SetShards(prevShards)
-	prevStore := mfib.SetFlatStore(!p.MapStore)
-	defer mfib.SetFlatStore(prevStore)
-	return s.RunWith(RunConfig{Captured: true, Checked: true})
 }
 
 // DigestLines renders a run's golden digest: the delivery counts, the
 // per-kind telemetry event counts, and an FNV-64a hash of the canonical
 // captured stream. Every line is a stable function of the simulation —
-// independent of forwarding path, scheduler store, and shard count — so the
-// digest doubles as the corpus equivalence witness.
+// independent of shard count — so the digest doubles as the corpus
+// equivalence witness.
 func DigestLines(res *Result) []string {
 	var lines []string
 	keys := make([]string, 0, len(res.Delivered))
@@ -149,7 +119,7 @@ func Update(path string) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("%s: %v", path, err)
 	}
-	res, err := runPass(s, Matrix()[0])
+	res, err := s.RunWith(Matrix()[0].Config)
 	if err != nil {
 		return false, fmt.Errorf("%s: %v", path, err)
 	}
@@ -204,7 +174,7 @@ func Verify(path string) error {
 		if s.Golden() == nil {
 			return fmt.Errorf("%s: no embedded golden; run `pimscript -update %s`", path, path)
 		}
-		res, err := runPass(s, pass)
+		res, err := s.RunWith(pass.Config)
 		if err != nil {
 			return fmt.Errorf("%s [%s]: %v", path, pass.Name, err)
 		}

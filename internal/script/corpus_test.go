@@ -163,21 +163,27 @@ expect recv received G0 >= 1000
 	}
 }
 
-// TestCorpusMatrix runs the whole committed corpus through the full
-// differential matrix — the same verification `pimscript -corpus scenarios`
-// and `make corpus` perform. Every scenario must pass its expectations,
-// keep the §3.8 invariants, and reproduce its embedded digest under
-// ref/fast, heap/wheel, and shards 1/2.
+// TestCorpusMatrix runs the whole committed corpus through the matrix — the
+// same verification `pimscript -corpus scenarios` and `make corpus` perform.
+// Every scenario must pass its expectations, keep the §3.8 invariants, and
+// reproduce its embedded digest sequentially and on 2 shards. Scenarios are
+// independent simulations, so they verify in parallel.
 func TestCorpusMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 4-pass corpus matrix; run without -short")
+		t.Skip("full 2-pass corpus matrix; run without -short")
 	}
-	n, err := Corpus("../../scenarios", t.Logf)
+	paths, err := Discover("../../scenarios")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Fatal("corpus verified zero scenarios")
+	for _, path := range paths {
+		path := path
+		t.Run(strings.TrimPrefix(path, "../../scenarios/"), func(t *testing.T) {
+			t.Parallel()
+			if err := Verify(path); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

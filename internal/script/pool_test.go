@@ -1,90 +1,33 @@
 package script
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
 	"pim/internal/netsim"
-	"pim/internal/telemetry"
 )
 
-// runScenario executes one scenario under the given frame-pool/poison
-// settings and returns its telemetry stream and result.
-func runScenario(t *testing.T, path string, pooled, poison bool) ([]telemetry.Event, *Result) {
-	t.Helper()
-	prevPool := netsim.SetFramePool(pooled)
-	defer netsim.SetFramePool(prevPool)
-	prevPoison := netsim.SetPoisonFrames(poison)
-	defer netsim.SetPoisonFrames(prevPoison)
-	s, err := ParseFile(path)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	bus := telemetry.NewBus()
-	var events []telemetry.Event
-	bus.Subscribe(func(ev telemetry.Event) { events = append(events, ev) })
-	res, err := s.RunWith(RunConfig{Bus: bus})
-	if err != nil {
-		t.Fatalf("run (pool=%v poison=%v): %v", pooled, poison, err)
-	}
-	return events, res
-}
-
-// TestScenariosFramePoolEquivalence holds pooled frame delivery to the
-// allocating closure path (the differential oracle): every scenario must
-// produce a bit-identical telemetry event stream and identical scripted
-// outcomes either way.
-func TestScenariosFramePoolEquivalence(t *testing.T) {
-	paths, err := filepath.Glob("../../scenarios/*.pim")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no scenario scripts found: %v", err)
-	}
-	for _, path := range paths {
-		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			allocEvents, allocRes := runScenario(t, path, false, false)
-			poolEvents, poolRes := runScenario(t, path, true, false)
-
-			if len(allocEvents) == 0 && len(poolEvents) == 0 {
-				total := 0
-				for _, n := range allocRes.Delivered {
-					total += n
-				}
-				if total == 0 {
-					t.Fatal("no telemetry events and no deliveries; equivalence check is vacuous")
-				}
-			}
-			if len(allocEvents) != len(poolEvents) {
-				t.Fatalf("event streams differ in length: alloc=%d pooled=%d",
-					len(allocEvents), len(poolEvents))
-			}
-			for i := range allocEvents {
-				if allocEvents[i] != poolEvents[i] {
-					t.Fatalf("event %d diverged:\nalloc  = %+v\npooled = %+v",
-						i, allocEvents[i], poolEvents[i])
-				}
-			}
-			if len(allocRes.Failures) != len(poolRes.Failures) {
-				t.Errorf("expectation outcomes differ: alloc=%v pooled=%v",
-					allocRes.Failures, poolRes.Failures)
-			}
-			for host, n := range allocRes.Delivered {
-				if poolRes.Delivered[host] != n {
-					t.Errorf("host %s delivered %d allocating, %d pooled",
-						host, n, poolRes.Delivered[host])
-				}
-			}
-		})
-	}
+// TestMain turns on poison-on-release for the whole test binary, once, before
+// any (parallel) test builds a simulation: every scenario this package runs
+// executes with released frames scribbled to 0xDB. Poison is the one
+// process-global left in netsim, so it is never flipped inside a test.
+func TestMain(m *testing.M) {
+	netsim.SetPoisonFrames(true)
+	os.Exit(m.Run())
 }
 
 // TestScenariosPoisonedPool enforces the borrowed-frame ownership contract
-// (DESIGN.md §13) over the whole scenario corpus: with released frames
-// poisoned to 0xDB, any handler that retained a borrowed packet, payload, or
-// decoded alias past its HandlePacket call reads garbage — and the telemetry
-// stream diverges from the clean allocating run. Matching streams mean no
-// protocol engine reads a frame after its fan-out completed.
+// (DESIGN.md §13) over the scenario scripts: with released frames poisoned,
+// any handler that retained a borrowed packet, payload, or decoded alias past
+// its HandlePacket call reads garbage — and the run's digest diverges from
+// the embedded golden, which `pimscript -update` recorded in a process that
+// never poisons. A matching digest means no protocol engine reads a frame
+// after its fan-out completed.
 func TestScenariosPoisonedPool(t *testing.T) {
+	if !netsim.PoisonFrames() {
+		t.Fatal("poison-on-release is off; TestMain must enable it")
+	}
 	paths, err := filepath.Glob("../../scenarios/*.pim")
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no scenario scripts found: %v", err)
@@ -92,28 +35,27 @@ func TestScenariosPoisonedPool(t *testing.T) {
 	for _, path := range paths {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
-			cleanEvents, cleanRes := runScenario(t, path, false, false)
-			poisonEvents, poisonRes := runScenario(t, path, true, true)
-
-			if len(cleanEvents) != len(poisonEvents) {
-				t.Fatalf("event streams differ in length: clean=%d poisoned=%d",
-					len(cleanEvents), len(poisonEvents))
+			t.Parallel()
+			s, err := ParseFile(path)
+			if err != nil {
+				t.Fatalf("parse: %v", err)
 			}
-			for i := range cleanEvents {
-				if cleanEvents[i] != poisonEvents[i] {
-					t.Fatalf("event %d diverged under poison (stale frame read?):\nclean    = %+v\npoisoned = %+v",
-						i, cleanEvents[i], poisonEvents[i])
-				}
+			res, err := s.RunWith(RunConfig{Captured: true})
+			if err != nil {
+				t.Fatalf("run: %v", err)
 			}
-			if len(cleanRes.Failures) != len(poisonRes.Failures) {
-				t.Errorf("expectation outcomes differ: clean=%v poisoned=%v",
-					cleanRes.Failures, poisonRes.Failures)
+			total := 0
+			for _, n := range res.Delivered {
+				total += n
 			}
-			for host, n := range cleanRes.Delivered {
-				if poisonRes.Delivered[host] != n {
-					t.Errorf("host %s delivered %d clean, %d poisoned",
-						host, n, poisonRes.Delivered[host])
-				}
+			if len(res.Events) == 0 && total == 0 {
+				t.Fatal("no telemetry events and no deliveries; the check is vacuous")
+			}
+			if len(res.Failures) > 0 {
+				t.Errorf("expectations failed under poison: %v", res.Failures)
+			}
+			if diff := diffDigest(s.Golden(), DigestLines(res)); diff != "" {
+				t.Errorf("digest diverged under poison (stale frame read?): %s", diff)
 			}
 		})
 	}

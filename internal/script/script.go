@@ -47,8 +47,8 @@
 // lines recording the delivery counts, per-kind telemetry event counts, and
 // the FNV-64a hash of the canonical captured stream. `pimscript -update`
 // regenerates the section; corpus discovery (Corpus, `pimscript -corpus`)
-// re-runs every scenario under ref+fast × heap+wheel × shards∈{1,2} and
-// fails on any digest drift. See DESIGN.md §15.
+// re-runs every scenario sequentially and on 2 shards and fails on any
+// digest drift. See DESIGN.md §15.
 package script
 
 import (
@@ -238,6 +238,9 @@ type runner struct {
 	// dep is the uniform crash/restart surface; nil for the mixed
 	// sparse/dense deployment, which has no whole-router lifecycle.
 	dep scenario.Deployment
+	// shards is the partition count shardable runs execute under
+	// (RunConfig.Shards).
+	shards int
 	// checked attaches the telemetry bus and online invariant checker to
 	// the deployment (RunConfig.Checked); checker holds it after deploy.
 	// failFast additionally arms the checker's first-violation halt. bus,
@@ -297,6 +300,9 @@ type RunConfig struct {
 	// same-instant interleaving — identical for any shard count. This is
 	// the sharded observation path and every equivalence gate's witness.
 	Captured bool
+	// Shards is the partition count the run executes under (0 or 1 =
+	// sequential). Runs that must stay sequential — see RunWith — ignore it.
+	Shards int
 }
 
 // RunWith is the single execution entrypoint: it runs the script in the
@@ -304,9 +310,9 @@ type RunConfig struct {
 // captured canonical stream — into the Result. The zero RunConfig is the
 // plain run.
 //
-// Sharding: unchecked and captured runs execute under the configured shard
-// count (netsim.Shards()); a captured checked run attaches one checker per
-// lane (read Result.Violations). Runs with an external Bus, checked
+// Sharding: unchecked and captured runs execute under cfg.Shards; a
+// captured checked run attaches one checker per lane (read
+// Result.Violations). Runs with an external Bus, checked
 // uncaptured runs, and FailFast runs pin to sequential execution — their
 // consumers share one bus, which parallel shards would race on.
 func (s *Script) RunWith(cfg RunConfig) (*Result, error) {
@@ -319,6 +325,7 @@ func (s *Script) RunWith(cfg RunConfig) (*Result, error) {
 		cfg.Checked = true
 	}
 	r := &runner{
+		shards:    cfg.Shards,
 		checked:   cfg.Checked,
 		failFast:  cfg.FailFast,
 		bus:       cfg.Bus,
@@ -646,7 +653,7 @@ func (r *runner) deploy(st stmt) error {
 	// Domain), as does the mixed sparse/dense interop form.
 	if r.bus == nil && (!r.checked || r.captured) && !r.failFast &&
 		st.args[0] != "mospf" && st.kv["dense"] == "" {
-		r.sim.AutoShard()
+		r.sim.AutoShardN(r.shards)
 	}
 	if r.captured {
 		nlanes := r.sim.Net.ShardCount()

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"pim/internal/netsim"
 	"pim/internal/telemetry"
 )
 
@@ -28,14 +27,13 @@ func TestScenariosShardEquivalence(t *testing.T) {
 	for _, path := range paths {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
+			t.Parallel()
 			capture := func(shards int) ([]telemetry.Event, *Result) {
-				prev := netsim.SetShards(shards)
-				defer netsim.SetShards(prev)
 				s, err := ParseFile(path)
 				if err != nil {
 					t.Fatalf("parse: %v", err)
 				}
-				res, err := s.RunWith(RunConfig{Captured: true})
+				res, err := s.RunWith(RunConfig{Captured: true, Shards: shards})
 				if err != nil {
 					t.Fatalf("run (shards=%d): %v", shards, err)
 				}

@@ -33,6 +33,7 @@ func TestScenariosUpholdInvariants(t *testing.T) {
 	for _, path := range paths {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
+			t.Parallel()
 			s, err := ParseFile(path)
 			if err != nil {
 				t.Fatalf("parse: %v", err)

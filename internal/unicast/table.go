@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"pim/internal/addr"
-	"pim/internal/fastpath"
 	"pim/internal/netsim"
 )
 
@@ -130,29 +129,14 @@ func (t *Table) Get(p addr.Prefix) (Route, bool) {
 	return Route{}, false
 }
 
-// Lookup performs longest-prefix matching. The fast path answers from the
-// multibit trie (allocation-free once warm); the reference path is the
-// original linear scan, kept both as the differential-testing oracle and as
-// the behaviour benchmarked against in BENCH_dataplane.json.
+// Lookup performs longest-prefix matching from the multibit trie
+// (allocation-free once warm). The linear-scan reference it is held to lives
+// in lpm_test.go (TestTrieMatchesLinearScan).
 func (t *Table) Lookup(dst addr.IP) (Route, bool) {
-	if !fastpath.Enabled() {
-		return t.lookupLinear(dst)
-	}
 	if t.trie.dirty || t.trie.root == nil {
 		t.trie.rebuild(t.entries)
 	}
 	return t.trie.lookup(dst)
-}
-
-// lookupLinear is the reference longest-prefix match: first containing
-// prefix in (length desc, address asc) order whose route is reachable.
-func (t *Table) lookupLinear(dst addr.IP) (Route, bool) {
-	for i := range t.entries {
-		if t.entries[i].prefix.Contains(dst) && t.entries[i].route.Metric < InfMetric {
-			return t.entries[i].route, true
-		}
-	}
-	return Route{}, false
 }
 
 // Len returns the number of installed prefixes.

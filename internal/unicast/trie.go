@@ -19,7 +19,7 @@ import "pim/internal/addr"
 //
 // Routes with InfMetric never enter the trie, mirroring the reference
 // scan's "unreachable routes do not shadow shorter reachable prefixes"
-// behaviour (see Table.lookupLinear).
+// behaviour (lookupLinear in lpm_test.go).
 type lpmTrie struct {
 	root  *trieNode
 	dirty bool
