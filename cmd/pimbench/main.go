@@ -6,6 +6,13 @@
 //
 //	pimbench list                     # registered benchmarks, one line each
 //	pimbench run <name|all> [flags]   # run one benchmark, or every one
+//	pimbench diff <a> <b>             # two pimperf result files vs BENCHMARK.json bounds
+//
+// diff reads two files of pimperf results (captured `bash benchmarks/run.sh`
+// output, or lines of BENCH_pimperf.jsonl), prints per workload × end-to-end
+// metric the two medians, the relative change and ok/REGRESSED/improved, and
+// exits 1 on any regression beyond its bound in ./BENCHMARK.json or any rise
+// in failed/attempted.
 //
 // Benchmarks live in the bench registry (internal/bench): each experiment
 // harness registers a named Spec at init time, and this command is a thin
@@ -51,7 +58,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: pimbench list | pimbench run <name|all> [-smoke] [flags]")
+	fmt.Fprintln(os.Stderr, "usage: pimbench list | pimbench run <name|all> [-smoke] [flags] | pimbench diff <a> <b>")
 	fmt.Fprintf(os.Stderr, "benchmarks: %v\n", bench.Names())
 	os.Exit(2)
 }
@@ -68,6 +75,17 @@ func main() {
 		}
 	case "run":
 		runCmd(os.Args[2:])
+	case "diff":
+		if len(os.Args) != 4 {
+			usage()
+		}
+		regressed, err := diffResults(os.Stdout, "BENCHMARK.json", os.Args[2], os.Args[3])
+		if err != nil {
+			fatal(err)
+		}
+		if regressed {
+			os.Exit(1)
+		}
 	default:
 		usage()
 	}

@@ -10,10 +10,10 @@
 //	pimscript -update scenarios/*.pim    regenerate embedded goldens
 //	pimscript -corpus scenarios          discover + verify the whole corpus
 //
-// -corpus runs every *.pim below the directory (found/ included) through the
-// differential matrix — forwarding reference vs fast path, binary heap vs
-// timing wheel, shards 1 vs 2 — under the invariant checker, and verifies
-// each file's embedded `-- golden --` digest in every cell (DESIGN.md §15).
+// -corpus runs every *.pim below the directory (found/ and baselines/
+// included) sequentially and on 2 shards under the invariant checker, and
+// verifies each file's embedded `-- golden --` digest in both cells
+// (DESIGN.md §15).
 package main
 
 import (
@@ -29,7 +29,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print deployment logs and delivery counts")
 	check := flag.Bool("check", false, "attach the online invariant checker; violations fail the run, except for scripts that record their own verdict with `expect violations`")
 	update := flag.Bool("update", false, "run each script and rewrite its embedded `-- golden --` digest")
-	corpus := flag.String("corpus", "", "discover and verify every *.pim under this directory across the differential matrix")
+	corpus := flag.String("corpus", "", "discover and verify every *.pim under this directory, sequentially and on 2 shards")
 	flag.Parse()
 
 	if *corpus != "" {

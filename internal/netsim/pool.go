@@ -3,11 +3,11 @@ package netsim
 // Pooled transmit frames: the steady-state control plane of every protocol
 // here is periodic soft-state refresh, and a closure-based delivery would pay
 // one closure plus one marshal buffer plus one decoded Packet per link
-// crossing. A frame makes the whole crossing a single reusable
-// object: Node.Send marshals into a recycled buffer, the delivery event
-// carries the frame by pointer (no closure), the arrival decodes into the
-// frame's own header scratch, and after the synchronous fan-out completes
-// the frame returns to the free list of the scheduler that fired it.
+// crossing. A frame makes the whole crossing a single reusable object:
+// Node.Send marshals into a recycled buffer, the delivery event carries the
+// frame by pointer (no closure), the arrival decodes into the frame's own
+// header scratch, and after the synchronous fan-out completes the frame
+// returns to the free list of the scheduler that fired it.
 //
 // Ownership contract (DESIGN.md §13): everything a handler receives — the
 // *packet.Packet, its Payload, and any decoded view aliasing the Payload —
