@@ -315,6 +315,7 @@ func (nd *Node) Send(out *Iface, pkt *packet.Packet, nextHop addr.IP) {
 	if err != nil {
 		panic("netsim: marshal failed: " + err.Error())
 	}
+	f.net, f.from, f.link, f.nextHop = net, out, link, nextHop
 	net.statsFor(nd).Transmit(link, pkt)
 	// Jitter is drawn once per transmission, before the sharded dispatch:
 	// the hook needs the packet header, which sendSharded does not carry.
@@ -323,7 +324,7 @@ func (nd *Node) Send(out *Iface, pkt *packet.Packet, nextHop addr.IP) {
 		jit = net.Jitter(out, pkt)
 	}
 	if set := net.set; set != nil {
-		nd.sendSharded(set, out, link, f, nextHop, jit)
+		nd.sendSharded(set, f, jit)
 		return
 	}
 	// Serialization and queueing under finite bandwidth.
@@ -354,7 +355,7 @@ func (nd *Node) Send(out *Iface, pkt *packet.Packet, nextHop addr.IP) {
 	// shard count.
 	delay := link.Delay + jit
 	nd.xmit++
-	f.net, f.from, f.link, f.nextHop, f.shard = net, out, link, nextHop, -1
+	f.shard = -1
 	net.Sched.enqueueDelivery(now+txDone+delay, now, deliveryOrd(nd.ID, nd.xmit), f)
 }
 
@@ -365,7 +366,8 @@ func (nd *Node) Send(out *Iface, pkt *packet.Packet, nextHop addr.IP) {
 // barrier. Finite bandwidth is rejected up front by shardSet.prepare, so
 // the deadline is propagation delay plus any jitter (jitter only adds
 // delay, so the conservative lookahead bound still holds).
-func (nd *Node) sendSharded(set *shardSet, out *Iface, link *Link, f *frame, nextHop addr.IP, jit Time) {
+func (nd *Node) sendSharded(set *shardSet, f *frame, jit Time) {
+	out, link := f.from, f.link
 	sched := set.scheds[nd.shard]
 	now := sched.Now()
 	delay := link.Delay + jit
@@ -397,11 +399,11 @@ func (nd *Node) sendSharded(set *shardSet, out *Iface, link *Link, f *frame, nex
 			from:    out,
 			link:    link,
 			frame:   append([]byte(nil), f.buf...),
-			nextHop: nextHop,
+			nextHop: f.nextHop,
 		})
 	}
 	if local {
-		f.net, f.from, f.link, f.nextHop, f.shard = nd.Net, out, link, nextHop, nd.shard
+		f.shard = nd.shard
 		sched.enqueueDelivery(now+delay, now, deliveryOrd(nd.ID, nd.xmit), f)
 	} else {
 		// Purely cross-shard: the outbox record owns a copy, so the frame
