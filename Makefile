@@ -40,8 +40,9 @@ update-goldens:
 # shards to exercise the sharded-execution gate (DESIGN.md §12), replays a
 # fault scenario under the online invariant checker (§10), pins the
 # borrowed-frame contract (poison-on-release, §13), the per-engine
-# AllocsPerRun counts and the arena-vs-map-model lockstep (§16), runs the
-# focused race passes the old per-subsystem smokes carried, and
+# AllocsPerRun counts and the arena-vs-map-model lockstep (§16), holds the
+# lazy unicast oracle to its eager reference under the race detector (§17),
+# runs the focused race passes the old per-subsystem smokes carried, and
 # compiles-and-runs the perf-sensitive microbenchmarks — each fast
 # implementation next to its unit-test reference — so a regression that breaks
 # them (not just slows them) is caught by `make check`.
@@ -52,10 +53,12 @@ bench-smoke:
 	$(GO) test -run 'TestScenariosPoisonedPool' -count=1 ./internal/script/
 	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/core/ ./internal/pimdm/ ./internal/dvmrp/ ./internal/cbt/ ./internal/mospf/ ./internal/igmp/
 	$(GO) test -run 'TestFlatMapStoreLockstep' -count=1 ./internal/mfib/
+	$(GO) test -race -count=1 -run 'TestOracle' ./internal/unicast/
 	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/script/ ./internal/netsim/... ./internal/parallel/... ./internal/faultsearch/ ./internal/faults/ ./internal/mfib/
 	$(GO) test -run XXX -bench 'BenchmarkDijkstraReuse|BenchmarkLANDeliver|BenchmarkScheduler(Churn|Dense)' -benchtime 10x ./internal/topology/ ./internal/netsim/
 	$(GO) test -run XXX -bench 'BenchmarkEngineFig2a' -benchtime 1x .
 	$(GO) test -run XXX -bench 'BenchmarkLPM(Trie|Linear)256' -benchtime 10x ./internal/unicast/
+	$(GO) test -run XXX -bench 'BenchmarkOracle(FirstLookups|LinkFlap)1024' -benchtime 3x -benchmem ./internal/unicast/
 	$(GO) test -run XXX -bench 'BenchmarkRPF(CacheHit|Uncached)' -benchtime 10x ./internal/rpf/
 	$(GO) test -run XXX -bench 'BenchmarkFanout(Compiled|Reference)' -benchtime 10x ./internal/mfib/
 

@@ -51,10 +51,13 @@ type Sim struct {
 	// Hosts[i] are the IGMP hosts attached to router i.
 	Hosts [][]*igmp.Host
 
-	Mode   UnicastMode
-	oracle *unicast.Oracle
-	dv     []*unicast.DV
-	ls     []*unicast.LS
+	Mode UnicastMode
+	// finished is set by FinishUnicast: the substrates take the interface set
+	// as final, so AddHost refuses from then on.
+	finished bool
+	oracle   *unicast.Oracle
+	dv       []*unicast.DV
+	ls       []*unicast.LS
 
 	// owner maps every node back to the graph vertex whose router it is or
 	// hangs off (hosts and LAN anchors map to their router), so sharding can
@@ -104,6 +107,9 @@ func RouterLANAddr(r int) addr.IP { return addr.V4(10, 100, byte(r), 254) }
 // AddHost attaches a new IGMP host to router r's stub LAN, creating the LAN
 // on first use. Must be called before FinishUnicast.
 func (s *Sim) AddHost(r int) *igmp.Host {
+	if s.finished {
+		panic(fmt.Sprintf("scenario: AddHost after FinishUnicast (router %d)", r))
+	}
 	nd := s.Net.AddNode(fmt.Sprintf("h%d.%d", r, len(s.Hosts[r])))
 	s.placeWithRouter(nd, r)
 	hif := s.Net.AddIface(nd, HostLANAddr(r, len(s.Hosts[r])))
@@ -166,6 +172,7 @@ func (s *Sim) AutoShardN(k int) {
 // period is ample on these diameters).
 func (s *Sim) FinishUnicast(mode UnicastMode) {
 	s.Mode = mode
+	s.finished = true
 	switch mode {
 	case UseOracle:
 		s.oracle = unicast.NewOracle(s.Net)

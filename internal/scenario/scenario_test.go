@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pim/internal/addr"
@@ -85,6 +86,63 @@ func TestUnicastForAllModes(t *testing.T) {
 		}
 		if _, ok := uni.Lookup(HostLANAddr(2, 0)); !ok {
 			t.Errorf("mode %d: router 0 has no route to router 2's host LAN", mode)
+		}
+	}
+}
+
+// TestAddHostAfterFinishUnicastPanics pins the precondition AddHost's comment
+// states: the substrates take the interface set as final, and a host added
+// later used to get a nil oracle view and a LAN missing from every table.
+func TestAddHostAfterFinishUnicastPanics(t *testing.T) {
+	for _, mode := range []UnicastMode{UseOracle, UseDV, UseLS} {
+		sim := Build(square())
+		sim.AddHost(0)
+		sim.FinishUnicast(mode)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "AddHost after FinishUnicast") {
+					t.Errorf("mode %d: AddHost after FinishUnicast: recovered %q", mode, msg)
+				}
+			}()
+			sim.AddHost(1)
+		}()
+	}
+}
+
+// TestOracleHostsNeverSolve: the oracle computes a shortest-path tree only
+// for a node that asks it something (or, across a link change, has route
+// listeners to decide for). Across join, data, a link failure and its repair
+// that is routers only — never a host or a stub LAN's anchor.
+func TestOracleHostsNeverSolve(t *testing.T) {
+	for _, p := range []Protocol{SparseMode, DenseMode} {
+		sim := Build(square())
+		member, sender := sim.AddHost(0), sim.AddHost(2)
+		sim.FinishUnicast(UseOracle)
+		group := addr.GroupForIndex(0)
+		sim.Deploy(p, WithRPMapping(map[addr.IP][]addr.IP{group: {sim.RouterAddr(1)}}))
+		sim.Run(2 * netsim.Second)
+		member.Join(group)
+		for _, up := range []bool{true, false, true} {
+			sim.Net.SetLinkUp(sim.EdgeLinks[0], up)
+			sim.Run(2 * netsim.Second)
+			SendData(sender, group, 64)
+			sim.Run(netsim.Second)
+		}
+		if member.Received[group] != 3 {
+			t.Errorf("%v: member received %d of 3 packets", p, member.Received[group])
+		}
+		routers := 0
+		for _, nd := range sim.Net.Nodes {
+			if !sim.oracle.Solved(nd) {
+				continue
+			}
+			if nd.ID >= len(sim.Routers) {
+				t.Errorf("%v: %s, not a router, holds a shortest-path tree", p, nd.Name)
+			}
+			routers++
+		}
+		if routers == 0 {
+			t.Errorf("%v: no router ever solved", p)
 		}
 	}
 }

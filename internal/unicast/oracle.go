@@ -1,170 +1,327 @@
 package unicast
 
 import (
-	"container/heap"
+	"slices"
 
 	"pim/internal/addr"
 	"pim/internal/netsim"
 )
 
-// Oracle computes every node's routing table from global topology knowledge,
-// recomputing instantly when links change. It is the "ideal converged
-// unicast routing" substrate: experiments that are about multicast behaviour
-// rather than unicast convergence run over it.
+// Oracle answers every node's route lookups from global topology knowledge,
+// as if unicast routing converged the instant a link changed. It is the
+// "ideal converged unicast routing" substrate: experiments that are about
+// multicast behaviour rather than unicast convergence run over it.
+//
+// Nothing is computed until it is asked for (§2: PIM only consults unicast
+// tables, and §3.2/§3.8 only about sources and RPs). A link change rebuilds
+// one shared, immutable snapshot of the live graph; a node's first Lookup
+// after that runs one Dijkstra from the node over the snapshot; each
+// destination /24 is then resolved once and memoised. The routes, and the
+// OnChange firings, are exactly those of computing every table on every link
+// change: oracle_ref_test.go keeps that implementation as the reference.
+//
+// Under sharded execution a node's view is only touched from its own shard
+// and the snapshot only replaced from serial root actions (link flaps), so
+// nothing here is locked.
 type Oracle struct {
-	net    *netsim.Network
-	tables map[*netsim.Node]*Table
+	net   *netsim.Network
+	snap  *snapshot
+	views []*view // by Node.ID
+	gen   uint64  // topology changes seen; every view's Gen
 }
 
-// NewOracle builds tables for the current topology and subscribes to link
-// changes on every node so tables stay current.
+// NewOracle snapshots the current topology and subscribes to link changes on
+// every node so routes stay current.
 func NewOracle(net *netsim.Network) *Oracle {
-	o := &Oracle{net: net, tables: map[*netsim.Node]*Table{}}
+	o := &Oracle{net: net}
 	for _, nd := range net.Nodes {
-		o.tables[nd] = &Table{}
+		o.views = append(o.views, &view{o: o, id: int32(nd.ID), memo: map[uint32]Route{}})
 		nd.OnLinkChange(func(*netsim.Iface) { o.Recompute() })
 	}
-	o.Recompute()
+	o.snap = o.snapshot(o.upBits())
 	return o
 }
 
-// RouterFor returns the node's Router view.
-func (o *Oracle) RouterFor(nd *netsim.Node) Router { return o.tables[nd] }
-
-// oraItem is a Dijkstra work item over netsim nodes.
-type oraItem struct {
-	node *netsim.Node
-	dist int64
-}
-
-type oraHeap []oraItem
-
-func (h oraHeap) Len() int { return len(h) }
-func (h oraHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
+// RouterFor returns the node's Router view. The node must have existed when
+// the oracle was built.
+func (o *Oracle) RouterFor(nd *netsim.Node) Router {
+	if nd.Net != o.net || nd.ID >= len(o.views) {
+		panic("unicast: oracle does not know node " + nd.Name)
 	}
-	return h[i].node.ID < h[j].node.ID
-}
-func (h oraHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *oraHeap) Push(x interface{}) { *h = append(*h, x.(oraItem)) }
-func (h *oraHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return o.views[nd.ID]
 }
 
-// Recompute rebuilds every node's table from the live topology. Each link's
-// cost is its delay; LANs behave as a clique at the LAN's delay. Destination
-// prefixes are the /24 subnets of every up interface (see LinkPrefix).
+// Solved reports whether the node currently holds a shortest-path tree: it
+// has looked something up, or had listeners to decide for, since the last
+// topology change. Hosts and LAN anchors never should.
+func (o *Oracle) Solved(nd *netsim.Node) bool { return o.RouterFor(nd).(*view).tree.dist != nil }
+
+// Recompute brings the oracle up to date with the live topology. A link
+// change calls it once per attached node; only the first call finds the up
+// bits changed. Every view is invalidated, and the views that have listeners
+// are re-solved at once to decide whether any prefix's best route differs
+// between the old snapshot and the new one — the condition under which a
+// fully materialised table would have reported a change.
 func (o *Oracle) Recompute() {
-	// Collect destination prefixes and which nodes own/abut them.
-	prefixes := map[addr.Prefix][]*netsim.Node{}
-	for _, nd := range o.net.Nodes {
-		for _, ifc := range nd.Ifaces {
-			if ifc.Addr == 0 || !ifc.Up() {
-				continue
-			}
-			p := LinkPrefix(ifc.Addr)
-			prefixes[p] = append(prefixes[p], nd)
-		}
+	up := o.upBits()
+	if slices.Equal(up, o.snap.up) {
+		return
 	}
-	for _, src := range o.net.Nodes {
-		dist, firstIface, firstHop := o.dijkstra(src)
-		entries := map[addr.Prefix]Route{}
-		for p, owners := range prefixes {
-			best := Route{Metric: InfMetric}
-			for _, own := range owners {
-				d, ok := dist[own]
-				if !ok {
-					continue
-				}
-				var r Route
-				if own == src {
-					// Directly connected: route out the local interface in
-					// the prefix.
-					var ifc *netsim.Iface
-					for _, c := range src.Ifaces {
-						if c.Up() && c.Addr != 0 && p.Contains(c.Addr) {
-							ifc = c
-							break
-						}
-					}
-					if ifc == nil {
-						continue
-					}
-					r = Route{Iface: ifc, NextHop: 0, Metric: 0}
-				} else {
-					r = Route{Iface: firstIface[own], NextHop: firstHop[own], Metric: d}
-				}
-				if r.Metric < best.Metric ||
-					(r.Metric == best.Metric && r.NextHop < best.NextHop) {
-					best = r
-				}
-			}
-			if best.Metric < InfMetric {
-				entries[p] = best
-			}
-		}
-		if o.tables[src].Replace(entries) {
-			o.tables[src].NotifyChanged()
-		}
-	}
-}
-
-// dijkstra runs shortest paths from src over live links, returning distance,
-// plus the src-local first-hop interface and first-hop neighbor address used
-// to reach each node.
-func (o *Oracle) dijkstra(src *netsim.Node) (map[*netsim.Node]int64, map[*netsim.Node]*netsim.Iface, map[*netsim.Node]addr.IP) {
-	dist := map[*netsim.Node]int64{src: 0}
-	firstIface := map[*netsim.Node]*netsim.Iface{}
-	firstHop := map[*netsim.Node]addr.IP{}
-	done := map[*netsim.Node]bool{}
-	h := &oraHeap{{node: src}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(oraItem)
-		v := it.node
-		if done[v] {
+	old := o.snap
+	o.snap = o.snapshot(up)
+	o.gen++
+	var changed []*view
+	for _, v := range o.views {
+		was := v.tree
+		v.tree = tree{}
+		clear(v.memo)
+		if len(v.listeners) == 0 {
 			continue
 		}
-		done[v] = true
-		for _, ifc := range v.Ifaces {
+		if was.dist == nil {
+			was = old.solve(v.id)
+		}
+		v.tree = o.snap.solve(v.id)
+		if routesDiffer(v.id, old, was, o.snap, v.tree) {
+			changed = append(changed, v)
+		}
+	}
+	for _, v := range changed {
+		for _, fn := range v.listeners {
+			fn()
+		}
+	}
+}
+
+// upBits flattens every interface's Up() in Nodes × Ifaces order.
+func (o *Oracle) upBits() []bool {
+	var up []bool
+	for _, nd := range o.net.Nodes {
+		for _, ifc := range nd.Ifaces {
+			up = append(up, ifc.Up())
+		}
+	}
+	return up
+}
+
+// arc is one directed adjacency: out a local interface to one peer interface
+// on its link (a LAN is a clique at the LAN's delay).
+type arc struct {
+	to    int32 // peer's Node.ID
+	delay int64
+	ifc   *netsim.Iface // local interface
+	hop   addr.IP       // peer's address
+}
+
+// owner is one up, addressed interface inside a /24.
+type owner struct {
+	node int32
+	ifc  *netsim.Iface
+}
+
+// snapshot is the live graph at one link state, shared read-only by all
+// views. Node v's arcs are arcs[start[v]:start[v+1]], in Ifaces ×
+// Link.Ifaces order over up interfaces; owners lists each /24's interfaces
+// in Nodes × Ifaces order, keyed by the prefix's top 24 bits (every oracle
+// prefix is a LinkPrefix, so longest-prefix match is exact match on those).
+type snapshot struct {
+	up     []bool
+	start  []int32
+	arcs   []arc
+	owners map[uint32][]owner
+}
+
+func (o *Oracle) snapshot(up []bool) *snapshot {
+	s := &snapshot{up: up, start: make([]int32, 0, len(o.net.Nodes)+1), owners: map[uint32][]owner{}}
+	for _, nd := range o.net.Nodes {
+		s.start = append(s.start, int32(len(s.arcs)))
+		for _, ifc := range nd.Ifaces {
 			if !ifc.Up() {
 				continue
 			}
+			if ifc.Addr != 0 {
+				key := uint32(ifc.Addr) >> 8
+				s.owners[key] = append(s.owners[key], owner{int32(nd.ID), ifc})
+			}
 			for _, peer := range ifc.Link.Ifaces {
-				if peer == ifc || !peer.Up() {
-					continue
-				}
-				u := peer.Node
-				nd := dist[v] + int64(ifc.Link.Delay)
-				old, seen := dist[u]
-				better := !seen || nd < old
-				if !better && nd == old && v != src {
-					continue // keep first discovered (deterministic via heap order)
-				}
-				if better {
-					dist[u] = nd
-					if v == src {
-						firstIface[u] = ifc
-						firstHop[u] = peer.Addr
-					} else {
-						firstIface[u] = firstIface[v]
-						firstHop[u] = firstHop[v]
-					}
-					heap.Push(h, oraItem{node: u, dist: nd})
-				} else if nd == old && v == src {
-					// Tie between direct neighbors: deterministic pick by
-					// lower neighbor address.
-					if peer.Addr < firstHop[u] {
-						firstIface[u] = ifc
-						firstHop[u] = peer.Addr
-					}
+				if peer != ifc && peer.Up() {
+					s.arcs = append(s.arcs, arc{int32(peer.Node.ID), int64(ifc.Link.Delay), ifc, peer.Addr})
 				}
 			}
 		}
 	}
-	return dist, firstIface, firstHop
+	s.start = append(s.start, int32(len(s.arcs)))
+	return s
+}
+
+// tree is one node's shortest-path tree over a snapshot: each node's
+// distance from the source (unreached if there is no path) and the index of
+// the source's own arc that its path starts on.
+type tree struct {
+	dist  []int64
+	first []int32
+}
+
+const unreached = -1
+
+// solve runs Dijkstra from src. Ties are everywhere with small integer
+// delays, and which equal-cost first hop wins is source-relative: nodes
+// settle in (distance, ID) order, a node keeps the first relaxation that
+// reached its final distance, and between the source's own arcs to one
+// neighbour the lower peer address wins. A tree toward the destination, or a
+// different settling order, picks other next hops.
+func (s *snapshot) solve(src int32) tree {
+	n := len(s.start) - 1
+	t := tree{dist: make([]int64, n), first: make([]int32, n)}
+	for i := range t.dist {
+		t.dist[i] = unreached
+	}
+	t.dist[src] = 0
+	h := distHeap{{0, src}}
+	for len(h) > 0 {
+		it := h.pop()
+		v := it.node
+		if it.dist > t.dist[v] {
+			continue // v settled at a shorter distance pushed later
+		}
+		for a := s.start[v]; a < s.start[v+1]; a++ {
+			arc := &s.arcs[a]
+			u, nd := arc.to, it.dist+arc.delay
+			switch old := t.dist[u]; {
+			case old == unreached || nd < old:
+				t.dist[u] = nd
+				if v == src {
+					t.first[u] = a
+				} else {
+					t.first[u] = t.first[v]
+				}
+				h.push(distItem{nd, u})
+			case nd == old && v == src && arc.hop < s.arcs[t.first[u]].hop:
+				t.first[u] = a
+			}
+		}
+	}
+	return t
+}
+
+// best resolves one /24 for src: the lowest metric over the prefix's owners,
+// then the lower next hop; an interface of src's own in the prefix wins at
+// metric 0. The zero Route means no route.
+func (s *snapshot) best(src int32, t tree, key uint32) Route {
+	best := Route{Metric: InfMetric}
+	for _, own := range s.owners[key] {
+		var r Route
+		if own.node == src {
+			r = Route{Iface: own.ifc}
+		} else if d := t.dist[own.node]; d != unreached {
+			a := &s.arcs[t.first[own.node]]
+			r = Route{Iface: a.ifc, NextHop: a.hop, Metric: d}
+		} else {
+			continue
+		}
+		if r.Metric < best.Metric || (r.Metric == best.Metric && r.NextHop < best.NextHop) {
+			best = r
+		}
+	}
+	if best.Metric >= InfMetric {
+		return Route{}
+	}
+	return best
+}
+
+// routesDiffer reports whether any prefix of either snapshot resolves
+// differently for src in the two.
+func routesDiffer(src int32, a *snapshot, at tree, b *snapshot, bt tree) bool {
+	for _, s := range [2]*snapshot{a, b} {
+		for key := range s.owners {
+			if a.best(src, at, key) != b.best(src, bt, key) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// view is one node's Router over the oracle.
+type view struct {
+	o         *Oracle
+	id        int32
+	listeners []func()
+	tree      tree             // zero until the first Lookup after a topology change
+	memo      map[uint32]Route // /24 key → best's answer, reachable or not
+}
+
+// Lookup resolves dst's /24, solving and memoising on first use. Filling the
+// memo is not a route change and leaves Gen alone.
+func (v *view) Lookup(dst addr.IP) (Route, bool) {
+	key := uint32(dst) >> 8
+	r, hit := v.memo[key]
+	if !hit {
+		if v.tree.dist == nil {
+			v.tree = v.o.snap.solve(v.id)
+		}
+		r = v.o.snap.best(v.id, v.tree, key)
+		v.memo[key] = r
+	}
+	return r, r.Iface != nil
+}
+
+// OnChange registers a route-change listener.
+func (v *view) OnChange(fn func()) { v.listeners = append(v.listeners, fn) }
+
+// Gen counts topology changes; memo fills do not move it.
+func (v *view) Gen() uint64 { return v.o.gen }
+
+// Len returns the number of destinations resolved since the last topology
+// change — what this node's table currently holds.
+func (v *view) Len() int { return len(v.memo) }
+
+// distItem is a Dijkstra work item; distHeap a binary min-heap of them
+// ordered by (dist, node), a total order, so the settling sequence does not
+// depend on the heap's internals.
+type distItem struct {
+	dist int64
+	node int32
+}
+
+type distHeap []distItem
+
+func (a distItem) less(b distItem) bool {
+	return a.dist < b.dist || (a.dist == b.dist && a.node < b.node)
+}
+
+func (h *distHeap) push(it distItem) {
+	q := append(*h, it)
+	*h = q
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].less(q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+func (h *distHeap) pop() distItem {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0] = q[n]
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].less(q[c]) {
+			c++
+		}
+		if !q[c].less(q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	return top
 }

@@ -1,0 +1,249 @@
+package unicast
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"pim/internal/addr"
+	"pim/internal/netsim"
+)
+
+// randomInternet wires n routers into a connected random graph of `links`
+// point-to-point links (a spanning tree first, then random pairs, so
+// parallel links occur) with delays of 1..maxDelay ms, hangs a stub LAN —
+// router, one or two hosts and a zero-address anchor, as scenario.AddHost
+// builds them — off each of the first `stubs` routers of a random
+// permutation, and with transit joins four routers on one transit LAN.
+func randomInternet(rng *rand.Rand, n, links, stubs, maxDelay int, transit bool) (*netsim.Network, []*netsim.Node) {
+	net := netsim.NewNetwork()
+	routers := make([]*netsim.Node, n)
+	for i := range routers {
+		routers[i] = net.AddNode(fmt.Sprintf("r%d", i))
+	}
+	for i := 0; i < links; i++ {
+		a, b := i+1, rng.Intn(i+1)
+		if a >= n {
+			a = rng.Intn(n)
+			b = (a + 1 + rng.Intn(n-1)) % n
+		}
+		ia := net.AddIface(routers[a], addr.V4(10, byte(200+i/256), byte(i), 1))
+		ib := net.AddIface(routers[b], addr.V4(10, byte(200+i/256), byte(i), 2))
+		net.Connect(ia, ib, netsim.Time(1+rng.Intn(maxDelay))*netsim.Millisecond)
+	}
+	for _, r := range rng.Perm(n)[:stubs] {
+		lan := []*netsim.Iface{net.AddIface(routers[r], addr.V4(10, byte(100+r/256), byte(r), 254))}
+		for h, hosts := 0, 1+rng.Intn(2); h < hosts; h++ {
+			host := net.AddNode(fmt.Sprintf("h%d.%d", r, h))
+			lan = append(lan, net.AddIface(host, addr.V4(10, byte(100+r/256), byte(r), byte(h+1))))
+		}
+		lan = append(lan, net.AddIface(net.AddNode(fmt.Sprintf("lan%d", r)), 0))
+		net.ConnectLAN(netsim.Millisecond, lan...)
+	}
+	if transit {
+		var lan []*netsim.Iface
+		for i, r := range rng.Perm(n)[:4] {
+			lan = append(lan, net.AddIface(routers[r], addr.V4(10, 1, 0, byte(i+1))))
+		}
+		net.ConnectLAN(netsim.Time(1+rng.Intn(maxDelay))*netsim.Millisecond, lan...)
+	}
+	return net, routers
+}
+
+// TestOracleMatchesReference holds the lazy oracle to the eager reference
+// (oracle_ref_test.go) on random internets whose 1–3 ms delays make
+// equal-cost ties the common case. Both oracles watch the same network;
+// after every random link or interface flip
+//
+//   - the sequence of node IDs whose OnChange fired must be identical, and
+//   - for a random half of the nodes — so that other views stay unsolved
+//     across several changes — every interface address, plus one nobody
+//     owns, must resolve to the same (Route, ok).
+//
+// Mutants run against it: the firing sequence kills a directly-connected
+// route that reads live Up() instead of the old snapshot, notify-every-
+// listener, and solving an unsolved view's "old" tree on the new snapshot;
+// the route comparison kills the higher address winning (or no rule at all)
+// between the source's own arcs, a heap ordered by distance alone, keeping
+// the last equal-cost relaxation, the higher next hop winning between owners,
+// and a memo kept across a change. `<=` for `<` between the source's arcs
+// survives, being no change: two arcs to one node never share a peer address.
+func TestOracleMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 32; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + rng.Intn(33)
+		net, _ := randomInternet(rng, n, n-1+n/2+rng.Intn(n), n/3, 3, true)
+		ref, o := newRefOracle(net), NewOracle(net)
+		var refFired, fired []int
+		for _, nd := range net.Nodes {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			id := nd.ID
+			ref.RouterFor(nd).OnChange(func() { refFired = append(refFired, id) })
+			o.RouterFor(nd).OnChange(func() { fired = append(fired, id) })
+		}
+		dsts := append(ifaceAddrs(net), addr.V4(192, 0, 2, 1))
+		var ifaces []*netsim.Iface
+		for _, nd := range net.Nodes {
+			ifaces = append(ifaces, nd.Ifaces...)
+		}
+		ifaceDown := map[*netsim.Iface]bool{}
+		for flip := 0; flip <= 40; flip++ {
+			what := "initial state"
+			if flip > 0 && rng.Intn(5) < 3 {
+				l := net.Links[rng.Intn(len(net.Links))]
+				what = fmt.Sprintf("link %d up=%v", l.ID, !l.Up())
+				net.SetLinkUp(l, !l.Up())
+			} else if flip > 0 {
+				ifc := ifaces[rng.Intn(len(ifaces))]
+				what = fmt.Sprintf("iface %v up=%v", ifc, ifaceDown[ifc])
+				net.SetIfaceUp(ifc, ifaceDown[ifc])
+				ifaceDown[ifc] = !ifaceDown[ifc]
+			}
+			if !slices.Equal(fired, refFired) {
+				t.Fatalf("seed %d flip %d (%s): OnChange fired on nodes %v, reference %v", seed, flip, what, fired, refFired)
+			}
+			refFired, fired = refFired[:0], fired[:0]
+			for _, nd := range net.Nodes {
+				if rng.Intn(2) == 0 {
+					continue
+				}
+				for _, dst := range dsts {
+					want, wok := ref.RouterFor(nd).Lookup(dst)
+					got, ok := o.RouterFor(nd).Lookup(dst)
+					if got != want || ok != wok {
+						t.Fatalf("seed %d flip %d (%s): %s to %v: got %+v %v, reference %+v %v",
+							seed, flip, what, nd.Name, dst, got, ok, want, wok)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOracleFillDoesNotBumpGen: resolving a destination is not a route
+// change — a bump per memo fill would flush rpf.Cache on every first lookup —
+// while a link change is one, for every view.
+func TestOracleFillDoesNotBumpGen(t *testing.T) {
+	net, nodes := buildLine(4, netsim.Millisecond)
+	o := NewOracle(net)
+	r0, r3 := o.RouterFor(nodes[0]), o.RouterFor(nodes[3])
+	g := r0.Gen()
+	for _, dst := range append(ifaceAddrs(net), addr.V4(192, 0, 2, 1)) {
+		r0.Lookup(dst)
+	}
+	if r0.Gen() != g {
+		t.Errorf("lookups moved Gen %d -> %d", g, r0.Gen())
+	}
+	if n := r0.(*view).Len(); n != 4 {
+		t.Errorf("Len = %d after resolving 3 link prefixes and a miss, want 4", n)
+	}
+	net.SetLinkUp(net.Links[2], false)
+	if r0.Gen() == g || r3.Gen() == g {
+		t.Error("link change did not move Gen on every view")
+	}
+	if n := r0.(*view).Len(); n != 0 {
+		t.Errorf("Len = %d after a link change, want 0", n)
+	}
+}
+
+// TestOracleUnknownNode: a node the oracle was not built over gets a panic
+// naming it, not a nil view.
+func TestOracleUnknownNode(t *testing.T) {
+	net, _ := buildLine(2, netsim.Millisecond)
+	o := NewOracle(net)
+	late := net.AddNode("latecomer")
+	defer func() {
+		if msg := fmt.Sprint(recover()); msg != "unicast: oracle does not know node latecomer" {
+			t.Errorf("RouterFor(late node) panicked with %q", msg)
+		}
+	}()
+	o.RouterFor(late)
+}
+
+// TestOracleShardedLookups is the sharded access pattern under the race
+// detector: the views are split between goroutines that solve and resolve
+// concurrently over the shared snapshot, with link flaps in serial phases
+// between them. Answers must match a serially driven reference.
+func TestOracleShardedLookups(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	net, routers := randomInternet(rng, 48, 96, 16, 3, true)
+	ref, o := newRefOracle(net), NewOracle(net)
+	for _, nd := range routers[:24] {
+		o.RouterFor(nd).OnChange(func() {})
+	}
+	dsts := ifaceAddrs(net)
+	const shards = 4
+	for round := 0; round < 6; round++ {
+		if round > 0 {
+			l := net.Links[rng.Intn(len(net.Links))]
+			net.SetLinkUp(l, !l.Up())
+		}
+		var wg sync.WaitGroup
+		for s := 0; s < shards; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				for i := s; i < len(routers); i += shards {
+					for _, dst := range dsts {
+						want, wok := ref.RouterFor(routers[i]).Lookup(dst)
+						if got, ok := o.RouterFor(routers[i]).Lookup(dst); got != want || ok != wok {
+							t.Errorf("round %d: r%d to %v: got %+v %v, reference %+v %v", round, i, dst, got, ok, want, wok)
+						}
+					}
+				}
+			}(s)
+		}
+		wg.Wait()
+	}
+}
+
+// benchInternet is the 1 024-router internet of the two oracle benchmarks:
+// degree 4, delays 1–10 ms, 200 stub LANs.
+func benchInternet() (*netsim.Network, []*netsim.Node) {
+	return randomInternet(rand.New(rand.NewSource(1)), 1024, 2048, 200, 10, false)
+}
+
+// BenchmarkOracleFirstLookups1024 is what a deployment pays the oracle for:
+// build it, then every router resolves 64 destinations (one solve and 64
+// memo fills each).
+func BenchmarkOracleFirstLookups1024(b *testing.B) {
+	net, routers := benchInternet()
+	dsts := ifaceAddrs(net)
+	rand.New(rand.NewSource(2)).Shuffle(len(dsts), func(i, j int) { dsts[i], dsts[j] = dsts[j], dsts[i] })
+	dsts = dsts[:64]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := NewOracle(net)
+		for _, nd := range routers {
+			v := o.RouterFor(nd)
+			for _, dst := range dsts {
+				v.Lookup(dst)
+			}
+		}
+	}
+}
+
+// BenchmarkOracleLinkFlap1024 is one backbone link going down and coming
+// back with a listener on every router, as under PIM-SM: each flap solves
+// every router on the new snapshot (and, the first time, on the old one) to
+// decide whom to notify.
+func BenchmarkOracleLinkFlap1024(b *testing.B) {
+	net, routers := benchInternet()
+	o := NewOracle(net)
+	notified := 0
+	for _, nd := range routers {
+		o.RouterFor(nd).OnChange(func() { notified++ })
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.SetLinkUp(net.Links[1500], false)
+		net.SetLinkUp(net.Links[1500], true)
+	}
+	b.ReportMetric(float64(notified)/float64(2*b.N), "notified/flap")
+}

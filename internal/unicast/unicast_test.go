@@ -210,23 +210,43 @@ func runDVLine(t *testing.T, n int) (*netsim.Network, []*netsim.Node, []*DV) {
 	return net, nodes, dvs
 }
 
-func TestDVConvergesToShortestPaths(t *testing.T) {
-	net, nodes, dvs := runDVLine(t, 5)
+// checkAgainstOracle holds each node's converged protocol table to the
+// oracle's choice of next hop and interface toward every interface address.
+func checkAgainstOracle(t *testing.T, net *netsim.Network, nodes []*netsim.Node, table func(i int) *Table) {
+	t.Helper()
 	o := NewOracle(net)
-	for i, dv := range dvs {
-		want := o.tables[nodes[i]]
-		for _, p := range want.Prefixes() {
-			wr, _ := want.Get(p)
-			gr, ok := dv.Table().Lookup(p.Addr)
-			if !ok {
-				t.Fatalf("r%d missing route to %v", i, p)
+	for i, nd := range nodes {
+		want := o.RouterFor(nd)
+		for _, dst := range ifaceAddrs(net) {
+			wr, wok := want.Lookup(dst)
+			gr, ok := table(i).Lookup(dst)
+			if !wok || !ok {
+				t.Fatalf("r%d route to %v: oracle %v, protocol %v", i, dst, wok, ok)
 			}
 			if gr.NextHop != wr.NextHop || gr.Iface != wr.Iface {
 				t.Errorf("r%d route to %v: got via %v/%v want via %v/%v",
-					i, p, gr.NextHop, gr.Iface, wr.NextHop, wr.Iface)
+					i, dst, gr.NextHop, gr.Iface, wr.NextHop, wr.Iface)
 			}
 		}
 	}
+}
+
+// ifaceAddrs lists every addressed interface's address.
+func ifaceAddrs(net *netsim.Network) []addr.IP {
+	var out []addr.IP
+	for _, nd := range net.Nodes {
+		for _, ifc := range nd.Ifaces {
+			if ifc.Addr != 0 {
+				out = append(out, ifc.Addr)
+			}
+		}
+	}
+	return out
+}
+
+func TestDVConvergesToShortestPaths(t *testing.T) {
+	net, nodes, dvs := runDVLine(t, 5)
+	checkAgainstOracle(t, net, nodes, func(i int) *Table { return dvs[i].Table() })
 }
 
 func TestDVWithdrawsOnLinkFailure(t *testing.T) {
@@ -269,20 +289,7 @@ func runLSLine(t *testing.T, n int) (*netsim.Network, []*netsim.Node, []*LS) {
 
 func TestLSConvergesToShortestPaths(t *testing.T) {
 	net, nodes, lss := runLSLine(t, 5)
-	o := NewOracle(net)
-	for i, ls := range lss {
-		want := o.tables[nodes[i]]
-		for _, p := range want.Prefixes() {
-			wr, _ := want.Get(p)
-			gr, ok := ls.Table().Lookup(p.Addr)
-			if !ok {
-				t.Fatalf("r%d missing route to %v", i, p)
-			}
-			if gr.NextHop != wr.NextHop || gr.Iface != wr.Iface {
-				t.Errorf("r%d route to %v: got via %v want via %v", i, p, gr.NextHop, wr.NextHop)
-			}
-		}
-	}
+	checkAgainstOracle(t, net, nodes, func(i int) *Table { return lss[i].Table() })
 }
 
 func TestLSReroutesAroundFailure(t *testing.T) {
@@ -425,16 +432,6 @@ func TestNewerSeq(t *testing.T) {
 	}
 	if !newerSeq(1, 0xFFFFFFFF) { // wraparound
 		t.Error("wraparound not handled")
-	}
-}
-
-func BenchmarkOracleRecompute50(b *testing.B) {
-	net, _ := buildLine(50, netsim.Millisecond)
-	o := NewOracle(net)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.Recompute()
 	}
 }
 
