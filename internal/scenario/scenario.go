@@ -7,7 +7,13 @@
 // Address plan (matches unicast.LinkPrefix's /24-per-link convention):
 //
 //	backbone link i:  10.(200+i/256).(i%256).0/24, endpoints .1 and .2
-//	host LAN at r:    10.100.r.0/24, router at .254, hosts at .1, .2, ...
+//	host LAN at r:    10.(100+r/256).(r%256).0/24, router at .254, hosts at
+//	                  .1, .2, ...
+//
+// The second octets are bytes, so the host block runs into the backbone block
+// at 25 600 routers and the backbone block wraps into the host block near
+// 40 000 links; Build and AddHost panic, naming both interfaces, rather than
+// hand an address out twice.
 package scenario
 
 import (
@@ -87,8 +93,8 @@ func Build(g *topology.Graph) *Sim {
 		s.owner[s.Routers[i]] = i
 	}
 	for ei, e := range g.Edges() {
-		a := net.AddIface(s.Routers[e.A], linkAddr(ei, 1))
-		b := net.AddIface(s.Routers[e.B], linkAddr(ei, 2))
+		a := s.addIface(s.Routers[e.A], linkAddr(ei, 1))
+		b := s.addIface(s.Routers[e.B], linkAddr(ei, 2))
 		s.EdgeLinks[ei] = net.Connect(a, b, netsim.Time(e.Delay)*DelayUnit)
 	}
 	return s
@@ -99,10 +105,20 @@ func linkAddr(edge, side int) addr.IP {
 }
 
 // HostLANAddr returns the address of the h-th host on router r's stub LAN.
-func HostLANAddr(r, h int) addr.IP { return addr.V4(10, 100, byte(r), byte(h+1)) }
+func HostLANAddr(r, h int) addr.IP { return addr.V4(10, byte(100+r>>8), byte(r), byte(h+1)) }
 
 // RouterLANAddr returns router r's address on its stub LAN.
-func RouterLANAddr(r int) addr.IP { return addr.V4(10, 100, byte(r), 254) }
+func RouterLANAddr(r int) addr.IP { return addr.V4(10, byte(100+r>>8), byte(r), 254) }
+
+// addIface attaches an interface to nd, refusing an address the plan has
+// already handed out: two interfaces answering to one address silently lose
+// one of them from every address-keyed lookup.
+func (s *Sim) addIface(nd *netsim.Node, ip addr.IP) *netsim.Iface {
+	if prev := s.Net.IfaceByAddr(ip); prev != nil {
+		panic(fmt.Sprintf("scenario: address %v handed out twice: to %v and to %s/if%d", ip, prev, nd.Name, len(nd.Ifaces)))
+	}
+	return s.Net.AddIface(nd, ip)
+}
 
 // AddHost attaches a new IGMP host to router r's stub LAN, creating the LAN
 // on first use. Must be called before FinishUnicast.
@@ -112,9 +128,9 @@ func (s *Sim) AddHost(r int) *igmp.Host {
 	}
 	nd := s.Net.AddNode(fmt.Sprintf("h%d.%d", r, len(s.Hosts[r])))
 	s.placeWithRouter(nd, r)
-	hif := s.Net.AddIface(nd, HostLANAddr(r, len(s.Hosts[r])))
+	hif := s.addIface(nd, HostLANAddr(r, len(s.Hosts[r])))
 	if s.HostLANs[r] == nil {
-		rif := s.Net.AddIface(s.Routers[r], RouterLANAddr(r))
+		rif := s.addIface(s.Routers[r], RouterLANAddr(r))
 		// A third, always-silent interface makes the stub a true LAN so
 		// §3.7 semantics (multicast join/prune visibility) apply uniformly.
 		anchorNode := s.Net.AddNode(fmt.Sprintf("lan%d", r))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pim/internal/addr"
+	"pim/internal/igmp"
 	"pim/internal/netsim"
 	"pim/internal/packet"
 	"pim/internal/topology"
@@ -88,6 +89,63 @@ func TestUnicastForAllModes(t *testing.T) {
 			t.Errorf("mode %d: router 0 has no route to router 2's host LAN", mode)
 		}
 	}
+}
+
+// TestHostLANsBeyond256Routers: routers r and r+256 used to share the host
+// LAN 10.100.byte(r).0/24 — each saw the other's hosts as directly connected
+// and the oracle listed two owners for one prefix; a free-placement
+// 1000-router PIM-SM run delivered 141 600 of 153 600. With a member behind
+// each, the LANs must differ, every packet from a third host must reach
+// both, and every packet from the far one must reach the near one.
+func TestHostLANsBeyond256Routers(t *testing.T) {
+	g := topology.Random(topology.GenConfig{Nodes: 320, Degree: 3, MinDelay: 1, MaxDelay: 5}, rand.New(rand.NewSource(5)))
+	sim := Build(g)
+	const r = 17
+	near, far, third := sim.AddHost(r), sim.AddHost(r+256), sim.AddHost(100)
+	if a, b := addr.MustPrefix(near.Iface.Addr, 24), addr.MustPrefix(far.Iface.Addr, 24); a == b {
+		t.Errorf("host LANs of routers %d and %d share prefix %v", r, r+256, a)
+	}
+	sim.FinishUnicast(UseOracle)
+	group := addr.GroupForIndex(0)
+	sim.Deploy(SparseMode, WithRPMapping(map[addr.IP][]addr.IP{group: {sim.RouterAddr(200)}}))
+	sim.Run(2 * netsim.Second)
+	near.Join(group)
+	far.Join(group)
+	sim.Run(2 * netsim.Second)
+	const packets = 10
+	send := func(from *igmp.Host) {
+		for i := 0; i < packets; i++ {
+			SendData(from, group, 64)
+			sim.Run(200 * netsim.Millisecond)
+		}
+		sim.Run(netsim.Second)
+	}
+	send(third)
+	if n, f := near.Received[group], far.Received[group]; n != packets || f != packets {
+		t.Errorf("members behind routers %d and %d received %d and %d of a third host's %d packets", r, r+256, n, f, packets)
+	}
+	send(far)
+	if got := near.Received[group] - packets; got != packets {
+		t.Errorf("member behind router %d received %d of the %d packets sent from behind router %d", r, got, packets, r+256)
+	}
+}
+
+// TestAddressHandedOutTwicePanics: the 254th host of a stub LAN would take
+// the router's own .254; the plan must refuse, naming both interfaces.
+func TestAddressHandedOutTwicePanics(t *testing.T) {
+	sim := Build(square())
+	for h := 0; h < 253; h++ {
+		sim.AddHost(0)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{"10.100.0.254", "r0/if2", "h0.253/if0"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not mention %s", msg, want)
+			}
+		}
+	}()
+	sim.AddHost(0)
 }
 
 // TestAddHostAfterFinishUnicastPanics pins the precondition AddHost's comment
