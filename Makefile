@@ -41,7 +41,7 @@ update-goldens:
 # fault scenario under the online invariant checker (§10), pins the
 # borrowed-frame contract (poison-on-release, §13), the per-engine
 # AllocsPerRun counts and the arena-vs-map-model lockstep (§16), holds the
-# lazy unicast oracle to its eager reference under the race detector (§17),
+# lazy unicast oracle to its eager reference under the race detector (§18),
 # runs the focused race passes the old per-subsystem smokes carried, and
 # compiles-and-runs the perf-sensitive microbenchmarks — each fast
 # implementation next to its unit-test reference — so a regression that breaks
