@@ -42,6 +42,8 @@ update-goldens:
 # borrowed-frame contract (poison-on-release, §13), the per-engine
 # AllocsPerRun counts and the arena-vs-map-model lockstep (§16), holds the
 # lazy unicast oracle to its eager reference under the race detector (§18),
+# prices one query interval of the §4 member-existence exchange with and
+# without a border (§19: the second must report 0 messages),
 # runs the focused race passes the old per-subsystem smokes carried, and
 # compiles-and-runs the perf-sensitive microbenchmarks — each fast
 # implementation next to its unit-test reference — so a regression that breaks
@@ -60,6 +62,7 @@ bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkLPM(Trie|Linear)256' -benchtime 10x ./internal/unicast/
 	$(GO) test -run XXX -bench 'BenchmarkOracle(FirstLookups|LinkFlap)1024' -benchtime 3x -benchmem ./internal/unicast/
 	$(GO) test -run XXX -bench 'BenchmarkRPF(CacheHit|Uncached)' -benchtime 10x ./internal/rpf/
+	$(GO) test -run XXX -bench 'BenchmarkMemberAdRegion256' -benchtime 3x -benchmem ./internal/pimdm/
 	$(GO) test -run XXX -bench 'BenchmarkFanout(Compiled|Reference)' -benchtime 10x ./internal/mfib/
 
 # bench-driver proves the frozen benchmark driver still compiles and runs

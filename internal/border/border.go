@@ -16,8 +16,11 @@
 //   - a PIM dense-mode router (internal/pimdm) scoped to the dense-region
 //     interfaces.
 //
-// Dense-region routers flood member-existence advertisements (pimmsg
-// MemberAd, region-scoped). When the region first gains a member of a
+// The border's dense instance is the region's consumer of member existence
+// (pimdm.NewConsumer): it floods a solicitation every query interval, and
+// while one is live the region's routers that have members flood their group
+// lists back (pimmsg MemberAd, region-scoped; a region with no border sends
+// none). When the region first gains a member of a
 // group, the border router joins the group's sparse-mode shared tree with
 // the region-facing interface as a local branch; data then flows down the
 // sparse tree, across the border, and is distributed inside the region by
@@ -30,6 +33,9 @@
 package border
 
 import (
+	"cmp"
+	"slices"
+
 	"pim/internal/addr"
 	"pim/internal/core"
 	"pim/internal/netsim"
@@ -45,21 +51,26 @@ type BorderRouter struct {
 	Sparse *core.Router
 	Dense  *pimdm.Router
 
-	dense map[int]bool // iface index -> belongs to the dense region
+	// denseIfaces are the region-facing interfaces in index order — the order
+	// the §4 splice joins and leaves them in; dense answers the per-packet
+	// "which side" question by interface index.
+	denseIfaces []*netsim.Iface
+	dense       map[int]bool
 }
 
 // New builds a border router. denseIfaces lists the node's interfaces that
 // face the dense-mode region; every other interface is sparse-side.
 func New(nd *netsim.Node, sparseCfg core.Config, denseCfg pimdm.Config,
 	uni unicast.Router, denseIfaces []*netsim.Iface) *BorderRouter {
-	b := &BorderRouter{Node: nd, dense: map[int]bool{}}
-	for _, ifc := range denseIfaces {
+	b := &BorderRouter{Node: nd, denseIfaces: slices.Clone(denseIfaces), dense: map[int]bool{}}
+	slices.SortFunc(b.denseIfaces, func(x, y *netsim.Iface) int { return cmp.Compare(x.Index, y.Index) })
+	b.denseIfaces = slices.Compact(b.denseIfaces)
+	for _, ifc := range b.denseIfaces {
 		b.dense[ifc.Index] = true
 	}
 	denseCfg.Scope = func(ifc *netsim.Iface) bool { return b.dense[ifc.Index] }
 	b.Sparse = core.New(nd, sparseCfg, uni)
-	b.Dense = pimdm.New(nd, denseCfg, uni)
-	b.Dense.OnRegionMembership = b.regionMembershipChanged
+	b.Dense = pimdm.NewConsumer(nd, denseCfg, uni, b.regionMembershipChanged)
 	// Keep the region exporting source traffic for sparse-supported groups:
 	// without this the dense instance, having no region-internal receivers,
 	// would prune the border off every source's flood (§4: data from region
@@ -129,8 +140,7 @@ func (b *BorderRouter) LocalLeave(ifc *netsim.Iface, g addr.IP) {
 // the border router, with the region-facing interfaces acting as local
 // member branches of the shared tree.
 func (b *BorderRouter) regionMembershipChanged(g addr.IP, present bool) {
-	for idx := range b.dense {
-		ifc := b.Node.Ifaces[idx]
+	for _, ifc := range b.denseIfaces {
 		if present {
 			b.Sparse.LocalJoin(ifc, g)
 		} else {

@@ -1,15 +1,18 @@
 package border_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"pim/internal/addr"
 	"pim/internal/border"
 	"pim/internal/core"
 	"pim/internal/igmp"
+	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/packet"
 	"pim/internal/pimdm"
+	"pim/internal/pimmsg"
 	"pim/internal/unicast"
 )
 
@@ -25,8 +28,20 @@ type fixture struct {
 	b          *border.BorderRouter
 	sparse     map[string]*core.Router
 	dense      map[string]*pimdm.Router
+	queriers   map[string]*igmp.Querier
 	hosts      map[string]*igmp.Host
 	denseLinks []*netsim.Link
+	// floods lists every distinct member-existence message seen on a wire,
+	// in order of first delivery.
+	floods []flood
+}
+
+// flood is one originated member-existence message, however many links its
+// copies crossed.
+type flood struct {
+	at     netsim.Time
+	origin string // node name
+	pimmsg.MemberAd
 }
 
 func build(t *testing.T) *fixture {
@@ -75,8 +90,33 @@ func build(t *testing.T) *fixture {
 	f := &fixture{
 		net: net, group: group,
 		sparse: map[string]*core.Router{}, dense: map[string]*pimdm.Router{},
+		queriers:   map[string]*igmp.Querier{},
 		hosts:      map[string]*igmp.Host{"hrp": hrp, "hs": hs, "hd1": hd1, "hd2": hd2},
 		denseLinks: []*netsim.Link{ld1, ld2},
+	}
+	type floodID struct {
+		origin   addr.IP
+		consumer bool
+		seq      uint32
+	}
+	seen := map[floodID]bool{}
+	net.Trace = func(ev netsim.TraceEvent) {
+		if ev.Pkt.Protocol != packet.ProtoPIM {
+			return
+		}
+		typ, body, err := pimmsg.Open(ev.Pkt.Payload)
+		if err != nil || typ != pimmsg.TypeMemberAd {
+			return
+		}
+		ad, err := pimmsg.UnmarshalMemberAd(body)
+		if err != nil {
+			t.Errorf("undecodable member-ad on the wire: %v", err)
+			return
+		}
+		if id := (floodID{ad.Origin, ad.Consumer, ad.Seq}); !seen[id] {
+			seen[id] = true
+			f.floods = append(f.floods, flood{ev.At, net.IfaceByAddr(ad.Origin).Node.Name, *ad})
+		}
 	}
 	// Pure sparse routers.
 	for name, nd := range map[string]*netsim.Node{"rp": rpN, "s1": s1N} {
@@ -97,6 +137,7 @@ func build(t *testing.T) *fixture {
 		r.Start()
 		q.Start()
 		f.dense[name] = r
+		f.queriers[name] = q
 	}
 	// The border router.
 	f.b = border.New(bN, sparseCfg, denseCfg, oracle.RouterFor(bN), []*netsim.Iface{bDenseIf})
@@ -255,5 +296,196 @@ func TestCrashedDenseRouterAgesOut(t *testing.T) {
 	wc := f.b.Sparse.MFIB.Wildcard(f.group)
 	if wc != nil && !wc.OIFEmpty(f.net.Sched.Now()) {
 		t.Error("border still on the sparse tree after the region emptied")
+	}
+}
+
+// floodsBetween returns the distinct member-existence messages first seen in
+// (from, to].
+func (f *fixture) floodsBetween(from, to netsim.Time) []flood {
+	var out []flood
+	for _, fl := range f.floods {
+		if fl.at > from && fl.at <= to {
+			out = append(out, fl)
+		}
+	}
+	return out
+}
+
+func (f *fixture) borderOnTree() bool {
+	wc := f.b.Sparse.MFIB.Wildcard(f.group)
+	return wc != nil && !wc.OIFEmpty(f.net.Sched.Now())
+}
+
+// TestOnlyMembersAndTheBorderOriginate counts originations per query
+// interval: the border's one solicitation and one advertisement from each
+// router that has members — never one per router. Before anyone joins, the
+// solicitation is all there is.
+func TestOnlyMembersAndTheBorderOriginate(t *testing.T) {
+	f := build(t)
+	qi := pimdm.DefaultQueryInterval
+	perInterval := func(what string, want map[string]int) {
+		t.Helper()
+		// Every router started at 0, so refreshes fall on multiples of qi.
+		start := f.net.Sched.Now() / qi * qi
+		f.net.Sched.RunUntil(start + qi - netsim.Second)
+		for i := 0; i < 3; i++ {
+			from := f.net.Sched.Now()
+			f.run(qi)
+			got := map[string]int{}
+			for _, fl := range f.floodsBetween(from, from+qi) {
+				kind := "/ad"
+				if fl.Consumer {
+					kind = "/solicit"
+				}
+				got[fl.origin+kind]++
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s, interval %d: originations %v, want %v", what, i, got, want)
+			}
+			for k, n := range want {
+				if got[k] != n {
+					t.Fatalf("%s, interval %d: originations %v, want %v", what, i, got, want)
+				}
+			}
+		}
+	}
+	perInterval("no members", map[string]int{"border/solicit": 1})
+	f.hosts["hd2"].Join(f.group)
+	f.run(netsim.Second)
+	perInterval("d2 has a member", map[string]int{"border/solicit": 1, "d2/ad": 1})
+	f.hosts["hd1"].Join(f.group)
+	f.run(netsim.Second)
+	perInterval("d1 and d2 have members", map[string]int{"border/solicit": 1, "d1/ad": 1, "d2/ad": 1})
+	for _, name := range []string{"d1", "d2"} {
+		if n := f.dense[name].Metrics.Get(metrics.CtrlMemberAd); n == 0 {
+			t.Errorf("%s counted no member-existence sends", name)
+		}
+	}
+}
+
+// TestJoinAndLastLeaveReachTheBorderAtOnce: both edges are change-driven. A
+// join deep in the region, made in the middle of a refresh period, puts the
+// border on the sparse tree within one region crossing; the last leave takes
+// it off again by an explicit empty advertisement, not by waiting out the
+// 3 × QueryInterval expiry.
+func TestJoinAndLastLeaveReachTheBorderAtOnce(t *testing.T) {
+	f := build(t)
+	crossing := 10 * netsim.Millisecond // host LAN + two region hops, 1 ms each
+	f.run(pimdm.DefaultQueryInterval / 2)
+	f.hosts["hd2"].Join(f.group)
+	f.run(crossing)
+	if !f.b.Dense.RegionHasMembers(f.group) || !f.borderOnTree() {
+		t.Fatalf("%v after the join the border has not joined for the region", crossing)
+	}
+	f.run(pimdm.DefaultQueryInterval)
+	from := f.net.Sched.Now()
+	f.hosts["hd2"].Leave(f.group)
+	f.run(crossing)
+	if f.b.Dense.RegionHasMembers(f.group) || f.borderOnTree() {
+		t.Fatalf("%v after the last leave the border still holds the region's membership", crossing)
+	}
+	withdrawals := f.floodsBetween(from, f.net.Sched.Now())
+	if len(withdrawals) != 1 || withdrawals[0].origin != "d2" || withdrawals[0].Consumer || len(withdrawals[0].Groups) != 0 {
+		t.Fatalf("last leave flooded %+v, want one empty advertisement from d2", withdrawals)
+	}
+	// Empty-suppressed from here on: d2 has nothing to refresh.
+	from = f.net.Sched.Now()
+	f.run(3 * pimdm.DefaultQueryInterval)
+	for _, fl := range f.floodsBetween(from, f.net.Sched.Now()) {
+		if !fl.Consumer {
+			t.Errorf("member-less %s advertised at %v: %+v", fl.origin, fl.at, fl.MemberAd)
+		}
+	}
+}
+
+// TestRegionFallsSilentWithoutABorder: solicitations are soft state. With the
+// border stopped, the member's router stops advertising once the last
+// solicitation is 3 × QueryInterval old (§3.4: state nobody refreshes goes
+// away), and a border that comes back learns the membership in one
+// solicitation round — its first flood out, the advertisement back.
+func TestRegionFallsSilentWithoutABorder(t *testing.T) {
+	f := build(t)
+	qi := pimdm.DefaultQueryInterval
+	f.hosts["hd2"].Join(f.group)
+	f.run(qi + netsim.Second) // past the refresh at qi
+	f.b.Sparse.Stop()
+	f.b.Dense.Stop()
+	lastSolicit := qi
+	f.net.Sched.RunUntil(lastSolicit + 3*qi + netsim.Second)
+	from := f.net.Sched.Now()
+	f.run(3*qi + 7*netsim.Second)
+	if got := f.floodsBetween(from, f.net.Sched.Now()); len(got) != 0 {
+		t.Fatalf("region still talking %v after its last solicitation: %+v", from-lastSolicit, got)
+	}
+	f.b.Start()
+	f.run(10 * netsim.Millisecond)
+	if !f.b.Dense.RegionHasMembers(f.group) || !f.borderOnTree() {
+		t.Fatal("restarted border did not re-learn the region's membership in one solicitation round")
+	}
+}
+
+// TestRestartedMemberRouterIsRelearned: a member's router that was away long
+// enough to be forgotten comes back between two solicitations. Its neighbor
+// hands it the live solicitation as soon as it hears its first query, so the
+// border has the membership back as soon as IGMP has re-learned it — not a
+// solicitation period later.
+func TestRestartedMemberRouterIsRelearned(t *testing.T) {
+	f := build(t)
+	qi := pimdm.DefaultQueryInterval
+	f.hosts["hd2"].Join(f.group)
+	f.run(netsim.Second)
+	d2, q2 := f.dense["d2"], f.queriers["d2"]
+	d2.Stop()
+	q2.Stop()
+	f.net.Sched.RunUntil(5*qi + netsim.Second) // neighbor hold time is 3.5 × qi
+	if f.b.Dense.RegionHasMembers(f.group) {
+		t.Fatal("the stopped router's membership never aged out at the border")
+	}
+	d2.Start()
+	q2.Start()
+	// The host answers the querier's start-up query within its report delay
+	// window; the next solicitation is 29 s away.
+	f.run(f.hosts["hd2"].ReportDelayWindow + netsim.Second)
+	if f.net.Sched.Now() >= 6*qi {
+		t.Fatal("test no longer ends before the next solicitation")
+	}
+	if !f.b.Dense.RegionHasMembers(f.group) || !f.borderOnTree() {
+		t.Fatal("border did not re-learn the restarted router's membership within one query exchange")
+	}
+}
+
+// TestMembershipConvergesUnderLoss: with one in five region frames lost, a
+// join whose triggered advertisement dies on the way is repaired by the
+// periodic one, and two refreshes are enough — for every one of twelve loss
+// sequences, some of which do lose the triggered advertisement. A lost
+// withdrawal is covered by the border's expiry. Solicitations are lossy too;
+// three in a row would have to die before a router fell silent.
+func TestMembershipConvergesUnderLoss(t *testing.T) {
+	repaired := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		f := build(t)
+		rng := rand.New(rand.NewSource(seed))
+		dense := map[*netsim.Link]bool{f.denseLinks[0]: true, f.denseLinks[1]: true}
+		f.net.Loss = func(from, to *netsim.Iface, pkt *packet.Packet) bool {
+			return dense[from.Link] && rng.Intn(5) == 0
+		}
+		f.run(pimdm.DefaultQueryInterval / 2)
+		f.hosts["hd2"].Join(f.group)
+		f.run(netsim.Second)
+		if !f.b.Dense.RegionHasMembers(f.group) {
+			repaired++
+		}
+		f.run(2 * pimdm.DefaultQueryInterval)
+		if !f.b.Dense.RegionHasMembers(f.group) || !f.borderOnTree() {
+			t.Fatalf("loss sequence %d: membership did not reach the border within two refreshes", seed)
+		}
+		f.hosts["hd2"].Leave(f.group)
+		f.run(5 * pimdm.DefaultQueryInterval)
+		if f.b.Dense.RegionHasMembers(f.group) || f.borderOnTree() {
+			t.Fatalf("loss sequence %d: withdrawn membership still held at the border after expiry", seed)
+		}
+	}
+	if repaired == 0 {
+		t.Fatal("no loss sequence lost the triggered advertisement: the periodic repair went untested")
 	}
 }

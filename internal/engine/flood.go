@@ -143,10 +143,13 @@ func (f *Flood) LocalLeave(ifc *netsim.Iface, g addr.IP) {
 // until the prune hold time, or forever when the upstream prune is refreshed.
 // Re-adding the branch restores the flood-and-prune contract: data flows
 // everywhere a live neighbor sits until that neighbor says prune.
-func (f *Flood) Heard(in *netsim.Iface, from addr.IP, hold netsim.Time) {
+//
+// Heard reports whether the adjacency just came up that way, so a protocol
+// can hand the neighbor whatever flooded soft state it missed while away.
+func (f *Flood) Heard(in *netsim.Iface, from addr.IP, hold netsim.Time) (fresh bool) {
 	now := f.Now()
 	if _, live := f.Nbrs.Heard(in.Index, from, now, now+hold); live || !f.Eligible(in) {
-		return
+		return false
 	}
 	f.MFIB.ForEach(func(e *mfib.Entry) {
 		if e.IIF == in || f.suppressed[branch{e.Key, in.Index}] {
@@ -158,6 +161,7 @@ func (f *Flood) Heard(in *netsim.Iface, from addr.IP, hold netsim.Time) {
 		e.AddOIF(in, Forever)
 		f.graftIfPruned(e)
 	})
+	return true
 }
 
 // --- Prunes ---

@@ -92,6 +92,7 @@ const (
 	CtrlQuery     = "ctrl.query"     // PIM neighbor queries sent
 	CtrlGraft     = "ctrl.graft"     // dense-mode grafts sent
 	CtrlAssert    = "ctrl.assert"    // dense-mode asserts sent
+	CtrlMemberAd  = "ctrl.memberad"  // dense-mode member-existence messages sent (§4 interop)
 	CtrlPrune     = "ctrl.prune"     // dense-mode/DVMRP prunes sent
 	CtrlLSA       = "ctrl.lsa"       // MOSPF membership LSAs sent
 	CtrlCBTJoin   = "ctrl.cbtjoin"   // CBT join requests sent

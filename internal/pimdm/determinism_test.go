@@ -9,7 +9,7 @@ import (
 )
 
 // TestRegionMembershipCallbackOrder pins recomputeRegionPresence to firing
-// OnRegionMembership toggles in ascending group order. The border hooks
+// a consumer's region-membership toggles in ascending group order. The border hooks
 // behind that callback send joins and grafts, so callback order is emission
 // order — if it followed map iteration (the expireNeighbors bug class), a
 // single member ad carrying many groups, or one ad origin expiring, would
@@ -19,14 +19,12 @@ func TestRegionMembershipCallbackOrder(t *testing.T) {
 	nd := net.AddNode("a")
 	net.AddIface(nd, addr.V4(10, 0, 0, 1))
 	oracle := unicast.NewOracle(net)
-	r := New(nd, Config{}, oracle.RouterFor(nd))
-
 	var fired []addr.IP
 	var present []bool
-	r.OnRegionMembership = func(g addr.IP, p bool) {
+	r := NewConsumer(nd, Config{}, oracle.RouterFor(nd), func(g addr.IP, p bool) {
 		fired = append(fired, g)
 		present = append(present, p)
-	}
+	})
 	ascending := func(what string) {
 		t.Helper()
 		for i := 1; i < len(fired); i++ {
@@ -40,11 +38,13 @@ func TestRegionMembershipCallbackOrder(t *testing.T) {
 	// recompute — the simultaneous-appearance case.
 	const n = 16
 	origin := addr.V4(10, 9, 9, 9)
-	groups := map[addr.IP]bool{}
+	var groups []addr.IP
 	for i := 0; i < n; i++ {
-		groups[addr.GroupForIndex(i)] = true
+		groups = append(groups, addr.GroupForIndex(i))
 	}
-	r.regionAds[origin] = groups
+	// Two origins advertising overlapping halves, so the union is a merge.
+	r.advertisers[origin] = adState{groups: groups[:n/2+2]}
+	r.advertisers[origin+1] = adState{groups: groups[n/2-2:]}
 	r.recomputeRegionPresence()
 	if len(fired) != n {
 		t.Fatalf("fired %d on-toggles, want %d", len(fired), n)
@@ -56,10 +56,10 @@ func TestRegionMembershipCallbackOrder(t *testing.T) {
 	}
 	ascending("on")
 
-	// Simultaneous expiry: the ad origin goes silent and every group
+	// Simultaneous expiry: the ad origins go silent and every group
 	// vanishes in one recompute.
 	fired, present = nil, nil
-	delete(r.regionAds, origin)
+	clear(r.advertisers)
 	r.recomputeRegionPresence()
 	if len(fired) != n {
 		t.Fatalf("fired %d off-toggles, want %d", len(fired), n)

@@ -6,9 +6,13 @@
 // assert for electing a single forwarder on multi-access subnets).
 //
 // The §4 interoperation discussion ("links should be configurable to
-// operate in dense mode or in sparse mode") is exercised by comparison
-// benchmarks that run dense and sparse mode over the same topologies and
-// measure where each wins.
+// operate in dense mode or in sparse mode") is exercised two ways: comparison
+// benchmarks run dense and sparse mode over the same topologies, and
+// internal/border splices a dense region onto a sparse tree. For the splice
+// the border must learn "group member existence information" from the region;
+// that exchange lives here and is solicited and change-driven (DESIGN.md
+// §19): routers advertise their groups only while a border asks, so a region
+// without a border carries none of it.
 package pimdm
 
 import (
@@ -41,8 +45,8 @@ type Config struct {
 	GraftRetry netsim.Time
 	// Scope restricts the router to a subset of its interfaces (nil = all).
 	// Border routers (internal/border) scope their dense-mode instance to
-	// the dense-region interfaces so floods and member advertisements stay
-	// inside the region (§4 interoperation).
+	// the dense-region interfaces so floods and the member-existence
+	// exchange stay inside the region (§4 interoperation).
 	Scope func(*netsim.Iface) bool
 	// Telemetry, when non-nil, receives structured events for every state
 	// transition (see internal/telemetry).
@@ -60,29 +64,46 @@ const (
 // Router is one PIM dense-mode router instance: the shared flood-and-prune
 // machine (engine.Flood — data plane, membership, prune and graft state)
 // speaking PIM message formats, plus what DVMRP does not have: the LAN prune
-// override, asserts, and the §4 member-existence advertisements.
+// override, asserts, and the §4 member-existence exchange.
 type Router struct {
 	engine.Flood
 	Cfg Config
 
-	// jpDec is the join/prune decode scratch, valid only within one handler
-	// call. adGroups and adMsg back the periodic member advertisement so the
-	// warm path allocates nothing.
+	// jpDec and adDec are decode scratch, valid only within one handler call.
+	// adGroups and adMsg back the messages this router originates, so the
+	// warm origination and relay paths allocate nothing.
 	jpDec    pimmsg.JoinPrune
+	adDec    pimmsg.MemberAd
 	adGroups []addr.IP
 	adMsg    pimmsg.MemberAd
 
-	// Member-existence advertisement state (§4 dense/sparse interop):
-	// every dense-region router floods the groups it has members for, so
-	// border routers can join sparse-mode trees on the region's behalf.
-	adSeq     uint32
-	regionAds map[addr.IP]map[addr.IP]bool // origin -> groups
-	adSeqs    map[addr.IP]uint32
-	adSeen    map[addr.IP]netsim.Time // origin -> last advertisement
-	// OnRegionMembership fires when a group's region-wide member presence
-	// (local or advertised) toggles.
-	OnRegionMembership func(g addr.IP, present bool)
-	regionPresent      map[addr.IP]bool
+	// Member-existence exchange (§4 dense/sparse interop, DESIGN.md §19). A
+	// consumer — the dense instance of a border router — floods a
+	// solicitation every QueryInterval; a router holding a live solicitation
+	// floods the groups it has members for, on change and periodically while
+	// the list is non-empty. solicitors and advertisers remember, per origin,
+	// the newest flood of each kind: every router needs that to suppress
+	// duplicates, and only a consumer also keeps the advertised groups.
+	consumer    bool
+	onRegion    func(g addr.IP, present bool)
+	solSeq      uint32
+	adSeq       uint32
+	solicitors  map[addr.IP]adState
+	advertisers map[addr.IP]adState
+	// regionPresent is the sorted set of groups with a member somewhere in
+	// the region, union its rebuild scratch (consumer only).
+	regionPresent []addr.IP
+	union         []addr.IP
+}
+
+// adState is what a router keeps of one origin's floods of one kind: the
+// newest sequence number and when it arrived (soft state, live for
+// 3 × QueryInterval). groups, sorted, is filled only by a consumer and only
+// for advertisements.
+type adState struct {
+	seq    uint32
+	seen   netsim.Time
+	groups []addr.IP
 }
 
 // codec spells the machine's upstream messages in PIM join/prune format:
@@ -138,6 +159,16 @@ func New(nd *netsim.Node, cfg Config, uni unicast.Router) *Router {
 	return r
 }
 
+// NewConsumer builds the dense-mode instance of a border router: the one kind
+// of router that reads the region's member existence. It solicits the
+// region's advertisements, caches them, and calls onChange when a group's
+// region-wide member presence (local or advertised) toggles.
+func NewConsumer(nd *netsim.Node, cfg Config, uni unicast.Router, onChange func(g addr.IP, present bool)) *Router {
+	r := New(nd, cfg, uni)
+	r.consumer, r.onRegion = true, onChange
+	return r
+}
+
 // Start registers handlers and begins querying.
 func (r *Router) Start() {
 	r.Chassis.Start(r.StateCount(), func() {
@@ -145,16 +176,18 @@ func (r *Router) Start() {
 			r.Nbrs.Expire(r.Now(), nil)
 			r.expireMemberAds()
 			r.sendQueries()
-			r.originateMemberAd()
+			if r.consumer {
+				r.solicit()
+			}
+			r.advertise(false)
 		})
 	})
 }
 
 // Stop detaches the router and discards all soft state: the flood-and-prune
-// machine's, and the region membership-advertisement cache. The
-// advertisement sequence number survives — peers compare it with signed
-// wraparound and would discard a restarted router's advertisements if it
-// restarted from zero.
+// machine's, and everything heard of the member-existence exchange. The two
+// sequence numbers survive — peers compare them with signed wraparound and
+// would discard a restarted router's floods if it restarted from zero.
 func (r *Router) Stop() {
 	r.Chassis.Stop(r.StateCount(), func() {
 		r.Reset()
@@ -163,10 +196,9 @@ func (r *Router) Stop() {
 }
 
 func (r *Router) resetRegion() {
-	r.regionAds = map[addr.IP]map[addr.IP]bool{}
-	r.adSeqs = map[addr.IP]uint32{}
-	r.adSeen = map[addr.IP]netsim.Time{}
-	r.regionPresent = map[addr.IP]bool{}
+	r.solicitors = map[addr.IP]adState{}
+	r.advertisers = map[addr.IP]adState{}
+	r.regionPresent = r.regionPresent[:0]
 }
 
 // Restart brings a stopped router back empty, rebuilding purely from
@@ -179,18 +211,29 @@ func (r *Router) Restart() {
 
 // --- Membership ---
 
-// LocalJoin records a member, grafts pruned branches back, and advertises the
-// change to the region.
+// LocalJoin records a member and grafts pruned branches back.
 func (r *Router) LocalJoin(ifc *netsim.Iface, g addr.IP) {
+	had := r.Local.Any(g)
 	r.Flood.LocalJoin(ifc, g)
-	r.originateMemberAd()
-	r.recomputeRegionPresence()
+	if !had {
+		r.localGroupsChanged()
+	}
 }
 
 // LocalLeave removes a member; empty branches prune upstream.
 func (r *Router) LocalLeave(ifc *netsim.Iface, g addr.IP) {
+	had := r.Local.Any(g)
 	r.Flood.LocalLeave(ifc, g)
-	r.originateMemberAd()
+	if had && !r.Local.Any(g) {
+		r.localGroupsChanged()
+	}
+}
+
+// localGroupsChanged tells whoever consumes member existence — the region's
+// borders, and this router itself if it is one — that the set of groups with
+// a local member changed.
+func (r *Router) localGroupsChanged() {
+	r.advertise(true)
 	r.recomputeRegionPresence()
 }
 
@@ -216,7 +259,9 @@ func (r *Router) handlePIM(in *netsim.Iface, pkt *packet.Packet) {
 	case pimmsg.TypeQuery:
 		var q pimmsg.Query
 		if err := pimmsg.UnmarshalQueryInto(&q, body); err == nil {
-			r.Heard(in, pkt.Src, netsim.Time(q.HoldTime)*netsim.Second)
+			if r.Heard(in, pkt.Src, netsim.Time(q.HoldTime)*netsim.Second) {
+				r.resolicit(in)
+			}
 		}
 	case pimmsg.TypeJoinPrune:
 		r.handleJoinPrune(in, body)
@@ -231,55 +276,142 @@ func (r *Router) handlePIM(in *netsim.Iface, pkt *packet.Packet) {
 	}
 }
 
-// --- Member-existence advertisements (§4 interop) ---
+// --- Member-existence exchange (§4 interop) ---
 
-func (r *Router) originateMemberAd() {
-	r.adSeq++
+// live reports whether a flood heard at st.seen still counts: soft state,
+// three refresh periods.
+func (r *Router) live(st adState) bool { return r.Now()-st.seen <= 3*r.Cfg.QueryInterval }
+
+// solicited reports whether some consumer is listening.
+func (r *Router) solicited() bool {
+	for _, st := range r.solicitors {
+		if r.live(st) {
+			return true
+		}
+	}
+	return false
+}
+
+// solicit floods this consumer's periodic request for advertisements.
+func (r *Router) solicit() {
+	r.solSeq++
+	r.adMsg = pimmsg.MemberAd{Origin: r.Node.Addr(), Seq: r.solSeq, Consumer: true}
+	r.floodMemberAd(&r.adMsg, nil)
+}
+
+// advertise floods the groups this router has members for, if a consumer is
+// listening. An empty list is worth a message only as a withdrawal: once,
+// from the leave that emptied it (a lost one is covered by the consumer's
+// expiry).
+func (r *Router) advertise(withdrawal bool) {
+	if !r.solicited() {
+		return
+	}
 	r.adGroups = r.Local.Groups(r.adGroups[:0])
+	if len(r.adGroups) == 0 && !withdrawal {
+		return
+	}
+	r.adSeq++
 	r.adMsg = pimmsg.MemberAd{Origin: r.Node.Addr(), Seq: r.adSeq, Groups: r.adGroups}
 	r.floodMemberAd(&r.adMsg, nil)
 }
 
+// handleMemberAd is the one flood routine of the exchange: drop what was seen
+// before, remember and relay what is new, then act on it by kind.
 func (r *Router) handleMemberAd(in *netsim.Iface, body []byte) {
-	ad, err := pimmsg.UnmarshalMemberAd(body)
-	if err != nil || ad.Origin == r.Node.Addr() {
+	ad := &r.adDec
+	if err := pimmsg.UnmarshalMemberAdInto(ad, body); err != nil || ad.Origin == r.Node.Addr() {
 		return
 	}
-	if cur, ok := r.adSeqs[ad.Origin]; ok && int32(ad.Seq-cur) <= 0 {
+	heard := r.advertisers
+	if ad.Consumer {
+		heard = r.solicitors
+	}
+	st, known := heard[ad.Origin]
+	if known && int32(ad.Seq-st.seq) <= 0 {
 		return
 	}
-	r.adSeqs[ad.Origin] = ad.Seq
-	r.adSeen[ad.Origin] = r.Now()
-	groups := map[addr.IP]bool{}
-	for _, g := range ad.Groups {
-		groups[g] = true
+	newcomer := !known || !r.live(st)
+	st.seq, st.seen = ad.Seq, r.Now()
+	if r.consumer && !ad.Consumer {
+		st.groups = append(st.groups[:0], ad.Groups...)
 	}
-	r.regionAds[ad.Origin] = groups
+	heard[ad.Origin] = st
 	r.floodMemberAd(ad, in)
-	r.recomputeRegionPresence()
+	switch {
+	case ad.Consumer:
+		// A consumer we did not know, or had given up on, has nothing
+		// cached: tell it now rather than at the next refresh.
+		if newcomer {
+			r.advertise(false)
+		}
+	case r.consumer:
+		r.recomputeRegionPresence()
+	}
+}
+
+// resolicit hands the live solicitations to a neighbor that just came up on
+// out. It missed their floods, and would otherwise say nothing about its
+// members until each consumer's next period.
+func (r *Router) resolicit(out *netsim.Iface) {
+	if !r.consumer && len(r.solicitors) == 0 {
+		return
+	}
+	send := func(origin addr.IP, seq uint32) {
+		r.adMsg = pimmsg.MemberAd{Origin: origin, Seq: seq, Consumer: true}
+		r.encodeMemberAd(&r.adMsg)
+		r.transmitMemberAd(&r.adMsg, out)
+	}
+	if r.consumer && r.solSeq != 0 {
+		send(r.Node.Addr(), r.solSeq)
+	}
+	// Sorted: send order is delivery order, which loss draws follow.
+	origins := make([]addr.IP, 0, len(r.solicitors))
+	for origin, st := range r.solicitors {
+		if r.live(st) {
+			origins = append(origins, origin)
+		}
+	}
+	slices.Sort(origins)
+	for _, origin := range origins {
+		send(origin, r.solicitors[origin].seq)
+	}
 }
 
 func (r *Router) floodMemberAd(ad *pimmsg.MemberAd, except *netsim.Iface) {
-	r.Enc.Buf = ad.MarshalTo(pimmsg.AppendEnvelope(r.Enc.Buf[:0], pimmsg.TypeMemberAd))
+	r.encodeMemberAd(ad)
 	for _, ifc := range r.Node.Ifaces {
 		if ifc != except && r.Eligible(ifc) {
-			r.Node.Send(ifc, r.Enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
+			r.transmitMemberAd(ad, ifc)
 		}
 	}
 }
 
-// expireMemberAds drops advertisements from routers that have gone silent
-// (soft state: a crashed member router must not pin the border to the
-// sparse tree forever).
+func (r *Router) encodeMemberAd(ad *pimmsg.MemberAd) {
+	r.Enc.Buf = ad.MarshalTo(pimmsg.AppendEnvelope(r.Enc.Buf[:0], pimmsg.TypeMemberAd))
+}
+
+// transmitMemberAd sends ad, which encodeMemberAd left in the scratch, on out.
+func (r *Router) transmitMemberAd(ad *pimmsg.MemberAd, out *netsim.Iface) {
+	r.Node.Send(out, r.Enc.Packet(out.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
+	r.Metrics.Inc(metrics.CtrlMemberAd)
+	r.Pub(telemetry.MemberAdSend, out.Index, ad.Origin, 0, int64(len(ad.Groups)))
+}
+
+// expireMemberAds drops what has gone unrefreshed (soft state: a crashed
+// member router must not pin the border to the sparse tree forever, and a
+// region whose last border died must fall silent).
 func (r *Router) expireMemberAds() {
-	now := r.Now()
+	for origin, st := range r.solicitors {
+		if !r.live(st) {
+			delete(r.solicitors, origin)
+		}
+	}
 	changed := false
-	for origin, seen := range r.adSeen {
-		if now-seen > 3*r.Cfg.QueryInterval {
-			delete(r.adSeen, origin)
-			delete(r.adSeqs, origin)
-			delete(r.regionAds, origin)
-			changed = true
+	for origin, st := range r.advertisers {
+		if !r.live(st) {
+			delete(r.advertisers, origin)
+			changed = changed || len(st.groups) > 0
 		}
 	}
 	if changed {
@@ -288,57 +420,43 @@ func (r *Router) expireMemberAds() {
 }
 
 // RegionHasMembers reports whether any router in the region (including this
-// one) has advertised local members for g.
+// one) has members for g. Only a consumer knows about other routers.
 func (r *Router) RegionHasMembers(g addr.IP) bool {
-	if r.Local.Any(g) {
-		return true
-	}
-	for _, groups := range r.regionAds {
-		if groups[g] {
-			return true
-		}
-	}
-	return false
+	_, advertised := slices.BinarySearch(r.regionPresent, g)
+	return advertised || r.Local.Any(g)
 }
 
-// recomputeRegionPresence fires OnRegionMembership for groups whose
-// region-wide presence toggled.
+// recomputeRegionPresence rebuilds a consumer's region-wide group set and
+// reports the groups whose presence toggled.
 func (r *Router) recomputeRegionPresence() {
-	if r.OnRegionMembership == nil {
+	if !r.consumer {
 		return
 	}
-	seen := map[addr.IP]bool{}
-	for _, g := range r.Local.Groups(nil) {
-		seen[g] = true
+	next := r.Local.Groups(r.union[:0])
+	for _, st := range r.advertisers {
+		next = append(next, st.groups...)
 	}
-	for _, groups := range r.regionAds {
-		for g := range groups {
-			seen[g] = true
-		}
-	}
+	slices.Sort(next)
+	next = slices.Compact(next)
+	prev := r.regionPresent
+	r.regionPresent, r.union = next, prev
 	// Callback order must not follow map iteration: the border hooks send
 	// joins/grafts, and under injected loss the draw sequence is consumed
 	// in delivery order. Fire toggles in ascending group order.
-	var on, off []addr.IP
-	for g := range seen {
-		if !r.regionPresent[g] {
-			on = append(on, g)
+	r.reportMissing(next, prev, true)
+	r.reportMissing(prev, next, false)
+}
+
+// reportMissing reports, as present or absent, each group of the sorted set
+// in that the sorted set from lacks.
+func (r *Router) reportMissing(in, from []addr.IP, present bool) {
+	for _, g := range in {
+		for len(from) > 0 && from[0] < g {
+			from = from[1:]
 		}
-	}
-	for g := range r.regionPresent {
-		if !seen[g] {
-			off = append(off, g)
+		if len(from) == 0 || from[0] != g {
+			r.onRegion(g, present)
 		}
-	}
-	slices.Sort(on)
-	slices.Sort(off)
-	for _, g := range on {
-		r.regionPresent[g] = true
-		r.OnRegionMembership(g, true)
-	}
-	for _, g := range off {
-		delete(r.regionPresent, g)
-		r.OnRegionMembership(g, false)
 	}
 }
 

@@ -1,6 +1,7 @@
 package pimmsg
 
 import (
+	"slices"
 	"testing"
 
 	"pim/internal/addr"
@@ -19,6 +20,13 @@ func FuzzOpen(f *testing.F) {
 	f.Add(Envelope(TypeRegister, (&Register{Inner: []byte{1, 2, 3}}).Marshal()))
 	f.Add(Envelope(TypeRPReach, (&RPReach{Group: 0xE1000000, RP: 9, HoldTime: 90}).Marshal()))
 	f.Add(Envelope(TypeMemberAd, (&MemberAd{Origin: 1, Seq: 2, Groups: []addrAlias{0xE1000000}}).Marshal()))
+	f.Add(Envelope(TypeMemberAd, (&MemberAd{Origin: 1, Seq: 3, Consumer: true}).Marshal()))
+	f.Add(Envelope(TypeMemberAd, (&MemberAd{Origin: 1, Seq: 4, Consumer: true, Groups: []addrAlias{0xE1000000, 0xE1000001}}).Marshal()))
+	// Count-field lies: the flag bit alone, all bits, and a flagged count
+	// one past the groups present.
+	f.Add(Envelope(TypeMemberAd, []byte{0, 0, 0, 1, 0, 0, 0, 1, 0x80, 0}))
+	f.Add(Envelope(TypeMemberAd, []byte{0, 0, 0, 1, 0, 0, 0, 1, 0xff, 0xff}))
+	f.Add(Envelope(TypeMemberAd, []byte{0, 0, 0, 1, 0, 0, 0, 1, 0x80, 2, 0xE1, 0, 0, 0}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		typ, body, err := Open(b)
@@ -42,7 +50,23 @@ func FuzzOpen(f *testing.F) {
 		case TypeAssert:
 			_, _ = UnmarshalAssert(body)
 		case TypeMemberAd:
-			_, _ = UnmarshalMemberAd(body)
+			// The scratch decoder, run over a message that already holds
+			// something else, must agree with the allocating one.
+			into := MemberAd{Origin: 9, Seq: 9, Consumer: true, Groups: []addrAlias{1, 2, 3}}
+			m, err := UnmarshalMemberAd(body)
+			errInto := UnmarshalMemberAdInto(&into, body)
+			if (err == nil) != (errInto == nil) {
+				t.Fatalf("decoders disagree: %v vs %v", err, errInto)
+			}
+			if err != nil {
+				return
+			}
+			if m.Origin != into.Origin || m.Seq != into.Seq || m.Consumer != into.Consumer || !slices.Equal(m.Groups, into.Groups) {
+				t.Fatalf("decoders disagree: %+v vs %+v", m, into)
+			}
+			if again, err := UnmarshalMemberAd(m.Marshal()); err != nil || again.Consumer != m.Consumer || !slices.Equal(again.Groups, m.Groups) {
+				t.Fatalf("re-encode of %+v decoded as %+v, %v", m, again, err)
+			}
 		case TypeRPReport:
 			_, _ = UnmarshalRPReport(body)
 		}

@@ -342,18 +342,31 @@ func Open(b []byte) (msgType byte, body []byte, err error) {
 	return b[1], b[2:], nil
 }
 
-// TypeMemberAd is the dense-region member-existence advertisement used by
-// the §4 dense/sparse interoperation mechanism: routers inside a dense-mode
-// region flood the set of groups they have local members for, so border
-// routers learn "group member existence information" and can send explicit
-// joins into the sparse region on the region's behalf.
+// TypeMemberAd is the dense-region member-existence message of the §4
+// dense/sparse interoperation mechanism ("getting the group member existence
+// information to the border routers"). One type carries both halves of the
+// exchange, told apart by the Consumer flag: a border router floods a
+// solicitation (flag set, no groups) to say that someone in the region reads
+// member existence, and a router that holds a live solicitation floods an
+// advertisement (flag clear) listing the groups it has local members for. A
+// region nobody solicits carries no message of this type at all (DESIGN.md
+// §19).
 const TypeMemberAd = 8
 
-// MemberAd is the flooded member-existence advertisement.
+// memberAdConsumer is the Consumer flag on the wire: the top bit of the
+// 16-bit group-count field, which leaves 32 767 groups per advertisement.
+const memberAdConsumer = 1 << 15
+
+// MemberAd is the flooded member-existence message.
 type MemberAd struct {
-	Origin addr.IP // advertising router
-	Seq    uint32
-	Groups []addr.IP // groups with local members at the origin
+	Origin addr.IP // originating router
+	// Seq orders one origin's floods; solicitations and advertisements are
+	// numbered separately.
+	Seq uint32
+	// Consumer marks a solicitation: Origin consumes member existence and
+	// asks the region to advertise. Groups is not meaningful on one.
+	Consumer bool
+	Groups   []addr.IP // groups with local members at the origin, ascending
 }
 
 // Marshal encodes the message body.
@@ -361,14 +374,20 @@ func (m *MemberAd) Marshal() []byte { return m.MarshalTo(make([]byte, 0, 10+4*le
 
 // MarshalTo appends the encoded body to b (same bytes as Marshal).
 func (m *MemberAd) MarshalTo(b []byte) []byte {
-	return appendGroupList(b, uint32(m.Origin), m.Seq, m.Groups)
+	var flags uint16
+	if m.Consumer {
+		flags = memberAdConsumer
+	}
+	return appendGroupList(b, uint32(m.Origin), m.Seq, flags, m.Groups)
 }
 
-func appendGroupList(b []byte, head, seq uint32, groups []addr.IP) []byte {
+// appendGroupList appends the head/seq/count/groups layout MemberAd and
+// RPReport share; flags is or-ed into the count field.
+func appendGroupList(b []byte, head, seq uint32, flags uint16, groups []addr.IP) []byte {
 	var hdr [10]byte
 	binary.BigEndian.PutUint32(hdr[0:], head)
 	binary.BigEndian.PutUint32(hdr[4:], seq)
-	binary.BigEndian.PutUint16(hdr[8:], uint16(len(groups)))
+	binary.BigEndian.PutUint16(hdr[8:], uint16(len(groups))|flags)
 	b = append(b, hdr[:]...)
 	for _, g := range groups {
 		var e [4]byte
@@ -380,21 +399,34 @@ func appendGroupList(b []byte, head, seq uint32, groups []addr.IP) []byte {
 
 // UnmarshalMemberAd decodes a message body.
 func UnmarshalMemberAd(b []byte) (*MemberAd, error) {
+	m := new(MemberAd)
+	if err := UnmarshalMemberAdInto(m, b); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// UnmarshalMemberAdInto decodes a message body into a caller-owned message,
+// reusing the capacity of m.Groups: a router relaying floods decodes every
+// one of them and allocates nothing once warm. The decoded Groups are only
+// valid until the next UnmarshalMemberAdInto on the same m.
+func UnmarshalMemberAdInto(m *MemberAd, b []byte) error {
 	if len(b) < 10 {
-		return nil, ErrBadMessage
+		return ErrBadMessage
 	}
-	m := &MemberAd{
-		Origin: addr.IP(binary.BigEndian.Uint32(b)),
-		Seq:    binary.BigEndian.Uint32(b[4:]),
-	}
-	n := int(binary.BigEndian.Uint16(b[8:]))
+	count := binary.BigEndian.Uint16(b[8:])
+	n := int(count &^ memberAdConsumer)
 	if len(b) < 10+4*n {
-		return nil, ErrBadMessage
+		return ErrBadMessage
 	}
+	m.Origin = addr.IP(binary.BigEndian.Uint32(b))
+	m.Seq = binary.BigEndian.Uint32(b[4:])
+	m.Consumer = count&memberAdConsumer != 0
+	m.Groups = m.Groups[:0]
 	for i := 0; i < n; i++ {
 		m.Groups = append(m.Groups, addr.IP(binary.BigEndian.Uint32(b[10+4*i:])))
 	}
-	return m, nil
+	return nil
 }
 
 // TypeRPReport is the §4 dynamic RP discovery message ("the RP address can
@@ -415,7 +447,7 @@ func (m *RPReport) Marshal() []byte { return m.MarshalTo(make([]byte, 0, 10+4*le
 
 // MarshalTo appends the encoded body to b (same bytes as Marshal).
 func (m *RPReport) MarshalTo(b []byte) []byte {
-	return appendGroupList(b, uint32(m.RP), m.Seq, m.Groups)
+	return appendGroupList(b, uint32(m.RP), m.Seq, 0, m.Groups)
 }
 
 // UnmarshalRPReport decodes a message body.

@@ -2,6 +2,7 @@ package pimmsg
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -252,6 +253,62 @@ func TestMemberAdRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalMemberAd([]byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 3}); err == nil {
 		t.Error("truncated group list accepted")
+	}
+}
+
+// TestMemberAdConsumerFlag: the flag travels in the top bit of the count
+// field, changes nothing else on the wire, and survives with or without
+// groups beside it.
+func TestMemberAdConsumerFlag(t *testing.T) {
+	plain := &MemberAd{Origin: addr.V4(10, 1, 0, 1), Seq: 9, Groups: []addr.IP{addr.GroupForIndex(3)}}
+	flagged := *plain
+	flagged.Consumer = true
+	pb, fb := plain.Marshal(), flagged.Marshal()
+	if len(pb) != len(fb) || fb[8] != pb[8]|0x80 {
+		t.Fatalf("flag is not the top bit of the count field: % x vs % x", pb, fb)
+	}
+	fb[8] &^= 0x80
+	if !bytes.Equal(pb, fb) {
+		t.Fatalf("flag changed other bytes: % x vs % x", pb, fb)
+	}
+	for _, m := range []*MemberAd{plain, &flagged, {Origin: 1, Seq: 2, Consumer: true}} {
+		got, err := UnmarshalMemberAd(m.Marshal())
+		if err != nil || got.Origin != m.Origin || got.Seq != m.Seq || got.Consumer != m.Consumer || !slices.Equal(got.Groups, m.Groups) {
+			t.Errorf("round trip of %+v: %+v %v", m, got, err)
+		}
+	}
+	// The flag is not part of the length: a flagged count still has to be
+	// backed by that many groups.
+	if _, err := UnmarshalMemberAd([]byte{0, 0, 0, 1, 0, 0, 0, 1, 0x80, 1}); err == nil {
+		t.Error("flagged ad with a truncated group list accepted")
+	}
+}
+
+// TestUnmarshalMemberAdInto: the scratch decoder accepts and rejects exactly
+// what UnmarshalMemberAd does, overwrites every field of a reused message,
+// leaves a rejected one's caller with an error rather than stale content
+// taken for new, and allocates nothing once its Groups slice has grown.
+func TestUnmarshalMemberAdInto(t *testing.T) {
+	big := &MemberAd{Origin: 7, Seq: 1, Consumer: true,
+		Groups: []addr.IP{addr.GroupForIndex(0), addr.GroupForIndex(1), addr.GroupForIndex(2)}}
+	small := &MemberAd{Origin: 8, Seq: 2, Groups: []addr.IP{addr.GroupForIndex(9)}}
+	var m MemberAd
+	if err := UnmarshalMemberAdInto(&m, big.Marshal()); err != nil || !m.Consumer || len(m.Groups) != 3 {
+		t.Fatalf("first decode: %+v %v", m, err)
+	}
+	if err := UnmarshalMemberAdInto(&m, small.Marshal()); err != nil ||
+		m.Origin != 8 || m.Seq != 2 || m.Consumer || !slices.Equal(m.Groups, small.Groups) {
+		t.Fatalf("reused decode kept stale fields: %+v %v", m, err)
+	}
+	for _, bad := range [][]byte{nil, make([]byte, 9), {0, 0, 0, 1, 0, 0, 0, 1, 0, 3}, {0, 0, 0, 1, 0, 0, 0, 1, 0x80, 1, 9, 9}} {
+		_, errFresh := UnmarshalMemberAd(bad)
+		if err := UnmarshalMemberAdInto(&m, bad); err == nil || errFresh == nil {
+			t.Errorf("% x: accepted (into: %v, fresh: %v)", bad, err, errFresh)
+		}
+	}
+	raw := big.Marshal()
+	if allocs := testing.AllocsPerRun(100, func() { _ = UnmarshalMemberAdInto(&m, raw) }); allocs != 0 {
+		t.Errorf("warm decode: %.0f allocs, want 0", allocs)
 	}
 }
 

@@ -34,19 +34,24 @@ func (s *Sim) DeployInterop(sparseCfg core.Config, denseCfg pimdm.Config, denseR
 		Dense:   make([]*pimdm.Router, len(s.Routers)),
 		Borders: make([]*border.BorderRouter, len(s.Routers)),
 	}
+	denseNode := map[*netsim.Node]bool{}
+	for i, nd := range s.Routers {
+		if denseRouters[i] {
+			denseNode[nd] = true
+		}
+	}
 	for i, nd := range s.Routers {
 		var join func(*netsim.Iface, addr.IP)
 		var leave func(*netsim.Iface, addr.IP)
 		var learnRP func(addr.IP, []addr.IP)
-		switch {
+		switch facing := denseFacingIfaces(nd, denseNode); {
 		case denseRouters[i]:
 			r := pimdm.New(nd, denseCfg, s.UnicastFor(i))
 			r.Start()
 			d.Dense[i] = r
 			join, leave = r.LocalJoin, r.LocalLeave
-		case s.denseFacingIfaces(i, denseRouters) != nil:
-			b := border.New(nd, sparseCfg, denseCfg, s.UnicastFor(i),
-				s.denseFacingIfaces(i, denseRouters))
+		case facing != nil:
+			b := border.New(nd, sparseCfg, denseCfg, s.UnicastFor(i), facing)
 			b.Start()
 			d.Borders[i] = b
 			join, leave = b.LocalJoin, b.LocalLeave
@@ -70,25 +75,18 @@ func (s *Sim) DeployInterop(sparseCfg core.Config, denseCfg pimdm.Config, denseR
 	return d
 }
 
-// denseFacingIfaces returns router i's interfaces whose links attach a
-// dense-region router, or nil if none (then i is a plain sparse router).
-func (s *Sim) denseFacingIfaces(i int, denseRouters map[int]bool) []*netsim.Iface {
-	if denseRouters[i] {
-		return nil
-	}
+// denseFacingIfaces returns nd's interfaces whose link attaches a dense-region
+// router, each once and in index order: what makes a sparse router a border.
+func denseFacingIfaces(nd *netsim.Node, denseNode map[*netsim.Node]bool) []*netsim.Iface {
 	var out []*netsim.Iface
-	for _, ifc := range s.Routers[i].Ifaces {
+	for _, ifc := range nd.Ifaces {
 		if ifc.Link == nil {
 			continue
 		}
 		for _, peer := range ifc.Link.Ifaces {
-			if peer == ifc {
-				continue
-			}
-			for j, nd := range s.Routers {
-				if nd == peer.Node && denseRouters[j] {
-					out = append(out, ifc)
-				}
+			if peer != ifc && denseNode[peer.Node] {
+				out = append(out, ifc)
+				break
 			}
 		}
 	}

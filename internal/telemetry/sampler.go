@@ -178,7 +178,7 @@ func (l *samplerLane) observe(ev Event) {
 	}
 	var ctrl, stateDelta, delivered, drops, timerFires int64
 	switch ev.Kind {
-	case JoinPruneSend, GraftSend, PruneSend, RegisterSend, LSAFlood:
+	case JoinPruneSend, GraftSend, PruneSend, RegisterSend, LSAFlood, MemberAdSend:
 		ctrl = 1
 	case EntryCreate:
 		stateDelta = 1

@@ -89,6 +89,10 @@ const (
 	// router's index, Iface the host's index on that router's LAN, Value
 	// the send timestamp in microseconds (-1 when unstamped).
 	Deliver
+	// MemberAdSend: a dense-mode member-existence message (§4 interop) left
+	// on Iface, originated or relayed. Source is the origin, Value the number
+	// of groups it lists (0 for a solicitation or a withdrawal).
+	MemberAdSend
 
 	kindCount // sentinel
 )
@@ -116,6 +120,7 @@ var kindNames = [kindCount]string{
 	RPFDrop:       "rpf-drop",
 	NoState:       "no-state",
 	Deliver:       "deliver",
+	MemberAdSend:  "memberad-send",
 }
 
 // String returns the stable kebab-case name of the kind.

@@ -43,6 +43,7 @@ func TestSamplerCurves(t *testing.T) {
 	b.Publish(Event{At: 200 * netsim.Millisecond, Kind: EntryCreate, Router: 0})
 	b.Publish(Event{At: 500 * netsim.Millisecond, Kind: JoinPruneSend, Router: 0})
 	b.Publish(Event{At: 2500 * netsim.Millisecond, Kind: EntryExpire, Router: 0})
+	b.Publish(Event{At: 2600 * netsim.Millisecond, Kind: MemberAdSend, Router: 0, Value: 3})
 	// Router 3: a delivery, a drop, and two timer fires in bucket 1. The
 	// live-timer gauge is polled on each observed event; the dump keeps the
 	// peak reading.
@@ -71,8 +72,8 @@ func TestSamplerCurves(t *testing.T) {
 	if r0[1].State != 2 {
 		t.Errorf("r0 bucket1 state = %d, want carried-forward 2", r0[1].State)
 	}
-	if r0[2].State != 1 {
-		t.Errorf("r0 bucket2 state = %d, want 1", r0[2].State)
+	if r0[2].State != 1 || r0[2].Ctrl != 1 {
+		t.Errorf("r0 bucket2 = %+v, want state=1 and the member-ad send as ctrl=1", r0[2])
 	}
 	r3 := d.Routers[1].Samples
 	if r3[1].Delivered != 1 || r3[1].Drops != 1 || r3[1].TimerFires != 2 {

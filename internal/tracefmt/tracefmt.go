@@ -142,7 +142,10 @@ func pimString(b []byte) string {
 		if err != nil {
 			return "PIM member-ad <malformed>"
 		}
-		return fmt.Sprintf("PIM member-ad from %v groups=%v", m.Origin, m.Groups)
+		if m.Consumer {
+			return fmt.Sprintf("PIM member-ad solicit from %v seq=%d", m.Origin, m.Seq)
+		}
+		return fmt.Sprintf("PIM member-ad from %v seq=%d groups=%v", m.Origin, m.Seq, m.Groups)
 	case pimmsg.TypeRPReport:
 		m, err := pimmsg.UnmarshalRPReport(body)
 		if err != nil {

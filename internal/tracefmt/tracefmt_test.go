@@ -82,7 +82,8 @@ func TestPIMOtherTypes(t *testing.T) {
 		{pimmsg.TypeQuery, (&pimmsg.Query{HoldTime: 105}).Marshal(), "PIM query"},
 		{pimmsg.TypeRPReach, (&pimmsg.RPReach{Group: addr.GroupForIndex(0), RP: 9, HoldTime: 90}).Marshal(), "rp-reachability"},
 		{pimmsg.TypeAssert, (&pimmsg.Assert{Group: addr.GroupForIndex(0), Source: 3, Metric: 7}).Marshal(), "assert"},
-		{pimmsg.TypeMemberAd, (&pimmsg.MemberAd{Origin: 1, Seq: 2}).Marshal(), "member-ad"},
+		{pimmsg.TypeMemberAd, (&pimmsg.MemberAd{Origin: 1, Seq: 2, Groups: []addr.IP{addr.GroupForIndex(0)}}).Marshal(), "member-ad from 0.0.0.1 seq=2 groups=[225.0.0.0]"},
+		{pimmsg.TypeMemberAd, (&pimmsg.MemberAd{Origin: 1, Seq: 3, Consumer: true}).Marshal(), "member-ad solicit from 0.0.0.1 seq=3"},
 		{pimmsg.TypeRPReport, (&pimmsg.RPReport{RP: 1, Seq: 2}).Marshal(), "rp-report"},
 		{pimmsg.TypeGraft, (&pimmsg.JoinPrune{Groups: []pimmsg.GroupRecord{{Group: addr.GroupForIndex(0), Joins: []pimmsg.Addr{{Addr: 7}}}}}).Marshal(), "graft (0.0.0.7,225.0.0.0)"},
 	}
