@@ -318,9 +318,9 @@ func (s *Scheduler) Post(d Time, fn func()) {
 // locally, shardSet.exchange for merged cross-shard arrivals — so same-
 // instant deliveries fire in (source, transmit sequence) order everywhere.
 // The event record carries the pooled frame by pointer (no closure) and
-// fire dispatches it directly. On the timing wheel the deadline's slot is
-// marked for an order-restoring sort at fire time, since structural keys
-// need not match append order.
+// fire dispatches it directly. On the timing wheel a batch holding such an
+// event gets an order-restoring sort at fire time (fillDue), since structural
+// keys need not match append order.
 func (s *Scheduler) enqueueDelivery(at, bs Time, ord uint64, f *frame) {
 	s.live++
 	if s.live > s.peakLive {
@@ -328,7 +328,6 @@ func (s *Scheduler) enqueueDelivery(at, bs Time, ord uint64, f *frame) {
 	}
 	ev := event{at: at, bs: bs, ord: ord, fr: f}
 	if s.wheel != nil {
-		s.wheel.markDirty(at)
 		s.wheel.push(ev, s.now)
 	} else {
 		s.heap.push(ev)

@@ -96,18 +96,6 @@ type schedWheel struct {
 	// overflow holds events beyond the wheels' span, as a heap ordered by
 	// event.before, sharing the sift helpers with schedHeap.
 	overflow []event
-	// dirty marks timestamps that received a packet-delivery event. A level-0
-	// slot normally fires in append order (= scheduling order), which matches
-	// event.before for timer/Post entries (seq is monotone), but a delivery's
-	// structural (bs, deliveryOrd) key need not match its push position — a
-	// lower-numbered node may transmit after a higher-numbered one, and a
-	// cross-shard arrival spliced in at a barrier carries a birth instant that
-	// may precede locally appended entries. A dirty slot's batch is therefore
-	// checked (and if needed sorted) by (bs, ord) when moved to the due
-	// buffer. The mark is keyed by timestamp — not slot index — so it
-	// survives cascades and overflow migration; cleared when the timestamp
-	// fires.
-	dirty map[Time]bool
 }
 
 func newWheel() *schedWheel { return &schedWheel{} }
@@ -240,36 +228,36 @@ func (w *schedWheel) next(limit Time) (event, bool) {
 	}
 }
 
-// markDirty records that a packet-delivery event was inserted for timestamp
-// at, so the slot's batch gets an order check (and sort if violated) when it
-// fires. Most slots stay clean — timer-only slots never pay anything, and
-// dirty slots that happen to be in order pay one linear scan.
-func (w *schedWheel) markDirty(at Time) {
-	if w.dirty == nil {
-		w.dirty = map[Time]bool{}
-	}
-	w.dirty[at] = true
-}
-
 // fillDue moves level-0 slot i into the due buffer (append order = fire
 // order), clearing the slot but keeping its capacity so steady-state
-// scheduling stays allocation-free. Slots dirtied by deliveries get a linear
-// sortedness check, then a (birth instant, order key) sort only when out of
-// order — all entries share the same deadline (the cursor's timestamp), so
-// this restores event.before order exactly.
+// scheduling stays allocation-free.
+//
+// A slot normally fires in append order (= scheduling order), which matches
+// event.before for timer/Post entries (seq is monotone), but a packet
+// delivery's structural (bs, deliveryOrd) key need not match its push
+// position — a lower-numbered node may transmit after a higher-numbered one,
+// and a cross-shard arrival spliced in at a barrier carries a birth instant
+// that may precede locally appended entries. A batch holding a delivery
+// (an event carrying a frame, wherever cascades and overflow migration took
+// it on the way here) therefore gets a linear sortedness check, then a
+// (birth instant, order key) sort only when out of order — all entries share
+// the same deadline (the cursor's timestamp), so this restores event.before
+// order exactly. Timer-only batches pay nothing beyond the flag test in the
+// clearing pass.
 func (w *schedWheel) fillDue(i int) {
 	slot := w.levels[0][i]
 	n := len(slot)
 	start := len(w.due)
 	w.due = append(w.due, slot...)
+	delivery := false
 	for k := range slot {
+		delivery = delivery || slot[k].fr != nil
 		slot[k] = event{}
 	}
 	w.levels[0][i] = slot[:0]
 	w.occ[0][i>>6] &^= 1 << (uint(i) & 63)
 	w.nwheel -= n
-	if len(w.dirty) > 0 && w.dirty[w.cur] {
-		delete(w.dirty, w.cur)
+	if delivery {
 		batch := w.due[start:]
 		sorted := true
 		for k := 1; k < len(batch); k++ {
