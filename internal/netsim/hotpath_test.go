@@ -140,8 +140,7 @@ func TestLANDeliverAllocs(t *testing.T) {
 func TestSchedulerPostAllocs(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
-	// Warm the backing arrays: on the wheel each level-0 slot has its own,
-	// so the warmup must first-touch every slot the measured loop can hit.
+	// Warm the wheel's pool of slot arrays and the due buffer.
 	for i := 0; i < 512; i++ {
 		s.Post(Time(i), fn)
 	}
@@ -152,6 +151,33 @@ func TestSchedulerPostAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("Post allocates %.2f per event, want 0", allocs)
+	}
+}
+
+// TestPeriodicBurstIntoColdSlotsAllocs: a protocol's periodic burst (every
+// router's query at one instant, delivered a few link delays later) lands in
+// slots whose indexes move with the clock. Capacity grown for one period's
+// burst must serve the next period's wherever it lands: after the first
+// period, scheduling and firing the burst allocates nothing. (With capacity
+// kept per slot, every period that met a slot index for the first time grew
+// it again.)
+func TestPeriodicBurstIntoColdSlotsAllocs(t *testing.T) {
+	s := NewScheduler()
+	fn := func() {}
+	// 30 s is not a multiple of any level's span, so each period's deliveries
+	// fall in other level-0, -1 and -2 slots than the last one's.
+	const period = 30 * Second
+	burst := func() {
+		for i := 0; i < 600; i++ {
+			s.Post(Millisecond*Time(1+i%7), fn)
+		}
+		s.Post(period, fn)
+		s.Run(0)
+	}
+	burst()
+	burst()
+	if allocs := testing.AllocsPerRun(50, burst); allocs > 0 {
+		t.Errorf("a periodic burst allocates %.2f per period once warm, want 0", allocs)
 	}
 }
 

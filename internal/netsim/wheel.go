@@ -77,6 +77,14 @@ type schedWheel struct {
 	// and has byte l equal to i. At level 0 a slot is a single timestamp,
 	// so append order is fire order.
 	levels [wheelLevels][wheelSlots][]event
+	// free[c] holds the emptied backing arrays of drained slots whose
+	// capacity is in [2^c, 2^(c+1)). A slot owns an array only while it holds
+	// events, and grows by trading it for a larger pooled one. Which of the
+	// 1024 slots a periodic burst lands in moves with the clock, so capacity
+	// kept per slot is re-grown whenever a burst meets a slot index it has
+	// not used before — for hundreds of periods — while capacity kept here is
+	// found by the next burst wherever it lands.
+	free [32][][]event
 	// occ[l] is a 256-bit occupancy bitmap per level so the cursor can
 	// jump straight to the next non-empty slot.
 	occ [wheelLevels][wheelSlots / 64]uint64
@@ -129,9 +137,39 @@ func (w *schedWheel) place(ev event) {
 		l = (bits.Len64(x) - 1) >> 3
 	}
 	idx := int(uint64(ev.at)>>(8*uint(l))) & wheelMask
-	w.levels[l][idx] = append(w.levels[l][idx], ev)
+	slot := w.levels[l][idx]
+	if len(slot) == cap(slot) {
+		grown := append(w.grab(max(2*cap(slot), 4)), slot...)
+		w.release(slot)
+		slot = grown
+	}
+	w.levels[l][idx] = append(slot, ev)
 	w.occ[l][idx>>6] |= 1 << (uint(idx) & 63)
 	w.nwheel++
+}
+
+// grab returns an empty backing array of capacity at least n, pooled if one
+// is, preferring the smallest that fits.
+func (w *schedWheel) grab(n int) []event {
+	for c := bits.Len(uint(n - 1)); c < len(w.free); c++ {
+		if k := len(w.free[c]); k > 0 {
+			buf := w.free[c][k-1]
+			w.free[c] = w.free[c][:k-1]
+			return buf
+		}
+	}
+	return make([]event, 0, n)
+}
+
+// release zeroes slot, so that a pooled array pins no timer, closure or
+// frame, and pools its backing array.
+func (w *schedWheel) release(slot []event) {
+	if cap(slot) == 0 {
+		return
+	}
+	clear(slot)
+	c := bits.Len(uint(cap(slot))) - 1
+	w.free[c] = append(w.free[c], slot[:0])
 }
 
 // next removes and returns the earliest live event with at <= limit,
@@ -229,8 +267,8 @@ func (w *schedWheel) next(limit Time) (event, bool) {
 }
 
 // fillDue moves level-0 slot i into the due buffer (append order = fire
-// order), clearing the slot but keeping its capacity so steady-state
-// scheduling stays allocation-free.
+// order) and pools the slot's emptied array, so steady-state scheduling stays
+// allocation-free.
 //
 // A slot normally fires in append order (= scheduling order), which matches
 // event.before for timer/Post entries (seq is monotone), but a packet
@@ -242,8 +280,7 @@ func (w *schedWheel) next(limit Time) (event, bool) {
 // it on the way here) therefore gets a linear sortedness check, then a
 // (birth instant, order key) sort only when out of order — all entries share
 // the same deadline (the cursor's timestamp), so this restores event.before
-// order exactly. Timer-only batches pay nothing beyond the flag test in the
-// clearing pass.
+// order exactly. Timer-only batches pay one pass of flag tests.
 func (w *schedWheel) fillDue(i int) {
 	slot := w.levels[0][i]
 	n := len(slot)
@@ -252,9 +289,9 @@ func (w *schedWheel) fillDue(i int) {
 	delivery := false
 	for k := range slot {
 		delivery = delivery || slot[k].fr != nil
-		slot[k] = event{}
 	}
-	w.levels[0][i] = slot[:0]
+	w.levels[0][i] = nil
+	w.release(slot)
 	w.occ[0][i>>6] &^= 1 << (uint(i) & 63)
 	w.nwheel -= n
 	if delivery {
@@ -331,14 +368,14 @@ func (w *schedWheel) peek() (Time, bool) {
 // cascade re-places the events of slot (l, j) — the cursor has just reached
 // the slot's base — into strictly lower levels, dropping dead entries.
 // Iteration order is preserved, and place never appends back into the slot
-// being drained, so the backing array is safely reused.
+// being drained (nor can it be handed its array, which is pooled only
+// afterwards).
 func (w *schedWheel) cascade(l, j int) {
 	slot := w.levels[l][j]
 	w.occ[l][j>>6] &^= 1 << (uint(j) & 63)
 	w.nwheel -= len(slot)
 	for k := range slot {
 		ev := slot[k]
-		slot[k] = event{}
 		if ev.dead() {
 			w.total--
 			w.ndead--
@@ -346,7 +383,8 @@ func (w *schedWheel) cascade(l, j int) {
 		}
 		w.place(ev)
 	}
-	w.levels[l][j] = slot[:0]
+	w.levels[l][j] = nil
+	w.release(slot)
 }
 
 // compact sweeps every slot, the due buffer, and the overflow heap,
