@@ -280,7 +280,7 @@ func (w *schedWheel) next(limit Time) (event, bool) {
 // it on the way here) therefore gets a linear sortedness check, then a
 // (birth instant, order key) sort only when out of order — all entries share
 // the same deadline (the cursor's timestamp), so this restores event.before
-// order exactly. Timer-only batches pay one pass of flag tests.
+// order exactly. Timer-only batches pay one pass of nil tests.
 func (w *schedWheel) fillDue(i int) {
 	slot := w.levels[0][i]
 	n := len(slot)
@@ -288,7 +288,10 @@ func (w *schedWheel) fillDue(i int) {
 	w.due = append(w.due, slot...)
 	delivery := false
 	for k := range slot {
-		delivery = delivery || slot[k].fr != nil
+		if slot[k].fr != nil {
+			delivery = true
+			break
+		}
 	}
 	w.levels[0][i] = nil
 	w.release(slot)
