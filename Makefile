@@ -40,7 +40,9 @@ update-goldens:
 # shards to exercise the sharded-execution gate (DESIGN.md §12), replays a
 # fault scenario under the online invariant checker (§10), pins the
 # borrowed-frame contract (poison-on-release, §13), the per-engine
-# AllocsPerRun counts and the arena-vs-map-model lockstep (§16), holds the
+# AllocsPerRun counts — control refresh at 0, one data packet through one
+# forwarding router of each engine at exactly the Forwarded header copy (§20)
+# — and the arena-vs-map-model lockstep (§16), holds the
 # lazy unicast oracle to its eager reference under the race detector (§18),
 # prices one query interval of the §4 member-existence exchange with and
 # without a border (§19: the second must report 0 messages),
@@ -53,7 +55,7 @@ bench-smoke:
 	$(GO) run ./cmd/pimbench run scaling -smoke -shards 4
 	$(GO) run ./cmd/pimscript -check scenarios/rpfailover.pim
 	$(GO) test -run 'TestScenariosPoisonedPool' -count=1 ./internal/script/
-	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/core/ ./internal/pimdm/ ./internal/dvmrp/ ./internal/cbt/ ./internal/mospf/ ./internal/igmp/
+	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/engine/ ./internal/core/ ./internal/pimdm/ ./internal/dvmrp/ ./internal/cbt/ ./internal/mospf/ ./internal/igmp/
 	$(GO) test -run 'TestFlatMapStoreLockstep' -count=1 ./internal/mfib/
 	$(GO) test -race -count=1 -run 'TestOracle' ./internal/unicast/
 	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/script/ ./internal/netsim/... ./internal/parallel/... ./internal/faultsearch/ ./internal/faults/ ./internal/mfib/
@@ -64,6 +66,7 @@ bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkRPF(CacheHit|Uncached)' -benchtime 10x ./internal/rpf/
 	$(GO) test -run XXX -bench 'BenchmarkMemberAdRegion256' -benchtime 3x -benchmem ./internal/pimdm/
 	$(GO) test -run XXX -bench 'BenchmarkFanout(Compiled|Reference)' -benchtime 10x ./internal/mfib/
+	$(GO) test -run XXX -bench 'BenchmarkCBTFanout' -benchtime 10x -benchmem ./internal/cbt/
 
 # bench-driver proves the frozen benchmark driver still compiles and runs
 # against this tree. benchmarks/pimperf is its own module importing

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"pim"
+	"pim/internal/metrics"
 	"pim/internal/trees"
 )
 
@@ -197,7 +198,7 @@ func BenchmarkAblationRefreshInterval(b *testing.B) {
 				sim.Run(10 * 60 * pim.Second)
 				ctrl = 0
 				for _, r := range dep.Routers {
-					ctrl += r.Metrics.Get("ctrl.joinprune")
+					ctrl += r.Metrics.Get(metrics.CtrlJoinPrune)
 				}
 			}
 			b.ReportMetric(float64(ctrl), "joinprune_msgs_10min")

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"pim"
+	"pim/internal/metrics"
 )
 
 func main() {
@@ -69,5 +70,5 @@ func main() {
 	}
 	fmt.Printf("\nreceiver delivered %d of 5 packets\n", receiver.Received[group])
 	fmt.Printf("registers sent by D: %d (stop once the native path forms)\n",
-		dep.Routers[3].Metrics.Get("ctrl.register"))
+		dep.Routers[3].Metrics.Get(metrics.CtrlRegister))
 }

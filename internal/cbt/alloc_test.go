@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pim/internal/addr"
+	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/unicast"
 )
@@ -42,5 +43,23 @@ func TestEchoRefreshZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("warm echo keepalive cycle: %.2f allocs, want 0", allocs)
+	}
+}
+
+// TestDataForwardZeroAllocBeyondHeader pins one warm data packet through an
+// on-tree router — parent, three children, a member LAN: five transmissions
+// over pooled frames, counted and fanned out from the ordered tree state — at
+// exactly one heap allocation, the header copy packet.Forwarded makes. When
+// that copy goes (its doc comment says what it waits for) this becomes 0.
+func TestDataForwardZeroAllocBeyondHeader(t *testing.T) {
+	f := newFanoutNet()
+	cycle := f.warmFanout()
+	before := f.r.Metrics.Get(metrics.DataForwarded)
+	cycle()
+	if n := f.r.Metrics.Get(metrics.DataForwarded) - before; n != 5 {
+		t.Fatalf("%d forwards of one packet, want 5", n)
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 1 {
+		t.Errorf("warm on-tree data forward: %.2f allocs, want 1", allocs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"pim/internal/addr"
 	"pim/internal/cbt"
+	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/scenario"
 	"pim/internal/topology"
@@ -236,8 +237,8 @@ func TestControlMessageAccounting(t *testing.T) {
 	sim.Run(2 * netsim.Second)
 	var joins, acks int64
 	for _, r := range dep.Routers {
-		joins += r.Metrics.Get("ctrl.cbtjoin")
-		acks += r.Metrics.Get("ctrl.cbtack")
+		joins += r.Metrics.Get(metrics.CtrlCBTJoin)
+		acks += r.Metrics.Get(metrics.CtrlCBTAck)
 	}
 	if joins == 0 || acks == 0 {
 		t.Errorf("joins=%d acks=%d — explicit handshake not counted", joins, acks)
@@ -246,7 +247,7 @@ func TestControlMessageAccounting(t *testing.T) {
 	sim.Run(3 * cbt.DefaultEchoInterval)
 	var echoes int64
 	for _, r := range dep.Routers {
-		echoes += r.Metrics.Get("ctrl.cbtecho")
+		echoes += r.Metrics.Get(metrics.CtrlCBTEcho)
 	}
 	if echoes == 0 {
 		t.Error("no keepalive echoes counted")

@@ -1,6 +1,7 @@
 package cbt
 
 import (
+	"cmp"
 	"slices"
 
 	"pim/internal/addr"
@@ -43,19 +44,29 @@ const (
 	maxAckRetries = 3
 )
 
-// groupState is this router's node on one group's bidirectional tree.
+// edge is one downstream direction of a group's tree: a child router (hop is
+// its address) or a member LAN (hop 0: every station on the link).
+type edge struct {
+	ifc *netsim.Iface
+	hop addr.IP
+}
+
+// groupState is this router's node on one group's bidirectional tree. Its
+// three edge lists are kept sorted by (interface index, hop) as they change,
+// so everything sent per edge — data fan-out, acks, flushes — walks them in
+// that order with nothing sorted per packet or per message.
 type groupState struct {
 	core       addr.IP
 	onTree     bool
 	parentIf   *netsim.Iface
 	parentAddr addr.IP // 0 at the core
-	// children maps iface index -> set of downstream router addresses
-	// (a multi-access LAN can carry several children on one interface).
-	children map[int]map[addr.IP]bool
-	// memberIfs are interfaces with local IGMP members.
-	memberIfs map[int]*netsim.Iface
+	// children are the downstream routers (a multi-access LAN can carry
+	// several on one interface).
+	children []edge
+	// memberIfs are the interfaces with local IGMP members.
+	memberIfs []edge
 	// pending are downstream joins awaiting our own ack.
-	pending map[int]map[addr.IP]bool
+	pending []edge
 	// joinTimer retransmits the join request until acked.
 	joinTimer *netsim.Timer
 	// lastReply tracks parent liveness.
@@ -152,12 +163,7 @@ func (r *Router) OnTree(g addr.IP) bool {
 func (r *Router) state(g addr.IP) *groupState {
 	st := r.groups[g]
 	if st == nil {
-		st = &groupState{
-			core:      r.Cfg.CoreMapping[g],
-			children:  map[int]map[addr.IP]bool{},
-			memberIfs: map[int]*netsim.Iface{},
-			pending:   map[int]map[addr.IP]bool{},
-		}
+		st = &groupState{core: r.Cfg.CoreMapping[g]}
 		r.groups[g] = st
 		r.Pub(telemetry.EntryCreate, -1, 0, g, telemetry.EntryWC)
 	}
@@ -182,7 +188,7 @@ func (r *Router) LocalJoin(ifc *netsim.Iface, g addr.IP) {
 		return
 	}
 	st := r.state(g)
-	st.memberIfs[ifc.Index] = ifc
+	st.memberIfs = addEdge(st.memberIfs, edge{ifc, 0})
 	if st.onTree {
 		return
 	}
@@ -199,7 +205,7 @@ func (r *Router) LocalLeave(ifc *netsim.Iface, g addr.IP) {
 	if st == nil {
 		return
 	}
-	delete(st.memberIfs, ifc.Index)
+	st.memberIfs = dropEdge(st.memberIfs, edge{ifc, 0})
 	r.maybeQuit(g, st)
 }
 
@@ -258,18 +264,13 @@ func (r *Router) handleCtrl(in *netsim.Iface, pkt *packet.Packet) {
 	case TypeQuit:
 		r.cancelAckRetry(m.Group, in.Index, pkt.Src)
 		if st := r.groups[m.Group]; st != nil {
-			if set := st.children[in.Index]; set != nil {
-				delete(set, pkt.Src)
-				if len(set) == 0 {
-					delete(st.children, in.Index)
-				}
-			}
+			st.children = dropEdge(st.children, edge{in, pkt.Src})
 			r.maybeQuit(m.Group, st)
 		}
 	case TypeEchoReq:
 		// The child echoing proves it received our join-ack.
 		r.cancelAckRetry(m.Group, in.Index, pkt.Src)
-		if st := r.groups[m.Group]; st != nil && st.onTree && st.children[in.Index][pkt.Src] {
+		if st := r.groups[m.Group]; st != nil && st.onTree && hasEdge(st.children, edge{in, pkt.Src}) {
 			r.sendTo(in, pkt.Src, &Message{Type: TypeEchoReply, Group: m.Group})
 			r.Metrics.Inc(metrics.CtrlCBTEcho)
 		}
@@ -289,12 +290,12 @@ func (r *Router) handleJoinReq(in *netsim.Iface, from addr.IP, m *Message) {
 	}
 	if st.onTree || r.Node.OwnsAddr(m.Core) {
 		st.onTree = true
-		addToSet(st.children, in.Index, from)
+		st.children = addEdge(st.children, edge{in, from})
 		r.sendJoinAck(m.Group, in, from, m.Core)
 		return
 	}
 	// Transit router: remember the requester, forward toward the core.
-	addToSet(st.pending, in.Index, from)
+	st.pending = addEdge(st.pending, edge{in, from})
 	if st.joinTimer == nil || !st.joinTimer.Active() {
 		r.sendJoinReq(m.Group, st)
 	}
@@ -310,16 +311,12 @@ func (r *Router) handleJoinAck(in *netsim.Iface, m *Message) {
 	if st.joinTimer != nil {
 		st.joinTimer.Stop()
 	}
-	// Ack every waiting downstream joiner, in sorted order: acks are sends,
-	// so their order must not follow map iteration.
-	for _, idx := range sortedKeys(st.pending) {
-		ifc := r.Node.Ifaces[idx]
-		for _, child := range sortedAddrs(st.pending[idx]) {
-			addToSet(st.children, idx, child)
-			r.sendJoinAck(m.Group, ifc, child, st.core)
-		}
+	// Ack every waiting downstream joiner.
+	for _, e := range st.pending {
+		st.children = addEdge(st.children, e)
+		r.sendJoinAck(m.Group, e.ifc, e.hop, st.core)
 	}
-	st.pending = map[int]map[addr.IP]bool{}
+	st.pending = nil
 }
 
 // sendJoinAck transmits a join-ack and arms its retransmission: an ack lost
@@ -348,7 +345,7 @@ func (r *Router) armAckRetry(g addr.IP, ifc *netsim.Iface, child addr.IP, attemp
 			return
 		}
 		st := r.groups[g]
-		if st == nil || !st.onTree || !st.children[ifc.Index][child] {
+		if st == nil || !st.onTree || !hasEdge(st.children, edge{ifc, child}) {
 			delete(r.pendingAcks, key)
 			return
 		}
@@ -406,16 +403,8 @@ func (r *Router) flush(g addr.IP) {
 	if st == nil {
 		return
 	}
-	// Flush notifications are sends: walk child interfaces and addresses in
-	// sorted order, not map order (the expireNeighbors bug class).
-	for _, idx := range sortedKeys(st.children) {
-		ifc := r.Node.Ifaces[idx]
-		if !ifc.Up() {
-			continue
-		}
-		for _, child := range sortedAddrs(st.children[idx]) {
-			r.sendTo(ifc, child, &Message{Type: TypeFlush, Group: g})
-		}
+	for _, e := range st.children {
+		r.sendTo(e.ifc, e.hop, &Message{Type: TypeFlush, Group: g})
 	}
 	members := st.memberIfs
 	if st.joinTimer != nil {
@@ -463,9 +452,7 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		if nextHop == 0 {
 			nextHop = core
 		}
-		r.Node.Send(rt.Iface, fwd, nextHop)
-		r.Metrics.Inc(metrics.DataForwarded)
-		r.Pub(telemetry.DataForward, rt.Iface.Index, pkt.Src, g, 0)
+		r.Forward(rt.Iface, fwd, nextHop, pkt.Src, 0)
 		return
 	}
 	// On-tree dissemination: loop safety comes from the tree structure —
@@ -474,61 +461,64 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 	if !live {
 		return
 	}
-	send := func(ifc *netsim.Iface, nextHop addr.IP) {
-		if ifc == in || !ifc.Up() {
-			return
-		}
-		r.Node.Send(ifc, fwd, nextHop)
-		r.Metrics.Inc(metrics.DataForwarded)
-		r.Pub(telemetry.DataForward, ifc.Index, pkt.Src, g, 0)
-	}
 	if st.parentIf != nil && st.parentAddr != 0 {
-		send(st.parentIf, st.parentAddr)
+		r.forwardOn(st.parentIf, in, fwd, st.parentAddr)
 	}
-	// Data fan-out is a sequence of sends: walk children and member LANs in
-	// sorted order so delivery (and any injected-loss draw consumption) does
-	// not depend on map iteration.
-	sentIface := map[int]bool{}
-	for _, idx := range sortedKeys(st.children) {
-		for _, child := range sortedAddrs(st.children[idx]) {
-			send(r.Node.Ifaces[idx], child)
+	for _, e := range st.children {
+		r.forwardOn(e.ifc, in, fwd, e.hop)
+	}
+	// A member LAN that is also the parent's or a child's interface is
+	// already covered. Both lists are in interface order, so one cursor into
+	// children finds out.
+	k := 0
+	for _, m := range st.memberIfs {
+		for k < len(st.children) && st.children[k].ifc.Index < m.ifc.Index {
+			k++
 		}
-		sentIface[idx] = true
-	}
-	for _, idx := range sortedKeys(st.memberIfs) {
-		if !sentIface[idx] && (st.parentIf == nil || idx != st.parentIf.Index) {
-			send(st.memberIfs[idx], 0)
-			sentIface[idx] = true
+		if m.ifc != st.parentIf && (k == len(st.children) || st.children[k].ifc != m.ifc) {
+			r.forwardOn(m.ifc, in, fwd, 0)
 		}
 	}
 }
 
-// sortedKeys returns the interface indexes of m in ascending order, so that
-// sends fanned out over a map never follow map iteration order.
-func sortedKeys[V any](m map[int]V) []int {
-	idxs := make([]int, 0, len(m))
-	for idx := range m {
-		idxs = append(idxs, idx)
+// forwardOn sends fwd over one tree edge, unless that is where the packet
+// came in or the interface is down — tested per packet, not kept as state.
+func (r *Router) forwardOn(ifc, in *netsim.Iface, fwd *packet.Packet, hop addr.IP) {
+	if ifc != in && ifc.Up() {
+		r.Forward(ifc, fwd, hop, fwd.Src, 0)
 	}
-	slices.Sort(idxs)
-	return idxs
 }
 
-// sortedAddrs returns the members of set in ascending address order.
-func sortedAddrs(set map[addr.IP]bool) []addr.IP {
-	as := make([]addr.IP, 0, len(set))
-	for a := range set {
-		as = append(as, a)
+// compare orders edges by (interface index, hop), the order every edge list
+// is kept in.
+func (e edge) compare(o edge) int {
+	if c := cmp.Compare(e.ifc.Index, o.ifc.Index); c != 0 {
+		return c
 	}
-	slices.Sort(as)
-	return as
+	return cmp.Compare(e.hop, o.hop)
 }
 
-func addToSet(m map[int]map[addr.IP]bool, idx int, a addr.IP) {
-	if m[idx] == nil {
-		m[idx] = map[addr.IP]bool{}
+func hasEdge(list []edge, e edge) bool {
+	_, found := slices.BinarySearchFunc(list, e, edge.compare)
+	return found
+}
+
+// addEdge inserts e at its sorted place in list; a present e is left alone.
+func addEdge(list []edge, e edge) []edge {
+	i, found := slices.BinarySearchFunc(list, e, edge.compare)
+	if found {
+		return list
 	}
-	m[idx][a] = true
+	return slices.Insert(list, i, e)
+}
+
+// dropEdge removes e from list if present.
+func dropEdge(list []edge, e edge) []edge {
+	i, found := slices.BinarySearchFunc(list, e, edge.compare)
+	if !found {
+		return list
+	}
+	return slices.Delete(list, i, i+1)
 }
 
 func (r *Router) sendTo(ifc *netsim.Iface, to addr.IP, m *Message) {

@@ -6,6 +6,7 @@ import (
 	"pim/internal/addr"
 	"pim/internal/core"
 	"pim/internal/igmp"
+	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/scenario"
 	"pim/internal/topology"
@@ -132,7 +133,7 @@ func TestFigure3Rendezvous(t *testing.T) {
 	}
 	// Registers must have stopped once native state formed: send more data
 	// and confirm the register counter stays put.
-	regs := d.Metrics.Get("ctrl.register")
+	regs := d.Metrics.Get(metrics.CtrlRegister)
 	if regs == 0 {
 		t.Fatal("no registers were sent at all")
 	}
@@ -140,7 +141,7 @@ func TestFigure3Rendezvous(t *testing.T) {
 		scenario.SendData(sender, group, 64)
 		sim.Run(100 * netsim.Millisecond)
 	}
-	if after := d.Metrics.Get("ctrl.register"); after != regs {
+	if after := d.Metrics.Get(metrics.CtrlRegister); after != regs {
 		t.Errorf("registers kept flowing after native path: %d -> %d", regs, after)
 	}
 }

@@ -182,9 +182,7 @@ func (r *Router) emit(pkt *packet.Packet, in *netsim.Iface, oifs []*netsim.Iface
 		if out == in {
 			continue
 		}
-		r.Node.Send(out, fwd, 0)
-		r.Metrics.Inc(metrics.DataForwarded)
-		r.Pub(telemetry.DataForward, out.Index, s, pkt.Dst, sharedFlag)
+		r.Forward(out, fwd, 0, s, sharedFlag)
 	}
 }
 
@@ -255,6 +253,5 @@ func (r *Router) initiateSPTSwitch(s, g addr.IP, wc *mfib.Entry) {
 			sg.AddLocalOIF(o.Iface)
 		}
 	}
-	_ = now
 	r.sendJoinPrune(sg.IIF, sg.UpstreamNeighbor, g, []pimmsg.Addr{{Addr: s}}, nil)
 }

@@ -6,6 +6,7 @@ import (
 	"pim/internal/addr"
 	"pim/internal/core"
 	"pim/internal/igmp"
+	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/unicast"
 )
@@ -140,10 +141,10 @@ func TestLANJoinSuppression(t *testing.T) {
 	f.h2.Join(f.group)
 	f.net.Sched.RunUntil(f.net.Sched.Now() + 2*netsim.Second)
 
-	joinsBefore := f.d1.Metrics.Get("ctrl.joinprune") + f.d2.Metrics.Get("ctrl.joinprune")
+	joinsBefore := f.d1.Metrics.Get(metrics.CtrlJoinPrune) + f.d2.Metrics.Get(metrics.CtrlJoinPrune)
 	// Run five refresh periods.
 	f.net.Sched.RunUntil(f.net.Sched.Now() + 5*core.DefaultJoinPruneInterval)
-	joins := f.d1.Metrics.Get("ctrl.joinprune") + f.d2.Metrics.Get("ctrl.joinprune") - joinsBefore
+	joins := f.d1.Metrics.Get(metrics.CtrlJoinPrune) + f.d2.Metrics.Get(metrics.CtrlJoinPrune) - joinsBefore
 	// Without suppression both D routers refresh every period (10 total);
 	// with suppression one of them stays quiet most periods.
 	if joins > 7 {

@@ -6,6 +6,7 @@ import (
 
 	"pim/internal/addr"
 	"pim/internal/core"
+	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/packet"
 	"pim/internal/scenario"
@@ -136,7 +137,7 @@ func TestRPFDropCounting(t *testing.T) {
 	forged := packet.New(addr.V4(10, 100, 0, 1), group, packet.ProtoUDP, make([]byte, 16))
 	slowIface := r3.Ifaces[1] // edge 3 = 2-3 link
 	r3.LocalSend(slowIface, forged)
-	if got := dep.Routers[3].Metrics.Get("data.rpfdrop"); got != 1 {
+	if got := dep.Routers[3].Metrics.Get(metrics.DataDropped); got != 1 {
 		t.Errorf("rpfdrop = %d, want 1", got)
 	}
 	if receiver.Received[group] != 0 {

@@ -6,6 +6,7 @@ import (
 	"pim/internal/addr"
 	"pim/internal/dvmrp"
 	"pim/internal/igmp"
+	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/scenario"
 	"pim/internal/topology"
@@ -102,7 +103,7 @@ func TestPruningStopsBroadcast(t *testing.T) {
 	}
 	prunes := int64(0)
 	for _, r := range dep.Routers {
-		prunes += r.Metrics.Get("ctrl.prune")
+		prunes += r.Metrics.Get(metrics.CtrlPrune)
 	}
 	if prunes == 0 {
 		t.Error("no prunes were sent")
@@ -196,7 +197,7 @@ func TestLeaveTriggersPrune(t *testing.T) {
 	}
 	prunes := int64(0)
 	for _, r := range dep.Routers {
-		prunes += r.Metrics.Get("ctrl.prune")
+		prunes += r.Metrics.Get(metrics.CtrlPrune)
 	}
 	if prunes == 0 {
 		t.Error("no prunes after leave")

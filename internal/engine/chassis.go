@@ -139,6 +139,17 @@ func (c *Chassis) Every(first, period netsim.Time, fn func()) {
 	c.After(first, tick)
 }
 
+// Forward is the one data emission step under every engine's fan-out loop:
+// transmit fwd — the packet's Forwarded copy, shared by the whole fan-out —
+// out one interface toward hop (0 for every station on the link), then count
+// it, then publish it. s is the source the engine keys its state by; value is
+// the DataForward event's (1 off a (*,G) list, else 0).
+func (c *Chassis) Forward(out *netsim.Iface, fwd *packet.Packet, hop, s addr.IP, value int64) {
+	c.Node.Send(out, fwd, hop)
+	c.Metrics.Inc(metrics.DataForwarded)
+	c.Pub(telemetry.DataForward, out.Index, s, fwd.Dst, value)
+}
+
 // Pub publishes one event stamped with the clock, the node and the current
 // epoch. iface is -1 when the event concerns no interface.
 func (c *Chassis) Pub(kind telemetry.Kind, iface int, s, g addr.IP, value int64) {

@@ -336,9 +336,7 @@ func (f *Flood) HandleData(in *netsim.Iface, pkt *packet.Packet) (wrongIface boo
 		return false
 	}
 	for _, out := range oifs {
-		f.Node.Send(out, fwd, 0)
-		f.Metrics.Inc(metrics.DataForwarded)
-		f.Pub(telemetry.DataForward, out.Index, s, g, 0)
+		f.Forward(out, fwd, 0, s, 0)
 	}
 	return false
 }

@@ -7,58 +7,112 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// Counters is a named-counter bag for one router or one protocol instance.
-// The simulator is single-threaded, so plain map access suffices.
+// ID names one counter. The set is closed and small, so a bag of counters is
+// an array indexed by ID: counting a forwarded or dropped packet is one add,
+// with no string hashed.
+type ID uint8
+
+// Canonical counters shared across the protocol implementations so the
+// comparison harness can sum like-for-like. They are declared in the order of
+// their names, which is what lets Names and String report sorted by name
+// without sorting (TestIDsInNameOrder).
+const (
+	CtrlAssert    ID = iota // dense-mode asserts sent
+	CtrlCBTAck              // CBT join acks sent
+	CtrlCBTEcho             // CBT keepalive echoes sent
+	CtrlCBTJoin             // CBT join requests sent
+	CtrlGraft               // dense-mode grafts sent
+	CtrlJoinPrune           // PIM join/prune messages sent
+	CtrlLSA                 // MOSPF membership LSAs sent
+	CtrlMemberAd            // dense-mode member-existence messages sent (§4 interop)
+	CtrlPrune               // dense-mode/DVMRP prunes sent
+	CtrlQuery               // PIM neighbor queries sent
+	CtrlRegister            // PIM registers sent
+	CtrlRPReach             // RP reachability messages sent
+	DataDelivered           // data packets delivered to local members
+	DataForwarded           // data packets forwarded (per-router)
+	DataNoState             // data packets dropped for lack of state
+	DataDropped             // data packets failing the iif check
+	SPFRuns                 // Dijkstra runs (MOSPF processing cost)
+	numIDs
+)
+
+var names = [numIDs]string{
+	CtrlAssert:    "ctrl.assert",
+	CtrlCBTAck:    "ctrl.cbtack",
+	CtrlCBTEcho:   "ctrl.cbtecho",
+	CtrlCBTJoin:   "ctrl.cbtjoin",
+	CtrlGraft:     "ctrl.graft",
+	CtrlJoinPrune: "ctrl.joinprune",
+	CtrlLSA:       "ctrl.lsa",
+	CtrlMemberAd:  "ctrl.memberad",
+	CtrlPrune:     "ctrl.prune",
+	CtrlQuery:     "ctrl.query",
+	CtrlRegister:  "ctrl.register",
+	CtrlRPReach:   "ctrl.rpreach",
+	DataDelivered: "data.delivered",
+	DataForwarded: "data.forwarded",
+	DataNoState:   "data.nostate",
+	DataDropped:   "data.rpfdrop",
+	SPFRuns:       "proc.spf",
+}
+
+// Counters is the counter bag of one router or one protocol instance. The
+// simulator is single-threaded, so plain array access suffices.
 type Counters struct {
-	m map[string]int64
+	v [numIDs]int64
+	// touched has bit id set once counter id has been added to, by any
+	// delta: Names, String and Merge report touched counters, not non-zero
+	// ones.
+	touched uint32
 }
 
 // New returns an empty counter bag.
-func New() *Counters { return &Counters{m: map[string]int64{}} }
+func New() *Counters { return &Counters{} }
 
-// Add increments a named counter.
-func (c *Counters) Add(name string, delta int64) {
+// Add increments a counter.
+func (c *Counters) Add(id ID, delta int64) {
 	if c == nil {
 		return
 	}
-	c.m[name] += delta
+	c.v[id] += delta
+	c.touched |= 1 << id
 }
 
-// Inc increments a named counter by one.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
+// Inc increments a counter by one.
+func (c *Counters) Inc(id ID) { c.Add(id, 1) }
 
 // Get returns a counter's value (0 if never touched).
-func (c *Counters) Get(name string) int64 {
+func (c *Counters) Get(id ID) int64 {
 	if c == nil {
 		return 0
 	}
-	return c.m[name]
+	return c.v[id]
 }
 
-// Names returns all counter names in sorted order.
+// Names returns the names of all touched counters in sorted order.
 func (c *Counters) Names() []string {
 	if c == nil {
 		return nil
 	}
-	out := make([]string, 0, len(c.m))
-	for k := range c.m {
-		out = append(out, k)
+	out := []string{}
+	for id := ID(0); id < numIDs; id++ {
+		if c.touched&(1<<id) != 0 {
+			out = append(out, names[id])
+		}
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Reset zeroes every counter. Benchmark harnesses call it at the start of a
 // measured window so counters cover the same span as netsim.Stats.Reset().
 func (c *Counters) Reset() {
-	if c == nil {
-		return
+	if c != nil {
+		*c = Counters{}
 	}
-	clear(c.m)
 }
 
 // Merge adds other's counters into c.
@@ -66,41 +120,23 @@ func (c *Counters) Merge(other *Counters) {
 	if c == nil || other == nil {
 		return
 	}
-	for k, v := range other.m {
-		c.m[k] += v
+	for id, v := range other.v {
+		c.v[id] += v
 	}
+	c.touched |= other.touched
 }
 
 // String renders "name=value" pairs sorted by name.
 func (c *Counters) String() string {
 	var b strings.Builder
-	for i, name := range c.Names() {
-		if i > 0 {
+	for id := ID(0); c != nil && id < numIDs; id++ {
+		if c.touched&(1<<id) == 0 {
+			continue
+		}
+		if b.Len() > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s=%d", name, c.m[name])
+		fmt.Fprintf(&b, "%s=%d", names[id], c.v[id])
 	}
 	return b.String()
 }
-
-// Canonical counter names shared across the protocol implementations so the
-// comparison harness can sum like-for-like.
-const (
-	CtrlJoinPrune = "ctrl.joinprune" // PIM join/prune messages sent
-	CtrlRegister  = "ctrl.register"  // PIM registers sent
-	CtrlRPReach   = "ctrl.rpreach"   // RP reachability messages sent
-	CtrlQuery     = "ctrl.query"     // PIM neighbor queries sent
-	CtrlGraft     = "ctrl.graft"     // dense-mode grafts sent
-	CtrlAssert    = "ctrl.assert"    // dense-mode asserts sent
-	CtrlMemberAd  = "ctrl.memberad"  // dense-mode member-existence messages sent (§4 interop)
-	CtrlPrune     = "ctrl.prune"     // dense-mode/DVMRP prunes sent
-	CtrlLSA       = "ctrl.lsa"       // MOSPF membership LSAs sent
-	CtrlCBTJoin   = "ctrl.cbtjoin"   // CBT join requests sent
-	CtrlCBTAck    = "ctrl.cbtack"    // CBT join acks sent
-	CtrlCBTEcho   = "ctrl.cbtecho"   // CBT keepalive echoes sent
-	DataForwarded = "data.forwarded" // data packets forwarded (per-router)
-	DataDelivered = "data.delivered" // data packets delivered to local members
-	DataDropped   = "data.rpfdrop"   // data packets failing the iif check
-	DataNoState   = "data.nostate"   // data packets dropped for lack of state
-	SPFRuns       = "proc.spf"       // Dijkstra runs (MOSPF processing cost)
-)

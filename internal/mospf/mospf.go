@@ -354,9 +354,7 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		return
 	}
 	for _, out := range e.ForwardOIFs(r.Now(), in) {
-		r.Node.Send(out, fwd, 0)
-		r.Metrics.Inc(metrics.DataForwarded)
-		r.Pub(telemetry.DataForward, out.Index, s, g, 0)
+		r.Forward(out, fwd, 0, s, 0)
 	}
 }
 

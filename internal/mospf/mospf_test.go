@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pim/internal/addr"
+	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/scenario"
 	"pim/internal/topology"
@@ -79,7 +80,7 @@ func TestSPFRunsAreCountedAndCached(t *testing.T) {
 	}
 	var spf int64
 	for _, r := range dep.Routers {
-		spf += r.Metrics.Get("proc.spf")
+		spf += r.Metrics.Get(metrics.SPFRuns)
 	}
 	if spf == 0 {
 		t.Fatal("no SPF runs counted")
@@ -131,7 +132,7 @@ func TestNoMembersNoForwarding(t *testing.T) {
 			t.Errorf("backbone link %d carried %d data packets", l.ID, n)
 		}
 	}
-	if n := dep.Routers[0].Metrics.Get("data.nostate"); n == 0 {
+	if n := dep.Routers[0].Metrics.Get(metrics.DataNoState); n == 0 {
 		_ = n // negative-cache entry may swallow it instead; both are fine
 	}
 }

@@ -147,6 +147,15 @@ func UnmarshalInto(p *Packet, b []byte) error {
 
 // Forwarded returns a copy of p with the TTL decremented, or false if the
 // TTL is exhausted and the packet must be dropped.
+//
+// The copy is a heap allocation per forwarded packet — the largest left on
+// the data path — and it stays for now: removing it takes the data workloads'
+// window to a few thousand allocations, where the repository benchmark's
+// relative rebuild-agreement check is narrower than one runtime thread start
+// (ROADMAP.md), so the check needs an absolute floor first. The fix must copy
+// into scratch the forwarding chassis owns, never decrement p.TTL in place:
+// border.handleData hands one *Packet to its dense and then its sparse
+// instance, and the second must see the TTL that arrived.
 func (p *Packet) Forwarded() (*Packet, bool) {
 	if p.TTL <= 1 {
 		return nil, false

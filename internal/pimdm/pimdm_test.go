@@ -5,6 +5,7 @@ import (
 
 	"pim/internal/addr"
 	"pim/internal/igmp"
+	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/packet"
 	"pim/internal/pimdm"
@@ -129,7 +130,7 @@ func TestAssertElectsSingleForwarder(t *testing.T) {
 	if got != 5 {
 		t.Errorf("receiver got %d copies of 5 packets after assert election", got)
 	}
-	asserts := routers[0].Metrics.Get("ctrl.assert") + routers[1].Metrics.Get("ctrl.assert")
+	asserts := routers[0].Metrics.Get(metrics.CtrlAssert) + routers[1].Metrics.Get(metrics.CtrlAssert)
 	if asserts == 0 {
 		t.Error("no asserts were exchanged")
 	}
