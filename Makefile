@@ -1,12 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet test race corpus update-goldens bench-smoke bench-driver bench-record loc profile bench fig2-ledger recovery-ledger scale-ledger tenk-ledger faultsearch-ledger
+.PHONY: check fmt build vet test race corpus update-goldens bench-smoke bench-driver bench-record loc profile bench fig2-ledger recovery-ledger scale-ledger tenk-ledger dense4k-ledger faultsearch-ledger
 
-# check is the full gate: vet, build, race-enabled tests, the self-verifying
-# scenario corpus under its two-cell matrix, the benchmark smoke pass (every
-# registered benchmark plus the allocation pins), and the frozen
+# check is the full gate: formatting, vet, build, race-enabled tests, the
+# self-verifying scenario corpus under its two-cell matrix, the benchmark smoke
+# pass (every registered benchmark plus the allocation pins), and the frozen
 # repository-benchmark driver built and smoke-run against this tree.
-check: vet build race corpus bench-smoke bench-driver
+check: fmt vet build race corpus bench-smoke bench-driver
+
+# fmt fails on any file gofmt would rewrite (the frozen benchmarks/ module is
+# not ours to format).
+fmt:
+	@test -z "$$(gofmt -l . | grep -v '^benchmarks/')" || { gofmt -l . | grep -v '^benchmarks/'; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -128,6 +133,11 @@ scale-ledger:
 
 tenk-ledger:
 	$(GO) run ./cmd/pimbench run tenk -label $(or $(LABEL),run) -shards $(or $(SHARDS),4)
+
+# dense4k-ledger appends the 4 096-router PIM-DM data cell, the shape sharding
+# wins on (EXPERIMENTS.md, honest-hardware note), sequential and on 2 shards.
+dense4k-ledger:
+	$(GO) run ./cmd/pimbench run dense4k -label $(or $(LABEL),run) -shards $(or $(SHARDS),2)
 
 # faultsearch-ledger runs the full-budget fault-schedule search and adds any
 # newly found minimized counterexample to the scenarios/found/ corpus (run

@@ -31,7 +31,7 @@
 //	-smoke         CI-sized workload: every gate runs, no ledger is written
 //	-label s       entry label (e.g. seed, after-solver)
 //	-out file      ledger path override (default per benchmark)
-//	-shards n      simulation shard count (scaling/tenk add a sharded pass)
+//	-shards n      simulation shard count (scaling/tenk/dense4k add a sharded pass)
 //	-seed n        faultsearch: search seed
 //	-budget n      faultsearch: schedules to evaluate
 //	-workers n     faultsearch: evaluation workers (0 = all CPUs)

@@ -179,9 +179,3 @@ func GroupForIndex(i int) IP {
 func RouterIP(n int) IP {
 	return V4(10, 0, byte(n>>8), byte(n))
 }
-
-// HostIP returns a deterministic host address on router n's stub LAN
-// (10.100.x.y offset by host index h).
-func HostIP(n, h int) IP {
-	return V4(10, 100, byte(n), byte(1+h))
-}

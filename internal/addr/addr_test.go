@@ -184,9 +184,6 @@ func TestDeterministicAddressHelpers(t *testing.T) {
 	if RouterIP(260) != V4(10, 0, 1, 4) {
 		t.Errorf("RouterIP(260) = %v", RouterIP(260))
 	}
-	if HostIP(7, 0) != V4(10, 100, 7, 1) {
-		t.Errorf("HostIP(7,0) = %v", HostIP(7, 0))
-	}
 	seen := map[IP]bool{}
 	for i := 0; i < 64; i++ {
 		g := GroupForIndex(i)

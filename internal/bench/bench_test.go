@@ -25,6 +25,7 @@ func TestRegistryCoversEveryBenchmark(t *testing.T) {
 		"recovery":    "BENCH_recovery.json",
 		"scaling":     "BENCH_scale.json",
 		"tenk":        "BENCH_scale.json",
+		"dense4k":     "BENCH_scale.json",
 		"faultsearch": "BENCH_faultsearch.json",
 		"telemetry":   "", // report file, no ledger
 	}

@@ -111,6 +111,10 @@ func (c *Chassis) Stop(value int, reset func()) {
 // Started reports whether the engine is between Start and Stop.
 func (c *Chassis) Started() bool { return c.started }
 
+// Counters returns the engine's counter bag (the Metrics field), for callers
+// that hold the engine behind an interface.
+func (c *Chassis) Counters() *metrics.Counters { return c.Metrics }
+
 // Now is the node's simulated clock.
 func (c *Chassis) Now() netsim.Time { return c.Node.Sched().Now() }
 

@@ -39,7 +39,12 @@ func init() {
 	bench.Register("tenk", bench.Spec{
 		Summary: "10 000-router size cells, sequential and sharded",
 		Ledger:  "BENCH_scale.json",
-		Run:     runTenKBench,
+		Run:     sizeCellBench(TenKScalingBench, "-10k"),
+	})
+	bench.Register("dense4k", bench.Spec{
+		Summary: "4 096-router PIM-DM data cell, sequential and sharded (the shape sharding wins on)",
+		Ledger:  "BENCH_scale.json",
+		Run:     sizeCellBench(Dense4KScalingBench, "-dense4k"),
 	})
 	bench.Register("telemetry", bench.Spec{
 		Summary: "PIM-SM crash-recovery telemetry curves (writes JSON report, no ledger)",
@@ -240,21 +245,25 @@ func runScalingBench(ctx *bench.Context) error {
 	return nil
 }
 
-func runTenKBench(ctx *bench.Context) error {
-	cfg := TenKScalingBench()
-	if ctx.Smoke {
-		// The 10k cells take minutes; smoke verifies the same
-		// sequential-vs-sharded gate on the CI-sized workload instead.
-		cfg = SmokeScalingBench()
+// sizeCellBench ledgers one large size cell under tag, sequentially and — with
+// -shards N — sharded through the grid-equivalence gate.
+func sizeCellBench(full func() ScalingBenchConfig, tag string) func(*bench.Context) error {
+	return func(ctx *bench.Context) error {
+		cfg := full()
+		if ctx.Smoke {
+			// The large cells take up to minutes; smoke verifies the same
+			// sequential-vs-sharded gate on the CI-sized workload instead.
+			cfg = SmokeScalingBench()
+		}
+		entries, err := scalingEntries(ctx, cfg, tag)
+		if err != nil {
+			return err
+		}
+		for _, e := range entries {
+			ctx.Append(e)
+		}
+		return nil
 	}
-	entries, err := scalingEntries(ctx, cfg, "-10k")
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		ctx.Append(e)
-	}
-	return nil
 }
 
 // runTelemetryBench runs the PIM-SM crash/restart recovery cell with the

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"pim/internal/addr"
-	"pim/internal/core"
 	"pim/internal/igmp"
 	"pim/internal/netsim"
 	"pim/internal/parallel"
@@ -69,7 +68,7 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 	sender := sim.AddHost((routers[0] + 1) % cfg.Nodes)
 	sim.FinishUnicast(scenario.UseOracle)
 	rp := sim.RouterAddr(routers[0])
-	dep := sim.Deploy(scenario.SparseMode, scenario.WithCoreConfig(core.Config{RPMapping: map[addr.IP][]addr.IP{group: {rp}}})).(*scenario.PIMDeployment)
+	dep := deploy(sim, scenario.Recipe{Protocol: string(PIMSM), Anchors: map[addr.IP][]addr.IP{group: {rp}}})
 	sim.Run(2 * netsim.Second)
 
 	res := ChurnResult{}

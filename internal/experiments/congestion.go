@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"pim/internal/addr"
-	"pim/internal/core"
 	"pim/internal/igmp"
 	"pim/internal/netsim"
 	"pim/internal/packet"
@@ -99,11 +98,7 @@ func RunCongestion(cfg CongestionConfig, proto Protocol) CongestionResult {
 		l.Bandwidth = cfg.Bandwidth
 	}
 
-	pcfg := core.Config{RPMapping: rpMap}
-	if proto == PIMSMShared {
-		pcfg.SPTPolicy = core.SwitchNever
-	}
-	sim.Deploy(scenario.SparseMode, scenario.WithCoreConfig(pcfg))
+	deploy(sim, scenario.Recipe{Protocol: string(proto), Anchors: rpMap})
 	sim.Run(2 * netsim.Second)
 	for _, p := range receivers {
 		p.host.Join(p.group)

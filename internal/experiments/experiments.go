@@ -12,14 +12,10 @@ import (
 	"math/rand"
 
 	"pim/internal/addr"
-	"pim/internal/cbt"
-	"pim/internal/core"
-	"pim/internal/dvmrp"
 	"pim/internal/igmp"
 	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/parallel"
-	"pim/internal/pimdm"
 	"pim/internal/scenario"
 	"pim/internal/topology"
 )
@@ -185,15 +181,11 @@ func runSparseImpl(g *topology.Graph, cfg SparseConfig, proto Protocol, rng *ran
 	// RP / core placement: the first member's router (the paper's §4
 	// guidance: "most efficient and convenient for the RP to be the
 	// directly-connected PIM-speaking router of one of the members").
-	rpMap := map[addr.IP][]addr.IP{}
-	coreMap := map[addr.IP]addr.IP{}
+	anchors := map[addr.IP][]addr.IP{}
 	for gi, grp := range w.groups {
-		anchor := sim.RouterAddr(w.members[gi][0])
-		rpMap[grp] = []addr.IP{anchor}
-		coreMap[grp] = anchor
+		anchors[grp] = []addr.IP{sim.RouterAddr(w.members[gi][0])}
 	}
-
-	state, stateBytes, ctrl, spf := deployProtocol(sim, proto, rpMap, coreMap, cfg.PruneLifetime)
+	dep := deploy(sim, scenario.Recipe{Protocol: string(proto), Anchors: anchors, PruneHold: cfg.PruneLifetime})
 
 	// Warm up: hellos, queries, membership.
 	sim.Run(2 * netsim.Second)
@@ -208,7 +200,7 @@ func runSparseImpl(g *topology.Graph, cfg SparseConfig, proto Protocol, rng *ran
 	// host's own (possibly shard-local) scheduler, so sharded runs keep all
 	// send events inside the owning shard.
 	sim.Net.Stats.Reset()
-	ctrlBase := ctrl()
+	ctrlBase := dep.ControlMessages()
 	for gi, grp := range w.groups {
 		gi, grp := gi, grp
 		for _, h := range sendHosts[gi] {
@@ -226,25 +218,21 @@ func runSparseImpl(g *topology.Graph, cfg SparseConfig, proto Protocol, rng *ran
 
 	res := Result{
 		Protocol:     proto,
-		State:        state(),
-		CtrlMessages: ctrl() - ctrlBase,
+		State:        dep.TotalState(),
+		CtrlMessages: dep.ControlMessages() - ctrlBase,
 		CtrlBytes:    sim.Net.Stats.Totals.ControlBytes,
 		DataBytes:    sim.Net.Stats.Totals.DataBytes,
 		DataPackets:  sim.Net.Stats.Totals.DataPackets,
 		Expected:     0,
 		Events:       sim.Net.EventsProcessed(),
 		PeakTimers:   sim.Net.PeakLiveTimers(),
+		SPFRuns:      dep.Counter(metrics.SPFRuns),
+		StateBytes:   dep.StateBytes(),
 	}
 	for _, l := range sim.EdgeLinks {
 		if n := sim.Net.Stats.PerLink[l.ID].DataPackets; n > res.MaxLinkData {
 			res.MaxLinkData = n
 		}
-	}
-	if spf != nil {
-		res.SPFRuns = spf()
-	}
-	if stateBytes != nil {
-		res.StateBytes = stateBytes()
 	}
 	// Links touched: backbone links only (host LANs always carry data).
 	for _, l := range sim.EdgeLinks {
@@ -266,94 +254,15 @@ func runSparseImpl(g *topology.Graph, cfg SparseConfig, proto Protocol, rng *ran
 	return res
 }
 
-// deployProtocol installs one protocol's routers on a built simulation and
-// returns accessors for total forwarding state, its byte footprint (nil for
-// the protocols whose state plane is not the shared mfib store), cumulative
-// control-message count, and SPF executions (nil for the non-link-state
-// protocols).
-func deployProtocol(sim *scenario.Sim, proto Protocol, rpMap map[addr.IP][]addr.IP,
-	coreMap map[addr.IP]addr.IP, pruneLifetime netsim.Time, extra ...scenario.DeployOption) (state func() int, stateBytes func() int64, ctrl, spf func() int64) {
-	switch proto {
-	case PIMSM, PIMSMShared:
-		pcfg := core.Config{RPMapping: rpMap}
-		if proto == PIMSMShared {
-			pcfg.SPTPolicy = core.SwitchNever
-		}
-		dep := sim.Deploy(scenario.SparseMode, append([]scenario.DeployOption{scenario.WithCoreConfig(pcfg)}, extra...)...).(*scenario.PIMDeployment)
-		state = dep.TotalState
-		stateBytes = dep.StateBytes
-		ctrl = func() int64 { return sumCtrl(depMetrics(dep)) }
-	case DVMRP:
-		dep := sim.Deploy(scenario.DVMRPMode, append([]scenario.DeployOption{scenario.WithDVMRPConfig(dvmrp.Config{PruneLifetime: pruneLifetime})}, extra...)...).(*scenario.DVMRPDeployment)
-		state = dep.TotalState
-		stateBytes = dep.StateBytes
-		ctrl = func() int64 {
-			var t int64
-			for _, r := range dep.Routers {
-				t += r.Metrics.Get(metrics.CtrlPrune) + r.Metrics.Get(metrics.CtrlGraft)
-			}
-			return t
-		}
-	case PIMDM:
-		dep := sim.Deploy(scenario.DenseMode, append([]scenario.DeployOption{scenario.WithDenseConfig(pimdm.Config{PruneHoldTime: pruneLifetime})}, extra...)...).(*scenario.PIMDMDeployment)
-		state = dep.TotalState
-		stateBytes = dep.StateBytes
-		ctrl = func() int64 {
-			var t int64
-			for _, r := range dep.Routers {
-				t += r.Metrics.Get(metrics.CtrlPrune) + r.Metrics.Get(metrics.CtrlGraft) +
-					r.Metrics.Get(metrics.CtrlJoinPrune) + r.Metrics.Get(metrics.CtrlAssert)
-			}
-			return t
-		}
-	case CBT:
-		dep := sim.Deploy(scenario.CBTMode, append([]scenario.DeployOption{scenario.WithCBTConfig(cbt.Config{CoreMapping: coreMap})}, extra...)...).(*scenario.CBTDeployment)
-		state = dep.TotalState
-		ctrl = func() int64 {
-			var t int64
-			for _, r := range dep.Routers {
-				t += r.Metrics.Get(metrics.CtrlCBTJoin) + r.Metrics.Get(metrics.CtrlCBTAck) +
-					r.Metrics.Get(metrics.CtrlCBTEcho)
-			}
-			return t
-		}
-	case MOSPF:
-		dep := sim.Deploy(scenario.MOSPFMode, extra...).(*scenario.MOSPFDeployment)
-		state = dep.TotalState
-		ctrl = func() int64 {
-			var t int64
-			for _, r := range dep.Routers {
-				t += r.Metrics.Get(metrics.CtrlLSA)
-			}
-			return t
-		}
-		spf = func() int64 {
-			var t int64
-			for _, r := range dep.Routers {
-				t += r.Metrics.Get(metrics.SPFRuns)
-			}
-			return t
-		}
-	default:
-		panic("experiments: unknown protocol " + string(proto))
+// deploy starts the recipe's protocol on sim. The experiments only name
+// protocols through the Protocol constants, so a refusal is a programming
+// error.
+func deploy(sim *scenario.Sim, rec scenario.Recipe, extra ...scenario.DeployOption) scenario.Deployment {
+	dep, err := sim.DeployRecipe(rec, extra...)
+	if err != nil {
+		panic("experiments: " + err.Error())
 	}
-	return state, stateBytes, ctrl, spf
-}
-
-func depMetrics(dep *scenario.PIMDeployment) []*metrics.Counters {
-	out := make([]*metrics.Counters, len(dep.Routers))
-	for i, r := range dep.Routers {
-		out[i] = r.Metrics
-	}
-	return out
-}
-
-func sumCtrl(ms []*metrics.Counters) int64 {
-	var t int64
-	for _, m := range ms {
-		t += m.Get(metrics.CtrlJoinPrune) + m.Get(metrics.CtrlRegister) + m.Get(metrics.CtrlRPReach)
-	}
-	return t
+	return dep
 }
 
 // CompareSparse runs every protocol over the same topology/workload seed.

@@ -3,9 +3,11 @@ package experiments
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pim/internal/netsim"
+	"pim/internal/scenario"
 	"pim/internal/topology"
 )
 
@@ -19,6 +21,23 @@ func smallSparse() SparseConfig {
 	cfg.Duration = 120 * netsim.Second
 	cfg.PruneLifetime = 40 * netsim.Second
 	return cfg
+}
+
+// TestAllProtocolsAreTheRecipeNames: the experiments name protocols through
+// the recipe's list and nothing else — the list the script language's
+// protocol statement is held to as well — so a name cannot be added to one
+// front end and not the others.
+func TestAllProtocolsAreTheRecipeNames(t *testing.T) {
+	var got []string
+	for _, p := range AllProtocols() {
+		got = append(got, string(p))
+	}
+	want := scenario.ProtocolNames()
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("AllProtocols() = %v, scenario.ProtocolNames() = %v", got, want)
+	}
 }
 
 func TestSparseDeliveryAllProtocols(t *testing.T) {

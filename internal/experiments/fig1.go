@@ -2,13 +2,9 @@ package experiments
 
 import (
 	"pim/internal/addr"
-	"pim/internal/cbt"
-	"pim/internal/core"
-	"pim/internal/dvmrp"
 	"pim/internal/igmp"
 	"pim/internal/netsim"
 	"pim/internal/packet"
-	"pim/internal/pimdm"
 	"pim/internal/scenario"
 	"pim/internal/topology"
 )
@@ -73,24 +69,13 @@ type Fig1Result struct {
 	MeanDelay netsim.Time
 }
 
+// deploy starts proto with its RP / core in domain A. Figure 1 compares the
+// tree-building protocols; MOSPF has no place in it.
 func (f *fig1Sim) deploy(proto Protocol, pruneLifetime netsim.Time) {
-	switch proto {
-	case PIMSM:
-		f.sim.Deploy(scenario.SparseMode, scenario.WithCoreConfig(core.Config{RPMapping: map[addr.IP][]addr.IP{f.group: {f.rp}}}))
-	case PIMSMShared:
-		f.sim.Deploy(scenario.SparseMode, scenario.WithCoreConfig(core.Config{
-			RPMapping: map[addr.IP][]addr.IP{f.group: {f.rp}},
-			SPTPolicy: core.SwitchNever,
-		}))
-	case DVMRP:
-		f.sim.Deploy(scenario.DVMRPMode, scenario.WithDVMRPConfig(dvmrp.Config{PruneLifetime: pruneLifetime}))
-	case PIMDM:
-		f.sim.Deploy(scenario.DenseMode, scenario.WithDenseConfig(pimdm.Config{PruneHoldTime: pruneLifetime}))
-	case CBT:
-		f.sim.Deploy(scenario.CBTMode, scenario.WithCBTConfig(cbt.Config{CoreMapping: map[addr.IP]addr.IP{f.group: f.rp}}))
-	default:
+	if proto == MOSPF {
 		panic("experiments: protocol not applicable to figure 1: " + string(proto))
 	}
+	deploy(f.sim, scenario.Recipe{Protocol: string(proto), Anchors: map[addr.IP][]addr.IP{f.group: {f.rp}}, PruneHold: pruneLifetime})
 }
 
 // RunFig1Broadcast reproduces Figure 1(b)'s point: a single source in

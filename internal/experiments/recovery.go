@@ -8,14 +8,10 @@ import (
 	"slices"
 
 	"pim/internal/addr"
-	"pim/internal/cbt"
-	"pim/internal/core"
-	"pim/internal/dvmrp"
 	"pim/internal/faults"
 	"pim/internal/igmp"
 	"pim/internal/netsim"
 	"pim/internal/parallel"
-	"pim/internal/pimdm"
 	"pim/internal/scenario"
 	"pim/internal/telemetry"
 	"pim/internal/topology"
@@ -226,15 +222,6 @@ func traceHash(trace []DeliveryEvent) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// recoveryTimings shrinks the soft-state refresh clocks so recovery happens
-// within a four-minute run: join/prune and LSA refresh at 20 s, neighbor
-// discovery and keepalives at 10 s, prune state at 60 s.
-const (
-	recoveryRefresh   = 20 * netsim.Second
-	recoveryHello     = 10 * netsim.Second
-	recoveryPruneHold = 60 * netsim.Second
-)
-
 // Receiver sites by attached-router index, the key Deliver telemetry events
 // carry: A behind r3 (joins early), B behind r4 (joins late under loss).
 const (
@@ -242,48 +229,16 @@ const (
 	recvBRouter = 4
 )
 
-// deployRecovery starts proto on sim through the Deploy façade with the
-// shrunk recovery clocks. Group state anchors (RP, core) sit at router
-// `anchor`; IGMP is shrunk the same way via WithIGMPTimers, and MOSPF gets
-// periodic LSA re-origination (event-driven LSAs alone cannot survive a
-// crash — the restarted router missed them). Extra options (telemetry bus,
-// invariant checker) are appended by the caller.
+// deployRecovery starts proto on sim on the recipe's fast soft-state grade,
+// so recovery happens within a four-minute run. Group state anchors (RP,
+// core) sit at router `anchor`. Extra options (telemetry bus, invariant
+// checker) are appended by the caller.
 func deployRecovery(sim *scenario.Sim, proto Protocol, group addr.IP, anchor int, extra ...scenario.DeployOption) scenario.Deployment {
-	opts := append([]scenario.DeployOption{
-		scenario.WithIGMPTimers(recoveryHello, 3*recoveryHello),
+	return deploy(sim, scenario.Recipe{
+		Protocol:   string(proto),
+		Anchors:    map[addr.IP][]addr.IP{group: {sim.RouterAddr(anchor)}},
+		FastTimers: true,
 	}, extra...)
-	switch proto {
-	case PIMSM, PIMSMShared:
-		pcfg := core.Config{
-			RPMapping:         map[addr.IP][]addr.IP{group: {sim.RouterAddr(anchor)}},
-			JoinPruneInterval: recoveryRefresh,
-			QueryInterval:     recoveryHello,
-			RPReachInterval:   recoveryRefresh,
-		}
-		if proto == PIMSMShared {
-			pcfg.SPTPolicy = core.SwitchNever
-		}
-		return sim.Deploy(scenario.SparseMode, append(opts, scenario.WithCoreConfig(pcfg))...)
-	case PIMDM:
-		return sim.Deploy(scenario.DenseMode, append(opts, scenario.WithDenseConfig(pimdm.Config{
-			PruneHoldTime: recoveryPruneHold,
-			QueryInterval: recoveryHello,
-		}))...)
-	case DVMRP:
-		return sim.Deploy(scenario.DVMRPMode, append(opts, scenario.WithDVMRPConfig(dvmrp.Config{
-			PruneLifetime: recoveryPruneHold,
-			ProbeInterval: recoveryHello,
-		}))...)
-	case CBT:
-		return sim.Deploy(scenario.CBTMode, append(opts, scenario.WithCBTConfig(cbt.Config{
-			CoreMapping:  map[addr.IP]addr.IP{group: sim.RouterAddr(anchor)},
-			EchoInterval: recoveryHello,
-		}))...)
-	case MOSPF:
-		return sim.Deploy(scenario.MOSPFMode, append(opts, scenario.WithMOSPFRefresh(recoveryRefresh))...)
-	default:
-		panic("experiments: unknown recovery protocol " + string(proto))
-	}
 }
 
 // recoverySim builds the diamond with the three hosts attached and the

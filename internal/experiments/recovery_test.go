@@ -107,44 +107,30 @@ func TestRecoveryMatrixChecked(t *testing.T) {
 	}
 }
 
-// engineProbes extracts per-router state and neighbor probes from a
-// deployment. neighbors is nil for the protocols that keep no neighbor
-// liveness table (CBT tracks per-group children, MOSPF uses the domain).
-func engineProbes(dep scenario.Deployment) (state func(i int) int, neighbors func() int) {
+// liveNeighbors sums the engines' live neighbor entries.
+func liveNeighbors[R interface{ NeighborCount() int }](routers []R) func() int {
+	return func() int {
+		n := 0
+		for _, r := range routers {
+			n += r.NeighborCount()
+		}
+		return n
+	}
+}
+
+// neighborProbe returns the deployment's live-neighbor count, or nil for the
+// protocols that keep no neighbor liveness table (CBT tracks per-group
+// children, MOSPF uses the domain).
+func neighborProbe(dep scenario.Deployment) func() int {
 	switch d := dep.(type) {
 	case *scenario.PIMDeployment:
-		state = func(i int) int { return d.Routers[i].StateCount() }
-		neighbors = func() int {
-			n := 0
-			for _, r := range d.Routers {
-				n += r.NeighborCount()
-			}
-			return n
-		}
+		return liveNeighbors(d.Routers)
 	case *scenario.PIMDMDeployment:
-		state = func(i int) int { return d.Routers[i].StateCount() }
-		neighbors = func() int {
-			n := 0
-			for _, r := range d.Routers {
-				n += r.NeighborCount()
-			}
-			return n
-		}
+		return liveNeighbors(d.Routers)
 	case *scenario.DVMRPDeployment:
-		state = func(i int) int { return d.Routers[i].StateCount() }
-		neighbors = func() int {
-			n := 0
-			for _, r := range d.Routers {
-				n += r.NeighborCount()
-			}
-			return n
-		}
-	case *scenario.CBTDeployment:
-		state = func(i int) int { return d.Routers[i].StateCount() }
-	case *scenario.MOSPFDeployment:
-		state = func(i int) int { return d.Routers[i].StateCount() }
+		return liveNeighbors(d.Routers)
 	}
-	return state, neighbors
+	return nil
 }
 
 // TestCrashRestartPerEngine is the acceptance test for the Restart
@@ -166,7 +152,7 @@ func TestCrashRestartPerEngine(t *testing.T) {
 			sim, src, recvA, recvB := recoverySim(proto, 1)
 			group := addr.GroupForIndex(0)
 			dep := deployRecovery(sim, proto, group, 3)
-			state, neighbors := engineProbes(dep)
+			state, neighbors := dep.StateAt, neighborProbe(dep)
 
 			sched := sim.Net.Sched
 			sched.At(2*netsim.Second, func() { recvA.Join(group) })

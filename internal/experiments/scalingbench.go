@@ -74,6 +74,24 @@ func TenKScalingBench() ScalingBenchConfig {
 	}
 }
 
+// Dense4KScalingBench is the shape sharding earns its keep on (EXPERIMENTS.md,
+// honest-hardware note): the repository benchmark's dense-data workload —
+// PIM-DM flood-and-prune, 16 groups × 8 members × 2 senders at 4 packets/s —
+// on a 4 096-router internet, where every packet is work on every router and
+// the shards split it evenly.
+func Dense4KScalingBench() ScalingBenchConfig {
+	base := DefaultSparse()
+	base.Groups, base.Members, base.Senders = 16, 8, 2
+	base.Warmup = 10 * netsim.Second
+	base.Duration = 42 * netsim.Second
+	base.PacketInterval = 250 * netsim.Millisecond
+	return ScalingBenchConfig{
+		Base:   base,
+		Sizes:  []int{4096},
+		Protos: []Protocol{PIMDM},
+	}
+}
+
 // ScalingSweep is one timed sweep: the simulated grid plus the host-side
 // cost of producing it.
 type ScalingSweep struct {

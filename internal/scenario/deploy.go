@@ -1,14 +1,12 @@
 package scenario
 
 import (
-	"cmp"
-	"slices"
-
 	"pim/internal/addr"
 	"pim/internal/cbt"
 	"pim/internal/core"
 	"pim/internal/dvmrp"
 	"pim/internal/igmp"
+	"pim/internal/mfib"
 	"pim/internal/mospf"
 	"pim/internal/netsim"
 	"pim/internal/packet"
@@ -53,7 +51,8 @@ func (p Protocol) String() string {
 // default; callers normally mutate it through DeployOption functions.
 type DeployOptions struct {
 	// Core / Dense / DVMRP / CBT are the per-engine configurations; only
-	// the one matching the deployed Protocol is consulted.
+	// the one matching the deployed Protocol is consulted, and its Telemetry
+	// field is overwritten with the deployment's bus (below).
 	Core  core.Config
 	Dense pimdm.Config
 	DVMRP dvmrp.Config
@@ -114,16 +113,18 @@ func WithCBTConfig(cfg cbt.Config) DeployOption {
 // and, for CBT, derives the core mapping from each group's first candidate —
 // one option configures the rendezvous for either protocol family.
 func WithRPMapping(m map[addr.IP][]addr.IP) DeployOption {
-	return func(o *DeployOptions) {
-		o.Core.RPMapping = m
-		cores := map[addr.IP]addr.IP{}
-		for g, rps := range m {
-			if len(rps) > 0 {
-				cores[g] = rps[0]
-			}
+	return func(o *DeployOptions) { o.Core.RPMapping, o.CBT.CoreMapping = m, firstAnchors(m) }
+}
+
+// firstAnchors maps each group to its first RP candidate: CBT's single core.
+func firstAnchors(m map[addr.IP][]addr.IP) map[addr.IP]addr.IP {
+	cores := map[addr.IP]addr.IP{}
+	for g, rps := range m {
+		if len(rps) > 0 {
+			cores[g] = rps[0]
 		}
-		o.CBT.CoreMapping = cores
 	}
+	return cores
 }
 
 // WithSPTPolicy sets the sparse-mode shared-tree→SPT switching policy (§3.3).
@@ -173,47 +174,6 @@ func WithMOSPFRefresh(d netsim.Time) DeployOption {
 	return func(o *DeployOptions) { o.MOSPFRefresh = d }
 }
 
-// deploymentBase carries the telemetry plumbing every deployment shares.
-type deploymentBase struct {
-	bus      *telemetry.Bus
-	lanes    []*telemetry.Bus
-	checkers []*telemetry.Checker
-}
-
-// Telemetry returns the event bus the deployment publishes to (nil when the
-// deployment runs on the zero-cost disabled path or on per-shard lanes).
-func (b *deploymentBase) Telemetry() *telemetry.Bus { return b.bus }
-
-// TelemetryLanes returns the per-shard buses (nil unless deployed with
-// WithShardTelemetry).
-func (b *deploymentBase) TelemetryLanes() []*telemetry.Bus { return b.lanes }
-
-// Checker returns the online invariant checker (nil unless enabled; nil for
-// per-shard-lane deployments, which carry one checker per lane — see
-// Violations for the aggregate).
-func (b *deploymentBase) Checker() *telemetry.Checker {
-	if len(b.checkers) == 1 {
-		return b.checkers[0]
-	}
-	return nil
-}
-
-// Violations aggregates every checker's failed invariants (one checker per
-// telemetry lane when sharded), merged into simulated-time order.
-func (b *deploymentBase) Violations() []telemetry.Violation {
-	var all []telemetry.Violation
-	for _, c := range b.checkers {
-		all = append(all, c.Violations()...)
-	}
-	slices.SortStableFunc(all, func(x, y telemetry.Violation) int {
-		if x.At != y.At {
-			return cmp.Compare(x.At, y.At)
-		}
-		return cmp.Compare(x.Router, y.Router)
-	})
-	return all
-}
-
 // Deploy starts the chosen multicast protocol plus IGMP on every router of
 // the simulation. Call after FinishUnicast (and after convergence for DV/LS
 // modes); MOSPFMode carries its own topology view and needs neither.
@@ -225,20 +185,6 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 	o := &DeployOptions{}
 	for _, fn := range opts {
 		fn(o)
-	}
-	// A bus handed in through a raw engine config (legacy style) still
-	// becomes the deployment-wide bus.
-	if o.Telemetry == nil {
-		switch p {
-		case SparseMode:
-			o.Telemetry = o.Core.Telemetry
-		case DenseMode:
-			o.Telemetry = o.Dense.Telemetry
-		case DVMRPMode:
-			o.Telemetry = o.DVMRP.Telemetry
-		case CBTMode:
-			o.Telemetry = o.CBT.Telemetry
-		}
 	}
 	if o.ShardTelemetry != nil && s.Net.Sharded() && len(o.ShardTelemetry) < s.Net.ShardCount() {
 		panic("scenario: fewer telemetry lanes than shards")
@@ -288,11 +234,18 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 	var dep Deployment
 	switch p {
 	case SparseMode:
-		d := s.deploySparse(o)
-		routers := d.Routers
+		d := deployEngines(s, o, chks, p, func(i int, nd *netsim.Node, bus *telemetry.Bus) *core.Router {
+			cfg := o.Core
+			cfg.Telemetry = bus
+			return core.New(nd, cfg, s.UnicastFor(i))
+		})
+		d.table = func(r *core.Router) *mfib.Table { return r.MFIB }
+		for i, q := range d.Queriers {
+			q.OnRPMap = d.Routers[i].LearnRPMap
+		}
 		for _, chk := range chks {
 			chk.NegativeCached = func(router int, src, g addr.IP, iface int) bool {
-				r := routers[router]
+				r := d.Routers[router]
 				rpt := r.MFIB.SGRpt(src, g)
 				if rpt == nil {
 					return false
@@ -302,29 +255,65 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 				return oif != nil && oif.Live(now) && !oif.PrunePending
 			}
 		}
-		d.checkers = chks
 		dep = d
 	case DenseMode:
-		d := s.deployDense(o)
-		d.checkers = chks
+		d := deployEngines(s, o, chks, p, func(i int, nd *netsim.Node, bus *telemetry.Bus) *pimdm.Router {
+			cfg := o.Dense
+			cfg.Telemetry = bus
+			return pimdm.New(nd, cfg, s.UnicastFor(i))
+		})
+		d.table = func(r *pimdm.Router) *mfib.Table { return r.MFIB }
 		dep = d
 	case DVMRPMode:
-		d := s.deployDVMRP(o)
-		d.checkers = chks
+		d := deployEngines(s, o, chks, p, func(i int, nd *netsim.Node, bus *telemetry.Bus) *dvmrp.Router {
+			cfg := o.DVMRP
+			cfg.Telemetry = bus
+			return dvmrp.New(nd, cfg, s.UnicastFor(i))
+		})
+		d.table = func(r *dvmrp.Router) *mfib.Table { return r.MFIB }
 		dep = d
 	case CBTMode:
-		d := s.deployCBT(o)
-		d.checkers = chks
-		dep = d
+		dep = deployEngines(s, o, chks, p, func(i int, nd *netsim.Node, bus *telemetry.Bus) *cbt.Router {
+			cfg := o.CBT
+			cfg.Telemetry = bus
+			return cbt.New(nd, cfg, s.UnicastFor(i))
+		})
 	case MOSPFMode:
-		d := s.deployMOSPF(o)
-		d.checkers = chks
-		dep = d
+		// MOSPF carries its own topology view (the shared Domain), so
+		// FinishUnicast is not required. Its routers flood through that
+		// Domain synchronously — racy and order-sensitive across
+		// concurrently executing shards.
+		if s.Net.Sharded() {
+			panic("scenario: MOSPF requires an unsharded network (shards=1)")
+		}
+		dom := mospf.NewDomain(s.Routers)
+		dep = &MOSPFDeployment{Domain: dom, Deployed: deployEngines(s, o, chks, p, func(_ int, nd *netsim.Node, bus *telemetry.Bus) *mospf.Router {
+			r := mospf.New(nd, dom)
+			r.RefreshInterval, r.Telemetry = o.MOSPFRefresh, bus
+			return r
+		})}
 	default:
 		panic("scenario: unknown protocol")
 	}
 	s.tapHosts(o)
 	return dep
+}
+
+// deployEngines is the one deploy loop: on every router it builds the
+// protocol's engine with mk — the only per-protocol code — and an IGMP
+// querier feeding it membership, then starts both.
+func deployEngines[R Engine](s *Sim, o *DeployOptions, chks []*telemetry.Checker, p Protocol, mk func(i int, nd *netsim.Node, bus *telemetry.Bus) R) *Deployed[R] {
+	d := &Deployed[R]{Sim: s, ctrl: ctrlCounters[p], bus: o.Telemetry, lanes: o.ShardTelemetry, checkers: chks}
+	for i, nd := range s.Routers {
+		r := mk(i, nd, o.busFor(nd))
+		q := s.newQuerier(nd, o)
+		q.OnJoin, q.OnLeave = r.LocalJoin, r.LocalLeave
+		r.Start()
+		q.Start()
+		d.Routers = append(d.Routers, r)
+		d.Queriers = append(d.Queriers, q)
+	}
+	return d
 }
 
 // busFor returns the event bus a node publishes to: its shard's lane when
@@ -382,108 +371,4 @@ func (s *Sim) tapHosts(o *DeployOptions) {
 			}
 		}
 	}
-}
-
-// deploySparse starts PIM-SM plus IGMP on every router.
-func (s *Sim) deploySparse(o *DeployOptions) *PIMDeployment {
-	d := &PIMDeployment{Sim: s}
-	d.bus, d.lanes = o.Telemetry, o.ShardTelemetry
-	for i, nd := range s.Routers {
-		cfg := o.Core
-		cfg.Telemetry = o.busFor(nd)
-		r := core.New(nd, cfg, s.UnicastFor(i))
-		q := s.newQuerier(nd, o)
-		q.OnJoin = func(ifc *netsim.Iface, g addr.IP) { r.LocalJoin(ifc, g) }
-		q.OnLeave = func(ifc *netsim.Iface, g addr.IP) { r.LocalLeave(ifc, g) }
-		q.OnRPMap = func(g addr.IP, rps []addr.IP) { r.LearnRPMap(g, rps) }
-		r.Start()
-		q.Start()
-		d.Routers = append(d.Routers, r)
-		d.Queriers = append(d.Queriers, q)
-	}
-	return d
-}
-
-// deployDense starts PIM dense mode plus IGMP on every router.
-func (s *Sim) deployDense(o *DeployOptions) *PIMDMDeployment {
-	d := &PIMDMDeployment{Sim: s}
-	d.bus, d.lanes = o.Telemetry, o.ShardTelemetry
-	for i, nd := range s.Routers {
-		cfg := o.Dense
-		cfg.Telemetry = o.busFor(nd)
-		r := pimdm.New(nd, cfg, s.UnicastFor(i))
-		q := s.newQuerier(nd, o)
-		q.OnJoin = func(ifc *netsim.Iface, g addr.IP) { r.LocalJoin(ifc, g) }
-		q.OnLeave = func(ifc *netsim.Iface, g addr.IP) { r.LocalLeave(ifc, g) }
-		r.Start()
-		q.Start()
-		d.Routers = append(d.Routers, r)
-		d.Queriers = append(d.Queriers, q)
-	}
-	return d
-}
-
-// deployDVMRP starts DVMRP plus IGMP on every router.
-func (s *Sim) deployDVMRP(o *DeployOptions) *DVMRPDeployment {
-	d := &DVMRPDeployment{Sim: s}
-	d.bus, d.lanes = o.Telemetry, o.ShardTelemetry
-	for i, nd := range s.Routers {
-		cfg := o.DVMRP
-		cfg.Telemetry = o.busFor(nd)
-		r := dvmrp.New(nd, cfg, s.UnicastFor(i))
-		q := s.newQuerier(nd, o)
-		q.OnJoin = func(ifc *netsim.Iface, g addr.IP) { r.LocalJoin(ifc, g) }
-		q.OnLeave = func(ifc *netsim.Iface, g addr.IP) { r.LocalLeave(ifc, g) }
-		r.Start()
-		q.Start()
-		d.Routers = append(d.Routers, r)
-		d.Queriers = append(d.Queriers, q)
-	}
-	return d
-}
-
-// deployCBT starts CBT plus IGMP on every router.
-func (s *Sim) deployCBT(o *DeployOptions) *CBTDeployment {
-	d := &CBTDeployment{Sim: s}
-	d.bus, d.lanes = o.Telemetry, o.ShardTelemetry
-	for i, nd := range s.Routers {
-		cfg := o.CBT
-		cfg.Telemetry = o.busFor(nd)
-		r := cbt.New(nd, cfg, s.UnicastFor(i))
-		q := s.newQuerier(nd, o)
-		q.OnJoin = func(ifc *netsim.Iface, g addr.IP) { r.LocalJoin(ifc, g) }
-		q.OnLeave = func(ifc *netsim.Iface, g addr.IP) { r.LocalLeave(ifc, g) }
-		r.Start()
-		q.Start()
-		d.Routers = append(d.Routers, r)
-		d.Queriers = append(d.Queriers, q)
-	}
-	return d
-}
-
-// deployMOSPF starts MOSPF plus IGMP on every router. MOSPF carries its own
-// topology view (the shared Domain), so FinishUnicast is not required.
-func (s *Sim) deployMOSPF(o *DeployOptions) *MOSPFDeployment {
-	if s.Net.Sharded() {
-		// MOSPF routers flood through a shared in-memory Domain whose state
-		// is mutated synchronously from every router — racy and
-		// order-sensitive across concurrently executing shards.
-		panic("scenario: MOSPF requires an unsharded network (shards=1)")
-	}
-	dom := mospf.NewDomain(s.Routers)
-	d := &MOSPFDeployment{Sim: s, Domain: dom}
-	d.bus = o.Telemetry
-	for _, nd := range s.Routers {
-		r := mospf.New(nd, dom)
-		r.RefreshInterval = o.MOSPFRefresh
-		r.Telemetry = o.busFor(nd)
-		q := s.newQuerier(nd, o)
-		q.OnJoin = func(ifc *netsim.Iface, g addr.IP) { r.LocalJoin(ifc, g) }
-		q.OnLeave = func(ifc *netsim.Iface, g addr.IP) { r.LocalLeave(ifc, g) }
-		r.Start()
-		q.Start()
-		d.Routers = append(d.Routers, r)
-		d.Queriers = append(d.Queriers, q)
-	}
-	return d
 }

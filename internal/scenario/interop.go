@@ -93,18 +93,24 @@ func denseFacingIfaces(nd *netsim.Node, denseNode map[*netsim.Node]bool) []*nets
 	return out
 }
 
+// StateAt returns router i's forwarding entry count, whichever protocol
+// instance runs there.
+func (d *InteropDeployment) StateAt(i int) int {
+	switch {
+	case d.Sparse[i] != nil:
+		return d.Sparse[i].StateCount()
+	case d.Dense[i] != nil:
+		return d.Dense[i].StateCount()
+	default:
+		return d.Borders[i].StateCount()
+	}
+}
+
 // TotalState sums forwarding entries across every protocol instance.
 func (d *InteropDeployment) TotalState() int {
 	total := 0
 	for i := range d.Sim.Routers {
-		switch {
-		case d.Sparse[i] != nil:
-			total += d.Sparse[i].StateCount()
-		case d.Dense[i] != nil:
-			total += d.Dense[i].StateCount()
-		case d.Borders[i] != nil:
-			total += d.Borders[i].StateCount()
-		}
+		total += d.StateAt(i)
 	}
 	return total
 }

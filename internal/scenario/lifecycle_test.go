@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pim/internal/addr"
+	"pim/internal/faults"
 	"pim/internal/netsim"
 	"pim/internal/telemetry"
 	"pim/internal/topology"
@@ -136,7 +137,7 @@ func TestLifecycleContract(t *testing.T) {
 			// A crash takes the whole node down: bounce whatever shares it with
 			// the subject, so a last-hop router re-learns its members from the
 			// querier's re-query as it would after a real restart.
-			for _, e := range dep.(lifecycles).engines(2) {
+			for _, e := range dep.(interface{ engines(int) []faults.Lifecycle }).engines(2) {
 				if any(e) != any(subject) {
 					e.Restart()
 				}

@@ -13,8 +13,8 @@
 //	unicast oracle|dv|ls
 //	group <name> [rp <router>]          # rp doubles as the CBT core
 //	faultseed <n>                       # seed of the loss/reorder streams (default 1)
-//	protocol pim-sm [spt=immediate|never|threshold] [aggregate]
-//	protocol pim-dm | dvmrp | cbt | mospf [prune=<dur>]
+//	protocol <name> [spt=immediate|never|threshold] [aggregate] [prune=<dur>]
+//	protocol pim-sm dense=<router>,...  # mixed sparse/dense internet (§4)
 //	protocol ... [timers=fast]          # shrunk soft-state clocks (fault scenarios)
 //	host <name> <router>
 //	at <time> join <host> <group>
@@ -34,6 +34,11 @@
 //
 // Routers are written r0, r1, ... (or bare indexes); durations use Go-like
 // suffixes (150ms, 2s, 1m).
+//
+// A protocol statement is a scenario.Recipe written out: <name> is one of
+// scenario.ProtocolNames (pim-sm, pim-sm-shared, pim-dm, dvmrp, cbt, mospf),
+// spt= and aggregate apply to sparse mode, prune= to the flood-and-prune
+// protocols, and timers=fast selects the recipe's one fast timer grade.
 //
 // A script that declares `expect violations` runs with the invariant checker
 // attached regardless of RunConfig — the expectation is the scenario's
@@ -61,14 +66,10 @@ import (
 	"strings"
 
 	"pim/internal/addr"
-	"pim/internal/cbt"
-	"pim/internal/core"
-	"pim/internal/dvmrp"
 	"pim/internal/faults"
 	"pim/internal/igmp"
 	"pim/internal/netsim"
 	"pim/internal/packet"
-	"pim/internal/pimdm"
 	"pim/internal/scenario"
 	"pim/internal/telemetry"
 	"pim/internal/topology"
@@ -250,9 +251,6 @@ type runner struct {
 	failFast bool
 	bus      *telemetry.Bus
 	checker  *telemetry.Checker
-	// fastTimers records protocol ... timers=fast, so deployOpts can shrink
-	// the IGMP clocks alongside the engine's.
-	fastTimers bool
 	// captured (RunConfig.Captured) records the deployment's event stream
 	// on per-shard lanes; laneEvents[i] is appended only by shard i's
 	// goroutine, so capture stays race-free under parallel execution.
@@ -596,20 +594,9 @@ func (r *runner) doHost(st stmt) error {
 	return nil
 }
 
-// Shrunk soft-state clocks selected by `protocol ... timers=fast` — the
-// same grade the recovery experiment uses (internal/experiments).
-const (
-	fastRefresh = 20 * netsim.Second
-	fastHello   = 10 * netsim.Second
-	fastPrune   = 60 * netsim.Second
-)
-
 // deployOpts returns the options shared by every protocol statement.
 func (r *runner) deployOpts() []scenario.DeployOption {
 	var opts []scenario.DeployOption
-	if r.fastTimers {
-		opts = append(opts, scenario.WithIGMPTimers(fastHello, 3*fastHello))
-	}
 	if r.bus != nil {
 		opts = append(opts, scenario.WithTelemetry(r.bus))
 	}
@@ -625,13 +612,6 @@ func (r *runner) deployOpts() []scenario.DeployOption {
 		opts = append(opts, scenario.WithInvariantChecker())
 	}
 	return opts
-}
-
-// install records a uniform deployment as the script's fault/state surface.
-func (r *runner) install(dep scenario.Deployment) {
-	r.dep = dep
-	r.stateFn = dep.StateAt
-	r.checker = dep.Checker()
 }
 
 func (r *runner) deploy(st stmt) error {
@@ -670,128 +650,66 @@ func (r *runner) deploy(st stmt) error {
 	r.sim.FinishUnicast(r.uniMode)
 	r.sim.Run(r.sim.ConvergenceTime())
 
-	rpMap := map[addr.IP][]addr.IP{}
-	coreMap := map[addr.IP]addr.IP{}
+	// The statement is a scenario.Recipe written out: the protocol name, the
+	// groups' RP lists (CBT takes the first as its core), and the values the
+	// key=value operands vary. timers=fast selects the recipe's fast
+	// soft-state grade; fault scenarios — hand-written and search-emitted
+	// alike — depend on it.
+	rec := scenario.Recipe{
+		Protocol:  st.args[0],
+		Anchors:   map[addr.IP][]addr.IP{},
+		SPT:       st.kv["spt"],
+		Aggregate: slices.Contains(st.args[1:], "aggregate"),
+	}
 	for _, g := range r.groups {
-		if idxs, ok := r.groupRP[g]; ok && len(idxs) > 0 {
-			for _, idx := range idxs {
-				rpMap[g] = append(rpMap[g], r.sim.RouterAddr(idx))
-			}
-			coreMap[g] = r.sim.RouterAddr(idxs[0]) // CBT uses one core
+		for _, idx := range r.groupRP[g] {
+			rec.Anchors[g] = append(rec.Anchors[g], r.sim.RouterAddr(idx))
 		}
 	}
-	// timers=fast shrinks every soft-state clock to the recovery-experiment
-	// grade (join/prune and LSA refresh 20 s, hellos/queries 10 s, prune
-	// state 60 s, IGMP query 10 s / hold 30 s), so crash recovery and
-	// membership re-learning complete within a few-minute scripted run.
-	// Fault scenarios — hand-written and search-emitted alike — depend on
-	// it: with the default clocks a crashed router's state can outlive the
-	// script.
-	fast := false
 	switch st.kv["timers"] {
 	case "":
 	case "fast":
-		fast = true
+		rec.FastTimers = true
 	default:
 		return st.errf("unknown timers=%q (want fast)", st.kv["timers"])
-	}
-	r.fastTimers = fast
-	prune := 120 * netsim.Second
-	if fast {
-		prune = fastPrune
 	}
 	if v, ok := st.kv["prune"]; ok {
 		d, err := parseDuration(v)
 		if err != nil {
 			return st.errf("bad prune=%q", v)
 		}
-		prune = d
+		rec.PruneHold = d
 	}
-	name := st.args[0]
-	switch name {
-	case "pim-sm":
-		cfg := core.Config{RPMapping: rpMap}
-		if fast {
-			cfg.JoinPruneInterval = fastRefresh
-			cfg.QueryInterval = fastHello
-			cfg.RPReachInterval = fastRefresh
-		}
-		switch st.kv["spt"] {
-		case "", "immediate":
-			cfg.SPTPolicy = core.SwitchImmediate
-		case "never":
-			cfg.SPTPolicy = core.SwitchNever
-		case "threshold":
-			cfg.SPTPolicy = core.SwitchThreshold
-		default:
-			return st.errf("unknown spt=%q", st.kv["spt"])
-		}
-		for _, a := range st.args[1:] {
-			if a == "aggregate" {
-				cfg.AggregateSources = true
+	if v, ok := st.kv["dense"]; ok && rec.Protocol == "pim-sm" {
+		// Mixed sparse/dense internet (§4): dense=3,4 marks dense-mode
+		// routers; adjacent sparse routers become borders.
+		denseSet := map[int]bool{}
+		for _, part := range strings.Split(v, ",") {
+			idx, err := r.routerIndex(st, part)
+			if err != nil {
+				return err
 			}
+			denseSet[idx] = true
 		}
-		if v, ok := st.kv["dense"]; ok {
-			// Mixed sparse/dense internet (§4): dense=3,4 marks dense-mode
-			// routers; adjacent sparse routers become borders.
-			denseSet := map[int]bool{}
-			for _, part := range strings.Split(v, ",") {
-				idx, err := r.routerIndex(st, part)
-				if err != nil {
-					return err
-				}
-				denseSet[idx] = true
-			}
-			dep := r.sim.DeployInterop(cfg, pimdm.Config{PruneHoldTime: prune}, denseSet)
-			r.stateFn = func(i int) int {
-				switch {
-				case dep.Sparse[i] != nil:
-					return dep.Sparse[i].StateCount()
-				case dep.Dense[i] != nil:
-					return dep.Dense[i].StateCount()
-				default:
-					return dep.Borders[i].StateCount()
-				}
-			}
-			break
+		dep, err := r.sim.DeployInteropRecipe(rec, denseSet)
+		if err != nil {
+			return st.errf("%v", err)
 		}
-		r.install(r.sim.Deploy(scenario.SparseMode,
-			append(r.deployOpts(), scenario.WithCoreConfig(cfg))...))
-	case "pim-dm":
-		dcfg := pimdm.Config{PruneHoldTime: prune}
-		if fast {
-			dcfg.QueryInterval = fastHello
+		r.stateFn = dep.StateAt
+	} else {
+		dep, err := r.sim.DeployRecipe(rec, r.deployOpts()...)
+		if err != nil {
+			return st.errf("%v", err)
 		}
-		r.install(r.sim.Deploy(scenario.DenseMode, append(r.deployOpts(),
-			scenario.WithDenseConfig(dcfg))...))
-	case "dvmrp":
-		vcfg := dvmrp.Config{PruneLifetime: prune}
-		if fast {
-			vcfg.ProbeInterval = fastHello
-		}
-		r.install(r.sim.Deploy(scenario.DVMRPMode, append(r.deployOpts(),
-			scenario.WithDVMRPConfig(vcfg))...))
-	case "cbt":
-		ccfg := cbt.Config{CoreMapping: coreMap}
-		if fast {
-			ccfg.EchoInterval = fastHello
-		}
-		r.install(r.sim.Deploy(scenario.CBTMode, append(r.deployOpts(),
-			scenario.WithCBTConfig(ccfg))...))
-	case "mospf":
-		opts := r.deployOpts()
-		if fast {
-			opts = append(opts, scenario.WithMOSPFRefresh(fastRefresh))
-		}
-		r.install(r.sim.Deploy(scenario.MOSPFMode, opts...))
-	default:
-		return st.errf("unknown protocol %q", name)
+		r.dep = dep
+		r.stateFn = dep.StateAt
+		r.checker = dep.Checker()
 	}
 	r.deployed = true
 	// Neighbor discovery before scripted events begin.
 	r.sim.Run(2 * netsim.Second)
 	r.res.Log = append(r.res.Log,
-		fmt.Sprintf("deployed %s on %d routers (%d links)", name, r.graph.N(), r.graph.M()))
+		fmt.Sprintf("deployed %s on %d routers (%d links)", rec.Protocol, r.graph.N(), r.graph.M()))
 	return nil
 }
 

@@ -3,6 +3,8 @@ package script
 import (
 	"strings"
 	"testing"
+
+	"pim/internal/scenario"
 )
 
 const rendezvousScript = `
@@ -87,12 +89,13 @@ expect recv received G0 >= 15
 	}
 }
 
+// TestAllProtocolsRunnable: the protocol statement accepts exactly the
+// recipe's name list (scenario.ProtocolNames — the same list
+// experiments.AllProtocols is held to), each with its operands, and refuses
+// any other name.
 func TestAllProtocolsRunnable(t *testing.T) {
-	for _, proto := range []string{"pim-sm", "pim-sm spt=never", "pim-sm aggregate",
-		"pim-dm prune=300s", "dvmrp prune=300s", "cbt", "mospf"} {
-		proto := proto
-		t.Run(proto, func(t *testing.T) {
-			src := `
+	run := func(proto string) (*Result, error) {
+		s, err := Parse(`
 topo edges 0-1 1-2
 unicast oracle
 group G0 rp r1
@@ -103,12 +106,17 @@ at 1s join recv G0
 at 3s send send G0 count=4 every=1s
 run 15s
 expect recv received G0 >= 3
-`
-			s, err := Parse(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := s.RunWith(RunConfig{})
+`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.RunWith(RunConfig{})
+	}
+	for _, proto := range append(scenario.ProtocolNames(), "pim-sm spt=never", "pim-sm aggregate",
+		"pim-dm prune=300s", "dvmrp prune=300s", "cbt timers=fast") {
+		proto := proto
+		t.Run(proto, func(t *testing.T) {
+			res, err := run(proto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,6 +124,11 @@ expect recv received G0 >= 3
 				t.Fatalf("failures: %v", res.Failures)
 			}
 		})
+	}
+	for _, proto := range []string{"pim", "pim-sm-never", "PIM-SM", "pim-sm spt=sometimes", "mospf timers=slow"} {
+		if _, err := run(proto); err == nil || !strings.Contains(err.Error(), "unknown") {
+			t.Errorf("protocol %s: err = %v, want an unknown-name error", proto, err)
+		}
 	}
 }
 
