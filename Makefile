@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt build vet test race corpus update-goldens bench-smoke bench-driver bench-record loc profile bench fig2-ledger recovery-ledger scale-ledger tenk-ledger dense4k-ledger faultsearch-ledger
+.PHONY: check fmt build vet test race fuzz-smoke corpus update-goldens bench-smoke bench-driver bench-record loc profile bench fig2-ledger recovery-ledger scale-ledger tenk-ledger dense4k-ledger faultsearch-ledger
 
-# check is the full gate: formatting, vet, build, race-enabled tests, the
+# check is the full gate: formatting, vet, build, race-enabled tests, a short
+# mutating pass over every native fuzz target, the
 # self-verifying scenario corpus under its two-cell matrix, the benchmark smoke
 # pass (every registered benchmark plus the allocation pins), and the frozen
 # repository-benchmark driver built and smoke-run against this tree.
-check: fmt vet build race corpus bench-smoke bench-driver
+check: fmt vet build race fuzz-smoke corpus bench-smoke bench-driver
 
 # fmt fails on any file gofmt would rewrite (the frozen benchmarks/ module is
 # not ours to format).
@@ -24,6 +25,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz-smoke gives each native fuzz target — the .pim parser and its golden
+# round trip, and every wire decoder — a fixed 3 s of real mutation. `test` and
+# `race` only replay the committed seed corpora; this is the step that asserts
+# "survives hostile bytes" (ROADMAP aim 3) with bytes nobody wrote down. A
+# crasher is saved under the package's testdata/fuzz/ — commit it with the fix.
+FUZZ_TARGETS = script:FuzzParse script:FuzzComposeParse packet:FuzzUnmarshal pimmsg:FuzzOpen \
+	igmp:FuzzUnmarshalInto cbt:FuzzUnmarshalInto dvmrp:FuzzUnmarshalInto mospf:FuzzMembershipLSAUnmarshal
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run XXX -fuzz "^$${t#*:}\$$" -fuzztime 3s ./internal/$${t%%:*}/ || exit 1; \
+	done
 
 # corpus runs every scenarios/**/*.pim — the found/ counterexamples and the
 # baselines/ CBT and MOSPF scenarios included — sequentially and on 2 shards,

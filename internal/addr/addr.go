@@ -53,9 +53,6 @@ func (ip IP) IsMulticast() bool { return ip >= MulticastBase && ip <= MulticastL
 // routers never forward (IGMP queries, PIM LAN messages).
 func (ip IP) IsLinkLocalMulticast() bool { return ip&0xFFFFFF00 == 0xE0000000 }
 
-// IsUnspecified reports whether ip is 0.0.0.0.
-func (ip IP) IsUnspecified() bool { return ip == 0 }
-
 // String renders ip in dotted-quad form.
 func (ip IP) String() string {
 	a, b, c, d := ip.Octets()
@@ -172,10 +169,4 @@ func (p Prefix) String() string { return p.Addr.String() + "/" + strconv.Itoa(p.
 // groups that never collide with link-local ranges.
 func GroupForIndex(i int) IP {
 	return V4(225, 0, 0, 0) + IP(i)
-}
-
-// RouterIP returns a deterministic loopback-style router address for node n
-// (10.0.x.y), used when building simulated topologies.
-func RouterIP(n int) IP {
-	return V4(10, 0, byte(n>>8), byte(n))
 }

@@ -178,12 +178,6 @@ func TestPrefixOverlapsProperty(t *testing.T) {
 }
 
 func TestDeterministicAddressHelpers(t *testing.T) {
-	if RouterIP(5) != V4(10, 0, 0, 5) {
-		t.Errorf("RouterIP(5) = %v", RouterIP(5))
-	}
-	if RouterIP(260) != V4(10, 0, 1, 4) {
-		t.Errorf("RouterIP(260) = %v", RouterIP(260))
-	}
 	seen := map[IP]bool{}
 	for i := 0; i < 64; i++ {
 		g := GroupForIndex(i)

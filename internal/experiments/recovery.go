@@ -323,10 +323,7 @@ func runRecoveryOnce(cfg RecoveryConfig, proto Protocol, kind string, seed int64
 	if tap != nil {
 		tap(sim, lanes)
 	}
-	opts := []scenario.DeployOption{scenario.WithTelemetry(lanes[0])}
-	if nlanes > 1 {
-		opts = append(opts, scenario.WithShardTelemetry(lanes))
-	}
+	opts := []scenario.DeployOption{scenario.WithTelemetry(lanes...)}
 	if cfg.Checked {
 		opts = append(opts, scenario.WithInvariantChecker())
 	}

@@ -194,3 +194,40 @@ func TestRenderFoundInvariantForm(t *testing.T) {
 		t.Fatalf("invariant-form counterexample lacks the violations expectation:\n%s", src)
 	}
 }
+
+// TestEveryRenderedScheduleParses: the script parser rejects any operand its
+// tables do not declare, so the renderer is held to the grammar over its whole
+// output space — every template × protocol, carrying one clause of every kind
+// in every class and scope, as a plain schedule and as both found-forms.
+func TestEveryRenderedScheduleParses(t *testing.T) {
+	for _, tmpl := range Templates {
+		for _, p := range Protocols {
+			s := Schedule{Topo: tmpl.Name, Proto: p.Name, Seed: 7, Clauses: []Clause{
+				{Kind: KindLoss, Edge: -1, Start: 10, Stop: 20, Rate: 0.25},
+				{Kind: KindLoss, Edge: 1, Start: 10, Stop: 20, Rate: 1, Class: ClassControl},
+				{Kind: KindReorder, Edge: -1, Start: 10, Stop: 20, Window: 50 * netsim.Millisecond, Class: ClassData},
+				{Kind: KindReorder, Edge: 0, Start: 12, Stop: 22, Window: 5 * netsim.Millisecond},
+				{Kind: KindCrash, Router: tmpl.Transit[0], Start: 28, Stop: 29},
+				{Kind: KindCut, Edge: 0, Start: 30, Stop: 40},
+				{Kind: KindFlap, Edge: 1, Start: 30, Down: 2, Up: 3, Cycles: 2},
+			}}
+			plain, err := s.Render()
+			if err != nil {
+				t.Fatal(err)
+			}
+			delivery, err := RenderFound(s, Verdict{Kind: VerdictDelivery, Signature: "recv/G0", Detail: "recv/G0=0<50"}, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			invariant, err := RenderFound(s, Verdict{Kind: VerdictInvariant, Signature: "stale-timer", Detail: "forged"}, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, src := range []string{plain, delivery, invariant} {
+				if _, err := script.Parse(src); err != nil {
+					t.Errorf("%s/%s: rendered script does not parse: %v\n%s", tmpl.Name, p.Name, err, src)
+				}
+			}
+		}
+	}
+}

@@ -201,15 +201,6 @@ func (e *Entry) OIF(ifaceIndex int) *OIF {
 	return nil
 }
 
-// EachOIF calls fn for every outgoing interface in ascending index order —
-// the deterministic replacement for ranging over the old oif map. fn must
-// not structurally mutate the list.
-func (e *Entry) EachOIF(fn func(*OIF)) {
-	for i := 0; i < int(e.noif); i++ {
-		fn(e.oifAt(i))
-	}
-}
-
 // AddOIF inserts or refreshes an outgoing interface driven by a downstream
 // join, clearing any pending prune (a join overrides a pending LAN prune).
 func (e *Entry) AddOIF(ifc *netsim.Iface, expires netsim.Time) *OIF {

@@ -189,6 +189,10 @@ type Register struct {
 	Inner []byte
 }
 
+// RegisterOverhead is what Register encapsulation adds around the inner
+// datagram: the envelope (version, type) and the two-byte inner length.
+const RegisterOverhead = 4
+
 // Marshal encodes the message body.
 func (m *Register) Marshal() []byte { return m.MarshalTo(make([]byte, 0, 2+len(m.Inner))) }
 

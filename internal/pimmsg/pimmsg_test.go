@@ -129,6 +129,9 @@ func TestRegisterRoundTrip(t *testing.T) {
 	if !bytes.Equal(got.Inner, inner) {
 		t.Fatalf("inner = %x", got.Inner)
 	}
+	if wire := m.MarshalTo(AppendEnvelope(nil, TypeRegister)); len(wire) != RegisterOverhead+len(inner) {
+		t.Errorf("a Register around %d bytes is %d on the wire, RegisterOverhead says %d", len(inner), len(wire), RegisterOverhead+len(inner))
+	}
 	if _, err := UnmarshalRegister([]byte{0}); err == nil {
 		t.Error("short register accepted")
 	}

@@ -58,19 +58,15 @@ type DeployOptions struct {
 	DVMRP dvmrp.Config
 	CBT   cbt.Config
 
-	// Telemetry, when non-nil, is wired into every engine, every IGMP
-	// querier, and every host (delivery events). Nil deploys with the
-	// zero-cost disabled path everywhere.
-	Telemetry *telemetry.Bus
-	// ShardTelemetry, when non-nil, gives each shard a private event bus
-	// (indexed by shard; length must be at least netsim's shard count).
-	// Sharded runs must use lanes rather than one shared bus: a single bus
-	// published from concurrently executing shards would race. Takes
-	// precedence over Telemetry for engine/querier/host wiring.
-	ShardTelemetry []*telemetry.Bus
+	// Telemetry holds the deployment's event buses, one lane per shard (one
+	// bus on an unsharded network): every engine, IGMP querier and host
+	// publishes to the lane of the shard its node runs on, because a single
+	// bus published from concurrently executing shards would race. Empty
+	// deploys with the zero-cost disabled path everywhere.
+	Telemetry []*telemetry.Bus
 	// InvariantChecker attaches an online telemetry.Checker asserting the
-	// §3.8 soft-state contracts during the run, creating a Telemetry bus if
-	// none was supplied.
+	// §3.8 soft-state contracts to every Telemetry lane, creating one lane
+	// per shard if none was supplied.
 	InvariantChecker bool
 	// FailFast arms the checker's first-violation halt: the simulation's
 	// scheduler stops at the violation's exact simulated time. Implies
@@ -137,20 +133,19 @@ func WithAggregation() DeployOption {
 	return func(o *DeployOptions) { o.Core.AggregateSources = true }
 }
 
-// WithTelemetry attaches the event bus to every engine, querier, and host.
-func WithTelemetry(b *telemetry.Bus) DeployOption {
-	return func(o *DeployOptions) { o.Telemetry = b }
+// WithTelemetry attaches the event buses: one for an unsharded network, one
+// per shard (indexed by shard) for a sharded one. Every engine, querier and
+// host publishes to the lane of the shard its node runs on, so concurrently
+// executing shards never share a bus; callers merge or compare lanes after
+// the run. Deploy panics when handed fewer lanes than the network has shards.
+func WithTelemetry(lanes ...*telemetry.Bus) DeployOption {
+	return func(o *DeployOptions) { o.Telemetry = lanes }
 }
 
-// WithShardTelemetry attaches one event bus per shard: every engine,
-// querier, and host publishes to the lane of the shard its node runs on, so
-// concurrently executing shards never share a bus. Callers merge or compare
-// lanes after the run.
-func WithShardTelemetry(lanes []*telemetry.Bus) DeployOption {
-	return func(o *DeployOptions) { o.ShardTelemetry = lanes }
-}
-
-// WithInvariantChecker enables the online §3.8 invariant checker.
+// WithInvariantChecker enables the online §3.8 invariant checker: one per
+// telemetry lane (the invariants are per-router, so a lane's checker sees
+// everything it needs), on lanes of the deployment's own when WithTelemetry
+// supplied none. Read the findings with Deployment.Violations.
 func WithInvariantChecker() DeployOption {
 	return func(o *DeployOptions) { o.InvariantChecker = true }
 }
@@ -158,8 +153,8 @@ func WithInvariantChecker() DeployOption {
 // WithFailFast enables the invariant checker in fail-fast mode: the first
 // violation halts the simulation at its exact simulated time (the clock
 // freezes there; later RunUntil calls return immediately). Panics at deploy
-// time on a sharded network — the checker runs on one bus, which sharded
-// execution cannot feed race-free anyway.
+// time on a sharded network: a shard goroutine must not halt the root
+// scheduler.
 func WithFailFast() DeployOption {
 	return func(o *DeployOptions) { o.InvariantChecker, o.FailFast = true, true }
 }
@@ -186,27 +181,23 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 	for _, fn := range opts {
 		fn(o)
 	}
-	if o.ShardTelemetry != nil && s.Net.Sharded() && len(o.ShardTelemetry) < s.Net.ShardCount() {
+	if o.InvariantChecker && len(o.Telemetry) == 0 {
+		for range s.Net.ShardCount() {
+			o.Telemetry = append(o.Telemetry, telemetry.NewBus())
+		}
+	}
+	if n := len(o.Telemetry); n > 0 && n < s.Net.ShardCount() {
 		panic("scenario: fewer telemetry lanes than shards")
 	}
-	if o.InvariantChecker && o.Telemetry == nil && o.ShardTelemetry == nil {
-		o.Telemetry = telemetry.NewBus()
-	}
-
-	// The checkers subscribe before any engine starts so they observe the
-	// first EpochStart of every router. Per-shard-lane deployments get one
-	// checker per lane (the invariants are per-router, so a lane checker
-	// sees everything it needs).
-	var chks []*telemetry.Checker
 	if o.FailFast && s.Net.Sharded() {
 		panic("scenario: WithFailFast requires an unsharded network (shards=1)")
 	}
+
+	// The checkers subscribe before any engine starts so they observe the
+	// first EpochStart of every router.
+	var chks []*telemetry.Checker
 	if o.InvariantChecker {
-		buses := o.ShardTelemetry
-		if buses == nil {
-			buses = []*telemetry.Bus{o.Telemetry}
-		}
-		for _, b := range buses {
+		for _, b := range o.Telemetry {
 			if b == nil {
 				continue
 			}
@@ -303,7 +294,7 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 // protocol's engine with mk — the only per-protocol code — and an IGMP
 // querier feeding it membership, then starts both.
 func deployEngines[R Engine](s *Sim, o *DeployOptions, chks []*telemetry.Checker, p Protocol, mk func(i int, nd *netsim.Node, bus *telemetry.Bus) R) *Deployed[R] {
-	d := &Deployed[R]{Sim: s, ctrl: ctrlCounters[p], bus: o.Telemetry, lanes: o.ShardTelemetry, checkers: chks}
+	d := &Deployed[R]{Sim: s, ctrl: ctrlCounters[p], checkers: chks}
 	for i, nd := range s.Routers {
 		r := mk(i, nd, o.busFor(nd))
 		q := s.newQuerier(nd, o)
@@ -316,13 +307,13 @@ func deployEngines[R Engine](s *Sim, o *DeployOptions, chks []*telemetry.Checker
 	return d
 }
 
-// busFor returns the event bus a node publishes to: its shard's lane when
-// lanes are configured, else the deployment-wide bus.
+// busFor returns the event bus a node publishes to — its shard's lane — or
+// nil when the deployment has no telemetry.
 func (o *DeployOptions) busFor(nd *netsim.Node) *telemetry.Bus {
-	if o.ShardTelemetry != nil {
-		return o.ShardTelemetry[nd.Shard()]
+	if len(o.Telemetry) == 0 {
+		return nil
 	}
-	return o.Telemetry
+	return o.Telemetry[nd.Shard()]
 }
 
 // newQuerier builds one router's IGMP querier with the deployment-wide
@@ -344,7 +335,7 @@ func (s *Sim) newQuerier(nd *netsim.Node, o *DeployOptions) *igmp.Querier {
 // and Value the SendData timestamp in microseconds (-1 when the payload
 // carries none). Existing hooks keep firing after the tap.
 func (s *Sim) tapHosts(o *DeployOptions) {
-	if o.Telemetry == nil && o.ShardTelemetry == nil {
+	if len(o.Telemetry) == 0 {
 		return
 	}
 	for r := range s.Hosts {

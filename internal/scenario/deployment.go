@@ -21,8 +21,8 @@ import (
 // Deployment is the uniform surface every protocol deployment exposes: the
 // fault layer (internal/faults, internal/script, the recovery experiment)
 // kills and revives routers through it, the experiments read the §1.2
-// overhead axes through it, and the telemetry consumers read the event bus
-// through it, without knowing which protocol is running.
+// overhead axes through it, and checked runs read the invariant checkers'
+// findings through it, without knowing which protocol is running.
 type Deployment interface {
 	// Crash fail-stops router i: all interfaces down, engine and IGMP
 	// querier stopped with their soft state discarded.
@@ -47,18 +47,8 @@ type Deployment interface {
 	ControlMessages() int64
 	// Counter sums one metrics counter across routers.
 	Counter(id metrics.ID) int64
-	// Telemetry returns the event bus the deployment publishes to (nil
-	// when deployed without one).
-	Telemetry() *telemetry.Bus
-	// TelemetryLanes returns the per-shard buses of a sharded deployment
-	// (nil when unsharded or deployed without telemetry).
-	TelemetryLanes() []*telemetry.Bus
-	// Checker returns the online invariant checker (nil unless enabled
-	// with WithInvariantChecker, and nil on sharded deployments, which
-	// run one checker per lane — use Violations there).
-	Checker() *telemetry.Checker
 	// Violations aggregates invariant-checker findings across every lane,
-	// sorted by time then router (empty without WithInvariantChecker).
+	// sorted by time then router (nil without WithInvariantChecker).
 	Violations() []telemetry.Violation
 }
 
@@ -86,10 +76,8 @@ type Deployed[R Engine] struct {
 	// MFIB (nil for the engines StateBytes does not cover).
 	ctrl  []metrics.ID
 	table func(R) *mfib.Table
-	// The telemetry plumbing: the deployment-wide bus, the per-shard lanes,
-	// and one invariant checker per bus that carries one.
-	bus      *telemetry.Bus
-	lanes    []*telemetry.Bus
+	// checkers holds one invariant checker per telemetry lane (none unless
+	// deployed WithInvariantChecker).
 	checkers []*telemetry.Checker
 }
 
@@ -184,24 +172,6 @@ func (d *Deployed[R]) ControlMessages() int64 {
 		total += d.Counter(id)
 	}
 	return total
-}
-
-// Telemetry returns the event bus the deployment publishes to (nil when the
-// deployment runs on the zero-cost disabled path or on per-shard lanes).
-func (d *Deployed[R]) Telemetry() *telemetry.Bus { return d.bus }
-
-// TelemetryLanes returns the per-shard buses (nil unless deployed with
-// WithShardTelemetry).
-func (d *Deployed[R]) TelemetryLanes() []*telemetry.Bus { return d.lanes }
-
-// Checker returns the online invariant checker (nil unless enabled; nil for
-// per-shard-lane deployments, which carry one checker per lane — see
-// Violations for the aggregate).
-func (d *Deployed[R]) Checker() *telemetry.Checker {
-	if len(d.checkers) == 1 {
-		return d.checkers[0]
-	}
-	return nil
 }
 
 // Violations aggregates every checker's failed invariants (one checker per

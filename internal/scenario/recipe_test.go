@@ -6,6 +6,7 @@ import (
 
 	"pim/internal/addr"
 	"pim/internal/netsim"
+	"pim/internal/telemetry"
 	"pim/internal/topology"
 )
 
@@ -150,4 +151,86 @@ func TestRecipeTimerGrade(t *testing.T) {
 			t.Errorf("%+v: mospf refresh %v, want %v", tc.rec, got, want)
 		}
 	}
+}
+
+// TestMaxDataSizeCrossesEveryEngine: a MaxDataSize packet reaches a member
+// two routers away under every protocol name — for sparse mode through the
+// DR's Register encapsulation, the one wrap the constant leaves room for —
+// and one byte more no longer fits that wrap.
+func TestMaxDataSizeCrossesEveryEngine(t *testing.T) {
+	send := func(name string, size int) int {
+		g := topology.New(3)
+		g.AddEdge(0, 1, 1)
+		g.AddEdge(1, 2, 1)
+		sim := Build(g)
+		src, rcv := sim.AddHost(0), sim.AddHost(2)
+		sim.FinishUnicast(UseOracle)
+		group := addr.GroupForIndex(0)
+		_, err := sim.DeployRecipe(Recipe{
+			Protocol: name,
+			Anchors:  map[addr.IP][]addr.IP{group: {sim.RouterAddr(1)}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Run(2 * netsim.Second)
+		rcv.Join(group)
+		sim.Run(5 * netsim.Second)
+		SendData(src, group, size)
+		sim.Run(5 * netsim.Second)
+		return rcv.Received[group]
+	}
+	for _, name := range ProtocolNames() {
+		if got := send(name, MaxDataSize); got != 1 {
+			t.Errorf("%s: a MaxDataSize packet was received %d times, want 1", name, got)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MaxDataSize+1 crossed a Register encapsulation: the constant is not the bound")
+		}
+	}()
+	send("pim-sm", MaxDataSize+1)
+}
+
+// TestObservationLanes pins WithTelemetry's one contract on 1 and 2 shards:
+// WithInvariantChecker alone builds a lane and a checker per shard that see
+// the engines' events (a forged stale-epoch timer published through a
+// router's own bus becomes a violation), and a deployment handed fewer lanes
+// than shards — one bus on a sharded network included — panics at deploy time
+// instead of racing.
+func TestObservationLanes(t *testing.T) {
+	chain := func(shards int) *Sim {
+		g := topology.New(4)
+		for i := 0; i < 3; i++ {
+			g.AddEdge(i, i+1, 1)
+		}
+		sim := Build(g)
+		sim.AutoShardN(shards)
+		sim.FinishUnicast(UseOracle)
+		return sim
+	}
+	for _, shards := range []int{1, 2} {
+		sim := chain(shards)
+		dep := sim.Deploy(SparseMode, WithInvariantChecker()).(*PIMDeployment)
+		if len(dep.checkers) != shards {
+			t.Fatalf("shards=%d: %d checkers", shards, len(dep.checkers))
+		}
+		sim.Run(2 * netsim.Second)
+		if vs := dep.Violations(); len(vs) != 0 {
+			t.Fatalf("shards=%d: clean run violated: %v", shards, vs)
+		}
+		for i, r := range dep.Routers {
+			r.Telemetry.Publish(telemetry.Event{Kind: telemetry.TimerFire, Router: i, Epoch: 99})
+		}
+		if vs := dep.Violations(); len(vs) != len(dep.Routers) {
+			t.Errorf("shards=%d: %d forged stale timers, %d violations", shards, len(dep.Routers), len(vs))
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("one bus on a 2-shard network deployed")
+		}
+	}()
+	chain(2).Deploy(SparseMode, WithTelemetry(telemetry.NewBus()))
 }

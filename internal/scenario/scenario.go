@@ -24,6 +24,7 @@ import (
 	"pim/internal/igmp"
 	"pim/internal/netsim"
 	"pim/internal/packet"
+	"pim/internal/pimmsg"
 	"pim/internal/topology"
 	"pim/internal/unicast"
 )
@@ -236,9 +237,18 @@ func (s *Sim) ConvergenceTime() netsim.Time {
 // its identifier and as an RP address when i hosts a rendezvous point.
 func (s *Sim) RouterAddr(i int) addr.IP { return s.Routers[i].Addr() }
 
+// MaxDataSize is the largest SendData payload every engine can carry: a data
+// packet is wrapped at most once on its way — the sender's DR Register-
+// encapsulates the whole datagram toward the RP (§3) — and the wrapped
+// datagram must still fit the 16-bit total length of its own header.
+const MaxDataSize = 0xFFFF - packet.HeaderLen - pimmsg.RegisterOverhead - packet.HeaderLen
+
 // SendData injects one multicast data packet from the host onto its LAN.
 // The first eight payload bytes carry the send timestamp so receivers can
-// measure delivery latency (see Latency).
+// measure delivery latency (see Latency), so size is raised to 8 if smaller;
+// a size above MaxDataSize panics in the simulator or at the first router
+// that encapsulates it, and callers taking sizes from outside (the script's
+// `send`) check the 8..MaxDataSize range themselves.
 func SendData(h *igmp.Host, g addr.IP, size int) {
 	if size < 8 {
 		size = 8

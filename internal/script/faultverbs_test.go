@@ -3,6 +3,9 @@ package script
 import (
 	"strings"
 	"testing"
+
+	"pim/internal/netsim"
+	"pim/internal/telemetry"
 )
 
 // mustParse/mustRunOK are tiny local helpers for the fault-verb scenarios.
@@ -120,7 +123,7 @@ expect violations == 0
 	if !res.OK() {
 		t.Fatalf("failures: %v", res.Failures)
 	}
-	if res.Checker == nil || len(res.Violations) != 0 {
+	if len(res.Violations) != 0 {
 		t.Fatalf("violations: %v", res.Violations)
 	}
 }
@@ -155,7 +158,7 @@ expect violations == 0
 	if !res.OK() {
 		t.Fatalf("failures: %v", res.Failures)
 	}
-	if res.Checker == nil || len(res.Violations) != 0 {
+	if len(res.Violations) != 0 {
 		t.Fatalf("violations: %v", res.Violations)
 	}
 }
@@ -211,11 +214,53 @@ expect recv received G0 == 5
 	if !res.OK() {
 		t.Fatalf("failures: %v", res.Failures)
 	}
-	if res.Checker == nil {
-		t.Fatal("fail-fast run attached no checker")
-	}
 	if len(res.Violations) != 0 {
 		t.Fatalf("violations: %v", res.Violations)
+	}
+}
+
+// TestCheckedRunsReportForgedViolation is what fails when a checked run has no
+// checker on its bus. No script can break a §3.8 contract on purpose — the
+// engines' own guards hold — so the test forges one: the first genuine timer
+// fire is republished under a dead epoch. A checked run must report exactly
+// that violation and finish; a fail-fast run must also halt there, with most
+// of the scripted traffic unsent. (scenario.TestObservationLanes does the
+// same to the lanes a checked run without a Bus is given.)
+func TestCheckedRunsReportForgedViolation(t *testing.T) {
+	run := func(cfg RunConfig) *Result {
+		cfg.Bus = telemetry.NewBus()
+		forged := false
+		cfg.Bus.Subscribe(func(ev telemetry.Event) {
+			if ev.Kind == telemetry.TimerFire && !forged && ev.At > 20*netsim.Second {
+				forged = true
+				ev.Epoch++
+				cfg.Bus.Publish(ev)
+			}
+		})
+		res, err := mustParse(t, `
+topo edges 0-1 1-2
+unicast oracle
+group G0 rp r1
+protocol pim-sm timers=fast
+host src r0
+host recv r2
+at 1s join recv G0
+at 3s send src G0 count=100 every=1s
+run 120s
+`).RunWith(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Violations) != 1 || !strings.Contains(res.Violations[0].Msg, "dead epoch") {
+			t.Fatalf("%+v: violations = %v, want the one forged stale timer", cfg, res.Violations)
+		}
+		return res
+	}
+	if got := run(RunConfig{Checked: true}).Delivered["recv/G0"]; got != 100 {
+		t.Errorf("checked run delivered %d of 100: a violation must not stop it", got)
+	}
+	if got := run(RunConfig{FailFast: true}).Delivered["recv/G0"]; got == 0 || got > 30 {
+		t.Errorf("fail-fast run delivered %d of 100: want a halt at the violation, about 20 s in", got)
 	}
 }
 

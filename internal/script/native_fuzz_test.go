@@ -43,6 +43,9 @@ func FuzzParse(f *testing.F) {
 	f.Add(GoldenMarker)
 	f.Add("run 1s\n" + GoldenMarker + "\n" + GoldenMarker + "\nstream 0\n")
 	f.Add("at 1s send h G0 count==\x00 every=\n" + GoldenMarker + "\r\n")
+	for _, tc := range hostileScripts {
+		f.Add(tc.src)
+	}
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := Parse(text)
 		if err != nil {

@@ -5,40 +5,53 @@
 // documentation (see the scenarios/ directory) and as an acceptance-test
 // harness for protocol changes.
 //
-// Grammar (one statement per line, '#' comments):
+// Grammar (one statement per line, '#' comments). Every line below is one row
+// of the statements, verbs or subjects table in this file, and the tables are
+// the whole language: an operand a row does not declare — positional or
+// key=value — is an error, never ignored.
 //
-//	topo random nodes=<n> degree=<f> [seed=<n>] [mindelay=<n>] [maxdelay=<n>]
-//	topo file <path>
-//	topo edges <a>-<b>[:<delay>] ...
+//	topo random nodes=<n> degree=<f> [seed=<n>] [mindelay=<n>] [maxdelay=<n>] | file <path> | edges <a>-<b>[:<delay>]...
 //	unicast oracle|dv|ls
-//	group <name> [rp <router>]          # rp doubles as the CBT core
+//	group <name> [rp <router>...]       # RP candidates in order; the first doubles as the CBT core
 //	faultseed <n>                       # seed of the loss/reorder streams (default 1)
-//	protocol <name> [spt=immediate|never|threshold] [aggregate] [prune=<dur>]
-//	protocol pim-sm dense=<router>,...  # mixed sparse/dense internet (§4)
-//	protocol ... [timers=fast]          # shrunk soft-state clocks (fault scenarios)
 //	host <name> <router>
+//	protocol <name> [aggregate] [spt=immediate|never|threshold] [prune=<dur>] [timers=fast] [dense=<router>,...]
+//	at <time> <verb> ...                # the verbs follow
+//	run <duration>
+//	expect <subject> <op> <value>       # the subjects follow; op: >= <= == != > <
+//
 //	at <time> join <host> <group>
 //	at <time> leave <host> <group>
-//	at <time> send <host> <group> [count=<n>] [every=<dur>] [size=<n>]
-//	at <time> linkdown <edge> | linkup <edge>
-//	at <time> loss <edge>|all <rate> [control|data]   # Bernoulli loss; rate 0 clears
+//	at <time> send <host> <group> [count=<n>] [every=<dur>] [size=<n>]   # size 8..scenario.MaxDataSize, default 128
+//	at <time> linkdown <edge>
+//	at <time> linkup <edge>
+//	at <time> loss <edge>|all <rate> [control|data]       # Bernoulli loss; rate 0 clears
 //	at <time> reorder <edge>|all <window> [control|data]  # bounded reordering; 0 clears
 //	at <time> flap <edge> [down=<dur>] [up=<dur>] [cycles=<n>]
-//	at <time> crash <router> | restart <router>
-//	at <time> partition <edge> ... | heal
-//	run <duration>
-//	expect <host> received <group> <op> <n>      # op: >= <= == != > <
-//	expect router <router> state <op> <n>
-//	expect links-with-data <op> <n>
-//	expect violations <op> <n>          # invariant-checker violations (checked runs)
+//	at <time> crash <router>
+//	at <time> restart <router>
+//	at <time> partition <edge>...
+//	at <time> heal
 //
-// Routers are written r0, r1, ... (or bare indexes); durations use Go-like
-// suffixes (150ms, 2s, 1m).
+//	expect <host> received <group> <op> <n>
+//	expect router <router> state <op> <n>
+//	expect <host> mean-delay <group> <op> <dur>
+//	expect violations <op> <n>          # invariant-checker violations (checked runs)
+//	expect links-with-data <op> <n>
+//
+// Routers are written r0, r1, ... (or bare indexes), edges by their index in
+// the topology; durations use Go-like suffixes (150ms, 2s, 1m; bare numbers
+// are seconds). topo, unicast, group, faultseed and host are declarations:
+// they take effect before the protocol deploys wherever they stand. The other
+// statements execute in order, and an `at` time counts from the script clock
+// at its statement — deployment plus every preceding `run` — not from zero.
 //
 // A protocol statement is a scenario.Recipe written out: <name> is one of
 // scenario.ProtocolNames (pim-sm, pim-sm-shared, pim-dm, dvmrp, cbt, mospf),
 // spt= and aggregate apply to sparse mode, prune= to the flood-and-prune
-// protocols, and timers=fast selects the recipe's one fast timer grade.
+// protocols, timers=fast selects the recipe's one fast timer grade (shrunk
+// soft-state clocks; fault scenarios depend on it), and dense= turns pim-sm
+// into the mixed sparse/dense internet of §4 with the listed routers dense.
 //
 // A script that declares `expect violations` runs with the invariant checker
 // attached regardless of RunConfig — the expectation is the scenario's
@@ -59,6 +72,8 @@ package script
 import (
 	"cmp"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
@@ -100,19 +115,161 @@ func (s *Script) Body() string { return s.body }
 // golden section.
 func (s *Script) Golden() []string { return s.golden }
 
-type stmt struct {
-	line int
-	kind string
-	args []string
-	kv   map[string]string
+// row is one line of the grammar: a statement or an `at` verb. Parse checks a
+// line's operands against its row and every usage error is printed from it,
+// so adding a form to the language is adding a row.
+type row struct {
+	name     string
+	synopsis string   // operands, exactly as the package comment's grammar prints them
+	min, max int      // positional operand count; max < 0 is unbounded
+	keys     []string // the key=value operands the form accepts
+	// Statement rows: decl marks a declaration (executed before any ordered
+	// statement, wherever it stands), run executes the statement, and verbs,
+	// on the `at` row, is the table its <verb> operand selects from.
+	decl  bool
+	run   func(*runner, *stmt) error
+	verbs []row
+	// Verb rows: act resolves the operands and returns the action plus the
+	// node whose scheduler runs it; a nil node means the root scheduler.
+	act func(*runner, *stmt) (fn func(), on *netsim.Node, err error)
 }
 
-func (st stmt) errf(format string, a ...interface{}) error {
+// statements is the statement table, in the order the grammar lists it.
+var statements = []row{
+	{name: "topo", synopsis: "random nodes=<n> degree=<f> [seed=<n>] [mindelay=<n>] [maxdelay=<n>] | file <path> | edges <a>-<b>[:<delay>]...",
+		min: 1, max: -1, keys: []string{"nodes", "degree", "seed", "mindelay", "maxdelay"}, decl: true, run: (*runner).doTopo},
+	{name: "unicast", synopsis: "oracle|dv|ls", min: 1, max: 1, decl: true, run: (*runner).doUnicast},
+	{name: "group", synopsis: "<name> [rp <router>...]", min: 1, max: -1, decl: true, run: (*runner).doGroup},
+	{name: "faultseed", synopsis: "<n>", min: 1, max: 1, decl: true, run: (*runner).doFaultSeed},
+	{name: "host", synopsis: "<name> <router>", min: 2, max: 2, decl: true, run: (*runner).doHost},
+	{name: "protocol", synopsis: "<name> [aggregate] [spt=immediate|never|threshold] [prune=<dur>] [timers=fast] [dense=<router>,...]",
+		min: 1, max: 2, keys: []string{"spt", "prune", "timers", "dense"}, run: (*runner).deploy},
+	{name: "at", synopsis: "<time> <verb> ...", min: 2, max: -1, run: (*runner).doAt, verbs: verbs},
+	{name: "run", synopsis: "<duration>", min: 1, max: 1, run: (*runner).doRun},
+	{name: "expect", synopsis: "<subject> <op> <value>", min: 3, max: -1, run: (*runner).doExpect},
+}
+
+// verbs is the `at` verb table. Globally scoped verbs (link state, loss
+// models, crash/restart) return no node and run as root-scheduler actions:
+// under sharded execution they fire at epoch barriers with every shard
+// quiesced. Verbs that touch a single host (join/leave/send) return that
+// host's node and run on its scheduler, so the membership change or packet
+// send originates inside its shard exactly as it would sequentially.
+var verbs = []row{
+	{name: "join", synopsis: "<host> <group>", min: 2, max: 2, act: (*runner).membership},
+	{name: "leave", synopsis: "<host> <group>", min: 2, max: 2, act: (*runner).membership},
+	{name: "send", synopsis: "<host> <group> [count=<n>] [every=<dur>] [size=<n>]", min: 2, max: 2,
+		keys: []string{"count", "every", "size"}, act: (*runner).send},
+	{name: "linkdown", synopsis: "<edge>", min: 1, max: 1, act: (*runner).linkState},
+	{name: "linkup", synopsis: "<edge>", min: 1, max: 1, act: (*runner).linkState},
+	{name: "loss", synopsis: "<edge>|all <rate> [control|data]", min: 2, max: 3, act: (*runner).impair},
+	{name: "reorder", synopsis: "<edge>|all <window> [control|data]", min: 2, max: 3, act: (*runner).impair},
+	{name: "flap", synopsis: "<edge> [down=<dur>] [up=<dur>] [cycles=<n>]", min: 1, max: 1,
+		keys: []string{"down", "up", "cycles"}, act: (*runner).flap},
+	{name: "crash", synopsis: "<router>", min: 1, max: 1, act: (*runner).lifecycle},
+	{name: "restart", synopsis: "<router>", min: 1, max: 1, act: (*runner).lifecycle},
+	{name: "partition", synopsis: "<edge>...", min: 1, max: -1, act: (*runner).split},
+	{name: "heal", act: (*runner).split},
+}
+
+// subject is one thing an expectation can measure. Every expectation is a
+// subject's form followed by `<op> <value>`, compared through operators.
+type subject struct {
+	form    string // the operands before the tail; bare words are keywords
+	dur     bool   // <value> is a duration (compared in microseconds), not a count
+	measure func(r *runner, st *stmt, a []string) (got int64, note string, err error)
+}
+
+// subjects is the expectation table; the first form a line matches wins. A
+// negative measurement means there was nothing to measure: the expectation
+// fails whatever its operator, with note as the reason. Otherwise note is
+// appended to the failure report.
+var subjects = []subject{
+	{form: "<host> received <group>", measure: (*runner).received},
+	{form: "router <router> state", measure: (*runner).routerState},
+	{form: "<host> mean-delay <group>", dur: true, measure: (*runner).meanDelay},
+	{form: "violations", measure: (*runner).violationCount},
+	{form: "links-with-data", measure: (*runner).linksWithData},
+}
+
+// operators is the one comparison table, for counts and durations alike.
+var operators = map[string]func(got, want int64) bool{
+	">=": func(g, w int64) bool { return g >= w },
+	"<=": func(g, w int64) bool { return g <= w },
+	"==": func(g, w int64) bool { return g == w },
+	"!=": func(g, w int64) bool { return g != w },
+	">":  func(g, w int64) bool { return g > w },
+	"<":  func(g, w int64) bool { return g < w },
+}
+
+// alnum reports whether c may start the key of a key=value operand.
+func alnum(c byte) bool {
+	return c >= '0' && c <= '9' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
+}
+
+func find(table []row, name string) *row {
+	for i := range table {
+		if table[i].name == name {
+			return &table[i]
+		}
+	}
+	return nil
+}
+
+// stmt is one parsed line: its statement row, for `at` its time and verb row,
+// and the operands — of the verb, for `at` — split into positional and
+// key=value.
+type stmt struct {
+	line int
+	row  *row
+	when string
+	verb *row
+	args []string
+	keys []string // key=value operands in source order; kv holds their values
+	kv   map[string]string
+	// err remembers the first malformed key=value operand a handler read
+	// (see keyed), so a handler reads all its keys and checks once.
+	err error
+}
+
+func (st *stmt) errf(format string, a ...interface{}) error {
 	return fmt.Errorf("line %d: %s", st.line, fmt.Sprintf(format, a...))
 }
 
+// usage is the error for operands that do not fit the form, spelled from its
+// row.
+func (st *stmt) usage() error { return st.errf("syntax: %s", st.syntax()) }
+
+func (st *stmt) syntax() string {
+	if st.verb != nil {
+		return strings.TrimSpace("at <time> " + st.verb.name + " " + st.verb.synopsis)
+	}
+	return st.row.name + " " + st.row.synopsis
+}
+
+// check holds the operands to their row — the verb's, for `at`: no key the
+// row does not declare, and a positional count inside its arity.
+func (st *stmt) check() error {
+	form := st.row
+	if st.verb != nil {
+		form = st.verb
+	}
+	for _, k := range st.keys {
+		if !slices.Contains(form.keys, k) {
+			return st.errf("%s does not take %s= (syntax: %s)", form.name, k, st.syntax())
+		}
+	}
+	if n := len(st.args); n < form.min || (form.max >= 0 && n > form.max) {
+		return st.usage()
+	}
+	return nil
+}
+
 // Parse reads a scenario from text. A line equal to GoldenMarker splits the
-// file: statements before it, the recorded golden digest after it.
+// file: statements before it, the recorded golden digest after it. Each
+// statement is checked against its table row, so an unknown statement or
+// verb, a wrong operand count and an undeclared key=value operand are all
+// parse errors; operand values are resolved when the script runs.
 func Parse(text string) (*Script, error) {
 	s := &Script{body: text}
 	if body, rest, ok := cutGolden(text); ok {
@@ -125,7 +282,6 @@ func Parse(text string) (*Script, error) {
 		}
 	}
 	for i, raw := range strings.Split(s.body, "\n") {
-		line := i + 1
 		if idx := strings.IndexByte(raw, '#'); idx >= 0 {
 			raw = raw[:idx]
 		}
@@ -133,18 +289,33 @@ func Parse(text string) (*Script, error) {
 		if len(fields) == 0 {
 			continue
 		}
-		st := stmt{line: line, kind: fields[0], kv: map[string]string{}}
+		st := stmt{line: i + 1, kv: map[string]string{}}
+		if st.row = find(statements, fields[0]); st.row == nil {
+			return nil, st.errf("unknown statement %q", fields[0])
+		}
+		// A field is a key=value operand when its key starts with a letter
+		// or a digit; comparison operators (>=, ==) stay positional.
 		for _, f := range fields[1:] {
-			if k, v, ok := strings.Cut(f, "="); ok && k != "" && st.kind != "expect" {
-				st.kv[k] = v
-			} else {
+			k, v, ok := strings.Cut(f, "=")
+			if !ok || k == "" || !alnum(k[0]) {
 				st.args = append(st.args, f)
+			} else if _, dup := st.kv[k]; dup {
+				return nil, st.errf("%s= given twice", k)
+			} else {
+				st.keys, st.kv[k] = append(st.keys, k), v
 			}
 		}
-		switch st.kind {
-		case "topo", "unicast", "group", "protocol", "host", "at", "run", "expect", "faultseed":
-		default:
-			return nil, fmt.Errorf("line %d: unknown statement %q", line, st.kind)
+		if st.row.verbs != nil {
+			if len(st.args) < st.row.min {
+				return nil, st.usage()
+			}
+			if st.verb = find(st.row.verbs, st.args[1]); st.verb == nil {
+				return nil, st.errf("unknown action %q", st.args[1])
+			}
+			st.when, st.args = st.args[0], st.args[2:]
+		}
+		if err := st.check(); err != nil {
+			return nil, err
 		}
 		s.stmts = append(s.stmts, st)
 	}
@@ -187,13 +358,9 @@ type Result struct {
 	Log []string
 	// Delivered maps "<host>/<group>" to reception counts.
 	Delivered map[string]int
-	// Checker is the single invariant checker of a checked sequential run;
-	// nil when unchecked, when the deployment is not covered (the mixed
-	// sparse/dense interop form), or when a sharded run attached one checker
-	// per lane — read Violations either way.
-	Checker *telemetry.Checker
 	// Violations aggregates invariant-checker findings across every lane,
-	// sorted by time then router (nil on unchecked runs).
+	// sorted by time then router (nil on unchecked runs, and for the mixed
+	// sparse/dense interop form, which the checker does not cover).
 	Violations []telemetry.Violation
 	// Events is the canonical captured telemetry stream of a Captured run:
 	// per-shard lane buffers concatenated and stable-sorted by (At, Router),
@@ -210,7 +377,7 @@ func (r *Result) OK() bool { return len(r.Failures) == 0 }
 // verdict — from ordinary scenarios, where any violation is a failure.
 func (s *Script) ExpectsViolations() bool {
 	for _, st := range s.stmts {
-		if st.kind == "expect" && len(st.args) > 0 && st.args[0] == "violations" {
+		if st.row.name == "expect" && st.args[0] == "violations" {
 			return true
 		}
 	}
@@ -227,36 +394,26 @@ type hostRef struct {
 }
 
 type runner struct {
+	// cfg is the execution mode RunWith was handed (Checked already forced
+	// on where the script or FailFast requires it).
+	cfg   RunConfig
 	sim   *scenario.Sim
 	graph *topology.Graph
 
-	uniMode  scenario.UnicastMode
-	groups   map[string]addr.IP
-	groupRP  map[addr.IP][]int // group -> ordered RP/core router indexes
-	hosts    map[string]*hostRef
-	stateFn  func(router int) int
-	deployed bool
-	// dep is the uniform crash/restart surface; nil for the mixed
-	// sparse/dense deployment, which has no whole-router lifecycle.
+	uniMode scenario.UnicastMode
+	groups  map[string]addr.IP
+	groupRP map[addr.IP][]int // group -> ordered RP/core router indexes
+	hosts   map[string]*hostRef
+	// stateFn reads one router's entry count; non-nil once a protocol is
+	// deployed.
+	stateFn func(router int) int
+	// dep is the uniform crash/restart and invariant-checker surface; nil
+	// for the mixed sparse/dense deployment, which has neither.
 	dep scenario.Deployment
-	// shards is the partition count shardable runs execute under
-	// (RunConfig.Shards).
-	shards int
-	// checked attaches the telemetry bus and online invariant checker to
-	// the deployment (RunConfig.Checked); checker holds it after deploy.
-	// failFast additionally arms the checker's first-violation halt. bus,
-	// when non-nil, is an externally supplied event bus (RunConfig.Bus)
-	// whose subscribers — samplers, probes — observe the deployment.
-	checked  bool
-	failFast bool
-	bus      *telemetry.Bus
-	checker  *telemetry.Checker
-	// captured (RunConfig.Captured) records the deployment's event stream
-	// on per-shard lanes; laneEvents[i] is appended only by shard i's
-	// goroutine, so capture stays race-free under parallel execution.
-	captured   bool
-	lanes      []*telemetry.Bus
-	laneEvents [][]telemetry.Event
+	// lanes[i] is the event stream shard i published on a Captured run. It is
+	// appended only by shard i's goroutine, so capture stays race-free under
+	// parallel execution.
+	lanes [][]telemetry.Event
 	// inj is the lazily created fault injector (loss/reorder/flap/partition
 	// verbs); faultSeed is the stream seed it is created with (the
 	// `faultseed` statement; default 1).
@@ -280,12 +437,12 @@ func (r *runner) injector() *faults.Injector {
 // RunConfig selects the script execution mode; the zero value is the plain
 // sequential-or-sharded run with no observation attached.
 type RunConfig struct {
-	// Checked attaches a telemetry bus and the online §3.8 invariant
-	// checker (forced on when the script declares `expect violations`).
+	// Checked attaches the online §3.8 invariant checker, one per shard
+	// (forced on when the script declares `expect violations`).
 	Checked bool
 	// FailFast additionally arms the checker's first-violation halt: the
 	// simulation freezes at the violation instant and the rest of the
-	// scripted run is skipped. Implies Checked.
+	// scripted run is skipped. Implies Checked; pins the run to one shard.
 	FailFast bool
 	// Bus, when non-nil, is an externally supplied event bus whose
 	// subscribers (samplers, convergence probes) observe the deployment;
@@ -295,8 +452,8 @@ type RunConfig struct {
 	// returns the canonical merged stream in Result.Events: lane buffers
 	// concatenated and stable-sorted by (At, Router), preserving each
 	// router's publication order while normalizing cross-router
-	// same-instant interleaving — identical for any shard count. This is
-	// the sharded observation path and every equivalence gate's witness.
+	// same-instant interleaving — identical for any shard count, which makes
+	// it every equivalence gate's witness.
 	Captured bool
 	// Shards is the partition count the run executes under (0 or 1 =
 	// sequential). Runs that must stay sequential — see RunWith — ignore it.
@@ -304,72 +461,38 @@ type RunConfig struct {
 }
 
 // RunWith is the single execution entrypoint: it runs the script in the
-// mode cfg selects and folds every observation — checker, violations, the
-// captured canonical stream — into the Result. The zero RunConfig is the
-// plain run.
+// mode cfg selects and folds every observation — violations, the captured
+// canonical stream — into the Result. The zero RunConfig is the plain run.
 //
-// Sharding: unchecked and captured runs execute under cfg.Shards; a
-// captured checked run attaches one checker per lane (read
-// Result.Violations). Runs with an external Bus, checked
-// uncaptured runs, and FailFast runs pin to sequential execution — their
-// consumers share one bus, which parallel shards would race on.
+// Sharding: a run executes under cfg.Shards, observed or not — capture and
+// the checker ride one telemetry lane per shard. Four things pin it to
+// sequential execution instead: an external Bus (one bus, which parallel
+// shards would race on), FailFast (a shard goroutine must not halt the root
+// scheduler), MOSPF (its routers share one link-state Domain) and the mixed
+// sparse/dense interop form.
 func (s *Script) RunWith(cfg RunConfig) (*Result, error) {
 	// A recorded-verdict scenario needs its checker regardless of how the
 	// caller invoked it: the violation count is part of the outcome.
-	if s.ExpectsViolations() {
-		cfg.Checked = true
-	}
-	if cfg.FailFast {
-		cfg.Checked = true
-	}
+	cfg.Checked = cfg.Checked || cfg.FailFast || s.ExpectsViolations()
 	r := &runner{
-		shards:    cfg.Shards,
-		checked:   cfg.Checked,
-		failFast:  cfg.FailFast,
-		bus:       cfg.Bus,
-		captured:  cfg.Captured,
+		cfg:       cfg,
 		faultSeed: 1,
 		groups:    map[string]addr.IP{},
 		groupRP:   map[addr.IP][]int{},
 		hosts:     map[string]*hostRef{},
 		res:       &Result{Delivered: map[string]int{}},
 	}
-	// Pass 1: structure (topology, unicast mode, groups, hosts) so the
-	// script order of declarations versus the protocol statement does not
-	// matter.
-	for _, st := range s.stmts {
-		var err error
-		switch st.kind {
-		case "topo":
-			err = r.doTopo(st)
-		case "unicast":
-			err = r.doUnicast(st)
-		case "group":
-			err = r.doGroup(st)
-		case "host":
-			err = r.doHost(st)
-		case "faultseed":
-			err = r.doFaultSeed(st)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Pass 2: deployment, timed actions, runs, and expectations in order.
-	for _, st := range s.stmts {
-		var err error
-		switch st.kind {
-		case "protocol":
-			err = r.deploy(st)
-		case "at":
-			err = r.doAt(st)
-		case "run":
-			err = r.doRun(st)
-		case "expect":
-			err = r.doExpect(st)
-		}
-		if err != nil {
-			return nil, err
+	// Declarations first (topology, unicast mode, groups, hosts), so their
+	// position relative to the protocol statement does not matter; then
+	// deployment, timed actions, runs and expectations in script order.
+	for _, decl := range []bool{true, false} {
+		for _, st := range s.stmts {
+			if st.row.decl != decl {
+				continue
+			}
+			if err := st.row.run(r, &st); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for name, h := range r.hosts {
@@ -380,138 +503,86 @@ func (s *Script) RunWith(cfg RunConfig) (*Result, error) {
 	// Canonical captured stream: concatenate the per-shard lane buffers and
 	// stable-sort by (At, Router). Within one router all events come from
 	// one lane in publication order, which the stable sort preserves.
-	if r.captured {
-		for _, buf := range r.laneEvents {
-			r.res.Events = append(r.res.Events, buf...)
-		}
-		slices.SortStableFunc(r.res.Events, func(x, y telemetry.Event) int {
-			if x.At != y.At {
-				return cmp.Compare(x.At, y.At)
-			}
-			return cmp.Compare(x.Router, y.Router)
-		})
+	for _, buf := range r.lanes {
+		r.res.Events = append(r.res.Events, buf...)
 	}
-	r.res.Checker = r.checker
-	if r.checked {
-		r.res.Violations = r.violations()
+	slices.SortStableFunc(r.res.Events, func(x, y telemetry.Event) int {
+		if x.At != y.At {
+			return cmp.Compare(x.At, y.At)
+		}
+		return cmp.Compare(x.Router, y.Router)
+	})
+	if r.dep != nil {
+		r.res.Violations = r.dep.Violations()
 	}
 	return r.res, nil
 }
 
-// violations aggregates the run's invariant-checker findings: across every
-// lane of a uniform deployment, or from the single externally attached
-// checker otherwise. Nil when no checker observed the run.
-func (r *runner) violations() []telemetry.Violation {
-	if r.dep != nil {
-		return r.dep.Violations()
-	}
-	if r.checker != nil {
-		return r.checker.Violations()
-	}
-	return nil
-}
+// --- statements ---
 
-func (r *runner) doTopo(st stmt) error {
+func (r *runner) doTopo(st *stmt) error {
 	if r.graph != nil {
 		return st.errf("duplicate topo")
 	}
-	if len(st.args) == 0 {
-		return st.errf("topo needs a form: random | file <path> | edges ...")
-	}
-	switch st.args[0] {
+	// The file and edges forms both end in topology.ParseEdgeList: an edge
+	// operand <a>-<b>[:<delay>] is the edge-list line "a b [delay]".
+	var list io.Reader
+	switch rest := st.args[1:]; st.args[0] {
 	case "random":
-		nodes, err := st.intKV("nodes", 0)
-		if err != nil || nodes <= 0 {
-			return st.errf("topo random needs nodes=<n>")
+		nodes, seed, minD := st.intKV("nodes", 0), st.intKV("seed", 1), st.intKV("mindelay", 1)
+		degree, maxD := keyed(st, "degree", 4, finite), st.intKV("maxdelay", minD)
+		if st.err != nil {
+			return st.err
 		}
-		degree, err := st.floatKV("degree", 4)
-		if err != nil {
-			return err
-		}
-		seed, err := st.intKV("seed", 1)
-		if err != nil {
-			return err
-		}
-		minD, err := st.intKV("mindelay", 1)
-		if err != nil {
-			return err
-		}
-		maxD, err := st.intKV("maxdelay", minD)
-		if err != nil {
-			return err
+		if nodes <= 0 || len(rest) > 0 {
+			return st.usage()
 		}
 		r.graph = topology.Random(topology.GenConfig{
 			Nodes: nodes, Degree: degree,
 			MinDelay: int64(minD), MaxDelay: int64(maxD),
 		}, rand.New(rand.NewSource(int64(seed))))
 	case "file":
-		if len(st.args) != 2 {
-			return st.errf("topo file needs a path")
+		if len(rest) != 1 {
+			return st.usage()
 		}
-		f, err := os.Open(st.args[1])
+		f, err := os.Open(rest[0])
 		if err != nil {
 			return st.errf("%v", err)
 		}
 		defer f.Close()
-		g, err := topology.ParseEdgeList(f)
+		list = f
+	case "edges":
+		if len(rest) == 0 {
+			return st.usage()
+		}
+		var text strings.Builder
+		for _, spec := range rest {
+			ends, delay, colon := strings.Cut(spec, ":")
+			a, b, dash := strings.Cut(ends, "-")
+			if !dash || (colon && delay == "") {
+				return st.errf("bad edge %q (want <a>-<b>[:<delay>])", spec)
+			}
+			fmt.Fprintln(&text, a, b, delay)
+		}
+		list = strings.NewReader(text.String())
+	default:
+		return st.errf("unknown topo form %q", st.args[0])
+	}
+	if list != nil {
+		if len(st.keys) > 0 {
+			return st.usage()
+		}
+		g, err := topology.ParseEdgeList(list)
 		if err != nil {
 			return st.errf("%v", err)
 		}
 		r.graph = g
-	case "edges":
-		type edge struct {
-			a, b int
-			d    int64
-		}
-		var edges []edge
-		maxNode := -1
-		for _, spec := range st.args[1:] {
-			delay := int64(1)
-			epart := spec
-			if ep, dp, ok := strings.Cut(spec, ":"); ok {
-				epart = ep
-				d, err := strconv.ParseInt(dp, 10, 64)
-				if err != nil || d <= 0 {
-					return st.errf("bad delay in %q", spec)
-				}
-				delay = d
-			}
-			as, bs, ok := strings.Cut(epart, "-")
-			if !ok {
-				return st.errf("bad edge %q (want a-b[:delay])", spec)
-			}
-			a, errA := strconv.Atoi(as)
-			b, errB := strconv.Atoi(bs)
-			if errA != nil || errB != nil || a < 0 || b < 0 || a == b {
-				return st.errf("bad edge %q", spec)
-			}
-			edges = append(edges, edge{a, b, delay})
-			if a > maxNode {
-				maxNode = a
-			}
-			if b > maxNode {
-				maxNode = b
-			}
-		}
-		if len(edges) == 0 {
-			return st.errf("topo edges needs at least one edge")
-		}
-		g := topology.New(maxNode + 1)
-		for _, e := range edges {
-			g.AddEdge(e.a, e.b, e.d)
-		}
-		r.graph = g
-	default:
-		return st.errf("unknown topo form %q", st.args[0])
 	}
 	r.sim = scenario.Build(r.graph)
 	return nil
 }
 
-func (r *runner) doFaultSeed(st stmt) error {
-	if len(st.args) != 1 {
-		return st.errf("faultseed syntax: faultseed <n>")
-	}
+func (r *runner) doFaultSeed(st *stmt) error {
 	n, err := strconv.ParseInt(st.args[0], 10, 64)
 	if err != nil {
 		return st.errf("bad faultseed %q", st.args[0])
@@ -520,53 +591,46 @@ func (r *runner) doFaultSeed(st stmt) error {
 	return nil
 }
 
-func (r *runner) doUnicast(st stmt) error {
-	if len(st.args) != 1 {
-		return st.errf("unicast needs oracle|dv|ls")
-	}
-	switch st.args[0] {
-	case "oracle":
-		r.uniMode = scenario.UseOracle
-	case "dv":
-		r.uniMode = scenario.UseDV
-	case "ls":
-		r.uniMode = scenario.UseLS
-	default:
+var unicastModes = map[string]scenario.UnicastMode{
+	"oracle": scenario.UseOracle, "dv": scenario.UseDV, "ls": scenario.UseLS,
+}
+
+func (r *runner) doUnicast(st *stmt) error {
+	mode, ok := unicastModes[st.args[0]]
+	if !ok {
 		return st.errf("unknown unicast mode %q", st.args[0])
 	}
+	r.uniMode = mode
 	return nil
 }
 
-func (r *runner) doGroup(st stmt) error {
-	if len(st.args) < 1 {
-		return st.errf("group needs a name")
-	}
+func (r *runner) doGroup(st *stmt) error {
 	name := st.args[0]
 	if _, dup := r.groups[name]; dup {
 		return st.errf("duplicate group %q", name)
 	}
+	var rps []string
+	if len(st.args) > 1 {
+		if len(st.args) < 3 || st.args[1] != "rp" {
+			return st.usage()
+		}
+		rps = st.args[2:]
+	}
 	g := addr.GroupForIndex(len(r.groups))
 	r.groups[name] = g
-	if len(st.args) >= 3 && st.args[1] == "rp" {
-		for _, arg := range st.args[2:] {
-			idx, err := r.routerIndex(st, arg)
-			if err != nil {
-				return err
-			}
-			r.groupRP[g] = append(r.groupRP[g], idx)
+	for _, arg := range rps {
+		idx, err := r.routerIndex(st, arg)
+		if err != nil {
+			return err
 		}
-	} else if len(st.args) != 1 {
-		return st.errf("group syntax: group <name> [rp <router>...]")
+		r.groupRP[g] = append(r.groupRP[g], idx)
 	}
 	return nil
 }
 
-func (r *runner) doHost(st stmt) error {
+func (r *runner) doHost(st *stmt) error {
 	if r.sim == nil {
 		return st.errf("host before topo")
-	}
-	if len(st.args) != 2 {
-		return st.errf("host syntax: host <name> <router>")
 	}
 	name := st.args[0]
 	if _, dup := r.hosts[name]; dup {
@@ -594,97 +658,85 @@ func (r *runner) doHost(st stmt) error {
 	return nil
 }
 
-// deployOpts returns the options shared by every protocol statement.
-func (r *runner) deployOpts() []scenario.DeployOption {
-	var opts []scenario.DeployOption
-	if r.bus != nil {
-		opts = append(opts, scenario.WithTelemetry(r.bus))
-	}
-	if r.lanes != nil {
-		opts = append(opts, scenario.WithTelemetry(r.lanes[0]))
-		if len(r.lanes) > 1 {
-			opts = append(opts, scenario.WithShardTelemetry(r.lanes))
+// observe returns the deployment options cfg selects — the event lanes and
+// the checker — after subscribing the capture buffers. An external Bus is the
+// one lane of its (sequential) run; a captured run without one gets a fresh
+// lane per shard; a run that is only checked leaves the lanes to the
+// deployment.
+func (r *runner) observe() []scenario.DeployOption {
+	var lanes []*telemetry.Bus
+	if r.cfg.Bus != nil {
+		lanes = []*telemetry.Bus{r.cfg.Bus}
+	} else if r.cfg.Captured {
+		for range r.sim.Net.ShardCount() {
+			lanes = append(lanes, telemetry.NewBus())
 		}
 	}
-	if r.failFast {
+	if r.cfg.Captured {
+		r.lanes = make([][]telemetry.Event, len(lanes))
+		for i, lane := range lanes {
+			lane.Subscribe(func(ev telemetry.Event) { r.lanes[i] = append(r.lanes[i], ev) })
+		}
+	}
+	opts := []scenario.DeployOption{scenario.WithTelemetry(lanes...)}
+	if r.cfg.FailFast {
 		opts = append(opts, scenario.WithFailFast())
-	} else if r.checked {
+	} else if r.cfg.Checked {
 		opts = append(opts, scenario.WithInvariantChecker())
 	}
 	return opts
 }
 
-func (r *runner) deploy(st stmt) error {
+func (r *runner) deploy(st *stmt) error {
 	if r.sim == nil {
 		return st.errf("protocol before topo")
 	}
-	if r.deployed {
+	if r.stateFn != nil {
 		return st.errf("duplicate protocol statement")
 	}
-	if len(st.args) < 1 {
-		return st.errf("protocol needs a name")
+	if len(st.args) == 2 && st.args[1] != "aggregate" {
+		return st.usage()
 	}
-	// Shard before the unicast substrate schedules its first event.
-	// Externally instrumented runs, checked uncaptured runs, and fail-fast
-	// runs stay sequential (their consumers share one bus); a captured
-	// checked run shards fine — the deployment attaches one checker per
-	// lane, and the §3.8 invariants are per-router, so each lane checker
-	// sees everything it needs. MOSPF pins to one shard (shared link-state
-	// Domain), as does the mixed sparse/dense interop form.
-	if r.bus == nil && (!r.checked || r.captured) && !r.failFast &&
-		st.args[0] != "mospf" && st.kv["dense"] == "" {
-		r.sim.AutoShardN(r.shards)
+	if t, ok := st.kv["timers"]; ok && t != "fast" {
+		return st.errf("unknown timers=%q (want fast)", t)
 	}
-	if r.captured {
-		nlanes := r.sim.Net.ShardCount()
-		r.laneEvents = make([][]telemetry.Event, nlanes)
-		for i := 0; i < nlanes; i++ {
-			i := i
-			lane := telemetry.NewBus()
-			lane.Subscribe(func(ev telemetry.Event) {
-				r.laneEvents[i] = append(r.laneEvents[i], ev)
-			})
-			r.lanes = append(r.lanes, lane)
-		}
-	}
-	r.sim.FinishUnicast(r.uniMode)
-	r.sim.Run(r.sim.ConvergenceTime())
-
 	// The statement is a scenario.Recipe written out: the protocol name, the
 	// groups' RP lists (CBT takes the first as its core), and the values the
 	// key=value operands vary. timers=fast selects the recipe's fast
 	// soft-state grade; fault scenarios — hand-written and search-emitted
 	// alike — depend on it.
 	rec := scenario.Recipe{
-		Protocol:  st.args[0],
-		Anchors:   map[addr.IP][]addr.IP{},
-		SPT:       st.kv["spt"],
-		Aggregate: slices.Contains(st.args[1:], "aggregate"),
+		Protocol:   st.args[0],
+		Anchors:    map[addr.IP][]addr.IP{},
+		PruneHold:  st.durKV("prune", 0),
+		SPT:        st.kv["spt"],
+		Aggregate:  len(st.args) == 2,
+		FastTimers: st.kv["timers"] == "fast",
 	}
+	if st.err != nil {
+		return st.err
+	}
+	dense, mixed := st.kv["dense"]
+	if mixed && rec.Protocol != "pim-sm" {
+		return st.errf("dense= applies to pim-sm only")
+	}
+	// Shard before the unicast substrate schedules its first event, unless
+	// the run is one RunWith lists as sequential.
+	if r.cfg.Bus == nil && !r.cfg.FailFast && rec.Protocol != "mospf" && !mixed {
+		r.sim.AutoShardN(r.cfg.Shards)
+	}
+	opts := r.observe()
+	r.sim.FinishUnicast(r.uniMode)
+	r.sim.Run(r.sim.ConvergenceTime())
+
 	for _, g := range r.groups {
-		for _, idx := range r.groupRP[g] {
-			rec.Anchors[g] = append(rec.Anchors[g], r.sim.RouterAddr(idx))
-		}
+		rec.Anchors[g] = r.rpAddrs(g)
 	}
-	switch st.kv["timers"] {
-	case "":
-	case "fast":
-		rec.FastTimers = true
-	default:
-		return st.errf("unknown timers=%q (want fast)", st.kv["timers"])
-	}
-	if v, ok := st.kv["prune"]; ok {
-		d, err := parseDuration(v)
-		if err != nil {
-			return st.errf("bad prune=%q", v)
-		}
-		rec.PruneHold = d
-	}
-	if v, ok := st.kv["dense"]; ok && rec.Protocol == "pim-sm" {
+	if mixed {
 		// Mixed sparse/dense internet (§4): dense=3,4 marks dense-mode
 		// routers; adjacent sparse routers become borders.
 		denseSet := map[int]bool{}
-		for _, part := range strings.Split(v, ",") {
+		for _, part := range strings.Split(dense, ",") {
 			idx, err := r.routerIndex(st, part)
 			if err != nil {
 				return err
@@ -697,15 +749,12 @@ func (r *runner) deploy(st stmt) error {
 		}
 		r.stateFn = dep.StateAt
 	} else {
-		dep, err := r.sim.DeployRecipe(rec, r.deployOpts()...)
+		dep, err := r.sim.DeployRecipe(rec, opts...)
 		if err != nil {
 			return st.errf("%v", err)
 		}
-		r.dep = dep
-		r.stateFn = dep.StateAt
-		r.checker = dep.Checker()
+		r.dep, r.stateFn = dep, dep.StateAt
 	}
-	r.deployed = true
 	// Neighbor discovery before scripted events begin.
 	r.sim.Run(2 * netsim.Second)
 	r.res.Log = append(r.res.Log,
@@ -713,227 +762,40 @@ func (r *runner) deploy(st stmt) error {
 	return nil
 }
 
-// doAt schedules one timed action. Times are absolute script time measured
-// from deployment.
-func (r *runner) doAt(st stmt) error {
-	if !r.deployed {
+// rpAddrs returns the group's RP candidates as addresses, in declared order.
+func (r *runner) rpAddrs(g addr.IP) []addr.IP {
+	var rps []addr.IP
+	for _, idx := range r.groupRP[g] {
+		rps = append(rps, r.sim.RouterAddr(idx))
+	}
+	return rps
+}
+
+// doAt schedules one timed action, <time> after the script clock as it
+// stands at the statement.
+func (r *runner) doAt(st *stmt) error {
+	if r.stateFn == nil {
 		return st.errf("at before protocol")
 	}
-	if len(st.args) < 2 {
-		return st.errf("at syntax: at <time> <action> ...")
-	}
-	when, err := parseDuration(st.args[0])
+	when, err := parseDuration(st.when)
 	if err != nil {
-		return st.errf("bad time %q", st.args[0])
+		return st.errf("bad time %q", st.when)
 	}
-	action := st.args[1]
-	rest := st.args[2:]
-	// Globally scoped verbs (link flaps, loss models, crash/restart) run as
-	// root-scheduler actions: under sharded execution they fire at epoch
-	// barriers with every shard quiesced. Verbs that touch a single host
-	// (join/leave/send) run on that host's own scheduler instead, so the
-	// membership change or packet send originates inside its shard exactly
-	// as it would sequentially.
-	schedule := func(fn func()) {
-		r.sim.Net.Sched.At(r.sim.Net.Sched.Now()+when, fn)
+	fn, on, err := st.verb.act(r, st)
+	if err != nil {
+		return err
 	}
-	scheduleOn := func(nd *netsim.Node, fn func()) {
-		sched := nd.Sched()
-		sched.At(sched.Now()+when, fn)
+	sched := r.sim.Net.Sched
+	if on != nil {
+		sched = on.Sched()
 	}
-	switch action {
-	case "join", "leave":
-		if len(rest) != 2 {
-			return st.errf("%s syntax: at <t> %s <host> <group>", action, action)
-		}
-		h, g, err := r.hostGroup(st, rest[0], rest[1])
-		if err != nil {
-			return err
-		}
-		if action == "join" {
-			rps := []addr.IP{}
-			for _, idx := range r.groupRP[g] {
-				rps = append(rps, r.sim.RouterAddr(idx))
-			}
-			scheduleOn(h.host.Node, func() { h.host.Join(g, rps...) })
-		} else {
-			scheduleOn(h.host.Node, func() { h.host.Leave(g) })
-		}
-	case "send":
-		if len(rest) != 2 {
-			return st.errf("send syntax: at <t> send <host> <group> [count= every= size=]")
-		}
-		h, g, err := r.hostGroup(st, rest[0], rest[1])
-		if err != nil {
-			return err
-		}
-		count, err := st.intKV("count", 1)
-		if err != nil {
-			return err
-		}
-		size, err := st.intKV("size", 128)
-		if err != nil {
-			return err
-		}
-		every := netsim.Second
-		if v, ok := st.kv["every"]; ok {
-			every, err = parseDuration(v)
-			if err != nil {
-				return st.errf("bad every=%q", v)
-			}
-		}
-		hostSched := h.host.Node.Sched()
-		scheduleOn(h.host.Node, func() {
-			sent := 0
-			var pump func()
-			pump = func() {
-				scenario.SendData(h.host, g, size)
-				sent++
-				if sent < count {
-					hostSched.After(every, pump)
-				}
-			}
-			pump()
-		})
-	case "linkdown", "linkup":
-		if len(rest) != 1 {
-			return st.errf("%s syntax: at <t> %s <edge>", action, action)
-		}
-		link, err := r.edgeLink(st, rest[0])
-		if err != nil {
-			return err
-		}
-		up := action == "linkup"
-		schedule(func() { r.sim.Net.SetLinkUp(link, up) })
-	case "loss":
-		if len(rest) != 2 && len(rest) != 3 {
-			return st.errf("loss syntax: at <t> loss <edge>|all <rate> [control|data]")
-		}
-		var link *netsim.Link
-		if rest[0] != "all" {
-			var err error
-			if link, err = r.edgeLink(st, rest[0]); err != nil {
-				return err
-			}
-		}
-		rate, err := strconv.ParseFloat(rest[1], 64)
-		if err != nil || rate < 0 || rate > 1 {
-			return st.errf("bad loss rate %q (want 0..1)", rest[1])
-		}
-		class := faults.All
-		if len(rest) == 3 {
-			switch rest[2] {
-			case "control":
-				class = faults.ControlOnly
-			case "data":
-				class = faults.DataOnly
-			default:
-				return st.errf("bad loss class %q (want control|data)", rest[2])
-			}
-		}
-		in := r.injector()
-		schedule(func() { in.SetBernoulli(link, rate, class) })
-	case "reorder":
-		if len(rest) != 2 && len(rest) != 3 {
-			return st.errf("reorder syntax: at <t> reorder <edge>|all <window> [control|data]")
-		}
-		var link *netsim.Link
-		if rest[0] != "all" {
-			var err error
-			if link, err = r.edgeLink(st, rest[0]); err != nil {
-				return err
-			}
-		}
-		window, err := parseDuration(rest[1])
-		if err != nil {
-			return st.errf("bad reorder window %q", rest[1])
-		}
-		class := faults.All
-		if len(rest) == 3 {
-			switch rest[2] {
-			case "control":
-				class = faults.ControlOnly
-			case "data":
-				class = faults.DataOnly
-			default:
-				return st.errf("bad reorder class %q (want control|data)", rest[2])
-			}
-		}
-		in := r.injector()
-		schedule(func() { in.SetReorder(link, window, class) })
-	case "flap":
-		if len(rest) != 1 {
-			return st.errf("flap syntax: at <t> flap <edge> [down=<dur>] [up=<dur>] [cycles=<n>]")
-		}
-		link, err := r.edgeLink(st, rest[0])
-		if err != nil {
-			return err
-		}
-		down, up := 5*netsim.Second, 5*netsim.Second
-		if v, ok := st.kv["down"]; ok {
-			if down, err = parseDuration(v); err != nil {
-				return st.errf("bad down=%q", v)
-			}
-		}
-		if v, ok := st.kv["up"]; ok {
-			if up, err = parseDuration(v); err != nil {
-				return st.errf("bad up=%q", v)
-			}
-		}
-		cycles, err := st.intKV("cycles", 1)
-		if err != nil {
-			return err
-		}
-		in := r.injector()
-		schedule(func() { in.Flap(link, 0, down, up, cycles) })
-	case "crash", "restart":
-		if len(rest) != 1 {
-			return st.errf("%s syntax: at <t> %s <router>", action, action)
-		}
-		idx, err := r.routerIndex(st, rest[0])
-		if err != nil {
-			return err
-		}
-		if r.dep == nil {
-			return st.errf("%s is not supported for this deployment", action)
-		}
-		if action == "crash" {
-			schedule(func() { r.dep.Crash(idx) })
-		} else {
-			schedule(func() { r.dep.Restart(idx) })
-		}
-	case "partition":
-		if len(rest) == 0 {
-			return st.errf("partition syntax: at <t> partition <edge> ...")
-		}
-		var links []*netsim.Link
-		for _, spec := range rest {
-			link, err := r.edgeLink(st, spec)
-			if err != nil {
-				return err
-			}
-			links = append(links, link)
-		}
-		in := r.injector()
-		schedule(func() { in.Partition(links...) })
-	case "heal":
-		if len(rest) != 0 {
-			return st.errf("heal syntax: at <t> heal")
-		}
-		in := r.injector()
-		schedule(func() { in.Heal() })
-	default:
-		return st.errf("unknown action %q", action)
-	}
+	sched.At(sched.Now()+when, fn)
 	return nil
 }
 
-func (r *runner) doRun(st stmt) error {
-	if !r.deployed {
+func (r *runner) doRun(st *stmt) error {
+	if r.stateFn == nil {
 		return st.errf("run before protocol")
-	}
-	if len(st.args) != 1 {
-		return st.errf("run syntax: run <duration>")
 	}
 	d, err := parseDuration(st.args[0])
 	if err != nil {
@@ -943,114 +805,238 @@ func (r *runner) doRun(st stmt) error {
 	return nil
 }
 
-func (r *runner) doExpect(st stmt) error {
-	if !r.deployed {
+func (r *runner) doExpect(st *stmt) error {
+	if r.stateFn == nil {
 		return st.errf("expect before protocol")
 	}
-	fail := func(format string, a ...interface{}) {
-		r.res.Failures = append(r.res.Failures,
-			fmt.Sprintf("line %d: %s", st.line, fmt.Sprintf(format, a...)))
-	}
-	a := st.args
-	switch {
-	case len(a) == 5 && a[1] == "received":
-		h, g, err := r.hostGroup(st, a[0], a[2])
-		if err != nil {
-			return err
+	for _, sub := range subjects {
+		n := sub.match(st.args)
+		if n < 0 {
+			continue
 		}
-		want, op, err := opValue(st, a[3], a[4])
-		if err != nil {
-			return err
-		}
-		got := h.host.Received[g]
-		if !op(got, want) {
-			fail("%s received %s = %d, want %s %d", a[0], a[2], got, a[3], want)
-		}
-	case len(a) == 5 && a[0] == "router" && a[2] == "state":
-		idx, err := r.routerIndex(st, a[1])
-		if err != nil {
-			return err
-		}
-		want, op, err := opValue(st, a[3], a[4])
-		if err != nil {
-			return err
-		}
-		got := r.stateFn(idx)
-		if !op(got, want) {
-			fail("router %s state = %d, want %s %d", a[1], got, a[3], want)
-		}
-	case len(a) == 5 && a[1] == "mean-delay":
-		h, g, err := r.hostGroup(st, a[0], a[2])
-		if err != nil {
-			return err
-		}
-		wantD, err := parseDuration(a[4])
-		if err != nil {
-			return st.errf("bad duration %q", a[4])
-		}
-		if h.delayN[g] == 0 {
-			fail("%s mean-delay %s: nothing delivered", a[0], a[2])
-			break
-		}
-		got := h.delaySum[g] / netsim.Time(h.delayN[g])
-		ok := false
-		switch a[3] {
-		case "<=":
-			ok = got <= wantD
-		case ">=":
-			ok = got >= wantD
-		case "<":
-			ok = got < wantD
-		case ">":
-			ok = got > wantD
-		default:
-			return st.errf("bad operator %q for mean-delay", a[3])
-		}
+		what, op, val := strings.Join(st.args[:n], " "), st.args[n], st.args[n+1]
+		holds, ok := operators[op]
 		if !ok {
-			fail("%s mean-delay %s = %v, want %s %v", a[0], a[2], got, a[3], wantD)
+			return st.errf("bad operator %q", op)
 		}
-	case len(a) == 3 && a[0] == "violations":
-		if r.dep == nil && r.checker == nil {
-			return st.errf("expect violations requires the invariant checker (checked run, uniform deployment)")
+		want, err := strconv.ParseInt(val, 10, 64)
+		if sub.dur {
+			var d netsim.Time
+			d, err = parseDuration(val)
+			want = int64(d)
 		}
-		want, op, err := opValue(st, a[1], a[2])
+		if err != nil {
+			return st.errf("bad value %q", val)
+		}
+		got, note, err := sub.measure(r, st, st.args[:n])
 		if err != nil {
 			return err
 		}
-		vs := r.violations()
-		got := len(vs)
-		if !op(got, want) {
-			detail := ""
-			if got > 0 {
-				detail = " (first: " + vs[0].String() + ")"
-			}
-			fail("violations = %d, want %s %d%s", got, a[1], want, detail)
+		if got < 0 {
+			r.res.Failures = append(r.res.Failures, st.errf("%s: %s", what, note).Error())
+		} else if !holds(got, want) {
+			r.res.Failures = append(r.res.Failures, st.errf("%s = %d, want %s %d%s", what, got, op, want, note).Error())
 		}
-	case len(a) == 3 && a[0] == "links-with-data":
-		want, op, err := opValue(st, a[1], a[2])
-		if err != nil {
-			return err
-		}
-		got := 0
-		for _, l := range r.sim.EdgeLinks {
-			if r.sim.Net.Stats.PerLink[l.ID].DataPackets > 0 {
-				got++
-			}
-		}
-		if !op(got, want) {
-			fail("links-with-data = %d, want %s %d", got, a[1], want)
-		}
-	default:
-		return st.errf("unknown expect form %v", a)
+		return nil
 	}
-	return nil
+	return st.errf("unknown expect form %v", st.args)
 }
 
-// --- helpers ---
+// match returns how many leading operands of a are the subject's form — a
+// must be that form plus the `<op> <value>` tail, every keyword of the form
+// in place — or -1.
+func (sub subject) match(a []string) int {
+	words := strings.Fields(sub.form)
+	if len(a) != len(words)+2 {
+		return -1
+	}
+	for i, w := range words {
+		if w[0] != '<' && w != a[i] {
+			return -1
+		}
+	}
+	return len(words)
+}
 
-func (r *runner) routerIndex(st stmt, s string) (int, error) {
-	s = strings.TrimPrefix(s, "r")
-	idx, err := strconv.Atoi(s)
+// --- expectation subjects ---
+
+func (r *runner) received(st *stmt, a []string) (int64, string, error) {
+	h, g, err := r.hostGroup(st, a[0], a[2])
+	if err != nil {
+		return 0, "", err
+	}
+	return int64(h.host.Received[g]), "", nil
+}
+
+func (r *runner) routerState(st *stmt, a []string) (int64, string, error) {
+	idx, err := r.routerIndex(st, a[1])
+	if err != nil {
+		return 0, "", err
+	}
+	return int64(r.stateFn(idx)), "", nil
+}
+
+func (r *runner) meanDelay(st *stmt, a []string) (int64, string, error) {
+	h, g, err := r.hostGroup(st, a[0], a[2])
+	if err != nil {
+		return 0, "", err
+	}
+	if h.delayN[g] == 0 {
+		return -1, "nothing delivered", nil
+	}
+	return int64(h.delaySum[g]) / h.delayN[g], "", nil
+}
+
+func (r *runner) violationCount(st *stmt, _ []string) (int64, string, error) {
+	if r.dep == nil {
+		return 0, "", st.errf("expect violations requires the invariant checker (checked run, uniform deployment)")
+	}
+	vs, note := r.dep.Violations(), ""
+	if len(vs) > 0 {
+		note = " (first: " + vs[0].String() + ")"
+	}
+	return int64(len(vs)), note, nil
+}
+
+func (r *runner) linksWithData(*stmt, []string) (int64, string, error) {
+	var n int64
+	for _, l := range r.sim.EdgeLinks {
+		if r.sim.Net.Stats.PerLink[l.ID].DataPackets > 0 {
+			n++
+		}
+	}
+	return n, "", nil
+}
+
+// --- at verbs ---
+
+func (r *runner) membership(st *stmt) (func(), *netsim.Node, error) {
+	h, g, err := r.hostGroup(st, st.args[0], st.args[1])
+	if err != nil {
+		return nil, nil, err
+	}
+	if st.verb.name == "leave" {
+		return func() { h.host.Leave(g) }, h.host.Node, nil
+	}
+	rps := r.rpAddrs(g)
+	return func() { h.host.Join(g, rps...) }, h.host.Node, nil
+}
+
+func (r *runner) send(st *stmt) (func(), *netsim.Node, error) {
+	h, g, err := r.hostGroup(st, st.args[0], st.args[1])
+	if err != nil {
+		return nil, nil, err
+	}
+	count, size, every := st.intKV("count", 1), st.intKV("size", 128), st.durKV("every", netsim.Second)
+	if st.err != nil {
+		return nil, nil, st.err
+	}
+	if size < 8 || size > scenario.MaxDataSize {
+		return nil, nil, st.errf("size=%d is outside 8..%d", size, scenario.MaxDataSize)
+	}
+	sched, sent := h.host.Node.Sched(), 0
+	var pump func()
+	pump = func() {
+		scenario.SendData(h.host, g, size)
+		if sent++; sent < count {
+			sched.After(every, pump)
+		}
+	}
+	return pump, h.host.Node, nil
+}
+
+func (r *runner) linkState(st *stmt) (func(), *netsim.Node, error) {
+	link, err := r.edgeLink(st, st.args[0])
+	if err != nil {
+		return nil, nil, err
+	}
+	up := st.verb.name == "linkup"
+	return func() { r.sim.Net.SetLinkUp(link, up) }, nil, nil
+}
+
+// classes are the optional last operand of loss and reorder.
+var classes = map[string]faults.Class{"control": faults.ControlOnly, "data": faults.DataOnly}
+
+// impair serves loss and reorder: a link or all of them, a rate or a window,
+// and the message class the model applies to.
+func (r *runner) impair(st *stmt) (func(), *netsim.Node, error) {
+	var link *netsim.Link
+	if st.args[0] != "all" {
+		var err error
+		if link, err = r.edgeLink(st, st.args[0]); err != nil {
+			return nil, nil, err
+		}
+	}
+	class := faults.All
+	if len(st.args) == 3 {
+		var ok bool
+		if class, ok = classes[st.args[2]]; !ok {
+			return nil, nil, st.errf("bad %s class %q (want control|data)", st.verb.name, st.args[2])
+		}
+	}
+	in := r.injector()
+	if st.verb.name == "reorder" {
+		window, err := parseDuration(st.args[1])
+		if err != nil {
+			return nil, nil, st.errf("bad reorder window %q", st.args[1])
+		}
+		return func() { in.SetReorder(link, window, class) }, nil, nil
+	}
+	rate, err := finite(st.args[1])
+	if err != nil || rate < 0 || rate > 1 {
+		return nil, nil, st.errf("bad loss rate %q (want 0..1)", st.args[1])
+	}
+	return func() { in.SetBernoulli(link, rate, class) }, nil, nil
+}
+
+func (r *runner) flap(st *stmt) (func(), *netsim.Node, error) {
+	link, err := r.edgeLink(st, st.args[0])
+	if err != nil {
+		return nil, nil, err
+	}
+	down, up, cycles := st.durKV("down", 5*netsim.Second), st.durKV("up", 5*netsim.Second), st.intKV("cycles", 1)
+	if st.err != nil {
+		return nil, nil, st.err
+	}
+	in := r.injector()
+	return func() { in.Flap(link, 0, down, up, cycles) }, nil, nil
+}
+
+func (r *runner) lifecycle(st *stmt) (func(), *netsim.Node, error) {
+	idx, err := r.routerIndex(st, st.args[0])
+	if err != nil {
+		return nil, nil, err
+	}
+	if r.dep == nil {
+		return nil, nil, st.errf("%s is not supported for this deployment", st.verb.name)
+	}
+	if st.verb.name == "crash" {
+		return func() { r.dep.Crash(idx) }, nil, nil
+	}
+	return func() { r.dep.Restart(idx) }, nil, nil
+}
+
+// split serves partition and heal.
+func (r *runner) split(st *stmt) (func(), *netsim.Node, error) {
+	var links []*netsim.Link
+	for _, spec := range st.args {
+		link, err := r.edgeLink(st, spec)
+		if err != nil {
+			return nil, nil, err
+		}
+		links = append(links, link)
+	}
+	in := r.injector()
+	if st.verb.name == "heal" {
+		return in.Heal, nil, nil
+	}
+	return func() { in.Partition(links...) }, nil, nil
+}
+
+// --- operand resolvers ---
+
+func (r *runner) routerIndex(st *stmt, s string) (int, error) {
+	idx, err := strconv.Atoi(strings.TrimPrefix(s, "r"))
 	if err != nil || r.graph == nil || idx < 0 || idx >= r.graph.N() {
 		return 0, st.errf("bad router %q", s)
 	}
@@ -1058,7 +1044,7 @@ func (r *runner) routerIndex(st stmt, s string) (int, error) {
 }
 
 // edgeLink resolves a backbone edge index to its link.
-func (r *runner) edgeLink(st stmt, s string) (*netsim.Link, error) {
+func (r *runner) edgeLink(st *stmt, s string) (*netsim.Link, error) {
 	edge, err := strconv.Atoi(s)
 	if err != nil || edge < 0 || edge >= len(r.sim.EdgeLinks) {
 		return nil, st.errf("bad edge %q", s)
@@ -1066,7 +1052,7 @@ func (r *runner) edgeLink(st stmt, s string) (*netsim.Link, error) {
 	return r.sim.EdgeLinks[edge], nil
 }
 
-func (r *runner) hostGroup(st stmt, hname, gname string) (*hostRef, addr.IP, error) {
+func (r *runner) hostGroup(st *stmt, hname, gname string) (*hostRef, addr.IP, error) {
 	h, ok := r.hosts[hname]
 	if !ok {
 		return nil, 0, st.errf("unknown host %q", hname)
@@ -1078,71 +1064,66 @@ func (r *runner) hostGroup(st stmt, hname, gname string) (*hostRef, addr.IP, err
 	return h, g, nil
 }
 
-func (st stmt) intKV(key string, def int) (int, error) {
+// keyed reads the key=value operand key through parse, def when it is absent.
+// The first malformed value is remembered in st.err (and def returned), so a
+// handler reads every key it takes and checks st.err once.
+func keyed[T any](st *stmt, key string, def T, parse func(string) (T, error)) T {
 	v, ok := st.kv[key]
 	if !ok {
-		return def, nil
+		return def
 	}
-	n, err := strconv.Atoi(v)
+	x, err := parse(v)
 	if err != nil {
-		return 0, st.errf("bad %s=%q", key, v)
+		if st.err == nil {
+			st.err = st.errf("bad %s=%q", key, v)
+		}
+		return def
 	}
-	return n, nil
+	return x
 }
 
-func (st stmt) floatKV(key string, def float64) (float64, error) {
-	v, ok := st.kv[key]
-	if !ok {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, st.errf("bad %s=%q", key, v)
-	}
-	return f, nil
+func (st *stmt) intKV(key string, def int) int { return keyed(st, key, def, strconv.Atoi) }
+
+func (st *stmt) durKV(key string, def netsim.Time) netsim.Time {
+	return keyed(st, key, def, parseDuration)
 }
 
-// parseDuration accepts 150ms / 2s / 3m / bare-seconds forms.
-func parseDuration(s string) (netsim.Time, error) {
-	mult := netsim.Second
-	switch {
-	case strings.HasSuffix(s, "ms"):
-		mult = netsim.Millisecond
-		s = strings.TrimSuffix(s, "ms")
-	case strings.HasSuffix(s, "s"):
-		s = strings.TrimSuffix(s, "s")
-	case strings.HasSuffix(s, "m"):
-		mult = 60 * netsim.Second
-		s = strings.TrimSuffix(s, "m")
-	}
+// finite parses a float operand, refusing NaN and ±Inf: ParseFloat reads both
+// spellings, and neither is a rate, a degree or a span of time.
+func finite(s string) (float64, error) {
 	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || f < 0 {
-		return 0, fmt.Errorf("bad duration %q", s)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("%q is not finite", s)
 	}
-	return netsim.Time(f * float64(mult)), nil
+	return f, err
 }
 
-func opValue(st stmt, opStr, valStr string) (int, func(got, want int) bool, error) {
-	want, err := strconv.Atoi(valStr)
-	if err != nil {
-		return 0, nil, st.errf("bad value %q", valStr)
+// maxDuration bounds every scripted duration. Durations are read as float64,
+// which is exact to the microsecond only below 2^53 µs (285 years); and a
+// thousand spans that long still add up inside netsim.Time, where one
+// overflowing sum would silently schedule into the past.
+const maxDuration = 1 << 53
+
+// durationUnits are the suffixes parseDuration knows, longest first; the
+// empty suffix (a bare number, in seconds) matches last.
+var durationUnits = []struct {
+	suffix string
+	unit   netsim.Time
+}{{"ms", netsim.Millisecond}, {"s", netsim.Second}, {"m", 60 * netsim.Second}, {"", netsim.Second}}
+
+// parseDuration accepts 150ms / 2s / 3m / bare-seconds forms of a finite,
+// non-negative span up to maxDuration.
+func parseDuration(s string) (netsim.Time, error) {
+	for _, u := range durationUnits {
+		num, ok := strings.CutSuffix(s, u.suffix)
+		if !ok {
+			continue
+		}
+		f, err := finite(num)
+		if us := f * float64(u.unit); err == nil && us >= 0 && us <= maxDuration {
+			return netsim.Time(us), nil
+		}
+		break
 	}
-	var op func(got, want int) bool
-	switch opStr {
-	case ">=":
-		op = func(g, w int) bool { return g >= w }
-	case "<=":
-		op = func(g, w int) bool { return g <= w }
-	case "==":
-		op = func(g, w int) bool { return g == w }
-	case "!=":
-		op = func(g, w int) bool { return g != w }
-	case ">":
-		op = func(g, w int) bool { return g > w }
-	case "<":
-		op = func(g, w int) bool { return g < w }
-	default:
-		return 0, nil, st.errf("bad operator %q", opStr)
-	}
-	return want, op, nil
+	return 0, fmt.Errorf("bad duration %q", s)
 }

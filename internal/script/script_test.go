@@ -1,6 +1,9 @@
 package script
 
 import (
+	"fmt"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -294,6 +297,10 @@ at 3s send send G0 count=5 every=1s
 run 15s
 expect recv mean-delay G0 <= 60ms
 expect recv mean-delay G0 > 5ms
+expect recv mean-delay G0 >= 12ms
+expect recv mean-delay G0 < 13ms
+expect recv mean-delay G0 == 12ms
+expect recv mean-delay G0 != 0.012001s
 `
 	s, err := Parse(src)
 	if err != nil {
@@ -454,5 +461,129 @@ func TestPartitionScenarioFile(t *testing.T) {
 	}
 	if !res.OK() {
 		t.Fatalf("failures: %v", res.Failures)
+	}
+}
+
+// hostile builds a small sparse-mode scenario around one hostile line: the
+// protocol statement's extra operands, one statement after deployment, or one
+// expectation after the run. hostileScripts is the table of them; each entry
+// names the 1-based line that must be reported.
+func hostile(proto, action, expectation string) string {
+	return "topo edges 0-1 1-2\nunicast oracle\ngroup G0 rp r1\nhost a r0\nhost b r2\n" +
+		"protocol pim-sm " + proto + "\nat 1s join b G0\n" + action + "\nrun 10s\n" + expectation + "\n"
+}
+
+var hostileScripts = func() []struct {
+	src  string
+	line int
+} {
+	type entry = struct {
+		src  string
+		line int
+	}
+	cases := []entry{
+		// Operands the interpreter used to drop without a word.
+		{hostile("", "at 3s send a G0 cont=5", ""), 8},
+		{hostile("sptt=never", "", ""), 6},
+		{"topo edges 0-1 1-2=5\n", 1},
+		{hostile("", "at 3s send a G0 count=1 count=2", ""), 8},
+		{hostile("extra", "", ""), 6},
+		{"topo edges 0-1\ngroup G0\nprotocol pim-dm dense=1\n", 3},
+		// Sizes no datagram, or no Register around one, can carry.
+		{hostile("", "at 2s send a G0 size=70000", ""), 8},
+		{hostile("", "at 2s send a G0 size=65515", ""), 8},
+		{hostile("", "at 2s send a G0 size=7", ""), 8},
+		{hostile("", "at 2s loss all NaN", ""), 8},
+		{hostile("", "", "expect b received"), 10},
+		{hostile("", "", "expect b received G0 >= 1 2"), 10},
+	}
+	// Non-finite and overflowing values in every duration position.
+	for _, d := range []string{"NaNs", "Infs", "-Infs", "1e300", "NaN", "1e19m"} {
+		cases = append(cases,
+			entry{hostile("", "at "+d+" join b G0", ""), 8},
+			entry{hostile("", "run "+d, ""), 8},
+			entry{hostile("", "at 2s send a G0 count=2 every="+d, ""), 8},
+			entry{hostile("prune="+d, "", ""), 6},
+			entry{hostile("", "at 2s flap 0 down="+d, ""), 8},
+			entry{hostile("", "at 2s flap 0 up="+d, ""), 8},
+			entry{hostile("", "at 2s reorder all "+d, ""), 8},
+			entry{hostile("", "", "expect b mean-delay G0 <= "+d), 10},
+		)
+	}
+	return cases
+}()
+
+// TestHostileScriptsAreErrors: every mistyped, out-of-range or non-finite
+// operand is a line-numbered error from Parse or RunWith — never a panic,
+// never a silent default.
+func TestHostileScriptsAreErrors(t *testing.T) {
+	for _, tc := range hostileScripts {
+		var err error
+		if s, perr := Parse(tc.src); perr != nil {
+			err = perr
+		} else {
+			_, err = s.RunWith(RunConfig{})
+		}
+		if want := fmt.Sprintf("line %d: ", tc.line); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("script %q:\n err = %v, want a %q error", tc.src, err, want)
+		}
+	}
+	for _, src := range []string{hostileScripts[0].src, hostileScripts[1].src, hostileScripts[2].src} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), " does not take ") {
+			t.Errorf("script %q: Parse err = %v, want a does-not-take error", src, err)
+		}
+	}
+}
+
+// TestGrammarCommentMatchesTables holds the package comment's grammar block
+// to the three tables, both ways: every row's usage line appears in the block
+// verbatim, and every line of the block starts with the usage of a row — so a
+// form can be neither added without documentation nor documented without
+// existing.
+func TestGrammarCommentMatchesTables(t *testing.T) {
+	src, err := os.ReadFile("script.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, ok := strings.Cut(string(src), "\npackage script\n")
+	if !ok {
+		t.Fatal("no package clause in script.go")
+	}
+	var block []string
+	for _, ln := range strings.Split(doc, "\n") {
+		if form, ok := strings.CutPrefix(ln, "//\t"); ok {
+			block = append(block, form)
+		}
+	}
+	var usages []string
+	for i := range statements {
+		usages = append(usages, (&stmt{row: &statements[i]}).syntax())
+	}
+	for i := range verbs {
+		usages = append(usages, (&stmt{verb: &verbs[i]}).syntax())
+	}
+	for _, sub := range subjects {
+		value := " <op> <n>"
+		if sub.dur {
+			value = " <op> <dur>"
+		}
+		usages = append(usages, "expect "+sub.form+value)
+	}
+	documented := func(ln, usage string) bool {
+		rest, ok := strings.CutPrefix(ln, usage)
+		return ok && (rest == "" || strings.HasPrefix(strings.TrimLeft(rest, " "), "#"))
+	}
+	for _, usage := range usages {
+		if !slices.ContainsFunc(block, func(ln string) bool { return documented(ln, usage) }) {
+			t.Errorf("grammar block lacks the line %q", usage)
+		}
+	}
+	for _, ln := range block {
+		if !slices.ContainsFunc(usages, func(usage string) bool { return documented(ln, usage) }) {
+			t.Errorf("grammar block line %q is no table row's usage", ln)
+		}
+	}
+	if len(block) != len(usages) {
+		t.Errorf("grammar block has %d lines, the tables %d rows", len(block), len(usages))
 	}
 }

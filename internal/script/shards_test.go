@@ -77,3 +77,30 @@ func TestScenariosShardEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckedRunShards: a checked run needs no capture to shard — the
+// deployment gives every shard its own lane and checker — and the shard count
+// stays unobservable in what a checked run reports.
+func TestCheckedRunShards(t *testing.T) {
+	for _, path := range []string{"../../scenarios/rpfailover.pim", "../../scenarios/found/diamond4-pim-dm-delivery-recv-G0.pim"} {
+		run := func(shards int) *Result {
+			s, err := ParseFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.RunWith(RunConfig{Checked: true, Shards: shards})
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", path, shards, err)
+			}
+			return res
+		}
+		seq, shd := run(1), run(2)
+		if len(seq.Delivered) == 0 || !reflect.DeepEqual(shd.Delivered, seq.Delivered) {
+			t.Errorf("%s: delivered seq=%v shd=%v", path, seq.Delivered, shd.Delivered)
+		}
+		if !reflect.DeepEqual(shd.Failures, seq.Failures) || !reflect.DeepEqual(shd.Violations, seq.Violations) {
+			t.Errorf("%s: seq failures %v violations %v; shd failures %v violations %v",
+				path, seq.Failures, seq.Violations, shd.Failures, shd.Violations)
+		}
+	}
+}
