@@ -25,6 +25,8 @@ import (
 	"runtime"
 	"sort"
 	"time"
+
+	"pim/internal/parallel"
 )
 
 // LedgerHeader is the host/run metadata stamped on every ledger entry of
@@ -89,7 +91,7 @@ func (c *Context) Printf(format string, a ...interface{}) {
 }
 
 // Header stamps a ledger header labelled Label+suffix for the current
-// process and the context's shard count.
+// process and the context's shard and worker counts.
 func (c *Context) Header(suffix string) LedgerHeader {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -100,7 +102,7 @@ func (c *Context) Header(suffix string) LedgerHeader {
 		NumCPU:         runtime.NumCPU(),
 		GoMaxProcs:     runtime.GOMAXPROCS(0),
 		Shards:         max(c.Shards, 1),
-		Workers:        runtime.GOMAXPROCS(0),
+		Workers:        parallel.Workers(c.Workers),
 		NumGC:          ms.NumGC,
 		GCPauseTotalNs: ms.PauseTotalNs,
 		HeapAllocBytes: ms.HeapAlloc,

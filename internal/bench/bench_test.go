@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"pim/internal/bench"
@@ -163,7 +164,10 @@ func TestHeaderRecordsProcessConfig(t *testing.T) {
 	if h.Label != "lbl" || h.GoVersion == "" || h.NumCPU < 1 || h.Shards != 1 {
 		t.Errorf("header incomplete: %+v", h)
 	}
-	if h := (&bench.Context{Shards: 4}).Header("-x"); h.Shards != 4 || h.Label != "-x" {
-		t.Errorf("header did not record the context's shard count: %+v", h)
+	if h.Workers != runtime.GOMAXPROCS(0) {
+		t.Errorf("Workers = %d with none requested, want GOMAXPROCS", h.Workers)
+	}
+	if h := (&bench.Context{Shards: 4, Workers: 3}).Header("-x"); h.Shards != 4 || h.Workers != 3 || h.Label != "-x" {
+		t.Errorf("header did not record the context's shard and worker counts: %+v", h)
 	}
 }

@@ -143,7 +143,10 @@ func runRecoveryBench(ctx *bench.Context) error {
 		cfg = SmokeRecovery()
 	}
 	cfg.Shards = ctx.Shards
-	res := RunRecovery(cfg)
+	res, err := RunRecovery(cfg)
+	if err != nil {
+		return err
+	}
 	for _, c := range res.Cells {
 		rec := "   never"
 		if c.Recovered {
@@ -276,7 +279,10 @@ func runTelemetryBench(ctx *bench.Context) error {
 		cfg = SmokeRecovery()
 	}
 	cfg.Shards = ctx.Shards
-	smp := RecoveryTelemetry(cfg, PIMSM, FaultCrash, 5*netsim.Second)
+	smp, err := RecoveryTelemetry(cfg, PIMSM, FaultCrash, 5*netsim.Second)
+	if err != nil {
+		return err
+	}
 	if ctx.Smoke {
 		if err := smp.WriteJSON(io.Discard); err != nil {
 			return err

@@ -171,9 +171,8 @@ func runSparseImpl(g *topology.Graph, cfg SparseConfig, proto Protocol, rng *ran
 			sendHosts[gi] = append(sendHosts[gi], ensureHost(s))
 		}
 	}
-	// MOSPF stays sequential: its routers flood through a shared in-memory
-	// Domain that cannot be split across shards.
-	if proto != MOSPF {
+	rec := scenario.Recipe{Protocol: string(proto), PruneHold: cfg.PruneLifetime}
+	if !rec.Sequential() {
 		sim.AutoShardN(cfg.Shards)
 	}
 	sim.FinishUnicast(scenario.UseOracle)
@@ -181,11 +180,11 @@ func runSparseImpl(g *topology.Graph, cfg SparseConfig, proto Protocol, rng *ran
 	// RP / core placement: the first member's router (the paper's §4
 	// guidance: "most efficient and convenient for the RP to be the
 	// directly-connected PIM-speaking router of one of the members").
-	anchors := map[addr.IP][]addr.IP{}
+	rec.Anchors = map[addr.IP][]addr.IP{}
 	for gi, grp := range w.groups {
-		anchors[grp] = []addr.IP{sim.RouterAddr(w.members[gi][0])}
+		rec.Anchors[grp] = []addr.IP{sim.RouterAddr(w.members[gi][0])}
 	}
-	dep := deploy(sim, scenario.Recipe{Protocol: string(proto), Anchors: anchors, PruneHold: cfg.PruneLifetime})
+	dep := deploy(sim, rec)
 
 	// Warm up: hellos, queries, membership.
 	sim.Run(2 * netsim.Second)

@@ -1,20 +1,16 @@
 package experiments
 
 import (
-	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
-	"slices"
 
 	"pim/internal/addr"
-	"pim/internal/faults"
-	"pim/internal/igmp"
 	"pim/internal/netsim"
 	"pim/internal/parallel"
-	"pim/internal/scenario"
+	"pim/internal/script"
 	"pim/internal/telemetry"
-	"pim/internal/topology"
 )
 
 // The recovery experiment measures the paper's robustness claim (§2, §3.8)
@@ -24,16 +20,19 @@ import (
 // periodic refresh (plus the few acknowledged messages: dense-mode grafts
 // and CBT's join handshake).
 //
-// The harness runs every protocol through a fixed fault matrix on a small
-// diamond topology with a bypass path, and reports for each cell:
+// Every protocol goes through a fixed fault matrix on a small diamond
+// topology with a bypass path. A cell is a .pim scenario (RecoveryScript)
+// run by the one fault-run harness, script.RunWith, and each of its metrics
+// is a fold over the run's canonical captured event stream:
 //
 //   - recovery time: the gap between the fault (or the membership change it
 //     interferes with) and the first packet delivered past it, detected by a
-//     telemetry.ConvergenceProbe on the deployment's event bus;
+//     telemetry.ConvergenceProbe the stream is replayed into;
 //   - control messages spent converging (protocol control sends in that
-//     window, tallied from the telemetry lanes);
+//     window, tallied from the stream);
 //   - residual state: entries still installed at the end of the run beyond
-//     the pre-fault baseline — stale state a soft-state protocol must shed;
+//     the pre-fault baseline — stale state a soft-state protocol must shed
+//     (the one metric the stream cannot carry: script.Result.State);
 //   - tree quiet time: how long the multicast forwarding state had been
 //     mutation-free when the run ended (the probe's stabilization signal).
 //
@@ -56,6 +55,23 @@ const (
 // RecoveryFaults lists the fault matrix columns in report order.
 func RecoveryFaults() []string {
 	return []string{FaultLoss0, FaultLoss5, FaultLoss20, FaultFlap, FaultCrash}
+}
+
+// recoveryFaults is the fault column table: the `at` verb each kind fires at
+// FaultAt and at RestartAt. In a lateJoin cell receiver B joins at JoinAt,
+// under the loss, and the recovery window opens at that join rather than at
+// the fault.
+var recoveryFaults = map[string]struct {
+	atFault, atRestart string
+	lateJoin           bool
+}{
+	FaultLoss0:  {lateJoin: true}, // control cell: the membership change alone
+	FaultLoss5:  {atFault: "loss all 0.05 control", lateJoin: true},
+	FaultLoss20: {atFault: "loss all 0.2 control", lateJoin: true},
+	// Three down/up cycles on the tree's transit link (edge 2, r2–r3)
+	// starting at the fault: down 15 s, up 15 s.
+	FaultFlap:  {atFault: "flap 2 down=15s up=15s cycles=3"},
+	FaultCrash: {atFault: "crash r2", atRestart: "restart r2"},
 }
 
 // RecoveryProtocols lists the matrix rows: every protocol, sparse and dense.
@@ -85,6 +101,24 @@ type RecoveryConfig struct {
 	// Checked attaches the online invariant checker to every cell; any
 	// §3.8 contract violation surfaces on the cell.
 	Checked bool
+}
+
+// check holds the config to what a cell script can express, naming the field
+// at fault: the sender's count= divides by PacketInterval, the pre-fault state
+// sample sits one second before FaultAt and after the 2 s deployment settle,
+// and the restart and the late join must fall inside the run, after the fault.
+func (cfg RecoveryConfig) check() error {
+	switch {
+	case cfg.PacketInterval <= 0:
+		return errors.New("experiments: RecoveryConfig.PacketInterval must be positive")
+	case cfg.FaultAt < 3*netsim.Second:
+		return errors.New("experiments: RecoveryConfig.FaultAt must be at least 3s")
+	case cfg.RestartAt <= cfg.FaultAt || cfg.RestartAt >= cfg.End:
+		return errors.New("experiments: RecoveryConfig.RestartAt must lie between FaultAt and End")
+	case cfg.JoinAt <= cfg.FaultAt || cfg.JoinAt >= cfg.End:
+		return errors.New("experiments: RecoveryConfig.JoinAt must lie between FaultAt and End")
+	}
+	return nil
 }
 
 // DefaultRecovery returns the ledger workload.
@@ -161,20 +195,13 @@ type DeliveryEvent struct {
 	Sent netsim.Time
 }
 
-// recoveryRun is one executed cell.
-type recoveryRun struct {
-	trace      []DeliveryEvent
-	recovery   netsim.Time // -1 when delivery never resumed
-	ctrl       int64
-	residual   int
-	delivered  int
-	treeQuiet  netsim.Time
-	violations []string
-}
-
 // RunRecovery executes the full protocol × fault matrix. The cells are
-// isolated simulations and fan across cfg.Workers.
-func RunRecovery(cfg RecoveryConfig) RecoveryResult {
+// isolated simulations and fan across cfg.Workers. A config no cell script
+// can express (RecoveryConfig.check) is refused before any cell runs.
+func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) {
+	if err := cfg.check(); err != nil {
+		return RecoveryResult{}, err
+	}
 	protos := RecoveryProtocols()
 	kinds := RecoveryFaults()
 	res := RecoveryResult{
@@ -183,29 +210,14 @@ func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 	}
 	parallel.For(len(res.Cells), cfg.Workers, func(i int) {
 		proto, kind := protos[i/len(kinds)], kinds[i%len(kinds)]
-		run := runRecoveryOnce(cfg, proto, kind, parallel.DeriveSeed(cfg.Seed, int64(i)), nil)
-		c := RecoveryCell{
-			Protocol:      proto,
-			Fault:         kind,
-			Recovered:     run.recovery >= 0,
-			CtrlMessages:  run.ctrl,
-			ResidualState: run.residual,
-			Delivered:     run.delivered,
-			TreeQuietSec:  float64(run.treeQuiet) / float64(netsim.Second),
-			TraceHash:     traceHash(run.trace),
-			Violations:    run.violations,
-		}
-		if c.Recovered {
-			c.RecoverySec = float64(run.recovery) / float64(netsim.Second)
-		}
-		res.Cells[i] = c
+		res.Cells[i], _ = runRecoveryOnce(cfg, proto, kind, parallel.DeriveSeed(cfg.Seed, int64(i)))
 	})
 	for _, c := range res.Cells {
 		if !c.Recovered {
 			res.AllRecovered = false
 		}
 	}
-	return res
+	return res, nil
 }
 
 // traceHash fingerprints a canonical delivery trace: an order-sensitive
@@ -229,22 +241,45 @@ const (
 	recvBRouter = 4
 )
 
-// deployRecovery starts proto on sim on the recipe's fast soft-state grade,
-// so recovery happens within a four-minute run. Group state anchors (RP,
-// core) sit at router `anchor`. Extra options (telemetry bus, invariant
-// checker) are appended by the caller.
-func deployRecovery(sim *scenario.Sim, proto Protocol, group addr.IP, anchor int, extra ...scenario.DeployOption) scenario.Deployment {
-	return deploy(sim, scenario.Recipe{
-		Protocol:   string(proto),
-		Anchors:    map[addr.IP][]addr.IP{group: {sim.RouterAddr(anchor)}},
-		FastTimers: true,
-	}, extra...)
+// settle is the script clock when the first `at` is read: the `protocol`
+// statement runs 2 s of neighbor discovery after deploying (the oracle
+// substrate converges at once), and `at` times count from there.
+const settle = 2 * netsim.Second
+
+// dur writes a simulated time as a .pim duration: whole seconds as <n>s,
+// anything finer in milliseconds, the grammar's finest unit.
+func dur(t netsim.Time) string {
+	if t%netsim.Second == 0 {
+		return fmt.Sprintf("%ds", t/netsim.Second)
+	}
+	return fmt.Sprintf("%gms", float64(t)/float64(netsim.Millisecond))
 }
 
-// recoverySim builds the diamond with the three hosts attached and the
-// oracle unicast substrate finished. Unless the protocol pins itself to the
-// sequential path (MOSPF's shared Domain), the sim is partitioned across
-// shards before any event is scheduled.
+// cellScript is the matrix cell every (protocol, fault) pair fills in; the
+// blanks are the group's RP, the fault seed, the protocol, B's join time, the
+// sender's count and interval, the fault's `at` lines and the two runs.
+const cellScript = `topo edges 0-1:1 1-2:1 2-3:1 1-4:2 4-3:2
+group G0%s
+faultseed %d
+host src r0
+host recvA r3
+host recvB r4
+protocol %s timers=fast
+at 0s join recvA G0
+at %s join recvB G0
+at 3s send src G0 count=%d every=%s size=64
+%srun %s
+run %s
+`
+
+// RecoveryScript writes one matrix cell as .pim text, the form
+// faultsearch.Schedule.Render gives its schedules: the diamond with the three
+// hosts on the oracle unicast substrate, the protocol on the recipe's fast
+// soft-state grade (so recovery happens within a four-minute run), the joins,
+// a constant-rate sender for the whole run (one packet per PacketInterval
+// from t = 5 s while t < End), and the kind's row of recoveryFaults. The run
+// is split one second before the fault so that script.Result.State samples
+// the pre-fault baseline and the end.
 //
 // Topology (edge weights in delay units):
 //
@@ -254,235 +289,137 @@ func deployRecovery(sim *scenario.Sim, proto Protocol, group addr.IP, anchor int
 //	                                   under loss; early otherwise)
 //
 // The r1–r4–r3 detour is the bypass: when r2 crashes or the r2–r3 link
-// flaps, unicast reroutes over it and the multicast tree must follow from
-// soft-state refresh alone. The RP / CBT core is r3, so A's delivery always
-// crosses the faulted transit.
-func recoverySim(proto Protocol, shards int) (sim *scenario.Sim, src, recvA, recvB *igmp.Host) {
-	g := topology.New(5)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 3, 1) // EdgeLinks[2]: the flap target
-	g.AddEdge(1, 4, 2)
-	g.AddEdge(4, 3, 2)
-	sim = scenario.Build(g)
-	if proto != MOSPF {
-		sim.AutoShardN(shards)
+// (edge 2) flaps, unicast reroutes over it and the multicast tree must follow
+// from soft-state refresh alone. The RP / CBT core is r3, so A's delivery
+// always crosses the faulted transit. Only the protocols that anchor a group
+// declare it: a declared RP list also rides every host join as an RP-map
+// frame (§3.1 fn. 9), which the others have no use for.
+func RecoveryScript(cfg RecoveryConfig, proto Protocol, kind string, seed int64) (string, error) {
+	f, ok := recoveryFaults[kind]
+	if !ok {
+		return "", fmt.Errorf("experiments: unknown recovery fault %q", kind)
 	}
-	src = sim.AddHost(0)
-	recvA = sim.AddHost(recvARouter)
-	recvB = sim.AddHost(recvBRouter)
-	sim.FinishUnicast(scenario.UseOracle)
-	return sim, src, recvA, recvB
+	if err := cfg.check(); err != nil {
+		return "", err
+	}
+	rp, joinB, faults := "", settle, ""
+	if proto == PIMSM || proto == PIMSMShared || proto == CBT {
+		rp = " rp r3"
+	}
+	if f.lateJoin {
+		joinB = cfg.JoinAt
+	}
+	if f.atFault != "" {
+		faults = fmt.Sprintf("at %s %s\n", dur(cfg.FaultAt-settle), f.atFault)
+	}
+	if f.atRestart != "" {
+		faults += fmt.Sprintf("at %s %s\n", dur(cfg.RestartAt-settle), f.atRestart)
+	}
+	count := (cfg.End - 5*netsim.Second + cfg.PacketInterval - 1) / cfg.PacketInterval
+	sample := cfg.FaultAt - netsim.Second
+	return fmt.Sprintf(cellScript, rp, seed, proto, dur(joinB-settle), count, dur(cfg.PacketInterval),
+		faults, dur(sample-settle), dur(cfg.End-sample)), nil
 }
 
-// RecoveryTelemetry runs one recovery cell with a time-series sampler on the
-// deployment's event lanes and returns the sampler for dumping — the
-// per-router counter curves `pimbench run telemetry` writes. The cell runs
-// under cfg.Shards, seeded exactly like the matrix's first cell; sharded
-// cells additionally carry the per-shard execution counters in the dump.
-func RecoveryTelemetry(cfg RecoveryConfig, proto Protocol, kind string, interval netsim.Time) *telemetry.Sampler {
-	var smp *telemetry.Sampler
-	runRecoveryOnce(cfg, proto, kind, parallel.DeriveSeed(cfg.Seed, 0),
-		func(sim *scenario.Sim, lanes []*telemetry.Bus) {
-			smp = telemetry.NewShardedSampler(lanes, interval)
-			// Expose timer pressure alongside the counter curves: each lane's
-			// gauge reads its own shard's live-timer count at each observed
-			// event, so the dump shows the soft-state refresh load without
-			// perturbing the simulation (and without cross-shard reads).
-			for i := range lanes {
-				sched := sim.Net.ShardScheduler(i)
-				smp.AttachLaneGauge(i, func() int64 { return int64(sched.LiveTimers()) })
-			}
-			if sim.Net.Sharded() {
-				smp.AttachShardLoads(sim.Net.ShardLoads)
-			}
-		})
-	return smp
+// runCell renders the cell and runs it through the script harness, captured.
+// It fails on what the caller chose — the config, the fault kind, the protocol
+// name; the renderer writes only what the parser reads.
+func runCell(cfg RecoveryConfig, proto Protocol, kind string, seed int64) (*script.Result, error) {
+	text, err := RecoveryScript(cfg, proto, kind, seed)
+	if err != nil {
+		return nil, err
+	}
+	sc, err := script.Parse(text)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: rendered cell does not parse: %w\n%s", err, text)
+	}
+	return sc.RunWith(script.RunConfig{Captured: true, Checked: cfg.Checked, Shards: cfg.Shards})
 }
 
-// runRecoveryOnce builds the diamond, deploys the protocol, injects the
-// fault, and extracts the cell metrics; tap, when non-nil, may subscribe
-// extra consumers to the cell's event lanes before the protocol deploys.
-func runRecoveryOnce(cfg RecoveryConfig, proto Protocol, kind string, seed int64, tap func(*scenario.Sim, []*telemetry.Bus)) recoveryRun {
-	sim, src, recvA, recvB := recoverySim(proto, cfg.Shards)
-	group := addr.GroupForIndex(0)
+// RecoveryTelemetry runs one recovery cell and replays its captured stream
+// into a time-series sampler, returned for dumping — the per-router counter
+// curves `pimbench run telemetry` writes. The cell runs under cfg.Shards,
+// seeded exactly like the matrix's first cell; the dump also carries the
+// scheduler's timer high-water mark and, for a sharded cell, the per-shard
+// execution counters, both as the network counted them.
+func RecoveryTelemetry(cfg RecoveryConfig, proto Protocol, kind string, interval netsim.Time) (*telemetry.Sampler, error) {
+	res, err := runCell(cfg, proto, kind, parallel.DeriveSeed(cfg.Seed, 0))
+	if err != nil {
+		return nil, err
+	}
+	bus := telemetry.NewBus()
+	smp := telemetry.NewSampler(bus, interval)
+	bus.Replay(res.Events)
+	smp.LiveTimerPeak, smp.Shards = int64(res.PeakLiveTimers), res.ShardLoads
+	return smp, nil
+}
 
-	// Every cell runs with event lanes attached — one bus per shard, so
-	// publishing never crosses a shard boundary. A convergence probe rides
-	// each lane (a receiver site lives on exactly one shard, so exactly one
-	// probe sees its deliveries), and (when Checked) per-lane invariant
-	// checkers audit the same streams. All metric extraction happens after
-	// the run, from state each lane accumulated race-free.
-	nlanes := sim.Net.ShardCount()
-	lanes := make([]*telemetry.Bus, nlanes)
-	probes := make([]*telemetry.ConvergenceProbe, nlanes)
-	for i := range lanes {
-		lanes[i] = telemetry.NewBus()
-		probes[i] = telemetry.NewConvergenceProbe(lanes[i])
+// runRecoveryOnce runs one cell of the matrix and folds its captured stream
+// into the cell's metrics and its canonical delivery trace. The matrix names
+// its own protocols and kinds and has checked its config, so a refusal here is
+// a programming error.
+func runRecoveryOnce(cfg RecoveryConfig, proto Protocol, kind string, seed int64) (RecoveryCell, []DeliveryEvent) {
+	res, err := runCell(cfg, proto, kind, seed)
+	if err != nil {
+		panic(err)
 	}
-	if tap != nil {
-		tap(sim, lanes)
+	bus := telemetry.NewBus()
+	probe := telemetry.NewConvergenceProbe(bus)
+	bus.Replay(res.Events)
+	cell := RecoveryCell{
+		Protocol:      proto,
+		Fault:         kind,
+		ResidualState: res.State[1] - res.State[0],
+		Delivered:     res.Delivered["recvA/G0"] + res.Delivered["recvB/G0"],
 	}
-	opts := []scenario.DeployOption{scenario.WithTelemetry(lanes...)}
-	if cfg.Checked {
-		opts = append(opts, scenario.WithInvariantChecker())
-	}
-	dep := deployRecovery(sim, proto, group, 3, opts...)
-	in := faults.New(sim.Net, seed)
 
 	// The recovery window starts at the event whose repair we time: the
-	// late join for the loss cells, the fault itself otherwise.
-	lossKind := kind == FaultLoss0 || kind == FaultLoss5 || kind == FaultLoss20
+	// late join for the loss cells, the fault itself otherwise. Loss cells
+	// recover when the late joiner (B) hears anything; topology cells when A
+	// receives a packet sent after the fault (pre-fault packets in flight
+	// don't count).
 	windowStart := cfg.FaultAt
-	if lossKind {
+	recoveredAt, ok := probe.FirstDeliverySentAfter(recvARouter, cfg.FaultAt)
+	if recoveryFaults[kind].lateJoin {
 		windowStart = cfg.JoinAt
+		recoveredAt, ok = probe.FirstDeliveryAt(recvBRouter, cfg.JoinAt)
 	}
-
-	run := recoveryRun{recovery: -1}
-	// Per-lane accumulation: member-site delivery events and control-send
-	// instants, merged canonically after the run.
-	laneTraces := make([][]DeliveryEvent, nlanes)
-	laneCtrl := make([][]netsim.Time, nlanes)
-	for i, b := range lanes {
-		i := i
-		b.Subscribe(func(ev telemetry.Event) {
-			switch ev.Kind {
-			case telemetry.JoinPruneSend, telemetry.GraftSend, telemetry.PruneSend,
-				telemetry.RegisterSend, telemetry.LSAFlood:
-				laneCtrl[i] = append(laneCtrl[i], ev.At)
-			case telemetry.Deliver:
-				if ev.Group != group {
-					return
-				}
-				var hi int
-				switch ev.Router {
-				case recvARouter:
-					hi = 0
-				case recvBRouter:
-					hi = 1
-				default:
-					return
-				}
-				de := DeliveryEvent{At: ev.At, Host: hi, Src: ev.Source}
-				if ev.Value >= 0 {
-					de.Sent = netsim.Time(ev.Value)
-				}
-				laneTraces[i] = append(laneTraces[i], de)
-			}
-		})
-	}
-
-	sched := sim.Net.Sched
-	// Steady state: A (and, outside the loss cells, B) joins early.
-	sched.At(2*netsim.Second, func() { recvA.Join(group) })
-	if lossKind {
-		sched.At(cfg.JoinAt, func() { recvB.Join(group) })
-	} else {
-		sched.At(2*netsim.Second, func() { recvB.Join(group) })
-	}
-
-	// Constant-rate sender for the whole run.
-	for t := netsim.Time(0); t < cfg.End; t += cfg.PacketInterval {
-		at := 5*netsim.Second + t
-		if at >= cfg.End {
-			break
-		}
-		sched.At(at, func() { scenario.SendData(src, group, 64) })
-	}
-
-	// Pre-fault baseline, then the fault itself. (TotalState reads protocol
-	// state across every router; as a root-scheduler action it runs at an
-	// epoch barrier with all shards quiesced, so the cross-shard read is
-	// safe.)
-	var stateAtFault int
-	sched.At(cfg.FaultAt-netsim.Second, func() { stateAtFault = dep.TotalState() })
-	switch kind {
-	case FaultLoss0:
-		// Control cell: the membership change alone.
-	case FaultLoss5:
-		sched.At(cfg.FaultAt, func() { in.SetBernoulli(nil, 0.05, faults.ControlOnly) })
-	case FaultLoss20:
-		sched.At(cfg.FaultAt, func() { in.SetBernoulli(nil, 0.20, faults.ControlOnly) })
-	case FaultFlap:
-		// Three down/up cycles on the tree's transit link starting at the
-		// fault: down 15 s, up 15 s.
-		in.Flap(sim.EdgeLinks[2], cfg.FaultAt, 15*netsim.Second, 15*netsim.Second, 3)
-	case FaultCrash:
-		sched.At(cfg.FaultAt, func() { dep.Crash(2) })
-		sched.At(cfg.RestartAt, func() { dep.Restart(2) })
-	default:
-		panic("experiments: unknown recovery fault " + kind)
-	}
-
-	sim.Run(cfg.End)
-
-	// Recovery instant, read post-run from whichever lane's probe observed
-	// the proving site. Loss cells recover when the late joiner (B) hears
-	// anything; topology cells when A receives a packet sent after the fault
-	// (pre-fault packets in flight don't count).
-	recoveredAt := netsim.Time(-1)
-	for _, probe := range probes {
-		if lossKind {
-			if at, ok := probe.FirstDeliveryAt(recvBRouter, cfg.JoinAt); ok {
-				recoveredAt = at
-			}
-		} else if at, ok := probe.FirstDeliverySentAfter(recvARouter, cfg.FaultAt); ok {
-			recoveredAt = at
-		}
-	}
-	if recoveredAt >= 0 {
-		run.recovery = recoveredAt - windowStart
-	}
-
 	// Control effort: protocol control-message sends between the window
 	// start and the delivery that proved the repaired tree (run end when
-	// delivery never resumed). Counting send events by timestamp is
-	// order-free, so the tally is identical on every shard count.
+	// delivery never resumed).
 	windowEnd := cfg.End
-	if recoveredAt >= 0 {
-		windowEnd = recoveredAt
+	if ok {
+		cell.Recovered, windowEnd = true, recoveredAt
+		cell.RecoverySec = (recoveredAt - windowStart).Seconds()
 	}
-	for _, times := range laneCtrl {
-		for _, at := range times {
-			if at >= windowStart && at <= windowEnd {
-				run.ctrl++
+	var trace []DeliveryEvent
+	for _, ev := range res.Events {
+		switch ev.Kind {
+		case telemetry.JoinPruneSend, telemetry.GraftSend, telemetry.PruneSend,
+			telemetry.RegisterSend, telemetry.LSAFlood:
+			if ev.At >= windowStart && ev.At <= windowEnd {
+				cell.CtrlMessages++
 			}
+		case telemetry.Deliver:
+			// The delivery trace: the canonical stream's member-site
+			// deliveries, in stream order (the `send` verb stamps every
+			// packet, so Value is always the origination time).
+			de := DeliveryEvent{At: ev.At, Src: ev.Source, Sent: netsim.Time(ev.Value)}
+			if ev.Router == recvBRouter {
+				de.Host = 1
+			}
+			trace = append(trace, de)
 		}
 	}
+	cell.TraceHash = traceHash(trace)
 
-	// Canonical delivery trace: lane buffers merged and sorted by the full
-	// event tuple, so the trace is independent of both shard count and
-	// publication interleaving.
-	for _, tr := range laneTraces {
-		run.trace = append(run.trace, tr...)
+	quiet := cfg.End
+	if at, ok := probe.LastTreeMutation(); ok {
+		quiet -= at
 	}
-	slices.SortFunc(run.trace, func(x, y DeliveryEvent) int {
-		if x.At != y.At {
-			return cmp.Compare(x.At, y.At)
-		}
-		if x.Host != y.Host {
-			return cmp.Compare(x.Host, y.Host)
-		}
-		if x.Src != y.Src {
-			return cmp.Compare(x.Src, y.Src)
-		}
-		return cmp.Compare(x.Sent, y.Sent)
-	})
-
-	run.residual = dep.TotalState() - stateAtFault
-	run.delivered = recvA.Received[group] + recvB.Received[group]
-	run.treeQuiet = cfg.End
-	lastMut := netsim.Time(-1)
-	for _, probe := range probes {
-		if at, ok := probe.LastTreeMutation(); ok && at > lastMut {
-			lastMut = at
-		}
+	cell.TreeQuietSec = quiet.Seconds()
+	for _, v := range res.Violations {
+		cell.Violations = append(cell.Violations, v.String())
 	}
-	if lastMut >= 0 {
-		run.treeQuiet = cfg.End - lastMut
-	}
-	for _, v := range dep.Violations() {
-		run.violations = append(run.violations, v.String())
-	}
-	return run
+	return cell, trace
 }

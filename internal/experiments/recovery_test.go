@@ -10,8 +10,11 @@ import (
 	"testing"
 
 	"pim/internal/addr"
+	"pim/internal/igmp"
 	"pim/internal/netsim"
 	"pim/internal/scenario"
+	"pim/internal/script"
+	"pim/internal/topology"
 )
 
 // shortRecovery shrinks the matrix run for smoke testing: same topology and
@@ -52,7 +55,10 @@ func TestRecoveryMatrix(t *testing.T) {
 	if testing.Short() {
 		cfg.Workers = 1
 	}
-	res := RunRecovery(cfg)
+	res, err := RunRecovery(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Cells) != len(RecoveryProtocols())*len(RecoveryFaults()) {
 		t.Fatalf("matrix has %d cells", len(res.Cells))
 	}
@@ -99,7 +105,10 @@ func TestRecoveryMatrixChecked(t *testing.T) {
 	if testing.Short() {
 		cfg.Workers = 1
 	}
-	res := RunRecovery(cfg)
+	res, err := RunRecovery(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range res.Cells {
 		for _, v := range c.Violations {
 			t.Errorf("%s/%s: invariant violation: %s", c.Protocol, c.Fault, v)
@@ -133,6 +142,30 @@ func neighborProbe(dep scenario.Deployment) func() int {
 	return nil
 }
 
+// crashRestartSim is TestCrashRestartPerEngine's fixture: the recovery diamond
+// (RecoveryScript draws it) built by hand, because the test reads the engines'
+// neighbor tables, which no script expectation reaches. The protocol runs on
+// the recipe's fast soft-state grade with r3 as RP / CBT core.
+func crashRestartSim(proto Protocol, group addr.IP) (sim *scenario.Sim, dep scenario.Deployment, src, recvA, recvB *igmp.Host) {
+	g := topology.New(5)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	g.AddEdge(2, 3, 1)
+	g.AddEdge(1, 4, 2)
+	g.AddEdge(4, 3, 2)
+	sim = scenario.Build(g)
+	src = sim.AddHost(0)
+	recvA = sim.AddHost(recvARouter)
+	recvB = sim.AddHost(recvBRouter)
+	sim.FinishUnicast(scenario.UseOracle)
+	dep = deploy(sim, scenario.Recipe{
+		Protocol:   string(proto),
+		Anchors:    map[addr.IP][]addr.IP{group: {sim.RouterAddr(3)}},
+		FastTimers: true,
+	})
+	return sim, dep, src, recvA, recvB
+}
+
 // TestCrashRestartPerEngine is the acceptance test for the Restart
 // lifecycle: for every engine, kill the mid-tree router at steady state,
 // verify its state is really gone, and verify both that delivery resumes
@@ -149,9 +182,8 @@ func TestCrashRestartPerEngine(t *testing.T) {
 	for _, proto := range RecoveryProtocols() {
 		proto := proto
 		t.Run(string(proto), func(t *testing.T) {
-			sim, src, recvA, recvB := recoverySim(proto, 1)
 			group := addr.GroupForIndex(0)
-			dep := deployRecovery(sim, proto, group, 3)
+			sim, dep, src, recvA, recvB := crashRestartSim(proto, group)
 			state, neighbors := dep.StateAt, neighborProbe(dep)
 
 			sched := sim.Net.Sched
@@ -206,10 +238,92 @@ func TestRecoveryDeterministicAcrossWorkers(t *testing.T) {
 	}
 	cfg := shortRecovery()
 	cfg.Workers = 1
-	seq := RunRecovery(cfg)
+	seq, err := RunRecovery(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Workers = 4
-	par := RunRecovery(cfg)
+	par, err := RunRecovery(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("results differ across Workers:\nworkers=1: %+v\nworkers=4: %+v", seq, par)
+	}
+}
+
+// TestRecoveryScriptsParse holds the renderer to the parser over its whole
+// output space — all 25 cells at both ledgered sizes — and holds the pim-sm
+// crash smoke cell verbatim: it is the example EXPERIMENTS.md shows.
+func TestRecoveryScriptsParse(t *testing.T) {
+	for _, cfg := range []RecoveryConfig{SmokeRecovery(), DefaultRecovery()} {
+		for _, proto := range RecoveryProtocols() {
+			for _, kind := range RecoveryFaults() {
+				text, err := RecoveryScript(cfg, proto, kind, 7)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", proto, kind, err)
+				}
+				if _, err := script.Parse(text); err != nil {
+					t.Errorf("%s/%s does not parse: %v\n%s", proto, kind, err, text)
+				}
+			}
+		}
+	}
+	const want = `topo edges 0-1:1 1-2:1 2-3:1 1-4:2 4-3:2
+group G0 rp r3
+faultseed 7
+host src r0
+host recvA r3
+host recvB r4
+protocol pim-sm timers=fast
+at 0s join recvA G0
+at 0s join recvB G0
+at 3s send src G0 count=58 every=2s size=64
+at 28s crash r2
+at 43s restart r2
+run 27s
+run 91s
+`
+	if got, _ := RecoveryScript(SmokeRecovery(), PIMSM, FaultCrash, 7); got != want {
+		t.Errorf("pim-sm/crash smoke cell drifted (update EXPERIMENTS.md with it):\n%s", got)
+	}
+}
+
+// TestRecoveryConfigChecked: a config no cell script can express is refused
+// with the field named (a zero PacketInterval has no packet count to render,
+// and a sender stepping by it would never reach End).
+func TestRecoveryConfigChecked(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		edit  func(*RecoveryConfig)
+		kind  string
+	}{
+		{"PacketInterval", func(c *RecoveryConfig) { c.PacketInterval = 0 }, FaultCrash},
+		{"PacketInterval", func(c *RecoveryConfig) { c.PacketInterval = -netsim.Second }, FaultCrash},
+		{"FaultAt", func(c *RecoveryConfig) { c.FaultAt = 2 * netsim.Second }, FaultCrash},
+		{"RestartAt", func(c *RecoveryConfig) { c.RestartAt = c.FaultAt }, FaultCrash},
+		{"RestartAt", func(c *RecoveryConfig) { c.RestartAt = c.End }, FaultCrash},
+		{"JoinAt", func(c *RecoveryConfig) { c.JoinAt = c.FaultAt }, FaultLoss5},
+		{"JoinAt", func(c *RecoveryConfig) { c.JoinAt = c.End + netsim.Second }, FaultLoss5},
+		{"unknown recovery fault", func(*RecoveryConfig) {}, "meltdown"},
+	} {
+		cfg := SmokeRecovery()
+		tc.edit(&cfg)
+		if _, err := RecoveryScript(cfg, PIMSM, tc.kind, 1); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: RecoveryScript error = %v, want one naming the field", tc.field, err)
+		}
+	}
+	// Through the entry points: the matrix is refused before any cell runs
+	// (a zero interval would otherwise never get there), and a telemetry cell
+	// names the caller's mistake instead of panicking.
+	if _, err := RunRecovery(RecoveryConfig{Seed: 1, FaultAt: 30 * netsim.Second, RestartAt: 45 * netsim.Second,
+		JoinAt: 35 * netsim.Second, End: 120 * netsim.Second}); err == nil || !strings.Contains(err.Error(), "PacketInterval") {
+		t.Errorf("RunRecovery with a zero PacketInterval: %v, want an error naming the field", err)
+	}
+	if _, err := RecoveryTelemetry(SmokeRecovery(), PIMSM, "meltdown", netsim.Second); err == nil {
+		t.Error("RecoveryTelemetry accepted an unknown fault kind")
+	}
+	if _, err := RecoveryTelemetry(SmokeRecovery(), "ospf", FaultCrash, netsim.Second); err == nil || !strings.Contains(err.Error(), "ospf") {
+		t.Errorf("RecoveryTelemetry with an unknown protocol: %v, want an error naming it", err)
 	}
 }

@@ -54,14 +54,14 @@ func TestShardedRecoveryMatrixMatchesSequential(t *testing.T) {
 	for pi, proto := range RecoveryProtocols() {
 		for ki, kind := range kinds {
 			seed := parallel.DeriveSeed(cfg.Seed, int64(pi*len(kinds)+ki))
-			base := runRecoveryOnce(cfg, proto, kind, seed, nil)
+			base, baseTrace := runRecoveryOnce(cfg, proto, kind, seed)
 			for _, n := range []int{2, 4} {
 				scfg := cfg
 				scfg.Shards = n
-				got := runRecoveryOnce(scfg, proto, kind, seed, nil)
-				if !reflect.DeepEqual(got, base) {
-					t.Errorf("%s/%s shards=%d diverges from sequential:\n  seq: %+v\n  shd: %+v",
-						proto, kind, n, base, got)
+				got, gotTrace := runRecoveryOnce(scfg, proto, kind, seed)
+				if !reflect.DeepEqual(got, base) || !reflect.DeepEqual(gotTrace, baseTrace) {
+					t.Errorf("%s/%s shards=%d diverges from sequential:\n  seq: %+v %v\n  shd: %+v %v",
+						proto, kind, n, base, baseTrace, got, gotTrace)
 				}
 			}
 		}

@@ -220,17 +220,6 @@ func (n *Network) LiveTimers() int {
 	return total
 }
 
-// ShardScheduler returns shard i's private scheduler, or the root scheduler
-// when the network is unsharded. Telemetry gauges that poll scheduler state
-// from inside a shard's execution (e.g. per-lane live-timer readers) must use
-// their own shard's scheduler — cross-shard reads during a window race.
-func (n *Network) ShardScheduler(i int) *Scheduler {
-	if n.set == nil {
-		return n.Sched
-	}
-	return n.set.scheds[i]
-}
-
 // schedFor returns the scheduler that owns a node's events.
 func (n *Network) schedFor(nd *Node) *Scheduler {
 	if n.set != nil {

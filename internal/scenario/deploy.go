@@ -273,7 +273,8 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 		// MOSPF carries its own topology view (the shared Domain), so
 		// FinishUnicast is not required. Its routers flood through that
 		// Domain synchronously — racy and order-sensitive across
-		// concurrently executing shards.
+		// concurrently executing shards. Front ends ask Recipe.Sequential
+		// before they partition.
 		if s.Net.Sharded() {
 			panic("scenario: MOSPF requires an unsharded network (shards=1)")
 		}

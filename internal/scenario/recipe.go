@@ -54,6 +54,13 @@ func ProtocolNames() []string {
 	return []string{"pim-sm", "pim-sm-shared", "pim-dm", "dvmrp", "cbt", "mospf"}
 }
 
+// Sequential reports whether the recipe's protocol must run on an unsharded
+// network — the one protocol pin on sharding, asked by every front end before
+// it partitions. MOSPF's routers flood through one shared in-memory Domain,
+// synchronously: racy and order-sensitive across concurrently executing
+// shards (Deploy panics on a sharded network for the same reason).
+func (rec Recipe) Sequential() bool { return rec.Protocol == "mospf" }
+
 // timers resolves the recipe's clocks: the fast grade or the engine defaults,
 // with an explicit PruneHold overriding either.
 func (rec Recipe) timers() timerGrade {

@@ -364,8 +364,21 @@ type Result struct {
 	Violations []telemetry.Violation
 	// Events is the canonical captured telemetry stream of a Captured run:
 	// per-shard lane buffers concatenated and stable-sorted by (At, Router),
-	// identical for any shard count.
+	// identical for any shard count. Every observer (Sampler,
+	// ConvergenceProbe, an experiment's own tally) can be fed from it by
+	// replaying it into a fresh Bus, so none of them needs to know about lanes.
 	Events []telemetry.Event
+	// State holds one sample of the deployment's installed entry count, summed
+	// over the routers, taken at the end of each `run`. It is a reading, not a
+	// fold of Events: a crash drops state without an EntryExpire, and MOSPF's
+	// count is not its event population.
+	State []int
+	// PeakLiveTimers and ShardLoads are the network's own exact counts, read
+	// once after the last statement: the scheduler's timer-population
+	// high-water mark (summed over shards) and the per-shard execution
+	// counters (nil for a sequential run).
+	PeakLiveTimers int
+	ShardLoads     []netsim.ShardLoad
 }
 
 // OK reports whether every expectation held.
@@ -465,11 +478,11 @@ type RunConfig struct {
 // canonical stream — into the Result. The zero RunConfig is the plain run.
 //
 // Sharding: a run executes under cfg.Shards, observed or not — capture and
-// the checker ride one telemetry lane per shard. Four things pin it to
+// the checker ride one telemetry lane per shard. Three things pin it to
 // sequential execution instead: an external Bus (one bus, which parallel
 // shards would race on), FailFast (a shard goroutine must not halt the root
-// scheduler), MOSPF (its routers share one link-state Domain) and the mixed
-// sparse/dense interop form.
+// scheduler) and a protocol whose recipe says so (scenario.Recipe.Sequential:
+// MOSPF's routers share one link-state Domain).
 func (s *Script) RunWith(cfg RunConfig) (*Result, error) {
 	// A recorded-verdict scenario needs its checker regardless of how the
 	// caller invoked it: the violation count is part of the outcome.
@@ -514,6 +527,9 @@ func (s *Script) RunWith(cfg RunConfig) (*Result, error) {
 	})
 	if r.dep != nil {
 		r.res.Violations = r.dep.Violations()
+	}
+	if r.sim != nil {
+		r.res.PeakLiveTimers, r.res.ShardLoads = r.sim.Net.PeakLiveTimers(), r.sim.Net.ShardLoads()
 	}
 	return r.res, nil
 }
@@ -722,7 +738,7 @@ func (r *runner) deploy(st *stmt) error {
 	}
 	// Shard before the unicast substrate schedules its first event, unless
 	// the run is one RunWith lists as sequential.
-	if r.cfg.Bus == nil && !r.cfg.FailFast && rec.Protocol != "mospf" && !mixed {
+	if r.cfg.Bus == nil && !r.cfg.FailFast && !rec.Sequential() {
 		r.sim.AutoShardN(r.cfg.Shards)
 	}
 	opts := r.observe()
@@ -802,6 +818,11 @@ func (r *runner) doRun(st *stmt) error {
 		return st.errf("bad duration %q", st.args[0])
 	}
 	r.sim.Run(d)
+	total := 0
+	for i := range r.graph.N() {
+		total += r.stateFn(i)
+	}
+	r.res.State = append(r.res.State, total)
 	return nil
 }
 

@@ -42,9 +42,10 @@ func TestScenariosShardEquivalence(t *testing.T) {
 			baseEvents, baseRes := capture(1)
 			if len(baseEvents) == 0 {
 				// The mixed sparse/dense interop deployment does not attach
-				// telemetry (and pins to sequential execution anyway); the
-				// scripted delivery counts must still be non-trivial and
-				// identical across shard settings.
+				// telemetry, though it shards like any other (every interop
+				// engine, borders included, is per node); the scripted
+				// delivery counts must still be non-trivial and identical
+				// across shard settings.
 				total := 0
 				for _, n := range baseRes.Delivered {
 					total += n
@@ -102,5 +103,72 @@ func TestCheckedRunShards(t *testing.T) {
 			t.Errorf("%s: seq failures %v violations %v; shd failures %v violations %v",
 				path, seq.Failures, seq.Violations, shd.Failures, shd.Violations)
 		}
+	}
+}
+
+// TestResultStateSamples: Result.State holds one reading per `run`, each the
+// sum of what `expect router rN state` reads at that clock, whatever the shard
+// count. The samples are readings rather than a fold of the event stream — the
+// crash in between drops r1's entries without an EntryExpire.
+func TestResultStateSamples(t *testing.T) {
+	const text = `topo edges 0-1 1-2
+group G0 rp r1
+host src r0
+host recv r2
+protocol pim-sm timers=fast
+at 1s join recv G0
+at 3s send src G0 count=40 every=1s
+at 20s crash r1
+run 15s
+expect router r0 state == 1
+expect router r1 state == 2
+expect router r2 state == 2
+run 10s
+expect router r0 state == 1
+expect router r1 state == 0
+expect router r2 state == 2
+`
+	for _, shards := range []int{1, 2} {
+		s, err := Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunWith(RunConfig{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.OK() {
+			t.Errorf("shards=%d: per-router readings moved: %v", shards, res.Failures)
+		}
+		if want := []int{5, 3}; !reflect.DeepEqual(res.State, want) {
+			t.Errorf("shards=%d: State = %v, want %v (the per-router sums)", shards, res.State, want)
+		}
+		if shards == 2 && (len(res.ShardLoads) != 2 || res.PeakLiveTimers == 0) {
+			t.Errorf("sharded run reported loads %+v, peak timers %d", res.ShardLoads, res.PeakLiveTimers)
+		}
+	}
+}
+
+// TestInteropShards: the mixed sparse/dense form partitions like any other
+// deployment — every interop engine, borders included, is per node — and
+// delivers the same counts on two shards as on one.
+func TestInteropShards(t *testing.T) {
+	s, err := ParseFile("../../scenarios/interop.pim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := s.RunWith(RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shd, err := s.RunWith(RunConfig{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shd.ShardLoads) != 2 || seq.ShardLoads != nil {
+		t.Errorf("shard loads: seq %+v, shards=2 %+v", seq.ShardLoads, shd.ShardLoads)
+	}
+	if !shd.OK() || !reflect.DeepEqual(shd.Delivered, seq.Delivered) {
+		t.Errorf("shards=2 failures %v delivered %v, sequential delivered %v", shd.Failures, shd.Delivered, seq.Delivered)
 	}
 }

@@ -100,3 +100,46 @@ func TestTelemetryGoldenDump(t *testing.T) {
 			golden, buf.Len(), len(want))
 	}
 }
+
+// TestSamplerReplayMatchesLive licenses "observers fold the stream": the
+// RP-failover scenario observed live through RunConfig.Bus, and replayed from
+// the canonical captured stream of a run on 1 and on 2 shards, write
+// byte-identical dumps — all equal to the golden, live_entry_peak (the one
+// field a same-instant reordering could move) included.
+func TestSamplerReplayMatchesLive(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "rpfailover_telemetry.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(want, []byte(`"live_entry_peak"`)) {
+		t.Fatal("golden does not carry live_entry_peak; the comparison would not cover it")
+	}
+	dump := func(cfg RunConfig, bus *telemetry.Bus, replay bool) []byte {
+		s, err := ParseFile("../../scenarios/rpfailover.pim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		smp := telemetry.NewSampler(bus, 5*netsim.Second)
+		res, err := s.RunWith(cfg)
+		if err != nil || !res.OK() {
+			t.Fatalf("run %+v: %v %v", cfg, err, res.Failures)
+		}
+		if replay {
+			bus.Replay(res.Events)
+		}
+		var buf bytes.Buffer
+		if err := smp.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	live := telemetry.NewBus()
+	if got := dump(RunConfig{Bus: live}, live, false); !bytes.Equal(got, want) {
+		t.Errorf("live dump differs from the golden (%d vs %d bytes)", len(got), len(want))
+	}
+	for _, shards := range []int{1, 2} {
+		if got := dump(RunConfig{Captured: true, Shards: shards}, telemetry.NewBus(), true); !bytes.Equal(got, want) {
+			t.Errorf("shards=%d: replayed dump differs from the golden (%d vs %d bytes)", shards, len(got), len(want))
+		}
+	}
+}

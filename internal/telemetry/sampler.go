@@ -14,38 +14,23 @@ import (
 // curves are folded incrementally from events — so attaching a sampler never
 // perturbs protocol timing.
 //
-// A sharded simulation publishes on one bus per shard; NewShardedSampler
-// attaches one isolated lane of sampler state to each bus, so observation
-// stays race-free (a lane is only touched by its shard's goroutine) and the
-// curves merge at dump time — every router lives on exactly one shard, so
-// the union is disjoint.
+// A sampler folds one stream: the bus of a sequential run, live, or the
+// canonical captured stream of any run (script.Result.Events) replayed into a
+// fresh bus with Bus.Replay. The two give byte-identical dumps, so how a run
+// was sharded is capture's concern, never the sampler's.
 type Sampler struct {
 	interval netsim.Time
-	lanes    []*samplerLane
-	// shardLoads, when attached, reads the per-shard execution counters at
-	// dump time; the readings land in Dump.Shards.
-	shardLoads func() []netsim.ShardLoad
-}
-
-// samplerLane is the per-bus observation state: everything mutated while the
-// simulation runs lives here, touched only by the owning shard.
-type samplerLane struct {
-	interval netsim.Time
 	routers  map[int]*samplerSeries
-	last     int // highest bucket index seen on this lane
-	// gauge, when attached, reads the owning shard's live-timer count; it is
-	// sampled on every observed event (never on its own schedule, so it adds
-	// no events of its own) and the dump carries the peak reading.
-	gauge     func() int64
-	gaugePeak int64
-	// liveEntries folds EntryCreate/EntryExpire into the lane's installed
-	// multicast state population; the dump carries the peak.
+	last     int // highest bucket index seen
+	// liveEntries folds EntryCreate/EntryExpire into the installed multicast
+	// state population; the dump carries the peak.
 	liveEntries   int64
 	liveEntryPeak int64
-	// stateBytes, when attached, reads the shard's MFIB memory footprint
-	// (the flat store's Bytes estimator); sampled like gauge, peak reported.
-	stateBytes     func() int64
-	stateBytesPeak int64
+	// LiveTimerPeak and Shards are not folded from events: whoever ran the
+	// simulation copies the network's own counts here after the run
+	// (netsim.Network.PeakLiveTimers, ShardLoads) and the dump carries them.
+	LiveTimerPeak int64
+	Shards        []netsim.ShardLoad
 }
 
 type samplerSeries struct {
@@ -88,19 +73,15 @@ type RouterCurve struct {
 type Dump struct {
 	IntervalSec float64       `json:"interval_sec"`
 	Routers     []RouterCurve `json:"routers"`
-	// LiveTimerPeak is the highest live-timer gauge reading observed across
-	// the run — total armed timers in the scheduler, the backing store's
-	// population pressure. Sharded runs report the sum of per-lane peaks.
-	// Zero (and omitted) when no gauge was attached.
+	// LiveTimerPeak is the scheduler's timer-population high-water mark over
+	// the run — total armed timers, the backing store's population pressure —
+	// exactly as netsim counted it (a sharded run reports the sum of its
+	// shards' peaks). Zero (and omitted) when nobody recorded it.
 	LiveTimerPeak int64 `json:"live_timer_peak,omitempty"`
 	// LiveEntryPeak is the highest simultaneously-installed multicast state
 	// entry count observed across the run, folded from the
-	// EntryCreate/EntryExpire stream (no gauge needed). Sharded runs report
-	// the sum of per-lane peaks.
+	// EntryCreate/EntryExpire stream.
 	LiveEntryPeak int64 `json:"live_entry_peak,omitempty"`
-	// StateBytesPeak is the highest MFIB memory-footprint reading observed,
-	// in bytes, when a state-bytes gauge (mfib.Table.Bytes) is attached.
-	StateBytesPeak int64 `json:"state_bytes_peak,omitempty"`
 	// Shards carries the per-shard execution counters of a sharded run:
 	// events executed, barrier-wait time, and lookahead stalls per shard.
 	// Omitted for sequential runs.
@@ -109,85 +90,27 @@ type Dump struct {
 
 // NewSampler attaches a sampler with the given bucket interval to the bus.
 func NewSampler(bus *Bus, interval netsim.Time) *Sampler {
-	return NewShardedSampler([]*Bus{bus}, interval)
-}
-
-// NewShardedSampler attaches one sampler lane per bus — the per-shard
-// telemetry lanes of a sharded deployment — and merges the curves at dump
-// time.
-func NewShardedSampler(buses []*Bus, interval netsim.Time) *Sampler {
 	if interval <= 0 {
 		interval = netsim.Second
 	}
-	s := &Sampler{interval: interval}
-	for _, bus := range buses {
-		lane := &samplerLane{interval: interval, routers: map[int]*samplerSeries{}}
-		bus.Subscribe(lane.observe)
-		s.lanes = append(s.lanes, lane)
-	}
+	s := &Sampler{interval: interval, routers: map[int]*samplerSeries{}}
+	bus.Subscribe(s.observe)
 	return s
 }
 
-// AttachLiveTimerGauge wires a live-timer reader (typically the simulation
-// scheduler's LiveTimers count) into the sampler's first lane. The gauge is
-// polled on each observed event, so attaching it is timing-neutral; the peak
-// reading lands in Dump.LiveTimerPeak. On sharded samplers use
-// AttachLaneGauge with each shard's own scheduler instead.
-func (s *Sampler) AttachLiveTimerGauge(read func() int64) {
-	s.AttachLaneGauge(0, read)
-}
-
-// AttachLaneGauge wires a live-timer reader into lane i. The reader runs on
-// shard i's goroutine, so it must touch only that shard's scheduler.
-func (s *Sampler) AttachLaneGauge(i int, read func() int64) {
-	s.lanes[i].gauge = read
-}
-
-// AttachStateBytesGauge wires a state-footprint reader (typically the sum of
-// the deployment's mfib.Table.Bytes) into the sampler's first lane. Like the
-// live-timer gauge it is polled on observed events only, so it is
-// timing-neutral; the peak reading lands in Dump.StateBytesPeak. On sharded
-// samplers use AttachLaneStateBytesGauge with per-shard readers.
-func (s *Sampler) AttachStateBytesGauge(read func() int64) {
-	s.AttachLaneStateBytesGauge(0, read)
-}
-
-// AttachLaneStateBytesGauge wires a state-footprint reader into lane i. The
-// reader runs on shard i's goroutine, so it must touch only that shard's
-// routers.
-func (s *Sampler) AttachLaneStateBytesGauge(i int, read func() int64) {
-	s.lanes[i].stateBytes = read
-}
-
-// AttachShardLoads wires a per-shard execution-counter reader (typically
-// netsim.Network.ShardLoads), polled once at dump time.
-func (s *Sampler) AttachShardLoads(read func() []netsim.ShardLoad) {
-	s.shardLoads = read
-}
-
-func (l *samplerLane) observe(ev Event) {
-	if l.gauge != nil {
-		if v := l.gauge(); v > l.gaugePeak {
-			l.gaugePeak = v
-		}
-	}
-	if l.stateBytes != nil {
-		if v := l.stateBytes(); v > l.stateBytesPeak {
-			l.stateBytesPeak = v
-		}
-	}
+func (s *Sampler) observe(ev Event) {
 	var ctrl, stateDelta, delivered, drops, timerFires int64
 	switch ev.Kind {
 	case JoinPruneSend, GraftSend, PruneSend, RegisterSend, LSAFlood, MemberAdSend:
 		ctrl = 1
 	case EntryCreate:
 		stateDelta = 1
-		if l.liveEntries++; l.liveEntries > l.liveEntryPeak {
-			l.liveEntryPeak = l.liveEntries
+		if s.liveEntries++; s.liveEntries > s.liveEntryPeak {
+			s.liveEntryPeak = s.liveEntries
 		}
 	case EntryExpire:
 		stateDelta = -1
-		l.liveEntries--
+		s.liveEntries--
 	case Deliver:
 		delivered = 1
 	case RPFDrop, NoState:
@@ -197,14 +120,14 @@ func (l *samplerLane) observe(ev Event) {
 	default:
 		return
 	}
-	rs := l.routers[ev.Router]
+	rs := s.routers[ev.Router]
 	if rs == nil {
 		rs = &samplerSeries{buckets: map[int]*samplerBucket{}}
-		l.routers[ev.Router] = rs
+		s.routers[ev.Router] = rs
 	}
-	bi := int(ev.At / l.interval)
-	if bi > l.last {
-		l.last = bi
+	bi := int(ev.At / s.interval)
+	if bi > s.last {
+		s.last = bi
 	}
 	b := rs.buckets[bi]
 	if b == nil {
@@ -220,36 +143,24 @@ func (l *samplerLane) observe(ev Event) {
 
 // Curves folds the observed events into the dump document: routers sorted by
 // index, every bucket from 0 through the last observed one present (state is
-// carried forward through empty buckets). A router's series lives wholly on
-// its shard's lane, so merging lanes is a disjoint union.
+// carried forward through empty buckets).
 func (s *Sampler) Curves() Dump {
-	d := Dump{IntervalSec: float64(s.interval) / float64(netsim.Second)}
-	routers := map[int]*samplerSeries{}
-	last := 0
-	for _, l := range s.lanes {
-		d.LiveTimerPeak += l.gaugePeak
-		d.LiveEntryPeak += l.liveEntryPeak
-		d.StateBytesPeak += l.stateBytesPeak
-		if l.last > last {
-			last = l.last
-		}
-		for i, rs := range l.routers {
-			routers[i] = rs
-		}
+	d := Dump{
+		IntervalSec:   float64(s.interval) / float64(netsim.Second),
+		LiveTimerPeak: s.LiveTimerPeak,
+		LiveEntryPeak: s.liveEntryPeak,
+		Shards:        s.Shards,
 	}
-	if s.shardLoads != nil {
-		d.Shards = s.shardLoads()
-	}
-	idxs := make([]int, 0, len(routers))
-	for i := range routers {
+	idxs := make([]int, 0, len(s.routers))
+	for i := range s.routers {
 		idxs = append(idxs, i)
 	}
 	sort.Ints(idxs)
 	for _, i := range idxs {
-		rs := routers[i]
-		curve := RouterCurve{Router: i, Samples: make([]Sample, 0, last+1)}
+		rs := s.routers[i]
+		curve := RouterCurve{Router: i, Samples: make([]Sample, 0, s.last+1)}
 		var state int64
-		for bi := 0; bi <= last; bi++ {
+		for bi := 0; bi <= s.last; bi++ {
 			sm := Sample{TSec: float64(bi) * d.IntervalSec, State: state}
 			if b := rs.buckets[bi]; b != nil {
 				state += b.stateDelta

@@ -181,3 +181,11 @@ func (b *Bus) Publish(ev Event) {
 		fn(ev)
 	}
 }
+
+// Replay publishes a recorded stream in order. Observers subscribed to a
+// fresh bus fold a captured run exactly as they would have folded it live.
+func (b *Bus) Replay(events []Event) {
+	for _, ev := range events {
+		b.Publish(ev)
+	}
+}

@@ -44,19 +44,16 @@ func TestSamplerCurves(t *testing.T) {
 	b.Publish(Event{At: 500 * netsim.Millisecond, Kind: JoinPruneSend, Router: 0})
 	b.Publish(Event{At: 2500 * netsim.Millisecond, Kind: EntryExpire, Router: 0})
 	b.Publish(Event{At: 2600 * netsim.Millisecond, Kind: MemberAdSend, Router: 0, Value: 3})
-	// Router 3: a delivery, a drop, and two timer fires in bucket 1. The
-	// live-timer gauge is polled on each observed event; the dump keeps the
-	// peak reading.
-	live := int64(7)
-	s.AttachLiveTimerGauge(func() int64 { return live })
-	stateBytes := int64(4096)
-	s.AttachStateBytesGauge(func() int64 { return stateBytes })
-	b.Publish(Event{At: 1200 * netsim.Millisecond, Kind: Deliver, Router: 3})
-	live = 42
-	b.Publish(Event{At: 1300 * netsim.Millisecond, Kind: RPFDrop, Router: 3})
-	live = 3
-	b.Publish(Event{At: 1400 * netsim.Millisecond, Kind: TimerFire, Router: 3})
-	b.Publish(Event{At: 1500 * netsim.Millisecond, Kind: TimerFire, Router: 3})
+	// Router 3: a delivery, a drop, and two timer fires in bucket 1, replayed
+	// as a recorded stream. The scheduler readings are not folded from events:
+	// the dump carries what the run's owner recorded.
+	b.Replay([]Event{
+		{At: 1200 * netsim.Millisecond, Kind: Deliver, Router: 3},
+		{At: 1300 * netsim.Millisecond, Kind: RPFDrop, Router: 3},
+		{At: 1400 * netsim.Millisecond, Kind: TimerFire, Router: 3},
+		{At: 1500 * netsim.Millisecond, Kind: TimerFire, Router: 3},
+	})
+	s.LiveTimerPeak, s.Shards = 42, []netsim.ShardLoad{{Shard: 0, Events: 9}, {Shard: 1, Events: 4}}
 
 	d := s.Curves()
 	if len(d.Routers) != 2 || d.Routers[0].Router != 0 || d.Routers[1].Router != 3 {
@@ -79,16 +76,12 @@ func TestSamplerCurves(t *testing.T) {
 	if r3[1].Delivered != 1 || r3[1].Drops != 1 || r3[1].TimerFires != 2 {
 		t.Errorf("r3 bucket1 = %+v, want delivered=1 drops=1 timerFires=2", r3[1])
 	}
-	if d.LiveTimerPeak != 42 {
-		t.Errorf("LiveTimerPeak = %d, want 42", d.LiveTimerPeak)
+	if d.LiveTimerPeak != 42 || len(d.Shards) != 2 || d.Shards[1].Events != 4 {
+		t.Errorf("LiveTimerPeak = %d, Shards = %+v, want the recorded 42 and two shards", d.LiveTimerPeak, d.Shards)
 	}
-	// Two entries were simultaneously installed at the peak, and the
-	// state-bytes gauge never moved off its attached reading.
+	// Two entries were simultaneously installed at the peak.
 	if d.LiveEntryPeak != 2 {
 		t.Errorf("LiveEntryPeak = %d, want 2", d.LiveEntryPeak)
-	}
-	if d.StateBytesPeak != 4096 {
-		t.Errorf("StateBytesPeak = %d, want 4096", d.StateBytesPeak)
 	}
 
 	var buf bytes.Buffer

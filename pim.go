@@ -417,14 +417,17 @@ const (
 
 // RunRecovery drives every protocol through the fault matrix (control-plane
 // loss, link flap, router crash/restart) and measures recovery time, control
-// overhead, residual state, and each cell's delivery-trace fingerprint.
-func RunRecovery(cfg RecoveryConfig) RecoveryResult { return experiments.RunRecovery(cfg) }
+// overhead, residual state, and each cell's delivery-trace fingerprint. It
+// refuses, naming the field, a config whose PacketInterval is not positive or
+// whose FaultAt (≥ 3 s), RestartAt and JoinAt (both after FaultAt, before
+// End) are out of order.
+func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) { return experiments.RunRecovery(cfg) }
 
-// RecoveryTelemetry runs one recovery cell (protocol × fault) with a
-// time-series sampler attached to the deployment's event bus and returns the
-// sampler; dump its per-router counter curves with WriteJSON (the
+// RecoveryTelemetry runs one recovery cell (protocol × fault), replays its
+// captured event stream into a time-series sampler and returns the sampler;
+// dump its per-router counter curves with WriteJSON (the
 // `pimbench run telemetry` output).
-func RecoveryTelemetry(cfg RecoveryConfig, p Protocol, fault string, interval Time) *TelemetrySampler {
+func RecoveryTelemetry(cfg RecoveryConfig, p Protocol, fault string, interval Time) (*TelemetrySampler, error) {
 	return experiments.RecoveryTelemetry(cfg, p, fault, interval)
 }
 
