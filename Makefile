@@ -31,7 +31,7 @@ race:
 # `race` only replay the committed seed corpora; this is the step that asserts
 # "survives hostile bytes" (ROADMAP aim 3) with bytes nobody wrote down. A
 # crasher is saved under the package's testdata/fuzz/ — commit it with the fix.
-FUZZ_TARGETS = script:FuzzParse script:FuzzComposeParse packet:FuzzUnmarshal pimmsg:FuzzOpen \
+FUZZ_TARGETS = script:FuzzParse script:FuzzComposeParse packet:FuzzUnmarshal packet:FuzzChecksum pimmsg:FuzzOpen \
 	igmp:FuzzUnmarshalInto cbt:FuzzUnmarshalInto dvmrp:FuzzUnmarshalInto mospf:FuzzMembershipLSAUnmarshal
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -77,13 +77,14 @@ bench-smoke:
 	$(GO) test -run 'TestFlatMapStoreLockstep' -count=1 ./internal/mfib/
 	$(GO) test -race -count=1 -run 'TestOracle' ./internal/unicast/
 	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/script/ ./internal/netsim/... ./internal/parallel/... ./internal/faultsearch/ ./internal/faults/ ./internal/mfib/
-	$(GO) test -run XXX -bench 'BenchmarkDijkstraReuse|BenchmarkLANDeliver|BenchmarkScheduler(Churn|Dense)' -benchtime 10x ./internal/topology/ ./internal/netsim/
+	$(GO) test -run XXX -bench 'BenchmarkDijkstraReuse|BenchmarkLANDeliver|BenchmarkScheduler(Churn|Dense)|BenchmarkDenseBatch(Runs|Reference)|BenchmarkRunSort' -benchtime 10x ./internal/topology/ ./internal/netsim/
+	$(GO) test -run XXX -bench 'BenchmarkChecksum(Wide|Reference)' -benchtime 10x ./internal/packet/
 	$(GO) test -run XXX -bench 'BenchmarkEngineFig2a' -benchtime 1x .
 	$(GO) test -run XXX -bench 'BenchmarkLPM(Trie|Linear)256' -benchtime 10x ./internal/unicast/
 	$(GO) test -run XXX -bench 'BenchmarkOracle(FirstLookups|LinkFlap)1024' -benchtime 3x -benchmem ./internal/unicast/
 	$(GO) test -run XXX -bench 'BenchmarkRPF(CacheHit|Uncached)' -benchtime 10x ./internal/rpf/
 	$(GO) test -run XXX -bench 'BenchmarkMemberAdRegion256' -benchtime 3x -benchmem ./internal/pimdm/
-	$(GO) test -run XXX -bench 'BenchmarkFanout(Compiled|Reference)' -benchtime 10x ./internal/mfib/
+	$(GO) test -run XXX -bench 'BenchmarkFanout(Compiled|Reference)|BenchmarkGetMiss(Flat|Reference)' -benchtime 10x ./internal/mfib/
 	$(GO) test -run XXX -bench 'BenchmarkCBTFanout' -benchtime 10x -benchmem ./internal/cbt/
 
 # bench-driver proves the frozen benchmark driver still compiles and runs

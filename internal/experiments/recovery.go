@@ -246,15 +246,6 @@ const (
 // substrate converges at once), and `at` times count from there.
 const settle = 2 * netsim.Second
 
-// dur writes a simulated time as a .pim duration: whole seconds as <n>s,
-// anything finer in milliseconds, the grammar's finest unit.
-func dur(t netsim.Time) string {
-	if t%netsim.Second == 0 {
-		return fmt.Sprintf("%ds", t/netsim.Second)
-	}
-	return fmt.Sprintf("%gms", float64(t)/float64(netsim.Millisecond))
-}
-
 // cellScript is the matrix cell every (protocol, fault) pair fills in; the
 // blanks are the group's RP, the fault seed, the protocol, B's join time, the
 // sender's count and interval, the fault's `at` lines and the two runs.
@@ -302,6 +293,7 @@ func RecoveryScript(cfg RecoveryConfig, proto Protocol, kind string, seed int64)
 	if err := cfg.check(); err != nil {
 		return "", err
 	}
+	dur := script.FormatDuration
 	rp, joinB, faults := "", settle, ""
 	if proto == PIMSM || proto == PIMSMShared || proto == CBT {
 		rp = " rp r3"

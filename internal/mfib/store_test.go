@@ -143,6 +143,25 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 		return Key{Source: s, Group: groups[rng.Intn(len(groups))], RPBit: s == 0 || rng.Intn(2) == 0}
 	}
 
+	// Miss-heavy probes, forwardData's three lookups per packet over a
+	// source/group universe mostly absent from both stores, drawn from their
+	// own generator so the mutation sequence above is unchanged.
+	probeRng := rand.New(rand.NewSource(11))
+	missProbe := func(i int) {
+		s := addr.V4(10, byte(1+probeRng.Intn(12)), 0, 1)
+		g := addr.GroupForIndex(probeRng.Intn(3 * len(groups)))
+		for _, k := range []Key{{Group: g, RPBit: true}, {Source: s, Group: g}, {Source: s, Group: g, RPBit: true}} {
+			if fe, re := flat.Get(k), ref.Get(k); (fe == nil) != (re == nil) || fe != nil && fe.Key != re.Key {
+				t.Fatalf("op %d: miss probe Get(%v) differs: flat=%v ref=%v", i, k, fe != nil, re != nil)
+			}
+		}
+		if (flat.Wildcard(g) == nil) != (ref.Get(Key{Group: g, RPBit: true}) == nil) ||
+			(flat.SG(s, g) == nil) != (ref.Get(Key{Source: s, Group: g}) == nil) ||
+			(flat.SGRpt(s, g) == nil) != (ref.Get(Key{Source: s, Group: g, RPBit: true}) == nil) {
+			t.Fatalf("op %d: Wildcard/SG/SGRpt(%v, %v) presence differs from the model", i, s, g)
+		}
+	}
+
 	var now netsim.Time
 	for i := 0; i < ops; i++ {
 		now += netsim.Time(rng.Intn(8))
@@ -151,6 +170,7 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 		if (fe == nil) != (re == nil) {
 			t.Fatalf("op %d: Get(%v) presence differs: flat=%v ref=%v", i, k, fe != nil, re != nil)
 		}
+		missProbe(i)
 		switch op := rng.Intn(20); {
 		case op < 5: // upsert
 			fe2, fc := flat.Upsert(k, now)
@@ -289,6 +309,75 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 	}
 	if fd, rd := dumpTable(flat), dumpTable(ref); fd != rd {
 		t.Fatalf("final dumps diverge\nflat:\n%s\nref:\n%s", fd, rd)
+	}
+
+	// Grow the index through several doublings and shrink it back with
+	// backward-shift deletes, probing the whole universe — two misses for
+	// every hit — after each phase.
+	var bulk []Key
+	for s := 0; s < 64; s++ {
+		for g := 0; g < 24; g++ {
+			bulk = append(bulk, Key{Source: addr.V4(10, 77, byte(s), 1), Group: addr.GroupForIndex(g)})
+		}
+	}
+	probeAll := func(phase string) {
+		for _, k := range bulk {
+			for _, pk := range []Key{k, {Source: k.Source, Group: k.Group, RPBit: true}, {Group: k.Group, RPBit: true}} {
+				if (flat.Get(pk) == nil) != (ref.Get(pk) == nil) || (flat.HandleOf(pk) == 0) != (ref.Get(pk) == nil) {
+					t.Fatalf("%s: Get(%v) presence differs from the model", phase, pk)
+				}
+			}
+		}
+		if flat.Len() != ref.Len() {
+			t.Fatalf("%s: Len %d vs %d", phase, flat.Len(), ref.Len())
+		}
+	}
+	for i, k := range bulk {
+		flat.Upsert(k, now)
+		ref.Upsert(k, now)
+		if i%256 == 0 {
+			probeAll(fmt.Sprintf("insert %d", i))
+		}
+	}
+	probeAll("inserted")
+	for _, i := range rng.Perm(len(bulk))[:len(bulk)*3/4] {
+		flat.Delete(bulk[i])
+		ref.Delete(bulk[i])
+	}
+	probeAll("deleted")
+	if fd, rd := dumpTable(flat), dumpTable(ref); fd != rd {
+		t.Fatalf("bulk dumps diverge\nflat:\n%s\nref:\n%s", fd, rd)
+	}
+}
+
+// BenchmarkGetMissFlat and BenchmarkGetMissReference price the lookup most
+// forwarded packets make twice: a key absent from a table of 512 (S,G)
+// entries (here the (S,G,rpt) twin of a present (S,G)), on the arena index
+// and on the map model.
+func BenchmarkGetMissFlat(b *testing.B) {
+	tb := NewTable()
+	benchMiss(b, func(k Key) { tb.Upsert(k, 0) }, func(k Key) bool { return tb.Get(k) != nil })
+}
+
+func BenchmarkGetMissReference(b *testing.B) {
+	ref := &mapModel{m: map[Key]*Entry{}}
+	benchMiss(b, func(k Key) { ref.Upsert(k, 0) }, func(k Key) bool { return ref.Get(k) != nil })
+}
+
+func benchMiss(b *testing.B, put func(Key), get func(Key) bool) {
+	var keys []Key
+	for s := 0; s < 32; s++ {
+		for g := 0; g < 16; g++ {
+			k := Key{Source: addr.V4(10, 100, byte(s), 1), Group: addr.GroupForIndex(g)}
+			put(k)
+			keys = append(keys, Key{Source: k.Source, Group: k.Group, RPBit: true})
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if get(keys[i%len(keys)]) {
+			b.Fatal("miss key present")
+		}
 	}
 }
 

@@ -319,7 +319,7 @@ func (s *Scheduler) Post(d Time, fn func()) {
 // instant deliveries fire in (source, transmit sequence) order everywhere.
 // The event record carries the pooled frame by pointer (no closure) and
 // fire dispatches it directly. On the timing wheel a batch holding such an
-// event gets an order-restoring sort at fire time (fillDue), since structural
+// event has its order restored at fire time (orderBatch), since structural
 // keys need not match append order.
 func (s *Scheduler) enqueueDelivery(at, bs Time, ord uint64, f *frame) {
 	s.live++

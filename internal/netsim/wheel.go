@@ -266,55 +266,86 @@ func (w *schedWheel) next(limit Time) (event, bool) {
 	}
 }
 
-// fillDue moves level-0 slot i into the due buffer (append order = fire
-// order) and pools the slot's emptied array, so steady-state scheduling stays
-// allocation-free.
-//
-// A slot normally fires in append order (= scheduling order), which matches
-// event.before for timer/Post entries (seq is monotone), but a packet
-// delivery's structural (bs, deliveryOrd) key need not match its push
-// position — a lower-numbered node may transmit after a higher-numbered one,
-// and a cross-shard arrival spliced in at a barrier carries a birth instant
-// that may precede locally appended entries. A batch holding a delivery
-// (an event carrying a frame, wherever cascades and overflow migration took
-// it on the way here) therefore gets a linear sortedness check, then a
-// (birth instant, order key) sort only when out of order — all entries share
-// the same deadline (the cursor's timestamp), so this restores event.before
-// order exactly. Timer-only batches pay one pass of nil tests.
+// fillDue moves level-0 slot i into the due buffer and pools the slot's
+// emptied array, so steady-state scheduling stays allocation-free. Every
+// entry of the slot shares the cursor's deadline, so orderBatch restoring
+// (birth instant, order key) order restores event.before order exactly.
 func (w *schedWheel) fillDue(i int) {
 	slot := w.levels[0][i]
 	n := len(slot)
 	start := len(w.due)
 	w.due = append(w.due, slot...)
-	delivery := false
-	for k := range slot {
-		if slot[k].fr != nil {
-			delivery = true
-			break
-		}
-	}
 	w.levels[0][i] = nil
 	w.release(slot)
 	w.occ[0][i>>6] &^= 1 << (uint(i) & 63)
 	w.nwheel -= n
-	if delivery {
-		batch := w.due[start:]
-		sorted := true
-		for k := 1; k < len(batch); k++ {
-			if batch[k].bs < batch[k-1].bs ||
-				(batch[k].bs == batch[k-1].bs && batch[k].ord < batch[k-1].ord) {
+	orderBatch(w.due[start:])
+}
+
+// shortRun is the longest same-birth run orderBatch insertion-sorts; longer
+// ones go to slices.SortFunc, so a same-instant run of thousands of
+// deliveries (a 10 000-router flood) cannot go quadratic. Up to 16 insertion
+// sort wins on shuffled and on reversed runs alike (BenchmarkRunSort).
+const shortRun = 16
+
+// orderBatch sorts one same-deadline batch by (bs, ord) in place.
+//
+// A slot holds its entries in append (= scheduling) order. The scheduler
+// clock is monotone and cascades and overflow migration keep slot order, so
+// birth instants are non-decreasing by construction, and timer/Post entries
+// (ord = monotone seq) are in order among themselves. What append order does
+// not give is the order key inside one birth-instant run: a delivery's
+// structural deliveryOrd follows the sender's node ID, and forwarders
+// transmit in the order packets reached them, not in node-ID order. So each
+// bs run is checked and, when scrambled, sorted on its own — the batch never
+// needs a general sort. The exception is a cross-shard arrival spliced in at
+// a barrier: its birth instant may precede entries already appended, and a
+// batch holding such a bs inversion takes the general (bs, ord) sort.
+func orderBatch(batch []event) {
+	for lo := 0; lo < len(batch); {
+		bs, sorted := batch[lo].bs, true
+		hi := lo + 1
+		for ; hi < len(batch) && batch[hi].bs == bs; hi++ {
+			if batch[hi].ord < batch[hi-1].ord {
 				sorted = false
-				break
 			}
 		}
-		if !sorted {
+		if hi < len(batch) && batch[hi].bs < bs {
 			slices.SortFunc(batch, func(a, b event) int {
 				if a.bs != b.bs {
 					return cmp.Compare(a.bs, b.bs)
 				}
 				return cmp.Compare(a.ord, b.ord)
 			})
+			return
 		}
+		if !sorted {
+			sortRun(batch[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// sortRun sorts one same-birth run by order key.
+func sortRun(run []event) {
+	if len(run) > shortRun {
+		slices.SortFunc(run, byOrd)
+		return
+	}
+	insertRun(run)
+}
+
+func byOrd(a, b event) int { return cmp.Compare(a.ord, b.ord) }
+
+// insertRun insertion-sorts a run by order key; no comparator call, so on
+// the short runs fillDue meets it beats slices.SortFunc (BenchmarkRunSort).
+func insertRun(run []event) {
+	for i := 1; i < len(run); i++ {
+		ev, j := run[i], i
+		for ; j > 0 && run[j-1].ord > ev.ord; j-- {
+			run[j] = run[j-1]
+		}
+		run[j] = ev
 	}
 }
 

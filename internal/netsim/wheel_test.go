@@ -1,7 +1,11 @@
 package netsim
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -145,6 +149,225 @@ func TestWheelDifferentialRandomOps(t *testing.T) {
 			t.Fatalf("seed %#x: degenerate sequence fired nothing", seed)
 		}
 	}
+}
+
+// TestWheelBatchOrderMatchesHeap: same-deadline batches shaped the way the
+// network produces them must fire in exactly the reference heap's order.
+// Each batch is pushed in scheduling order — birth instants non-decreasing —
+// with the order keys inside each birth-instant run reversed, as forwarders
+// that transmit in arrival order leave them, and timer entries interleaved.
+// One batch splices in an earlier birth instant after later ones (a
+// cross-shard arrival), which takes the general sort, and one holds a
+// 4 096-entry same-instant reversed run, past shortRun. Deadlines 1–10 ms out
+// reach level 0 by cascade, like link deliveries, one level-1 slot holding
+// two deadlines; stopped timers ride along.
+func TestWheelBatchOrderMatchesHeap(t *testing.T) {
+	w, h := newWheel(), &schedHeap{}
+	var seq uint64
+	dead := &Timer{stopped: true}
+	push := func(at, bs Time, ord uint64, tm *Timer) {
+		ev := event{at: at, bs: bs, ord: ord, tm: tm}
+		w.push(ev, 0)
+		h.push(ev)
+		if tm != nil { // pushed already stopped: count it as Stop would
+			w.ndead++
+			h.nstopped++
+		}
+	}
+	timer := func(at, bs Time) {
+		seq++
+		push(at, bs, seq|localOrd, nil)
+	}
+	// runs pushes one batch at deadline at: len(sizes) birth-instant runs
+	// from bs0 on, each a reversed sequence of deliveries from distinct
+	// senders with a timer after its first delivery.
+	runs := func(at, bs0 Time, sizes ...int) {
+		for r, n := range sizes {
+			bs := bs0 + Time(r)
+			for i := n; i > 0; i-- {
+				push(at, bs, deliveryOrd(i, uint64(r+1)), nil)
+				if i == n {
+					timer(at, bs)
+				}
+			}
+		}
+	}
+	runs(1000, 0, 3, 1, 7, 2, 16, 17, 5)          // level-1 slot, one deadline
+	runs(2000, 10, 4, 4)                          // shares its level-1 slot...
+	runs(2001, 10, 2, 9)                          // ...with a second deadline
+	push(2000, 10, deliveryOrd(3, 9), dead)       // dead entry riding a cascade
+	runs(5000, 40, 6)                             // a spliced bs inversion:
+	push(5000, 20, deliveryOrd(99, 1), nil)       // born before the run above,
+	runs(5000, 50, 3)                             // pushed before this one
+	runs(10000, 0, 4096)                          // one long same-instant run,
+	push(10000, 0, deliveryOrd(5000, 1), dead)    // a dead entry inside it
+	runs(9000, 0, shortRun, shortRun+1, shortRun) // both sides of shortRun
+
+	var got, want []event
+	for {
+		ev, ok := w.next(maxTime)
+		if !ok {
+			break
+		}
+		got = append(got, ev)
+	}
+	for {
+		ev, ok := h.next(maxTime)
+		if !ok {
+			break
+		}
+		want = append(want, ev)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("wheel fired %d entries, heap %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].at != want[i].at || got[i].bs != want[i].bs || got[i].ord != want[i].ord {
+			t.Fatalf("fire %d: wheel (at %d, bs %d, ord %#x), heap (at %d, bs %d, ord %#x)",
+				i, got[i].at, got[i].bs, got[i].ord, want[i].at, want[i].bs, want[i].ord)
+		}
+	}
+	if w.total != 0 || w.ndead != 0 {
+		t.Fatalf("wheel drained with total %d, ndead %d", w.total, w.ndead)
+	}
+}
+
+// refOrderBatch is the batch order restoration orderBatch replaced: a
+// sortedness check over the whole batch, then one general (bs, ord) sort.
+func refOrderBatch(batch []event) {
+	for k := 1; k < len(batch); k++ {
+		if batch[k].bs < batch[k-1].bs || (batch[k].bs == batch[k-1].bs && batch[k].ord < batch[k-1].ord) {
+			slices.SortFunc(batch, func(a, b event) int {
+				if a.bs != b.bs {
+					return cmp.Compare(a.bs, b.bs)
+				}
+				return cmp.Compare(a.ord, b.ord)
+			})
+			return
+		}
+	}
+}
+
+// randomBatch draws a same-deadline batch of n entries in runs of 1 to
+// maxRun entries: birth instants rise run to run (with probability inv one
+// falls, as a spliced cross-shard arrival's does), and order keys are
+// distinct across the batch and shuffled inside a run.
+func randomBatch(rng *rand.Rand, n, maxRun int, inv float64) []event {
+	batch := make([]event, 0, n)
+	bs := Time(0)
+	for len(batch) < n {
+		if rng.Float64() < inv {
+			bs -= Time(1 + rng.Intn(3))
+		} else {
+			bs += Time(1 + rng.Intn(3))
+		}
+		base := len(batch) * maxRun
+		for _, src := range rng.Perm(min(1+rng.Intn(maxRun), n-len(batch))) {
+			batch = append(batch, event{at: 1000, bs: bs, ord: deliveryOrd(base+src, 1)})
+		}
+	}
+	return batch
+}
+
+// TestOrderBatchMatchesSort: on random batches, with and without birth-
+// instant inversions, orderBatch leaves exactly the general sort's order.
+func TestOrderBatchMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 2000; i++ {
+		batch := randomBatch(rng, 1+rng.Intn(200), 2*shortRun, []float64{0, 0.05}[i%2])
+		want := slices.Clone(batch)
+		refOrderBatch(want)
+		orderBatch(batch)
+		for k := range want {
+			if batch[k].bs != want[k].bs || batch[k].ord != want[k].ord {
+				t.Fatalf("batch %d entry %d: (bs %d, ord %#x), sort gives (bs %d, ord %#x)", i, k, batch[k].bs, batch[k].ord, want[k].bs, want[k].ord)
+			}
+		}
+	}
+}
+
+// BenchmarkDenseBatchRuns and BenchmarkDenseBatchReference order the level-0
+// batch fillDue hands over on dense-data: 29 deliveries in 6–8 birth-instant
+// runs (6.9 on average there), order keys scrambled inside each.
+func BenchmarkDenseBatchRuns(b *testing.B) { benchBatch(b, denseBatches(), orderBatch) }
+
+func BenchmarkDenseBatchReference(b *testing.B) { benchBatch(b, denseBatches(), refOrderBatch) }
+
+// BenchmarkRunSort prices sortRun's two ways of sorting birth-instant runs,
+// insertRun and slices.SortFunc: on every run of the dense-data batches
+// above, and on single shuffled and reversed runs either side of shortRun.
+// Reversal is insertion sort's worst case and one SortFunc detects, so it
+// sets the cutoff: on a 2-vCPU VM insertion wins at 16 on both shapes, ties
+// reversed at 32 and loses from 64 on, while shuffled it still wins at 128.
+func BenchmarkRunSort(b *testing.B) {
+	sorts := []struct {
+		name string
+		fn   func([]event)
+	}{{"insertion", insertRun}, {"SortFunc", func(r []event) { slices.SortFunc(r, byOrd) }}}
+	names, cases := []string{"dense"}, [][][]event{denseBatches()}
+	rng := rand.New(rand.NewSource(27))
+	for _, n := range []int{shortRun, 2 * shortRun} {
+		var shuffled, reversed [][]event
+		for len(shuffled) < 64 {
+			s, r := make([]event, n), make([]event, n)
+			for i, src := range rng.Perm(n) {
+				s[i] = event{at: 1000, ord: deliveryOrd(src+1, 1)}
+				r[i] = event{at: 1000, ord: deliveryOrd(n-i, 1)}
+			}
+			shuffled, reversed = append(shuffled, s), append(reversed, r)
+		}
+		names = append(names, fmt.Sprintf("shuffled%d", n), fmt.Sprintf("reversed%d", n))
+		cases = append(cases, shuffled, reversed)
+	}
+	for c, batches := range cases {
+		for _, s := range sorts {
+			b.Run(names[c]+"/"+s.name, func(b *testing.B) {
+				benchBatch(b, batches, func(bt []event) {
+					for lo := 0; lo < len(bt); {
+						hi := lo + 1
+						for hi < len(bt) && bt[hi].bs == bt[lo].bs {
+							hi++
+						}
+						s.fn(bt[lo:hi])
+						lo = hi
+					}
+				})
+			})
+		}
+	}
+}
+
+// denseBatches draws 64 batches of 29 deliveries in 6–8 birth-instant runs.
+func denseBatches() [][]event {
+	rng := rand.New(rand.NewSource(27))
+	var batches [][]event
+	for len(batches) < 64 {
+		bt := randomBatch(rng, 29, 7, 0)
+		if runs := 1 + countRuns(bt); runs >= 6 && runs <= 8 {
+			batches = append(batches, bt)
+		}
+	}
+	return batches
+}
+
+func benchBatch(b *testing.B, batches [][]event, order func([]event)) {
+	scratch := make([]event, len(batches[0]))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(scratch, batches[i%len(batches)])
+		order(scratch)
+	}
+}
+
+// countRuns counts the birth-instant changes along a batch.
+func countRuns(batch []event) int {
+	n := 0
+	for k := 1; k < len(batch); k++ {
+		if batch[k].bs != batch[k-1].bs {
+			n++
+		}
+	}
+	return n
 }
 
 // ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"pim/internal/addr"
 )
@@ -91,19 +92,23 @@ func (p *Packet) MarshalTo(dst []byte) ([]byte, error) {
 	if total > 0xFFFF {
 		return dst, fmt.Errorf("packet: payload too large (%d bytes)", len(p.Payload))
 	}
+	// The header is built as the three big-endian words it occupies (bytes
+	// 0–7, 8–15 with the checksum field zero, 16–19), checksummed in
+	// registers — the sum Checksum takes over the bytes, without reading back
+	// bytes still in the store buffer — and written with three stores.
+	// Version 4, IHL 5 words; the flags/fragment offset stay zero: the
+	// simulator never fragments.
+	w0 := uint64(4<<4|5)<<56 | uint64(p.TOS)<<48 | uint64(total)<<32 | uint64(p.ID)<<16
+	w1 := uint64(p.TTL)<<56 | uint64(p.Protocol)<<48 | uint64(p.Src)
+	sum, carry := bits.Add64(w0, w1, 0)
+	sum, carry = bits.Add64(sum, uint64(p.Dst), carry)
+	w1 |= uint64(fold(sum, carry)) << 32
 	off := len(dst)
 	dst = append(dst, make([]byte, HeaderLen)...)
 	b := dst[off:]
-	b[0] = 4<<4 | 5 // version 4, IHL 5 words
-	b[1] = p.TOS
-	binary.BigEndian.PutUint16(b[2:], uint16(total))
-	binary.BigEndian.PutUint16(b[4:], p.ID)
-	// flags/fragment offset stay zero: the simulator never fragments.
-	b[8] = p.TTL
-	b[9] = p.Protocol
-	binary.BigEndian.PutUint32(b[12:], uint32(p.Src))
+	binary.BigEndian.PutUint64(b, w0)
+	binary.BigEndian.PutUint64(b[8:], w1)
 	binary.BigEndian.PutUint32(b[16:], uint32(p.Dst))
-	binary.BigEndian.PutUint16(b[10:], Checksum(b[:HeaderLen]))
 	return append(dst, p.Payload...), nil
 }
 
@@ -168,14 +173,37 @@ func (p *Packet) Forwarded() (*Packet, bool) {
 // Checksum computes the RFC 1071 ones-complement sum over b. Computing it
 // over a header whose checksum field holds the transmitted checksum yields 0
 // for an intact header.
+//
+// The sum runs a 64-bit big-endian word at a time (RFC 1071 §2(B)): 2^16 is 1
+// modulo 0xFFFF, so an end-around-carry sum of even-aligned words of any
+// width, folded down to 16 bits, is the sum of the 16-bit words. A nonzero
+// sum never folds to 0, so all-zero input still yields 0xFFFF.
 func Checksum(b []byte) uint16 {
-	var sum uint32
-	for ; len(b) >= 2; b = b[2:] {
-		sum += uint32(b[0])<<8 | uint32(b[1])
+	var sum, carry uint64
+	for ; len(b) >= 8; b = b[8:] {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), carry)
+	}
+	if len(b) >= 4 {
+		sum, carry = bits.Add64(sum, uint64(binary.BigEndian.Uint32(b)), carry)
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		sum, carry = bits.Add64(sum, uint64(binary.BigEndian.Uint16(b)), carry)
+		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		sum, carry = bits.Add64(sum, uint64(b[0])<<8, carry)
 	}
+	return fold(sum, carry)
+}
+
+// fold completes a word-wide sum — sum plus the carry pending out of bit 63,
+// its end-around carry — folds it to 16 bits and complements it. Adding the
+// carry cannot overflow: an Add64 chain started from zero carries out of a
+// sum of 2^64−1 only if the step before it did.
+func fold(sum, carry uint64) uint16 {
+	sum += carry
+	sum = sum>>32 + sum&0xFFFFFFFF
 	for sum > 0xFFFF {
 		sum = sum>>16 + sum&0xFFFF
 	}

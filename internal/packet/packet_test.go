@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -152,6 +153,104 @@ func TestChecksumKnownVector(t *testing.T) {
 func TestChecksumOddLength(t *testing.T) {
 	if Checksum([]byte{0xFF}) != ^uint16(0xFF00) {
 		t.Errorf("odd-length checksum wrong: %04x", Checksum([]byte{0xFF}))
+	}
+}
+
+// refChecksum is the RFC 1071 sum one 16-bit word per iteration: the
+// reference the word-wide Checksum must equal on every input.
+func refChecksum(b []byte) uint16 {
+	var sum uint32
+	for ; len(b) >= 2; b = b[2:] {
+		sum += uint32(b[0])<<8 | uint32(b[1])
+	}
+	if len(b) == 1 {
+		sum += uint32(b[0]) << 8
+	}
+	for sum > 0xFFFF {
+		sum = sum>>16 + sum&0xFFFF
+	}
+	return ^uint16(sum)
+}
+
+// TestChecksumMatchesReference: every length 0–64 (each tail of the 64-bit
+// loop, odd lengths included) on all-zero, all-0xFF, carry-heavy and random
+// bytes, and a sum that lands exactly on 0xFFFF (the ones-complement
+// "negative zero", which must not fold to 0).
+func TestChecksumMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	fills := []struct {
+		name string
+		fill func(b []byte)
+	}{
+		{"zero", func(b []byte) {}},
+		{"ones", func(b []byte) { bytesOf(b, 0xFF) }},
+		{"carry", func(b []byte) { bytesOf(b, 0xFF); b[len(b)-1] = 0xFE }},
+		{"random", func(b []byte) { rng.Read(b) }},
+	}
+	for n := 0; n <= 64; n++ {
+		for _, f := range fills {
+			for rep := 0; rep < 8; rep++ {
+				b := make([]byte, n)
+				if n > 0 {
+					f.fill(b)
+				}
+				if got, want := Checksum(b), refChecksum(b); got != want {
+					t.Fatalf("%s len %d: Checksum = %04x, reference %04x (% x)", f.name, n, got, want, b)
+				}
+			}
+		}
+	}
+	negZero := []byte{0xFF, 0x00, 0x00, 0xFF}
+	if got, want := Checksum(negZero), refChecksum(negZero); got != want || got != 0 {
+		t.Errorf("0xFF00+0x00FF: Checksum = %04x, reference %04x, want 0", got, want)
+	}
+}
+
+// TestMarshalChecksumMatchesReference: the checksum MarshalTo sums from the
+// header words in registers is the reference sum over the encoded bytes.
+func TestMarshalChecksumMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 2000; i++ {
+		p := &Packet{TOS: byte(rng.Intn(256)), ID: uint16(rng.Intn(1 << 16)),
+			TTL: byte(rng.Intn(256)), Protocol: byte(rng.Intn(256)),
+			Src: addr.IP(rng.Uint32()), Dst: addr.IP(rng.Uint32()),
+			Payload: make([]byte, rng.Intn(64))}
+		if i%2 == 0 {
+			p.TOS, p.ID, p.TTL, p.Protocol, p.Src, p.Dst = 0xFF, 0xFFFF, 0xFF, 0xFF, 0xFFFFFFFF, 0xFFFFFFFF
+		}
+		b, err := p.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr := append([]byte(nil), b[:HeaderLen]...)
+		hdr[10], hdr[11] = 0, 0
+		if got, want := binary.BigEndian.Uint16(b[10:]), refChecksum(hdr); got != want {
+			t.Fatalf("%+v: header checksum %04x, reference %04x", p, got, want)
+		}
+	}
+}
+
+func bytesOf(b []byte, v byte) {
+	for i := range b {
+		b[i] = v
+	}
+}
+
+func BenchmarkChecksumWide(b *testing.B) { benchChecksum(b, Checksum) }
+
+func BenchmarkChecksumReference(b *testing.B) { benchChecksum(b, refChecksum) }
+
+// benchChecksum sums one 20-byte header, the length every link crossing
+// checksums twice (marshal and verify).
+func benchChecksum(b *testing.B, sum func([]byte) uint16) {
+	p := New(addr.V4(10, 0, 0, 1), addr.V4(225, 0, 0, 7), ProtoUDP, nil)
+	hdr, _ := p.Marshal()
+	var sink uint16
+	for i := 0; i < b.N; i++ {
+		sink += sum(hdr[:HeaderLen])
+	}
+	if sink == 1 {
+		b.Log(sink)
 	}
 }
 

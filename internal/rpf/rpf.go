@@ -8,7 +8,9 @@
 // destinations — sources, RPs, cores — are resolved over and over, once per
 // data packet or Join/Prune refresh, while the underlying routes change
 // rarely. The cache turns those repeated longest-prefix matches into one
-// map probe guarded by one integer compare.
+// generation compare and a short linear probe of a flat table whose 32-byte
+// cells hold the destination and its route inline, so a warm hit usually
+// reads one cache line of the table.
 //
 // Correctness is anchored to the paper's §3.8: a unicast route change must
 // be reflected by the very next RPF check. The unicast Table bumps its
@@ -22,43 +24,104 @@
 package rpf
 
 import (
+	"math/bits"
+
 	"pim/internal/addr"
 	"pim/internal/unicast"
 )
 
-// result remembers one resolution, including "no route".
-type result struct {
+// Cell states. The zero value is an empty cell, so clearing the table is
+// one clear of its slice.
+const (
+	empty uint8 = iota
+	routed
+	unrouted // a cached "no route"
+)
+
+// cell remembers one resolution, including "no route".
+type cell struct {
+	dst   addr.IP
+	state uint8
 	route unicast.Route
-	ok    bool
 }
 
-// Cache is a generation-validated memo of Router.Lookup results. It is not
-// safe for concurrent use; each simulated router owns one, and the
+// Cache is a generation-validated memo of Router.Lookup results: an
+// open-addressed table (linear probing, power-of-two size, grown at 3/4
+// load, which keeps it at about the memory of the Go map it replaced)
+// indexed by the top bits of a multiplicative hash of the destination. It is
+// not safe for concurrent use; each simulated router owns one, and the
 // simulator is single-threaded per scenario.
 type Cache struct {
-	uni unicast.Router
-	gen uint64 // table generation the entries were resolved at
-	m   map[addr.IP]result
+	uni   unicast.Router
+	gen   uint64 // table generation the entries were resolved at
+	cells []cell
+	shift uint8 // 32 - log2(len(cells))
+	n     int
 }
 
 // New wraps a unicast router with a fresh cache.
-func New(uni unicast.Router) *Cache {
-	return &Cache{uni: uni, m: make(map[addr.IP]result)}
-}
+func New(uni unicast.Router) *Cache { return &Cache{uni: uni} }
+
+// home returns dst's preferred cell: Fibonacci hashing, whose top bits mix
+// every key bit (host addresses differ in their middle bytes, not the low
+// ones).
+func (c *Cache) home(dst addr.IP) uint32 { return uint32(dst) * 0x9E3779B9 >> c.shift }
 
 // Lookup resolves the RPF route toward dst: from the cache when the table
 // generation is unchanged, from the underlying router otherwise.
 func (c *Cache) Lookup(dst addr.IP) (unicast.Route, bool) {
 	if g := c.uni.Gen(); g != c.gen {
-		clear(c.m)
+		clear(c.cells)
+		c.n = 0
 		c.gen = g
 	}
-	if r, ok := c.m[dst]; ok {
-		return r.route, r.ok
+	if c.n > 0 {
+		mask := uint32(len(c.cells) - 1)
+		for i := c.home(dst); ; i = (i + 1) & mask {
+			e := &c.cells[i]
+			if e.state == empty {
+				break
+			}
+			if e.dst == dst {
+				return e.route, e.state == routed
+			}
+		}
 	}
 	rt, ok := c.uni.Lookup(dst)
-	c.m[dst] = result{rt, ok}
+	state := unrouted
+	if ok {
+		state = routed
+	}
+	if (c.n+1)*4 > len(c.cells)*3 {
+		c.grow()
+	}
+	c.put(cell{dst: dst, state: state, route: rt})
 	return rt, ok
+}
+
+// put files a cell for an absent destination.
+func (c *Cache) put(e cell) {
+	mask := uint32(len(c.cells) - 1)
+	i := c.home(e.dst)
+	for c.cells[i].state != empty {
+		i = (i + 1) & mask
+	}
+	c.cells[i] = e
+	c.n++
+}
+
+// grow doubles the table (from 8 cells) and re-files every cell.
+func (c *Cache) grow() {
+	old := c.cells
+	size := max(2*len(old), 8)
+	c.cells = make([]cell, size)
+	c.shift = uint8(32 - bits.TrailingZeros(uint(size)))
+	c.n = 0
+	for _, e := range old {
+		if e.state != empty {
+			c.put(e)
+		}
+	}
 }
 
 // Router returns the underlying unicast router, for callers that need the

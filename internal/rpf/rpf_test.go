@@ -83,6 +83,87 @@ func TestDifferentialAgainstDirectLookup(t *testing.T) {
 	}
 }
 
+// mapCache is the reference the flat table is held to: the same
+// generation-validated memo over a Go map.
+type mapCache struct {
+	uni unicast.Router
+	gen uint64
+	m   map[addr.IP]memo
+}
+
+type memo struct {
+	route unicast.Route
+	ok    bool
+}
+
+func (c *mapCache) Lookup(dst addr.IP) (unicast.Route, bool) {
+	if g := c.uni.Gen(); g != c.gen {
+		clear(c.m)
+		c.gen = g
+	}
+	if r, ok := c.m[dst]; ok {
+		return r.route, r.ok
+	}
+	rt, ok := c.uni.Lookup(dst)
+	c.m[dst] = memo{rt, ok}
+	return rt, ok
+}
+
+// countingRouter counts the lookups that reach the unicast table.
+type countingRouter struct {
+	unicast.Router
+	lookups int
+}
+
+func (c *countingRouter) Lookup(dst addr.IP) (unicast.Route, bool) {
+	c.lookups++
+	return c.Router.Lookup(dst)
+}
+
+// TestDifferentialAgainstMapCache holds the open-addressed table to the map
+// memo it replaced: every lookup returns the same route and verdict, and the
+// same lookups fall through to the unicast table (so hits, negative hits and
+// generation flushes happen at the same points). The destination set grows
+// the table through several doublings between flushes, and a third of the
+// destinations have no route.
+func TestDifferentialAgainstMapCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	tb := &unicast.Table{}
+	for i := 0; i < 32; i++ {
+		tb.Set(addr.MustPrefix(addr.V4(10, byte(i), 0, 0), 16), reachable(int64(i+1)))
+	}
+	flatUni, refUni := &countingRouter{Router: tb}, &countingRouter{Router: tb}
+	flat, ref := New(flatUni), &mapCache{uni: refUni, m: map[addr.IP]memo{}}
+	span := 64
+	for step := 0; step < 40000; step++ {
+		switch r := rng.Intn(1000); {
+		case r == 0: // a route change: the generation moves
+			p := addr.MustPrefix(addr.V4(10, byte(rng.Intn(48)), 0, 0), 16)
+			if rng.Intn(3) == 0 {
+				tb.Delete(p)
+			} else {
+				tb.Set(p, reachable(int64(rng.Intn(100)+1)))
+			}
+		case r == 1: // widen the destination set: the table grows
+			span = min(2*span, 4096)
+		}
+		// 10.0–47.x.y: prefixes 32–47 are absent unless a change added them.
+		n := rng.Intn(span)
+		dst := addr.V4(10, byte(n%48), byte(n/48), byte(1+n%7))
+		fr, fok := flat.Lookup(dst)
+		rr, rok := ref.Lookup(dst)
+		if fr != rr || fok != rok {
+			t.Fatalf("step %d: Lookup(%v) = %+v,%v; map reference %+v,%v", step, dst, fr, fok, rr, rok)
+		}
+		if flatUni.lookups != refUni.lookups {
+			t.Fatalf("step %d: %d table lookups through the cache, %d through the map reference", step, flatUni.lookups, refUni.lookups)
+		}
+	}
+	if len(flat.cells) < 1024 {
+		t.Errorf("table never grew past %d cells", len(flat.cells))
+	}
+}
+
 // TestWarmHitAllocFree asserts the steady-state cost: a cache hit with an
 // unchanged generation allocates nothing.
 func TestWarmHitAllocFree(t *testing.T) {

@@ -11,9 +11,10 @@
 //	                  .1, .2, ...
 //
 // The second octets are bytes, so the host block runs into the backbone block
-// at 25 600 routers and the backbone block wraps into the host block near
-// 40 000 links; Build and AddHost panic, naming both interfaces, rather than
-// hand an address out twice.
+// at MaxRouters (25 600) routers and the backbone block wraps into the host
+// block at MaxLinks (39 936) links. Build refuses a larger graph, and Build
+// and AddHost panic, naming both interfaces, rather than hand an address out
+// twice.
 package scenario
 
 import (
@@ -44,6 +45,15 @@ const (
 // DelayUnit converts the dimensionless edge delays of topology.Graph into
 // simulated time.
 const DelayUnit = netsim.Millisecond
+
+// The address plan's limits: host LAN r takes second octet 100+r/256, which
+// reaches the backbone block's 200 at router MaxRouters, and backbone link i
+// takes 200+i/256, which wraps past 255 and reaches the host block's 100 at
+// link MaxLinks.
+const (
+	MaxRouters = (200 - 100) * 256
+	MaxLinks   = (256 - 200 + 100) * 256
+)
 
 // Sim is a wired simulation.
 type Sim struct {
@@ -79,6 +89,9 @@ type Sim struct {
 // FinishUnicast after hosts are added (the oracle needs the final
 // interface set).
 func Build(g *topology.Graph) *Sim {
+	if g.N() > MaxRouters || g.M() > MaxLinks {
+		panic(fmt.Sprintf("scenario: %d routers and %d links are beyond the address plan's %d and %d", g.N(), g.M(), MaxRouters, MaxLinks))
+	}
 	net := netsim.NewNetwork()
 	s := &Sim{
 		Net:       net,

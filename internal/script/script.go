@@ -553,6 +553,12 @@ func (r *runner) doTopo(st *stmt) error {
 		if nodes <= 0 || len(rest) > 0 {
 			return st.usage()
 		}
+		switch {
+		case degree <= 0 || minD < 1 || maxD < minD:
+			return st.errf("degree=%g mindelay=%d maxdelay=%d, want degree > 0 and 1 <= mindelay <= maxdelay", degree, minD, maxD)
+		case nodes > scenario.MaxRouters || float64(nodes)*degree/2 > scenario.MaxLinks:
+			return st.errf("nodes=%d degree=%g is beyond the address plan's %d routers and %d links", nodes, degree, scenario.MaxRouters, scenario.MaxLinks)
+		}
 		r.graph = topology.Random(topology.GenConfig{
 			Nodes: nodes, Degree: degree,
 			MinDelay: int64(minD), MaxDelay: int64(maxD),
@@ -578,6 +584,11 @@ func (r *runner) doTopo(st *stmt) error {
 			if !dash || (colon && delay == "") {
 				return st.errf("bad edge %q (want <a>-<b>[:<delay>])", spec)
 			}
+			for _, end := range []string{a, b} {
+				if n, err := strconv.Atoi(end); err == nil && n >= scenario.MaxRouters {
+					return st.errf("router %d is beyond the address plan's %d routers", n, scenario.MaxRouters)
+				}
+			}
 			fmt.Fprintln(&text, a, b, delay)
 		}
 		list = strings.NewReader(text.String())
@@ -593,6 +604,14 @@ func (r *runner) doTopo(st *stmt) error {
 			return st.errf("%v", err)
 		}
 		r.graph = g
+	}
+	if n, m := r.graph.N(), r.graph.M(); n > scenario.MaxRouters || m > scenario.MaxLinks {
+		return st.errf("%d routers and %d links are beyond the address plan's %d and %d", n, m, scenario.MaxRouters, scenario.MaxLinks)
+	}
+	for _, e := range r.graph.Edges() {
+		if e.Delay > maxDuration/int64(scenario.DelayUnit) {
+			return st.errf("edge %d-%d delay %d is beyond the longest scripted duration", e.A, e.B, e.Delay)
+		}
 	}
 	r.sim = scenario.Build(r.graph)
 	return nil
@@ -1133,7 +1152,9 @@ var durationUnits = []struct {
 }{{"ms", netsim.Millisecond}, {"s", netsim.Second}, {"m", 60 * netsim.Second}, {"", netsim.Second}}
 
 // parseDuration accepts 150ms / 2s / 3m / bare-seconds forms of a finite,
-// non-negative span up to maxDuration.
+// non-negative span up to maxDuration, rounded to the nearest microsecond:
+// a fractional millisecond such as 1.001ms scales to 1000.9999…, which must
+// read as the 1 001 µs FormatDuration wrote.
 func parseDuration(s string) (netsim.Time, error) {
 	for _, u := range durationUnits {
 		num, ok := strings.CutSuffix(s, u.suffix)
@@ -1142,9 +1163,19 @@ func parseDuration(s string) (netsim.Time, error) {
 		}
 		f, err := finite(num)
 		if us := f * float64(u.unit); err == nil && us >= 0 && us <= maxDuration {
-			return netsim.Time(us), nil
+			return netsim.Time(math.Round(us)), nil
 		}
 		break
 	}
 	return 0, fmt.Errorf("bad duration %q", s)
+}
+
+// FormatDuration writes a simulated time as a duration parseDuration reads
+// back exactly: whole seconds as <n>s, anything finer as (fractional)
+// milliseconds, the grammar's finest unit.
+func FormatDuration(t netsim.Time) string {
+	if t%netsim.Second == 0 {
+		return fmt.Sprintf("%ds", t/netsim.Second)
+	}
+	return fmt.Sprintf("%gms", float64(t)/float64(netsim.Millisecond))
 }

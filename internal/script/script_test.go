@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pim/internal/netsim"
 	"pim/internal/scenario"
 )
 
@@ -257,6 +258,25 @@ func TestParseDuration(t *testing.T) {
 	}
 }
 
+// TestFormatDurationRoundTrips: every microsecond value to 1.1 s, then every
+// 97th to 10 s, reads back exactly through parseDuration. Fractional
+// milliseconds such as 1.001ms scale to just under their value in float64,
+// which a truncating parse read one microsecond short.
+func TestFormatDurationRoundTrips(t *testing.T) {
+	check := func(want netsim.Time) {
+		s := FormatDuration(want)
+		if got, err := parseDuration(s); err != nil || got != want {
+			t.Fatalf("parseDuration(FormatDuration(%d) = %q) = %d, %v", want, s, got, err)
+		}
+	}
+	for us := netsim.Time(0); us < 1100*netsim.Millisecond; us++ {
+		check(us)
+	}
+	for us := 1100 * netsim.Millisecond; us < 10*netsim.Second; us += 97 {
+		check(us)
+	}
+}
+
 func TestInteropScript(t *testing.T) {
 	src := `
 # sparse 0-1, border 2, dense 3-4 (the §4 splice)
@@ -496,6 +516,18 @@ var hostileScripts = func() []struct {
 		{hostile("", "at 2s loss all NaN", ""), 8},
 		{hostile("", "", "expect b received"), 10},
 		{hostile("", "", "expect b received G0 >= 1 2"), 10},
+		// Topologies the address plan cannot number, or the generator would
+		// clamp without a word.
+		{"topo random nodes=1000000000 degree=4\n", 1},
+		{fmt.Sprintf("topo random nodes=%d degree=2\n", scenario.MaxRouters+1), 1},
+		{"topo random nodes=20000 degree=5\n", 1},
+		{"topo random nodes=10 degree=0\n", 1},
+		{"topo random nodes=10 degree=-3\n", 1},
+		{"topo random nodes=10 degree=4 mindelay=0\n", 1},
+		{"topo random nodes=10 degree=4 mindelay=-2 maxdelay=5\n", 1},
+		{"topo random nodes=10 degree=4 mindelay=5 maxdelay=2\n", 1},
+		{fmt.Sprintf("topo edges 0-1 1-%d\n", scenario.MaxRouters), 1},
+		{"topo edges 0-1 1-2:9223372036854775807\n", 1},
 	}
 	// Non-finite and overflowing values in every duration position.
 	for _, d := range []string{"NaNs", "Infs", "-Infs", "1e300", "NaN", "1e19m"} {
