@@ -60,8 +60,10 @@ update-goldens:
 # borrowed-frame contract (poison-on-release, §13), the per-engine
 # AllocsPerRun counts — control refresh at 0, one data packet through one
 # forwarding router of each engine at exactly the Forwarded header copy (§20)
-# — and the arena-vs-map-model lockstep (§16), holds the
-# lazy unicast oracle to its eager reference under the race detector (§18),
+# — the per-router footprint pins (one shared RP table per deployment, a
+# node's nine-slot demux; §7, §8), and the arena-vs-map-model lockstep (§16),
+# holds the lazy unicast oracle to its eager reference under the race
+# detector (§18),
 # prices one query interval of the §4 member-existence exchange with and
 # without a border (§19: the second must report 0 messages),
 # runs the focused race passes the old per-subsystem smokes carried, and
@@ -73,7 +75,7 @@ bench-smoke:
 	$(GO) run ./cmd/pimbench run scaling -smoke -shards 4
 	$(GO) run ./cmd/pimscript -check scenarios/rpfailover.pim
 	$(GO) test -run 'TestScenariosPoisonedPool' -count=1 ./internal/script/
-	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/engine/ ./internal/core/ ./internal/pimdm/ ./internal/dvmrp/ ./internal/cbt/ ./internal/mospf/ ./internal/igmp/
+	$(GO) test -run 'ZeroAlloc|Footprint' -count=1 ./internal/engine/ ./internal/core/ ./internal/netsim/ ./internal/pimdm/ ./internal/dvmrp/ ./internal/cbt/ ./internal/mospf/ ./internal/igmp/
 	$(GO) test -run 'TestFlatMapStoreLockstep' -count=1 ./internal/mfib/
 	$(GO) test -race -count=1 -run 'TestOracle' ./internal/unicast/
 	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/script/ ./internal/netsim/... ./internal/parallel/... ./internal/faultsearch/ ./internal/faults/ ./internal/mfib/

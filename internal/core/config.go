@@ -67,7 +67,10 @@ type Config struct {
 	SPTWindow  netsim.Time
 	// RPMapping statically maps groups to ordered RP candidate lists ("the
 	// mapping information may be configured", §3). Host-supplied RPMap
-	// messages (§3.1 fn. 9) extend this at run time.
+	// messages (§3.1 fn. 9) extend it at run time in a per-router overlay.
+	// Routers only read it, so every router of a deployment shares one
+	// table: the caller must not change it after New (scenario.Deploy hands
+	// the routers a copy of its own).
 	RPMapping map[addr.IP][]addr.IP
 	// AggregateSources keys all (S,G) state and join/prune messages by the
 	// source's /24 subnet instead of the host address — the §4 aggregation
@@ -116,9 +119,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.SPTWindow == 0 {
 		c.SPTWindow = DefaultSPTWindow
-	}
-	if c.RPMapping == nil {
-		c.RPMapping = map[addr.IP][]addr.IP{}
 	}
 }
 

@@ -431,7 +431,7 @@ func (r *Router) joinShared(in *netsim.Iface, g, rp addr.IP, hold netsim.Time) {
 	wc, created := r.upsert(mfib.Key{Group: g, RPBit: true}, now)
 	if created {
 		wc.RP = rp
-		if _, ok := r.rpMap[g]; !ok {
+		if _, ok := r.rps(g); !ok {
 			// Learn the group's RP from the join so this transit router
 			// can keep propagating state for it.
 			r.rpMap[g] = []addr.IP{rp}

@@ -20,10 +20,12 @@ type Router struct {
 	Cfg  Config
 	MFIB *mfib.Table
 
-	// rpMap holds group -> ordered RP candidates (config plus host RPMap
-	// messages); currentRP tracks which candidate the receiver side of this
-	// router has joined toward (§3.9: "receivers only join toward a single
-	// RP").
+	// rpMap overlays Cfg.RPMapping with what this router learned at run time
+	// (SetRPMapping, host RPMap messages, the RP named by a (*,G) join); the
+	// configured table itself is shared read-only by every router of a
+	// deployment (rps reads the two). currentRP tracks which candidate the
+	// receiver side of this router has joined toward (§3.9: "receivers only
+	// join toward a single RP").
 	rpMap     map[addr.IP][]addr.IP
 	currentRP map[addr.IP]addr.IP
 	// rpTimer fires RP fail-over for groups with local members (§3.9).
@@ -132,9 +134,6 @@ func (r *Router) reset() {
 	r.sptCount = map[mfib.Key]*sptCounter{}
 	r.rpReportSeqs = map[addr.IP]uint32{}
 	r.learnedRP = map[addr.IP]learnedMapping{}
-	for g, rps := range r.Cfg.RPMapping {
-		r.rpMap[g] = append([]addr.IP(nil), rps...)
-	}
 }
 
 // Restart brings a stopped router back with no memory of its previous
@@ -145,8 +144,9 @@ func (r *Router) Restart() {
 	r.Start()
 }
 
-// SetRPMapping installs or replaces the ordered RP candidate list for a
-// group (configuration path of §3, or host RPMap messages via LearnRPMap).
+// SetRPMapping installs or replaces this router's ordered RP candidate list
+// for a group (configuration path of §3, or host RPMap messages via
+// LearnRPMap). It shadows Cfg.RPMapping on this router only, until Stop.
 func (r *Router) SetRPMapping(g addr.IP, rps []addr.IP) {
 	r.rpMap[g] = append([]addr.IP(nil), rps...)
 }
@@ -157,18 +157,31 @@ func (r *Router) LearnRPMap(g addr.IP, rps []addr.IP) {
 	if len(rps) == 0 {
 		return
 	}
-	if _, ok := r.rpMap[g]; !ok {
+	if _, ok := r.rps(g); !ok {
 		r.SetRPMapping(g, rps)
 	}
+}
+
+// rps returns the group's RP candidates: this router's run-time entry when it
+// has one, else the configured one. ok reports whether either names the group
+// (an entry with an empty list counts).
+func (r *Router) rps(g addr.IP) (rps []addr.IP, ok bool) {
+	if rps, ok = r.rpMap[g]; ok {
+		return rps, true
+	}
+	rps, ok = r.Cfg.RPMapping[g]
+	return rps, ok
 }
 
 // RPsFor returns the RP candidates for a group; an empty result means the
 // group is not PIM sparse-mode supported (§3.1: "the router will assume
 // that the group is not to be supported with PIM sparse mode"). Cached
-// RP-report mappings count when no configured candidates exist.
+// RP-report mappings count when no configured candidates exist. The result
+// is clipped: the configured lists are shared by every router, so an append
+// to it must copy rather than write into theirs.
 func (r *Router) RPsFor(g addr.IP) []addr.IP {
-	if rps := r.rpMap[g]; len(rps) > 0 {
-		return rps
+	if rps, _ := r.rps(g); len(rps) > 0 {
+		return slices.Clip(rps)
 	}
 	if lm, ok := r.learnedRP[g]; ok && r.Now() <= lm.expires {
 		return []addr.IP{lm.rp}
@@ -183,7 +196,7 @@ func (r *Router) rpFor(g addr.IP) (addr.IP, bool) {
 	if rp, ok := r.currentRP[g]; ok {
 		return rp, true
 	}
-	rps := r.rpMap[g]
+	rps, _ := r.rps(g)
 	if len(rps) == 0 {
 		if lm, ok := r.learnedRP[g]; ok && r.Now() <= lm.expires {
 			r.currentRP[g] = lm.rp
@@ -197,7 +210,8 @@ func (r *Router) rpFor(g addr.IP) (addr.IP, bool) {
 
 // IsRPFor reports whether this router owns an RP address for the group.
 func (r *Router) IsRPFor(g addr.IP) bool {
-	for _, rp := range r.rpMap[g] {
+	rps, _ := r.rps(g)
+	for _, rp := range rps {
 		if r.Node.OwnsAddr(rp) {
 			return true
 		}

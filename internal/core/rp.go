@@ -119,11 +119,20 @@ func (r *Router) originateRPReport() {
 		return
 	}
 	served := map[addr.IP][]addr.IP{} // rp address we own -> groups
-	for g, rps := range r.rpMap {
+	serve := func(g addr.IP, rps []addr.IP) {
 		for _, rp := range rps {
 			if r.Node.OwnsAddr(rp) {
 				served[rp] = append(served[rp], g)
 			}
+		}
+	}
+	// The union of the overlay and the configuration, the overlay winning.
+	for g, rps := range r.rpMap {
+		serve(g, rps)
+	}
+	for g, rps := range r.Cfg.RPMapping {
+		if _, shadowed := r.rpMap[g]; !shadowed {
+			serve(g, rps)
 		}
 	}
 	// Flood in sorted order: report content and emission sequence must not
@@ -182,7 +191,7 @@ func (r *Router) rpFailover(g addr.IP) {
 	if r.Node.OwnsAddr(old.RP) {
 		return // we are the RP: always reachable from ourselves
 	}
-	candidates := r.rpMap[g]
+	candidates, _ := r.rps(g)
 	if len(candidates) == 0 {
 		return
 	}

@@ -209,7 +209,7 @@ func TestRunSparseOnParsedTopology(t *testing.T) {
 	if err := g.WriteEdgeList(&buf); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := topology.ParseEdgeList(&buf)
+	parsed, err := topology.ParseEdgeList(&buf, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,12 @@ type Node struct {
 	Name   string
 	Ifaces []*Iface
 
-	// handlers is a flat demux table indexed by IP protocol number: the
-	// per-delivery lookup is one array load instead of a map probe, which
-	// matters because every packet crossing every link goes through it.
-	handlers     [256]Handler
+	// handlers holds one slot per protocol a stack speaks (protos), indexed
+	// through the package-wide protoSlot table. Every packet crossing every
+	// link is demultiplexed here, so the lookup is two loads of L1-resident
+	// memory; and every router, host and LAN anchor carries the slots, so
+	// there are nine of them, not one per possible protocol number.
+	handlers     [len(protos)]Handler
 	onLinkChange []func(*Iface)
 	// shard is the index of the shard that owns this node's events in a
 	// sharded run (0 always, otherwise). -1 marks a node added after
@@ -245,8 +247,44 @@ func (n *Network) SetIfaceUp(ifc *Iface, up bool) {
 // IfaceByAddr resolves an interface address.
 func (n *Network) IfaceByAddr(ip addr.IP) *Iface { return n.byAddr[ip] }
 
-// Handle registers h for an IP protocol number on the node.
-func (nd *Node) Handle(proto byte, h Handler) { nd.handlers[proto] = h }
+// protos lists the IP protocol numbers a node demultiplexes: every
+// packet.Proto* constant. A frame carrying any other number finds no handler.
+var protos = [...]byte{
+	packet.ProtoIGMP, packet.ProtoUDP, packet.ProtoPIM, packet.ProtoDVMRP, packet.ProtoCBT,
+	packet.ProtoRIPSim, packet.ProtoLSSim, packet.ProtoMOSPF, packet.ProtoPIMData,
+}
+
+// protoSlot maps an IP protocol number to its index in protos, or noSlot.
+var protoSlot = func() (t [256]uint8) {
+	for i := range t {
+		t[i] = noSlot
+	}
+	for i, p := range protos {
+		t[p] = uint8(i)
+	}
+	return t
+}()
+
+const noSlot = 0xFF
+
+// handler returns the node's handler for an IP protocol number, nil when
+// none is registered or no stack speaks the number.
+func (nd *Node) handler(proto byte) Handler {
+	if s := protoSlot[proto]; int(s) < len(nd.handlers) {
+		return nd.handlers[s]
+	}
+	return nil
+}
+
+// Handle registers h for an IP protocol number on the node; nil detaches the
+// protocol. It panics on a number outside packet.Proto*, which has no slot.
+func (nd *Node) Handle(proto byte, h Handler) {
+	s := protoSlot[proto]
+	if int(s) >= len(nd.handlers) {
+		panic(fmt.Sprintf("netsim: IP protocol %d is not one of packet.Proto*: no handler slot", proto))
+	}
+	nd.handlers[s] = h
+}
 
 // OnLinkChange registers a callback invoked when any of the node's links
 // change operational state.
@@ -455,7 +493,7 @@ func (n *Network) deliver(from, to *Iface, pkt *packet.Packet) {
 	if n.Trace != nil {
 		n.Trace(TraceEvent{At: n.Sched.Now(), From: from, To: to, Pkt: pkt})
 	}
-	h := to.Node.handlers[pkt.Protocol]
+	h := to.Node.handler(pkt.Protocol)
 	if h == nil {
 		stats.Drop(DropNoHandler)
 		return
@@ -467,7 +505,7 @@ func (n *Network) deliver(from, to *Iface, pkt *packet.Packet) {
 // if it had arrived on the given interface; used for loopback-style delivery
 // (e.g. an RP processing its own register) without crossing a link.
 func (nd *Node) LocalSend(ifc *Iface, pkt *packet.Packet) {
-	h := nd.handlers[pkt.Protocol]
+	h := nd.handler(pkt.Protocol)
 	if h == nil {
 		nd.Net.statsFor(nd).Drop(DropNoHandler)
 		return

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"slices"
+
 	"pim/internal/addr"
 	"pim/internal/cbt"
 	"pim/internal/core"
@@ -110,6 +112,17 @@ func WithCBTConfig(cfg cbt.Config) DeployOption {
 // one option configures the rendezvous for either protocol family.
 func WithRPMapping(m map[addr.IP][]addr.IP) DeployOption {
 	return func(o *DeployOptions) { o.Core.RPMapping, o.CBT.CoreMapping = m, firstAnchors(m) }
+}
+
+// cloneRPMapping copies the caller's group→RP table, lists included. Every
+// sparse-mode router of a deployment reads this one copy (core.Config), so a
+// caller changing its map afterwards reaches none of them.
+func cloneRPMapping(m map[addr.IP][]addr.IP) map[addr.IP][]addr.IP {
+	c := make(map[addr.IP][]addr.IP, len(m))
+	for g, rps := range m {
+		c[g] = slices.Clone(rps)
+	}
+	return c
 }
 
 // firstAnchors maps each group to its first RP candidate: CBT's single core.
@@ -225,6 +238,7 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 	var dep Deployment
 	switch p {
 	case SparseMode:
+		o.Core.RPMapping = cloneRPMapping(o.Core.RPMapping)
 		d := deployEngines(s, o, chks, p, func(i int, nd *netsim.Node, bus *telemetry.Bus) *core.Router {
 			cfg := o.Core
 			cfg.Telemetry = bus

@@ -34,6 +34,7 @@ func (s *Sim) DeployInterop(sparseCfg core.Config, denseCfg pimdm.Config, denseR
 		Dense:   make([]*pimdm.Router, len(s.Routers)),
 		Borders: make([]*border.BorderRouter, len(s.Routers)),
 	}
+	sparseCfg.RPMapping = cloneRPMapping(sparseCfg.RPMapping)
 	denseNode := map[*netsim.Node]bool{}
 	for i, nd := range s.Routers {
 		if denseRouters[i] {

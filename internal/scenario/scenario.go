@@ -14,12 +14,14 @@
 // at MaxRouters (25 600) routers and the backbone block wraps into the host
 // block at MaxLinks (39 936) links. Build refuses a larger graph, and Build
 // and AddHost panic, naming both interfaces, rather than hand an address out
-// twice.
+// twice. The plan also keeps every node's adjacencies (at most MaxLinks
+// backbone peers plus 254 stub-LAN stations) below unicast.MaxArcs.
 package scenario
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"pim/internal/addr"
 	"pim/internal/igmp"
@@ -85,12 +87,35 @@ type Sim struct {
 	shardAsn []int
 }
 
+// CheckGraph reports why Build would refuse g: more routers or links than
+// the address plan numbers, or delays long enough that a shortest path could
+// exceed unicast.MaxPathMetric. A shortest path crosses at most N−1 backbone
+// links, each once, plus a stub LAN at either end, so the N−1 longest delays
+// bound it.
+func CheckGraph(g *topology.Graph) error {
+	if g.N() > MaxRouters || g.M() > MaxLinks {
+		return fmt.Errorf("%d routers and %d links are beyond the address plan's %d and %d", g.N(), g.M(), MaxRouters, MaxLinks)
+	}
+	delays := make([]int64, 0, g.M())
+	for _, e := range g.Edges() {
+		delays = append(delays, e.Delay)
+	}
+	slices.Sort(delays)
+	budget := unicast.MaxPathMetric/int64(DelayUnit) - 2 // two stub LAN hops
+	for i, hops := len(delays)-1, g.N()-1; i >= 0 && hops > 0; i, hops = i-1, hops-1 {
+		if budget -= delays[i]; budget < 0 {
+			return fmt.Errorf("link delays allow a shortest path beyond the unicast oracle's %d µs", unicast.MaxPathMetric)
+		}
+	}
+	return nil
+}
+
 // Build wires the graph into a network. Unicast routing is attached by
 // FinishUnicast after hosts are added (the oracle needs the final
-// interface set).
+// interface set). It panics on a graph CheckGraph refuses.
 func Build(g *topology.Graph) *Sim {
-	if g.N() > MaxRouters || g.M() > MaxLinks {
-		panic(fmt.Sprintf("scenario: %d routers and %d links are beyond the address plan's %d and %d", g.N(), g.M(), MaxRouters, MaxLinks))
+	if err := CheckGraph(g); err != nil {
+		panic("scenario: " + err.Error())
 	}
 	net := netsim.NewNetwork()
 	s := &Sim{

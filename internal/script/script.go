@@ -584,11 +584,6 @@ func (r *runner) doTopo(st *stmt) error {
 			if !dash || (colon && delay == "") {
 				return st.errf("bad edge %q (want <a>-<b>[:<delay>])", spec)
 			}
-			for _, end := range []string{a, b} {
-				if n, err := strconv.Atoi(end); err == nil && n >= scenario.MaxRouters {
-					return st.errf("router %d is beyond the address plan's %d routers", n, scenario.MaxRouters)
-				}
-			}
 			fmt.Fprintln(&text, a, b, delay)
 		}
 		list = strings.NewReader(text.String())
@@ -599,19 +594,14 @@ func (r *runner) doTopo(st *stmt) error {
 		if len(st.keys) > 0 {
 			return st.usage()
 		}
-		g, err := topology.ParseEdgeList(list)
+		g, err := topology.ParseEdgeList(list, scenario.MaxRouters)
 		if err != nil {
 			return st.errf("%v", err)
 		}
 		r.graph = g
 	}
-	if n, m := r.graph.N(), r.graph.M(); n > scenario.MaxRouters || m > scenario.MaxLinks {
-		return st.errf("%d routers and %d links are beyond the address plan's %d and %d", n, m, scenario.MaxRouters, scenario.MaxLinks)
-	}
-	for _, e := range r.graph.Edges() {
-		if e.Delay > maxDuration/int64(scenario.DelayUnit) {
-			return st.errf("edge %d-%d delay %d is beyond the longest scripted duration", e.A, e.B, e.Delay)
-		}
+	if err := scenario.CheckGraph(r.graph); err != nil {
+		return st.errf("%v", err)
 	}
 	r.sim = scenario.Build(r.graph)
 	return nil

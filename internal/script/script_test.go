@@ -528,6 +528,10 @@ var hostileScripts = func() []struct {
 		{"topo random nodes=10 degree=4 mindelay=5 maxdelay=2\n", 1},
 		{fmt.Sprintf("topo edges 0-1 1-%d\n", scenario.MaxRouters), 1},
 		{"topo edges 0-1 1-2:9223372036854775807\n", 1},
+		// A path the unicast oracle's 32-bit metric cannot hold, and a file
+		// naming a node index that once sized the graph before any check.
+		{"topo edges 0-1:2147482\n", 1},
+		{"topo file testdata/huge-index.edges\n", 1},
 	}
 	// Non-finite and overflowing values in every duration position.
 	for _, d := range []string{"NaNs", "Infs", "-Infs", "1e300", "NaN", "1e19m"} {

@@ -236,8 +236,9 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 
 // ParseEdgeList reads the edge-list form back: lines of "a b delay" (delay
 // optional, default 1), '#' comments and blank lines ignored. The node
-// count is 1 + the largest node index seen.
-func ParseEdgeList(r io.Reader) (*Graph, error) {
+// count is 1 + the largest node index seen; an index at or above maxNodes is
+// an error, refused before anything is sized by it.
+func ParseEdgeList(r io.Reader, maxNodes int) (*Graph, error) {
 	type edge struct {
 		a, b int
 		d    int64
@@ -273,6 +274,9 @@ func ParseEdgeList(r io.Reader) (*Graph, error) {
 		}
 		if a < 0 || b < 0 || a == b {
 			return nil, fmt.Errorf("topology: line %d: invalid edge %d-%d", line, a, b)
+		}
+		if max(a, b) >= maxNodes {
+			return nil, fmt.Errorf("topology: line %d: node %d is beyond the limit of %d nodes", line, max(a, b), maxNodes)
 		}
 		edges = append(edges, edge{a, b, d})
 		if a > maxNode {

@@ -372,7 +372,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := g.WriteEdgeList(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseEdgeList(&buf)
+	got, err := ParseEdgeList(&buf, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 }
 
 func TestParseEdgeListDefaults(t *testing.T) {
-	g, err := ParseEdgeList(strings.NewReader("# comment\n\n0 1\n1 2 5\n"))
+	g, err := ParseEdgeList(strings.NewReader("# comment\n\n0 1\n1 2 5\n"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,8 +400,10 @@ func TestParseEdgeListDefaults(t *testing.T) {
 }
 
 func TestParseEdgeListErrors(t *testing.T) {
-	for _, s := range []string{"0\n", "0 1 2 3\n", "x 1\n", "0 y\n", "0 1 z\n", "0 1 0\n", "0 0\n", "-1 2\n"} {
-		if _, err := ParseEdgeList(strings.NewReader(s)); err == nil {
+	// The last two name a node at or beyond the limit of 3: a file must not
+	// size the graph by an index it would refuse anyway.
+	for _, s := range []string{"0\n", "0 1 2 3\n", "x 1\n", "0 y\n", "0 1 z\n", "0 1 0\n", "0 0\n", "-1 2\n", "0 3\n", "0 2000000000\n"} {
+		if _, err := ParseEdgeList(strings.NewReader(s), 3); err == nil {
 			t.Errorf("ParseEdgeList(%q) succeeded", s)
 		}
 	}

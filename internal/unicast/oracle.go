@@ -1,6 +1,8 @@
 package unicast
 
 import (
+	"fmt"
+	"math"
 	"slices"
 
 	"pim/internal/addr"
@@ -154,15 +156,27 @@ func (o *Oracle) snapshot(up []bool) *snapshot {
 	return s
 }
 
-// tree is one node's shortest-path tree over a snapshot: each node's
-// distance from the source (unreached if there is no path) and the index of
-// the source's own arc that its path starts on.
+// tree is one node's shortest-path tree over a snapshot, six bytes per node
+// of the network (every router that looks anything up holds one): each
+// node's distance from the source in µs (unreached if there is no path), and
+// which of the source's own arcs its path starts on, as an offset from the
+// source's first arc. MaxPathMetric and MaxArcs are the bounds the two cells
+// hold; solve refuses a graph beyond either rather than wrap.
 type tree struct {
-	dist  []int64
-	first []int32
+	dist  []int32
+	first []uint16
 }
 
 const unreached = -1
+
+// MaxPathMetric is the longest shortest path the oracle can hold, in µs
+// (about 35.8 simulated minutes): a tree keeps distances in 32 bits.
+const MaxPathMetric = math.MaxInt32
+
+// MaxArcs is the most adjacencies (one per peer interface on each up link)
+// a node can have under the oracle: a tree names a first hop by its 16-bit
+// offset among the source's arcs.
+const MaxArcs = math.MaxUint16
 
 // solve runs Dijkstra from src. Ties are everywhere with small integer
 // delays, and which equal-cost first hop wins is source-relative: nodes
@@ -170,13 +184,23 @@ const unreached = -1
 // reached its final distance, and between the source's own arcs to one
 // neighbour the lower peer address wins. A tree toward the destination, or a
 // different settling order, picks other next hops.
+//
+// It panics when src has more than MaxArcs arcs or a node's distance exceeds
+// MaxPathMetric; scenario.CheckGraph refuses the graphs that could.
 func (s *snapshot) solve(src int32) tree {
 	n := len(s.start) - 1
-	t := tree{dist: make([]int64, n), first: make([]int32, n)}
+	base := s.start[src]
+	if arcs := s.start[src+1] - base; arcs > MaxArcs {
+		panic(fmt.Sprintf("unicast: node %d has %d arcs, beyond the oracle's %d", src, arcs, MaxArcs))
+	}
+	t := tree{dist: make([]int32, n), first: make([]uint16, n)}
 	for i := range t.dist {
 		t.dist[i] = unreached
 	}
 	t.dist[src] = 0
+	// beyond collects nodes offered only distances over MaxPathMetric so
+	// far; one of them still unreached at the end has no path that fits.
+	var beyond []int32
 	h := distHeap{{0, src}}
 	for len(h) > 0 {
 		it := h.pop()
@@ -186,19 +210,29 @@ func (s *snapshot) solve(src int32) tree {
 		}
 		for a := s.start[v]; a < s.start[v+1]; a++ {
 			arc := &s.arcs[a]
-			u, nd := arc.to, it.dist+arc.delay
+			u := arc.to
+			if arc.delay > MaxPathMetric-int64(it.dist) {
+				beyond = append(beyond, u)
+				continue
+			}
+			nd := it.dist + int32(arc.delay)
 			switch old := t.dist[u]; {
 			case old == unreached || nd < old:
 				t.dist[u] = nd
 				if v == src {
-					t.first[u] = a
+					t.first[u] = uint16(a - base)
 				} else {
 					t.first[u] = t.first[v]
 				}
 				h.push(distItem{nd, u})
-			case nd == old && v == src && arc.hop < s.arcs[t.first[u]].hop:
-				t.first[u] = a
+			case nd == old && v == src && arc.hop < s.arcs[base+int32(t.first[u])].hop:
+				t.first[u] = uint16(a - base)
 			}
+		}
+	}
+	for _, u := range beyond {
+		if t.dist[u] == unreached {
+			panic(fmt.Sprintf("unicast: node %d is farther than %d µs from node %d, beyond the oracle's path metric bound", u, MaxPathMetric, src))
 		}
 	}
 	return t
@@ -214,8 +248,8 @@ func (s *snapshot) best(src int32, t tree, key uint32) Route {
 		if own.node == src {
 			r = Route{Iface: own.ifc}
 		} else if d := t.dist[own.node]; d != unreached {
-			a := &s.arcs[t.first[own.node]]
-			r = Route{Iface: a.ifc, NextHop: a.hop, Metric: d}
+			a := &s.arcs[s.start[src]+int32(t.first[own.node])]
+			r = Route{Iface: a.ifc, NextHop: a.hop, Metric: int64(d)}
 		} else {
 			continue
 		}
@@ -280,7 +314,7 @@ func (v *view) Len() int { return len(v.memo) }
 // ordered by (dist, node), a total order, so the settling sequence does not
 // depend on the heap's internals.
 type distItem struct {
-	dist int64
+	dist int32
 	node int32
 }
 

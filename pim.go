@@ -485,8 +485,11 @@ func SchedulerChurn(s *Scheduler, n int) { netsim.SchedulerChurn(s, n) }
 // SchedulerDense runs n fire-heavy data-pump rounds.
 func SchedulerDense(s *Scheduler, n int) { netsim.SchedulerDense(s, n) }
 
-// ParseTopology reads a cmd/topogen edge-list file.
-func ParseTopology(r io.Reader) (*Topology, error) { return topology.ParseEdgeList(r) }
+// ParseTopology reads a cmd/topogen edge-list file, refusing a node index
+// beyond the address plan's 25 600 routers before allocating for it.
+func ParseTopology(r io.Reader) (*Topology, error) {
+	return topology.ParseEdgeList(r, scenario.MaxRouters)
+}
 
 // RunSparseOverheadOn is RunSparseOverhead over a caller-supplied topology.
 func RunSparseOverheadOn(g *Topology, cfg SparseConfig, p Protocol) OverheadResult {
