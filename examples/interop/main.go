@@ -25,20 +25,20 @@ func main() {
 	sim.FinishUnicast(pim.UseOracle)
 
 	group := pim.GroupAddress(0)
-	dep := sim.DeployInterop(
-		pim.Config{RPMapping: map[pim.IP][]pim.IP{group: {sim.RouterAddr(0)}}},
-		pim.DenseConfig{PruneHoldTime: 600 * pim.Second},
-		map[int]bool{3: true, 4: true}, // routers 3 and 4 form the dense region
-	)
+	dep := sim.Deploy(pim.SparseMode,
+		pim.WithRPMapping(map[pim.IP][]pim.IP{group: {sim.RouterAddr(0)}}),
+		pim.WithDenseConfig(pim.DenseConfig{PruneHoldTime: 600 * pim.Second}),
+		pim.WithDenseRouters(3, 4), // routers 3 and 4 form the dense region
+	).(*pim.MixedDeployment)
 	sim.Run(2 * pim.Second)
 
 	fmt.Println("deployment roles:")
-	for i := range sim.Routers {
-		role := "sparse (PIM-SM)"
-		switch {
-		case dep.Dense[i] != nil:
-			role = "dense (PIM-DM flood-and-prune)"
-		case dep.Borders[i] != nil:
+	for i, r := range dep.Routers {
+		role := "dense (PIM-DM flood-and-prune)"
+		switch r.(type) {
+		case *pim.Router:
+			role = "sparse (PIM-SM)"
+		case *pim.BorderRouter:
 			role = "BORDER (sparse+dense splice)"
 		}
 		fmt.Printf("  router %d: %s\n", i, role)
@@ -47,7 +47,7 @@ func main() {
 	fmt.Println("\n1. a member joins deep inside the dense region (router 4)")
 	denseHost.Join(group)
 	sim.Run(3 * pim.Second)
-	b := dep.Borders[2]
+	b := dep.Routers[2].(*pim.BorderRouter)
 	fmt.Printf("   member-existence flooded to the border: %v\n", b.Dense.RegionHasMembers(group))
 	fmt.Printf("   border joined the sparse shared tree:   %v\n", b.Sparse.MFIB.Wildcard(group) != nil)
 

@@ -38,6 +38,7 @@ import (
 
 	"pim/internal/addr"
 	"pim/internal/core"
+	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/packet"
 	"pim/internal/pimdm"
@@ -91,6 +92,29 @@ func (b *BorderRouter) Start() {
 	b.Node.Handle(packet.ProtoUDP, netsim.HandlerFunc(b.handleData))
 	// Registers (ProtoPIMData) are always sparse-side business; core's
 	// registration of that handler stands.
+}
+
+// Stop takes both instances down together: each ends its epoch (so neither
+// runs a timer armed before), detaches its handlers, the mux's included, and
+// discards its soft state.
+func (b *BorderRouter) Stop() {
+	b.Sparse.Stop()
+	b.Dense.Stop()
+}
+
+// Restart brings both instances back empty and re-installs the mux over the
+// handlers their Start registered.
+func (b *BorderRouter) Restart() {
+	b.Stop()
+	b.Start()
+}
+
+// Counters returns both instances' counters summed into one fresh bag.
+func (b *BorderRouter) Counters() *metrics.Counters {
+	c := metrics.New()
+	c.Merge(b.Sparse.Metrics)
+	c.Merge(b.Dense.Metrics)
+	return c
 }
 
 // IsDenseIface reports whether the interface faces the dense region.

@@ -13,6 +13,7 @@ import (
 	"pim/internal/packet"
 	"pim/internal/pimdm"
 	"pim/internal/pimmsg"
+	"pim/internal/telemetry"
 	"pim/internal/unicast"
 )
 
@@ -34,6 +35,8 @@ type fixture struct {
 	// floods lists every distinct member-existence message seen on a wire,
 	// in order of first delivery.
 	floods []flood
+	// events is what the border's two instances published.
+	events []telemetry.Event
 }
 
 // flood is one originated member-existence message, however many links its
@@ -139,7 +142,10 @@ func build(t *testing.T) *fixture {
 		f.dense[name] = r
 		f.queriers[name] = q
 	}
-	// The border router.
+	// The border router, the one publisher on the fixture's bus.
+	bus := telemetry.NewBus()
+	bus.Subscribe(func(ev telemetry.Event) { f.events = append(f.events, ev) })
+	sparseCfg.Telemetry, denseCfg.Telemetry = bus, bus
 	f.b = border.New(bN, sparseCfg, denseCfg, oracle.RouterFor(bN), []*netsim.Iface{bDenseIf})
 	bq := igmp.NewQuerier(bN)
 	bq.OnJoin = func(ifc *netsim.Iface, g addr.IP) { f.b.LocalJoin(ifc, g) }
@@ -408,8 +414,7 @@ func TestRegionFallsSilentWithoutABorder(t *testing.T) {
 	qi := pimdm.DefaultQueryInterval
 	f.hosts["hd2"].Join(f.group)
 	f.run(qi + netsim.Second) // past the refresh at qi
-	f.b.Sparse.Stop()
-	f.b.Dense.Stop()
+	f.b.Stop()
 	lastSolicit := qi
 	f.net.Sched.RunUntil(lastSolicit + 3*qi + netsim.Second)
 	from := f.net.Sched.Now()
@@ -421,6 +426,59 @@ func TestRegionFallsSilentWithoutABorder(t *testing.T) {
 	f.run(10 * netsim.Millisecond)
 	if !f.b.Dense.RegionHasMembers(f.group) || !f.borderOnTree() {
 		t.Fatal("restarted border did not re-learn the region's membership in one solicitation round")
+	}
+}
+
+// TestRestartedBorderKeepsItsSides: Restart takes both halves down and up
+// together and re-installs the mux over the handlers their Start registered.
+// Afterwards the sparse half hears its sparse neighbor and nothing from the
+// region (the dense routers' queries go to the dense half, whose solicitation
+// gets the region's membership back), and neither half runs a timer armed in
+// the first life.
+func TestRestartedBorderKeepsItsSides(t *testing.T) {
+	f := build(t)
+	f.hosts["hd2"].Join(f.group)
+	f.run(3 * netsim.Second)
+	if !f.borderOnTree() {
+		t.Fatal("the border never joined for the region")
+	}
+	sparseIf, denseIf := f.b.Node.Ifaces[0], f.b.Node.Ifaces[1]
+	f.events = nil
+	f.b.Restart()
+	f.run(2 * pimdm.DefaultQueryInterval)
+
+	ends, starts, sparseNbrs := 0, 0, 0
+	for _, ev := range f.events {
+		switch ev.Kind {
+		case telemetry.EpochEnd:
+			ends++
+		case telemetry.EpochStart:
+			starts++
+		case telemetry.TimerFire:
+			if ev.Epoch != 1 {
+				t.Fatalf("a timer of epoch %d fired at %v after the restart", ev.Epoch, ev.At)
+			}
+		case telemetry.NeighborUp:
+			switch ev.Iface {
+			case sparseIf.Index:
+				sparseNbrs++
+			case denseIf.Index:
+				t.Fatalf("the sparse half heard dense router %v's query at %v", ev.Source, ev.At)
+			}
+		}
+	}
+	if ends != 2 || starts != 2 {
+		t.Errorf("Restart published %d EpochEnd and %d EpochStart, want one per half", ends, starts)
+	}
+	if sparseNbrs == 0 {
+		t.Error("the sparse half never heard its sparse neighbor again")
+	}
+	if !f.b.Dense.RegionHasMembers(f.group) || !f.borderOnTree() {
+		t.Error("the restarted border did not get the region's membership back onto the sparse tree")
+	}
+	if f.b.Counters().Get(metrics.CtrlMemberAd) != f.b.Dense.Metrics.Get(metrics.CtrlMemberAd) ||
+		f.b.Counters().Get(metrics.CtrlJoinPrune) != f.b.Sparse.Metrics.Get(metrics.CtrlJoinPrune)+f.b.Dense.Metrics.Get(metrics.CtrlJoinPrune) {
+		t.Error("Counters does not sum the two halves")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"pim/internal/addr"
 	"pim/internal/netsim"
 	"pim/internal/parallel"
+	"pim/internal/scenario"
 	"pim/internal/script"
 	"pim/internal/telemetry"
 )
@@ -295,7 +296,7 @@ func RecoveryScript(cfg RecoveryConfig, proto Protocol, kind string, seed int64)
 	}
 	dur := script.FormatDuration
 	rp, joinB, faults := "", settle, ""
-	if proto == PIMSM || proto == PIMSMShared || proto == CBT {
+	if (scenario.Recipe{Protocol: string(proto)}).DeclaresRP() {
 		rp = " rp r3"
 	}
 	if f.lateJoin {

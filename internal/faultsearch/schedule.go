@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"pim/internal/netsim"
+	"pim/internal/scenario"
 )
 
 // Kind enumerates the fault-clause kinds the search composes.
@@ -169,7 +170,7 @@ type Template struct {
 	Edges            string // `topo edges` operand
 	NumEdges         int
 	Routers          int
-	RP               string // rendered for protocols with NeedsRP (doubles as CBT core)
+	RP               string // rendered for protocols that declare one (doubles as CBT core)
 	Transit          []int  // crash candidates: routers hosting no script host
 	Src, Recv, Probe string // router refs for the three hosts
 	Oracles          []Oracle
@@ -231,18 +232,17 @@ var Templates = []Template{
 
 // ProtoConfig is one engine configuration under search.
 type ProtoConfig struct {
-	Name    string
-	Line    string // `protocol` operand(s), timers=fast appended at render
-	NeedsRP bool
+	Name string
+	Line string // `protocol` operand(s), timers=fast appended at render
 }
 
 // Protocols are the six engine configurations every search sweep covers.
 var Protocols = []ProtoConfig{
-	{Name: "pim-sm", Line: "pim-sm", NeedsRP: true},
-	{Name: "pim-sm-never", Line: "pim-sm spt=never", NeedsRP: true},
+	{Name: "pim-sm", Line: "pim-sm"},
+	{Name: "pim-sm-never", Line: "pim-sm spt=never"},
 	{Name: "pim-dm", Line: "pim-dm"},
 	{Name: "dvmrp", Line: "dvmrp"},
-	{Name: "cbt", Line: "cbt", NeedsRP: true},
+	{Name: "cbt", Line: "cbt"},
 	{Name: "mospf", Line: "mospf"},
 }
 
@@ -315,7 +315,8 @@ func (s Schedule) render(negate []Oracle, header string) (string, error) {
 	fmt.Fprintf(&b, "topo edges %s\n", t.Edges)
 	b.WriteString("unicast oracle\n")
 	rp := ""
-	if p.NeedsRP {
+	// The line's first operand is the recipe's protocol name.
+	if (scenario.Recipe{Protocol: strings.Fields(p.Line)[0]}).DeclaresRP() {
 		rp = " rp " + t.RP
 	}
 	fmt.Fprintf(&b, "group G0%s\n", rp)

@@ -4,11 +4,11 @@ import (
 	"slices"
 
 	"pim/internal/addr"
+	"pim/internal/border"
 	"pim/internal/cbt"
 	"pim/internal/core"
 	"pim/internal/dvmrp"
 	"pim/internal/igmp"
-	"pim/internal/mfib"
 	"pim/internal/mospf"
 	"pim/internal/netsim"
 	"pim/internal/packet"
@@ -59,6 +59,11 @@ type DeployOptions struct {
 	Dense pimdm.Config
 	DVMRP dvmrp.Config
 	CBT   cbt.Config
+	// DenseRouters, under SparseMode, makes the internet a mixed one (§4):
+	// the listed routers form dense-mode regions run on the Dense
+	// configuration, and every sparse router with an interface onto one of
+	// them becomes a border router (see roles).
+	DenseRouters []int
 
 	// Telemetry holds the deployment's event buses, one lane per shard (one
 	// bus on an unsharded network): every engine, IGMP querier and host
@@ -105,6 +110,12 @@ func WithDVMRPConfig(cfg dvmrp.Config) DeployOption {
 // WithCBTConfig replaces the CBT configuration wholesale.
 func WithCBTConfig(cfg cbt.Config) DeployOption {
 	return func(o *DeployOptions) { o.CBT = cfg }
+}
+
+// WithDenseRouters lists the routers of the dense-mode regions of a mixed
+// sparse/dense internet (SparseMode only).
+func WithDenseRouters(routers ...int) DeployOption {
+	return func(o *DeployOptions) { o.DenseRouters = routers }
 }
 
 // WithRPMapping maps groups to ordered RP candidate lists for sparse mode
@@ -185,6 +196,8 @@ func WithMOSPFRefresh(d netsim.Time) DeployOption {
 // Deploy starts the chosen multicast protocol plus IGMP on every router of
 // the simulation. Call after FinishUnicast (and after convergence for DV/LS
 // modes); MOSPFMode carries its own topology view and needs neither.
+// SparseMode WithDenseRouters deploys the mixed internet of §4 as a
+// *MixedDeployment, each router in its role (see roles).
 //
 //	dep := sim.Deploy(scenario.SparseMode,
 //	        scenario.WithRPMapping(map[addr.IP][]addr.IP{group: {rp}}),
@@ -205,6 +218,9 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 	if o.FailFast && s.Net.Sharded() {
 		panic("scenario: WithFailFast requires an unsharded network (shards=1)")
 	}
+	if len(o.DenseRouters) > 0 && p != SparseMode {
+		panic("scenario: dense routers make a mixed internet of SparseMode only")
+	}
 
 	// The checkers subscribe before any engine starts so they observe the
 	// first EpochStart of every router.
@@ -221,8 +237,9 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 			}
 			switch p {
 			case SparseMode, DenseMode, DVMRPMode:
-				// These engines derive the expected incoming interface from
-				// the unicast substrate, so the checker can recompute it.
+				// These engines — and both halves of a border — derive the
+				// expected incoming interface from the unicast substrate, so
+				// the checker can recompute it.
 				chk.ExpectedIIF = func(router int, target addr.IP) (int, bool) {
 					rt, ok := s.UnicastFor(router).Lookup(target)
 					if !ok || rt.Iface == nil {
@@ -239,44 +256,32 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 	switch p {
 	case SparseMode:
 		o.Core.RPMapping = cloneRPMapping(o.Core.RPMapping)
-		d := deployEngines(s, o, chks, p, func(i int, nd *netsim.Node, bus *telemetry.Bus) *core.Router {
+		sparse := func(i int, nd *netsim.Node, bus *telemetry.Bus) *core.Router {
 			cfg := o.Core
 			cfg.Telemetry = bus
 			return core.New(nd, cfg, s.UnicastFor(i))
-		})
-		d.table = func(r *core.Router) *mfib.Table { return r.MFIB }
-		for i, q := range d.Queriers {
-			q.OnRPMap = d.Routers[i].LearnRPMap
 		}
-		for _, chk := range chks {
-			chk.NegativeCached = func(router int, src, g addr.IP, iface int) bool {
-				r := d.Routers[router]
-				rpt := r.MFIB.SGRpt(src, g)
-				if rpt == nil {
-					return false
-				}
-				oif := rpt.OIF(iface)
-				now := r.Node.Sched().Now()
-				return oif != nil && oif.Live(now) && !oif.PrunePending
-			}
+		if len(o.DenseRouters) == 0 {
+			dep = deployEngines(s, o, chks, p, sparse)
+			break
 		}
+		d := deployEngines(s, o, chks, p, s.roles(o, sparse))
+		d.ctrl = slices.Concat(ctrlCounters[SparseMode], ctrlCounters[DenseMode])
+		slices.Sort(d.ctrl)
+		d.ctrl = slices.Compact(d.ctrl)
 		dep = d
 	case DenseMode:
-		d := deployEngines(s, o, chks, p, func(i int, nd *netsim.Node, bus *telemetry.Bus) *pimdm.Router {
+		dep = deployEngines(s, o, chks, p, func(i int, nd *netsim.Node, bus *telemetry.Bus) *pimdm.Router {
 			cfg := o.Dense
 			cfg.Telemetry = bus
 			return pimdm.New(nd, cfg, s.UnicastFor(i))
 		})
-		d.table = func(r *pimdm.Router) *mfib.Table { return r.MFIB }
-		dep = d
 	case DVMRPMode:
-		d := deployEngines(s, o, chks, p, func(i int, nd *netsim.Node, bus *telemetry.Bus) *dvmrp.Router {
+		dep = deployEngines(s, o, chks, p, func(i int, nd *netsim.Node, bus *telemetry.Bus) *dvmrp.Router {
 			cfg := o.DVMRP
 			cfg.Telemetry = bus
 			return dvmrp.New(nd, cfg, s.UnicastFor(i))
 		})
-		d.table = func(r *dvmrp.Router) *mfib.Table { return r.MFIB }
-		dep = d
 	case CBTMode:
 		dep = deployEngines(s, o, chks, p, func(i int, nd *netsim.Node, bus *telemetry.Bus) *cbt.Router {
 			cfg := o.CBT
@@ -307,19 +312,108 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 
 // deployEngines is the one deploy loop: on every router it builds the
 // protocol's engine with mk — the only per-protocol code — and an IGMP
-// querier feeding it membership, then starts both.
+// querier feeding it membership (and, where a sparse-mode instance runs,
+// hosts' RP mappings), then starts both. The checkers' negative-cache probe
+// reads that sparse instance; a router without one holds no negative cache.
 func deployEngines[R Engine](s *Sim, o *DeployOptions, chks []*telemetry.Checker, p Protocol, mk func(i int, nd *netsim.Node, bus *telemetry.Bus) R) *Deployed[R] {
 	d := &Deployed[R]{Sim: s, ctrl: ctrlCounters[p], checkers: chks}
 	for i, nd := range s.Routers {
 		r := mk(i, nd, o.busFor(nd))
 		q := s.newQuerier(nd, o)
 		q.OnJoin, q.OnLeave = r.LocalJoin, r.LocalLeave
+		if sp := sparseInstance(r); sp != nil {
+			q.OnRPMap = sp.LearnRPMap
+		}
 		r.Start()
 		q.Start()
 		d.Routers = append(d.Routers, r)
 		d.Queriers = append(d.Queriers, q)
 	}
+	for _, chk := range chks {
+		chk.NegativeCached = func(router int, src, g addr.IP, iface int) bool {
+			r := sparseInstance(d.Routers[router])
+			if r == nil {
+				return false
+			}
+			rpt := r.MFIB.SGRpt(src, g)
+			if rpt == nil {
+				return false
+			}
+			oif := rpt.OIF(iface)
+			return oif != nil && oif.Live(r.Now()) && !oif.PrunePending
+		}
+	}
 	return d
+}
+
+// roles builds router i's engine in a mixed sparse/dense internet (§4: "links
+// should be configurable to operate in dense mode or in sparse mode"): PIM
+// dense mode on a router o.DenseRouters lists; a border router on a sparse
+// router with interfaces onto a dense one, its dense-side instance scoped to
+// those interfaces; PIM sparse mode, built by sparse, everywhere else.
+func (s *Sim) roles(o *DeployOptions, sparse func(int, *netsim.Node, *telemetry.Bus) *core.Router) func(int, *netsim.Node, *telemetry.Bus) Engine {
+	dense := map[*netsim.Node]bool{}
+	for _, i := range o.DenseRouters {
+		dense[s.Routers[i]] = true
+	}
+	return func(i int, nd *netsim.Node, bus *telemetry.Bus) Engine {
+		denseCfg := o.Dense
+		denseCfg.Telemetry = bus
+		if dense[nd] {
+			return pimdm.New(nd, denseCfg, s.UnicastFor(i))
+		}
+		if facing := denseFacingIfaces(nd, dense); facing != nil {
+			cfg := o.Core
+			cfg.Telemetry = bus
+			return border.New(nd, cfg, denseCfg, s.UnicastFor(i), facing)
+		}
+		return sparse(i, nd, bus)
+	}
+}
+
+// denseFacingIfaces returns nd's interfaces whose link attaches a dense-region
+// router, each once and in index order: what makes a sparse router a border.
+func denseFacingIfaces(nd *netsim.Node, denseNode map[*netsim.Node]bool) []*netsim.Iface {
+	var out []*netsim.Iface
+	for _, ifc := range nd.Ifaces {
+		if ifc.Link == nil {
+			continue
+		}
+		for _, peer := range ifc.Link.Ifaces {
+			if peer != ifc && denseNode[peer.Node] {
+				out = append(out, ifc)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// sparseInstance returns the PIM sparse-mode instance engine e runs: e itself,
+// a border router's sparse half, or nil.
+func sparseInstance(e Engine) *core.Router {
+	if b, ok := e.(*border.BorderRouter); ok {
+		return b.Sparse
+	}
+	r, _ := e.(*core.Router)
+	return r
+}
+
+// mfibBytes is one router's MFIB footprint: both halves' for a border, zero
+// for CBT and MOSPF, whose per-group tree and cache state are not kept in the
+// shared mfib store.
+func mfibBytes(e Engine) int64 {
+	switch r := e.(type) {
+	case *core.Router:
+		return r.MFIB.Bytes()
+	case *pimdm.Router:
+		return r.MFIB.Bytes()
+	case *dvmrp.Router:
+		return r.MFIB.Bytes()
+	case *border.BorderRouter:
+		return mfibBytes(r.Sparse) + mfibBytes(r.Dense)
+	}
+	return 0
 }
 
 // busFor returns the event bus a node publishes to — its shard's lane — or

@@ -11,7 +11,6 @@ import (
 	"pim/internal/faults"
 	"pim/internal/igmp"
 	"pim/internal/metrics"
-	"pim/internal/mfib"
 	"pim/internal/mospf"
 	"pim/internal/netsim"
 	"pim/internal/pimdm"
@@ -43,7 +42,8 @@ type Deployment interface {
 	// are not reported through the shared mfib store.
 	StateBytes() int64
 	// ControlMessages sums the protocol's control-message counters (the
-	// ctrlCounters row of the deployed Protocol) across routers.
+	// ctrlCounters row of the deployed Protocol; a mixed internet's is the
+	// union of the two PIM rows) across routers.
 	ControlMessages() int64
 	// Counter sums one metrics counter across routers.
 	Counter(id metrics.ID) int64
@@ -54,7 +54,7 @@ type Deployment interface {
 
 // Engine is what the deployment layer needs of one router's protocol
 // instance; the five multicast engines satisfy it, mostly through the chassis
-// they embed.
+// they embed, and so does a border router.
 type Engine interface {
 	faults.Lifecycle
 	Start()
@@ -72,10 +72,8 @@ type Deployed[R Engine] struct {
 	Routers  []R
 	Queriers []*igmp.Querier
 
-	// ctrl is the protocol's ctrlCounters row; table reaches a router's
-	// MFIB (nil for the engines StateBytes does not cover).
-	ctrl  []metrics.ID
-	table func(R) *mfib.Table
+	// ctrl is the protocol's ctrlCounters row.
+	ctrl []metrics.ID
 	// checkers holds one invariant checker per telemetry lane (none unless
 	// deployed WithInvariantChecker).
 	checkers []*telemetry.Checker
@@ -83,11 +81,14 @@ type Deployed[R Engine] struct {
 
 // The per-protocol deployments. Callers that need engine internals assert to
 // one of these: sim.Deploy(SparseMode, ...).(*PIMDeployment).Routers[i].MFIB.
+// SparseMode with dense routers deploys a MixedDeployment, whose router i is
+// a *core.Router, a *pimdm.Router or a *border.BorderRouter by its role.
 type (
 	PIMDeployment   = Deployed[*core.Router]
 	PIMDMDeployment = Deployed[*pimdm.Router]
 	DVMRPDeployment = Deployed[*dvmrp.Router]
 	CBTDeployment   = Deployed[*cbt.Router]
+	MixedDeployment = Deployed[Engine]
 )
 
 // MOSPFDeployment additionally exposes the link-state Domain its routers
@@ -148,10 +149,8 @@ func (d *Deployed[R]) TotalState() int {
 // Deployment).
 func (d *Deployed[R]) StateBytes() int64 {
 	var total int64
-	if d.table != nil {
-		for _, r := range d.Routers {
-			total += d.table(r).Bytes()
-		}
+	for _, r := range d.Routers {
+		total += mfibBytes(r)
 	}
 	return total
 }

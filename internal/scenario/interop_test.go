@@ -3,10 +3,11 @@ package scenario
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"pim/internal/addr"
-	"pim/internal/core"
+	"pim/internal/border"
 	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/packet"
@@ -16,9 +17,9 @@ import (
 	"pim/internal/topology"
 )
 
-// TestDeployInterop: a line internet with a dense tail — sparse 0-1,
+// TestMixedDeploymentRoles: a line internet with a dense tail — sparse 0-1,
 // border 2, dense 3-4. Members on both ends exchange traffic.
-func TestDeployInterop(t *testing.T) {
+func TestMixedDeploymentRoles(t *testing.T) {
 	g := topology.New(5)
 	for i := 0; i < 4; i++ {
 		g.AddEdge(i, i+1, 1)
@@ -29,20 +30,16 @@ func TestDeployInterop(t *testing.T) {
 	sim.FinishUnicast(UseOracle)
 	group := addr.GroupForIndex(0)
 	rp := sim.RouterAddr(0)
-	dep := sim.DeployInterop(
-		core.Config{RPMapping: map[addr.IP][]addr.IP{group: {rp}}},
-		pimdm.Config{PruneHoldTime: 600 * netsim.Second},
-		map[int]bool{3: true, 4: true},
-	)
+	dep := sim.Deploy(SparseMode,
+		WithRPMapping(map[addr.IP][]addr.IP{group: {rp}}),
+		WithDenseConfig(pimdm.Config{PruneHoldTime: 600 * netsim.Second}),
+		WithDenseRouters(3, 4),
+	).(*MixedDeployment)
 	// Role assignment: 0,1 sparse; 2 border; 3,4 dense.
-	if dep.Sparse[0] == nil || dep.Sparse[1] == nil {
-		t.Fatal("routers 0/1 should be sparse")
-	}
-	if dep.Borders[2] == nil {
-		t.Fatal("router 2 should be a border router")
-	}
-	if dep.Dense[3] == nil || dep.Dense[4] == nil {
-		t.Fatal("routers 3/4 should be dense")
+	for i, want := range []string{"*core.Router", "*core.Router", "*border.BorderRouter", "*pimdm.Router", "*pimdm.Router"} {
+		if got := fmt.Sprintf("%T", dep.Routers[i]); got != want {
+			t.Errorf("router %d runs %s, want %s", i, got, want)
+		}
 	}
 	sim.Run(2 * netsim.Second)
 	sparseHost.Join(group)
@@ -65,14 +62,22 @@ func TestDeployInterop(t *testing.T) {
 	if got := sparseHost.Received[group]; got < 4 {
 		t.Fatalf("sparse member got %d of 5 dense packets", got)
 	}
-	if dep.TotalState() == 0 {
-		t.Error("no state anywhere")
+	if dep.TotalState() == 0 || dep.StateBytes() == 0 {
+		t.Errorf("no state anywhere: %d entries, %d bytes", dep.TotalState(), dep.StateBytes())
+	}
+	// The control total is the union of the two PIM rows.
+	want := []metrics.ID{metrics.CtrlAssert, metrics.CtrlGraft, metrics.CtrlJoinPrune, metrics.CtrlPrune, metrics.CtrlRegister, metrics.CtrlRPReach}
+	if !slices.Equal(dep.ctrl, want) {
+		t.Errorf("control row %v, want %v", dep.ctrl, want)
+	}
+	if dep.Counter(metrics.CtrlJoinPrune) == 0 || dep.Counter(metrics.CtrlRegister) == 0 {
+		t.Error("the sparse side counted no joins or registers")
 	}
 }
 
-// TestDeployInteropAllSparse degenerates to a plain PIM deployment when no
-// dense routers are marked.
-func TestDeployInteropAllSparse(t *testing.T) {
+// TestNoDenseRoutersIsPIMDeployment: an empty dense-router set is plain
+// sparse mode, deployed as a PIMDeployment.
+func TestNoDenseRoutersIsPIMDeployment(t *testing.T) {
 	g := topology.New(3)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
@@ -80,19 +85,17 @@ func TestDeployInteropAllSparse(t *testing.T) {
 	h := sim.AddHost(0)
 	sim.FinishUnicast(UseOracle)
 	group := addr.GroupForIndex(0)
-	dep := sim.DeployInterop(
-		core.Config{RPMapping: map[addr.IP][]addr.IP{group: {sim.RouterAddr(2)}}},
-		pimdm.Config{}, nil,
-	)
-	for i := range sim.Routers {
-		if dep.Sparse[i] == nil {
-			t.Fatalf("router %d not sparse in all-sparse deployment", i)
-		}
+	dep, ok := sim.Deploy(SparseMode,
+		WithRPMapping(map[addr.IP][]addr.IP{group: {sim.RouterAddr(2)}}),
+		WithDenseRouters(),
+	).(*PIMDeployment)
+	if !ok {
+		t.Fatal("an all-sparse deployment is not a *PIMDeployment")
 	}
 	sim.Run(2 * netsim.Second)
 	h.Join(group)
 	sim.Run(2 * netsim.Second)
-	if dep.Sparse[1].MFIB.Wildcard(group) == nil {
+	if dep.Routers[1].MFIB.Wildcard(group) == nil {
 		t.Error("tree did not form")
 	}
 }
@@ -185,12 +188,12 @@ func TestBorderWithTwoDenseIfacesIsDeterministic(t *testing.T) {
 			}
 		})
 		group := addr.GroupForIndex(0)
-		dep := sim.DeployInterop(
-			core.Config{RPMapping: map[addr.IP][]addr.IP{group: {sim.RouterAddr(0)}}, Telemetry: bus},
-			pimdm.Config{Telemetry: bus},
-			map[int]bool{2: true, 3: true, 4: true},
+		dep := sim.Deploy(SparseMode,
+			WithRPMapping(map[addr.IP][]addr.IP{group: {sim.RouterAddr(0)}}),
+			WithTelemetry(bus),
+			WithDenseRouters(2, 3, 4),
 		)
-		if b := dep.Borders[1]; b == nil || !b.IsDenseIface(sim.Routers[1].Ifaces[1]) || !b.IsDenseIface(sim.Routers[1].Ifaces[2]) {
+		if b, ok := dep.(*MixedDeployment).Routers[1].(*border.BorderRouter); !ok || !b.IsDenseIface(sim.Routers[1].Ifaces[1]) || !b.IsDenseIface(sim.Routers[1].Ifaces[2]) {
 			t.Fatal("router 1 should be a border with two dense interfaces")
 		}
 		sim.Run(2 * netsim.Second)
@@ -208,13 +211,7 @@ func TestBorderWithTwoDenseIfacesIsDeterministic(t *testing.T) {
 		member3.Leave(group)
 		sim.Run(5 * netsim.Second)
 		// Every member-existence send is both counted and published.
-		counted := dep.Borders[1].Dense.Metrics.Get(metrics.CtrlMemberAd)
-		for _, r := range dep.Dense {
-			if r != nil {
-				counted += r.Metrics.Get(metrics.CtrlMemberAd)
-			}
-		}
-		if adSends == 0 || adSends != counted {
+		if counted := dep.Counter(metrics.CtrlMemberAd); adSends == 0 || adSends != counted {
 			t.Fatalf("%d MemberAdSend events published, %d sends counted", adSends, counted)
 		}
 		return h.Sum64(), events

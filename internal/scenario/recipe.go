@@ -46,6 +46,10 @@ type Recipe struct {
 	// FastTimers selects the fast soft-state grade for every clock of the
 	// protocol and of IGMP.
 	FastTimers bool
+	// Dense lists the routers of the dense-mode regions of a mixed
+	// sparse/dense internet (§4; pim-sm only). They run pim-dm on the
+	// recipe's clocks, and the sparse routers next to them become borders.
+	Dense []int
 }
 
 // ProtocolNames lists the names Recipe.Protocol accepts: the five engines,
@@ -60,6 +64,18 @@ func ProtocolNames() []string {
 // synchronously: racy and order-sensitive across concurrently executing
 // shards (Deploy panics on a sharded network for the same reason).
 func (rec Recipe) Sequential() bool { return rec.Protocol == "mospf" }
+
+// DeclaresRP reports whether the recipe's protocol anchors each group at a
+// declared router — sparse mode's RP candidates, CBT's core — so a front end
+// writes Anchors for it. The other protocols have no use for one, and a
+// declared list also rides every host join as an RP-map frame (§3.1 fn. 9).
+func (rec Recipe) DeclaresRP() bool {
+	switch rec.Protocol {
+	case "pim-sm", "pim-sm-shared", "cbt":
+		return true
+	}
+	return false
+}
 
 // timers resolves the recipe's clocks: the fast grade or the engine defaults,
 // with an explicit PruneHold overriding either.
@@ -100,12 +116,13 @@ func (rec Recipe) coreConfig() (core.Config, error) {
 }
 
 // DeployRecipe deploys the protocol rec names with the configuration rec
-// describes; extra options (telemetry, invariant checker) apply after the
-// recipe's own.
+// describes — a mixed sparse/dense internet when rec lists dense routers;
+// extra options (telemetry, invariant checker) apply after the recipe's own.
 func (s *Sim) DeployRecipe(rec Recipe, extra ...DeployOption) (Deployment, error) {
 	var p Protocol
 	var engine DeployOption
 	t := rec.timers()
+	dense := pimdm.Config{PruneHoldTime: t.pruneHold, QueryInterval: t.hello}
 	switch rec.Protocol {
 	case "pim-sm", "pim-sm-shared":
 		cfg, err := rec.coreConfig()
@@ -114,7 +131,7 @@ func (s *Sim) DeployRecipe(rec Recipe, extra ...DeployOption) (Deployment, error
 		}
 		p, engine = SparseMode, WithCoreConfig(cfg)
 	case "pim-dm":
-		p, engine = DenseMode, WithDenseConfig(pimdm.Config{PruneHoldTime: t.pruneHold, QueryInterval: t.hello})
+		p, engine = DenseMode, WithDenseConfig(dense)
 	case "dvmrp":
 		p, engine = DVMRPMode, WithDVMRPConfig(dvmrp.Config{PruneLifetime: t.pruneHold, ProbeInterval: t.hello})
 	case "cbt":
@@ -127,15 +144,11 @@ func (s *Sim) DeployRecipe(rec Recipe, extra ...DeployOption) (Deployment, error
 		return nil, fmt.Errorf("unknown protocol %q", rec.Protocol)
 	}
 	opts := []DeployOption{engine, WithIGMPTimers(t.hello, 3*t.hello)}
-	return s.Deploy(p, append(opts, extra...)...), nil
-}
-
-// DeployInteropRecipe is DeployInterop with the sparse side configured from
-// rec; the dense side takes the recipe's prune hold and is otherwise default.
-func (s *Sim) DeployInteropRecipe(rec Recipe, denseRouters map[int]bool) (*InteropDeployment, error) {
-	cfg, err := rec.coreConfig()
-	if err != nil {
-		return nil, err
+	if len(rec.Dense) > 0 {
+		if rec.Protocol != "pim-sm" {
+			return nil, fmt.Errorf("dense routers apply to pim-sm only, not %s", rec.Protocol)
+		}
+		opts = append(opts, WithDenseConfig(dense), WithDenseRouters(rec.Dense...))
 	}
-	return s.DeployInterop(cfg, pimdm.Config{PruneHoldTime: rec.timers().pruneHold}, denseRouters), nil
+	return s.Deploy(p, append(opts, extra...)...), nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"pim/internal/addr"
 	"pim/internal/core"
-	"pim/internal/pimdm"
 )
 
 // TestRPMappingIsNotAliased: the routers of a deployment share one RP table,
@@ -47,9 +46,9 @@ func TestInteropRPMappingIsNotAliased(t *testing.T) {
 	g0 := addr.GroupForIndex(0)
 	rp := sim.RouterAddr(1)
 	m := map[addr.IP][]addr.IP{g0: {rp}}
-	dep := sim.DeployInterop(core.Config{RPMapping: m}, pimdm.Config{}, map[int]bool{3: true})
+	dep := sim.Deploy(SparseMode, WithRPMapping(m), WithDenseRouters(3)).(*MixedDeployment)
 	m[g0][0] = sim.RouterAddr(2)
-	if got := dep.Sparse[1].RPsFor(g0); !slices.Equal(got, []addr.IP{rp}) {
+	if got := dep.Routers[1].(*core.Router).RPsFor(g0); !slices.Equal(got, []addr.IP{rp}) {
 		t.Errorf("RPsFor(G0) = %v after the caller rewrote its map, want [%v]", got, rp)
 	}
 }

@@ -217,3 +217,27 @@ func TestComposeParse(t *testing.T) {
 		t.Errorf("empty golden section = %v, want present-but-empty", s.Golden())
 	}
 }
+
+// TestEveryScenarioIsObserved: a captured run of every corpus file publishes
+// events. A deployment nothing observes would record the hash of zero events
+// as its golden stream (FNV-64a's offset basis) and give the invariant checker
+// nothing to check, so its digest could not move whatever the run did.
+func TestEveryScenarioIsObserved(t *testing.T) {
+	paths, err := Discover("../../scenarios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		s, err := ParseFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunWith(RunConfig{Captured: true})
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(res.Events) == 0 {
+			t.Errorf("%s: a captured run published no events", path)
+		}
+	}
+}

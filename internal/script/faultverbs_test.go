@@ -286,19 +286,26 @@ func TestNewVerbErrors(t *testing.T) {
 	}
 }
 
-// TestExpectViolationsNeedsChecker: the interop (mixed sparse/dense)
-// deployment has no uniform checker; asserting on violations there must be
-// a script error, not a silent pass.
+// TestExpectViolationsNeedsChecker: a script that asserts on violations gets
+// the invariant checker whatever RunConfig asked for — on the mixed
+// sparse/dense deployment, through a border crash, too — so the assertion
+// measures instead of passing silently.
 func TestExpectViolationsNeedsChecker(t *testing.T) {
 	s := mustParse(t, `
 topo edges 0-1 1-2
 group G0 rp r0
 protocol pim-sm dense=2
-run 1s
+at 1s crash r1
+at 5s restart r1
+run 10s
 expect violations == 0
+expect violations >= 1
 `)
-	_, err := s.RunWith(RunConfig{})
-	if err == nil || !strings.Contains(err.Error(), "invariant checker") {
-		t.Fatalf("err = %v, want checker-required error", err)
+	res, err := s.RunWith(RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failures) != 1 || !strings.Contains(res.Failures[0], "violations = 0, want >= 1") {
+		t.Fatalf("failures = %v, want only the >= 1 expectation measured and failed", res.Failures)
 	}
 }

@@ -51,7 +51,9 @@
 // spt= and aggregate apply to sparse mode, prune= to the flood-and-prune
 // protocols, timers=fast selects the recipe's one fast timer grade (shrunk
 // soft-state clocks; fault scenarios depend on it), and dense= turns pim-sm
-// into the mixed sparse/dense internet of §4 with the listed routers dense.
+// into the mixed sparse/dense internet of §4: the listed routers run pim-dm,
+// the sparse routers next to them are borders, and crash/restart takes a
+// border's two halves down and up together.
 //
 // A script that declares `expect violations` runs with the invariant checker
 // attached regardless of RunConfig — the expectation is the scenario's
@@ -359,8 +361,7 @@ type Result struct {
 	// Delivered maps "<host>/<group>" to reception counts.
 	Delivered map[string]int
 	// Violations aggregates invariant-checker findings across every lane,
-	// sorted by time then router (nil on unchecked runs, and for the mixed
-	// sparse/dense interop form, which the checker does not cover).
+	// sorted by time then router (nil on unchecked runs).
 	Violations []telemetry.Violation
 	// Events is the canonical captured telemetry stream of a Captured run:
 	// per-shard lane buffers concatenated and stable-sorted by (At, Router),
@@ -417,11 +418,8 @@ type runner struct {
 	groups  map[string]addr.IP
 	groupRP map[addr.IP][]int // group -> ordered RP/core router indexes
 	hosts   map[string]*hostRef
-	// stateFn reads one router's entry count; non-nil once a protocol is
-	// deployed.
-	stateFn func(router int) int
-	// dep is the uniform crash/restart and invariant-checker surface; nil
-	// for the mixed sparse/dense deployment, which has neither.
+	// dep is the deployment: crash/restart, per-router state and the
+	// invariant checkers' findings. It is nil until the protocol statement.
 	dep scenario.Deployment
 	// lanes[i] is the event stream shard i published on a Captured run. It is
 	// appended only by shard i's goroutine, so capture stays race-free under
@@ -716,7 +714,7 @@ func (r *runner) deploy(st *stmt) error {
 	if r.sim == nil {
 		return st.errf("protocol before topo")
 	}
-	if r.stateFn != nil {
+	if r.dep != nil {
 		return st.errf("duplicate protocol statement")
 	}
 	if len(st.args) == 2 && st.args[1] != "aggregate" {
@@ -741,9 +739,14 @@ func (r *runner) deploy(st *stmt) error {
 	if st.err != nil {
 		return st.err
 	}
-	dense, mixed := st.kv["dense"]
-	if mixed && rec.Protocol != "pim-sm" {
-		return st.errf("dense= applies to pim-sm only")
+	if dense, ok := st.kv["dense"]; ok {
+		for _, part := range strings.Split(dense, ",") {
+			idx, err := r.routerIndex(st, part)
+			if err != nil {
+				return err
+			}
+			rec.Dense = append(rec.Dense, idx)
+		}
 	}
 	// Shard before the unicast substrate schedules its first event, unless
 	// the run is one RunWith lists as sequential.
@@ -757,29 +760,11 @@ func (r *runner) deploy(st *stmt) error {
 	for _, g := range r.groups {
 		rec.Anchors[g] = r.rpAddrs(g)
 	}
-	if mixed {
-		// Mixed sparse/dense internet (§4): dense=3,4 marks dense-mode
-		// routers; adjacent sparse routers become borders.
-		denseSet := map[int]bool{}
-		for _, part := range strings.Split(dense, ",") {
-			idx, err := r.routerIndex(st, part)
-			if err != nil {
-				return err
-			}
-			denseSet[idx] = true
-		}
-		dep, err := r.sim.DeployInteropRecipe(rec, denseSet)
-		if err != nil {
-			return st.errf("%v", err)
-		}
-		r.stateFn = dep.StateAt
-	} else {
-		dep, err := r.sim.DeployRecipe(rec, opts...)
-		if err != nil {
-			return st.errf("%v", err)
-		}
-		r.dep, r.stateFn = dep, dep.StateAt
+	dep, err := r.sim.DeployRecipe(rec, opts...)
+	if err != nil {
+		return st.errf("%v", err)
 	}
+	r.dep = dep
 	// Neighbor discovery before scripted events begin.
 	r.sim.Run(2 * netsim.Second)
 	r.res.Log = append(r.res.Log,
@@ -799,7 +784,7 @@ func (r *runner) rpAddrs(g addr.IP) []addr.IP {
 // doAt schedules one timed action, <time> after the script clock as it
 // stands at the statement.
 func (r *runner) doAt(st *stmt) error {
-	if r.stateFn == nil {
+	if r.dep == nil {
 		return st.errf("at before protocol")
 	}
 	when, err := parseDuration(st.when)
@@ -819,7 +804,7 @@ func (r *runner) doAt(st *stmt) error {
 }
 
 func (r *runner) doRun(st *stmt) error {
-	if r.stateFn == nil {
+	if r.dep == nil {
 		return st.errf("run before protocol")
 	}
 	d, err := parseDuration(st.args[0])
@@ -829,14 +814,14 @@ func (r *runner) doRun(st *stmt) error {
 	r.sim.Run(d)
 	total := 0
 	for i := range r.graph.N() {
-		total += r.stateFn(i)
+		total += r.dep.StateAt(i)
 	}
 	r.res.State = append(r.res.State, total)
 	return nil
 }
 
 func (r *runner) doExpect(st *stmt) error {
-	if r.stateFn == nil {
+	if r.dep == nil {
 		return st.errf("expect before protocol")
 	}
 	for _, sub := range subjects {
@@ -903,7 +888,7 @@ func (r *runner) routerState(st *stmt, a []string) (int64, string, error) {
 	if err != nil {
 		return 0, "", err
 	}
-	return int64(r.stateFn(idx)), "", nil
+	return int64(r.dep.StateAt(idx)), "", nil
 }
 
 func (r *runner) meanDelay(st *stmt, a []string) (int64, string, error) {
@@ -917,10 +902,7 @@ func (r *runner) meanDelay(st *stmt, a []string) (int64, string, error) {
 	return int64(h.delaySum[g]) / h.delayN[g], "", nil
 }
 
-func (r *runner) violationCount(st *stmt, _ []string) (int64, string, error) {
-	if r.dep == nil {
-		return 0, "", st.errf("expect violations requires the invariant checker (checked run, uniform deployment)")
-	}
+func (r *runner) violationCount(*stmt, []string) (int64, string, error) {
 	vs, note := r.dep.Violations(), ""
 	if len(vs) > 0 {
 		note = " (first: " + vs[0].String() + ")"
@@ -1036,9 +1018,6 @@ func (r *runner) lifecycle(st *stmt) (func(), *netsim.Node, error) {
 	idx, err := r.routerIndex(st, st.args[0])
 	if err != nil {
 		return nil, nil, err
-	}
-	if r.dep == nil {
-		return nil, nil, st.errf("%s is not supported for this deployment", st.verb.name)
 	}
 	if st.verb.name == "crash" {
 		return func() { r.dep.Crash(idx) }, nil, nil

@@ -457,7 +457,6 @@ func TestFaultVerbErrors(t *testing.T) {
 		"topo edges 0-1\ngroup G0 rp r1\nprotocol pim-sm\nat 1s crash r9\n",
 		"topo edges 0-1\ngroup G0 rp r1\nprotocol pim-sm\nat 1s partition\n",
 		"topo edges 0-1\ngroup G0 rp r1\nprotocol pim-sm\nat 1s heal now\n",
-		"topo edges 0-1 1-2\ngroup G0 rp r1\nprotocol pim-sm dense=2\nat 1s crash r1\n",
 	}
 	for _, src := range cases {
 		s, err := Parse(src)

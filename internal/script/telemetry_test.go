@@ -15,10 +15,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from the cur
 
 // TestScenariosUpholdInvariants runs every scenario script in the repository
 // under the online invariant checker: the §3.8 soft-state contracts must
-// hold through every documented workload, including the fault scripts. The
-// interop scenario deploys the mixed sparse/dense form the checker does not
-// cover; the run attaches no checker there and the script still must
-// pass its own expectations.
+// hold through every documented workload, including the fault scripts and
+// the mixed sparse/dense internets, whose border routers are checked like any
+// other router (interop-border-crash.pim crashes one).
 // Counterexamples emitted by the fault-schedule search live under
 // scenarios/found/ and RECORD their bug in their expectations (`expect
 // violations >= 1`, or a negated delivery oracle): for those, the script's

@@ -51,7 +51,9 @@
 // configure rendezvous mapping, SPT policy, telemetry, and the online
 // invariant checker. Protocol-specific state (per-router engines, IGMP
 // queriers) is reachable by asserting to the concrete deployment type,
-// e.g. sim.Deploy(pim.SparseMode, ...).(*pim.PIMDeployment).
+// e.g. sim.Deploy(pim.SparseMode, ...).(*pim.PIMDeployment), or
+// *pim.MixedDeployment for the §4 sparse/dense internet WithDenseRouters
+// deploys.
 //
 // See examples/ for complete programs and EXPERIMENTS.md for the
 // figure-by-figure reproduction record.
@@ -62,6 +64,7 @@ import (
 	"math/rand"
 
 	"pim/internal/addr"
+	"pim/internal/border"
 	"pim/internal/core"
 	"pim/internal/experiments"
 	"pim/internal/faults"
@@ -121,9 +124,9 @@ type (
 	Router = core.Router
 	// DenseConfig configures PIM dense-mode routers (flood-and-prune).
 	DenseConfig = pimdm.Config
-	// InteropDeployment is a mixed sparse/dense internet with border
-	// routers splicing the dense regions onto sparse trees (§4).
-	InteropDeployment = scenario.InteropDeployment
+	// BorderRouter splices a dense-mode region onto the sparse trees (§4):
+	// the role of a sparse router next to one in a MixedDeployment.
+	BorderRouter = border.BorderRouter
 )
 
 // SPT switching policies (§3.3 of the paper).
@@ -145,6 +148,10 @@ type (
 	// PIMDeployment is the concrete sparse-mode deployment (per-router
 	// core.Router and IGMP querier access).
 	PIMDeployment = scenario.PIMDeployment
+	// MixedDeployment is a mixed sparse/dense internet (SparseMode with
+	// WithDenseRouters): router i is a *Router, a dense-mode router or a
+	// *BorderRouter by its role.
+	MixedDeployment = scenario.MixedDeployment
 	// DeployOption is a functional deployment option for Deploy.
 	DeployOption = scenario.DeployOption
 	// Lifecycle is the stop/restart surface every protocol engine and the
@@ -165,6 +172,11 @@ const (
 // WithRPMapping maps groups to ordered RP candidate lists (sparse mode) and
 // derives the CBT core mapping from each group's first candidate.
 func WithRPMapping(m map[IP][]IP) DeployOption { return scenario.WithRPMapping(m) }
+
+// WithDenseRouters makes a SparseMode deployment a mixed internet (§4): the
+// listed routers run dense mode and the sparse routers next to them are
+// border routers.
+func WithDenseRouters(routers ...int) DeployOption { return scenario.WithDenseRouters(routers...) }
 
 // WithSPTPolicy sets the sparse-mode shared-tree→SPT switching policy (§3.3).
 func WithSPTPolicy(p SPTPolicy) DeployOption { return scenario.WithSPTPolicy(p) }
