@@ -102,18 +102,19 @@ type sent struct {
 func (s sent) String() string { return fmt.Sprintf("if%d→%v", s.iface, s.to) }
 
 // data hands r one data packet arriving on in and returns r's transmissions
-// of it, in send order. Deliveries of one frame share the frame's header, so
-// a change of Pkt pointer is a frame boundary.
+// of it, in send order. Deliveries of one frame share the frame's bytes, which
+// the payload aliases, so a change of payload address is a frame boundary (the
+// header is the scheduler's, shared by every frame).
 func (f *fanoutNet) data(in *netsim.Iface) []sent {
 	var out []sent
-	var last *packet.Packet
+	var last *byte
 	f.net.Trace = func(ev netsim.TraceEvent) {
 		if ev.From.Node != f.r.Node || ev.Pkt.Protocol != packet.ProtoUDP {
 			return
 		}
-		if ev.Pkt != last {
+		if p := &ev.Pkt.Payload[0]; p != last {
 			out = append(out, sent{iface: ev.From.Index})
-			last = ev.Pkt
+			last = p
 		}
 		out[len(out)-1].to = append(out[len(out)-1].to, ev.To.Addr)
 	}

@@ -172,9 +172,11 @@ type Router struct {
 	// restarting from zero would have its post-restart LSAs discarded as
 	// stale forever.
 	seq uint32
-	// membership[origin][group]: the domain-wide membership database every
-	// router stores (the §1.1 scaling cost).
-	membership map[uint32]map[addr.IP]bool
+	// membership[origin] is the sorted, deduplicated group list of origin's
+	// latest LSA: the domain-wide membership database every router stores
+	// (the §1.1 scaling cost). Rows are owned copies, never an alias of the
+	// decode scratch dec.Groups.
+	membership map[uint32][]addr.IP
 	seqs       map[uint32]uint32
 	// local is IGMP-reported membership.
 	local engine.Members
@@ -212,7 +214,7 @@ func (r *Router) Stop() { r.Chassis.Stop(0, r.reset) }
 
 func (r *Router) reset() {
 	r.MFIB = mfib.NewTable()
-	r.membership = map[uint32]map[addr.IP]bool{}
+	r.membership = map[uint32][]addr.IP{}
 	r.seqs = map[uint32]uint32{}
 	r.local.Reset()
 	r.Domain.sp = map[int]*topology.ShortestPaths{}
@@ -282,11 +284,9 @@ func (r *Router) handleLSA(in *netsim.Iface, pkt *packet.Packet) {
 
 func (r *Router) install(lsa *membershipLSA) {
 	r.seqs[lsa.Origin] = lsa.Seq
-	groups := map[addr.IP]bool{}
-	for _, g := range lsa.Groups {
-		groups[g] = true
-	}
-	r.membership[lsa.Origin] = groups
+	row := append(r.membership[lsa.Origin][:0], lsa.Groups...)
+	slices.Sort(row)
+	r.membership[lsa.Origin] = slices.Compact(row)
 	// Membership changed: drop cached trees (they will be recomputed on
 	// the next data packet) and any shared Dijkstra cache.
 	if r.Telemetry != nil {
@@ -315,7 +315,7 @@ func (r *Router) flood(lsa *membershipLSA, except *netsim.Iface) {
 func (r *Router) memberRouters(g addr.IP) []int {
 	var out []int
 	for origin, groups := range r.membership {
-		if groups[g] {
+		if _, ok := slices.BinarySearch(groups, g); ok {
 			out = append(out, int(origin))
 		}
 	}

@@ -93,3 +93,12 @@ func TestNodeFootprint(t *testing.T) {
 		t.Errorf("sizeof(Node) = %d B, want <= 256", size)
 	}
 }
+
+// TestFrameFootprint pins an in-flight crossing's size: a frame is its bytes
+// and route, not two decoded headers (152 B with them), since a membership
+// flood keeps tens of thousands in flight at once.
+func TestFrameFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(frame{}); size > 64 {
+		t.Errorf("sizeof(frame) = %d B, want <= 64", size)
+	}
+}

@@ -111,7 +111,8 @@ func (l *Link) Up() bool { return l.up }
 
 // TraceEvent describes one packet delivery for test and example hooks.
 // Pkt is borrowed under the same contract as Handler deliveries: copy
-// whatever outlives the callback.
+// whatever outlives the callback. The address of Pkt identifies nothing
+// beyond the call: every delivery a scheduler fires uses the same header.
 type TraceEvent struct {
 	At   Time
 	From *Iface // transmitting interface
@@ -353,7 +354,7 @@ func (nd *Node) Send(out *Iface, pkt *packet.Packet, nextHop addr.IP) {
 	if err != nil {
 		panic("netsim: marshal failed: " + err.Error())
 	}
-	f.net, f.from, f.link, f.nextHop = net, out, link, nextHop
+	f.from, f.link, f.nextHop = out, link, nextHop
 	net.statsFor(nd).Transmit(link, pkt)
 	// Jitter is drawn once per transmission, before the sharded dispatch:
 	// the hook needs the packet header, which sendSharded does not carry.
@@ -441,7 +442,7 @@ func (nd *Node) sendSharded(set *shardSet, f *frame, jit Time) {
 		})
 	}
 	if local {
-		f.shard = nd.shard
+		f.shard = int32(nd.shard)
 		sched.enqueueDelivery(now+delay, now, deliveryOrd(nd.ID, nd.xmit), f)
 	} else {
 		// Purely cross-shard: the outbox record owns a copy, so the frame
@@ -451,20 +452,20 @@ func (nd *Node) sendSharded(set *shardSet, f *frame, jit Time) {
 }
 
 // deliverFrame takes one frame off the link: a single in-place decode into
-// the frame's header scratch, then delivery to every eligible attached
-// interface. f.shard restricts delivery to stations owned by that shard (-1
-// delivers to all stations — the sequential path). Each station gets a fresh
-// copy of the header in f.rcv, so a handler mutating its view (TTL etc.)
-// cannot leak into the next station's delivery.
-func (n *Network) deliverFrame(f *frame) {
-	err := packet.UnmarshalInto(&f.hdr, f.buf)
+// the firing scheduler's header scratch rx, then delivery to every eligible
+// attached interface. f.shard restricts delivery to stations owned by that
+// shard (-1 delivers to all stations — the sequential path). Each station
+// gets a fresh copy of the header in rx.rcv, so a handler mutating its view
+// (TTL etc.) cannot leak into the next station's delivery.
+func (n *Network) deliverFrame(f *frame, rx *rxScratch) {
+	err := packet.UnmarshalInto(&rx.hdr, f.buf)
 	from, link := f.from, f.link
 	lan := link.IsLAN()
 	for _, to := range link.Ifaces {
 		if to == from {
 			continue
 		}
-		if f.shard >= 0 && to.Node.shard != f.shard {
+		if f.shard >= 0 && int32(to.Node.shard) != f.shard {
 			continue
 		}
 		if lan && f.nextHop != 0 && to.Addr != f.nextHop {
@@ -478,8 +479,8 @@ func (n *Network) deliverFrame(f *frame) {
 			n.statsFor(to.Node).Drop(DropMalformed)
 			continue
 		}
-		f.rcv = f.hdr
-		n.deliver(from, to, &f.rcv)
+		rx.rcv = rx.hdr
+		n.deliver(from, to, &rx.rcv)
 	}
 }
 

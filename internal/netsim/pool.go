@@ -5,17 +5,19 @@ package netsim
 // one closure plus one marshal buffer plus one decoded Packet per link
 // crossing. A frame makes the whole crossing a single reusable object:
 // Node.Send marshals into a recycled buffer, the delivery event carries the
-// frame by pointer (no closure), the arrival decodes into the frame's own
-// header scratch, and after the synchronous fan-out completes the frame
-// returns to the free list of the scheduler that fired it.
+// frame by pointer (no closure), the arrival decodes into the firing
+// scheduler's header scratch (rxScratch), and after the synchronous fan-out
+// completes the frame returns to the free list of the scheduler that fired
+// it.
 //
 // Ownership contract (DESIGN.md §13): everything a handler receives — the
 // *packet.Packet, its Payload, and any decoded view aliasing the Payload —
 // is BORROWED for the duration of the HandlePacket call. A handler that
 // retains any of it past return must copy. The poison-on-release debug mode
-// (SetPoisonFrames) overwrites released frame bytes with 0xDB so a retained
-// alias misreads loudly instead of silently going stale; the internal/script
-// tests run every scenario under it.
+// (SetPoisonFrames) overwrites released frame bytes with 0xDB and zeroes the
+// scheduler's header scratch after each fan-out, so a retained alias misreads
+// loudly instead of silently going stale; the internal/script tests run every
+// scenario under it.
 //
 // Pools are per-Scheduler, hence per-shard: a shard's frames are touched
 // only by the goroutine executing that shard's window, so the free list
@@ -48,22 +50,27 @@ func SetPoisonFrames(on bool) (prev bool) { return poisonOn.Swap(on) }
 
 // frame is one in-flight link crossing: the marshalled bytes plus the
 // delivery route, owned by exactly one scheduler's free list when idle and
-// by the event queue while in flight.
+// by the event queue while in flight. A message flood puts tens of thousands
+// in flight at once, so it carries nothing a delivery can derive (the
+// network is link.Net) or decode (the header lives in rxScratch).
 type frame struct {
-	net     *Network
 	from    *Iface
 	link    *Link
 	nextHop addr.IP
-	shard   int
+	shard   int32
 	buf     []byte
-	// hdr is the single per-crossing decode; rcv is the per-receiver header
-	// view handed to handlers (each station gets a fresh copy of hdr in rcv,
-	// so one handler mutating its view cannot leak into the next station's).
-	// Both live in the frame so the warm delivery path allocates nothing.
-	hdr packet.Packet
-	rcv packet.Packet
 	// next links the scheduler free list.
 	next *frame
+}
+
+// rxScratch is the receive side of one crossing, owned by the scheduler that
+// fires it: hdr is the single per-crossing decode, rcv the per-receiver
+// header view handed to handlers (each station gets a fresh copy of hdr in
+// rcv, so one handler mutating its view cannot leak into the next station's).
+// Fan-outs never nest on one scheduler, so one scratch per shard serves every
+// delivery and the warm path allocates nothing.
+type rxScratch struct {
+	hdr, rcv packet.Packet
 }
 
 // framePool is a scheduler-private free list. Single-goroutine by
@@ -88,8 +95,6 @@ func (p *framePool) put(f *frame) {
 		for i := range f.buf {
 			f.buf[i] = poisonByte
 		}
-		f.hdr = packet.Packet{}
-		f.rcv = packet.Packet{}
 	}
 	f.next = p.free
 	p.free = f

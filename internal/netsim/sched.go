@@ -216,6 +216,9 @@ type Scheduler struct {
 	// always return to the pool of the scheduler that fired their delivery
 	// event, so the list stays single-goroutine without locks.
 	frames framePool
+	// rx is the header scratch every frame this scheduler fires decodes
+	// into (pool.go).
+	rx rxScratch
 	// timerChunk bump-allocates Timer handles 64 at a time. Every soft-state
 	// refresh allocates a handle, so at scale the per-handle GC overhead is
 	// a measurable share of scheduling cost; batching cuts it 64x. Slots are
@@ -385,7 +388,10 @@ func (s *Scheduler) fire(ev event) {
 	if f := ev.fr; f != nil {
 		// Pooled frame delivery: fan out synchronously, then the frame —
 		// and everything borrowed from it — is dead and recycled.
-		f.net.deliverFrame(f)
+		f.link.Net.deliverFrame(f, &s.rx)
+		if poisonOn.Load() {
+			s.rx = rxScratch{}
+		}
 		s.frames.put(f)
 		return
 	}

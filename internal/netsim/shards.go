@@ -402,7 +402,7 @@ func (ss *shardSet) exchange() {
 			// quiesced, so touching the destination pool here is race-free.
 			f := sched.frames.get()
 			f.buf = rec.frame
-			f.net, f.from, f.link, f.nextHop, f.shard = ss.net, rec.from, rec.link, rec.nextHop, rec.dst
+			f.from, f.link, f.nextHop, f.shard = rec.from, rec.link, rec.nextHop, int32(rec.dst)
 			sched.enqueueDelivery(rec.at, rec.bs, deliveryOrd(rec.src, rec.xmit), f)
 		}
 		ss.outboxes[s] = ss.outboxes[s][:0]
