@@ -102,3 +102,32 @@ func TestFrameFootprint(t *testing.T) {
 		t.Errorf("sizeof(frame) = %d B, want <= 64", size)
 	}
 }
+
+// TestEventFootprint pins a queue entry's size: its kind is the localOrd bit,
+// so one tagged pointer serves frame deliveries and timers alike (48 B with a
+// callback, a *Timer and a *frame side by side), and a Post record rides in
+// the padding of a Timer.
+func TestEventFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 32 {
+		t.Errorf("sizeof(event) = %d B, want 32", size)
+	}
+	if size := unsafe.Sizeof(Timer{}); size > 40 {
+		t.Errorf("sizeof(Timer) = %d B, want <= 40", size)
+	}
+}
+
+// TestNodeIDGuard: a node ID past nodeIDBits would set localOrd in its
+// deliveries' order key and make fire read their frames as timers, so
+// AddNode refuses it.
+func TestNodeIDGuard(t *testing.T) {
+	if ord := deliveryOrd(maxNodes-1, ^uint64(0)); ord&localOrd != 0 {
+		t.Fatalf("deliveryOrd of the last node sets localOrd: %#x", ord)
+	}
+	checkNodeID(maxNodes - 1)
+	defer func() {
+		if recover() == nil {
+			t.Error("node ID maxNodes accepted")
+		}
+	}()
+	checkNodeID(maxNodes)
+}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"pim/internal/addr"
@@ -176,7 +177,7 @@ func TestLANDeliverAllocs(t *testing.T) {
 func TestSchedulerPostAllocs(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
-	// Warm the wheel's pool of slot arrays and the due buffer.
+	// Warm the wheel's spare chunks, the due buffer and the Post records.
 	for i := 0; i < 512; i++ {
 		s.Post(Time(i), fn)
 	}
@@ -187,6 +188,34 @@ func TestSchedulerPostAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("Post allocates %.2f per event, want 0", allocs)
+	}
+}
+
+// TestPostRecordsArePrivate: Post recycles its records, never a handle. A
+// fired After handle keeps reporting what it did while a thousand Posts
+// reuse records around it, and every Post runs exactly once.
+func TestPostRecordsArePrivate(t *testing.T) {
+	s := NewScheduler()
+	tm := s.After(5, func() {})
+	s.Run(0)
+	ran := make([]int, 1000)
+	for i := range ran {
+		s.Post(Time(i%3), func() { ran[i]++ })
+		if i%2 == 1 {
+			s.Run(0)
+		}
+	}
+	s.Run(0)
+	if tm.Stop() || tm.Active() || tm.When() != 5 {
+		t.Errorf("fired handle: Stop %v, Active %v, When %d; want false, false, 5", tm.Stop(), tm.Active(), tm.When())
+	}
+	for i, n := range ran {
+		if n != 1 {
+			t.Fatalf("Post %d ran %d times, want 1", i, n)
+		}
+	}
+	if len(s.posts) == 0 || len(s.posts) > 2 || slices.Contains(s.posts, tm) {
+		t.Errorf("free list holds %d records (handle among them: %v), want 1-2 Post records", len(s.posts), slices.Contains(s.posts, tm))
 	}
 }
 

@@ -159,6 +159,7 @@ func NewNetwork() *Network {
 // On a sharded network the new node starts unplaced; assign it with
 // SetNodeShard before it schedules or receives anything.
 func (n *Network) AddNode(name string) *Node {
+	checkNodeID(len(n.Nodes))
 	nd := &Node{Net: n, ID: len(n.Nodes), Name: name}
 	if n.set != nil {
 		nd.shard = -1

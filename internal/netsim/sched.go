@@ -10,6 +10,8 @@
 // receiver, so the codecs are exercised on the true data path.
 package netsim
 
+import "unsafe"
+
 // Time is simulated time in microseconds since the start of the run.
 type Time int64
 
@@ -32,9 +34,9 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Timer objects are deliberately never pooled: a protocol may keep a handle
 // long after the callback fired (Stop on a fired timer must keep returning
 // false), so recycling a live pointer would let a stale Stop cancel an
-// unrelated future event. The allocation-free path is Scheduler.Post, which
-// schedules straight into the pooled event store with no handle at all —
-// that is what the packet-delivery hot path uses.
+// unrelated future event. Scheduler.Post returns no handle, so its callback
+// rides in a record from a free list private to the scheduler instead, one
+// that no caller can ever hold.
 //
 // The callback lives on the handle, not in the queue entry, so Stop can
 // release it in place; and the scheduler back-pointer is cleared the moment
@@ -51,6 +53,8 @@ type Timer struct {
 	seq     uint64
 	stopped bool
 	fired   bool
+	// post marks a Post record: recycled as soon as it fires.
+	post bool
 }
 
 // Stop cancels the timer. It reports whether the cancellation prevented the
@@ -102,7 +106,7 @@ func (t *Timer) Reset(d Time) bool {
 	t.at = s.now + d
 	seq := s.nextSeq()
 	t.seq = seq
-	s.enqueue(event{at: t.at, bs: s.now, ord: seq | localOrd, tm: t})
+	s.enqueue(event{at: t.at, bs: s.now, ord: seq | localOrd, p: unsafe.Pointer(t)})
 	return true
 }
 
@@ -140,18 +144,34 @@ func (t *Timer) When() Time { return t.at }
 // which is what makes shard count unobservable in results.
 const localOrd = uint64(1) << 63
 
+// nodeIDBits is the width of the node ID in deliveryOrd. Bit 63 — localOrd,
+// which tells fire and dead to read an entry's pointer as a *Timer — stays
+// clear only while every ID fits, so Network.AddNode refuses node maxNodes.
+const (
+	nodeIDBits = 23
+	maxNodes   = 1 << nodeIDBits
+)
+
 // deliveryOrd is the structural order key of a packet-delivery event: the
 // sending node's ID over its per-node transmit sequence. 23 bits of node ID
-// and 40 bits of sequence keep bit 63 clear for any realistic simulation
-// (8M nodes, 10^12 sends per node).
+// and 40 bits of sequence keep bit 63 clear (8M nodes, 10^12 sends per node).
 func deliveryOrd(src int, xmit uint64) uint64 {
-	return uint64(src)<<40 | (xmit & (1<<40 - 1))
+	const xmitBits = 63 - nodeIDBits
+	return uint64(src)<<xmitBits | (xmit & (1<<xmitBits - 1))
 }
 
-// event is one queue entry. Entries are values in reusable backing arrays —
-// scheduling does not allocate beyond amortized slice growth. fn is set for
-// the fire-and-forget Post path; for After/At the callback lives on the
-// Timer handle (so Stop can release it) and tm points at that handle.
+// checkNodeID panics on a node ID deliveryOrd cannot encode.
+func checkNodeID(id int) {
+	if id >= maxNodes {
+		panic("netsim: a network holds at most 2^23 nodes")
+	}
+}
+
+// event is one queue entry: 32 bytes, so that a flood's tens of thousands of
+// crossings in flight cost little wheel. Its kind is the localOrd bit of ord:
+// clear, p is the in-flight *frame, which fire dispatches without a closure
+// and recycles; set, p is the *Timer whose callback it runs — an At/After
+// handle (the callback lives there so Stop can release it) or a Post record.
 type event struct {
 	at Time
 	// bs is the birth instant: the scheduler clock when the entry was
@@ -164,11 +184,7 @@ type event struct {
 	// and Post events, or the structural deliveryOrd key for packet
 	// deliveries (local and cross-shard alike).
 	ord uint64
-	fn  func()
-	tm  *Timer
-	// fr, when non-nil, makes this a frame-delivery event: fire dispatches
-	// the frame without a closure and recycles it afterwards.
-	fr *frame
+	p   unsafe.Pointer
 }
 
 // before orders events by (deadline, birth instant, order key): a strict
@@ -187,11 +203,22 @@ func (e event) before(o event) bool {
 	return e.ord < o.ord
 }
 
+// timer returns the entry's *Timer, or nil for a frame delivery.
+func (e event) timer() *Timer {
+	if e.ord&localOrd == 0 {
+		return nil
+	}
+	return (*Timer)(e.p)
+}
+
 // dead reports whether the entry belongs to a stopped timer, or is a stale
 // arm superseded by Reset, and can be dropped wherever it is encountered.
 // Timer entries always carry the scheduler sequence number in ord's low
 // bits, so the staleness check masks localOrd off.
-func (e event) dead() bool { return e.tm != nil && (e.tm.stopped || e.tm.seq != e.ord&^localOrd) }
+func (e event) dead() bool {
+	tm := e.timer()
+	return tm != nil && (tm.stopped || tm.seq != e.ord&^localOrd)
+}
 
 // Scheduler is a deterministic discrete-event scheduler. Events scheduled
 // for the same instant fire in scheduling order.
@@ -228,6 +255,10 @@ type Scheduler struct {
 	// dropped Scheduler that still had entries pending in those siblings;
 	// handles of fired/stopped timers alone never pin it.)
 	timerChunk []Timer
+	// posts is the free list of fired Post records (Timer.post set). They
+	// come from timerChunk like handles, but no caller ever sees one, so
+	// reusing them is safe where reusing a handle is not.
+	posts []*Timer
 	// halted stops the run loops before the next event fires (Halt). The
 	// flag is sticky until ClearHalt so nested/subsequent RunUntil calls
 	// return immediately with the clock frozen at the halt instant.
@@ -293,27 +324,41 @@ func (s *Scheduler) At(t Time, fn func()) *Timer {
 	if t < s.now {
 		t = s.now
 	}
+	tm := s.newTimer()
+	seq := s.nextSeq()
+	tm.s, tm.at, tm.fn, tm.seq = s, t, fn, seq
+	s.enqueue(event{at: t, bs: s.now, ord: seq | localOrd, p: unsafe.Pointer(tm)})
+	return tm
+}
+
+func (s *Scheduler) newTimer() *Timer {
 	if len(s.timerChunk) == 0 {
 		s.timerChunk = make([]Timer, 64)
 	}
 	tm := &s.timerChunk[0]
 	s.timerChunk = s.timerChunk[1:]
-	seq := s.nextSeq()
-	tm.s, tm.at, tm.fn, tm.seq = s, t, fn, seq
-	s.enqueue(event{at: t, bs: s.now, ord: seq | localOrd, tm: tm})
 	return tm
 }
 
 // Post schedules fn to run d from now (clamped like After) without
 // allocating a cancellable Timer handle. This is the fast path for
-// fire-and-forget work — packet deliveries, periodic experiment pumps — and
-// costs no per-event allocation: the event record lives in the store's
-// reusable backing arrays.
+// fire-and-forget work — periodic experiment pumps — and costs no per-event
+// allocation once warm: the callback rides in a recycled Post record.
 func (s *Scheduler) Post(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	s.enqueue(event{at: s.now + d, bs: s.now, ord: s.nextSeq() | localOrd, fn: fn})
+	var tm *Timer
+	if k := len(s.posts); k > 0 {
+		tm = s.posts[k-1]
+		s.posts = s.posts[:k-1]
+	} else {
+		tm = s.newTimer()
+		tm.post = true
+	}
+	seq := s.nextSeq()
+	tm.at, tm.fn, tm.seq = s.now+d, fn, seq
+	s.enqueue(event{at: tm.at, bs: s.now, ord: seq | localOrd, p: unsafe.Pointer(tm)})
 }
 
 // enqueueDelivery inserts a packet-delivery event carrying the structural
@@ -329,7 +374,7 @@ func (s *Scheduler) enqueueDelivery(at, bs Time, ord uint64, f *frame) {
 	if s.live > s.peakLive {
 		s.peakLive = s.live
 	}
-	ev := event{at: at, bs: bs, ord: ord, fr: f}
+	ev := event{at: at, bs: bs, ord: ord, p: unsafe.Pointer(f)}
 	if s.wheel != nil {
 		s.wheel.push(ev, s.now)
 	} else {
@@ -380,12 +425,15 @@ func (s *Scheduler) next(limit Time) (event, bool) {
 }
 
 // fire executes one popped event: the clock advances to its deadline, the
-// handle (if any) is marked fired and unpinned, and the callback runs.
+// handle is marked fired and unpinned (a Post record is recycled instead),
+// and the callback runs.
 func (s *Scheduler) fire(ev event) {
 	s.now = ev.at
 	s.Processed++
 	s.live--
-	if f := ev.fr; f != nil {
+	tm := ev.timer()
+	if tm == nil {
+		f := (*frame)(ev.p)
 		// Pooled frame delivery: fan out synchronously, then the frame —
 		// and everything borrowed from it — is dead and recycled.
 		f.link.Net.deliverFrame(f, &s.rx)
@@ -395,11 +443,12 @@ func (s *Scheduler) fire(ev event) {
 		s.frames.put(f)
 		return
 	}
-	fn := ev.fn
-	if tm := ev.tm; tm != nil {
+	fn := tm.fn
+	tm.fn = nil
+	if tm.post {
+		s.posts = append(s.posts, tm)
+	} else {
 		tm.fired = true
-		fn = tm.fn
-		tm.fn = nil
 		tm.s = nil
 	}
 	fn()

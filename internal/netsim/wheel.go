@@ -4,7 +4,7 @@ package netsim
 // of every Scheduler NewScheduler returns. Four levels of 256 slots at a 1µs base
 // tick cover 2^32 µs (~71.6 simulated minutes) of lookahead; anything
 // further out parks in an overflow heap and migrates into the wheels one
-// 2^32 µs block at a time. Insert is O(1) (a byte extraction and a slice
+// 2^32 µs block at a time. Insert is O(1) (a byte extraction and a chunk
 // append), cancel is O(1) lazy (the entry is dropped when the cursor or a
 // cascade next touches it), and advancing costs O(slots skipped) amortized
 // — versus O(log n) per operation plus compaction sweeps on the reference
@@ -61,7 +61,21 @@ const (
 	// blockMask isolates the low 32 bits: the span of all four levels.
 	// Events beyond cur's 2^32 µs block go to the overflow heap.
 	blockMask = Time(1)<<32 - 1
+	// chunkLen is the number of entries in one slot chunk (2 KB of them).
+	chunkLen = 64
 )
+
+// chunk is one link of a slot's list. Every chunk but a slot's tail is full.
+type chunk struct {
+	ev   [chunkLen]event
+	n    int
+	next *chunk
+}
+
+// slot is a list of chunks in append order; an empty slot has no chunks.
+// A slot never copies its entries to grow, and it holds a chunk only while
+// it holds an entry for it.
+type slot struct{ head, tail *chunk }
 
 type schedWheel struct {
 	// cur is the wheel cursor: the time whose byte decomposition indexes
@@ -76,15 +90,13 @@ type schedWheel struct {
 	// levels[l][i] holds events whose deadline matches cur above byte l
 	// and has byte l equal to i. At level 0 a slot is a single timestamp,
 	// so append order is fire order.
-	levels [wheelLevels][wheelSlots][]event
-	// free[c] holds the emptied backing arrays of drained slots whose
-	// capacity is in [2^c, 2^(c+1)). A slot owns an array only while it holds
-	// events, and grows by trading it for a larger pooled one. Which of the
-	// 1024 slots a periodic burst lands in moves with the clock, so capacity
-	// kept per slot is re-grown whenever a burst meets a slot index it has
-	// not used before — for hundreds of periods — while capacity kept here is
-	// found by the next burst wherever it lands.
-	free [32][][]event
+	levels [wheelLevels][wheelSlots]slot
+	// spare is the free list of chunks drained slots gave back. Which of
+	// the 1024 slots a periodic burst lands in moves with the clock, so
+	// capacity kept per slot would be re-grown whenever a burst meets a slot
+	// index it has not used before — for hundreds of periods — while chunks
+	// kept here are found by the next burst wherever it lands.
+	spare *chunk
 	// occ[l] is a 256-bit occupancy bitmap per level so the cursor can
 	// jump straight to the next non-empty slot.
 	occ [wheelLevels][wheelSlots / 64]uint64
@@ -109,7 +121,7 @@ type schedWheel struct {
 func newWheel() *schedWheel { return &schedWheel{} }
 
 // push inserts one event; now is the scheduler clock, a lower bound on
-// every current and future deadline. O(1): a level computation, a slice
+// every current and future deadline. O(1): a level computation, a chunk
 // append, a bitmap OR — no sifting, no sorting.
 func (w *schedWheel) push(ev event, now Time) {
 	if w.total == 0 {
@@ -137,39 +149,42 @@ func (w *schedWheel) place(ev event) {
 		l = (bits.Len64(x) - 1) >> 3
 	}
 	idx := int(uint64(ev.at)>>(8*uint(l))) & wheelMask
-	slot := w.levels[l][idx]
-	if len(slot) == cap(slot) {
-		grown := append(w.grab(max(2*cap(slot), 4)), slot...)
-		w.release(slot)
-		slot = grown
-	}
-	w.levels[l][idx] = append(slot, ev)
+	w.appendTo(&w.levels[l][idx], ev)
 	w.occ[l][idx>>6] |= 1 << (uint(idx) & 63)
 	w.nwheel++
 }
 
-// grab returns an empty backing array of capacity at least n, pooled if one
-// is, preferring the smallest that fits.
-func (w *schedWheel) grab(n int) []event {
-	for c := bits.Len(uint(n - 1)); c < len(w.free); c++ {
-		if k := len(w.free[c]); k > 0 {
-			buf := w.free[c][k-1]
-			w.free[c] = w.free[c][:k-1]
-			return buf
+// appendTo appends ev to sl's tail chunk, linking a spare chunk (or a new
+// one) when the tail is full.
+func (w *schedWheel) appendTo(sl *slot, ev event) {
+	c := sl.tail
+	if c == nil || c.n == chunkLen {
+		nc := w.spare
+		if nc != nil {
+			w.spare = nc.next
+			nc.next = nil
+		} else {
+			nc = new(chunk)
 		}
+		if c == nil {
+			sl.head = nc
+		} else {
+			c.next = nc
+		}
+		sl.tail, c = nc, nc
 	}
-	return make([]event, 0, n)
+	c.ev[c.n] = ev
+	c.n++
 }
 
-// release zeroes slot, so that a pooled array pins no timer, closure or
-// frame, and pools its backing array.
-func (w *schedWheel) release(slot []event) {
-	if cap(slot) == 0 {
-		return
-	}
-	clear(slot)
-	c := bits.Len(uint(cap(slot))) - 1
-	w.free[c] = append(w.free[c], slot[:0])
+// freeChunk zeroes c, so that a spare chunk pins no timer or frame, and
+// returns it to the spare list. It returns c's successor.
+func (w *schedWheel) freeChunk(c *chunk) *chunk {
+	next := c.next
+	clear(c.ev[:c.n])
+	c.n, c.next = 0, w.spare
+	w.spare = c
+	return next
 }
 
 // next removes and returns the earliest live event with at <= limit,
@@ -266,19 +281,18 @@ func (w *schedWheel) next(limit Time) (event, bool) {
 	}
 }
 
-// fillDue moves level-0 slot i into the due buffer and pools the slot's
-// emptied array, so steady-state scheduling stays allocation-free. Every
-// entry of the slot shares the cursor's deadline, so orderBatch restoring
-// (birth instant, order key) order restores event.before order exactly.
+// fillDue moves level-0 slot i into the due buffer and frees the slot's
+// chunks, so steady-state scheduling stays allocation-free. Every entry of
+// the slot shares the cursor's deadline, so orderBatch restoring (birth
+// instant, order key) order restores event.before order exactly.
 func (w *schedWheel) fillDue(i int) {
-	slot := w.levels[0][i]
-	n := len(slot)
 	start := len(w.due)
-	w.due = append(w.due, slot...)
-	w.levels[0][i] = nil
-	w.release(slot)
+	for c := w.levels[0][i].head; c != nil; c = w.freeChunk(c) {
+		w.due = append(w.due, c.ev[:c.n]...)
+	}
+	w.levels[0][i] = slot{}
 	w.occ[0][i>>6] &^= 1 << (uint(i) & 63)
-	w.nwheel -= n
+	w.nwheel -= len(w.due) - start
 	orderBatch(w.due[start:])
 }
 
@@ -402,29 +416,29 @@ func (w *schedWheel) peek() (Time, bool) {
 // cascade re-places the events of slot (l, j) — the cursor has just reached
 // the slot's base — into strictly lower levels, dropping dead entries.
 // Iteration order is preserved, and place never appends back into the slot
-// being drained (nor can it be handed its array, which is pooled only
-// afterwards).
+// being drained; each chunk is freed once walked, so the next one placed
+// may reuse it.
 func (w *schedWheel) cascade(l, j int) {
-	slot := w.levels[l][j]
+	head := w.levels[l][j].head
+	w.levels[l][j] = slot{}
 	w.occ[l][j>>6] &^= 1 << (uint(j) & 63)
-	w.nwheel -= len(slot)
-	for k := range slot {
-		ev := slot[k]
-		if ev.dead() {
-			w.total--
-			w.ndead--
-			continue
+	for c := head; c != nil; c = w.freeChunk(c) {
+		w.nwheel -= c.n
+		for _, ev := range c.ev[:c.n] {
+			if ev.dead() {
+				w.total--
+				w.ndead--
+				continue
+			}
+			w.place(ev)
 		}
-		w.place(ev)
 	}
-	w.levels[l][j] = nil
-	w.release(slot)
 }
 
 // compact sweeps every slot, the due buffer, and the overflow heap,
-// dropping dead entries in place. Order is preserved: each slot (and the
-// due buffer) is filtered without reordering, and the overflow heap is
-// re-heapified, which keeps its (at, seq) pop order. O(entries + slots);
+// dropping dead entries. Order is preserved: each slot is refilled in order,
+// the due buffer is filtered in place without reordering, and the overflow
+// heap is re-heapified, which keeps its (at, seq) pop order. O(entries + slots);
 // triggered by Scheduler.Stop/Reset when the dead outnumber the live, so
 // its cost amortizes against the cancellations that created the garbage.
 func (w *schedWheel) compact() {
@@ -453,15 +467,14 @@ func (w *schedWheel) compact() {
 	w.nwheel = 0
 	for l := 0; l < wheelLevels; l++ {
 		for j := 0; j < wheelSlots; j++ {
-			if len(w.levels[l][j]) == 0 {
+			if w.levels[l][j].head == nil {
 				continue
 			}
-			slot := live(w.levels[l][j])
-			w.levels[l][j] = slot
-			if len(slot) == 0 {
+			if n := w.refill(&w.levels[l][j]); n > 0 {
+				w.nwheel += n
+			} else {
 				w.occ[l][j>>6] &^= 1 << (uint(j) & 63)
 			}
-			w.nwheel += len(slot)
 		}
 	}
 
@@ -472,6 +485,22 @@ func (w *schedWheel) compact() {
 
 	w.total = len(w.due) + w.nwheel + len(w.overflow)
 	w.ndead = 0
+}
+
+// refill re-appends sl's live entries to it in order, freeing each chunk
+// once walked, and returns the number kept.
+func (w *schedWheel) refill(sl *slot) int {
+	c, kept := sl.head, 0
+	*sl = slot{}
+	for ; c != nil; c = w.freeChunk(c) {
+		for _, ev := range c.ev[:c.n] {
+			if !ev.dead() {
+				w.appendTo(sl, ev)
+				kept++
+			}
+		}
+	}
+	return kept
 }
 
 // nextSet returns the index of the first set bit at or after from in a

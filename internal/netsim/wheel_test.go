@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // ---------------------------------------------------------------------------
@@ -164,19 +165,24 @@ func TestWheelDifferentialRandomOps(t *testing.T) {
 func TestWheelBatchOrderMatchesHeap(t *testing.T) {
 	w, h := newWheel(), &schedHeap{}
 	var seq uint64
-	dead := &Timer{stopped: true}
-	push := func(at, bs Time, ord uint64, tm *Timer) {
-		ev := event{at: at, bs: bs, ord: ord, tm: tm}
+	push := func(at, bs Time, ord uint64) {
+		ev := event{at: at, bs: bs, ord: ord}
 		w.push(ev, 0)
 		h.push(ev)
-		if tm != nil { // pushed already stopped: count it as Stop would
-			w.ndead++
-			h.nstopped++
-		}
 	}
-	timer := func(at, bs Time) {
+	timer := func(at, bs Time) *Timer {
 		seq++
-		push(at, bs, seq|localOrd, nil)
+		tm := &Timer{seq: seq}
+		ev := event{at: at, bs: bs, ord: seq | localOrd, p: unsafe.Pointer(tm)}
+		w.push(ev, 0)
+		h.push(ev)
+		return tm
+	}
+	// dead pushes a timer already stopped, counted as Stop would count it.
+	dead := func(at, bs Time) {
+		timer(at, bs).stopped = true
+		w.ndead++
+		h.nstopped++
 	}
 	// runs pushes one batch at deadline at: len(sizes) birth-instant runs
 	// from bs0 on, each a reversed sequence of deliveries from distinct
@@ -185,7 +191,7 @@ func TestWheelBatchOrderMatchesHeap(t *testing.T) {
 		for r, n := range sizes {
 			bs := bs0 + Time(r)
 			for i := n; i > 0; i-- {
-				push(at, bs, deliveryOrd(i, uint64(r+1)), nil)
+				push(at, bs, deliveryOrd(i, uint64(r+1)))
 				if i == n {
 					timer(at, bs)
 				}
@@ -195,39 +201,88 @@ func TestWheelBatchOrderMatchesHeap(t *testing.T) {
 	runs(1000, 0, 3, 1, 7, 2, 16, 17, 5)          // level-1 slot, one deadline
 	runs(2000, 10, 4, 4)                          // shares its level-1 slot...
 	runs(2001, 10, 2, 9)                          // ...with a second deadline
-	push(2000, 10, deliveryOrd(3, 9), dead)       // dead entry riding a cascade
+	dead(2000, 10)                                // dead entry riding a cascade
 	runs(5000, 40, 6)                             // a spliced bs inversion:
-	push(5000, 20, deliveryOrd(99, 1), nil)       // born before the run above,
+	push(5000, 20, deliveryOrd(99, 1))            // born before the run above,
 	runs(5000, 50, 3)                             // pushed before this one
 	runs(10000, 0, 4096)                          // one long same-instant run,
-	push(10000, 0, deliveryOrd(5000, 1), dead)    // a dead entry inside it
+	dead(10000, 0)                                // a dead entry inside it
 	runs(9000, 0, shortRun, shortRun+1, shortRun) // both sides of shortRun
 
-	var got, want []event
-	for {
+	matchHeap(t, w, h, -1)
+}
+
+// TestWheelChunkedSlotCompaction: slots spanning several chunks, with dead
+// entries between live ones, keep the reference heap's fire order through
+// compaction sweeps — of an upper-level slot before its cascade, and of a
+// level-0 slot and the due buffer mid-drain.
+func TestWheelChunkedSlotCompaction(t *testing.T) {
+	w, h := newWheel(), &schedHeap{}
+	var timers []*Timer
+	for i := 0; i < 400; i++ { // one level-1 slot, two deadlines, 8 birth instants
+		ev := event{at: Time(1024 + i%2), bs: Time(i / 50), ord: deliveryOrd(400-i, 1)}
+		if i%3 == 0 {
+			tm := &Timer{seq: uint64(i + 1)}
+			timers = append(timers, tm)
+			ev.ord, ev.p = tm.seq|localOrd, unsafe.Pointer(tm)
+		}
+		w.push(ev, 0)
+		h.push(ev)
+	}
+	chunks := func(sl slot) (n int) {
+		for c := sl.head; c != nil; c = c.next {
+			n++
+		}
+		return n
+	}
+	// stop kills every other timer of tms, sweeps both stores, and appends
+	// past a chunk boundary to the swept slot holding deadline 1025.
+	stop := func(tms []*Timer, bs Time) {
+		for k := 0; k < len(tms); k += 2 {
+			tms[k].stopped = true
+			w.ndead++
+			h.nstopped++
+		}
+		w.compact()
+		h.compact()
+		for k := 0; k <= chunkLen; k++ {
+			ev := event{at: 1025, bs: bs, ord: deliveryOrd(k, 2)}
+			w.push(ev, 0)
+			h.push(ev)
+		}
+	}
+	if n := chunks(w.levels[1][4]); n < 3 {
+		t.Fatalf("level-1 slot spans %d chunks, want >= 3", n)
+	}
+	stop(timers, 8)
+	matchHeap(t, w, h, 10) // cascades, and moves 1024's batch into due
+	if n := chunks(w.levels[0][1025&wheelMask]); n < 3 || len(w.due) == w.dueHead {
+		t.Fatalf("mid-drain: level-0 slot spans %d chunks, due holds %d, want >= 3 and > 0", n, len(w.due)-w.dueHead)
+	}
+	stop(timers[1:], 9)
+	matchHeap(t, w, h, -1)
+}
+
+// matchHeap pops n entries (all, when n < 0) from both stores in lockstep
+// and fails on the first difference in fire order; a full drain must leave
+// the wheel empty.
+func matchHeap(t *testing.T, w *schedWheel, h *schedHeap, n int) {
+	t.Helper()
+	for i := 0; i != n; i++ {
 		ev, ok := w.next(maxTime)
+		ref, refOK := h.next(maxTime)
+		if ok != refOK {
+			t.Fatalf("fire %d: wheel has an entry: %v, heap: %v", i, ok, refOK)
+		}
 		if !ok {
 			break
 		}
-		got = append(got, ev)
-	}
-	for {
-		ev, ok := h.next(maxTime)
-		if !ok {
-			break
-		}
-		want = append(want, ev)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("wheel fired %d entries, heap %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].at != want[i].at || got[i].bs != want[i].bs || got[i].ord != want[i].ord {
+		if ev.at != ref.at || ev.bs != ref.bs || ev.ord != ref.ord {
 			t.Fatalf("fire %d: wheel (at %d, bs %d, ord %#x), heap (at %d, bs %d, ord %#x)",
-				i, got[i].at, got[i].bs, got[i].ord, want[i].at, want[i].bs, want[i].ord)
+				i, ev.at, ev.bs, ev.ord, ref.at, ref.bs, ref.ord)
 		}
 	}
-	if w.total != 0 || w.ndead != 0 {
+	if n < 0 && (w.total != 0 || w.ndead != 0) {
 		t.Fatalf("wheel drained with total %d, ndead %d", w.total, w.ndead)
 	}
 }
