@@ -7,9 +7,9 @@ import (
 	"hash/fnv"
 
 	"pim/internal/addr"
+	"pim/internal/faultsearch"
 	"pim/internal/netsim"
 	"pim/internal/parallel"
-	"pim/internal/scenario"
 	"pim/internal/script"
 	"pim/internal/telemetry"
 )
@@ -58,23 +58,6 @@ func RecoveryFaults() []string {
 	return []string{FaultLoss0, FaultLoss5, FaultLoss20, FaultFlap, FaultCrash}
 }
 
-// recoveryFaults is the fault column table: the `at` verb each kind fires at
-// FaultAt and at RestartAt. In a lateJoin cell receiver B joins at JoinAt,
-// under the loss, and the recovery window opens at that join rather than at
-// the fault.
-var recoveryFaults = map[string]struct {
-	atFault, atRestart string
-	lateJoin           bool
-}{
-	FaultLoss0:  {lateJoin: true}, // control cell: the membership change alone
-	FaultLoss5:  {atFault: "loss all 0.05 control", lateJoin: true},
-	FaultLoss20: {atFault: "loss all 0.2 control", lateJoin: true},
-	// Three down/up cycles on the tree's transit link (edge 2, r2–r3)
-	// starting at the fault: down 15 s, up 15 s.
-	FaultFlap:  {atFault: "flap 2 down=15s up=15s cycles=3"},
-	FaultCrash: {atFault: "crash r2", atRestart: "restart r2"},
-}
-
 // RecoveryProtocols lists the matrix rows: every protocol, sparse and dense.
 func RecoveryProtocols() []Protocol {
 	return []Protocol{PIMSM, PIMDM, DVMRP, CBT, MOSPF}
@@ -107,13 +90,18 @@ type RecoveryConfig struct {
 // check holds the config to what a cell script can express, naming the field
 // at fault: the sender's count= divides by PacketInterval, the pre-fault state
 // sample sits one second before FaultAt and after the 2 s deployment settle,
-// and the restart and the late join must fall inside the run, after the fault.
+// fault clauses start and stop on whole seconds, and the restart and the late
+// join must fall inside the run, after the fault.
 func (cfg RecoveryConfig) check() error {
 	switch {
 	case cfg.PacketInterval <= 0:
 		return errors.New("experiments: RecoveryConfig.PacketInterval must be positive")
 	case cfg.FaultAt < 3*netsim.Second:
 		return errors.New("experiments: RecoveryConfig.FaultAt must be at least 3s")
+	case cfg.FaultAt%netsim.Second != 0:
+		return errors.New("experiments: RecoveryConfig.FaultAt must be a whole second")
+	case cfg.RestartAt%netsim.Second != 0:
+		return errors.New("experiments: RecoveryConfig.RestartAt must be a whole second")
 	case cfg.RestartAt <= cfg.FaultAt || cfg.RestartAt >= cfg.End:
 		return errors.New("experiments: RecoveryConfig.RestartAt must lie between FaultAt and End")
 	case cfg.JoinAt <= cfg.FaultAt || cfg.JoinAt >= cfg.End:
@@ -247,31 +235,12 @@ const (
 // substrate converges at once), and `at` times count from there.
 const settle = 2 * netsim.Second
 
-// cellScript is the matrix cell every (protocol, fault) pair fills in; the
-// blanks are the group's RP, the fault seed, the protocol, B's join time, the
-// sender's count and interval, the fault's `at` lines and the two runs.
-const cellScript = `topo edges 0-1:1 1-2:1 2-3:1 1-4:2 4-3:2
-group G0%s
-faultseed %d
-host src r0
-host recvA r3
-host recvB r4
-protocol %s timers=fast
-at 0s join recvA G0
-at %s join recvB G0
-at 3s send src G0 count=%d every=%s size=64
-%srun %s
-run %s
-`
-
-// RecoveryScript writes one matrix cell as .pim text, the form
-// faultsearch.Schedule.Render gives its schedules: the diamond with the three
-// hosts on the oracle unicast substrate, the protocol on the recipe's fast
-// soft-state grade (so recovery happens within a four-minute run), the joins,
-// a constant-rate sender for the whole run (one packet per PacketInterval
-// from t = 5 s while t < End), and the kind's row of recoveryFaults. The run
-// is split one second before the fault so that script.Result.State samples
-// the pre-fault baseline and the end.
+// recoveryTemplate is the matrix's diamond with its choreography for cfg: the
+// three hosts, receiver A's join, receiver B's (at JoinAt in a lateJoin
+// column, else at once), a constant-rate sender for the whole run (one packet
+// per PacketInterval from t = 5 s while t < End), and the run split one second
+// before the fault so that script.Result.State samples the pre-fault baseline
+// and the end.
 //
 // Topology (edge weights in delay units):
 //
@@ -283,35 +252,72 @@ run %s
 // The r1–r4–r3 detour is the bypass: when r2 crashes or the r2–r3 link
 // (edge 2) flaps, unicast reroutes over it and the multicast tree must follow
 // from soft-state refresh alone. The RP / CBT core is r3, so A's delivery
-// always crosses the faulted transit. Only the protocols that anchor a group
-// declare it: a declared RP list also rides every host join as an RP-map
-// frame (§3.1 fn. 9), which the others have no use for.
-func RecoveryScript(cfg RecoveryConfig, proto Protocol, kind string, seed int64) (string, error) {
-	f, ok := recoveryFaults[kind]
-	if !ok {
-		return "", fmt.Errorf("experiments: unknown recovery fault %q", kind)
-	}
-	if err := cfg.check(); err != nil {
-		return "", err
-	}
+// always crosses the faulted transit.
+func recoveryTemplate(cfg RecoveryConfig, lateJoin bool) faultsearch.Template {
 	dur := script.FormatDuration
-	rp, joinB, faults := "", settle, ""
-	if (scenario.Recipe{Protocol: string(proto)}).DeclaresRP() {
-		rp = " rp r3"
-	}
-	if f.lateJoin {
+	joinB := settle
+	if lateJoin {
 		joinB = cfg.JoinAt
-	}
-	if f.atFault != "" {
-		faults = fmt.Sprintf("at %s %s\n", dur(cfg.FaultAt-settle), f.atFault)
-	}
-	if f.atRestart != "" {
-		faults += fmt.Sprintf("at %s %s\n", dur(cfg.RestartAt-settle), f.atRestart)
 	}
 	count := (cfg.End - 5*netsim.Second + cfg.PacketInterval - 1) / cfg.PacketInterval
 	sample := cfg.FaultAt - netsim.Second
-	return fmt.Sprintf(cellScript, rp, seed, proto, dur(joinB-settle), count, dur(cfg.PacketInterval),
-		faults, dur(sample-settle), dur(cfg.End-sample)), nil
+	return faultsearch.Template{
+		Name:   "recovery",
+		Edges:  "0-1:1 1-2:1 2-3:1 1-4:2 4-3:2",
+		RP:     "r3",
+		Groups: []string{"G0"},
+		Hosts:  []string{"src r0", "recvA r3", "recvB r4"},
+		Before: []string{
+			faultsearch.At(0, "join recvA G0"),
+			faultsearch.At(joinB-settle, "join recvB G0"),
+			faultsearch.At(3*netsim.Second, fmt.Sprintf("send src G0 count=%d every=%s size=64", count, dur(cfg.PacketInterval))),
+		},
+		After: []string{"run " + dur(sample-settle), "run " + dur(cfg.End-sample)},
+	}
+}
+
+// recoveryColumn is the fault column table: a column's clauses on cfg's script
+// clock, and whether it is a lateJoin column — receiver B joins at JoinAt,
+// under the loss, and the recovery window opens at that join rather than at
+// the fault.
+func recoveryColumn(cfg RecoveryConfig, kind string) (clauses []faultsearch.Clause, lateJoin bool, err error) {
+	fault := int((cfg.FaultAt - settle) / netsim.Second)
+	// A loss holds to the end: its clear lies past the run and never fires.
+	loss := func(rate float64) []faultsearch.Clause {
+		return []faultsearch.Clause{{Kind: faultsearch.KindLoss, Edge: -1, Rate: rate, Class: faultsearch.ClassControl,
+			Start: fault, Stop: int((cfg.End-settle)/netsim.Second) + 1}}
+	}
+	switch kind {
+	case FaultLoss0: // control cell: the membership change alone
+		return nil, true, nil
+	case FaultLoss5:
+		return loss(0.05), true, nil
+	case FaultLoss20:
+		return loss(0.2), true, nil
+	case FaultFlap:
+		// Three down/up cycles on the tree's transit link (edge 2, r2–r3)
+		// starting at the fault: down 15 s, up 15 s.
+		return []faultsearch.Clause{{Kind: faultsearch.KindFlap, Edge: 2, Start: fault, Down: 15, Up: 15, Cycles: 3}}, false, nil
+	case FaultCrash:
+		return []faultsearch.Clause{{Kind: faultsearch.KindCrash, Router: 2, Start: fault,
+			Stop: int((cfg.RestartAt - settle) / netsim.Second)}}, false, nil
+	}
+	return nil, false, fmt.Errorf("experiments: unknown recovery fault %q", kind)
+}
+
+// RecoveryScript writes one matrix cell as .pim text: the kind's column of
+// clauses rendered by faultsearch on the recovery diamond (recoveryTemplate),
+// the protocol on the recipe's fast soft-state grade, so recovery happens
+// within a four-minute run.
+func RecoveryScript(cfg RecoveryConfig, proto Protocol, kind string, seed int64) (string, error) {
+	if err := cfg.check(); err != nil {
+		return "", err
+	}
+	clauses, lateJoin, err := recoveryColumn(cfg, kind)
+	if err != nil {
+		return "", err
+	}
+	return recoveryTemplate(cfg, lateJoin).Render(string(proto), seed, clauses)
 }
 
 // runCell renders the cell and runs it through the script harness, captured.
@@ -373,7 +379,7 @@ func runRecoveryOnce(cfg RecoveryConfig, proto Protocol, kind string, seed int64
 	// don't count).
 	windowStart := cfg.FaultAt
 	recoveredAt, ok := probe.FirstDeliverySentAfter(recvARouter, cfg.FaultAt)
-	if recoveryFaults[kind].lateJoin {
+	if _, lateJoin, _ := recoveryColumn(cfg, kind); lateJoin {
 		windowStart = cfg.JoinAt
 		recoveredAt, ok = probe.FirstDeliveryAt(recvBRouter, cfg.JoinAt)
 	}

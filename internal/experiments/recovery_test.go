@@ -143,7 +143,7 @@ func neighborProbe(dep scenario.Deployment) func() int {
 }
 
 // crashRestartSim is TestCrashRestartPerEngine's fixture: the recovery diamond
-// (RecoveryScript draws it) built by hand, because the test reads the engines'
+// (recoveryTemplate draws it) built by hand, because the test reads the engines'
 // neighbor tables, which no script expectation reaches. The protocol runs on
 // the recipe's fast soft-state grade with r3 as RP / CBT core.
 func crashRestartSim(proto Protocol, group addr.IP) (sim *scenario.Sim, dep scenario.Deployment, src, recvA, recvB *igmp.Host) {
@@ -252,30 +252,19 @@ func TestRecoveryDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRecoveryScriptsParse holds the renderer to the parser over its whole
-// output space — all 25 cells at both ledgered sizes — and holds the pim-sm
-// crash smoke cell verbatim: it is the example EXPERIMENTS.md shows.
+// TestRecoveryScriptsParse holds the pim-sm crash smoke cell verbatim — it is
+// the example EXPERIMENTS.md shows — and to the parser. The renderer's whole
+// output space, all 25 cells at both ledgered sizes, is parsed by
+// faultsearch's TestEveryRenderedScheduleParses.
 func TestRecoveryScriptsParse(t *testing.T) {
-	for _, cfg := range []RecoveryConfig{SmokeRecovery(), DefaultRecovery()} {
-		for _, proto := range RecoveryProtocols() {
-			for _, kind := range RecoveryFaults() {
-				text, err := RecoveryScript(cfg, proto, kind, 7)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", proto, kind, err)
-				}
-				if _, err := script.Parse(text); err != nil {
-					t.Errorf("%s/%s does not parse: %v\n%s", proto, kind, err, text)
-				}
-			}
-		}
-	}
 	const want = `topo edges 0-1:1 1-2:1 2-3:1 1-4:2 4-3:2
+unicast oracle
 group G0 rp r3
 faultseed 7
+protocol pim-sm timers=fast
 host src r0
 host recvA r3
 host recvB r4
-protocol pim-sm timers=fast
 at 0s join recvA G0
 at 0s join recvB G0
 at 3s send src G0 count=58 every=2s size=64
@@ -284,14 +273,22 @@ at 43s restart r2
 run 27s
 run 91s
 `
-	if got, _ := RecoveryScript(SmokeRecovery(), PIMSM, FaultCrash, 7); got != want {
+	got, err := RecoveryScript(SmokeRecovery(), PIMSM, FaultCrash, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
 		t.Errorf("pim-sm/crash smoke cell drifted (update EXPERIMENTS.md with it):\n%s", got)
+	}
+	if _, err := script.Parse(got); err != nil {
+		t.Errorf("pim-sm/crash smoke cell does not parse: %v", err)
 	}
 }
 
 // TestRecoveryConfigChecked: a config no cell script can express is refused
 // with the field named (a zero PacketInterval has no packet count to render,
-// and a sender stepping by it would never reach End).
+// and a sender stepping by it would never reach End; fault clauses fall on
+// whole seconds).
 func TestRecoveryConfigChecked(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -301,6 +298,8 @@ func TestRecoveryConfigChecked(t *testing.T) {
 		{"PacketInterval", func(c *RecoveryConfig) { c.PacketInterval = 0 }, FaultCrash},
 		{"PacketInterval", func(c *RecoveryConfig) { c.PacketInterval = -netsim.Second }, FaultCrash},
 		{"FaultAt", func(c *RecoveryConfig) { c.FaultAt = 2 * netsim.Second }, FaultCrash},
+		{"FaultAt", func(c *RecoveryConfig) { c.FaultAt += 500 * netsim.Millisecond }, FaultCrash},
+		{"RestartAt", func(c *RecoveryConfig) { c.RestartAt += netsim.Millisecond }, FaultCrash},
 		{"RestartAt", func(c *RecoveryConfig) { c.RestartAt = c.FaultAt }, FaultCrash},
 		{"RestartAt", func(c *RecoveryConfig) { c.RestartAt = c.End }, FaultCrash},
 		{"JoinAt", func(c *RecoveryConfig) { c.JoinAt = c.FaultAt }, FaultLoss5},

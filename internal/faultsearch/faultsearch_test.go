@@ -2,9 +2,11 @@ package faultsearch
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"pim/internal/netsim"
+	"pim/internal/scenario"
 	"pim/internal/script"
 )
 
@@ -13,14 +15,14 @@ import (
 // oracle failed" verdicts would blame faults for a template defect.
 func TestBaselinesPass(t *testing.T) {
 	for _, tpl := range Templates {
-		for _, p := range Protocols {
-			v, err := Evaluate(Schedule{Topo: tpl.Name, Proto: p.Name, Seed: 1})
+		for _, p := range scenario.ProtocolNames() {
+			v, err := Evaluate(Schedule{Topo: tpl.Name, Proto: p, Seed: 1})
 			if err != nil {
-				t.Errorf("%s/%s: %v", tpl.Name, p.Name, err)
+				t.Errorf("%s/%s: %v", tpl.Name, p, err)
 				continue
 			}
 			if v.Violating() {
-				t.Errorf("%s/%s baseline violates: %s (%s)", tpl.Name, p.Name, v.Label(), v.Detail)
+				t.Errorf("%s/%s baseline violates: %s (%s)", tpl.Name, p, v.Label(), v.Detail)
 			}
 		}
 	}
@@ -129,9 +131,14 @@ func TestSearchReproducible(t *testing.T) {
 }
 
 // TestPlanCoversAllCells: the interleaved plan touches every cell before
-// exhausting any one cell's sweep, so small budgets still test every engine.
+// exhausting any one cell's sweep, so small budgets still test every engine;
+// a protocol the recipe does not know — the retired pim-sm-never — is refused
+// by name.
 func TestPlanCoversAllCells(t *testing.T) {
-	cfg := Config{Seed: 1, Budget: len(Templates) * len(Protocols)}
+	if _, err := (Config{Protos: []string{"pim-sm-never"}}).Plan(); err == nil || !strings.Contains(err.Error(), "pim-sm-never") {
+		t.Errorf("Plan with a retired protocol name: %v, want an error naming it", err)
+	}
+	cfg := Config{Seed: 1, Budget: len(Templates) * len(scenario.ProtocolNames())}
 	plan, err := cfg.Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -192,42 +199,5 @@ func TestRenderFoundInvariantForm(t *testing.T) {
 	}
 	if !sc.ExpectsViolations() {
 		t.Fatalf("invariant-form counterexample lacks the violations expectation:\n%s", src)
-	}
-}
-
-// TestEveryRenderedScheduleParses: the script parser rejects any operand its
-// tables do not declare, so the renderer is held to the grammar over its whole
-// output space — every template × protocol, carrying one clause of every kind
-// in every class and scope, as a plain schedule and as both found-forms.
-func TestEveryRenderedScheduleParses(t *testing.T) {
-	for _, tmpl := range Templates {
-		for _, p := range Protocols {
-			s := Schedule{Topo: tmpl.Name, Proto: p.Name, Seed: 7, Clauses: []Clause{
-				{Kind: KindLoss, Edge: -1, Start: 10, Stop: 20, Rate: 0.25},
-				{Kind: KindLoss, Edge: 1, Start: 10, Stop: 20, Rate: 1, Class: ClassControl},
-				{Kind: KindReorder, Edge: -1, Start: 10, Stop: 20, Window: 50 * netsim.Millisecond, Class: ClassData},
-				{Kind: KindReorder, Edge: 0, Start: 12, Stop: 22, Window: 5 * netsim.Millisecond},
-				{Kind: KindCrash, Router: tmpl.Transit[0], Start: 28, Stop: 29},
-				{Kind: KindCut, Edge: 0, Start: 30, Stop: 40},
-				{Kind: KindFlap, Edge: 1, Start: 30, Down: 2, Up: 3, Cycles: 2},
-			}}
-			plain, err := s.Render()
-			if err != nil {
-				t.Fatal(err)
-			}
-			delivery, err := RenderFound(s, Verdict{Kind: VerdictDelivery, Signature: "recv/G0", Detail: "recv/G0=0<50"}, 1, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			invariant, err := RenderFound(s, Verdict{Kind: VerdictInvariant, Signature: "stale-timer", Detail: "forged"}, 1, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, src := range []string{plain, delivery, invariant} {
-				if _, err := script.Parse(src); err != nil {
-					t.Errorf("%s/%s: rendered script does not parse: %v\n%s", tmpl.Name, p.Name, err, src)
-				}
-			}
-		}
 	}
 }

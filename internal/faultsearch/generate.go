@@ -44,7 +44,7 @@ func EnumerateSingles(topo, proto string, seed int64) []Schedule {
 		return Schedule{Topo: topo, Proto: proto, Seed: seed, Clauses: []Clause{c}}
 	}
 	var out []Schedule
-	for e := 0; e < t.NumEdges; e++ {
+	for e := 0; e < t.numEdges(); e++ {
 		out = append(out,
 			mk(Clause{Kind: KindLoss, Edge: e, Start: 20, Stop: 60, Rate: 1.0, Class: ClassControl}),
 			mk(Clause{Kind: KindLoss, Edge: e, Start: 20, Stop: 60, Rate: 0.6, Class: ClassData}),
@@ -94,7 +94,7 @@ func randomClause(t Template, rng *rand.Rand) Clause {
 		start := FaultWindowStart + rng.Intn(span-length+1)
 		return start, start + length
 	}
-	edge := func() int { return rng.Intn(t.NumEdges) }
+	edge := func() int { return rng.Intn(t.numEdges()) }
 	edgeOrAll := func() int {
 		if rng.Intn(4) == 0 {
 			return -1

@@ -13,10 +13,12 @@ package faultsearch
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pim/internal/netsim"
 	"pim/internal/scenario"
+	"pim/internal/script"
 )
 
 // Kind enumerates the fault-clause kinds the search composes.
@@ -125,11 +127,11 @@ func (c Clause) String() string {
 }
 
 // Schedule is one point in the search space: a topology template, a
-// protocol configuration, a fault seed (the injector's loss/reorder stream
-// seed), and the fault clauses.
+// protocol, a fault seed (the injector's loss/reorder stream seed), and the
+// fault clauses.
 type Schedule struct {
 	Topo    string // template name (see Templates)
-	Proto   string // protocol config name (see Protocols)
+	Proto   string // a recipe protocol name (scenario.ProtocolNames)
 	Seed    int64  // faultseed for the rendered script
 	Clauses []Clause
 }
@@ -153,27 +155,31 @@ type Oracle struct {
 	Min   int
 }
 
-// Template is a small topology with fixed traffic choreography. The
-// timeline implements the fairness contract that makes "delivery oracle
-// failed" a meaningful verdict:
-//
-//   - every fault clause is over by FaultDeadline (loss/reorder cleared,
-//     crashed routers restarted, cut links healed, flaps finished);
-//   - a grace period follows, long enough for the fast-timer deployment to
-//     rebuild (prune holdtimes expire at 60s, refresh at 20s, IGMP requery
-//     at 10s);
-//   - then a probe phase exercises fresh state: a second group G1 joined
-//     and sent to only after the grace period, whose delivery floor no
-//     legitimate recovery can miss.
+// Template is a small topology with its traffic choreography as data: the
+// groups and hosts it declares, and the lines rendered before and after a
+// schedule's fault clauses. Statement order is kept as written (equal-time
+// `at`s fire in statement order), and `at` times count from the script clock
+// when the line is read, so an `at` past the end of the last `run` never
+// fires.
 type Template struct {
-	Name             string
-	Edges            string // `topo edges` operand
-	NumEdges         int
-	Routers          int
-	RP               string // rendered for protocols that declare one (doubles as CBT core)
-	Transit          []int  // crash candidates: routers hosting no script host
-	Src, Recv, Probe string // router refs for the three hosts
-	Oracles          []Oracle
+	Name    string
+	Edges   string   // `topo edges` operand
+	RP      string   // rendered for protocols that declare one (doubles as CBT core)
+	Transit []int    // crash candidates: routers hosting no script host
+	Groups  []string // declared groups, each anchored at RP when the protocol declares one
+	Hosts   []string // `host` operands: name, then router
+	// Before holds the traffic lines ahead of the clauses; After the lines
+	// behind them (clears, late traffic, the runs).
+	Before, After []string
+	Oracles       []Oracle
+}
+
+// numEdges counts the template's edges, the indices clauses may name.
+func (t Template) numEdges() int { return len(strings.Fields(t.Edges)) }
+
+// At writes one choreography `at` line: stmt at script time t.
+func At(t netsim.Time, stmt string) string {
+	return "at " + script.FormatDuration(t) + " " + stmt
 }
 
 // The schedule timeline constants (script seconds).
@@ -194,56 +200,64 @@ const (
 	steadyCount = 200
 )
 
+// The search templates' shared choreography implements the fairness contract
+// that makes "delivery oracle failed" a meaningful verdict:
+//
+//   - every fault clause is over by FaultDeadline (loss/reorder cleared,
+//     crashed routers restarted, cut links healed, flaps finished);
+//   - a grace period follows, long enough for the fast-timer deployment to
+//     rebuild (prune holdtimes expire at 60s, refresh at 20s, IGMP requery
+//     at 10s);
+//   - then a probe phase exercises fresh state: a second group G1 joined
+//     and sent to only after the grace period, whose delivery floor no
+//     legitimate recovery can miss.
+var (
+	searchGroups = []string{"G0", "G1"}
+	searchBefore = []string{
+		At(1*netsim.Second, "join recv G0"),
+		At(3*netsim.Second, fmt.Sprintf("send src G0 count=%d every=1s", steadyCount)),
+	}
+	searchAfter = []string{
+		// Belt-and-braces clearing of the global knobs at the fault deadline:
+		// even a mis-generated clause cannot leak faults into the probe phase.
+		At(FaultDeadline*netsim.Second, "loss all 0"),
+		At(FaultDeadline*netsim.Second, "reorder all 0"),
+		At(ProbeJoin*netsim.Second, "join probe G1"),
+		At(ProbeSend*netsim.Second, fmt.Sprintf("send src G1 count=%d every=2s", ProbeCount)),
+		fmt.Sprintf("run %ds", RunFor),
+	}
+	searchOracles = []Oracle{
+		{Host: "recv", Group: "G0", Min: 50},
+		{Host: "probe", Group: "G1", Min: 8},
+	}
+)
+
 // Templates are the search topologies: a 3-router chain (single path, so
 // every fault is on the path) and a 4-router diamond (two equal-cost
 // 2-hop paths, so cuts and crashes force reroutes).
 var Templates = []Template{
 	{
-		Name:     "chain3",
-		Edges:    "0-1 1-2",
-		NumEdges: 2,
-		Routers:  3,
-		RP:       "r1",
-		Transit:  []int{1},
-		Src:      "r0",
-		Recv:     "r2",
-		Probe:    "r2",
-		Oracles: []Oracle{
-			{Host: "recv", Group: "G0", Min: 50},
-			{Host: "probe", Group: "G1", Min: 8},
-		},
+		Name:    "chain3",
+		Edges:   "0-1 1-2",
+		RP:      "r1",
+		Transit: []int{1},
+		Groups:  searchGroups,
+		Hosts:   []string{"src r0", "recv r2", "probe r2"},
+		Before:  searchBefore,
+		After:   searchAfter,
+		Oracles: searchOracles,
 	},
 	{
-		Name:     "diamond4",
-		Edges:    "0-1 0-2 1-3 2-3",
-		NumEdges: 4,
-		Routers:  4,
-		RP:       "r1",
-		Transit:  []int{1, 2},
-		Src:      "r0",
-		Recv:     "r3",
-		Probe:    "r3",
-		Oracles: []Oracle{
-			{Host: "recv", Group: "G0", Min: 50},
-			{Host: "probe", Group: "G1", Min: 8},
-		},
+		Name:    "diamond4",
+		Edges:   "0-1 0-2 1-3 2-3",
+		RP:      "r1",
+		Transit: []int{1, 2},
+		Groups:  searchGroups,
+		Hosts:   []string{"src r0", "recv r3", "probe r3"},
+		Before:  searchBefore,
+		After:   searchAfter,
+		Oracles: searchOracles,
 	},
-}
-
-// ProtoConfig is one engine configuration under search.
-type ProtoConfig struct {
-	Name string
-	Line string // `protocol` operand(s), timers=fast appended at render
-}
-
-// Protocols are the six engine configurations every search sweep covers.
-var Protocols = []ProtoConfig{
-	{Name: "pim-sm", Line: "pim-sm"},
-	{Name: "pim-sm-never", Line: "pim-sm spt=never"},
-	{Name: "pim-dm", Line: "pim-dm"},
-	{Name: "dvmrp", Line: "dvmrp"},
-	{Name: "cbt", Line: "cbt"},
-	{Name: "mospf", Line: "mospf"},
 }
 
 func templateByName(name string) (Template, error) {
@@ -255,13 +269,12 @@ func templateByName(name string) (Template, error) {
 	return Template{}, fmt.Errorf("faultsearch: unknown template %q", name)
 }
 
-func protoByName(name string) (ProtoConfig, error) {
-	for _, p := range Protocols {
-		if p.Name == name {
-			return p, nil
-		}
+// checkProto refuses a name that is not a recipe protocol.
+func checkProto(name string) error {
+	if !slices.Contains(scenario.ProtocolNames(), name) {
+		return fmt.Errorf("faultsearch: unknown protocol %q (want one of %v)", name, scenario.ProtocolNames())
 	}
-	return ProtoConfig{}, fmt.Errorf("faultsearch: unknown protocol config %q", name)
+	return nil
 }
 
 func edgeRef(e int) string {
@@ -304,59 +317,54 @@ func (s Schedule) render(negate []Oracle, header string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	p, err := protoByName(s.Proto)
-	if err != nil {
+	return t.render(s.Proto, s.Seed, s.Clauses, negate, header)
+}
+
+// Render emits fault clauses on t under proto and fault seed, in the form
+// Schedule.Render gives a search template's schedules — for a template its
+// caller builds, such as the recovery matrix's diamond.
+func (t Template) Render(proto string, seed int64, clauses []Clause) (string, error) {
+	return t.render(proto, seed, clauses, nil, "")
+}
+
+func (t Template) render(proto string, seed int64, clauses []Clause, negate []Oracle, header string) (string, error) {
+	if err := checkProto(proto); err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	if header != "" {
-		b.WriteString(header)
-	}
+	b.WriteString(header)
 	fmt.Fprintf(&b, "topo edges %s\n", t.Edges)
 	b.WriteString("unicast oracle\n")
 	rp := ""
-	// The line's first operand is the recipe's protocol name.
-	if (scenario.Recipe{Protocol: strings.Fields(p.Line)[0]}).DeclaresRP() {
+	if (scenario.Recipe{Protocol: proto}).DeclaresRP() {
 		rp = " rp " + t.RP
 	}
-	fmt.Fprintf(&b, "group G0%s\n", rp)
-	fmt.Fprintf(&b, "group G1%s\n", rp)
-	fmt.Fprintf(&b, "faultseed %d\n", s.Seed)
-	fmt.Fprintf(&b, "protocol %s timers=fast\n", p.Line)
-	fmt.Fprintf(&b, "host src %s\n", t.Src)
-	fmt.Fprintf(&b, "host recv %s\n", t.Recv)
-	fmt.Fprintf(&b, "host probe %s\n", t.Probe)
-	fmt.Fprintf(&b, "at 1s join recv G0\n")
-	fmt.Fprintf(&b, "at 3s send src G0 count=%d every=1s\n", steadyCount)
-	for _, c := range s.Clauses {
+	for _, g := range t.Groups {
+		fmt.Fprintf(&b, "group %s%s\n", g, rp)
+	}
+	fmt.Fprintf(&b, "faultseed %d\n", seed)
+	fmt.Fprintf(&b, "protocol %s timers=fast\n", proto)
+	for _, h := range t.Hosts {
+		fmt.Fprintf(&b, "host %s\n", h)
+	}
+	lines := func(ls []string) {
+		for _, l := range ls {
+			b.WriteString(l + "\n")
+		}
+	}
+	lines(t.Before)
+	for _, c := range clauses {
 		renderClause(&b, c)
 	}
-	// Belt-and-braces clearing of the global knobs at the fault deadline:
-	// even a mis-generated clause cannot leak faults into the probe phase.
-	fmt.Fprintf(&b, "at %ds loss all 0\n", FaultDeadline)
-	fmt.Fprintf(&b, "at %ds reorder all 0\n", FaultDeadline)
-	fmt.Fprintf(&b, "at %ds join probe G1\n", ProbeJoin)
-	fmt.Fprintf(&b, "at %ds send src G1 count=%d every=2s\n", ProbeSend, ProbeCount)
-	fmt.Fprintf(&b, "run %ds\n", RunFor)
-	neg := func(o Oracle) bool {
-		for _, n := range negate {
-			if n.Host == o.Host && n.Group == o.Group {
-				return true
-			}
-		}
-		return false
-	}
-	if negate == nil {
-		for _, o := range t.Oracles {
+	lines(t.After)
+	for _, o := range t.Oracles {
+		switch {
+		case negate == nil:
 			fmt.Fprintf(&b, "expect %s received %s >= %d\n", o.Host, o.Group, o.Min)
-		}
-	} else {
-		// Found-counterexample form: only the failed oracles appear, negated,
-		// so the file passes exactly when the delivery bug reproduces.
-		for _, o := range t.Oracles {
-			if neg(o) {
-				fmt.Fprintf(&b, "expect %s received %s < %d\n", o.Host, o.Group, o.Min)
-			}
+		case slices.ContainsFunc(negate, func(n Oracle) bool { return n.Host == o.Host && n.Group == o.Group }):
+			// Found-counterexample form: only the failed oracles appear, negated,
+			// so the file passes exactly when the delivery bug reproduces.
+			fmt.Fprintf(&b, "expect %s received %s < %d\n", o.Host, o.Group, o.Min)
 		}
 	}
 	return b.String(), nil

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"pim/internal/parallel"
+	"pim/internal/scenario"
 )
 
 // Config parameterizes one search run.
@@ -21,8 +22,8 @@ type Config struct {
 	// each writes only its own slot, and minimization runs sequentially in
 	// trial order afterwards.
 	Workers int
-	// Topos/Protos restrict the sweep (default: all templates × all six
-	// engine configurations).
+	// Topos/Protos restrict the sweep (default: all templates × every
+	// recipe protocol, scenario.ProtocolNames).
 	Topos, Protos []string
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, a ...interface{})
@@ -83,9 +84,7 @@ func (c Config) Plan() ([]Schedule, error) {
 	}
 	protos := c.Protos
 	if len(protos) == 0 {
-		for _, p := range Protocols {
-			protos = append(protos, p.Name)
-		}
+		protos = scenario.ProtocolNames()
 	}
 	type cell struct{ topo, proto string }
 	var cells []cell
@@ -94,7 +93,7 @@ func (c Config) Plan() ([]Schedule, error) {
 			return nil, err
 		}
 		for _, p := range protos {
-			if _, err := protoByName(p); err != nil {
+			if err := checkProto(p); err != nil {
 				return nil, err
 			}
 			cells = append(cells, cell{t, p})

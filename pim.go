@@ -403,100 +403,6 @@ func RunChurnTrials(cfg ChurnConfig, trials int) []ChurnResult {
 	return experiments.RunChurnTrials(cfg, trials)
 }
 
-// Fault-recovery experiment (router crash/restart, lossy links, soft-state
-// convergence — see DESIGN.md "Fault plane").
-type (
-	// RecoveryConfig parameterizes the fault-recovery matrix.
-	RecoveryConfig = experiments.RecoveryConfig
-	// RecoveryResult is the full protocol × fault matrix outcome.
-	RecoveryResult = experiments.RecoveryResult
-	// RecoveryCell is one (protocol, fault) cell.
-	RecoveryCell = experiments.RecoveryCell
-)
-
-// DefaultRecoveryConfig returns the ledger workload for the fault-recovery
-// matrix.
-func DefaultRecoveryConfig() RecoveryConfig { return experiments.DefaultRecovery() }
-
-// Recovery fault kinds (the matrix columns).
-const (
-	FaultLoss0  = experiments.FaultLoss0
-	FaultLoss5  = experiments.FaultLoss5
-	FaultLoss20 = experiments.FaultLoss20
-	FaultFlap   = experiments.FaultFlap
-	FaultCrash  = experiments.FaultCrash
-)
-
-// RunRecovery drives every protocol through the fault matrix (control-plane
-// loss, link flap, router crash/restart) and measures recovery time, control
-// overhead, residual state, and each cell's delivery-trace fingerprint. It
-// refuses, naming the field, a config whose PacketInterval is not positive or
-// whose FaultAt (≥ 3 s), RestartAt and JoinAt (both after FaultAt, before
-// End) are out of order.
-func RunRecovery(cfg RecoveryConfig) (RecoveryResult, error) { return experiments.RunRecovery(cfg) }
-
-// RecoveryTelemetry runs one recovery cell (protocol × fault), replays its
-// captured event stream into a time-series sampler and returns the sampler;
-// dump its per-router counter curves with WriteJSON (the
-// `pimbench run telemetry` output).
-func RecoveryTelemetry(cfg RecoveryConfig, p Protocol, fault string, interval Time) (*TelemetrySampler, error) {
-	return experiments.RecoveryTelemetry(cfg, p, fault, interval)
-}
-
-// Large-internet scaling benchmark (see DESIGN.md "Timer subsystem" and
-// §12 for the scheduler and the sharded core it exercises).
-type (
-	// ScalingBenchConfig names the ledgered scaling sweeps.
-	ScalingBenchConfig = experiments.ScalingBenchConfig
-	// ScalingBenchResult aggregates the timed sweeps.
-	ScalingBenchResult = experiments.ScalingBenchResult
-	// ScalingSweep is one timed sweep within the benchmark.
-	ScalingSweep = experiments.ScalingSweep
-)
-
-// DefaultScalingBenchConfig returns the ledger workload (internets up to
-// 1000 routers, every protocol); SmokeScalingBenchConfig the CI-sized one.
-func DefaultScalingBenchConfig() ScalingBenchConfig { return experiments.DefaultScalingBench() }
-
-// SmokeScalingBenchConfig returns the make scale-smoke workload.
-func SmokeScalingBenchConfig() ScalingBenchConfig { return experiments.SmokeScalingBench() }
-
-// TenKScalingBenchConfig returns the 10 000-router headline workload: one
-// size-sweep cell per sparse protocol, ledgered with the shard count.
-func TenKScalingBenchConfig() ScalingBenchConfig { return experiments.TenKScalingBench() }
-
-// RunScalingBench runs the size/group/sender sweeps under wall-clock
-// timing, on cfg.Base.Shards shards.
-func RunScalingBench(cfg ScalingBenchConfig) ScalingBenchResult {
-	return experiments.RunScalingBench(cfg)
-}
-
-// SameScalingGridsSharded is the ledger gate for multi-shard runs: grids
-// must be bit-identical except the peak live-timer readings, which a
-// sharded run reports as a sum of per-shard peaks (see DESIGN.md §12).
-// Event counts are NOT masked.
-func SameScalingGridsSharded(a, b ScalingBenchResult) bool {
-	return experiments.SameGridsSharded(a, b)
-}
-
-// Scheduler is the deterministic discrete-event scheduler simulations run
-// on (see DESIGN.md "Timer subsystem").
-type Scheduler = netsim.Scheduler
-
-// PrepSchedulerBench returns a scheduler on the requested backing store
-// (true = the timing wheel every simulation uses, false = the reference heap)
-// preloaded with the benchmark's parked soft-state timer population;
-// SchedulerChurn and SchedulerDense are the deterministic workloads
-// cmd/pimbench replays via testing.Benchmark for the BENCH_scale.json
-// microbenchmark columns.
-func PrepSchedulerBench(wheel bool) *Scheduler { return netsim.PrepSchedulerBench(wheel) }
-
-// SchedulerChurn runs n cancel-heavy soft-state refresh rounds.
-func SchedulerChurn(s *Scheduler, n int) { netsim.SchedulerChurn(s, n) }
-
-// SchedulerDense runs n fire-heavy data-pump rounds.
-func SchedulerDense(s *Scheduler, n int) { netsim.SchedulerDense(s, n) }
-
 // ParseTopology reads a cmd/topogen edge-list file, refusing a node index
 // beyond the address plan's 25 600 routers before allocating for it.
 func ParseTopology(r io.Reader) (*Topology, error) {
