@@ -49,7 +49,7 @@ corpus:
 # intended behavior change. Review the diff: a digest change is a claim that
 # the simulation's observable behavior changed on purpose.
 update-goldens:
-	$(GO) run ./cmd/pimscript -update scenarios
+	$(GO) run ./cmd/pimscript -update $$(find scenarios -name '*.pim' | sort)
 
 # bench-smoke is the single benchmark smoke gate. It runs every registered
 # benchmark once at smoke size through the shared refuse-to-record machinery
@@ -61,7 +61,7 @@ update-goldens:
 # AllocsPerRun counts — control refresh at 0, one data packet through one
 # forwarding router of each engine at exactly the Forwarded header copy (§20)
 # — the per-router footprint pins (one shared RP table per deployment, a
-# node's nine-slot demux; §7, §8), and the arena-vs-map-model lockstep (§16),
+# node's nine-slot demux, a 32-byte MFIB oif; §7, §8), and the arena-vs-map-model lockstep (§16),
 # holds the lazy unicast oracle to its eager reference under the race
 # detector (§18),
 # prices one query interval of the §4 member-existence exchange with and
@@ -75,7 +75,7 @@ bench-smoke:
 	$(GO) run ./cmd/pimbench run scaling -smoke -shards 4
 	$(GO) run ./cmd/pimscript -check scenarios/rpfailover.pim
 	$(GO) test -run 'TestScenariosPoisonedPool' -count=1 ./internal/script/
-	$(GO) test -run 'ZeroAlloc|Footprint' -count=1 ./internal/engine/ ./internal/core/ ./internal/netsim/ ./internal/pimdm/ ./internal/dvmrp/ ./internal/cbt/ ./internal/mospf/ ./internal/igmp/
+	$(GO) test -run 'ZeroAlloc|Footprint' -count=1 ./internal/engine/ ./internal/core/ ./internal/mfib/ ./internal/netsim/ ./internal/pimdm/ ./internal/dvmrp/ ./internal/cbt/ ./internal/mospf/ ./internal/igmp/
 	$(GO) test -run 'TestFlatMapStoreLockstep' -count=1 ./internal/mfib/
 	$(GO) test -race -count=1 -run 'TestOracle' ./internal/unicast/
 	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/script/ ./internal/netsim/... ./internal/parallel/... ./internal/faultsearch/ ./internal/faults/ ./internal/mfib/

@@ -13,8 +13,10 @@ import (
 
 // Config carries the protocol parameters.
 type Config struct {
-	// PruneLifetime bounds how long a pruned branch stays pruned before it
-	// grows back (the paper's periodic-rebroadcast cost).
+	// PruneLifetime is the lifetime this router's prunes toward a source
+	// carry: upstream grows the branch back after it (the paper's
+	// periodic-rebroadcast cost). A received prune is held for the
+	// lifetime it carries.
 	PruneLifetime netsim.Time
 	// ProbeInterval paces neighbor probes; an interface with no probing
 	// neighbor is a leaf subnet subject to truncated broadcast.
@@ -49,9 +51,9 @@ type Router struct {
 // both unicast to the upstream neighbor.
 var codec = engine.Codec{
 	Proto: packet.ProtoDVMRP,
-	Prune: func(b []byte, e *mfib.Entry, holdSec uint16) ([]byte, addr.IP) {
-		m := Message{Type: TypePrune, Source: e.Key.Source, Group: e.Key.Group, Lifetime: holdSec}
-		return m.MarshalTo(b), e.UpstreamNeighbor
+	Prune: func(b []byte, s, g, to addr.IP, holdSec uint16) ([]byte, addr.IP) {
+		m := Message{Type: TypePrune, Source: s, Group: g, Lifetime: holdSec}
+		return m.MarshalTo(b), to
 	},
 	Graft: func(b []byte, e *mfib.Entry) []byte {
 		m := Message{Type: TypeGraft, Source: e.Key.Source, Group: e.Key.Group}
@@ -81,7 +83,7 @@ func New(nd *netsim.Node, cfg Config, uni unicast.Router) *Router {
 
 // Start registers handlers and begins probing.
 func (r *Router) Start() {
-	r.Chassis.Start(r.StateCount(), func() {
+	r.Flood.Start(func() {
 		r.Every(0, r.Cfg.ProbeInterval, func() {
 			r.Nbrs.Expire(r.Now(), nil)
 			r.sendProbes()

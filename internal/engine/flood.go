@@ -17,10 +17,10 @@ import (
 type Codec struct {
 	// Proto is the IP protocol number the messages travel under.
 	Proto byte
-	// Prune appends a prune of e, in force for holdSec seconds, to b, and
-	// names the IP destination: the upstream neighbor, or a multicast group
-	// when LAN peers must overhear it.
-	Prune func(b []byte, e *mfib.Entry, holdSec uint16) (msg []byte, dst addr.IP)
+	// Prune appends a prune of (s,g) addressed to neighbor to, in force for
+	// holdSec seconds, to b, and names the IP destination: the neighbor, or
+	// a multicast group when LAN peers must overhear it.
+	Prune func(b []byte, s, g, to addr.IP, holdSec uint16) (msg []byte, dst addr.IP)
 	// Graft appends a graft of e to b; grafts are unicast to the upstream
 	// neighbor.
 	Graft func(b []byte, e *mfib.Entry) []byte
@@ -33,6 +33,15 @@ type Codec struct {
 // a router left with no outgoing interface prunes itself off upstream; and
 // grafts — acknowledged, retransmitted with doubling backoff — splice a pruned
 // branch back without waiting for the hold time.
+//
+// Truncation (RFC 1075's child links): a packet that fails the RPF check on
+// a point-to-point link prunes the link's peer for nonRPFHold, so the flood
+// settles onto the reverse-path tree. That cut is route state, not interest
+// state, and events restore it rather than a timer: a route change grafts
+// toward the new upstream (§3.8), and a link that comes back up or a
+// neighbor heard afresh grows its branch back at once. Prune state lives in
+// the MFIB: a cut branch is a Pruned oif with a deadline, and a prune sent
+// upstream is the entry's PrunedUntil.
 type Flood struct {
 	Chassis
 	MFIB *mfib.Table
@@ -54,8 +63,10 @@ type Flood struct {
 	codec      Codec
 	pruneHold  netsim.Time
 	graftRetry netsim.Time
-	// pruned marks entries we pruned upstream and have not grafted back.
-	pruned map[mfib.Key]bool
+	// hooked: Unicast.OnChange and Node.OnLinkChange registrations are
+	// append-only, so the callbacks are installed once and gated on
+	// Started instead of being re-registered per Start.
+	hooked bool
 	// grafts holds the retransmission timer of each unacked graft.
 	grafts map[mfib.Key]*netsim.Timer
 	// suppressed marks branches taken down by Suppress.
@@ -68,17 +79,43 @@ type branch struct {
 	iface int
 }
 
-// NewFlood builds the machine on a chassis. pruneHold is both the lifetime
-// advertised in upstream prunes and the self grow-back delay; graftRetry is
-// the initial graft retransmission interval (doubling, capped at 8×).
+// nonRPFHold is the hold, in seconds, of the prune a non-RPF arrival sends:
+// the 16-bit field's longest, since only a route or link event ends it.
+const nonRPFHold = 1<<16 - 1
+
+// NewFlood builds the machine on a chassis. pruneHold is the lifetime
+// advertised in upstream prunes; graftRetry is the initial graft
+// retransmission interval (doubling, capped at 8×).
 func NewFlood(c Chassis, codec Codec, pruneHold, graftRetry netsim.Time) Flood {
 	f := Flood{Chassis: c, codec: codec, pruneHold: pruneHold, graftRetry: graftRetry}
 	f.Reset()
 	return f
 }
 
-// Reset discards all soft state: forwarding entries, neighbor liveness, local
-// membership, prune markers and graft retransmission timers.
+// Start begins a life (Chassis.Start) and runs boot. The first start also
+// subscribes the machine to route changes and link changes on its node.
+func (f *Flood) Start(boot func()) {
+	f.Chassis.Start(f.StateCount(), func() {
+		if !f.hooked {
+			f.hooked = true
+			f.Unicast.OnChange(func() {
+				if f.Started() {
+					f.routesChanged()
+				}
+			})
+			f.Node.OnLinkChange(func(ifc *netsim.Iface) {
+				if f.Started() {
+					f.linkChanged(ifc)
+				}
+			})
+		}
+		boot()
+	})
+}
+
+// Reset discards all soft state: forwarding entries (with their prune
+// state), neighbor liveness, local membership and graft retransmission
+// timers.
 func (f *Flood) Reset() {
 	for _, t := range f.grafts {
 		t.Stop()
@@ -86,7 +123,6 @@ func (f *Flood) Reset() {
 	f.MFIB = mfib.NewTable()
 	f.Nbrs.Reset()
 	f.Local.Reset()
-	f.pruned = map[mfib.Key]bool{}
 	f.grafts = map[mfib.Key]*netsim.Timer{}
 	f.suppressed = map[branch]bool{}
 }
@@ -167,23 +203,26 @@ func (f *Flood) Heard(in *netsim.Iface, from addr.IP, hold netsim.Time) (fresh b
 // --- Prunes ---
 
 // Prune applies a downstream neighbor's prune of e on in: the branch comes
-// down, grows back after hold (§1.1: "pruned branches will grow back after a
-// time-out period"), and if nothing is left we prune ourselves off upstream.
+// down until hold has passed and then grows back (§1.1: "pruned branches
+// will grow back after a time-out period"), and if nothing is left we prune
+// ourselves off upstream. A prune on an interface missing from the list
+// still records the cut, so the branch grows back when the neighbor expects.
 func (f *Flood) Prune(e *mfib.Entry, in *netsim.Iface, hold netsim.Time) {
-	e.RemoveOIF(in)
-	key := e.Key
-	f.After(hold, func() {
-		if cur := f.MFIB.Get(key); cur != nil && in.Up() && !f.suppressed[branch{key, in.Index}] {
-			cur.AddOIF(in, Forever)
-			delete(f.pruned, key)
-		}
-	})
+	if in == e.IIF {
+		return
+	}
+	o := e.OIF(in.Index)
+	if o == nil {
+		o = e.AddOIF(in, Forever)
+	}
+	o.Pruned, o.PrunePending, o.PruneDeadline = true, false, f.Now()+hold
+	e.Touch()
 	f.maybePruneUpstream(e)
 }
 
-// Suppress takes in off e's outgoing list and keeps both grow-back paths
-// (prune expiry, adjacency-up) from restoring it for one prune hold time —
-// what losing a LAN forwarder election means.
+// Suppress takes in off e's outgoing list — with any prune record, so no
+// deadline or link-up grows it back — and keeps adjacency-up from restoring
+// it for one prune hold time: what losing a LAN forwarder election means.
 func (f *Flood) Suppress(e *mfib.Entry, in *netsim.Iface) {
 	e.RemoveOIF(in)
 	b := branch{e.Key, in.Index}
@@ -197,26 +236,30 @@ func upstreamReachable(e *mfib.Entry) bool {
 
 // maybePruneUpstream sends a prune toward the source when no outgoing
 // interface remains. After the advertised hold time upstream resumes sending,
-// so the pruned marker clears itself and data re-populates the branch.
+// so the entry's PrunedUntil lapses and data re-populates the branch.
 func (f *Flood) maybePruneUpstream(e *mfib.Entry) {
-	if !e.OIFEmpty(f.Now()) || f.pruned[e.Key] || !upstreamReachable(e) {
+	now := f.Now()
+	if !e.OIFEmpty(now) || now < e.PrunedUntil || !upstreamReachable(e) {
 		return
 	}
 	if f.ExternalInterest != nil && f.ExternalInterest(e.Key.Source, e.Key.Group) {
 		return
 	}
+	f.sendPrune(e.IIF, e.Key.Source, e.Key.Group, e.UpstreamNeighbor, uint16(f.pruneHold/netsim.Second))
+	e.PrunedUntil = now + f.pruneHold
+}
+
+// sendPrune transmits the codec's prune of (s,g) to neighbor to on out.
+func (f *Flood) sendPrune(out *netsim.Iface, s, g, to addr.IP, holdSec uint16) {
 	var dst addr.IP
-	f.Enc.Buf, dst = f.codec.Prune(f.Enc.Buf[:0], e, uint16(f.pruneHold/netsim.Second))
+	f.Enc.Buf, dst = f.codec.Prune(f.Enc.Buf[:0], s, g, to, holdSec)
 	nextHop := dst
 	if dst.IsMulticast() {
 		nextHop = 0
 	}
-	f.Node.Send(e.IIF, f.Enc.Packet(e.IIF.Addr, dst, f.codec.Proto, 1), nextHop)
+	f.Node.Send(out, f.Enc.Packet(out.Addr, dst, f.codec.Proto, 1), nextHop)
 	f.Metrics.Inc(metrics.CtrlPrune)
-	f.Pub(telemetry.PruneSend, e.IIF.Index, e.Key.Source, e.Key.Group, 0)
-	key := e.Key
-	f.pruned[key] = true
-	f.After(f.pruneHold, func() { delete(f.pruned, key) })
+	f.Pub(telemetry.PruneSend, out.Index, s, g, 0)
 }
 
 // --- Grafts ---
@@ -241,13 +284,18 @@ func (f *Flood) GraftAcked(s, g addr.IP) {
 }
 
 func (f *Flood) graftIfPruned(e *mfib.Entry) {
-	if !f.pruned[e.Key] {
+	if f.Now() >= e.PrunedUntil {
 		return
 	}
+	e.PrunedUntil = 0
+	f.graft(e)
+}
+
+// graft sends e's graft upstream and arms its retransmission.
+func (f *Flood) graft(e *mfib.Entry) {
 	if f.transmitGraft(e) {
 		f.armGraftRetry(e.Key, f.graftRetry)
 	}
-	delete(f.pruned, e.Key)
 }
 
 func (f *Flood) transmitGraft(e *mfib.Entry) bool {
@@ -277,11 +325,57 @@ func (f *Flood) armGraftRetry(key mfib.Key, backoff netsim.Time) {
 	})
 }
 
+// --- Route and link changes ---
+
+// routesChanged is the dense-mode §3.8 rule: every entry's incoming
+// interface is re-resolved, and one that moved leaves the outgoing list. The
+// new upstream may hold a prune of this branch — a non-RPF one for as long as
+// its route lasts — so an entry that still wants traffic grafts to it, and
+// one that does not prunes it for the usual hold, which also arms the graft
+// a later member sends.
+func (f *Flood) routesChanged() {
+	now := f.Now()
+	f.MFIB.ForEach(func(e *mfib.Entry) {
+		if e.UpstreamNeighbor == 0 {
+			return // the source is on an attached subnet
+		}
+		rt, ok := f.RPF.Lookup(e.Key.Source)
+		if !ok || !f.Eligible(rt.Iface) || (rt.Iface == e.IIF && rt.NextHop == e.UpstreamNeighbor) {
+			return // unmoved, or unreachable in scope: keep the state until it returns
+		}
+		e.IIF, e.UpstreamNeighbor = rt.Iface, rt.NextHop
+		e.RemoveOIF(rt.Iface)
+		f.Pub(telemetry.IIFSet, rt.Iface.Index, e.Key.Source, e.Key.Group, telemetry.EntrySG)
+		e.PrunedUntil = 0
+		if e.OIFEmpty(now) {
+			f.maybePruneUpstream(e)
+			return
+		}
+		f.graft(e)
+	})
+}
+
+// linkChanged grows back, at once, every branch pruned on an interface whose
+// link just came up, grafting entries that had pruned themselves off.
+func (f *Flood) linkChanged(ifc *netsim.Iface) {
+	if !f.Eligible(ifc) || !ifc.Link.IsLAN() && !peer(ifc).Up() {
+		return // it went down, or the router across did
+	}
+	f.MFIB.ForEach(func(e *mfib.Entry) {
+		if o := e.OIF(ifc.Index); o != nil && o.Pruned {
+			o.Pruned = false
+			e.Touch()
+			f.graftIfPruned(e)
+		}
+	})
+}
+
 // --- Data plane ---
 
 // HandleData is the truncated RPF broadcast (§1.1). It reports true when the
 // packet failed the RPF check by arriving on the wrong interface, which on a
-// LAN is how a protocol detects a parallel forwarder.
+// LAN is how a protocol detects a parallel forwarder; on a point-to-point
+// link it prunes the peer for nonRPFHold.
 func (f *Flood) HandleData(in *netsim.Iface, pkt *packet.Packet) (wrongIface bool) {
 	s, g := pkt.Src, pkt.Dst
 	if !g.IsMulticast() || g.IsLinkLocalMulticast() {
@@ -300,6 +394,9 @@ func (f *Flood) HandleData(in *netsim.Iface, pkt *packet.Packet) (wrongIface boo
 		if in != rt.Iface {
 			f.Metrics.Inc(metrics.DataDropped)
 			f.Pub(telemetry.RPFDrop, in.Index, s, g, 0)
+			if l := in.Link; l != nil && !l.IsLAN() && f.Eligible(in) {
+				f.sendPrune(in, s, g, peer(in).Addr, nonRPFHold)
+			}
 			return true
 		}
 		upstream = rt.NextHop
@@ -339,4 +436,13 @@ func (f *Flood) HandleData(in *netsim.Iface, pkt *packet.Packet) (wrongIface boo
 		f.Forward(out, fwd, 0, s, 0)
 	}
 	return false
+}
+
+// peer is the other end of in's point-to-point link.
+func peer(in *netsim.Iface) *netsim.Iface {
+	ifs := in.Link.Ifaces
+	if ifs[0] == in {
+		return ifs[1]
+	}
+	return ifs[0]
 }

@@ -55,7 +55,13 @@ type OIF struct {
 	LocalMember bool
 	// PrunePending is set while a LAN prune awaits possible join override
 	// (§3.7); the interface keeps forwarding until the deadline passes.
-	PrunePending  bool
+	PrunePending bool
+	// Pruned is a flood-and-prune branch cut by a downstream prune (§1.1):
+	// the interface stops forwarding until the deadline, then grows back
+	// with no timer or mutation. AddOIF and AddLocalOIF clear it. Sparse
+	// mode never sets it. Pruned and PrunePending share PruneDeadline and
+	// are never both set.
+	Pruned        bool
 	PruneDeadline netsim.Time
 }
 
@@ -84,6 +90,9 @@ type Entry struct {
 	// UpstreamNeighbor is the next-hop address toward the source/RP that
 	// periodic join/prune messages target; 0 when IIF is nil.
 	UpstreamNeighbor addr.IP
+	// noif is the length of the outgoing-interface list below (placed here
+	// to share UpstreamNeighbor's word).
+	noif int32
 	// Created supports the "delete after 3× refresh period" rule and
 	// entry-age metrics.
 	Created netsim.Time
@@ -94,11 +103,15 @@ type Entry struct {
 	// another router's identical join postpones this entry's own periodic
 	// refresh until the recorded time.
 	SuppressedUntil netsim.Time
+	// PrunedUntil is when the prune a flood-and-prune router sent upstream
+	// lapses: until then upstream holds this branch off, so renewed
+	// interest must graft. Zero when no prune is in force; sparse mode
+	// never sets it.
+	PrunedUntil netsim.Time
 
 	// The outgoing-interface list: noif total, packed and sorted by
 	// Iface.Index, the first inlineOIFCap elements inline and the rest in
 	// oifSpill.
-	noif      int32
 	oifInline [inlineOIFCap]OIF
 	oifSpill  []OIF
 
@@ -214,7 +227,7 @@ func (e *Entry) AddOIF(ifc *netsim.Iface, expires netsim.Time) *OIF {
 	if expires > o.Expires {
 		o.Expires = expires
 	}
-	o.PrunePending = false
+	o.PrunePending, o.Pruned = false, false
 	e.DeleteAt = 0
 	e.Touch()
 	return o
@@ -230,7 +243,7 @@ func (e *Entry) AddLocalOIF(ifc *netsim.Iface) *OIF {
 		o = e.oifInsert(pos, OIF{Iface: ifc})
 	}
 	o.LocalMember = true
-	o.PrunePending = false
+	o.PrunePending, o.Pruned = false, false
 	e.DeleteAt = 0
 	e.Touch()
 	return o
@@ -251,12 +264,16 @@ func (e *Entry) HasOIF(ifc *netsim.Iface, now netsim.Time) bool {
 }
 
 // Live reports whether the oif should still receive packets: a local member
-// holds it open; otherwise the join timer must be unexpired. A pending LAN
-// prune does not stop forwarding until its deadline fires (§3.7 gives other
-// routers the override window).
+// holds it open; otherwise a flood-and-prune cut must have lapsed and the
+// join timer must be unexpired. A pending LAN prune does not stop
+// forwarding until its deadline fires (§3.7 gives other routers the
+// override window).
 func (o *OIF) Live(now netsim.Time) bool {
 	if o.LocalMember {
 		return true
+	}
+	if o.Pruned && now < o.PruneDeadline {
+		return false
 	}
 	return now <= o.Expires
 }

@@ -2,6 +2,7 @@ package mfib
 
 import (
 	"testing"
+	"unsafe"
 
 	"pim/internal/addr"
 	"pim/internal/netsim"
@@ -221,5 +222,34 @@ func TestEntryStringNotation(t *testing.T) {
 	}
 	if got := NewEntry(Key{Source: s, Group: g, RPBit: true}, 0).String(); got != "(10.0.0.1,225.0.0.0)RPbit" {
 		t.Errorf("RPbit String = %q", got)
+	}
+}
+
+// TestOIFFootprint pins an outgoing interface at 32 bytes: the inline list
+// holds four per entry, and the flood-and-prune Pruned flag rides in the
+// padding after the two other flags.
+func TestOIFFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(OIF{}); size != 32 {
+		t.Errorf("OIF is %d bytes, want 32", size)
+	}
+}
+
+// TestAddClearsPrune: a join, a graft or a local member re-attaches a
+// pruned branch at once.
+func TestAddClearsPrune(t *testing.T) {
+	ifs := testIfaces(1)
+	for _, add := range []func(e *Entry) *OIF{
+		func(e *Entry) *OIF { return e.AddOIF(ifs[0], 1<<40) },
+		func(e *Entry) *OIF { return e.AddLocalOIF(ifs[0]) },
+	} {
+		e := NewEntry(Key{Source: addr.V4(10, 100, 1, 1), Group: addr.GroupForIndex(0)}, 0)
+		o := e.AddOIF(ifs[0], 1<<40)
+		o.Pruned, o.PruneDeadline = true, 1000
+		if o.Live(10) {
+			t.Fatal("pruned oif live before its deadline")
+		}
+		if o = add(e); o.Pruned || !o.Live(10) {
+			t.Errorf("re-added oif still pruned: %+v", *o)
+		}
 	}
 }

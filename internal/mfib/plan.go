@@ -15,8 +15,8 @@ import "pim/internal/netsim"
 //     Touch; a recycled arena slot continues its generation past any pinned
 //     value), and
 //   - simulated time has not passed validUntil, the earliest future oif
-//     expiry among the dependencies (timer-driven liveness changes are the
-//     one way a list changes with no mutation).
+//     expiry or prune lapse among the dependencies (timer-driven liveness
+//     changes are the one way a list changes with no mutation).
 //
 // Compilation appends through the same append-style functions the
 // uncached reference lists in plan_test.go wrap (TestPlansMatchReferenceLists
@@ -87,18 +87,24 @@ func dep(e *Entry) planDep {
 }
 
 // minFutureExpiry folds an entry's join-timer horizon into the plan
-// validity: the earliest not-yet-passed expiry of a non-local oif is the
-// first instant the compiled list could change without any mutation (an
-// already-expired oif can only re-enter via AddOIF, which bumps the
-// generation).
+// validity: the earliest not-yet-passed expiry of a non-local oif, or the
+// instant before a pruned oif grows back, is the last instant the compiled
+// list is sure to hold without any mutation (an already-expired oif can
+// only re-enter via AddOIF, which bumps the generation).
 func minFutureExpiry(e *Entry, now, until netsim.Time) netsim.Time {
 	if e == nil {
 		return until
 	}
 	for i := 0; i < int(e.noif); i++ {
 		o := e.oifAt(i)
-		if !o.LocalMember && o.Expires >= now && o.Expires < until {
+		if o.LocalMember {
+			continue
+		}
+		if o.Expires >= now && o.Expires < until {
 			until = o.Expires
+		}
+		if o.Pruned && o.PruneDeadline > now && o.PruneDeadline-1 < until {
+			until = o.PruneDeadline - 1
 		}
 	}
 	return until

@@ -21,9 +21,10 @@ func unionList(sg, wc, rpt *Entry, now netsim.Time, except *netsim.Iface) []*net
 }
 
 // TestPlansMatchReferenceLists is the MFIB differential test: under random
-// interleavings of OIF mutations, in-place field flips (with Touch), and
-// time advances, the compiled fan-outs must equal the reference
-// computations exactly — same interfaces, same order.
+// interleavings of OIF mutations, in-place field flips (with Touch) — pruned
+// oifs whose deadlines later pass among them — and time advances, the
+// compiled fan-outs must equal the reference computations exactly — same
+// interfaces, same order.
 func TestPlansMatchReferenceLists(t *testing.T) {
 	ifs := testIfaces(6)
 	rng := rand.New(rand.NewSource(3))
@@ -60,13 +61,16 @@ func TestPlansMatchReferenceLists(t *testing.T) {
 			case op < 9: // flip fields in place, as the engines do
 				if e != nil {
 					if o := e.OIF(rng.Intn(len(ifs))); o != nil {
-						switch rng.Intn(3) {
+						switch rng.Intn(4) {
 						case 0:
 							o.LocalMember = !o.LocalMember
 						case 1:
 							o.PrunePending = !o.PrunePending
 						case 2:
 							o.Expires = now + netsim.Time(rng.Intn(100))
+						case 3: // a flood-and-prune cut that lapses later
+							o.Pruned, o.PrunePending = true, false
+							o.PruneDeadline = now + netsim.Time(rng.Intn(100))
 						}
 						e.Touch()
 					}
@@ -114,6 +118,28 @@ func TestPlanTimerInvalidation(t *testing.T) {
 	}
 	if got := e.ForwardOIFs(101, nil); len(got) != 1 || got[0] != ifs[1] {
 		t.Fatalf("after expiry: %v", got)
+	}
+}
+
+// TestPlanPruneLapse pins the other one: a pruned oif grows back exactly at
+// its deadline, under a plan compiled while it was cut.
+func TestPlanPruneLapse(t *testing.T) {
+	ifs := testIfaces(2)
+	e, _ := NewTable().Upsert(Key{Source: addr.V4(10, 100, 1, 1), Group: addr.GroupForIndex(0)}, 0)
+	e.AddOIF(ifs[0], 1<<40)
+	o := e.AddOIF(ifs[1], 1<<40)
+	o.Pruned, o.PruneDeadline = true, 100
+	e.Touch()
+	for _, tc := range []struct {
+		now  netsim.Time
+		want int
+	}{{0, 1}, {99, 1}, {100, 2}, {101, 2}} {
+		if got := e.ForwardOIFs(tc.now, nil); len(got) != tc.want {
+			t.Errorf("t=%d: fan-out %v, want %d interfaces", tc.now, got, tc.want)
+		}
+	}
+	if e.OIFEmpty(99) || !e.HasOIF(ifs[1], 100) || e.HasOIF(ifs[1], 99) {
+		t.Error("liveness disagrees with the fan-out around the deadline")
 	}
 }
 

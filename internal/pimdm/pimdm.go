@@ -31,7 +31,10 @@ import (
 
 // Config carries the protocol parameters.
 type Config struct {
-	// PruneHoldTime bounds prune state before the branch grows back.
+	// PruneHoldTime is the hold this router's prunes toward a source carry
+	// (upstream grows the branch back after it) and how long a lost assert
+	// keeps a LAN branch down. A received prune is held for the hold it
+	// carries.
 	PruneHoldTime netsim.Time
 	// QueryInterval paces neighbor discovery (leaf detection + asserts).
 	QueryInterval netsim.Time
@@ -111,13 +114,13 @@ type adState struct {
 // grafts unicast to the upstream neighbor.
 var codec = engine.Codec{
 	Proto: packet.ProtoPIM,
-	Prune: func(b []byte, e *mfib.Entry, holdSec uint16) ([]byte, addr.IP) {
+	Prune: func(b []byte, s, g, to addr.IP, holdSec uint16) ([]byte, addr.IP) {
 		m := &pimmsg.JoinPrune{
-			UpstreamNeighbor: e.UpstreamNeighbor,
+			UpstreamNeighbor: to,
 			HoldTime:         holdSec,
 			Groups: []pimmsg.GroupRecord{{
-				Group:  e.Key.Group,
-				Prunes: []pimmsg.Addr{{Addr: e.Key.Source}},
+				Group:  g,
+				Prunes: []pimmsg.Addr{{Addr: s}},
 			}},
 		}
 		return m.MarshalTo(pimmsg.AppendEnvelope(b, pimmsg.TypeJoinPrune)), addr.AllRouters
@@ -171,7 +174,7 @@ func NewConsumer(nd *netsim.Node, cfg Config, uni unicast.Router, onChange func(
 
 // Start registers handlers and begins querying.
 func (r *Router) Start() {
-	r.Chassis.Start(r.StateCount(), func() {
+	r.Flood.Start(func() {
 		r.Every(0, r.Cfg.QueryInterval, func() {
 			r.Nbrs.Expire(r.Now(), nil)
 			r.expireMemberAds()
@@ -475,7 +478,7 @@ func (r *Router) handleJoinPrune(in *netsim.Iface, body []byte) {
 				continue
 			}
 			if mine {
-				r.schedulePrune(e, in, grp.Group)
+				r.schedulePrune(e, in, grp.Group, netsim.Time(m.HoldTime)*netsim.Second)
 			} else if in.Link != nil && in.Link.IsLAN() {
 				// Overheard on the LAN: override if we still depend on it.
 				if e.IIF == in && !e.OIFEmpty(r.Now()) {
@@ -494,21 +497,24 @@ func (r *Router) handleJoinPrune(in *netsim.Iface, body []byte) {
 	}
 }
 
-// schedulePrune applies a prune addressed to us: at once on a point-to-point
-// link, after the override window on a LAN unless a join cancels it first.
-func (r *Router) schedulePrune(e *mfib.Entry, in *netsim.Iface, g addr.IP) {
+// schedulePrune applies a prune addressed to us, for the hold it carries: at
+// once on a point-to-point link, after the override window on a LAN unless a
+// join cancels it first.
+func (r *Router) schedulePrune(e *mfib.Entry, in *netsim.Iface, g addr.IP, hold netsim.Time) {
 	if r.Local.Has(in.Index, g) {
 		return
 	}
 	if in.Link == nil || !in.Link.IsLAN() {
-		r.Prune(e, in, r.Cfg.PruneHoldTime)
+		r.Prune(e, in, hold)
 		return
 	}
 	o := e.OIF(in.Index)
-	if o == nil {
+	if o == nil || !o.Live(r.Now()) {
+		// A cut branch keeps its deadline, which the pending prune's
+		// would overwrite: the two share the field.
 		return
 	}
-	o.PrunePending = true
+	o.Pruned, o.PrunePending = false, true
 	o.PruneDeadline = r.Now() + r.Cfg.PruneOverrideDelay
 	e.Touch()
 	// Re-look the entry up at fire time: entry/oif pointers must not be
@@ -521,7 +527,7 @@ func (r *Router) schedulePrune(e *mfib.Entry, in *netsim.Iface, g addr.IP) {
 			return
 		}
 		if co := cur.OIF(in.Index); co != nil && co.PrunePending && r.Now() >= co.PruneDeadline {
-			r.Prune(cur, in, r.Cfg.PruneHoldTime)
+			r.Prune(cur, in, hold)
 		}
 	})
 }

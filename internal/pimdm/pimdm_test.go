@@ -9,7 +9,9 @@ import (
 	"pim/internal/netsim"
 	"pim/internal/packet"
 	"pim/internal/pimdm"
+	"pim/internal/pimmsg"
 	"pim/internal/scenario"
+	"pim/internal/telemetry"
 	"pim/internal/topology"
 	"pim/internal/unicast"
 )
@@ -221,5 +223,153 @@ func TestLANPruneOverride(t *testing.T) {
 	}
 	if got := member.Received[group] - before; got != 5 {
 		t.Errorf("member got %d of 5 after prune/override on the LAN", got)
+	}
+}
+
+// TestLANArrivalDoesNotPrune: on the assert test's topology, A and B each
+// hear the other's copy on the shared LAN, an RPF failure on an interface
+// they forward onto. On a LAN that is the assert's cue, never the
+// point-to-point non-RPF prune: no prune leaves A or B onto the shared LAN.
+func TestLANArrivalDoesNotPrune(t *testing.T) {
+	net := netsim.NewNetwork()
+	srcNode := net.AddNode("src-host")
+	aNode := net.AddNode("A")
+	bNode := net.AddNode("B")
+	cNode := net.AddNode("C")
+	recvNode := net.AddNode("recv-host")
+
+	srcIf := net.AddIface(srcNode, addr.V4(10, 100, 0, 1))
+	aSrc := net.AddIface(aNode, addr.V4(10, 100, 0, 2))
+	bSrc := net.AddIface(bNode, addr.V4(10, 100, 0, 3))
+	net.ConnectLAN(netsim.Millisecond, srcIf, aSrc, bSrc)
+
+	aMid := net.AddIface(aNode, addr.V4(10, 1, 0, 1))
+	bMid := net.AddIface(bNode, addr.V4(10, 1, 0, 2))
+	cMid := net.AddIface(cNode, addr.V4(10, 1, 0, 3))
+	net.ConnectLAN(netsim.Millisecond, aMid, bMid, cMid)
+
+	cRecv := net.AddIface(cNode, addr.V4(10, 100, 9, 254))
+	recvIf := net.AddIface(recvNode, addr.V4(10, 100, 9, 1))
+	net.Connect(cRecv, recvIf, netsim.Millisecond)
+
+	bus := telemetry.NewBus()
+	midPrunes, rpfDrops := 0, 0
+	bus.Subscribe(func(ev telemetry.Event) {
+		onMid := (ev.Router == aNode.ID && ev.Iface == aMid.Index) || (ev.Router == bNode.ID && ev.Iface == bMid.Index)
+		switch {
+		case ev.Kind == telemetry.PruneSend && onMid:
+			midPrunes++
+		case ev.Kind == telemetry.RPFDrop && onMid:
+			rpfDrops++
+		}
+	})
+	oracle := unicast.NewOracle(net)
+	for _, nd := range []*netsim.Node{aNode, bNode, cNode} {
+		r := pimdm.New(nd, pimdm.Config{PruneHoldTime: 600 * netsim.Second, Telemetry: bus}, oracle.RouterFor(nd))
+		q := igmp.NewQuerier(nd)
+		q.OnJoin = func(ifc *netsim.Iface, g addr.IP) { r.LocalJoin(ifc, g) }
+		q.OnLeave = func(ifc *netsim.Iface, g addr.IP) { r.LocalLeave(ifc, g) }
+		r.Start()
+		q.Start()
+	}
+	receiver := igmp.NewHost(recvNode, recvIf)
+	net.Sched.RunUntil(2 * netsim.Second)
+	g := addr.GroupForIndex(0)
+	receiver.Join(g)
+	net.Sched.RunUntil(4 * netsim.Second)
+	srcNode.Send(srcIf, packet.New(srcIf.Addr, g, packet.ProtoUDP, make([]byte, 64)), 0)
+	net.Sched.RunUntil(net.Sched.Now() + 2*netsim.Second)
+	if rpfDrops == 0 {
+		t.Fatal("neither parallel forwarder heard the other's copy on the LAN")
+	}
+	if midPrunes != 0 {
+		t.Errorf("%d prunes sent onto the shared LAN after %d RPF failures there", midPrunes, rpfDrops)
+	}
+}
+
+// TestPruneHonoursCarriedHold: a prune holds a branch for the hold time the
+// message carries, not the receiver's own configured hold.
+func TestPruneHonoursCarriedHold(t *testing.T) {
+	sim, dep, receiver, sender := lineSim(t, 600*netsim.Second)
+	g := addr.GroupForIndex(0)
+	receiver.Join(g)
+	sim.Run(2 * netsim.Second)
+	scenario.SendData(sender, g, 64)
+	sim.Run(2 * netsim.Second)
+	s := sender.Iface.Addr
+	// Router 1 accepts the flow from router 2: prune router 2's branch
+	// toward it in router 1's name, for 30 s.
+	var in *netsim.Iface
+	for _, ifc := range dep.Routers[1].MFIB.SG(s, g).IIF.Link.Ifaces {
+		if ifc.Node == sim.Routers[2] {
+			in = ifc
+		}
+	}
+	m := pimmsg.JoinPrune{
+		UpstreamNeighbor: in.Addr,
+		HoldTime:         30,
+		Groups:           []pimmsg.GroupRecord{{Group: g, Prunes: []pimmsg.Addr{{Addr: s}}}},
+	}
+	body := m.MarshalTo(pimmsg.AppendEnvelope(nil, pimmsg.TypeJoinPrune))
+	at := sim.Net.Sched.Now()
+	dep.Routers[2].HandlePIMPacket(in, packet.New(addr.V4(1, 2, 3, 4), addr.AllRouters, packet.ProtoPIM, body))
+	e := dep.Routers[2].MFIB.SG(s, g)
+	o := e.OIF(in.Index)
+	if o == nil || !o.Pruned || o.PruneDeadline != at+30*netsim.Second {
+		t.Fatalf("branch after a 30 s prune: %+v, want pruned until %v", o, at+30*netsim.Second)
+	}
+	if e.HasOIF(in, at+30*netsim.Second-1) || !e.HasOIF(in, at+30*netsim.Second) {
+		t.Error("the branch does not grow back exactly 30 s after the prune")
+	}
+}
+
+// TestLANPruneKeepsCut: a LAN prune addressed to a branch that is already
+// cut must not start the §3.7 override window on it. The pending prune and
+// the cut share the oif's deadline, so starting one would overwrite the
+// other and put the branch back on the air for the window.
+func TestLANPruneKeepsCut(t *testing.T) {
+	// src — U — LAN {D1, D2}
+	net := netsim.NewNetwork()
+	srcHost := net.AddNode("src")
+	uNode := net.AddNode("u")
+	srcIf := net.AddIface(srcHost, addr.V4(10, 100, 0, 1))
+	uSrc := net.AddIface(uNode, addr.V4(10, 100, 0, 254))
+	net.Connect(srcIf, uSrc, netsim.Millisecond)
+	uLAN := net.AddIface(uNode, addr.V4(10, 1, 0, 3))
+	ifs := []*netsim.Iface{uLAN}
+	for i, name := range []string{"d1", "d2"} {
+		ifs = append(ifs, net.AddIface(net.AddNode(name), addr.V4(10, 1, 0, byte(i+1))))
+	}
+	net.ConnectLAN(netsim.Millisecond, ifs...)
+
+	oracle := unicast.NewOracle(net)
+	var u *pimdm.Router
+	for _, nd := range []*netsim.Node{uNode, ifs[1].Node, ifs[2].Node} {
+		r := pimdm.New(nd, pimdm.Config{PruneHoldTime: 600 * netsim.Second}, oracle.RouterFor(nd))
+		r.Start()
+		if nd == uNode {
+			u = r
+		}
+	}
+	net.Sched.RunUntil(2 * netsim.Second)
+	g := addr.GroupForIndex(0)
+	srcHost.Send(srcIf, packet.New(srcIf.Addr, g, packet.ProtoUDP, make([]byte, 64)), 0)
+	net.Sched.RunUntil(3 * netsim.Second)
+	e := u.MFIB.SG(srcIf.Addr, g)
+	if e == nil || e.OIF(uLAN.Index) == nil {
+		t.Fatal("the first packet did not install the LAN branch")
+	}
+	u.Prune(e, uLAN, 600*netsim.Second)
+	deadline := e.OIF(uLAN.Index).PruneDeadline
+
+	m := pimmsg.JoinPrune{
+		UpstreamNeighbor: uLAN.Addr,
+		HoldTime:         30,
+		Groups:           []pimmsg.GroupRecord{{Group: g, Prunes: []pimmsg.Addr{{Addr: srcIf.Addr}}}},
+	}
+	body := m.MarshalTo(pimmsg.AppendEnvelope(nil, pimmsg.TypeJoinPrune))
+	u.HandlePIMPacket(uLAN, packet.New(ifs[1].Addr, addr.AllRouters, packet.ProtoPIM, body))
+	if o := e.OIF(uLAN.Index); !o.Pruned || o.PrunePending || o.PruneDeadline != deadline || o.Live(net.Sched.Now()) {
+		t.Errorf("a LAN prune reopened the cut branch: %+v", *o)
 	}
 }
