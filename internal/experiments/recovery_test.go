@@ -3,8 +3,6 @@ package experiments
 import (
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,8 +24,8 @@ func shortRecovery() RecoveryConfig {
 }
 
 // update regenerates testdata goldens from the current run, mirroring
-// `pimscript -update`: go test ./internal/experiments/ -run TestRecoveryMatrix -update
-var update = flag.Bool("update", false, "rewrite testdata/recovery_matrix.golden from this run")
+// `pimscript -update`: go test ./internal/experiments/ -run 'TestRecoveryMatrix|TestDriversGolden' -update
+var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
 
 const recoveryGolden = "testdata/recovery_matrix.golden"
 
@@ -70,29 +68,7 @@ func TestRecoveryMatrix(t *testing.T) {
 			t.Errorf("%s/%s: late join never converged", c.Protocol, c.Fault)
 		}
 	}
-	got := renderRecoveryMatrix(res)
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(recoveryGolden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(recoveryGolden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(recoveryGolden)
-	if err != nil {
-		t.Fatalf("%v (record it with -update)", err)
-	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Errorf("cell diverged from %s:\nrecorded %s\ngot      %s", recoveryGolden, wl[i], gl[i])
-			}
-		}
-		t.Fatalf("recovery matrix drifted from its golden; rerun with -update if the change is intended")
-	}
+	checkGolden(t, recoveryGolden, renderRecoveryMatrix(res))
 }
 
 // TestRecoveryMatrixChecked reruns the matrix with the online invariant
