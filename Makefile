@@ -45,11 +45,15 @@ fuzz-smoke:
 corpus:
 	$(GO) run ./cmd/pimscript -corpus scenarios
 
-# update-goldens regenerates every scenario's embedded golden section after an
-# intended behavior change. Review the diff: a digest change is a claim that
-# the simulation's observable behavior changed on purpose.
+# update-goldens regenerates every golden in the tree after an intended
+# behavior change: each scenario's embedded golden section, the rpfailover
+# telemetry dump, and the recovery matrix and experiment drivers' testdata
+# goldens. Review the diff: a digest change is a claim that the simulation's
+# observable behavior changed on purpose.
 update-goldens:
 	$(GO) run ./cmd/pimscript -update $$(find scenarios -name '*.pim' | sort)
+	$(GO) test ./internal/script/ -run TestTelemetryGoldenDump -update
+	$(GO) test ./internal/experiments/ -run 'TestRecoveryMatrix|TestDriversGolden' -update
 
 # bench-smoke is the single benchmark smoke gate. It runs every registered
 # benchmark once at smoke size through the shared refuse-to-record machinery

@@ -3,11 +3,9 @@ package experiments
 import (
 	"math/rand"
 
-	"pim/internal/addr"
-	"pim/internal/igmp"
 	"pim/internal/netsim"
 	"pim/internal/parallel"
-	"pim/internal/scenario"
+	"pim/internal/script"
 	"pim/internal/topology"
 )
 
@@ -56,74 +54,61 @@ type ChurnResult struct {
 // RunChurn joins and leaves receivers at the configured rate and measures
 // the control-message cost per membership event.
 func RunChurn(cfg ChurnConfig) ChurnResult {
+	text, res := churnScript(cfg)
+	run := runCell(text, script.RunConfig{})
+	settled, end := run.Runs[0], run.Runs[1]
+	res.CtrlMessages = end.Ctrl - settled.Ctrl
+	if events := res.JoinEvents + res.LeaveEvents; events > 0 {
+		res.CtrlPerEvent = float64(res.CtrlMessages) / float64(events)
+	}
+	res.FinalState = end.State
+	return res
+}
+
+// churnScript writes the churn workload as .pim text and counts the
+// membership events it schedules: a random internet, a pool of receivers p<i>
+// on distinct routers with the RP at the first, and a sender src next to it;
+// PIM-SM with half the pool joined and a 5 s settle; then a packet every 5 s
+// and one membership flip every MeanHold/Pool — a receiver drawn from the
+// seeded stream joins if it is out, leaves if it is in — so each member holds
+// for about MeanHold.
+func churnScript(cfg ChurnConfig) (string, ChurnResult) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := topology.Random(topology.GenConfig{Nodes: cfg.Nodes, Degree: cfg.Degree}, rng)
-	sim := scenario.Build(g)
-	group := addr.GroupForIndex(0)
 	routers := topology.PickDistinct(cfg.Nodes, cfg.Pool, rng)
-	hosts := make([]*igmp.Host, cfg.Pool)
+	var t pimText
+	t.line("%s\nunicast oracle\ngroup G0 rp r%d", topoLine(g), routers[0])
 	for i, r := range routers {
-		hosts[i] = sim.AddHost(r)
+		t.line("host p%d r%d", i, r)
 	}
-	sender := sim.AddHost((routers[0] + 1) % cfg.Nodes)
-	sim.FinishUnicast(scenario.UseOracle)
-	rp := sim.RouterAddr(routers[0])
-	dep := deploy(sim, scenario.Recipe{Protocol: string(PIMSM), Anchors: map[addr.IP][]addr.IP{group: {rp}}})
-	sim.Run(2 * netsim.Second)
-
-	res := ChurnResult{}
+	t.line("host src r%d", (routers[0]+1)%cfg.Nodes)
+	t.protocol(PIMSM, 0)
 	joined := make([]bool, cfg.Pool)
-	// Half the pool starts joined.
-	for i := 0; i < cfg.Pool/2; i++ {
-		hosts[i].Join(group)
+	for i := range cfg.Pool / 2 {
+		t.line("at 0 join p%d G0", i)
 		joined[i] = true
 	}
-	sim.Run(5 * netsim.Second)
-	ctrlBase := dep.ControlMessages()
-
-	// Steady data + membership flips: one flip per MeanHold/Pool, so each
-	// member holds for ~MeanHold on average.
+	t.line("run 5s")
+	t.line("at 0 send src G0 count=%d every=5s size=128", cfg.Duration/(5*netsim.Second)+1)
 	flipEvery := cfg.MeanHold / netsim.Time(cfg.Pool)
 	if flipEvery <= 0 {
 		flipEvery = netsim.Second
 	}
-	stop := false
-	var pump func()
-	pump = func() {
-		if stop {
-			return
-		}
-		scenario.SendData(sender, group, 128)
-		sim.Net.Sched.After(5*netsim.Second, pump)
-	}
-	sim.Net.Sched.After(0, pump)
-	var flip func()
-	flip = func() {
-		if stop {
-			return
-		}
+	var res ChurnResult
+	for at := flipEvery; at <= cfg.Duration; at += flipEvery {
 		i := rng.Intn(cfg.Pool)
+		verb := "join"
 		if joined[i] {
-			hosts[i].Leave(group)
-			joined[i] = false
+			verb = "leave"
 			res.LeaveEvents++
 		} else {
-			hosts[i].Join(group)
-			joined[i] = true
 			res.JoinEvents++
 		}
-		sim.Net.Sched.After(flipEvery, flip)
+		joined[i] = !joined[i]
+		t.line("at %s %s p%d G0", script.FormatDuration(at), verb, i)
 	}
-	sim.Net.Sched.After(flipEvery, flip)
-	sim.Run(cfg.Duration)
-	stop = true
-
-	res.CtrlMessages = dep.ControlMessages() - ctrlBase
-	if events := res.JoinEvents + res.LeaveEvents; events > 0 {
-		res.CtrlPerEvent = float64(res.CtrlMessages) / float64(events)
-	}
-	res.FinalState = dep.TotalState()
-	return res
+	t.line("run %s", script.FormatDuration(cfg.Duration))
+	return t.String(), res
 }
 
 // RunChurnTrials repeats the churn experiment over trials independent

@@ -1,13 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 
-	"pim/internal/addr"
-	"pim/internal/igmp"
 	"pim/internal/netsim"
-	"pim/internal/packet"
-	"pim/internal/scenario"
+	"pim/internal/script"
 	"pim/internal/topology"
 )
 
@@ -56,94 +55,47 @@ type CongestionResult struct {
 
 // RunCongestion measures delivery delay under finite link bandwidth for one
 // tree policy (ProtoPIMSM = per-source SPTs, ProtoPIMSMShared = shared
-// trees through a single shared RP).
+// trees through a single shared RP). Deliveries count from the end of a 10 s
+// sending warm-up that lets the trees form (registers, SPT switches).
 func RunCongestion(cfg CongestionConfig, proto Protocol) CongestionResult {
+	res := runCell(congestionScript(cfg, proto), script.RunConfig{Captured: true})
+	out := CongestionResult{Protocol: proto, MaxQueueDelay: res.Runs[2].MaxQueueDelay}
+	out.Delivered, out.MeanDelay = meanDelay(res.Events, res.Runs[1].At)
+	return out
+}
+
+// congestionScript writes the congestion workload as .pim text: a random
+// internet whose edges carry Bandwidth bytes/s (unbounded at 0), every group
+// rendezvousing at one router drawn from the seeded stream — the
+// concentration point — and per group Members receivers and Senders senders
+// on their routers' hosts (pimText.host); every receiver joined and a 10 s
+// settle; then every sender at PacketSize bytes per PacketInterval through a
+// 10 s warm-up run and the Duration run.
+func congestionScript(cfg CongestionConfig, proto Protocol) string {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := topology.Random(topology.GenConfig{Nodes: cfg.Nodes, Degree: cfg.Degree}, rng)
-	sim := scenario.Build(g)
-
-	type party struct {
-		host  *igmp.Host
-		group addr.IP
+	rp := rng.Intn(cfg.Nodes)
+	topo := topoLine(g)
+	if cfg.Bandwidth > 0 {
+		topo += fmt.Sprintf(" bandwidth=%d", cfg.Bandwidth)
 	}
-	var receivers, senders []party
-	hostAt := map[int]*igmp.Host{}
-	ensure := func(r int) *igmp.Host {
-		if h := hostAt[r]; h != nil {
-			return h
-		}
-		h := sim.AddHost(r)
-		hostAt[r] = h
-		return h
-	}
-	rpRouter := rng.Intn(cfg.Nodes)
-	rpMap := map[addr.IP][]addr.IP{}
-	for gi := 0; gi < cfg.Groups; gi++ {
-		grp := addr.GroupForIndex(gi)
+	var t pimText
+	t.line("%s\nunicast oracle", topo)
+	var joins, sends []string
+	count := (10*netsim.Second+cfg.Duration)/cfg.PacketInterval + 1
+	for gi := range cfg.Groups {
+		t.line("group G%d rp r%d", gi, rp)
 		picked := topology.PickDistinct(cfg.Nodes, cfg.Members+cfg.Senders, rng)
 		for _, m := range picked[:cfg.Members] {
-			receivers = append(receivers, party{ensure(m), grp})
+			joins = append(joins, fmt.Sprintf("at 0 join %s G%d", t.host(m), gi))
 		}
 		for _, s := range picked[cfg.Members:] {
-			senders = append(senders, party{ensure(s), grp})
-		}
-		rpMap[grp] = []addr.IP{}
-	}
-	sim.FinishUnicast(scenario.UseOracle)
-	// Every group rendezvous at the same router — the concentration point.
-	for grp := range rpMap {
-		rpMap[grp] = []addr.IP{sim.RouterAddr(rpRouter)}
-	}
-	for _, l := range sim.EdgeLinks {
-		l.Bandwidth = cfg.Bandwidth
-	}
-
-	deploy(sim, scenario.Recipe{Protocol: string(proto), Anchors: rpMap})
-	sim.Run(2 * netsim.Second)
-	for _, p := range receivers {
-		p.host.Join(p.group)
-	}
-	sim.Run(10 * netsim.Second)
-
-	var delaySum netsim.Time
-	var delayN int64
-	for _, h := range hostAt {
-		h.OnData = func(grp addr.IP, pkt *packet.Packet) {
-			if d, ok := scenario.Latency(sim.Net.Sched.Now(), pkt); ok {
-				delaySum += d
-				delayN++
-			}
+			sends = append(sends, fmt.Sprintf("at 0 send %s G%d count=%d every=%s size=%d",
+				t.host(s), gi, count, script.FormatDuration(cfg.PacketInterval), cfg.PacketSize))
 		}
 	}
-	stop := false
-	var pump func()
-	pump = func() {
-		if stop {
-			return
-		}
-		for _, s := range senders {
-			scenario.SendData(s.host, s.group, cfg.PacketSize)
-		}
-		sim.Net.Sched.After(cfg.PacketInterval, pump)
-	}
-	// Warm up the trees (registers, SPT switches) before measuring.
-	sim.Net.Sched.After(0, pump)
-	sim.Run(10 * netsim.Second)
-	delaySum, delayN = 0, 0
-	for _, l := range sim.EdgeLinks {
-		l.MaxQueueDelay = 0
-	}
-	sim.Run(cfg.Duration)
-	stop = true
-
-	res := CongestionResult{Protocol: proto, Delivered: int(delayN)}
-	if delayN > 0 {
-		res.MeanDelay = delaySum / netsim.Time(delayN)
-	}
-	for _, l := range sim.EdgeLinks {
-		if l.MaxQueueDelay > res.MaxQueueDelay {
-			res.MaxQueueDelay = l.MaxQueueDelay
-		}
-	}
-	return res
+	t.protocol(proto, 0)
+	t.line("%s\nrun 10s\n%s", strings.Join(joins, "\n"), strings.Join(sends, "\n"))
+	t.line("run 10s\nrun %s", script.FormatDuration(cfg.Duration))
+	return t.String()
 }

@@ -1,22 +1,24 @@
-// Package experiments contains the end-to-end protocol experiment drivers:
-// the Figure 1 three-domain scenarios and the sparse-group overhead
-// comparison that quantifies the paper's central claim (§1.2: overhead
-// measured as state, control message processing, and data packet processing
-// across the entire network). cmd/pimsim, the examples, and bench_test.go
-// all call into this package so every reported number comes from one code
-// path.
+// Package experiments holds the paper's experiments: the §1.2 sparse-group
+// overhead comparison and its scaling sweeps, the Figure 1 three-domain
+// scenarios, group churn, congestion under finite link bandwidth and the
+// fault-recovery matrix. Each driver is a renderer plus a fold: it writes its
+// workload as .pim text (internal/script), runs it through the one run
+// harness, script.RunWith (runCell), and folds its numbers from the
+// script.Result — the reading each `run` leaves and, where a metric needs it,
+// the captured event stream. cmd/pimsim, cmd/pimbench, the examples and
+// bench_test.go all call into this package, so every reported number comes
+// from one code path.
 package experiments
 
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
-	"pim/internal/addr"
-	"pim/internal/igmp"
-	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/parallel"
-	"pim/internal/scenario"
+	"pim/internal/script"
+	"pim/internal/telemetry"
 	"pim/internal/topology"
 )
 
@@ -46,8 +48,6 @@ type Result struct {
 	State int
 	// CtrlMessages is the total number of protocol control messages sent.
 	CtrlMessages int64
-	// CtrlBytes / DataBytes are the link-level byte totals.
-	CtrlBytes, DataBytes int64
 	// DataPackets counts data packet link crossings (packet processing).
 	DataPackets int64
 	// LinksTouched is how many backbone links carried at least one data
@@ -120,148 +120,185 @@ func DefaultSparse() SparseConfig {
 	}
 }
 
-// workload assigns member and sender routers per group deterministically.
-type workload struct {
-	groups  []addr.IP
-	members [][]int // per group, router indexes of receivers
-	senders [][]int // per group, router indexes of senders
-}
-
-func buildWorkload(cfg SparseConfig, rng *rand.Rand) workload {
-	w := workload{}
-	for gi := 0; gi < cfg.Groups; gi++ {
-		w.groups = append(w.groups, addr.GroupForIndex(gi))
-		picked := topology.PickDistinct(cfg.Nodes, cfg.Members+cfg.Senders, rng)
-		w.members = append(w.members, picked[:cfg.Members])
-		w.senders = append(w.senders, picked[cfg.Members:])
-	}
-	return w
-}
-
 // RunSparse builds one random internet, deploys the protocol, runs the
 // join/send workload, and returns the overhead ledger.
 func RunSparse(cfg SparseConfig, proto Protocol) Result {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := topology.Random(topology.GenConfig{Nodes: cfg.Nodes, Degree: cfg.Degree}, rng)
-	return runSparseImpl(g, cfg, proto, rng)
+	return runSparse(g, cfg, proto, rng)
 }
 
-func runSparseImpl(g *topology.Graph, cfg SparseConfig, proto Protocol, rng *rand.Rand) Result {
-	w := buildWorkload(cfg, rng)
+// RunSparseOn is RunSparse over a caller-supplied topology (e.g. parsed
+// from a cmd/topogen edge list) instead of a freshly generated random one.
+func RunSparseOn(g *topology.Graph, cfg SparseConfig, proto Protocol) Result {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	cfg.Nodes = g.N()
+	return runSparse(g, cfg, proto, rng)
+}
 
-	sim := scenario.Build(g)
-	// Hosts: one receiver host per member router, one sender host per
-	// sender router.
-	recvHosts := make([][]*igmp.Host, cfg.Groups)
-	sendHosts := make([][]*igmp.Host, cfg.Groups)
-	hostAt := map[int]*igmp.Host{}
-	ensureHost := func(r int) *igmp.Host {
-		if h := hostAt[r]; h != nil {
-			return h
-		}
-		h := sim.AddHost(r)
-		hostAt[r] = h
-		return h
-	}
-	for gi := range w.groups {
-		for _, m := range w.members[gi] {
-			recvHosts[gi] = append(recvHosts[gi], ensureHost(m))
-		}
-		for _, s := range w.senders[gi] {
-			sendHosts[gi] = append(sendHosts[gi], ensureHost(s))
-		}
-	}
-	rec := scenario.Recipe{Protocol: string(proto), PruneHold: cfg.PruneLifetime}
-	if !rec.Sequential() {
-		sim.AutoShardN(cfg.Shards)
-	}
-	sim.FinishUnicast(scenario.UseOracle)
-
-	// RP / core placement: the first member's router (the paper's §4
-	// guidance: "most efficient and convenient for the RP to be the
-	// directly-connected PIM-speaking router of one of the members").
-	rec.Anchors = map[addr.IP][]addr.IP{}
-	for gi, grp := range w.groups {
-		rec.Anchors[grp] = []addr.IP{sim.RouterAddr(w.members[gi][0])}
-	}
-	dep := deploy(sim, rec)
-
-	// Warm up: hellos, queries, membership.
-	sim.Run(2 * netsim.Second)
-	for gi, grp := range w.groups {
-		for _, h := range recvHosts[gi] {
-			h.Join(grp)
+// sparseScript writes one comparison cell as .pim text: g's edges; per group,
+// Members receivers and Senders senders drawn from rng, on their routers'
+// hosts (pimText.host); every receiver
+// joined at once; a Warmup run; then every sender at one packet per
+// PacketInterval for the Duration run. It returns the text and the
+// Delivered keys of the receivers.
+func sparseScript(g *topology.Graph, cfg SparseConfig, proto Protocol, rng *rand.Rand) (string, []string) {
+	var t pimText
+	t.line("%s\nunicast oracle", topoLine(g))
+	var members, senders [][]int
+	for gi := range cfg.Groups {
+		picked := topology.PickDistinct(cfg.Nodes, cfg.Members+cfg.Senders, rng)
+		members = append(members, picked[:cfg.Members])
+		senders = append(senders, picked[cfg.Members:])
+		// RP / core placement: the first member's router (the paper's §4
+		// guidance: "most efficient and convenient for the RP to be the
+		// directly-connected PIM-speaking router of one of the members").
+		t.line("group G%d rp r%d", gi, picked[0])
+		for _, r := range picked {
+			t.host(r)
 		}
 	}
-	sim.Run(cfg.Warmup)
-
-	// Measured phase: periodic senders. Each pump reschedules itself on its
-	// host's own (possibly shard-local) scheduler, so sharded runs keep all
-	// send events inside the owning shard.
-	sim.Net.Stats.Reset()
-	ctrlBase := dep.ControlMessages()
-	for gi, grp := range w.groups {
-		gi, grp := gi, grp
-		for _, h := range sendHosts[gi] {
-			h := h
-			sched := h.Node.Sched()
-			var pump func()
-			pump = func() {
-				scenario.SendData(h, grp, 128)
-				sched.After(cfg.PacketInterval, pump)
-			}
-			sched.After(0, pump)
+	t.protocol(proto, cfg.PruneLifetime)
+	var recv []string
+	for gi, ms := range members {
+		for _, m := range ms {
+			t.line("at 0 join h%d G%d", m, gi)
+			recv = append(recv, fmt.Sprintf("h%d/G%d", m, gi))
 		}
 	}
-	sim.Run(cfg.Duration)
+	t.line("run %s", script.FormatDuration(cfg.Warmup))
+	for gi, ss := range senders {
+		for _, s := range ss {
+			t.line("at 0 send h%d G%d count=%d every=%s size=128", s, gi, sendsPer(cfg), script.FormatDuration(cfg.PacketInterval))
+		}
+	}
+	t.line("run %s", script.FormatDuration(cfg.Duration))
+	return t.String(), recv
+}
 
-	res := Result{
+// sendsPer is how many packets one sender emits in the measured run: one at
+// its start and one per PacketInterval up to and including its end.
+func sendsPer(cfg SparseConfig) int {
+	if cfg.PacketInterval <= 0 {
+		return 0
+	}
+	return int(cfg.Duration/cfg.PacketInterval) + 1
+}
+
+// runSparse runs one comparison cell and folds the ledger from the readings
+// that close its warm-up and its measured run.
+func runSparse(g *topology.Graph, cfg SparseConfig, proto Protocol, rng *rand.Rand) Result {
+	text, recv := sparseScript(g, cfg, proto, rng)
+	res := runCell(text, script.RunConfig{Shards: cfg.Shards})
+	warm, end := res.Runs[0], res.Runs[1]
+	out := Result{
 		Protocol:     proto,
-		State:        dep.TotalState(),
-		CtrlMessages: dep.ControlMessages() - ctrlBase,
-		CtrlBytes:    sim.Net.Stats.Totals.ControlBytes,
-		DataBytes:    sim.Net.Stats.Totals.DataBytes,
-		DataPackets:  sim.Net.Stats.Totals.DataPackets,
-		Expected:     0,
-		Events:       sim.Net.EventsProcessed(),
-		PeakTimers:   sim.Net.PeakLiveTimers(),
-		SPFRuns:      dep.Counter(metrics.SPFRuns),
-		StateBytes:   dep.StateBytes(),
+		State:        end.State,
+		CtrlMessages: end.Ctrl - warm.Ctrl,
+		DataPackets:  end.Totals.DataPackets - warm.Totals.DataPackets,
+		Events:       end.Events,
+		PeakTimers:   res.PeakLiveTimers,
+		SPFRuns:      end.SPFRuns,
+		StateBytes:   end.StateBytes,
+		// Expected = packets sent per group × receivers per group, summed.
+		Expected: cfg.Groups * cfg.Senders * sendsPer(cfg) * cfg.Members,
 	}
-	for _, l := range sim.EdgeLinks {
-		if n := sim.Net.Stats.PerLink[l.ID].DataPackets; n > res.MaxLinkData {
-			res.MaxLinkData = n
+	// Links touched and concentration: backbone links only (host LANs
+	// always carry data).
+	for _, n := range edgeWindow(warm, end) {
+		if n > 0 {
+			out.LinksTouched++
 		}
+		out.MaxLinkData = max(out.MaxLinkData, n)
 	}
-	// Links touched: backbone links only (host LANs always carry data).
-	for _, l := range sim.EdgeLinks {
-		if sim.Net.Stats.PerLink[l.ID].DataPackets > 0 {
-			res.LinksTouched++
-		}
+	for _, k := range recv {
+		out.Delivered += res.Delivered[k]
 	}
-	for gi := range w.groups {
-		for _, h := range recvHosts[gi] {
-			res.Delivered += h.Received[w.groups[gi]]
-		}
-	}
-	// Expected = packets sent per group × receivers per group, summed.
-	perSender := 0
-	if cfg.PacketInterval > 0 {
-		perSender = int(cfg.Duration/cfg.PacketInterval) + 1
-	}
-	res.Expected = cfg.Groups * cfg.Senders * perSender * cfg.Members
-	return res
+	return out
 }
 
-// deploy starts the recipe's protocol on sim. The experiments only name
-// protocols through the Protocol constants, so a refusal is a programming
-// error.
-func deploy(sim *scenario.Sim, rec scenario.Recipe, extra ...scenario.DeployOption) scenario.Deployment {
-	dep, err := sim.DeployRecipe(rec, extra...)
-	if err != nil {
-		panic("experiments: " + err.Error())
+// pimText accumulates a rendered .pim script, one statement a line.
+type pimText struct {
+	strings.Builder
+	hosted map[int]bool
+}
+
+func (t *pimText) line(format string, a ...any) {
+	fmt.Fprintf(&t.Builder, format+"\n", a...)
+}
+
+// host returns the name of router r's host, h<r>, writing its host line on
+// first use: one host per router, added in first-use order.
+func (t *pimText) host(r int) string {
+	if !t.hosted[r] {
+		if t.hosted == nil {
+			t.hosted = map[int]bool{}
+		}
+		t.hosted[r] = true
+		t.line("host h%d r%d", r, r)
 	}
-	return dep
+	return fmt.Sprintf("h%d", r)
+}
+
+// protocol writes the protocol statement, with the flood-and-prune hold when
+// one is set.
+func (t *pimText) protocol(proto Protocol, prune netsim.Time) {
+	if prune > 0 {
+		t.line("protocol %s prune=%s", proto, script.FormatDuration(prune))
+	} else {
+		t.line("protocol %s", proto)
+	}
+}
+
+// topoLine writes g as a `topo edges` statement: script edge i is g's edge i,
+// with its delay.
+func topoLine(g *topology.Graph) string {
+	var b strings.Builder
+	b.WriteString("topo edges")
+	for _, e := range g.Edges() {
+		fmt.Fprintf(&b, " %d-%d:%d", e.A, e.B, e.Delay)
+	}
+	return b.String()
+}
+
+// runCell parses rendered .pim text and runs it through the one run harness,
+// script.RunWith. The renderers write only what the parser reads and the
+// runner accepts, so a refusal is a programming error.
+func runCell(text string, rc script.RunConfig) *script.Result {
+	sc, err := script.Parse(text)
+	if err == nil {
+		var res *script.Result
+		if res, err = sc.RunWith(rc); err == nil {
+			return res
+		}
+	}
+	panic(fmt.Sprintf("experiments: rendered script refused: %v\n%s", err, text))
+}
+
+// edgeWindow returns each topo edge's data crossings between two readings.
+func edgeWindow(from, to script.Reading) []int64 {
+	out := make([]int64, len(to.EdgeData))
+	for i, n := range to.EdgeData {
+		out[i] = n - from.EdgeData[i]
+	}
+	return out
+}
+
+// meanDelay folds a captured stream's member deliveries after since into
+// their count and mean one-way delay (the Deliver event's Value is the
+// packet's origination time).
+func meanDelay(events []telemetry.Event, since netsim.Time) (n int, mean netsim.Time) {
+	var sum netsim.Time
+	for _, ev := range events {
+		if ev.Kind == telemetry.Deliver && ev.At > since && ev.Value >= 0 {
+			sum += ev.At - netsim.Time(ev.Value)
+			n++
+		}
+	}
+	if n > 0 {
+		mean = sum / netsim.Time(n)
+	}
+	return n, mean
 }
 
 // CompareSparse runs every protocol over the same topology/workload seed.
@@ -274,12 +311,4 @@ func CompareSparse(cfg SparseConfig, protos []Protocol) []Result {
 		out[i] = RunSparse(cfg, protos[i])
 	})
 	return out
-}
-
-// RunSparseOn is RunSparse over a caller-supplied topology (e.g. parsed
-// from a cmd/topogen edge list) instead of a freshly generated random one.
-func RunSparseOn(g *topology.Graph, cfg SparseConfig, proto Protocol) Result {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	cfg.Nodes = g.N()
-	return runSparseImpl(g, cfg, proto, rng)
 }

@@ -320,19 +320,13 @@ func RecoveryScript(cfg RecoveryConfig, proto Protocol, kind string, seed int64)
 	return recoveryTemplate(cfg, lateJoin).Render(string(proto), seed, clauses)
 }
 
-// runCell renders the cell and runs it through the script harness, captured.
-// It fails on what the caller chose — the config, the fault kind, the protocol
-// name; the renderer writes only what the parser reads.
-func runCell(cfg RecoveryConfig, proto Protocol, kind string, seed int64) (*script.Result, error) {
+// runRecoveryCell renders one matrix cell and runs it, captured.
+func runRecoveryCell(cfg RecoveryConfig, proto Protocol, kind string, seed int64) (*script.Result, error) {
 	text, err := RecoveryScript(cfg, proto, kind, seed)
 	if err != nil {
 		return nil, err
 	}
-	sc, err := script.Parse(text)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: rendered cell does not parse: %w\n%s", err, text)
-	}
-	return sc.RunWith(script.RunConfig{Captured: true, Checked: cfg.Checked, Shards: cfg.Shards})
+	return runCell(text, script.RunConfig{Captured: true, Checked: cfg.Checked, Shards: cfg.Shards}), nil
 }
 
 // RecoveryTelemetry runs one recovery cell and replays its captured stream
@@ -342,7 +336,7 @@ func runCell(cfg RecoveryConfig, proto Protocol, kind string, seed int64) (*scri
 // scheduler's timer high-water mark and, for a sharded cell, the per-shard
 // execution counters, both as the network counted them.
 func RecoveryTelemetry(cfg RecoveryConfig, proto Protocol, kind string, interval netsim.Time) (*telemetry.Sampler, error) {
-	res, err := runCell(cfg, proto, kind, parallel.DeriveSeed(cfg.Seed, 0))
+	res, err := runRecoveryCell(cfg, proto, kind, parallel.DeriveSeed(cfg.Seed, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +352,7 @@ func RecoveryTelemetry(cfg RecoveryConfig, proto Protocol, kind string, interval
 // its own protocols and kinds and has checked its config, so a refusal here is
 // a programming error.
 func runRecoveryOnce(cfg RecoveryConfig, proto Protocol, kind string, seed int64) (RecoveryCell, []DeliveryEvent) {
-	res, err := runCell(cfg, proto, kind, seed)
+	res, err := runRecoveryCell(cfg, proto, kind, seed)
 	if err != nil {
 		panic(err)
 	}
@@ -368,7 +362,7 @@ func runRecoveryOnce(cfg RecoveryConfig, proto Protocol, kind string, seed int64
 	cell := RecoveryCell{
 		Protocol:      proto,
 		Fault:         kind,
-		ResidualState: res.State[1] - res.State[0],
+		ResidualState: res.Runs[1].State - res.Runs[0].State,
 		Delivered:     res.Delivered["recvA/G0"] + res.Delivered["recvB/G0"],
 	}
 

@@ -134,11 +134,14 @@ func crashRestartSim(proto Protocol, group addr.IP) (sim *scenario.Sim, dep scen
 	recvA = sim.AddHost(recvARouter)
 	recvB = sim.AddHost(recvBRouter)
 	sim.FinishUnicast(scenario.UseOracle)
-	dep = deploy(sim, scenario.Recipe{
+	dep, err := sim.DeployRecipe(scenario.Recipe{
 		Protocol:   string(proto),
 		Anchors:    map[addr.IP][]addr.IP{group: {sim.RouterAddr(3)}},
 		FastTimers: true,
 	})
+	if err != nil {
+		panic(err)
+	}
 	return sim, dep, src, recvA, recvB
 }
 

@@ -10,7 +10,7 @@
 // the whole language: an operand a row does not declare — positional or
 // key=value — is an error, never ignored.
 //
-//	topo random nodes=<n> degree=<f> [seed=<n>] [mindelay=<n>] [maxdelay=<n>] | file <path> | edges <a>-<b>[:<delay>]...
+//	topo (random nodes=<n> degree=<f> [seed=<n>] [mindelay=<n>] [maxdelay=<n>] | file <path> | edges <a>-<b>[:<delay>]...) [bandwidth=<bytes/s>]
 //	unicast oracle|dv|ls
 //	group <name> [rp <router>...]       # RP candidates in order; the first doubles as the CBT core
 //	faultseed <n>                       # seed of the loss/reorder streams (default 1)
@@ -41,10 +41,13 @@
 //
 // Routers are written r0, r1, ... (or bare indexes), edges by their index in
 // the topology; durations use Go-like suffixes (150ms, 2s, 1m; bare numbers
-// are seconds). topo, unicast, group, faultseed and host are declarations:
-// they take effect before the protocol deploys wherever they stand. The other
-// statements execute in order, and an `at` time counts from the script clock
-// at its statement — deployment plus every preceding `run` — not from zero.
+// are seconds). bandwidth=, on any topo form, caps every edge's link at that
+// many bytes per second, so frames queue behind one another; without it links
+// have no capacity limit. topo, unicast, group, faultseed and host are
+// declarations: they take effect before the protocol deploys wherever they
+// stand. The other statements execute in order, and an `at` time counts from
+// the script clock at its statement — deployment plus every preceding `run` —
+// not from zero.
 //
 // A protocol statement is a scenario.Recipe written out: <name> is one of
 // scenario.ProtocolNames (pim-sm, pim-sm-shared, pim-dm, dvmrp, cbt, mospf),
@@ -85,6 +88,7 @@ import (
 	"pim/internal/addr"
 	"pim/internal/faults"
 	"pim/internal/igmp"
+	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/packet"
 	"pim/internal/scenario"
@@ -138,8 +142,8 @@ type row struct {
 
 // statements is the statement table, in the order the grammar lists it.
 var statements = []row{
-	{name: "topo", synopsis: "random nodes=<n> degree=<f> [seed=<n>] [mindelay=<n>] [maxdelay=<n>] | file <path> | edges <a>-<b>[:<delay>]...",
-		min: 1, max: -1, keys: []string{"nodes", "degree", "seed", "mindelay", "maxdelay"}, decl: true, run: (*runner).doTopo},
+	{name: "topo", synopsis: "(random nodes=<n> degree=<f> [seed=<n>] [mindelay=<n>] [maxdelay=<n>] | file <path> | edges <a>-<b>[:<delay>]...) [bandwidth=<bytes/s>]",
+		min: 1, max: -1, keys: []string{"nodes", "degree", "seed", "mindelay", "maxdelay", "bandwidth"}, decl: true, run: (*runner).doTopo},
 	{name: "unicast", synopsis: "oracle|dv|ls", min: 1, max: 1, decl: true, run: (*runner).doUnicast},
 	{name: "group", synopsis: "<name> [rp <router>...]", min: 1, max: -1, decl: true, run: (*runner).doGroup},
 	{name: "faultseed", synopsis: "<n>", min: 1, max: 1, decl: true, run: (*runner).doFaultSeed},
@@ -369,17 +373,40 @@ type Result struct {
 	// ConvergenceProbe, an experiment's own tally) can be fed from it by
 	// replaying it into a fresh Bus, so none of them needs to know about lanes.
 	Events []telemetry.Event
-	// State holds one sample of the deployment's installed entry count, summed
-	// over the routers, taken at the end of each `run`. It is a reading, not a
-	// fold of Events: a crash drops state without an EntryExpire, and MOSPF's
-	// count is not its event population.
-	State []int
+	// Runs holds one Reading per `run` statement, taken at its end.
+	Runs []Reading
 	// PeakLiveTimers and ShardLoads are the network's own exact counts, read
 	// once after the last statement: the scheduler's timer-population
 	// high-water mark (summed over shards) and the per-shard execution
 	// counters (nil for a sequential run).
 	PeakLiveTimers int
 	ShardLoads     []netsim.ShardLoad
+}
+
+// Reading is the network as one `run` left it. It is a reading, not a fold of
+// Events: a crash drops state without an EntryExpire, MOSPF's count is not its
+// event population, and no event reports a link crossing. Every count runs
+// from deployment, so a window's cost is the difference of two readings;
+// MaxQueueDelay alone covers just this run.
+type Reading struct {
+	// At is the simulated clock at the end of the run.
+	At netsim.Time
+	// State is the deployment's installed entry count, summed over the
+	// routers, and StateBytes their MFIB footprint.
+	State      int
+	StateBytes int64
+	// Ctrl counts protocol control messages sent and SPFRuns Dijkstra
+	// executions, over every router.
+	Ctrl, SPFRuns int64
+	// Totals is the network-wide link traffic; EdgeData holds each topo
+	// edge's data-packet crossings, by edge index.
+	Totals   netsim.LinkStats
+	EdgeData []int64
+	// Events counts the scheduler events processed, over every shard.
+	Events int64
+	// MaxQueueDelay is the worst queueing delay a topo edge's link imposed
+	// during this run.
+	MaxQueueDelay netsim.Time
 }
 
 // OK reports whether every expectation held.
@@ -430,6 +457,9 @@ type runner struct {
 	// `faultseed` statement; default 1).
 	inj       *faults.Injector
 	faultSeed int64
+	// bandwidth is the topo statement's per-link capacity in bytes/s (0:
+	// unbounded).
+	bandwidth int64
 
 	res *Result
 }
@@ -476,11 +506,12 @@ type RunConfig struct {
 // canonical stream — into the Result. The zero RunConfig is the plain run.
 //
 // Sharding: a run executes under cfg.Shards, observed or not — capture and
-// the checker ride one telemetry lane per shard. Three things pin it to
+// the checker ride one telemetry lane per shard. Four things pin it to
 // sequential execution instead: an external Bus (one bus, which parallel
 // shards would race on), FailFast (a shard goroutine must not halt the root
-// scheduler) and a protocol whose recipe says so (scenario.Recipe.Sequential:
-// MOSPF's routers share one link-state Domain).
+// scheduler), a protocol whose recipe says so (scenario.Recipe.Sequential:
+// MOSPF's routers share one link-state Domain) and a topo bandwidth= (a
+// link's transmit queue is not shardable).
 func (s *Script) RunWith(cfg RunConfig) (*Result, error) {
 	// A recorded-verdict scenario needs its checker regardless of how the
 	// caller invoked it: the violation count is part of the outcome.
@@ -541,6 +572,7 @@ func (r *runner) doTopo(st *stmt) error {
 	// The file and edges forms both end in topology.ParseEdgeList: an edge
 	// operand <a>-<b>[:<delay>] is the edge-list line "a b [delay]".
 	var list io.Reader
+	r.bandwidth = keyed(st, "bandwidth", 0, positive)
 	switch rest := st.args[1:]; st.args[0] {
 	case "random":
 		nodes, seed, minD := st.intKV("nodes", 0), st.intKV("seed", 1), st.intKV("mindelay", 1)
@@ -589,7 +621,10 @@ func (r *runner) doTopo(st *stmt) error {
 		return st.errf("unknown topo form %q", st.args[0])
 	}
 	if list != nil {
-		if len(st.keys) > 0 {
+		if st.err != nil {
+			return st.err
+		}
+		if slices.ContainsFunc(st.keys, func(k string) bool { return k != "bandwidth" }) {
 			return st.usage()
 		}
 		g, err := topology.ParseEdgeList(list, scenario.MaxRouters)
@@ -602,6 +637,9 @@ func (r *runner) doTopo(st *stmt) error {
 		return st.errf("%v", err)
 	}
 	r.sim = scenario.Build(r.graph)
+	for _, l := range r.sim.EdgeLinks {
+		l.Bandwidth = r.bandwidth
+	}
 	return nil
 }
 
@@ -750,7 +788,7 @@ func (r *runner) deploy(st *stmt) error {
 	}
 	// Shard before the unicast substrate schedules its first event, unless
 	// the run is one RunWith lists as sequential.
-	if r.cfg.Bus == nil && !r.cfg.FailFast && !rec.Sequential() {
+	if r.cfg.Bus == nil && !r.cfg.FailFast && !rec.Sequential() && r.bandwidth == 0 {
 		r.sim.AutoShardN(r.cfg.Shards)
 	}
 	opts := r.observe()
@@ -812,11 +850,21 @@ func (r *runner) doRun(st *stmt) error {
 		return st.errf("bad duration %q", st.args[0])
 	}
 	r.sim.Run(d)
-	total := 0
-	for i := range r.graph.N() {
-		total += r.dep.StateAt(i)
+	net := r.sim.Net
+	rd := Reading{
+		At: net.Sched.Now(), State: r.dep.TotalState(), StateBytes: r.dep.StateBytes(),
+		Ctrl: r.dep.ControlMessages(), SPFRuns: r.dep.Counter(metrics.SPFRuns),
+		Totals: net.Stats.Totals, Events: net.EventsProcessed(),
+		EdgeData: make([]int64, len(r.sim.EdgeLinks)),
 	}
-	r.res.State = append(r.res.State, total)
+	for i, l := range r.sim.EdgeLinks {
+		if l.ID < len(net.Stats.PerLink) {
+			rd.EdgeData[i] = net.Stats.PerLink[l.ID].DataPackets
+		}
+		rd.MaxQueueDelay = max(rd.MaxQueueDelay, l.MaxQueueDelay)
+		l.MaxQueueDelay = 0
+	}
+	r.res.Runs = append(r.res.Runs, rd)
 	return nil
 }
 
@@ -1095,6 +1143,15 @@ func (st *stmt) intKV(key string, def int) int { return keyed(st, key, def, strc
 
 func (st *stmt) durKV(key string, def netsim.Time) netsim.Time {
 	return keyed(st, key, def, parseDuration)
+}
+
+// positive parses an integer operand that must be above zero.
+func positive(s string) (int64, error) {
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err == nil && n <= 0 {
+		err = fmt.Errorf("%d is not positive", n)
+	}
+	return n, err
 }
 
 // finite parses a float operand, refusing NaN and ±Inf: ParseFloat reads both

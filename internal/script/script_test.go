@@ -531,6 +531,11 @@ var hostileScripts = func() []struct {
 		// naming a node index that once sized the graph before any check.
 		{"topo edges 0-1:2147482\n", 1},
 		{"topo file testdata/huge-index.edges\n", 1},
+		// A link capacity that is no positive byte rate, on every topo form.
+		{"topo edges 0-1 bandwidth=0\n", 1},
+		{"topo random nodes=10 degree=4 bandwidth=-1\n", 1},
+		{"topo edges 0-1 bandwidth=x\n", 1},
+		{"topo edges 0-1 bandwidth=1.5\n", 1},
 	}
 	// Non-finite and overflowing values in every duration position.
 	for _, d := range []string{"NaNs", "Infs", "-Infs", "1e300", "NaN", "1e19m"} {

@@ -1,10 +1,12 @@
 package script
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"pim/internal/netsim"
 	"pim/internal/telemetry"
 )
 
@@ -95,10 +97,12 @@ func TestCheckedRunShards(t *testing.T) {
 	}
 }
 
-// TestResultStateSamples: Result.State holds one reading per `run`, each the
-// sum of what `expect router rN state` reads at that clock, whatever the shard
-// count. The samples are readings rather than a fold of the event stream — the
-// crash in between drops r1's entries without an EntryExpire.
+// TestResultStateSamples: Result.Runs holds one reading per `run`, its State
+// the sum of what `expect router rN state` reads at that clock, whatever the
+// shard count. The samples are readings rather than a fold of the event
+// stream — the crash in between drops r1's entries without an EntryExpire.
+// The other counts run from deployment, so they never fall, and the two edges'
+// data crossings are the backbone share of the network's.
 func TestResultStateSamples(t *testing.T) {
 	const text = `topo edges 0-1 1-2
 group G0 rp r1
@@ -129,8 +133,20 @@ expect router r2 state == 2
 		if !res.OK() {
 			t.Errorf("shards=%d: per-router readings moved: %v", shards, res.Failures)
 		}
-		if want := []int{5, 3}; !reflect.DeepEqual(res.State, want) {
-			t.Errorf("shards=%d: State = %v, want %v (the per-router sums)", shards, res.State, want)
+		var state []int
+		for _, rd := range res.Runs {
+			state = append(state, rd.State)
+		}
+		if want := []int{5, 3}; !reflect.DeepEqual(state, want) {
+			t.Errorf("shards=%d: State = %v, want %v (the per-router sums)", shards, state, want)
+		}
+		first, last := res.Runs[0], res.Runs[1]
+		if last.At-first.At != 10*netsim.Second || last.Ctrl < first.Ctrl || last.Events <= first.Events ||
+			last.Totals.DataPackets <= first.Totals.DataPackets {
+			t.Errorf("shards=%d: readings do not accumulate over the second run: %+v then %+v", shards, first, last)
+		}
+		if edges := last.EdgeData; len(edges) != 2 || edges[0] == 0 || edges[0]+edges[1] >= last.Totals.DataPackets {
+			t.Errorf("shards=%d: edge data %v of %d crossings", shards, edges, last.Totals.DataPackets)
 		}
 		if shards == 2 && (len(res.ShardLoads) != 2 || res.PeakLiveTimers == 0) {
 			t.Errorf("sharded run reported loads %+v, peak timers %d", res.ShardLoads, res.PeakLiveTimers)
@@ -159,5 +175,58 @@ func TestInteropShards(t *testing.T) {
 	}
 	if !shd.OK() || !reflect.DeepEqual(shd.Delivered, seq.Delivered) {
 		t.Errorf("shards=2 failures %v delivered %v, sequential delivered %v", shd.Failures, shd.Delivered, seq.Delivered)
+	}
+}
+
+// TestBandwidthQueuesEdgeLinks: topo bandwidth= caps every edge's link, on the
+// edges and file forms alike — a burst of large packets queues, and the run's
+// reading reports the worst wait — and it pins the run to one shard, so a
+// sharded request gives the sequential outcome. Without the key no frame ever
+// waits.
+func TestBandwidthQueuesEdgeLinks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain.edges")
+	if err := os.WriteFile(path, []byte("0 1\n1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const body = `
+group G0 rp r1
+host src r0
+host recv r2
+protocol pim-sm
+at 0 join recv G0
+run 5s
+at 0 send src G0 count=20 every=10ms size=1000
+run 10s
+`
+	for _, tc := range []struct {
+		topo   string
+		queued bool
+	}{
+		{"topo edges 0-1 1-2", false},
+		{"topo edges 0-1 1-2 bandwidth=10000", true},
+		{"topo file " + path + " bandwidth=10000", true},
+	} {
+		var seq *Result
+		for _, shards := range []int{1, 2} {
+			s, err := Parse(tc.topo + body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.RunWith(RunConfig{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wait := res.Runs[1].MaxQueueDelay; (wait > 0) != tc.queued {
+				t.Errorf("%s shards=%d: worst queueing delay %dus", tc.topo, shards, wait)
+			}
+			if got := res.Delivered["recv/G0"]; got != 20 {
+				t.Errorf("%s shards=%d: delivered %d of 20", tc.topo, shards, got)
+			}
+			if seq == nil {
+				seq = res
+			} else if tc.queued && (res.ShardLoads != nil || !reflect.DeepEqual(res.Runs, seq.Runs)) {
+				t.Errorf("%s: shards=2 ran sharded (%v) or moved its readings", tc.topo, res.ShardLoads)
+			}
+		}
 	}
 }
