@@ -385,9 +385,9 @@ type Result struct {
 
 // Reading is the network as one `run` left it. It is a reading, not a fold of
 // Events: a crash drops state without an EntryExpire, MOSPF's count is not its
-// event population, and no event reports a link crossing. Every count runs
-// from deployment, so a window's cost is the difference of two readings;
-// MaxQueueDelay alone covers just this run.
+// event population, and the link and scheduler counters are in no event.
+// Every count runs from deployment, so a window's cost is the difference of
+// two readings; MaxQueueDelay alone covers just this run.
 type Reading struct {
 	// At is the simulated clock at the end of the run.
 	At netsim.Time
