@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"pim/internal/netsim"
 	"pim/internal/script"
 )
@@ -14,30 +16,29 @@ import (
 //	domain C: border 8 (at 2), interior 9   <- member (+ source Z in 1c)
 const fig1Edges = "0-1:2 1-2:2 2-3:2 3-0:2 0-2:3 0-4:1 4-5:1 1-6:1 6-7:1 2-8:1 8-9:1"
 
-// fig1Members are the member hosts, named for the interior router they sit
-// behind.
-var fig1Members = []string{"h5", "h7", "h9"}
+// fig1Members are the interior routers the member hosts sit behind.
+var fig1Members = []int{5, 7, 9}
 
 // fig1Script writes one Figure 1 run as .pim text: proto deployed with its RP
 // (or core) in domain A, every member joined, a 10 s settle, then each of
 // senders sending one packet a second for dur.
-func fig1Script(proto Protocol, prune netsim.Time, senders []string, dur netsim.Time) string {
+func fig1Script(proto Protocol, prune netsim.Time, senders []int, dur netsim.Time) string {
 	// Figure 1 compares the tree-building protocols; MOSPF has no place in it.
 	if proto == MOSPF {
 		panic("experiments: protocol not applicable to figure 1: " + string(proto))
 	}
 	var t pimText
 	t.line("topo edges %s\nunicast oracle\ngroup G0 rp r4", fig1Edges)
-	for _, h := range fig1Members {
-		t.line("host %s r%s", h, h[1:])
+	for _, r := range fig1Members {
+		t.host(r)
 	}
 	t.protocol(proto, prune)
-	for _, h := range fig1Members {
-		t.line("at 0 join %s G0", h)
+	for _, r := range fig1Members {
+		t.line("at 0 join h%d G0", r)
 	}
 	t.line("run 10s")
-	for _, h := range senders {
-		t.line("at 0 send %s G0 count=%d every=1s size=128", h, dur/netsim.Second+1)
+	for _, r := range senders {
+		t.line("at 0 send h%d G0 count=%d every=1s size=128", r, dur/netsim.Second+1)
 	}
 	t.line("run %s", script.FormatDuration(dur))
 	return t.String()
@@ -71,7 +72,7 @@ type Fig1Result struct {
 // sparse-mode trees touch only member paths. The source sends for 4 prune
 // lifetimes so dense-mode grow-back shows up in the measured phase.
 func RunFig1Broadcast(proto Protocol, pruneLifetime netsim.Time) Fig1Result {
-	res := runCell(fig1Script(proto, pruneLifetime, []string{"h5"}, 4*pruneLifetime), script.RunConfig{})
+	res := runCell(fig1Script(proto, pruneLifetime, []int{5}, 4*pruneLifetime), script.RunConfig{})
 	return fig1Fold(proto, res)
 }
 
@@ -80,7 +81,7 @@ func RunFig1Broadcast(proto Protocol, pruneLifetime netsim.Time) Fig1Result {
 // traffic funnels over the links toward the core, while SPTs route B↔C
 // traffic over the shorter direct path.
 func RunFig1Concentration(proto Protocol) Fig1Result {
-	res := runCell(fig1Script(proto, 600*netsim.Second, []string{"h7", "h9"}, 60*netsim.Second),
+	res := runCell(fig1Script(proto, 600*netsim.Second, []int{7, 9}, 60*netsim.Second),
 		script.RunConfig{Captured: true})
 	out := fig1Fold(proto, res)
 	_, out.MeanDelay = meanDelay(res.Events, res.Runs[0].At)
@@ -107,8 +108,8 @@ func fig1Fold(proto Protocol, res *script.Result) Fig1Result {
 			}
 		}
 	}
-	for _, h := range fig1Members {
-		out.Delivered += res.Delivered[h+"/G0"]
+	for _, r := range fig1Members {
+		out.Delivered += res.Delivered[fmt.Sprintf("h%d/G0", r)]
 	}
 	return out
 }
