@@ -79,7 +79,7 @@ bench-smoke:
 	$(GO) run ./cmd/pimbench run scaling -smoke -shards 4
 	$(GO) run ./cmd/pimscript -check scenarios/rpfailover.pim
 	$(GO) test -run 'TestScenariosPoisonedPool' -count=1 ./internal/script/
-	$(GO) test -run 'ZeroAlloc|Footprint' -count=1 ./internal/engine/ ./internal/core/ ./internal/mfib/ ./internal/netsim/ ./internal/pimdm/ ./internal/dvmrp/ ./internal/cbt/ ./internal/mospf/ ./internal/igmp/
+	$(GO) test -run 'ZeroAlloc|Footprint' -count=1 ./internal/engine/ ./internal/core/ ./internal/mfib/ ./internal/netsim/ ./internal/pimdm/ ./internal/dvmrp/ ./internal/cbt/ ./internal/mospf/ ./internal/igmp/ ./internal/scenario/
 	$(GO) test -run 'TestFlatMapStoreLockstep' -count=1 ./internal/mfib/
 	$(GO) test -race -count=1 -run 'TestOracle' ./internal/unicast/
 	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/script/ ./internal/netsim/... ./internal/parallel/... ./internal/faultsearch/ ./internal/faults/ ./internal/mfib/

@@ -5,6 +5,7 @@ import (
 
 	"pim/internal/addr"
 	"pim/internal/netsim"
+	"pim/internal/pimmsg"
 	"pim/internal/unicast"
 )
 
@@ -47,24 +48,16 @@ func TestQueryRefreshZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestJoinPruneRefreshZeroAlloc pins the warm periodic join/prune refresh —
-// the batching walk over the MFIB, per-destination record assembly in the
-// router's reusable jpBatch/jpMsg scratch, append-encode, pooled transmit,
-// and the receivers' into-decode plus oif refresh — at zero heap
-// allocations per cycle. This is the steady-state control-plane path every
-// sparse-mode router runs every JoinPruneInterval for every entry, so a
-// single allocation here multiplies by the whole internet (DESIGN.md §16).
-//
-// The topology is a pure shared-tree line (member — a — b — c=RP) with
-// several joined groups, so the refresh carries multiple group records per
-// message and the grab/add batching paths are all exercised; nothing
-// triggers non-periodic sends mid-measure.
-func TestJoinPruneRefreshZeroAlloc(t *testing.T) {
-	net := netsim.NewNetwork()
+// sparseLine builds the shared-tree line member — a — b — c=RP used by the
+// sparse-mode allocation pins: a is the DR for the member LAN (no peer on
+// it), and each of the n groups is joined there and has reached the RP.
+func sparseLine(t *testing.T, n int) (net *netsim.Network, ra, rb, rc *Router, host *netsim.Iface, groups []addr.IP) {
+	t.Helper()
+	net = netsim.NewNetwork()
 	na := net.AddNode("a")
 	nb := net.AddNode("b")
 	nc := net.AddNode("c")
-	host := net.AddIface(na, addr.V4(10, 100, 0, 1)) // member LAN, no peer
+	host = net.AddIface(na, addr.V4(10, 100, 0, 1)) // member LAN, no peer
 	iab := net.AddIface(na, addr.V4(10, 0, 0, 1))
 	iba := net.AddIface(nb, addr.V4(10, 0, 0, 2))
 	ibc := net.AddIface(nb, addr.V4(10, 0, 1, 1))
@@ -73,17 +66,16 @@ func TestJoinPruneRefreshZeroAlloc(t *testing.T) {
 	net.Connect(ibc, icb, netsim.Millisecond)
 	oracle := unicast.NewOracle(net)
 
-	const n = 4
 	rpMap := map[addr.IP][]addr.IP{}
-	groups := make([]addr.IP, n)
+	groups = make([]addr.IP, n)
 	for i := range groups {
 		groups[i] = addr.GroupForIndex(i)
 		rpMap[groups[i]] = []addr.IP{icb.Addr}
 	}
 	cfg := Config{RPMapping: rpMap}
-	ra := New(na, cfg, oracle.RouterFor(na))
-	rb := New(nb, cfg, oracle.RouterFor(nb))
-	rc := New(nc, cfg, oracle.RouterFor(nc))
+	ra = New(na, cfg, oracle.RouterFor(na))
+	rb = New(nb, cfg, oracle.RouterFor(nb))
+	rc = New(nc, cfg, oracle.RouterFor(nc))
 	ra.Start()
 	rb.Start()
 	rc.Start()
@@ -97,16 +89,91 @@ func TestJoinPruneRefreshZeroAlloc(t *testing.T) {
 			t.Fatalf("shared tree for %v did not reach the RP", g)
 		}
 	}
+	return net, ra, rb, rc, host, groups
+}
 
-	cycle := func() {
-		ra.periodicRefresh()
-		rb.periodicRefresh()
-		net.Sched.RunUntil(net.Sched.Now() + 10*netsim.Millisecond)
-	}
+// warmZeroAlloc runs cycle long enough to reach steady state, then asserts
+// it allocates nothing. The warm loop is long for the reason
+// TestQueryRefreshZeroAlloc gives; callers keep the measured window inside
+// one periodic interval of every timer they do not mean to exercise.
+func warmZeroAlloc(t *testing.T, what string, cycle func()) {
+	t.Helper()
 	for i := 0; i < 1500; i++ {
 		cycle()
 	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Errorf("warm join/prune refresh cycle: %.2f allocs, want 0", allocs)
+		t.Errorf("%s: %.2f allocs, want 0", what, allocs)
 	}
+}
+
+// TestJoinPruneRefreshZeroAlloc pins the warm periodic join/prune refresh —
+// the batching walk over the MFIB, per-destination record assembly in the
+// router's reusable jpBatch/jpMsg scratch, append-encode, pooled transmit,
+// and the receivers' into-decode plus oif refresh — at zero heap
+// allocations per cycle. This is the steady-state control-plane path every
+// sparse-mode router runs every JoinPruneInterval for every entry, so a
+// single allocation here multiplies by the whole internet (DESIGN.md §16).
+//
+// The topology is a pure shared-tree line (member — a — b — c=RP) with
+// several joined groups, so the refresh carries multiple group records per
+// message and the grab/add batching paths are all exercised; nothing
+// triggers non-periodic sends mid-measure.
+func TestJoinPruneRefreshZeroAlloc(t *testing.T) {
+	net, ra, rb, _, _, _ := sparseLine(t, 4)
+	warmZeroAlloc(t, "warm join/prune refresh cycle", func() {
+		ra.periodicRefresh()
+		rb.periodicRefresh()
+		net.Sched.RunUntil(net.Sched.Now() + 10*netsim.Millisecond)
+	})
+}
+
+// TestLocalRejoinZeroAlloc pins a member re-joining a group whose (*,G)
+// already exists (§3.2): the triggered join is encoded into the router's
+// scratch, the upstream refreshes its oif, and the RP fail-over timer is
+// re-armed in place (§3.9) rather than replaced by a new timer and closure.
+func TestLocalRejoinZeroAlloc(t *testing.T) {
+	net, ra, _, _, host, groups := sparseLine(t, 1)
+	warmZeroAlloc(t, "warm local re-join", func() {
+		ra.LocalJoin(host, groups[0])
+		net.Sched.RunUntil(net.Sched.Now() + 10*netsim.Millisecond)
+	})
+}
+
+// TestRPReachZeroAlloc pins one RP-reachability message from the RP down
+// the shared tree to a router with local members (§3.2, §3.9): the transit
+// router relays it, and the member router re-arms its fail-over timer in
+// place and passes the message on to its member LAN.
+func TestRPReachZeroAlloc(t *testing.T) {
+	net, ra, _, rc, _, groups := sparseLine(t, 1)
+	if ra.rpTimer[groups[0]] == nil {
+		t.Fatal("member router armed no RP timer")
+	}
+	warmZeroAlloc(t, "warm RP-reach relay to a member router", func() {
+		rc.originateRPReach()
+		net.Sched.RunUntil(net.Sched.Now() + 10*netsim.Millisecond)
+	})
+}
+
+// TestPointToPointPruneZeroAlloc pins a (*,G) prune over a point-to-point
+// link (§3.6), which applies at once with no override delay, together with
+// the join that restores the branch. The upstream keeps a local member, so
+// the prune leaves its entry non-empty and sends nothing further.
+func TestPointToPointPruneZeroAlloc(t *testing.T) {
+	net, ra, rb, _, _, groups := sparseLine(t, 1)
+	g := groups[0]
+	rb.LocalJoin(net.AddIface(rb.Node, addr.V4(10, 100, 1, 1)), g)
+	wc := ra.MFIB.Wildcard(g)
+	up := []pimmsg.Addr{{Addr: wc.RP, WC: true, RP: true}}
+	send := func(joins, prunes []pimmsg.Addr) {
+		ra.sendJoinPrune(wc.IIF, wc.UpstreamNeighbor, g, joins, prunes)
+		net.Sched.RunUntil(net.Sched.Now() + 10*netsim.Millisecond)
+	}
+	bwc := rb.MFIB.Wildcard(g)
+	if send(nil, up); bwc.OIFCount() != 1 || bwc.DeleteAt != 0 {
+		t.Fatalf("after the prune b holds %d oifs (delete at %v), want its member LAN only", bwc.OIFCount(), bwc.DeleteAt)
+	}
+	warmZeroAlloc(t, "warm point-to-point prune and re-join", func() {
+		send(up, nil)
+		send(nil, up)
+	})
 }

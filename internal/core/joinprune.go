@@ -63,14 +63,18 @@ func (r *Router) LocalLeave(ifc *netsim.Iface, g addr.IP) {
 // armRPTimer (re)starts the RP fail-over timer for a group with local
 // members (§3.9). A router that is itself the group's RP never arms one:
 // it originates the reachability messages and cannot hear its own beacons.
+// A running timer is re-armed in place: Reset takes the scheduler sequence
+// number Stop + After would, without a new timer or closure; only a first
+// arm, or one after the timer fired, builds them.
 func (r *Router) armRPTimer(g addr.IP) {
 	if rp, ok := r.rpFor(g); ok && r.Node.OwnsAddr(rp) {
 		return
 	}
-	if tm := r.rpTimer[g]; tm != nil {
-		tm.Stop()
+	d := 3 * r.Cfg.RPReachInterval
+	if tm := r.rpTimer[g]; tm != nil && tm.Reset(d) {
+		return
 	}
-	r.rpTimer[g] = r.After(3*r.Cfg.RPReachInterval, func() { r.rpFailover(g) })
+	r.rpTimer[g] = r.After(d, func() { r.rpFailover(g) })
 }
 
 // --- Sending ---
@@ -515,10 +519,7 @@ func (r *Router) pruneShared(in *netsim.Iface, g addr.IP) {
 	if o == nil {
 		return
 	}
-	r.scheduleOIFPrune(wc, o, in, func(e *mfib.Entry) {
-		e.RemoveOIF(in)
-		r.checkEmptyOIF(e)
-	})
+	r.scheduleOIFPrune(wc, o, in)
 }
 
 // pruneSPT removes a downstream interface from (S,G).
@@ -531,24 +532,21 @@ func (r *Router) pruneSPT(in *netsim.Iface, g, s addr.IP) {
 	if o == nil {
 		return
 	}
-	r.scheduleOIFPrune(sg, o, in, func(e *mfib.Entry) {
-		e.RemoveOIF(in)
-		r.checkEmptyOIF(e)
-	})
+	r.scheduleOIFPrune(sg, o, in)
 }
 
-// scheduleOIFPrune applies a prune immediately on point-to-point links and
-// after the override window on LANs, unless a join cancels it first. The
-// deferred path must not capture the entry or oif pointers across the
-// delay: oif storage moves under structural list mutation and the flat
-// store recycles entry slots, so the closure re-looks the entry up by key,
-// checks Life() to reject a deleted-and-recreated incarnation, and tests
-// the prune-pending state on whatever oif the interface has now (a join in
-// the window clears PrunePending, which cancels the prune exactly as the
-// old pointer-identity check did).
-func (r *Router) scheduleOIFPrune(e *mfib.Entry, o *mfib.OIF, in *netsim.Iface, apply func(*mfib.Entry)) {
+// scheduleOIFPrune applies a prune (pruneOIF) immediately on point-to-point
+// links and after the override window on LANs, unless a join cancels it
+// first. The deferred path must not capture the entry or oif pointers
+// across the delay: oif storage moves under structural list mutation and
+// the flat store recycles entry slots, so the closure re-looks the entry up
+// by key, checks Life() to reject a deleted-and-recreated incarnation, and
+// tests the prune-pending state on whatever oif the interface has now (a
+// join in the window clears PrunePending, which cancels the prune exactly
+// as the old pointer-identity check did).
+func (r *Router) scheduleOIFPrune(e *mfib.Entry, o *mfib.OIF, in *netsim.Iface) {
 	if in.Link == nil || !in.Link.IsLAN() {
-		apply(e)
+		r.pruneOIF(e, in)
 		return
 	}
 	now := r.Now()
@@ -562,9 +560,16 @@ func (r *Router) scheduleOIFPrune(e *mfib.Entry, o *mfib.OIF, in *netsim.Iface, 
 			return
 		}
 		if co := cur.OIF(in.Index); co != nil && co.PrunePending && r.Now() >= co.PruneDeadline {
-			apply(cur)
+			r.pruneOIF(cur, in)
 		}
 	})
+}
+
+// pruneOIF removes the pruned interface and, if that empties the entry,
+// prunes upstream (§3.6).
+func (r *Router) pruneOIF(e *mfib.Entry, in *netsim.Iface) {
+	e.RemoveOIF(in)
+	r.checkEmptyOIF(e)
 }
 
 // pruneSourceOnShared handles a prune with the RP bit: source S is pruned

@@ -1,6 +1,7 @@
 package igmp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -143,7 +144,7 @@ func TestMembershipExpiresWhenHostGoesSilent(t *testing.T) {
 	hosts[0].Join(g)
 	net.Sched.RunUntil(netsim.Second)
 	// Silence the host without a leave (crash model).
-	delete(hosts[0].joined, g)
+	hosts[0].joined = nil
 	net.Sched.RunUntil(net.Sched.Now() + 2*DefaultMembershipHoldTime)
 	if q.HasAnyMember(g) {
 		t.Error("membership survived host silence")
@@ -223,5 +224,52 @@ func TestGroupsEnumeration(t *testing.T) {
 	net.Sched.RunUntil(netsim.Second)
 	if got := q.Groups(); len(got) != 2 {
 		t.Errorf("Groups() = %v", got)
+	}
+}
+
+// queryReports sends one query and returns the groups of the reports the
+// hosts answer it with, in transmission order, with their delivery times.
+func queryReports(net *netsim.Network, q *Querier) (groups []addr.IP, at []netsim.Time) {
+	net.Trace = func(ev netsim.TraceEvent) {
+		if m, err := Unmarshal(ev.Pkt.Payload); ev.Pkt.Protocol == packet.ProtoIGMP && err == nil && m.Type == TypeReport {
+			groups, at = append(groups, m.Group), append(at, ev.At)
+		}
+	}
+	q.query()
+	net.Sched.RunUntil(net.Sched.Now() + netsim.Second)
+	net.Trace = nil
+	return groups, at
+}
+
+// TestQueryResponsesInGroupOrder pins that reports due at the same instant
+// leave in ascending group order, whatever order the host joined in.
+func TestQueryResponsesInGroupOrder(t *testing.T) {
+	for run := 0; run < 5; run++ {
+		net, q, hosts := lanSetup(t, 1)
+		hosts[0].ReportDelayWindow = 1 // every response due at once
+		for i := 7; i >= 0; i-- {
+			hosts[0].Join(addr.GroupForIndex(i))
+		}
+		net.Sched.RunUntil(netsim.Second)
+		got, _ := queryReports(net, q)
+		if len(got) != 8 || !slices.IsSorted(got) {
+			t.Fatalf("run %d: responses %v, want 8 in ascending group order", run, got)
+		}
+	}
+}
+
+// TestZeroReportWindowAnswersAtOnce pins that a report window of zero
+// answers a query at its arrival instant instead of dividing by zero.
+func TestZeroReportWindowAnswersAtOnce(t *testing.T) {
+	net, q, hosts := lanSetup(t, 1)
+	hosts[0].ReportDelayWindow = 0
+	g := addr.GroupForIndex(0)
+	hosts[0].Join(g)
+	net.Sched.RunUntil(netsim.Second)
+	sent := net.Sched.Now()
+	got, at := queryReports(net, q)
+	// One LAN hop for the query, one for the report.
+	if len(got) != 1 || got[0] != g || at[0] != sent+2*netsim.Millisecond {
+		t.Fatalf("responses %v at %v, want %v at %v", got, at, g, sent+2*netsim.Millisecond)
 	}
 }

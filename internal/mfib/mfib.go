@@ -280,8 +280,8 @@ func (o *OIF) Live(now netsim.Time) bool {
 
 // AppendLiveOIFs appends the interfaces to forward over — excluding the
 // given arrival interface, in ascending index order — to dst and returns it.
-// The allocation-free form of LiveOIFs for compiled-plan rebuilds and other
-// hot walks.
+// Appending into a recycled dst keeps compiled-plan rebuilds and other hot
+// walks allocation-free.
 func (e *Entry) AppendLiveOIFs(dst []*netsim.Iface, now netsim.Time, except *netsim.Iface) []*netsim.Iface {
 	for i := 0; i < int(e.noif); i++ {
 		o := e.oifAt(i)
@@ -294,12 +294,6 @@ func (e *Entry) AppendLiveOIFs(dst []*netsim.Iface, now netsim.Time, except *net
 		dst = append(dst, o.Iface)
 	}
 	return dst
-}
-
-// LiveOIFs returns the interfaces to forward over, excluding the given
-// arrival interface, sorted by index for determinism.
-func (e *Entry) LiveOIFs(now netsim.Time, except *netsim.Iface) []*netsim.Iface {
-	return e.AppendLiveOIFs(nil, now, except)
 }
 
 // OIFEmpty reports whether no live outgoing interface remains.

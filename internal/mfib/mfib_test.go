@@ -97,7 +97,7 @@ func TestLiveOIFsExcludesArrivalIface(t *testing.T) {
 	for _, ifc := range ifs {
 		e.AddOIF(ifc, 100)
 	}
-	out := e.LiveOIFs(50, ifs[1])
+	out := e.AppendLiveOIFs(nil, 50, ifs[1])
 	if len(out) != 2 {
 		t.Fatalf("LiveOIFs = %v", out)
 	}

@@ -1,6 +1,10 @@
 package mfib
 
-import "pim/internal/netsim"
+import (
+	"slices"
+
+	"pim/internal/netsim"
+)
 
 // This file compiles §3.5 forwarding decisions into flat fan-out slices.
 //
@@ -125,15 +129,18 @@ func (e *Entry) lookupPlan(kind int8, except *netsim.Iface, d0, d1, d2 *Entry, n
 		}
 		return p.out
 	}
-	e.plans = append(e.plans, plan{kind: kind, except: except})
+	// Reuse a recycled slot's element, and with it the fan-out capacity
+	// compile appends into: Upsert keeps plans[:0] for exactly this.
+	e.plans = slices.Grow(e.plans, 1)[:len(e.plans)+1]
 	p := &e.plans[len(e.plans)-1]
+	p.kind, p.except = kind, except
 	p.compile(d0, d1, d2, now)
 	return p.out
 }
 
-// ForwardOIFs is the per-packet form of LiveOIFs: the entry's live outgoing
-// interfaces excluding the arrival interface, served from a compiled plan
-// when valid.
+// ForwardOIFs is the per-packet form of AppendLiveOIFs: the entry's live
+// outgoing interfaces excluding the arrival interface, served from a
+// compiled plan when valid.
 func (e *Entry) ForwardOIFs(now netsim.Time, except *netsim.Iface) []*netsim.Iface {
 	return e.lookupPlan(planSelf, except, e, nil, nil, now)
 }

@@ -95,11 +95,11 @@ func TestPlansMatchReferenceLists(t *testing.T) {
 					t.Fatalf("trial %d step %d: %s fast=%v ref=%v", trial, step, name, got, want)
 				}
 			}
-			check("self", wc.ForwardOIFs(now, except), wc.LiveOIFs(now, except))
+			check("self", wc.ForwardOIFs(now, except), wc.AppendLiveOIFs(nil, now, except))
 			check("shared", SharedForward(wc, rpt, now, except), sharedList(wc, rpt, now, except))
 			check("union", UnionForward(sg, wc, rpt, now, except), unionList(sg, wc, rpt, now, except))
 			// Same instant again: the cached plan must serve identically.
-			check("self/hit", wc.ForwardOIFs(now, except), wc.LiveOIFs(now, except))
+			check("self/hit", wc.ForwardOIFs(now, except), wc.AppendLiveOIFs(nil, now, except))
 			check("union/hit", UnionForward(sg, wc, rpt, now, except), unionList(sg, wc, rpt, now, except))
 		}
 	}
@@ -190,6 +190,29 @@ func TestWarmForwardAllocFree(t *testing.T) {
 		UnionForward(sg, wc, rpt, now, in)
 	}); n != 0 {
 		t.Errorf("warm fan-out resolution allocates %.1f per run", n)
+	}
+}
+
+// TestRecycledPlanZeroAlloc pins that a recycled slot keeps its compiled
+// fan-out capacity: deleting an entry, re-creating it and forwarding once
+// allocates nothing, because the new plan reuses the old element's slice.
+func TestRecycledPlanZeroAlloc(t *testing.T) {
+	ifs := testIfaces(4)
+	tb := NewTable()
+	k := Key{Group: addr.GroupForIndex(0), RPBit: true}
+	cycle := func() {
+		tb.Delete(k)
+		e, _ := tb.Upsert(k, 0)
+		for _, ifc := range ifs[:3] {
+			e.AddOIF(ifc, 1000)
+		}
+		if got := e.ForwardOIFs(10, ifs[3]); len(got) != 3 {
+			t.Fatalf("fan-out %v, want 3 oifs", got)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("re-created entry's first forward allocates %.1f per run", n)
 	}
 }
 

@@ -277,8 +277,8 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 				if fe.HasOIF(ifc, now) != re.HasOIF(ifc, now) {
 					t.Fatalf("op %d: HasOIF differs on %v", i, k)
 				}
-				fl := fe.LiveOIFs(now, nil)
-				rl := re.LiveOIFs(now, nil)
+				fl := fe.AppendLiveOIFs(nil, now, nil)
+				rl := re.AppendLiveOIFs(nil, now, nil)
 				if len(fl) != len(rl) {
 					t.Fatalf("op %d: LiveOIFs %d vs %d on %v", i, len(fl), len(rl), k)
 				}
@@ -421,7 +421,7 @@ func TestFlatStoreSpill(t *testing.T) {
 	if e.OIFCount() != len(ifs) {
 		t.Fatalf("OIFCount = %d, want %d", e.OIFCount(), len(ifs))
 	}
-	live := e.LiveOIFs(50, nil)
+	live := e.AppendLiveOIFs(nil, 50, nil)
 	if len(live) != len(ifs) {
 		t.Fatalf("LiveOIFs = %d, want %d", len(live), len(ifs))
 	}

@@ -291,10 +291,12 @@ func SendData(h *igmp.Host, g addr.IP, size int) {
 	if size < 8 {
 		size = 8
 	}
-	payload := make([]byte, size)
-	binary.BigEndian.PutUint64(payload, uint64(h.Node.Sched().Now()))
-	pkt := packet.New(h.Iface.Addr, g, packet.ProtoUDP, payload)
-	h.Node.Send(h.Iface, pkt, 0)
+	// The host's scratch is free again once Send returns (it copies).
+	b := slices.Grow(h.Enc.Buf[:0], size)[:size]
+	clear(b)
+	binary.BigEndian.PutUint64(b, uint64(h.Node.Sched().Now()))
+	h.Enc.Buf = b
+	h.Node.Send(h.Iface, h.Enc.Packet(h.Iface.Addr, g, packet.ProtoUDP, packet.DefaultTTL), 0)
 }
 
 // Latency extracts the one-way delay of a data packet sent with SendData.

@@ -227,6 +227,32 @@ func TestSendDataCarriesTimestamp(t *testing.T) {
 	}
 }
 
+// TestSendDataZeroAlloc pins host data origination at zero allocations: the
+// payload is built in the host's scratch, and Send copies it into a pooled
+// frame that the router's handler consumes.
+func TestSendDataZeroAlloc(t *testing.T) {
+	sim := Build(square())
+	h := sim.AddHost(0)
+	sim.FinishUnicast(UseOracle)
+	got := 0
+	sim.Routers[0].Handle(packet.ProtoUDP, netsim.HandlerFunc(
+		func(in *netsim.Iface, pkt *packet.Packet) { got++ }))
+	g := addr.GroupForIndex(0)
+	cycle := func() {
+		SendData(h, g, 64)
+		sim.Run(10 * netsim.Millisecond)
+	}
+	for i := 0; i < 1500; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("warm SendData: %.2f allocs, want 0", allocs)
+	}
+	if got != 1601 {
+		t.Errorf("router received %d data packets, want 1601", got)
+	}
+}
+
 func TestLatencyRejectsGarbage(t *testing.T) {
 	if _, ok := Latency(100, &packet.Packet{Payload: []byte{1, 2}}); ok {
 		t.Error("short payload accepted")
