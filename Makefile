@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check fmt build vet test race fuzz-smoke corpus update-goldens bench-smoke bench-driver bench-record loc profile bench fig2-ledger recovery-ledger scale-ledger tenk-ledger dense4k-ledger faultsearch-ledger
+.PHONY: check fmt build vet test race fuzz-smoke corpus update-goldens bench-smoke bench-driver bench-record loc profile bench fig2-ledger recovery-ledger scale-ledger tenk-ledger faultsearch-ledger
 
 # check is the full gate: formatting, vet, build, race-enabled tests, a short
 # mutating pass over every native fuzz target, the
-# self-verifying scenario corpus under its two-cell matrix, the benchmark smoke
+# self-verifying scenario corpus, the benchmark smoke
 # pass (every registered benchmark plus the allocation pins), and the frozen
 # repository-benchmark driver built and smoke-run against this tree.
 check: fmt vet build race fuzz-smoke corpus bench-smoke bench-driver
@@ -39,7 +39,7 @@ fuzz-smoke:
 	done
 
 # corpus runs every scenarios/**/*.pim — the found/ counterexamples and the
-# baselines/ CBT and MOSPF scenarios included — sequentially and on 2 shards,
+# baselines/ CBT and MOSPF scenarios included — under the invariant checker,
 # and checks each run against the scenario's embedded golden digest
 # (DESIGN.md §15).
 corpus:
@@ -58,10 +58,8 @@ update-goldens:
 # bench-smoke is the single benchmark smoke gate. It runs every registered
 # benchmark once at smoke size through the shared refuse-to-record machinery
 # (`pimbench run all -smoke` — a new benchmark registered via bench.Register
-# joins this gate with no Makefile edit), repeats the scaling sweep with 4
-# shards to exercise the sharded-execution gate (DESIGN.md §12), replays a
-# fault scenario under the online invariant checker (§10), pins the
-# borrowed-frame contract (poison-on-release, §13), the per-engine
+# joins this gate with no Makefile edit), replays a fault scenario under the
+# online invariant checker (§10), pins the borrowed-frame contract (poison-on-release, §13), the per-engine
 # AllocsPerRun counts — control refresh at 0, one data packet through one
 # forwarding router of each engine at exactly the Forwarded header copy (§20)
 # — the per-router footprint pins (one shared RP table per deployment, a
@@ -76,7 +74,6 @@ update-goldens:
 # them (not just slows them) is caught by `make check`.
 bench-smoke:
 	$(GO) run ./cmd/pimbench run all -smoke
-	$(GO) run ./cmd/pimbench run scaling -smoke -shards 4
 	$(GO) run ./cmd/pimscript -check scenarios/rpfailover.pim
 	$(GO) test -run 'TestScenariosPoisonedPool' -count=1 ./internal/script/
 	$(GO) test -run 'ZeroAlloc|Footprint' -count=1 ./internal/engine/ ./internal/core/ ./internal/mfib/ ./internal/netsim/ ./internal/pimdm/ ./internal/dvmrp/ ./internal/cbt/ ./internal/mospf/ ./internal/igmp/ ./internal/scenario/
@@ -146,18 +143,13 @@ fig2-ledger:
 recovery-ledger:
 	$(GO) run ./cmd/pimbench run recovery -label $(or $(LABEL),run)
 
-# scale-ledger appends the large-internet scaling sweeps; set SHARDS to also
-# record a sharded pass gated against the sequential grid.
+# scale-ledger appends the large-internet scaling sweeps, tenk-ledger the
+# 10 000-router size cell.
 scale-ledger:
-	$(GO) run ./cmd/pimbench run scaling -label $(or $(LABEL),run) -shards $(or $(SHARDS),1)
+	$(GO) run ./cmd/pimbench run scaling -label $(or $(LABEL),run)
 
 tenk-ledger:
-	$(GO) run ./cmd/pimbench run tenk -label $(or $(LABEL),run) -shards $(or $(SHARDS),4)
-
-# dense4k-ledger appends the 4 096-router PIM-DM data cell, the shape sharding
-# wins on (EXPERIMENTS.md, honest-hardware note), sequential and on 2 shards.
-dense4k-ledger:
-	$(GO) run ./cmd/pimbench run dense4k -label $(or $(LABEL),run) -shards $(or $(SHARDS),2)
+	$(GO) run ./cmd/pimbench run tenk -label $(or $(LABEL),run)
 
 # faultsearch-ledger runs the full-budget fault-schedule search and adds any
 # newly found minimized counterexample to the scenarios/found/ corpus (run

@@ -21,17 +21,16 @@
 // in the Makefile (DESIGN.md §15).
 //
 // Every ledgered benchmark shares two contracts the registry enforces:
-// entries are stamped with a LedgerHeader (host parallelism, shard count, GC
-// figures), and a benchmark whose differential gate fails — parallel series
-// diverging from sequential, sharded grid from sequential, corpus replay
-// regressing — records nothing and exits non-zero.
+// entries are stamped with a LedgerHeader (host parallelism, GC figures),
+// and a benchmark whose differential gate fails — parallel series diverging
+// from sequential, corpus replay regressing — records nothing and exits
+// non-zero.
 //
 // Run flags:
 //
 //	-smoke         CI-sized workload: every gate runs, no ledger is written
 //	-label s       entry label (e.g. seed, after-solver)
 //	-out file      ledger path override (default per benchmark)
-//	-shards n      simulation shard count (scaling/tenk/dense4k add a sharded pass)
 //	-seed n        faultsearch: search seed
 //	-budget n      faultsearch: schedules to evaluate
 //	-workers n     faultsearch: evaluation workers (0 = all CPUs)
@@ -96,7 +95,6 @@ func runCmd(args []string) {
 	label := fs.String("label", "run", "entry label (e.g. seed, after-solver)")
 	smoke := fs.Bool("smoke", false, "CI-sized workload: verify every gate, record nothing")
 	out := fs.String("out", "", "ledger file to append to (default per benchmark)")
-	shards := fs.Int("shards", 1, "simulation shard count (1 = sequential; sharded runs are gated against the sequential grid)")
 	seed := fs.Int64("seed", 1, "faultsearch: search seed (fixed seed => bit-identical schedules, violations, and minimized output)")
 	budget := fs.Int("budget", 300, "faultsearch: schedules to evaluate")
 	workers := fs.Int("workers", 0, "faultsearch: trial evaluation workers (0 = all CPUs; the report is worker-count invariant)")
@@ -154,7 +152,7 @@ func runCmd(args []string) {
 			fmt.Printf("=== %s\n", name)
 		}
 		ctx := &bench.Context{
-			Label: *label, Smoke: *smoke, Out: *out, Shards: *shards,
+			Label: *label, Smoke: *smoke, Out: *out,
 			Seed: *seed, Budget: *budget, Workers: *workers,
 			CorpusDir: *corpus, EmitDir: *emit,
 			Logf: func(format string, a ...interface{}) {

@@ -11,9 +11,8 @@
 //	pimscript -corpus scenarios          discover + verify the whole corpus
 //
 // -corpus runs every *.pim below the directory (found/ and baselines/
-// included) sequentially and on 2 shards under the invariant checker, and
-// verifies each file's embedded `-- golden --` digest in both cells
-// (DESIGN.md §15).
+// included) under the invariant checker and verifies each file's embedded
+// `-- golden --` digest (DESIGN.md §15).
 package main
 
 import (
@@ -29,7 +28,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print deployment logs and delivery counts")
 	check := flag.Bool("check", false, "attach the online invariant checker; violations fail the run, except for scripts that record their own verdict with `expect violations`")
 	update := flag.Bool("update", false, "run each script and rewrite its embedded `-- golden --` digest")
-	corpus := flag.String("corpus", "", "discover and verify every *.pim under this directory, sequentially and on 2 shards")
+	corpus := flag.String("corpus", "", "discover and verify every *.pim under this directory against its embedded golden")
 	flag.Parse()
 
 	if *corpus != "" {
@@ -40,7 +39,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "pimscript:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("corpus PASS: %d scenarios x %d passes\n", n, len(script.Matrix()))
+		fmt.Printf("corpus PASS: %d scenarios\n", n)
 		return
 	}
 	if flag.NArg() == 0 {

@@ -6,11 +6,6 @@
 //
 //	topogen -nodes 50 -degree 4 -seed 7
 //	topogen -nodes 50 -degree 6 -mindelay 1 -maxdelay 10
-//	topogen -clustered -clusters 8 -clusternodes 32 -wanmindelay 50
-//
-// With -clustered the generator emits dense low-delay clusters joined by
-// sparse high-delay WAN links — the topology shape the sharded simulation
-// core partitions best — and reports the partition cut it induces.
 package main
 
 import (
@@ -27,45 +22,16 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	minDelay := flag.Int64("mindelay", 1, "minimum edge delay")
 	maxDelay := flag.Int64("maxdelay", 1, "maximum edge delay")
-	clustered := flag.Bool("clustered", false, "generate dense clusters joined by high-delay WAN links")
-	clusters := flag.Int("clusters", 4, "number of clusters (-clustered)")
-	clusterNodes := flag.Int("clusternodes", 0, "nodes per cluster (-clustered; default nodes/clusters)")
-	wanMinDelay := flag.Int64("wanmindelay", 0, "minimum WAN link delay (-clustered; default 10x maxdelay)")
-	wanMaxDelay := flag.Int64("wanmaxdelay", 0, "maximum WAN link delay (-clustered)")
-	extraWAN := flag.Int("extrawan", 0, "extra WAN links beyond the inter-cluster spanning tree")
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
-	var g *topology.Graph
-	if *clustered {
-		per := *clusterNodes
-		if per <= 0 {
-			per = *nodes / *clusters
-			if per < 2 {
-				per = 2
-			}
-		}
-		g = topology.Clustered(topology.ClusteredConfig{
-			Clusters: *clusters, ClusterNodes: per, Degree: *degree,
-			MinDelay: *minDelay, MaxDelay: *maxDelay,
-			WANMinDelay: *wanMinDelay, WANMaxDelay: *wanMaxDelay,
-			ExtraWAN: *extraWAN,
-		}, rng)
-	} else {
-		g = topology.Random(topology.GenConfig{
-			Nodes: *nodes, Degree: *degree,
-			MinDelay: *minDelay, MaxDelay: *maxDelay,
-		}, rng)
-	}
+	g := topology.Random(topology.GenConfig{
+		Nodes: *nodes, Degree: *degree,
+		MinDelay: *minDelay, MaxDelay: *maxDelay,
+	}, rng)
 
 	fmt.Printf("# nodes=%d edges=%d avg-degree=%.2f connected=%v\n",
 		g.N(), g.M(), g.AvgDegree(), g.Connected())
-	if *clustered {
-		asn := topology.Partition(g, *clusters)
-		cut := topology.CutEdges(g, asn)
-		fmt.Printf("# clusters=%d cut-links=%d min-cut-delay=%d\n",
-			*clusters, len(cut), topology.MinCutDelay(g, asn))
-	}
 	fmt.Println("# a b delay")
 	for _, e := range g.Edges() {
 		fmt.Printf("%d %d %d\n", e.A, e.B, e.Delay)

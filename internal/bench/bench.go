@@ -31,19 +31,17 @@ import (
 
 // LedgerHeader is the host/run metadata stamped on every ledger entry of
 // every pimbench ledger, so recorded numbers are self-describing: which
-// host parallelism, which shard count, and which worker-pool width produced
-// them. Context.Header fills it for all writers.
+// host parallelism and which worker-pool width produced them. Context.Header
+// fills it for all writers.
 type LedgerHeader struct {
 	Label     string `json:"label"`
 	Timestamp string `json:"timestamp"`
 	GoVersion string `json:"go_version"`
 	NumCPU    int    `json:"num_cpu"`
 	// GoMaxProcs is runtime.GOMAXPROCS(0) — the scheduling width actually
-	// available, which bounds any speedup a sharded or worker-fanned run
-	// can show on this host.
+	// available, which bounds any speedup a worker-fanned run can show on
+	// this host.
 	GoMaxProcs int `json:"go_max_procs"`
-	// Shards is the simulation shard count in effect (1 = sequential).
-	Shards int `json:"shards"`
 	// Workers is the experiment worker-pool width (trial fan-out).
 	Workers int `json:"workers"`
 	// GC figures at stamp time (i.e. after the measured work): cumulative
@@ -67,8 +65,6 @@ type Context struct {
 	// For benchmarks that write a report file instead of a ledger
 	// (telemetry), it is the report path.
 	Out string
-	// Shards is the requested simulation shard count (1 = sequential).
-	Shards int
 	// Seed, Budget, Workers parameterize search-style benchmarks.
 	Seed    int64
 	Budget  int
@@ -91,7 +87,7 @@ func (c *Context) Printf(format string, a ...interface{}) {
 }
 
 // Header stamps a ledger header labelled Label+suffix for the current
-// process and the context's shard and worker counts.
+// process and the context's worker count.
 func (c *Context) Header(suffix string) LedgerHeader {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -101,7 +97,6 @@ func (c *Context) Header(suffix string) LedgerHeader {
 		GoVersion:      runtime.Version(),
 		NumCPU:         runtime.NumCPU(),
 		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		Shards:         max(c.Shards, 1),
 		Workers:        parallel.Workers(c.Workers),
 		NumGC:          ms.NumGC,
 		GCPauseTotalNs: ms.PauseTotalNs,

@@ -26,7 +26,6 @@ func TestRegistryCoversEveryBenchmark(t *testing.T) {
 		"recovery":    "BENCH_recovery.json",
 		"scaling":     "BENCH_scale.json",
 		"tenk":        "BENCH_scale.json",
-		"dense4k":     "BENCH_scale.json",
 		"faultsearch": "BENCH_faultsearch.json",
 		"telemetry":   "", // report file, no ledger
 	}
@@ -161,13 +160,13 @@ func TestRunRefusesCorruptLedger(t *testing.T) {
 
 func TestHeaderRecordsProcessConfig(t *testing.T) {
 	h := (&bench.Context{Label: "lbl"}).Header("")
-	if h.Label != "lbl" || h.GoVersion == "" || h.NumCPU < 1 || h.Shards != 1 {
+	if h.Label != "lbl" || h.GoVersion == "" || h.NumCPU < 1 {
 		t.Errorf("header incomplete: %+v", h)
 	}
 	if h.Workers != runtime.GOMAXPROCS(0) {
 		t.Errorf("Workers = %d with none requested, want GOMAXPROCS", h.Workers)
 	}
-	if h := (&bench.Context{Shards: 4, Workers: 3}).Header("-x"); h.Shards != 4 || h.Workers != 3 || h.Label != "-x" {
-		t.Errorf("header did not record the context's shard and worker counts: %+v", h)
+	if h := (&bench.Context{Workers: 3}).Header("-x"); h.Workers != 3 || h.Label != "-x" {
+		t.Errorf("header did not record the context's worker count: %+v", h)
 	}
 }

@@ -32,19 +32,14 @@ func init() {
 		Run:     runRecoveryBench,
 	})
 	bench.Register("scaling", bench.Spec{
-		Summary: "large-internet scaling sweeps (plus a gated sharded pass with -shards N>1)",
+		Summary: "large-internet scaling sweeps",
 		Ledger:  "BENCH_scale.json",
 		Run:     runScalingBench,
 	})
 	bench.Register("tenk", bench.Spec{
-		Summary: "10 000-router size cells, sequential and sharded",
+		Summary: "10 000-router size cells",
 		Ledger:  "BENCH_scale.json",
-		Run:     sizeCellBench(TenKScalingBench, "-10k"),
-	})
-	bench.Register("dense4k", bench.Spec{
-		Summary: "4 096-router PIM-DM data cell, sequential and sharded (the shape sharding wins on)",
-		Ledger:  "BENCH_scale.json",
-		Run:     sizeCellBench(Dense4KScalingBench, "-dense4k"),
+		Run:     runTenKBench,
 	})
 	bench.Register("telemetry", bench.Spec{
 		Summary: "PIM-SM crash-recovery telemetry curves (writes JSON report, no ledger)",
@@ -142,7 +137,6 @@ func runRecoveryBench(ctx *bench.Context) error {
 	if ctx.Smoke {
 		cfg = SmokeRecovery()
 	}
-	cfg.Shards = ctx.Shards
 	res, err := RunRecovery(cfg)
 	if err != nil {
 		return err
@@ -166,8 +160,7 @@ type MicroBench struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// ScalingEntry is one appended record of the scaling ledger: the sequential
-// pass, plus one per gated sharded pass over bit-identical simulated grids.
+// ScalingEntry is one appended record of the scaling ledger.
 type ScalingEntry struct {
 	bench.LedgerHeader
 	Result ScalingBenchResult `json:"result"`
@@ -191,42 +184,19 @@ func schedMicroBench(workload func(*netsim.Scheduler, int)) MicroBench {
 	}
 }
 
-// scalingPass executes one scaling sweep pass on the given shard count,
-// printing one line per sweep.
-func scalingPass(ctx *bench.Context, cfg ScalingBenchConfig, shards int) ScalingBenchResult {
-	cfg.Base.Shards = shards
+// scalingEntry runs cfg's sweeps, printing one line per sweep, and returns
+// the ledger entry labelled with tag (nil on a smoke run).
+func scalingEntry(ctx *bench.Context, cfg ScalingBenchConfig, tag string) *ScalingEntry {
 	res := RunScalingBench(cfg)
 	for _, sw := range res.Sweeps {
-		ctx.Printf("scaling %-7s shards=%d  %2d cells  %9.1f ms  %9d events  %9.0f events/sec  peak timers %d",
-			sw.Name, shards, sw.Cells, sw.WallMs, sw.Events, sw.EventsPerSec, sw.PeakTimers)
-	}
-	return res
-}
-
-// scalingEntries runs cfg sequentially and, with ctx.Shards > 1, once more
-// sharded, refusing (error) unless the sharded grid matches the sequential
-// one. It returns one entry per pass, labelled tag+"-seq" / tag+"-shardsN"
-// (none on a smoke run).
-func scalingEntries(ctx *bench.Context, cfg ScalingBenchConfig, tag string) ([]ScalingEntry, error) {
-	seq := scalingPass(ctx, cfg, 1)
-	h := ctx.Header(tag + "-seq")
-	h.Shards = 1
-	entries := []ScalingEntry{{LedgerHeader: h, Result: seq}}
-	if ctx.Shards > 1 {
-		res := scalingPass(ctx, cfg, ctx.Shards)
-		if !SameGridsSharded(seq, res) {
-			return nil, fmt.Errorf("shards=%d grid diverged from sequential — not recording", ctx.Shards)
-		}
-		ctx.Printf("sharded grid identical; wall %0.1f ms (shards=1) vs %0.1f ms (shards=%d), %.2fx",
-			seq.WallMs, res.WallMs, ctx.Shards, seq.WallMs/res.WallMs)
-		hs := ctx.Header(fmt.Sprintf("%s-shards%d", tag, ctx.Shards))
-		entries = append(entries, ScalingEntry{LedgerHeader: hs, Result: res})
+		ctx.Printf("scaling %-7s %2d cells  %9.1f ms  %9d events  %9.0f events/sec  peak timers %d",
+			sw.Name, sw.Cells, sw.WallMs, sw.Events, sw.EventsPerSec, sw.PeakTimers)
 	}
 	if ctx.Smoke {
-		ctx.Printf("smoke run: grid gate passed, nothing recorded")
-		return nil, nil
+		ctx.Printf("smoke run: nothing recorded")
+		return nil
 	}
-	return entries, nil
+	return &ScalingEntry{LedgerHeader: ctx.Header(tag), Result: res}
 }
 
 func runScalingBench(ctx *bench.Context) error {
@@ -234,39 +204,28 @@ func runScalingBench(ctx *bench.Context) error {
 	if ctx.Smoke {
 		cfg = SmokeScalingBench()
 	}
-	entries, err := scalingEntries(ctx, cfg, "")
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
+	if e := scalingEntry(ctx, cfg, ""); e != nil {
 		e.Churn = schedMicroBench(netsim.SchedulerChurn)
 		e.Dense = schedMicroBench(netsim.SchedulerDense)
 		ctx.Printf("sched micro %s  churn %8.1f ns/op (%d allocs/op)  dense %8.1f ns/op (%d allocs/op)",
 			e.Label, e.Churn.NsPerOp, e.Churn.AllocsPerOp, e.Dense.NsPerOp, e.Dense.AllocsPerOp)
-		ctx.Append(e)
+		ctx.Append(*e)
 	}
 	return nil
 }
 
-// sizeCellBench ledgers one large size cell under tag, sequentially and — with
-// -shards N — sharded through the grid-equivalence gate.
-func sizeCellBench(full func() ScalingBenchConfig, tag string) func(*bench.Context) error {
-	return func(ctx *bench.Context) error {
-		cfg := full()
-		if ctx.Smoke {
-			// The large cells take up to minutes; smoke verifies the same
-			// sequential-vs-sharded gate on the CI-sized workload instead.
-			cfg = SmokeScalingBench()
-		}
-		entries, err := scalingEntries(ctx, cfg, tag)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			ctx.Append(e)
-		}
-		return nil
+// runTenKBench ledgers the 10 000-router size cell under "-10k".
+func runTenKBench(ctx *bench.Context) error {
+	cfg := TenKScalingBench()
+	if ctx.Smoke {
+		// The large cell takes minutes; smoke runs the same code paths on
+		// the CI-sized workload instead.
+		cfg = SmokeScalingBench()
 	}
+	if e := scalingEntry(ctx, cfg, "-10k"); e != nil {
+		ctx.Append(*e)
+	}
+	return nil
 }
 
 // runTelemetryBench runs the PIM-SM crash/restart recovery cell with the
@@ -278,7 +237,6 @@ func runTelemetryBench(ctx *bench.Context) error {
 	if ctx.Smoke {
 		cfg = SmokeRecovery()
 	}
-	cfg.Shards = ctx.Shards
 	smp, err := RecoveryTelemetry(cfg, PIMSM, FaultCrash, 5*netsim.Second)
 	if err != nil {
 		return err

@@ -13,23 +13,19 @@ import (
 const driversGolden = "testdata/drivers.golden"
 
 // renderDrivers is drivers.golden's content: the cmd/pimsim rows of the §1.2
-// comparison (sequential and on 2 shards), Figure 1(b) and 1(c), three churn
+// comparison, Figure 1(b) and 1(c), three churn
 // seeds, and the congestion pair — every number the four drivers report, and
 // nothing host-dependent.
 func renderDrivers() string {
 	var b strings.Builder
 	b.WriteString("# drivers; regenerate with: go test ./internal/experiments/ -run TestDriversGolden -update\n")
-	for _, shards := range []int{1, 2} {
-		cfg := smallSparse()
-		cfg.Shards = shards
-		fmt.Fprintf(&b, "# sparse smallSparse shards=%d: protocol state ctrl dataPkts links maxLink delivered\n", shards)
-		for _, r := range CompareSparse(cfg, AllProtocols()) {
-			fmt.Fprintf(&b, "%-14s %6d %8d %10d %7d %8d %6d/%d\n",
-				r.Protocol, r.State, r.CtrlMessages, r.DataPackets,
-				r.LinksTouched, r.MaxLinkData, r.Delivered, r.Expected)
-			if r.SPFRuns > 0 {
-				fmt.Fprintf(&b, "%-14s (plus %d Dijkstra runs)\n", "", r.SPFRuns)
-			}
+	b.WriteString("# sparse smallSparse: protocol state ctrl dataPkts links maxLink delivered\n")
+	for _, r := range CompareSparse(smallSparse(), AllProtocols()) {
+		fmt.Fprintf(&b, "%-14s %6d %8d %10d %7d %8d %6d/%d\n",
+			r.Protocol, r.State, r.CtrlMessages, r.DataPackets,
+			r.LinksTouched, r.MaxLinkData, r.Delivered, r.Expected)
+		if r.SPFRuns > 0 {
+			fmt.Fprintf(&b, "%-14s (plus %d Dijkstra runs)\n", "", r.SPFRuns)
 		}
 	}
 	fig1 := []Protocol{PIMSM, PIMSMShared, CBT, DVMRP, PIMDM}

@@ -104,10 +104,6 @@ type SparseConfig struct {
 	// Each run is an isolated simulation self-seeded from Seed, so results
 	// are identical for every value.
 	Workers int
-	// Shards is the partition count each simulation executes under (0 or 1
-	// = sequential). Results are identical for every value except
-	// Result.PeakTimers; MOSPF always stays sequential.
-	Shards int
 }
 
 // DefaultSparse returns a laptop-scale default comparable to the paper's
@@ -189,7 +185,7 @@ func sendsPer(cfg SparseConfig) int {
 // that close its warm-up and its measured run.
 func runSparse(g *topology.Graph, cfg SparseConfig, proto Protocol, rng *rand.Rand) Result {
 	text, recv := sparseScript(g, cfg, proto, rng)
-	res := runCell(text, script.RunConfig{Shards: cfg.Shards})
+	res := runCell(text, script.RunConfig{})
 	warm, end := res.Runs[0], res.Runs[1]
 	out := Result{
 		Protocol:     proto,

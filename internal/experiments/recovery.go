@@ -39,7 +39,7 @@ import (
 //
 // Every cell is one isolated, seeded simulation, and fault injection is
 // deterministic (internal/faults), so the matrix is reproducible across any
-// Workers setting and any shard count; each cell's outcome, delivery-trace
+// Workers setting; each cell's outcome, delivery-trace
 // fingerprint included, is pinned by testdata/recovery_matrix.golden. With
 // Checked set, every cell additionally runs under the online §3.8 invariant
 // checker and surfaces any violations.
@@ -79,9 +79,6 @@ type RecoveryConfig struct {
 	// isolated simulation seeded from Seed and the cell index, so results
 	// are identical for every value.
 	Workers int
-	// Shards is the partition count every shardable cell executes under
-	// (0 or 1 = sequential; MOSPF always stays sequential).
-	Shards int
 	// Checked attaches the online invariant checker to every cell; any
 	// §3.8 contract violation surfaces on the cell.
 	Checked bool
@@ -326,15 +323,14 @@ func runRecoveryCell(cfg RecoveryConfig, proto Protocol, kind string, seed int64
 	if err != nil {
 		return nil, err
 	}
-	return runCell(text, script.RunConfig{Captured: true, Checked: cfg.Checked, Shards: cfg.Shards}), nil
+	return runCell(text, script.RunConfig{Captured: true, Checked: cfg.Checked}), nil
 }
 
 // RecoveryTelemetry runs one recovery cell and replays its captured stream
 // into a time-series sampler, returned for dumping — the per-router counter
-// curves `pimbench run telemetry` writes. The cell runs under cfg.Shards,
-// seeded exactly like the matrix's first cell; the dump also carries the
-// scheduler's timer high-water mark and, for a sharded cell, the per-shard
-// execution counters, both as the network counted them.
+// curves `pimbench run telemetry` writes. The cell is seeded exactly like
+// the matrix's first cell; the dump also carries the scheduler's timer
+// high-water mark as the network counted it.
 func RecoveryTelemetry(cfg RecoveryConfig, proto Protocol, kind string, interval netsim.Time) (*telemetry.Sampler, error) {
 	res, err := runRecoveryCell(cfg, proto, kind, parallel.DeriveSeed(cfg.Seed, 0))
 	if err != nil {
@@ -343,7 +339,7 @@ func RecoveryTelemetry(cfg RecoveryConfig, proto Protocol, kind string, interval
 	bus := telemetry.NewBus()
 	smp := telemetry.NewSampler(bus, interval)
 	bus.Replay(res.Events)
-	smp.LiveTimerPeak, smp.Shards = int64(res.PeakLiveTimers), res.ShardLoads
+	smp.LiveTimerPeak = int64(res.PeakLiveTimers)
 	return smp, nil
 }
 

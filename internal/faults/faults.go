@@ -16,17 +16,14 @@
 // (link ID plus both endpoints' positions on the link). Loss decisions for
 // a pair are consumed in that pair's delivery order, which the scheduler
 // makes deterministic, and distinct pairs never share a stream — so a run
-// with a given seed is bit-reproducible regardless of how deliveries from
-// different links interleave. That last property is what lets the sharded
-// simulation core replay identical loss patterns at any shard count: each
-// pair's deliveries execute on one shard, in an order the determinism
-// argument of internal/netsim fixes, while a single shared stream would
-// observe the (varying) global interleaving.
+// with a given seed is bit-reproducible, and a pair's loss pattern is a
+// function of its own deliveries alone: traffic added or removed on other
+// links (a different workload, an extra host) leaves it untouched, where a
+// single shared stream would shift with the global interleaving.
 //
-// Pair streams are pre-populated when a model is installed, never lazily
-// during delivery, so concurrently executing shards only read the maps.
-// Install mutators (SetBernoulli, SetGilbert, ClearLoss) must run in a
-// serial phase: setup code or a scheduled event on the root scheduler.
+// Pair streams are created when a model is installed, never lazily during
+// delivery; an interface that joins a link afterwards needs the model
+// re-installed.
 package faults
 
 import (
@@ -208,7 +205,7 @@ func (in *Injector) loss(from, to *netsim.Iface, pkt *packet.Packet) bool {
 	ps := in.pairs[pairKey{from, to}]
 	if ps == nil {
 		// An interface joined the link after its model was installed;
-		// re-install the model (from a serial phase) to pick it up.
+		// re-install the model to pick it up.
 		panic("faults: delivery on a pair with no installed stream")
 	}
 	if lm != nil && lm.drop(ps, &ps.linkBad, pkt.Protocol) {
@@ -281,10 +278,9 @@ const reorderSalt = 0x5eed4e02
 // ensureReorderStreams creates the per-transmitting-interface rand streams
 // for l. Seeds derive from the link ID and the interface's position on the
 // link — stable identities independent of install order and memory layout,
-// exactly like the loss pair streams. One iface transmits from exactly one
-// shard, so per-iface streams keep sharded runs race-free and make the
-// jitter sequence a function of that iface's send order alone, which the
-// scheduler's determinism argument fixes for any shard count.
+// exactly like the loss pair streams. Per-iface streams make the jitter
+// sequence a function of that iface's send order alone, which the
+// scheduler's canonical event order fixes.
 func (in *Injector) ensureReorderStreams(l *netsim.Link) {
 	for i, from := range l.Ifaces {
 		if in.reorderStreams[from] == nil {
@@ -308,7 +304,7 @@ func (in *Injector) jitter(from *netsim.Iface, pkt *packet.Packet) netsim.Time {
 	rng := in.reorderStreams[from]
 	if rng == nil {
 		// An interface joined the link after the model was installed;
-		// re-install the model (from a serial phase) to pick it up.
+		// re-install the model to pick it up.
 		panic("faults: transmission on an iface with no reorder stream")
 	}
 	if lm != nil && lm.class.matches(pkt.Protocol) {

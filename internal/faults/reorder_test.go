@@ -136,11 +136,11 @@ func TestReorderClearRestoresOrder(t *testing.T) {
 	}
 }
 
-// reorderChainLogs runs a 4-node chain under global reordering at the given
-// shard count and returns each node's receive log. Every node pumps bursts
-// toward the chain end; the logs are the determinism witness.
-func reorderChainLogs(t *testing.T, shards int) []string {
-	t.Helper()
+// reorderChainLogs runs a 4-node chain under global reordering and returns
+// each node's receive log. Every node pumps bursts toward the chain end and
+// forwards what it hears, so jittered frames from several senders meet at
+// every hop; the logs are the determinism witness.
+func reorderChainLogs() []string {
 	n := netsim.NewNetwork()
 	const N = 4
 	nodes := make([]*netsim.Node, N)
@@ -152,20 +152,13 @@ func reorderChainLogs(t *testing.T, shards int) []string {
 	for i := 0; i+1 < N; i++ {
 		n.Connect(nodes[i].Ifaces[1], nodes[i+1].Ifaces[0], 10)
 	}
-	in := New(n, 23)
-	in.SetReorder(nil, 40, All) // install before sharding: serial phase
-	if shards > 1 {
-		n.Shard(shards, func(nd *netsim.Node) int {
-			return nd.ID * shards / N
-		})
-	}
+	New(n, 23).SetReorder(nil, 40, All)
 	logs := make([]string, N)
 	for i := range nodes {
 		i := i
 		nd := nodes[i]
 		nd.Handle(packet.ProtoUDP, netsim.HandlerFunc(func(in *netsim.Iface, pkt *packet.Packet) {
-			logs[i] += fmt.Sprintf("%d@%d ", pkt.Payload[0], nd.Sched().Now())
-			// Forward rightwards so frames cross shard boundaries.
+			logs[i] += fmt.Sprintf("%d@%d ", pkt.Payload[0], n.Sched.Now())
 			if nd.ID+1 < N {
 				fwd := packet.New(pkt.Src, pkt.Dst, packet.ProtoUDP, []byte{pkt.Payload[0]})
 				nd.Send(nd.Ifaces[1], fwd, 0)
@@ -174,11 +167,9 @@ func reorderChainLogs(t *testing.T, shards int) []string {
 	}
 	for i := 0; i+1 < N; i++ {
 		nd := nodes[i]
-		sched := nd.Sched()
 		for k := 0; k < 20; k++ {
 			k := k
-			nd := nd
-			sched.At(netsim.Time(k*5), func() {
+			n.Sched.At(netsim.Time(k*5), func() {
 				pkt := packet.New(nd.Ifaces[1].Addr, addr.V4(10, 9, 0, 1), packet.ProtoUDP, []byte{byte(k)})
 				nd.Send(nd.Ifaces[1], pkt, 0)
 			})
@@ -188,19 +179,18 @@ func reorderChainLogs(t *testing.T, shards int) []string {
 	return logs
 }
 
-// TestReorderDeterministicAcrossShards pins the primitive's core guarantee:
+// TestReorderChainDeterministic pins the primitive's core guarantee:
 // per-transmitting-interface streams make the jitter sequence a function of
-// each sender's own send order, so the delivery schedule is bit-identical
-// at any shard count.
-func TestReorderDeterministicAcrossShards(t *testing.T) {
-	base := reorderChainLogs(t, 1)
-	for _, shards := range []int{2, 4} {
-		got := reorderChainLogs(t, shards)
-		for i := range base {
-			if got[i] != base[i] {
-				t.Fatalf("shards=%d node %d log diverged:\nseq: %s\nshd: %s",
-					shards, i, base[i], got[i])
-			}
+// each sender's own send order, so two runs at one seed give identical
+// receive logs at every node of a multi-hop chain (node 0 only sends).
+func TestReorderChainDeterministic(t *testing.T) {
+	base, got := reorderChainLogs(), reorderChainLogs()
+	for i := range base {
+		if i > 0 && base[i] == "" {
+			t.Fatalf("node %d received nothing; the comparison is vacuous", i)
+		}
+		if got[i] != base[i] {
+			t.Fatalf("node %d log diverged between two runs at one seed:\n%s\nvs\n%s", i, base[i], got[i])
 		}
 	}
 }

@@ -81,9 +81,9 @@ func classifyViolation(msg string) string {
 }
 
 // Evaluate renders and runs one schedule under the invariant checker in
-// fail-fast mode and returns its verdict. Checked runs execute on the
-// sequential scheduler regardless of GOMAXPROCS or shard configuration, so
-// the verdict is a pure function of the schedule.
+// fail-fast mode and returns its verdict. A run executes on one scheduler
+// regardless of GOMAXPROCS, so the verdict is a pure function of the
+// schedule.
 func Evaluate(s Schedule) (Verdict, error) {
 	src, err := s.Render()
 	if err != nil {

@@ -29,9 +29,8 @@ type Host struct {
 
 	// Enc is the reusable send workspace for reports, leaves and the
 	// host's own data (scenario.SendData): safe because Node.Send copies
-	// the payload into its transmit frame before returning, and a host
-	// runs on its router's shard. dec is the decode scratch, valid only
-	// within one handleIGMP call.
+	// the payload into its transmit frame before returning. dec is the
+	// decode scratch, valid only within one handleIGMP call.
 	Enc packet.Scratch
 	dec Message
 }

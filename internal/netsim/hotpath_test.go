@@ -114,35 +114,29 @@ func TestLANReceiversGetIndependentHeaders(t *testing.T) {
 // TestPoisonClearsKeptHeader: the decoded header a handler receives is the
 // firing scheduler's scratch, so keeping the *packet.Packet past return breaks
 // the borrowed-frame contract. In poison mode the kept header must read as the
-// zero Packet once the fan-out ends, on the sequential scheduler and on a
-// shard's own.
+// zero Packet once the fan-out ends.
 func TestPoisonClearsKeptHeader(t *testing.T) {
 	prev := SetPoisonFrames(true)
 	defer SetPoisonFrames(prev)
-	for _, shards := range []int{1, 2} {
-		n := NewNetwork()
-		a, b := n.AddNode("a"), n.AddNode("b")
-		ia := n.AddIface(a, addr.V4(10, 1, 0, 1))
-		ib := n.AddIface(b, addr.V4(10, 1, 0, 2))
-		n.Connect(ia, ib, 10)
-		if shards > 1 {
-			n.Shard(shards, func(nd *Node) int { return nd.ID })
-		}
-		var kept *packet.Packet
-		var src addr.IP
-		b.Handle(packet.ProtoUDP, HandlerFunc(func(in *Iface, pkt *packet.Packet) {
-			kept, src = pkt, pkt.Src
-		}))
-		a.Sched().After(1, func() {
-			a.Send(ia, packet.New(ia.Addr, ib.Addr, packet.ProtoUDP, []byte{1, 2}), 0)
-		})
-		n.Sched.RunUntil(100)
-		if kept == nil || src != ia.Addr {
-			t.Fatalf("shards=%d: handler saw src %v, want %v", shards, src, ia.Addr)
-		}
-		if !reflect.DeepEqual(*kept, packet.Packet{}) {
-			t.Errorf("shards=%d: kept header reads %+v after the fan-out, want the zero Packet", shards, *kept)
-		}
+	n := NewNetwork()
+	a, b := n.AddNode("a"), n.AddNode("b")
+	ia := n.AddIface(a, addr.V4(10, 1, 0, 1))
+	ib := n.AddIface(b, addr.V4(10, 1, 0, 2))
+	n.Connect(ia, ib, 10)
+	var kept *packet.Packet
+	var src addr.IP
+	b.Handle(packet.ProtoUDP, HandlerFunc(func(in *Iface, pkt *packet.Packet) {
+		kept, src = pkt, pkt.Src
+	}))
+	a.Sched().After(1, func() {
+		a.Send(ia, packet.New(ia.Addr, ib.Addr, packet.ProtoUDP, []byte{1, 2}), 0)
+	})
+	n.Sched.RunUntil(100)
+	if kept == nil || src != ia.Addr {
+		t.Fatalf("handler saw src %v, want %v", src, ia.Addr)
+	}
+	if !reflect.DeepEqual(*kept, packet.Packet{}) {
+		t.Errorf("kept header reads %+v after the fan-out, want the zero Packet", *kept)
 	}
 }
 

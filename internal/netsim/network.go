@@ -41,29 +41,13 @@ type Node struct {
 	// there are nine of them, not one per possible protocol number.
 	handlers     [len(protos)]Handler
 	onLinkChange []func(*Iface)
-	// shard is the index of the shard that owns this node's events in a
-	// sharded run (0 always, otherwise). -1 marks a node added after
-	// Shard() that has not been placed yet.
-	shard int
-	// xmit sequences the node's transmissions; part of the deterministic
-	// merge key for cross-shard deliveries.
+	// xmit sequences the node's transmissions; with the node ID it is the
+	// order key of its deliveries (deliveryOrd).
 	xmit uint64
 }
 
-// Sched returns the scheduler that owns this node's events: its shard's
-// scheduler in a sharded run, the network's root scheduler otherwise.
-// Protocol engines must schedule node-scoped timers through this (never
-// through Net.Sched directly), so the same engine code runs unchanged on
-// both paths.
-func (nd *Node) Sched() *Scheduler { return nd.Net.schedFor(nd) }
-
-// Shard returns the index of the shard owning the node (0 when unsharded).
-func (nd *Node) Shard() int {
-	if nd.shard < 0 {
-		return 0
-	}
-	return nd.shard
-}
+// Sched returns the scheduler that runs this node's events: the network's.
+func (nd *Node) Sched() *Scheduler { return nd.Net.Sched }
 
 // Iface is one network attachment point of a node.
 type Iface struct {
@@ -137,17 +121,10 @@ type Network struct {
 	// crossing, not per receiver) and returns extra propagation delay added
 	// to the link's Delay for that frame. The fault layer's message-reorder
 	// primitive rides on it: jittered frames from one sender can overtake
-	// each other. Extra delay only ever increases arrival time, so the
-	// sharded core's conservative lookahead (min cross-shard link delay)
-	// stays valid. Under sharded execution the hook is invoked from shard
-	// goroutines concurrently: implementations must partition any mutable
-	// state by transmitting interface (one iface sends from one shard).
+	// each other.
 	Jitter func(from *Iface, pkt *packet.Packet) Time
 
 	byAddr map[addr.IP]*Iface
-	// set is non-nil once Shard() has partitioned the network for parallel
-	// execution (see shards.go).
-	set *shardSet
 }
 
 // NewNetwork creates an empty network with a fresh scheduler.
@@ -155,15 +132,19 @@ func NewNetwork() *Network {
 	return &Network{Sched: NewScheduler(), byAddr: map[addr.IP]*Iface{}}
 }
 
+// EventsProcessed returns the number of scheduler events executed so far.
+func (n *Network) EventsProcessed() int64 { return n.Sched.Processed }
+
+// PeakLiveTimers returns the scheduler's timer-population high-water mark.
+func (n *Network) PeakLiveTimers() int { return n.Sched.PeakLiveTimers() }
+
+// LiveTimers returns the number of pending events that can still fire.
+func (n *Network) LiveTimers() int { return n.Sched.LiveTimers() }
+
 // AddNode creates a node. Names must be unique only for readable traces.
-// On a sharded network the new node starts unplaced; assign it with
-// SetNodeShard before it schedules or receives anything.
 func (n *Network) AddNode(name string) *Node {
 	checkNodeID(len(n.Nodes))
 	nd := &Node{Net: n, ID: len(n.Nodes), Name: name}
-	if n.set != nil {
-		nd.shard = -1
-	}
 	n.Nodes = append(n.Nodes, nd)
 	return nd
 }
@@ -342,30 +323,25 @@ func (nd *Node) IfaceTo(neighbor addr.IP) *Iface {
 // implementation bug, not a runtime condition).
 func (nd *Node) Send(out *Iface, pkt *packet.Packet, nextHop addr.IP) {
 	if out == nil || !out.Up() {
-		nd.Net.statsFor(nd).Drop(DropIfaceDown)
+		nd.Net.Stats.Drop(DropIfaceDown)
 		return
 	}
 	link := out.Link
 	net := nd.Net
 	// Marshal straight into a recycled frame, so pkt — and any scratch
 	// buffer backing its Payload — is free for reuse the moment Send returns.
-	f := net.schedFor(nd).frames.get()
+	f := net.Sched.frames.get()
 	var err error
 	f.buf, err = pkt.MarshalTo(f.buf[:0])
 	if err != nil {
 		panic("netsim: marshal failed: " + err.Error())
 	}
 	f.from, f.link, f.nextHop = out, link, nextHop
-	net.statsFor(nd).Transmit(link, pkt)
-	// Jitter is drawn once per transmission, before the sharded dispatch:
-	// the hook needs the packet header, which sendSharded does not carry.
+	net.Stats.Transmit(link, pkt)
+	// Jitter is drawn once per transmission (per link crossing).
 	var jit Time
 	if net.Jitter != nil {
 		jit = net.Jitter(out, pkt)
-	}
-	if set := net.set; set != nil {
-		nd.sendSharded(set, f, jit)
-		return
 	}
 	// Serialization and queueing under finite bandwidth.
 	var txDone Time
@@ -391,73 +367,17 @@ func (nd *Node) Send(out *Iface, pkt *packet.Packet, nextHop addr.IP) {
 	// One scheduler event per link crossing (not per receiver): the frame is
 	// decoded once at arrival and fanned to every station in attachment
 	// order. The event carries the structural (sender, transmit sequence)
-	// order key, so same-instant deliveries fire in an order independent of
-	// shard count.
+	// order key, so same-instant deliveries fire in one canonical order.
 	delay := link.Delay + jit
 	nd.xmit++
-	f.shard = -1
 	net.Sched.enqueueDelivery(now+txDone+delay, now, deliveryOrd(nd.ID, nd.xmit), f)
 }
 
-// sendSharded routes one transmission in a sharded run: stations on the
-// sender's own shard get a local delivery event (the same single frame
-// event per link crossing as the sequential path), stations on foreign
-// shards get an outbox record per destination shard, merged at the next
-// barrier. Finite bandwidth is rejected up front by shardSet.prepare, so
-// the deadline is propagation delay plus any jitter (jitter only adds
-// delay, so the conservative lookahead bound still holds).
-func (nd *Node) sendSharded(set *shardSet, f *frame, jit Time) {
-	out, link := f.from, f.link
-	sched := set.scheds[nd.shard]
-	now := sched.Now()
-	delay := link.Delay + jit
-	nd.xmit++
-	local := false
-	foreign := -1
-	for _, to := range link.Ifaces {
-		if to == out {
-			continue
-		}
-		if to.Node.shard == nd.shard {
-			local = true
-		} else {
-			// prepare() guarantees cross-shard links are point-to-point, so
-			// at most one foreign shard is ever involved.
-			foreign = to.Node.shard
-		}
-	}
-	if foreign >= 0 {
-		// The frame bytes are copied so the two shards never share a
-		// payload backing array; the copy happens before the frame can be
-		// released below.
-		set.outboxes[nd.shard] = append(set.outboxes[nd.shard], xrec{
-			at:      now + delay,
-			bs:      now,
-			src:     nd.ID,
-			xmit:    nd.xmit,
-			dst:     foreign,
-			from:    out,
-			link:    link,
-			frame:   append([]byte(nil), f.buf...),
-			nextHop: f.nextHop,
-		})
-	}
-	if local {
-		f.shard = int32(nd.shard)
-		sched.enqueueDelivery(now+delay, now, deliveryOrd(nd.ID, nd.xmit), f)
-	} else {
-		// Purely cross-shard: the outbox record owns a copy, so the frame
-		// goes straight back to its pool.
-		sched.frames.put(f)
-	}
-}
-
 // deliverFrame takes one frame off the link: a single in-place decode into
-// the firing scheduler's header scratch rx, then delivery to every eligible
-// attached interface. f.shard restricts delivery to stations owned by that
-// shard (-1 delivers to all stations — the sequential path). Each station
-// gets a fresh copy of the header in rx.rcv, so a handler mutating its view
-// (TTL etc.) cannot leak into the next station's delivery.
+// the scheduler's header scratch rx, then delivery to every eligible
+// attached interface. Each station gets a fresh copy of the header in rx.rcv,
+// so a handler mutating its view (TTL etc.) cannot leak into the next
+// station's delivery.
 func (n *Network) deliverFrame(f *frame, rx *rxScratch) {
 	err := packet.UnmarshalInto(&rx.hdr, f.buf)
 	from, link := f.from, f.link
@@ -466,18 +386,15 @@ func (n *Network) deliverFrame(f *frame, rx *rxScratch) {
 		if to == from {
 			continue
 		}
-		if f.shard >= 0 && int32(to.Node.shard) != f.shard {
-			continue
-		}
 		if lan && f.nextHop != 0 && to.Addr != f.nextHop {
 			continue
 		}
 		if !to.Up() || !from.Up() {
-			n.statsFor(to.Node).Drop(DropLinkDown)
+			n.Stats.Drop(DropLinkDown)
 			continue
 		}
 		if err != nil {
-			n.statsFor(to.Node).Drop(DropMalformed)
+			n.Stats.Drop(DropMalformed)
 			continue
 		}
 		rx.rcv = rx.hdr
@@ -486,7 +403,7 @@ func (n *Network) deliverFrame(f *frame, rx *rxScratch) {
 }
 
 func (n *Network) deliver(from, to *Iface, pkt *packet.Packet) {
-	stats := n.statsFor(to.Node)
+	stats := &n.Stats
 	if n.Loss != nil && n.Loss(from, to, pkt) {
 		stats.Drop(DropInjectedLoss)
 		return
@@ -509,7 +426,7 @@ func (n *Network) deliver(from, to *Iface, pkt *packet.Packet) {
 func (nd *Node) LocalSend(ifc *Iface, pkt *packet.Packet) {
 	h := nd.handler(pkt.Protocol)
 	if h == nil {
-		nd.Net.statsFor(nd).Drop(DropNoHandler)
+		nd.Net.Stats.Drop(DropNoHandler)
 		return
 	}
 	h.HandlePacket(ifc, pkt)

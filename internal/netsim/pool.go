@@ -7,8 +7,7 @@ package netsim
 // Node.Send marshals into a recycled buffer, the delivery event carries the
 // frame by pointer (no closure), the arrival decodes into the firing
 // scheduler's header scratch (rxScratch), and after the synchronous fan-out
-// completes the frame returns to the free list of the scheduler that fired
-// it.
+// completes the frame returns to the scheduler's free list.
 //
 // Ownership contract (DESIGN.md §13): everything a handler receives — the
 // *packet.Packet, its Payload, and any decoded view aliasing the Payload —
@@ -19,10 +18,8 @@ package netsim
 // loudly instead of silently going stale; the internal/script tests run every
 // scenario under it.
 //
-// Pools are per-Scheduler, hence per-shard: a shard's frames are touched
-// only by the goroutine executing that shard's window, so the free list
-// needs no locking. Frames crossing shards transfer ownership to the
-// destination shard's pool at the exchange barrier.
+// Pools are per-Scheduler, and a scheduler runs on one goroutine, so the
+// free list needs no locking.
 
 import (
 	"sync/atomic"
@@ -57,7 +54,6 @@ type frame struct {
 	from    *Iface
 	link    *Link
 	nextHop addr.IP
-	shard   int32
 	buf     []byte
 	// next links the scheduler free list.
 	next *frame
@@ -67,15 +63,14 @@ type frame struct {
 // fires it: hdr is the single per-crossing decode, rcv the per-receiver
 // header view handed to handlers (each station gets a fresh copy of hdr in
 // rcv, so one handler mutating its view cannot leak into the next station's).
-// Fan-outs never nest on one scheduler, so one scratch per shard serves every
-// delivery and the warm path allocates nothing.
+// Fan-outs never nest on one scheduler, so one scratch serves every delivery
+// and the warm path allocates nothing.
 type rxScratch struct {
 	hdr, rcv packet.Packet
 }
 
-// framePool is a scheduler-private free list. Single-goroutine by
-// construction (per-shard schedulers execute on one goroutine at a time),
-// so no locking.
+// framePool is a scheduler-private free list. A scheduler runs on one
+// goroutine, so no locking.
 type framePool struct {
 	free *frame
 }

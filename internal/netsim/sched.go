@@ -139,9 +139,9 @@ func (t *Timer) When() Time { return t.at }
 // carry their scheduler's sequence number with this bit set; packet-delivery
 // events carry deliveryOrd with the bit clear. At an equal (deadline, birth
 // instant), deliveries therefore fire before locally scheduled callbacks,
-// and among themselves in (source node, transmit sequence) order — a rule
-// both the sequential and the sharded execution paths compute identically,
-// which is what makes shard count unobservable in results.
+// and among themselves in (source node, transmit sequence) order: one
+// canonical order, fixed by the simulation alone, that every golden digest
+// hashes.
 const localOrd = uint64(1) << 63
 
 // nodeIDBits is the width of the node ID in deliveryOrd. Bit 63 — localOrd,
@@ -175,24 +175,23 @@ func checkNodeID(id int) {
 type event struct {
 	at Time
 	// bs is the birth instant: the scheduler clock when the entry was
-	// created. For locally scheduled events it is redundant with the order
-	// key (seq is monotone in time), but it is the piece of the ordering
-	// that survives a shard boundary — a cross-shard arrival is sequenced
-	// against local events by when it was sent, not when it was merged.
+	// created. For timer and Post events it is redundant with the order key
+	// (seq is monotone in time); for a delivery it sequences the arrival by
+	// when it was sent, ahead of the sender's ID.
 	bs Time
 	// ord breaks (at, bs) ties: local sequence number | localOrd for timer
 	// and Post events, or the structural deliveryOrd key for packet
-	// deliveries (local and cross-shard alike).
+	// deliveries.
 	ord uint64
 	p   unsafe.Pointer
 }
 
 // before orders events by (deadline, birth instant, order key): a strict
-// total order computed from values that do not depend on shard count or
-// backing store, so the execution sequence is identical on the sequential
-// and sharded paths — the determinism the differential gates assert on. At
-// an equal (deadline, birth instant), deliveries (localOrd clear) precede
-// locally scheduled callbacks, which fire in scheduling order.
+// total order computed from the simulation alone, never from the backing
+// store, so the wheel and the reference heap fire the same sequence and the
+// golden digests hash one canonical stream. At an equal (deadline, birth
+// instant), deliveries (localOrd clear) precede locally scheduled callbacks,
+// which fire in scheduling order.
 func (e event) before(o event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -233,15 +232,10 @@ type Scheduler struct {
 	seq   uint64
 	heap  *schedHeap
 	wheel *schedWheel
-	// set is non-nil on the root scheduler of a sharded Network; RunUntil
-	// then delegates to the conservative-lookahead epoch loop.
-	set *shardSet
 	// live counts pending not-yet-stopped entries; peakLive is its high-water
 	// mark — the "timer pressure" gauge the scaling benchmark records.
 	live, peakLive int
-	// frames is the scheduler's transmit-frame free list (pool.go). Frames
-	// always return to the pool of the scheduler that fired their delivery
-	// event, so the list stays single-goroutine without locks.
+	// frames is the scheduler's transmit-frame free list (pool.go).
 	frames framePool
 	// rx is the header scratch every frame this scheduler fires decodes
 	// into (pool.go).
@@ -285,10 +279,10 @@ func NewSchedulerWith(wheel bool) *Scheduler {
 // Now returns the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// nextSeq returns the next scheduling sequence number. Sequence numbers are
-// scheduler-private: two schedulers of a sharded network never need their
-// seq values compared, because the only events that cross a shard boundary
-// are deliveries, which carry the structural deliveryOrd key instead.
+// nextSeq returns the next scheduling sequence number: the order key of
+// timer and Post events, monotone in scheduling order. Deliveries carry the
+// structural deliveryOrd key instead, so the order among same-instant
+// arrivals follows their senders, not which handler happened to run first.
 func (s *Scheduler) nextSeq() uint64 {
 	s.seq++
 	return s.seq
@@ -362,13 +356,11 @@ func (s *Scheduler) Post(d Time, fn func()) {
 }
 
 // enqueueDelivery inserts a packet-delivery event carrying the structural
-// deliveryOrd key (localOrd clear). Both execution paths use it — Node.Send
-// locally, shardSet.exchange for merged cross-shard arrivals — so same-
-// instant deliveries fire in (source, transmit sequence) order everywhere.
-// The event record carries the pooled frame by pointer (no closure) and
-// fire dispatches it directly. On the timing wheel a batch holding such an
-// event has its order restored at fire time (orderBatch), since structural
-// keys need not match append order.
+// deliveryOrd key (localOrd clear), so same-instant deliveries fire in
+// (source, transmit sequence) order. The event record carries the pooled
+// frame by pointer (no closure) and fire dispatches it directly. On the
+// timing wheel a batch holding such an event has its order restored at fire
+// time (orderBatch), since structural keys need not match append order.
 func (s *Scheduler) enqueueDelivery(at, bs Time, ord uint64, f *frame) {
 	s.live++
 	if s.live > s.peakLive {
@@ -380,27 +372,6 @@ func (s *Scheduler) enqueueDelivery(at, bs Time, ord uint64, f *frame) {
 	} else {
 		s.heap.push(ev)
 	}
-}
-
-// advanceTo moves the clock forward to t without executing anything; the
-// sharded epoch loop uses it to align quiesced shards on a barrier instant.
-func (s *Scheduler) advanceTo(t Time) {
-	if s.now < t {
-		s.now = t
-	}
-}
-
-// peekTime returns a lower bound on the earliest live deadline, and whether
-// any live entry exists. On the heap (and for level-0/overflow wheel
-// entries) the bound is exact; for events parked in upper wheel levels it is
-// the slot base, which is never later than the true deadline — and a next()
-// call at that bound cascades the slot, so repeated peeks converge. Dead
-// entries surfacing at the front are reclaimed.
-func (s *Scheduler) peekTime() (Time, bool) {
-	if s.wheel != nil {
-		return s.wheel.peek()
-	}
-	return s.heap.peek()
 }
 
 func (s *Scheduler) enqueue(ev event) {
@@ -466,18 +437,7 @@ func (s *Scheduler) Step() bool {
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline. Events scheduled by executed events are included.
-// On the root scheduler of a sharded Network this drives the conservative-
-// lookahead epoch loop instead (see shards.go); shard-local schedulers and
-// unsharded networks take the sequential path.
 func (s *Scheduler) RunUntil(deadline Time) {
-	if s.set != nil {
-		s.set.run(deadline)
-		return
-	}
-	s.runUntil(deadline)
-}
-
-func (s *Scheduler) runUntil(deadline Time) {
 	for !s.halted {
 		ev, ok := s.next(deadline)
 		if !ok {
@@ -506,16 +466,14 @@ func (s *Scheduler) Run(maxEvents int64) int64 {
 	return n
 }
 
-// Halt makes every run loop (RunUntil, Run, and the sharded epoch loop)
-// return before firing another event, leaving the clock at the current
-// instant. The event that called Halt completes normally. The flag is
-// sticky — later RunUntil calls return immediately — until ClearHalt.
+// Halt makes every run loop (RunUntil and Run) return before firing another
+// event, leaving the clock at the current instant. The event that called Halt
+// completes normally. The flag is sticky — later RunUntil calls return
+// immediately — until ClearHalt.
 //
 // This is the fail-fast hook of the online invariant checker: the first
 // violation stops the simulation at its exact simulated time, so fault-
-// schedule search pays for one violation, not the full run. Halt is not
-// safe to call from shard goroutines; call it from serially executed code
-// (root-scheduler actions, or any event of an unsharded run).
+// schedule search pays for one violation, not the full run.
 func (s *Scheduler) Halt() { s.halted = true }
 
 // Halted reports whether Halt stopped the scheduler.
@@ -558,19 +516,6 @@ func (h *schedHeap) next(limit Time) (event, bool) {
 func (h *schedHeap) pop() event {
 	ev := eventHeapPop(&h.events)
 	return ev
-}
-
-// peek returns the earliest live deadline without removing it, reaping dead
-// entries that surface at the top.
-func (h *schedHeap) peek() (Time, bool) {
-	for len(h.events) > 0 && h.events[0].dead() {
-		h.pop()
-		h.nstopped--
-	}
-	if len(h.events) == 0 {
-		return 0, false
-	}
-	return h.events[0].at, true
 }
 
 // compact removes every stopped entry from the heap in one sweep and

@@ -138,29 +138,6 @@ func (s *Stats) MaxLinkDataPackets() int64 {
 	return max
 }
 
-// Merge folds another Stats into this one, summing every counter; the
-// sharded runner uses it to collapse per-shard lanes into the network-wide
-// aggregate at the end of a run.
-func (s *Stats) Merge(o *Stats) {
-	for len(s.PerLink) < len(o.PerLink) {
-		s.PerLink = append(s.PerLink, LinkStats{})
-	}
-	for i := range o.PerLink {
-		s.PerLink[i].DataPackets += o.PerLink[i].DataPackets
-		s.PerLink[i].ControlPackets += o.PerLink[i].ControlPackets
-		s.PerLink[i].DataBytes += o.PerLink[i].DataBytes
-		s.PerLink[i].ControlBytes += o.PerLink[i].ControlBytes
-	}
-	s.Totals.DataPackets += o.Totals.DataPackets
-	s.Totals.ControlPackets += o.Totals.ControlPackets
-	s.Totals.DataBytes += o.Totals.DataBytes
-	s.Totals.ControlBytes += o.Totals.ControlBytes
-	s.Received += o.Received
-	for i := range o.Drops {
-		s.Drops[i] += o.Drops[i]
-	}
-}
-
 // Reset zeroes all counters (used between measurement phases so warm-up
 // traffic is excluded).
 func (s *Stats) Reset() { *s = Stats{} }

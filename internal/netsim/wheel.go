@@ -312,9 +312,9 @@ const shortRun = 16
 // structural deliveryOrd follows the sender's node ID, and forwarders
 // transmit in the order packets reached them, not in node-ID order. So each
 // bs run is checked and, when scrambled, sorted on its own — the batch never
-// needs a general sort. The exception is a cross-shard arrival spliced in at
-// a barrier: its birth instant may precede entries already appended, and a
-// batch holding such a bs inversion takes the general (bs, ord) sort.
+// needs a general sort. A batch whose birth instants do fall somewhere (the
+// scheduler's appends never build one, but the order must not rest on that)
+// takes the general (bs, ord) sort, so any batch leaves in canonical order.
 func orderBatch(batch []event) {
 	for lo := 0; lo < len(batch); {
 		bs, sorted := batch[lo].bs, true
@@ -361,56 +361,6 @@ func insertRun(run []event) {
 		}
 		run[j] = ev
 	}
-}
-
-// peek returns a lower bound on the earliest live deadline anywhere in the
-// wheel (exact for due-buffer, level-0, and overflow entries; the slot base
-// for events parked in levels 1-3), reaping dead entries that surface at
-// the front of the due buffer or the overflow heap.
-func (w *schedWheel) peek() (Time, bool) {
-	for w.dueHead < len(w.due) {
-		ev := w.due[w.dueHead]
-		if !ev.dead() {
-			return ev.at, true
-		}
-		w.due[w.dueHead] = event{}
-		w.dueHead++
-		if w.dueHead == len(w.due) {
-			w.due = w.due[:0]
-			w.dueHead = 0
-		}
-		w.total--
-		w.ndead--
-	}
-	if w.nwheel > 0 {
-		if i := nextSet(&w.occ[0], int(w.cur)&wheelMask); i >= 0 {
-			return (w.cur &^ wheelMask) + Time(i), true
-		}
-		best := maxTime
-		for l := 1; l < wheelLevels; l++ {
-			j := nextSet(&w.occ[l], int(uint64(w.cur)>>(8*uint(l)))&wheelMask)
-			if j < 0 {
-				continue
-			}
-			shift := 8 * uint(l)
-			base := (w.cur &^ (Time(1)<<(shift+8) - 1)) + Time(j)<<shift
-			if base < best {
-				best = base
-			}
-		}
-		if best != maxTime {
-			return best, true
-		}
-	}
-	for len(w.overflow) > 0 && w.overflow[0].dead() {
-		eventHeapPop(&w.overflow)
-		w.total--
-		w.ndead--
-	}
-	if len(w.overflow) > 0 {
-		return w.overflow[0].at, true
-	}
-	return 0, false
 }
 
 // cascade re-places the events of slot (l, j) — the cursor has just reached

@@ -157,8 +157,8 @@ func TestWheelDifferentialRandomOps(t *testing.T) {
 // Each batch is pushed in scheduling order — birth instants non-decreasing —
 // with the order keys inside each birth-instant run reversed, as forwarders
 // that transmit in arrival order leave them, and timer entries interleaved.
-// One batch splices in an earlier birth instant after later ones (a
-// cross-shard arrival), which takes the general sort, and one holds a
+// One batch splices in an earlier birth instant after later ones (a shape
+// the scheduler never builds), which takes the general sort, and one holds a
 // 4 096-entry same-instant reversed run, past shortRun. Deadlines 1–10 ms out
 // reach level 0 by cascade, like link deliveries, one level-1 slot holding
 // two deadlines; stopped timers ride along.
@@ -305,7 +305,7 @@ func refOrderBatch(batch []event) {
 
 // randomBatch draws a same-deadline batch of n entries in runs of 1 to
 // maxRun entries: birth instants rise run to run (with probability inv one
-// falls, as a spliced cross-shard arrival's does), and order keys are
+// falls, the shape orderBatch's general sort covers), and order keys are
 // distinct across the batch and shuffled inside a run.
 func randomBatch(rng *rand.Rand, n, maxRun int, inv float64) []event {
 	batch := make([]event, 0, n)

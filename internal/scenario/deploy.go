@@ -65,20 +65,17 @@ type DeployOptions struct {
 	// them becomes a border router (see roles).
 	DenseRouters []int
 
-	// Telemetry holds the deployment's event buses, one lane per shard (one
-	// bus on an unsharded network): every engine, IGMP querier and host
-	// publishes to the lane of the shard its node runs on, because a single
-	// bus published from concurrently executing shards would race. Empty
-	// deploys with the zero-cost disabled path everywhere.
-	Telemetry []*telemetry.Bus
+	// Telemetry is the deployment's event bus: every engine, IGMP querier
+	// and host publishes to it. Nil deploys with the zero-cost disabled path
+	// everywhere.
+	Telemetry *telemetry.Bus
 	// InvariantChecker attaches an online telemetry.Checker asserting the
-	// §3.8 soft-state contracts to every Telemetry lane, creating one lane
-	// per shard if none was supplied.
+	// §3.8 soft-state contracts to Telemetry, creating the bus if none was
+	// supplied.
 	InvariantChecker bool
 	// FailFast arms the checker's first-violation halt: the simulation's
 	// scheduler stops at the violation's exact simulated time. Implies
-	// InvariantChecker; sequential runs only (a shard goroutine must not
-	// halt the root scheduler).
+	// InvariantChecker.
 	FailFast bool
 
 	// IGMPQueryInterval / IGMPHoldTime override the querier timers when
@@ -157,28 +154,22 @@ func WithAggregation() DeployOption {
 	return func(o *DeployOptions) { o.Core.AggregateSources = true }
 }
 
-// WithTelemetry attaches the event buses: one for an unsharded network, one
-// per shard (indexed by shard) for a sharded one. Every engine, querier and
-// host publishes to the lane of the shard its node runs on, so concurrently
-// executing shards never share a bus; callers merge or compare lanes after
-// the run. Deploy panics when handed fewer lanes than the network has shards.
-func WithTelemetry(lanes ...*telemetry.Bus) DeployOption {
-	return func(o *DeployOptions) { o.Telemetry = lanes }
+// WithTelemetry attaches the event bus every engine, querier and host
+// publishes to.
+func WithTelemetry(bus *telemetry.Bus) DeployOption {
+	return func(o *DeployOptions) { o.Telemetry = bus }
 }
 
-// WithInvariantChecker enables the online §3.8 invariant checker: one per
-// telemetry lane (the invariants are per-router, so a lane's checker sees
-// everything it needs), on lanes of the deployment's own when WithTelemetry
-// supplied none. Read the findings with Deployment.Violations.
+// WithInvariantChecker enables the online §3.8 invariant checker on the
+// deployment's bus, a bus of its own when WithTelemetry supplied none. Read
+// the findings with Deployment.Violations.
 func WithInvariantChecker() DeployOption {
 	return func(o *DeployOptions) { o.InvariantChecker = true }
 }
 
 // WithFailFast enables the invariant checker in fail-fast mode: the first
 // violation halts the simulation at its exact simulated time (the clock
-// freezes there; later RunUntil calls return immediately). Panics at deploy
-// time on a sharded network: a shard goroutine must not halt the root
-// scheduler.
+// freezes there; later RunUntil calls return immediately).
 func WithFailFast() DeployOption {
 	return func(o *DeployOptions) { o.InvariantChecker, o.FailFast = true, true }
 }
@@ -207,48 +198,36 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 	for _, fn := range opts {
 		fn(o)
 	}
-	if o.InvariantChecker && len(o.Telemetry) == 0 {
-		for range s.Net.ShardCount() {
-			o.Telemetry = append(o.Telemetry, telemetry.NewBus())
-		}
-	}
-	if n := len(o.Telemetry); n > 0 && n < s.Net.ShardCount() {
-		panic("scenario: fewer telemetry lanes than shards")
-	}
-	if o.FailFast && s.Net.Sharded() {
-		panic("scenario: WithFailFast requires an unsharded network (shards=1)")
+	if o.InvariantChecker && o.Telemetry == nil {
+		o.Telemetry = telemetry.NewBus()
 	}
 	if len(o.DenseRouters) > 0 && p != SparseMode {
 		panic("scenario: dense routers make a mixed internet of SparseMode only")
 	}
+	o.Core.Telemetry, o.Dense.Telemetry = o.Telemetry, o.Telemetry
+	o.DVMRP.Telemetry, o.CBT.Telemetry = o.Telemetry, o.Telemetry
 
-	// The checkers subscribe before any engine starts so they observe the
+	// The checker subscribes before any engine starts so it observes the
 	// first EpochStart of every router.
-	var chks []*telemetry.Checker
+	var chk *telemetry.Checker
 	if o.InvariantChecker {
-		for _, b := range o.Telemetry {
-			if b == nil {
-				continue
-			}
-			chk := telemetry.NewChecker(b)
-			if o.FailFast {
-				chk.SetFailFast(true)
-				chk.Halt = s.Net.Sched.Halt
-			}
-			switch p {
-			case SparseMode, DenseMode, DVMRPMode:
-				// These engines — and both halves of a border — derive the
-				// expected incoming interface from the unicast substrate, so
-				// the checker can recompute it.
-				chk.ExpectedIIF = func(router int, target addr.IP) (int, bool) {
-					rt, ok := s.UnicastFor(router).Lookup(target)
-					if !ok || rt.Iface == nil {
-						return 0, false
-					}
-					return rt.Iface.Index, true
+		chk = telemetry.NewChecker(o.Telemetry)
+		if o.FailFast {
+			chk.SetFailFast(true)
+			chk.Halt = s.Net.Sched.Halt
+		}
+		switch p {
+		case SparseMode, DenseMode, DVMRPMode:
+			// These engines — and both halves of a border — derive the
+			// expected incoming interface from the unicast substrate, so
+			// the checker can recompute it.
+			chk.ExpectedIIF = func(router int, target addr.IP) (int, bool) {
+				rt, ok := s.UnicastFor(router).Lookup(target)
+				if !ok || rt.Iface == nil {
+					return 0, false
 				}
+				return rt.Iface.Index, true
 			}
-			chks = append(chks, chk)
 		}
 	}
 
@@ -256,51 +235,37 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 	switch p {
 	case SparseMode:
 		o.Core.RPMapping = cloneRPMapping(o.Core.RPMapping)
-		sparse := func(i int, nd *netsim.Node, bus *telemetry.Bus) *core.Router {
-			cfg := o.Core
-			cfg.Telemetry = bus
-			return core.New(nd, cfg, s.UnicastFor(i))
+		sparse := func(i int, nd *netsim.Node) *core.Router {
+			return core.New(nd, o.Core, s.UnicastFor(i))
 		}
 		if len(o.DenseRouters) == 0 {
-			dep = deployEngines(s, o, chks, p, sparse)
+			dep = deployEngines(s, o, chk, p, sparse)
 			break
 		}
-		d := deployEngines(s, o, chks, p, s.roles(o, sparse))
+		d := deployEngines(s, o, chk, p, s.roles(o, sparse))
 		d.ctrl = slices.Concat(ctrlCounters[SparseMode], ctrlCounters[DenseMode])
 		slices.Sort(d.ctrl)
 		d.ctrl = slices.Compact(d.ctrl)
 		dep = d
 	case DenseMode:
-		dep = deployEngines(s, o, chks, p, func(i int, nd *netsim.Node, bus *telemetry.Bus) *pimdm.Router {
-			cfg := o.Dense
-			cfg.Telemetry = bus
-			return pimdm.New(nd, cfg, s.UnicastFor(i))
+		dep = deployEngines(s, o, chk, p, func(i int, nd *netsim.Node) *pimdm.Router {
+			return pimdm.New(nd, o.Dense, s.UnicastFor(i))
 		})
 	case DVMRPMode:
-		dep = deployEngines(s, o, chks, p, func(i int, nd *netsim.Node, bus *telemetry.Bus) *dvmrp.Router {
-			cfg := o.DVMRP
-			cfg.Telemetry = bus
-			return dvmrp.New(nd, cfg, s.UnicastFor(i))
+		dep = deployEngines(s, o, chk, p, func(i int, nd *netsim.Node) *dvmrp.Router {
+			return dvmrp.New(nd, o.DVMRP, s.UnicastFor(i))
 		})
 	case CBTMode:
-		dep = deployEngines(s, o, chks, p, func(i int, nd *netsim.Node, bus *telemetry.Bus) *cbt.Router {
-			cfg := o.CBT
-			cfg.Telemetry = bus
-			return cbt.New(nd, cfg, s.UnicastFor(i))
+		dep = deployEngines(s, o, chk, p, func(i int, nd *netsim.Node) *cbt.Router {
+			return cbt.New(nd, o.CBT, s.UnicastFor(i))
 		})
 	case MOSPFMode:
 		// MOSPF carries its own topology view (the shared Domain), so
-		// FinishUnicast is not required. Its routers flood through that
-		// Domain synchronously — racy and order-sensitive across
-		// concurrently executing shards. Front ends ask Recipe.Sequential
-		// before they partition.
-		if s.Net.Sharded() {
-			panic("scenario: MOSPF requires an unsharded network (shards=1)")
-		}
+		// FinishUnicast is not required.
 		dom := mospf.NewDomain(s.Routers)
-		dep = &MOSPFDeployment{Domain: dom, Deployed: deployEngines(s, o, chks, p, func(_ int, nd *netsim.Node, bus *telemetry.Bus) *mospf.Router {
+		dep = &MOSPFDeployment{Domain: dom, Deployed: deployEngines(s, o, chk, p, func(_ int, nd *netsim.Node) *mospf.Router {
 			r := mospf.New(nd, dom)
-			r.RefreshInterval, r.Telemetry = o.MOSPFRefresh, bus
+			r.RefreshInterval, r.Telemetry = o.MOSPFRefresh, o.Telemetry
 			return r
 		})}
 	default:
@@ -313,12 +278,12 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 // deployEngines is the one deploy loop: on every router it builds the
 // protocol's engine with mk — the only per-protocol code — and an IGMP
 // querier feeding it membership (and, where a sparse-mode instance runs,
-// hosts' RP mappings), then starts both. The checkers' negative-cache probe
+// hosts' RP mappings), then starts both. The checker's negative-cache probe
 // reads that sparse instance; a router without one holds no negative cache.
-func deployEngines[R Engine](s *Sim, o *DeployOptions, chks []*telemetry.Checker, p Protocol, mk func(i int, nd *netsim.Node, bus *telemetry.Bus) R) *Deployed[R] {
-	d := &Deployed[R]{Sim: s, ctrl: ctrlCounters[p], checkers: chks}
+func deployEngines[R Engine](s *Sim, o *DeployOptions, chk *telemetry.Checker, p Protocol, mk func(i int, nd *netsim.Node) R) *Deployed[R] {
+	d := &Deployed[R]{Sim: s, ctrl: ctrlCounters[p], checker: chk}
 	for i, nd := range s.Routers {
-		r := mk(i, nd, o.busFor(nd))
+		r := mk(i, nd)
 		q := s.newQuerier(nd, o)
 		q.OnJoin, q.OnLeave = r.LocalJoin, r.LocalLeave
 		if sp := sparseInstance(r); sp != nil {
@@ -329,7 +294,7 @@ func deployEngines[R Engine](s *Sim, o *DeployOptions, chks []*telemetry.Checker
 		d.Routers = append(d.Routers, r)
 		d.Queriers = append(d.Queriers, q)
 	}
-	for _, chk := range chks {
+	if chk != nil {
 		chk.NegativeCached = func(router int, src, g addr.IP, iface int) bool {
 			r := sparseInstance(d.Routers[router])
 			if r == nil {
@@ -351,23 +316,19 @@ func deployEngines[R Engine](s *Sim, o *DeployOptions, chks []*telemetry.Checker
 // dense mode on a router o.DenseRouters lists; a border router on a sparse
 // router with interfaces onto a dense one, its dense-side instance scoped to
 // those interfaces; PIM sparse mode, built by sparse, everywhere else.
-func (s *Sim) roles(o *DeployOptions, sparse func(int, *netsim.Node, *telemetry.Bus) *core.Router) func(int, *netsim.Node, *telemetry.Bus) Engine {
+func (s *Sim) roles(o *DeployOptions, sparse func(int, *netsim.Node) *core.Router) func(int, *netsim.Node) Engine {
 	dense := map[*netsim.Node]bool{}
 	for _, i := range o.DenseRouters {
 		dense[s.Routers[i]] = true
 	}
-	return func(i int, nd *netsim.Node, bus *telemetry.Bus) Engine {
-		denseCfg := o.Dense
-		denseCfg.Telemetry = bus
+	return func(i int, nd *netsim.Node) Engine {
 		if dense[nd] {
-			return pimdm.New(nd, denseCfg, s.UnicastFor(i))
+			return pimdm.New(nd, o.Dense, s.UnicastFor(i))
 		}
 		if facing := denseFacingIfaces(nd, dense); facing != nil {
-			cfg := o.Core
-			cfg.Telemetry = bus
-			return border.New(nd, cfg, denseCfg, s.UnicastFor(i), facing)
+			return border.New(nd, o.Core, o.Dense, s.UnicastFor(i), facing)
 		}
-		return sparse(i, nd, bus)
+		return sparse(i, nd)
 	}
 }
 
@@ -416,15 +377,6 @@ func mfibBytes(e Engine) int64 {
 	return 0
 }
 
-// busFor returns the event bus a node publishes to — its shard's lane — or
-// nil when the deployment has no telemetry.
-func (o *DeployOptions) busFor(nd *netsim.Node) *telemetry.Bus {
-	if len(o.Telemetry) == 0 {
-		return nil
-	}
-	return o.Telemetry[nd.Shard()]
-}
-
 // newQuerier builds one router's IGMP querier with the deployment-wide
 // timer overrides and telemetry bus applied.
 func (s *Sim) newQuerier(nd *netsim.Node, o *DeployOptions) *igmp.Querier {
@@ -435,7 +387,7 @@ func (s *Sim) newQuerier(nd *netsim.Node, o *DeployOptions) *igmp.Querier {
 	if o.IGMPHoldTime > 0 {
 		q.HoldTime = o.IGMPHoldTime
 	}
-	q.Telemetry = o.busFor(nd)
+	q.Telemetry = o.Telemetry
 	return q
 }
 
@@ -444,16 +396,13 @@ func (s *Sim) newQuerier(nd *netsim.Node, o *DeployOptions) *igmp.Querier {
 // and Value the SendData timestamp in microseconds (-1 when the payload
 // carries none). Existing hooks keep firing after the tap.
 func (s *Sim) tapHosts(o *DeployOptions) {
-	if len(o.Telemetry) == 0 {
+	bus := o.Telemetry
+	if bus == nil {
 		return
 	}
 	for r := range s.Hosts {
 		for hIdx, h := range s.Hosts[r] {
 			r, hIdx, h := r, hIdx, h
-			bus := o.busFor(h.Node)
-			if bus == nil {
-				continue
-			}
 			prev := h.OnData
 			h.OnData = func(g addr.IP, pkt *packet.Packet) {
 				now := h.Node.Sched().Now()

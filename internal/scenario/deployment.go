@@ -20,7 +20,7 @@ import (
 // Deployment is the uniform surface every protocol deployment exposes: the
 // fault layer (internal/faults, internal/script, the recovery experiment)
 // kills and revives routers through it, the experiments read the §1.2
-// overhead axes through it, and checked runs read the invariant checkers'
+// overhead axes through it, and checked runs read the invariant checker's
 // findings through it, without knowing which protocol is running.
 type Deployment interface {
 	// Crash fail-stops router i: all interfaces down, engine and IGMP
@@ -47,8 +47,8 @@ type Deployment interface {
 	ControlMessages() int64
 	// Counter sums one metrics counter across routers.
 	Counter(id metrics.ID) int64
-	// Violations aggregates invariant-checker findings across every lane,
-	// sorted by time then router (nil without WithInvariantChecker).
+	// Violations returns the invariant checker's findings, sorted by time
+	// then router (nil without WithInvariantChecker).
 	Violations() []telemetry.Violation
 }
 
@@ -74,9 +74,9 @@ type Deployed[R Engine] struct {
 
 	// ctrl is the protocol's ctrlCounters row.
 	ctrl []metrics.ID
-	// checkers holds one invariant checker per telemetry lane (none unless
-	// deployed WithInvariantChecker).
-	checkers []*telemetry.Checker
+	// checker is the invariant checker (nil unless deployed
+	// WithInvariantChecker).
+	checker *telemetry.Checker
 }
 
 // The per-protocol deployments. Callers that need engine internals assert to
@@ -173,13 +173,13 @@ func (d *Deployed[R]) ControlMessages() int64 {
 	return total
 }
 
-// Violations aggregates every checker's failed invariants (one checker per
-// telemetry lane when sharded), merged into simulated-time order.
+// Violations returns the checker's failed invariants in simulated-time order,
+// same-instant findings by router.
 func (d *Deployed[R]) Violations() []telemetry.Violation {
-	var all []telemetry.Violation
-	for _, c := range d.checkers {
-		all = append(all, c.Violations()...)
+	if d.checker == nil {
+		return nil
 	}
+	all := append([]telemetry.Violation(nil), d.checker.Violations()...)
 	slices.SortStableFunc(all, func(x, y telemetry.Violation) int {
 		if x.At != y.At {
 			return cmp.Compare(x.At, y.At)

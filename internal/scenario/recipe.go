@@ -58,13 +58,6 @@ func ProtocolNames() []string {
 	return []string{"pim-sm", "pim-sm-shared", "pim-dm", "dvmrp", "cbt", "mospf"}
 }
 
-// Sequential reports whether the recipe's protocol must run on an unsharded
-// network — the one protocol pin on sharding, asked by every front end before
-// it partitions. MOSPF's routers flood through one shared in-memory Domain,
-// synchronously: racy and order-sensitive across concurrently executing
-// shards (Deploy panics on a sharded network for the same reason).
-func (rec Recipe) Sequential() bool { return rec.Protocol == "mospf" }
-
 // DeclaresRP reports whether the recipe's protocol anchors each group at a
 // declared router — sparse mode's RP candidates, CBT's core — so a front end
 // writes Anchors for it. The other protocols have no use for one, and a

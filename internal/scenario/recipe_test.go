@@ -193,44 +193,44 @@ func TestMaxDataSizeCrossesEveryEngine(t *testing.T) {
 	send("pim-sm", MaxDataSize+1)
 }
 
-// TestObservationLanes pins WithTelemetry's one contract on 1 and 2 shards:
-// WithInvariantChecker alone builds a lane and a checker per shard that see
-// the engines' events (a forged stale-epoch timer published through a
-// router's own bus becomes a violation), and a deployment handed fewer lanes
-// than shards — one bus on a sharded network included — panics at deploy time
-// instead of racing.
+// TestObservationLanes pins WithTelemetry's one contract: one bus and one
+// checker. WithInvariantChecker alone builds a bus and a checker that see the
+// engines' events (a forged stale-epoch timer published through a router's
+// own bus becomes a violation); handed a bus, every engine publishes to it
+// and the checker subscribes to it.
 func TestObservationLanes(t *testing.T) {
-	chain := func(shards int) *Sim {
+	chain := func() *Sim {
 		g := topology.New(4)
 		for i := 0; i < 3; i++ {
 			g.AddEdge(i, i+1, 1)
 		}
 		sim := Build(g)
-		sim.AutoShardN(shards)
 		sim.FinishUnicast(UseOracle)
 		return sim
 	}
-	for _, shards := range []int{1, 2} {
-		sim := chain(shards)
-		dep := sim.Deploy(SparseMode, WithInvariantChecker()).(*PIMDeployment)
-		if len(dep.checkers) != shards {
-			t.Fatalf("shards=%d: %d checkers", shards, len(dep.checkers))
+	given := telemetry.NewBus()
+	for _, bus := range []*telemetry.Bus{nil, given} {
+		opts := []DeployOption{WithInvariantChecker()}
+		if bus != nil {
+			opts = append(opts, WithTelemetry(bus))
+		}
+		sim := chain()
+		dep := sim.Deploy(SparseMode, opts...).(*PIMDeployment)
+		if dep.checker == nil {
+			t.Fatal("WithInvariantChecker deployed no checker")
 		}
 		sim.Run(2 * netsim.Second)
 		if vs := dep.Violations(); len(vs) != 0 {
-			t.Fatalf("shards=%d: clean run violated: %v", shards, vs)
+			t.Fatalf("clean run violated: %v", vs)
 		}
 		for i, r := range dep.Routers {
+			if bus != nil && r.Telemetry != bus {
+				t.Fatalf("router %d publishes to its own bus, not the one handed in", i)
+			}
 			r.Telemetry.Publish(telemetry.Event{Kind: telemetry.TimerFire, Router: i, Epoch: 99})
 		}
 		if vs := dep.Violations(); len(vs) != len(dep.Routers) {
-			t.Errorf("shards=%d: %d forged stale timers, %d violations", shards, len(dep.Routers), len(vs))
+			t.Errorf("given bus %v: %d forged stale timers, %d violations", bus != nil, len(dep.Routers), len(vs))
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("one bus on a 2-shard network deployed")
-		}
-	}()
-	chain(2).Deploy(SparseMode, WithTelemetry(telemetry.NewBus()))
 }

@@ -77,14 +77,6 @@ type Sim struct {
 	oracle   *unicast.Oracle
 	dv       []*unicast.DV
 	ls       []*unicast.LS
-
-	// owner maps every node back to the graph vertex whose router it is or
-	// hangs off (hosts and LAN anchors map to their router), so sharding can
-	// place entire stub LANs with their router.
-	owner map[*netsim.Node]int
-	// shardAsn is the topology partition in effect after AutoShard, indexed
-	// by graph vertex; nil while unsharded.
-	shardAsn []int
 }
 
 // CheckGraph reports why Build would refuse g: more routers or links than
@@ -125,11 +117,9 @@ func Build(g *topology.Graph) *Sim {
 		EdgeLinks: make([]*netsim.Link, g.M()),
 		HostLANs:  make([]*netsim.Link, g.N()),
 		Hosts:     make([][]*igmp.Host, g.N()),
-		owner:     make(map[*netsim.Node]int),
 	}
 	for i := range s.Routers {
 		s.Routers[i] = net.AddNode(fmt.Sprintf("r%d", i))
-		s.owner[s.Routers[i]] = i
 	}
 	for ei, e := range g.Edges() {
 		a := s.addIface(s.Routers[e.A], linkAddr(ei, 1))
@@ -166,14 +156,12 @@ func (s *Sim) AddHost(r int) *igmp.Host {
 		panic(fmt.Sprintf("scenario: AddHost after FinishUnicast (router %d)", r))
 	}
 	nd := s.Net.AddNode(fmt.Sprintf("h%d.%d", r, len(s.Hosts[r])))
-	s.placeWithRouter(nd, r)
 	hif := s.addIface(nd, HostLANAddr(r, len(s.Hosts[r])))
 	if s.HostLANs[r] == nil {
 		rif := s.addIface(s.Routers[r], RouterLANAddr(r))
 		// A third, always-silent interface makes the stub a true LAN so
 		// §3.7 semantics (multicast join/prune visibility) apply uniformly.
 		anchorNode := s.Net.AddNode(fmt.Sprintf("lan%d", r))
-		s.placeWithRouter(anchorNode, r)
 		anchor := s.Net.AddIface(anchorNode, 0)
 		s.HostLANs[r] = s.Net.ConnectLAN(DelayUnit, rif, hif, anchor)
 	} else {
@@ -185,41 +173,6 @@ func (s *Sim) AddHost(r int) *igmp.Host {
 	h := igmp.NewHost(nd, hif)
 	s.Hosts[r] = append(s.Hosts[r], h)
 	return h
-}
-
-// placeWithRouter records that nd hangs off graph vertex r and, when the
-// network is already sharded, pins it to r's shard so stub LANs never span
-// shard boundaries.
-func (s *Sim) placeWithRouter(nd *netsim.Node, r int) {
-	s.owner[nd] = r
-	if s.shardAsn != nil {
-		s.Net.SetNodeShard(nd, s.shardAsn[r])
-	}
-}
-
-// AutoShardN partitions the topology into k shards (topology.Partition:
-// greedy min-cut preferring high-delay links as boundaries) and switches the
-// network to sharded parallel execution. Hosts and LAN anchors — existing
-// and future — are placed on their router's shard, so only backbone
-// point-to-point links ever cross shards. Call after Build and before any
-// events are scheduled (i.e. before FinishUnicast starts DV/LS); a k of 1
-// or less leaves the network sequential. The partition is a deterministic
-// function of the graph and k, which the shard-determinism gates rely on.
-func (s *Sim) AutoShardN(k int) {
-	if k <= 1 || s.Net.Sharded() {
-		return
-	}
-	if k > s.Graph.N() {
-		k = s.Graph.N()
-	}
-	s.shardAsn = topology.Partition(s.Graph, k)
-	s.Net.Shard(k, func(nd *netsim.Node) int {
-		r, ok := s.owner[nd]
-		if !ok {
-			panic("scenario: node with unknown owner at shard time: " + nd.Name)
-		}
-		return s.shardAsn[r]
-	})
 }
 
 // FinishUnicast attaches the chosen unicast substrate. For DV and LS the

@@ -1,9 +1,8 @@
 // Corpus discovery: every scenario under a root directory is a
 // self-verifying document. Each file embeds its golden digest after a
-// `-- golden --` marker (see Parse), and Corpus re-runs every file across
-// the matrix — sequential and on 2 shards — requiring the scripted
-// expectations, the §3.8 invariants, and the embedded digest to hold in
-// every cell. One drift anywhere (a changed delivery count, a new telemetry
+// `-- golden --` marker (see Parse), and Corpus re-runs every file, requiring
+// the scripted expectations, the §3.8 invariants, and the embedded digest to
+// hold. One drift anywhere (a changed delivery count, a new telemetry
 // event, a reordered stream) fails the corpus with a pointer to
 // `pimscript -update`.
 package script
@@ -21,28 +20,14 @@ import (
 	"pim/internal/telemetry"
 )
 
-// Pass is one cell of the corpus matrix: a name and the captured, checked
-// run configuration it executes under.
-type Pass struct {
-	Name   string
-	Config RunConfig
-}
-
-// Matrix is the corpus verification matrix: the default sequential run plus
-// the same run partitioned over 2 shards, so every scenario witnesses
-// sequential==sharded equivalence against its golden on every run.
-func Matrix() []Pass {
-	return []Pass{
-		{Name: "shards=1", Config: RunConfig{Captured: true, Checked: true}},
-		{Name: "shards=2", Config: RunConfig{Captured: true, Checked: true, Shards: 2}},
-	}
-}
+// corpusRun is the one configuration a corpus scenario is recorded and
+// verified under: captured and checked.
+var corpusRun = RunConfig{Captured: true, Checked: true}
 
 // DigestLines renders a run's golden digest: the delivery counts, the
 // per-kind telemetry event counts, and an FNV-64a hash of the canonical
-// captured stream. Every line is a stable function of the simulation —
-// independent of shard count — so the digest doubles as the corpus
-// equivalence witness.
+// captured stream. Every line is a stable function of the simulation, so any
+// change in what a scenario does shows in its digest.
 func DigestLines(res *Result) []string {
 	var lines []string
 	keys := make([]string, 0, len(res.Delivered))
@@ -105,7 +90,7 @@ func Compose(body string, digest []string) string {
 	return b.String()
 }
 
-// Update runs the scenario at path under the default matrix cell and
+// Update runs the scenario at path under the corpus configuration and
 // rewrites the file with a regenerated golden section, preserving the
 // script body byte-for-byte. It refuses to record a failing run: a golden
 // must always describe a scenario that passes its own expectations with the
@@ -119,7 +104,7 @@ func Update(path string) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("%s: %v", path, err)
 	}
-	res, err := s.RunWith(Matrix()[0].Config)
+	res, err := s.RunWith(corpusRun)
 	if err != nil {
 		return false, fmt.Errorf("%s: %v", path, err)
 	}
@@ -161,33 +146,29 @@ func Discover(root string) ([]string, error) {
 	return paths, nil
 }
 
-// Verify runs one scenario through the full matrix: in every cell the
-// scripted expectations must hold, the invariants must be clean (unless the
-// scenario records violations as its verdict), and the digest must equal
-// the embedded golden.
+// Verify runs one scenario: the scripted expectations must hold, the
+// invariants must be clean (unless the scenario records violations as its
+// verdict), and the digest must equal the embedded golden.
 func Verify(path string) error {
-	for _, pass := range Matrix() {
-		s, err := ParseFile(path)
-		if err != nil {
-			return fmt.Errorf("%s: %v", path, err)
-		}
-		if s.Golden() == nil {
-			return fmt.Errorf("%s: no embedded golden; run `pimscript -update %s`", path, path)
-		}
-		res, err := s.RunWith(pass.Config)
-		if err != nil {
-			return fmt.Errorf("%s [%s]: %v", path, pass.Name, err)
-		}
-		if len(res.Failures) > 0 {
-			return fmt.Errorf("%s [%s]: %v", path, pass.Name, res.Failures)
-		}
-		if !s.ExpectsViolations() && len(res.Violations) > 0 {
-			return fmt.Errorf("%s [%s]: invariant violation: %s", path, pass.Name, res.Violations[0])
-		}
-		if diff := diffDigest(s.Golden(), DigestLines(res)); diff != "" {
-			return fmt.Errorf("%s [%s]: golden mismatch (%s); run `pimscript -update %s` if intended",
-				path, pass.Name, diff, path)
-		}
+	s, err := ParseFile(path)
+	if err != nil {
+		return fmt.Errorf("%s: %v", path, err)
+	}
+	if s.Golden() == nil {
+		return fmt.Errorf("%s: no embedded golden; run `pimscript -update %s`", path, path)
+	}
+	res, err := s.RunWith(corpusRun)
+	if err != nil {
+		return fmt.Errorf("%s: %v", path, err)
+	}
+	if len(res.Failures) > 0 {
+		return fmt.Errorf("%s: %v", path, res.Failures)
+	}
+	if !s.ExpectsViolations() && len(res.Violations) > 0 {
+		return fmt.Errorf("%s: invariant violation: %s", path, res.Violations[0])
+	}
+	if diff := diffDigest(s.Golden(), DigestLines(res)); diff != "" {
+		return fmt.Errorf("%s: golden mismatch (%s); run `pimscript -update %s` if intended", path, diff, path)
 	}
 	return nil
 }
@@ -223,7 +204,7 @@ func Corpus(root string, logf func(format string, a ...interface{})) (int, error
 			return 0, err
 		}
 		if logf != nil {
-			logf("corpus ok   %s (%d passes)", path, len(Matrix()))
+			logf("corpus ok   %s", path)
 		}
 	}
 	return len(paths), nil

@@ -163,14 +163,14 @@ expect recv received G0 >= 1000
 	}
 }
 
-// TestCorpusMatrix runs the whole committed corpus through the matrix — the
-// same verification `pimscript -corpus scenarios` and `make corpus` perform.
-// Every scenario must pass its expectations, keep the §3.8 invariants, and
-// reproduce its embedded digest sequentially and on 2 shards. Scenarios are
-// independent simulations, so they verify in parallel.
+// TestCorpusMatrix runs the whole committed corpus — the same verification
+// `pimscript -corpus scenarios` and `make corpus` perform. Every scenario
+// must pass its expectations, keep the §3.8 invariants, and reproduce its
+// embedded digest. Scenarios are independent simulations, so they verify in
+// parallel.
 func TestCorpusMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 2-pass corpus matrix; run without -short")
+		t.Skip("full corpus; run without -short")
 	}
 	paths, err := Discover("../../scenarios")
 	if err != nil {

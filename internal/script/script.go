@@ -70,8 +70,7 @@
 // lines recording the delivery counts, per-kind telemetry event counts, and
 // the FNV-64a hash of the canonical captured stream. `pimscript -update`
 // regenerates the section; corpus discovery (Corpus, `pimscript -corpus`)
-// re-runs every scenario sequentially and on 2 shards and fails on any
-// digest drift. See DESIGN.md §15.
+// re-runs every scenario and fails on any digest drift. See DESIGN.md §15.
 package script
 
 import (
@@ -156,11 +155,8 @@ var statements = []row{
 }
 
 // verbs is the `at` verb table. Globally scoped verbs (link state, loss
-// models, crash/restart) return no node and run as root-scheduler actions:
-// under sharded execution they fire at epoch barriers with every shard
-// quiesced. Verbs that touch a single host (join/leave/send) return that
-// host's node and run on its scheduler, so the membership change or packet
-// send originates inside its shard exactly as it would sequentially.
+// models, crash/restart) return no node; verbs that touch a single host
+// (join/leave/send) return that host's node.
 var verbs = []row{
 	{name: "join", synopsis: "<host> <group>", min: 2, max: 2, act: (*runner).membership},
 	{name: "leave", synopsis: "<host> <group>", min: 2, max: 2, act: (*runner).membership},
@@ -368,19 +364,15 @@ type Result struct {
 	// sorted by time then router (nil on unchecked runs).
 	Violations []telemetry.Violation
 	// Events is the canonical captured telemetry stream of a Captured run:
-	// per-shard lane buffers concatenated and stable-sorted by (At, Router),
-	// identical for any shard count. Every observer (Sampler,
-	// ConvergenceProbe, an experiment's own tally) can be fed from it by
-	// replaying it into a fresh Bus, so none of them needs to know about lanes.
+	// the bus's events stable-sorted by (At, Router). Every observer
+	// (Sampler, ConvergenceProbe, an experiment's own tally) can be fed from
+	// it by replaying it into a fresh Bus.
 	Events []telemetry.Event
 	// Runs holds one Reading per `run` statement, taken at its end.
 	Runs []Reading
-	// PeakLiveTimers and ShardLoads are the network's own exact counts, read
-	// once after the last statement: the scheduler's timer-population
-	// high-water mark (summed over shards) and the per-shard execution
-	// counters (nil for a sequential run).
+	// PeakLiveTimers is the scheduler's timer-population high-water mark,
+	// read once after the last statement.
 	PeakLiveTimers int
-	ShardLoads     []netsim.ShardLoad
 }
 
 // Reading is the network as one `run` left it. It is a reading, not a fold of
@@ -402,7 +394,7 @@ type Reading struct {
 	// edge's data-packet crossings, by edge index.
 	Totals   netsim.LinkStats
 	EdgeData []int64
-	// Events counts the scheduler events processed, over every shard.
+	// Events counts the scheduler events processed.
 	Events int64
 	// MaxQueueDelay is the worst queueing delay a topo edge's link imposed
 	// during this run.
@@ -448,10 +440,8 @@ type runner struct {
 	// dep is the deployment: crash/restart, per-router state and the
 	// invariant checkers' findings. It is nil until the protocol statement.
 	dep scenario.Deployment
-	// lanes[i] is the event stream shard i published on a Captured run. It is
-	// appended only by shard i's goroutine, so capture stays race-free under
-	// parallel execution.
-	lanes [][]telemetry.Event
+	// events is the stream the bus carried on a Captured run.
+	events []telemetry.Event
 	// inj is the lazily created fault injector (loss/reorder/flap/partition
 	// verbs); faultSeed is the stream seed it is created with (the
 	// `faultseed` statement; default 1).
@@ -476,42 +466,29 @@ func (r *runner) injector() *faults.Injector {
 }
 
 // RunConfig selects the script execution mode; the zero value is the plain
-// sequential-or-sharded run with no observation attached.
+// run with no observation attached.
 type RunConfig struct {
-	// Checked attaches the online §3.8 invariant checker, one per shard
-	// (forced on when the script declares `expect violations`).
+	// Checked attaches the online §3.8 invariant checker (forced on when the
+	// script declares `expect violations`).
 	Checked bool
 	// FailFast additionally arms the checker's first-violation halt: the
 	// simulation freezes at the violation instant and the rest of the
-	// scripted run is skipped. Implies Checked; pins the run to one shard.
+	// scripted run is skipped. Implies Checked.
 	FailFast bool
 	// Bus, when non-nil, is an externally supplied event bus whose
 	// subscribers (samplers, convergence probes) observe the deployment;
-	// subscribe them before calling RunWith. Pins the run to one shard.
+	// subscribe them before calling RunWith.
 	Bus *telemetry.Bus
-	// Captured records the event stream on per-shard telemetry lanes and
-	// returns the canonical merged stream in Result.Events: lane buffers
-	// concatenated and stable-sorted by (At, Router), preserving each
-	// router's publication order while normalizing cross-router
-	// same-instant interleaving — identical for any shard count, which makes
-	// it every equivalence gate's witness.
+	// Captured records the event stream and returns it in canonical form in
+	// Result.Events: stable-sorted by (At, Router), preserving each router's
+	// publication order while fixing cross-router same-instant
+	// interleaving. The golden digests hash that form.
 	Captured bool
-	// Shards is the partition count the run executes under (0 or 1 =
-	// sequential). Runs that must stay sequential — see RunWith — ignore it.
-	Shards int
 }
 
 // RunWith is the single execution entrypoint: it runs the script in the
 // mode cfg selects and folds every observation — violations, the captured
 // canonical stream — into the Result. The zero RunConfig is the plain run.
-//
-// Sharding: a run executes under cfg.Shards, observed or not — capture and
-// the checker ride one telemetry lane per shard. Four things pin it to
-// sequential execution instead: an external Bus (one bus, which parallel
-// shards would race on), FailFast (a shard goroutine must not halt the root
-// scheduler), a protocol whose recipe says so (scenario.Recipe.Sequential:
-// MOSPF's routers share one link-state Domain) and a topo bandwidth= (a
-// link's transmit queue is not shardable).
 func (s *Script) RunWith(cfg RunConfig) (*Result, error) {
 	// A recorded-verdict scenario needs its checker regardless of how the
 	// caller invoked it: the violation count is part of the outcome.
@@ -542,12 +519,9 @@ func (s *Script) RunWith(cfg RunConfig) (*Result, error) {
 			r.res.Delivered[name+"/"+gname] = h.host.Received[g]
 		}
 	}
-	// Canonical captured stream: concatenate the per-shard lane buffers and
-	// stable-sort by (At, Router). Within one router all events come from
-	// one lane in publication order, which the stable sort preserves.
-	for _, buf := range r.lanes {
-		r.res.Events = append(r.res.Events, buf...)
-	}
+	// Canonical captured stream: stable-sort by (At, Router), which keeps
+	// each router's publication order.
+	r.res.Events = r.events
 	slices.SortStableFunc(r.res.Events, func(x, y telemetry.Event) int {
 		if x.At != y.At {
 			return cmp.Compare(x.At, y.At)
@@ -558,7 +532,7 @@ func (s *Script) RunWith(cfg RunConfig) (*Result, error) {
 		r.res.Violations = r.dep.Violations()
 	}
 	if r.sim != nil {
-		r.res.PeakLiveTimers, r.res.ShardLoads = r.sim.Net.PeakLiveTimers(), r.sim.Net.ShardLoads()
+		r.res.PeakLiveTimers = r.sim.Net.PeakLiveTimers()
 	}
 	return r.res, nil
 }
@@ -705,12 +679,9 @@ func (r *runner) doHost(st *stmt) error {
 		host: r.sim.AddHost(idx), router: idx,
 		delaySum: map[addr.IP]netsim.Time{}, delayN: map[addr.IP]int64{},
 	}
-	// Latency is read off the host's own scheduler clock: under sharded
-	// execution the callback fires on the host's shard, where the root
-	// clock may still sit at the window base.
-	hostNode := ref.host.Node
+	sched := r.sim.Net.Sched
 	ref.host.OnData = func(g addr.IP, pkt *packet.Packet) {
-		if d, ok := scenario.Latency(hostNode.Sched().Now(), pkt); ok {
+		if d, ok := scenario.Latency(sched.Now(), pkt); ok {
 			ref.delaySum[g] += d
 			ref.delayN[g]++
 		}
@@ -719,27 +690,19 @@ func (r *runner) doHost(st *stmt) error {
 	return nil
 }
 
-// observe returns the deployment options cfg selects — the event lanes and
-// the checker — after subscribing the capture buffers. An external Bus is the
-// one lane of its (sequential) run; a captured run without one gets a fresh
-// lane per shard; a run that is only checked leaves the lanes to the
-// deployment.
+// observe returns the deployment options cfg selects — the event bus and the
+// checker — after subscribing the capture buffer. A captured run without an
+// external Bus gets a fresh one; a run that is only checked leaves the bus to
+// the deployment.
 func (r *runner) observe() []scenario.DeployOption {
-	var lanes []*telemetry.Bus
-	if r.cfg.Bus != nil {
-		lanes = []*telemetry.Bus{r.cfg.Bus}
-	} else if r.cfg.Captured {
-		for range r.sim.Net.ShardCount() {
-			lanes = append(lanes, telemetry.NewBus())
-		}
+	bus := r.cfg.Bus
+	if bus == nil && r.cfg.Captured {
+		bus = telemetry.NewBus()
 	}
 	if r.cfg.Captured {
-		r.lanes = make([][]telemetry.Event, len(lanes))
-		for i, lane := range lanes {
-			lane.Subscribe(func(ev telemetry.Event) { r.lanes[i] = append(r.lanes[i], ev) })
-		}
+		bus.Subscribe(func(ev telemetry.Event) { r.events = append(r.events, ev) })
 	}
-	opts := []scenario.DeployOption{scenario.WithTelemetry(lanes...)}
+	opts := []scenario.DeployOption{scenario.WithTelemetry(bus)}
 	if r.cfg.FailFast {
 		opts = append(opts, scenario.WithFailFast())
 	} else if r.cfg.Checked {
@@ -785,11 +748,6 @@ func (r *runner) deploy(st *stmt) error {
 			}
 			rec.Dense = append(rec.Dense, idx)
 		}
-	}
-	// Shard before the unicast substrate schedules its first event, unless
-	// the run is one RunWith lists as sequential.
-	if r.cfg.Bus == nil && !r.cfg.FailFast && !rec.Sequential() && r.bandwidth == 0 {
-		r.sim.AutoShardN(r.cfg.Shards)
 	}
 	opts := r.observe()
 	r.sim.FinishUnicast(r.uniMode)

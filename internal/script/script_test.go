@@ -3,6 +3,7 @@ package script
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -625,5 +626,103 @@ func TestGrammarCommentMatchesTables(t *testing.T) {
 	}
 	if len(block) != len(usages) {
 		t.Errorf("grammar block has %d lines, the tables %d rows", len(block), len(usages))
+	}
+}
+
+// TestResultStateSamples: Result.Runs holds one reading per `run`, its State
+// the sum of what `expect router rN state` reads at that clock. The samples
+// are readings rather than a fold of the event stream — the crash in between
+// drops r1's entries without an EntryExpire. The other counts run from
+// deployment, so they never fall, and the two edges' data crossings are the
+// backbone share of the network's.
+func TestResultStateSamples(t *testing.T) {
+	const text = `topo edges 0-1 1-2
+group G0 rp r1
+host src r0
+host recv r2
+protocol pim-sm timers=fast
+at 1s join recv G0
+at 3s send src G0 count=40 every=1s
+at 20s crash r1
+run 15s
+expect router r0 state == 1
+expect router r1 state == 2
+expect router r2 state == 2
+run 10s
+expect router r0 state == 1
+expect router r1 state == 0
+expect router r2 state == 2
+`
+	s, err := Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.RunWith(RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK() {
+		t.Errorf("per-router readings moved: %v", res.Failures)
+	}
+	var state []int
+	for _, rd := range res.Runs {
+		state = append(state, rd.State)
+	}
+	if want := []int{5, 3}; !slices.Equal(state, want) {
+		t.Errorf("State = %v, want %v (the per-router sums)", state, want)
+	}
+	first, last := res.Runs[0], res.Runs[1]
+	if last.At-first.At != 10*netsim.Second || last.Ctrl < first.Ctrl || last.Events <= first.Events ||
+		last.Totals.DataPackets <= first.Totals.DataPackets {
+		t.Errorf("readings do not accumulate over the second run: %+v then %+v", first, last)
+	}
+	if edges := last.EdgeData; len(edges) != 2 || edges[0] == 0 || edges[0]+edges[1] >= last.Totals.DataPackets {
+		t.Errorf("edge data %v of %d crossings", edges, last.Totals.DataPackets)
+	}
+	if res.PeakLiveTimers == 0 {
+		t.Error("run reported no peak timer population")
+	}
+}
+
+// TestBandwidthQueuesEdgeLinks: topo bandwidth= caps every edge's link, on the
+// edges and file forms alike — a burst of large packets queues, and the run's
+// reading reports the worst wait. Without the key no frame ever waits.
+func TestBandwidthQueuesEdgeLinks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain.edges")
+	if err := os.WriteFile(path, []byte("0 1\n1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const body = `
+group G0 rp r1
+host src r0
+host recv r2
+protocol pim-sm
+at 0 join recv G0
+run 5s
+at 0 send src G0 count=20 every=10ms size=1000
+run 10s
+`
+	for _, tc := range []struct {
+		topo   string
+		queued bool
+	}{
+		{"topo edges 0-1 1-2", false},
+		{"topo edges 0-1 1-2 bandwidth=10000", true},
+		{"topo file " + path + " bandwidth=10000", true},
+	} {
+		s, err := Parse(tc.topo + body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunWith(RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wait := res.Runs[1].MaxQueueDelay; (wait > 0) != tc.queued {
+			t.Errorf("%s: worst queueing delay %dus", tc.topo, wait)
+		}
+		if got := res.Delivered["recv/G0"]; got != 20 {
+			t.Errorf("%s: delivered %d of 20", tc.topo, got)
+		}
 	}
 }

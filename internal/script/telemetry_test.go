@@ -102,9 +102,9 @@ func TestTelemetryGoldenDump(t *testing.T) {
 
 // TestSamplerReplayMatchesLive licenses "observers fold the stream": the
 // RP-failover scenario observed live through RunConfig.Bus, and replayed from
-// the canonical captured stream of a run on 1 and on 2 shards, write
-// byte-identical dumps — all equal to the golden, live_entry_peak (the one
-// field a same-instant reordering could move) included.
+// the canonical captured stream of a run, write byte-identical dumps — both
+// equal to the golden, live_entry_peak (the one field a same-instant
+// reordering could move) included.
 func TestSamplerReplayMatchesLive(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "rpfailover_telemetry.json"))
 	if err != nil {
@@ -136,9 +136,7 @@ func TestSamplerReplayMatchesLive(t *testing.T) {
 	if got := dump(RunConfig{Bus: live}, live, false); !bytes.Equal(got, want) {
 		t.Errorf("live dump differs from the golden (%d vs %d bytes)", len(got), len(want))
 	}
-	for _, shards := range []int{1, 2} {
-		if got := dump(RunConfig{Captured: true, Shards: shards}, telemetry.NewBus(), true); !bytes.Equal(got, want) {
-			t.Errorf("shards=%d: replayed dump differs from the golden (%d vs %d bytes)", shards, len(got), len(want))
-		}
+	if got := dump(RunConfig{Captured: true}, telemetry.NewBus(), true); !bytes.Equal(got, want) {
+		t.Errorf("replayed dump differs from the golden (%d vs %d bytes)", len(got), len(want))
 	}
 }

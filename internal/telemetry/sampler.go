@@ -14,10 +14,10 @@ import (
 // curves are folded incrementally from events — so attaching a sampler never
 // perturbs protocol timing.
 //
-// A sampler folds one stream: the bus of a sequential run, live, or the
-// canonical captured stream of any run (script.Result.Events) replayed into a
-// fresh bus with Bus.Replay. The two give byte-identical dumps, so how a run
-// was sharded is capture's concern, never the sampler's.
+// A sampler folds one stream: a run's bus, live, or the canonical captured
+// stream of any run (script.Result.Events) replayed into a fresh bus with
+// Bus.Replay. The two give byte-identical dumps, so whether a run was
+// observed live or captured is never the sampler's concern.
 type Sampler struct {
 	interval netsim.Time
 	routers  map[int]*samplerSeries
@@ -26,11 +26,10 @@ type Sampler struct {
 	// state population; the dump carries the peak.
 	liveEntries   int64
 	liveEntryPeak int64
-	// LiveTimerPeak and Shards are not folded from events: whoever ran the
-	// simulation copies the network's own counts here after the run
-	// (netsim.Network.PeakLiveTimers, ShardLoads) and the dump carries them.
+	// LiveTimerPeak is not folded from events: whoever ran the simulation
+	// copies the network's own count here after the run
+	// (netsim.Network.PeakLiveTimers) and the dump carries it.
 	LiveTimerPeak int64
-	Shards        []netsim.ShardLoad
 }
 
 type samplerSeries struct {
@@ -75,17 +74,13 @@ type Dump struct {
 	Routers     []RouterCurve `json:"routers"`
 	// LiveTimerPeak is the scheduler's timer-population high-water mark over
 	// the run — total armed timers, the backing store's population pressure —
-	// exactly as netsim counted it (a sharded run reports the sum of its
-	// shards' peaks). Zero (and omitted) when nobody recorded it.
+	// exactly as netsim counted it. Zero (and omitted) when nobody recorded
+	// it.
 	LiveTimerPeak int64 `json:"live_timer_peak,omitempty"`
 	// LiveEntryPeak is the highest simultaneously-installed multicast state
 	// entry count observed across the run, folded from the
 	// EntryCreate/EntryExpire stream.
 	LiveEntryPeak int64 `json:"live_entry_peak,omitempty"`
-	// Shards carries the per-shard execution counters of a sharded run:
-	// events executed, barrier-wait time, and lookahead stalls per shard.
-	// Omitted for sequential runs.
-	Shards []netsim.ShardLoad `json:"shards,omitempty"`
 }
 
 // NewSampler attaches a sampler with the given bucket interval to the bus.
@@ -149,7 +144,6 @@ func (s *Sampler) Curves() Dump {
 		IntervalSec:   float64(s.interval) / float64(netsim.Second),
 		LiveTimerPeak: s.LiveTimerPeak,
 		LiveEntryPeak: s.liveEntryPeak,
-		Shards:        s.Shards,
 	}
 	idxs := make([]int, 0, len(s.routers))
 	for i := range s.routers {

@@ -22,9 +22,7 @@ import (
 // OnChange firings, are exactly those of computing every table on every link
 // change: oracle_ref_test.go keeps that implementation as the reference.
 //
-// Under sharded execution a node's view is only touched from its own shard
-// and the snapshot only replaced from serial root actions (link flaps), so
-// nothing here is locked.
+// A simulation runs on one goroutine, so nothing here is locked.
 type Oracle struct {
 	net   *netsim.Network
 	snap  *snapshot

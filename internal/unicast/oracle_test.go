@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"pim/internal/addr"
@@ -162,43 +161,6 @@ func TestOracleUnknownNode(t *testing.T) {
 		}
 	}()
 	o.RouterFor(late)
-}
-
-// TestOracleShardedLookups is the sharded access pattern under the race
-// detector: the views are split between goroutines that solve and resolve
-// concurrently over the shared snapshot, with link flaps in serial phases
-// between them. Answers must match a serially driven reference.
-func TestOracleShardedLookups(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	net, routers := randomInternet(rng, 48, 96, 16, 3, true)
-	ref, o := newRefOracle(net), NewOracle(net)
-	for _, nd := range routers[:24] {
-		o.RouterFor(nd).OnChange(func() {})
-	}
-	dsts := ifaceAddrs(net)
-	const shards = 4
-	for round := 0; round < 6; round++ {
-		if round > 0 {
-			l := net.Links[rng.Intn(len(net.Links))]
-			net.SetLinkUp(l, !l.Up())
-		}
-		var wg sync.WaitGroup
-		for s := 0; s < shards; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				for i := s; i < len(routers); i += shards {
-					for _, dst := range dsts {
-						want, wok := ref.RouterFor(routers[i]).Lookup(dst)
-						if got, ok := o.RouterFor(routers[i]).Lookup(dst); got != want || ok != wok {
-							t.Errorf("round %d: r%d to %v: got %+v %v, reference %+v %v", round, i, dst, got, ok, want, wok)
-						}
-					}
-				}
-			}(s)
-		}
-		wg.Wait()
-	}
 }
 
 // benchInternet is the 1 024-router internet of the two oracle benchmarks:
