@@ -93,9 +93,6 @@ type Entry struct {
 	// noif is the length of the outgoing-interface list below (placed here
 	// to share UpstreamNeighbor's word).
 	noif int32
-	// Created supports the "delete after 3× refresh period" rule and
-	// entry-age metrics.
-	Created netsim.Time
 	// DeleteAt, when nonzero, marks the entry for removal once reached
 	// (set when the oif list goes null, §3.6).
 	DeleteAt netsim.Time

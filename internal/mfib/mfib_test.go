@@ -9,8 +9,8 @@ import (
 )
 
 // NewEntry builds a standalone empty entry, outside any table.
-func NewEntry(k Key, now netsim.Time) *Entry {
-	return &Entry{Key: k, Wildcard: k.Source == 0, Created: now}
+func NewEntry(k Key) *Entry {
+	return &Entry{Key: k, Wildcard: k.Source == 0}
 }
 
 func testIfaces(n int) []*netsim.Iface {
@@ -53,18 +53,19 @@ func TestUpsertIdempotent(t *testing.T) {
 	tb := NewTable()
 	k := Key{Group: addr.GroupForIndex(0), RPBit: true}
 	e1, c1 := tb.Upsert(k, 5)
+	life := e1.Life()
 	e2, c2 := tb.Upsert(k, 9)
 	if !c1 || c2 || e1 != e2 {
 		t.Fatal("Upsert not idempotent")
 	}
-	if e1.Created != 5 {
-		t.Error("Created clobbered")
+	if e2.Life() != life {
+		t.Errorf("second Upsert moved Life %d -> %d", life, e2.Life())
 	}
 }
 
 func TestOIFLifetimes(t *testing.T) {
 	ifs := testIfaces(3)
-	e := NewEntry(Key{Group: addr.GroupForIndex(0), RPBit: true}, 0)
+	e := NewEntry(Key{Group: addr.GroupForIndex(0), RPBit: true})
 	e.AddOIF(ifs[0], 100)
 	e.AddLocalOIF(ifs[1])
 	if !e.HasOIF(ifs[0], 50) || !e.HasOIF(ifs[1], 50) {
@@ -83,7 +84,7 @@ func TestOIFLifetimes(t *testing.T) {
 
 func TestAddOIFNeverShortensTimer(t *testing.T) {
 	ifs := testIfaces(1)
-	e := NewEntry(Key{Group: addr.GroupForIndex(0), RPBit: true}, 0)
+	e := NewEntry(Key{Group: addr.GroupForIndex(0), RPBit: true})
 	e.AddOIF(ifs[0], 100)
 	e.AddOIF(ifs[0], 60) // late-arriving shorter holdtime must not shorten
 	if !e.HasOIF(ifs[0], 90) {
@@ -93,7 +94,7 @@ func TestAddOIFNeverShortensTimer(t *testing.T) {
 
 func TestLiveOIFsExcludesArrivalIface(t *testing.T) {
 	ifs := testIfaces(3)
-	e := NewEntry(Key{Group: addr.GroupForIndex(0), RPBit: true}, 0)
+	e := NewEntry(Key{Group: addr.GroupForIndex(0), RPBit: true})
 	for _, ifc := range ifs {
 		e.AddOIF(ifc, 100)
 	}
@@ -114,7 +115,7 @@ func TestLiveOIFsExcludesArrivalIface(t *testing.T) {
 
 func TestOIFEmptyAndRemove(t *testing.T) {
 	ifs := testIfaces(2)
-	e := NewEntry(Key{Group: addr.GroupForIndex(0), RPBit: true}, 0)
+	e := NewEntry(Key{Group: addr.GroupForIndex(0), RPBit: true})
 	if !e.OIFEmpty(0) {
 		t.Error("new entry should have empty oifs")
 	}
@@ -130,7 +131,7 @@ func TestOIFEmptyAndRemove(t *testing.T) {
 
 func TestJoinClearsPendingPrune(t *testing.T) {
 	ifs := testIfaces(1)
-	e := NewEntry(Key{Group: addr.GroupForIndex(0), RPBit: true}, 0)
+	e := NewEntry(Key{Group: addr.GroupForIndex(0), RPBit: true})
 	o := e.AddOIF(ifs[0], 100)
 	o.PrunePending = true
 	o.PruneDeadline = 80
@@ -214,13 +215,13 @@ func TestForGroupDeterministicOrder(t *testing.T) {
 func TestEntryStringNotation(t *testing.T) {
 	g := addr.GroupForIndex(0)
 	s := addr.V4(10, 0, 0, 1)
-	if got := NewEntry(Key{Group: g, RPBit: true}, 0).String(); got != "(*,225.0.0.0)" {
+	if got := NewEntry(Key{Group: g, RPBit: true}).String(); got != "(*,225.0.0.0)" {
 		t.Errorf("wildcard String = %q", got)
 	}
-	if got := NewEntry(Key{Source: s, Group: g}, 0).String(); got != "(10.0.0.1,225.0.0.0)" {
+	if got := NewEntry(Key{Source: s, Group: g}).String(); got != "(10.0.0.1,225.0.0.0)" {
 		t.Errorf("SG String = %q", got)
 	}
-	if got := NewEntry(Key{Source: s, Group: g, RPBit: true}, 0).String(); got != "(10.0.0.1,225.0.0.0)RPbit" {
+	if got := NewEntry(Key{Source: s, Group: g, RPBit: true}).String(); got != "(10.0.0.1,225.0.0.0)RPbit" {
 		t.Errorf("RPbit String = %q", got)
 	}
 }
@@ -242,7 +243,7 @@ func TestAddClearsPrune(t *testing.T) {
 		func(e *Entry) *OIF { return e.AddOIF(ifs[0], 1<<40) },
 		func(e *Entry) *OIF { return e.AddLocalOIF(ifs[0]) },
 	} {
-		e := NewEntry(Key{Source: addr.V4(10, 100, 1, 1), Group: addr.GroupForIndex(0)}, 0)
+		e := NewEntry(Key{Source: addr.V4(10, 100, 1, 1), Group: addr.GroupForIndex(0)})
 		o := e.AddOIF(ifs[0], 1<<40)
 		o.Pruned, o.PruneDeadline = true, 1000
 		if o.Live(10) {

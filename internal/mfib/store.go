@@ -246,8 +246,9 @@ func (t *Table) SGRpt(s, g addr.IP) *Entry {
 }
 
 // Upsert returns the entry for k, creating it if absent; created reports
-// whether it was new.
-func (t *Table) Upsert(k Key, now netsim.Time) (e *Entry, created bool) {
+// whether it was new. The time argument is unused: an entry keeps no
+// creation time.
+func (t *Table) Upsert(k Key, _ netsim.Time) (e *Entry, created bool) {
 	if e = t.Get(k); e != nil {
 		return e, false
 	}
@@ -269,7 +270,7 @@ func (t *Table) Upsert(k Key, now netsim.Time) (e *Entry, created bool) {
 	spill := e.oifSpill[:0]
 	plans := e.plans[:0]
 	gen := e.gen + 1
-	*e = Entry{Key: k, Wildcard: k.Source == 0, Created: now,
+	*e = Entry{Key: k, Wildcard: k.Source == 0,
 		gen: gen, life: t.lifeSeq, oifSpill: spill, plans: plans}
 	t.indexPut(k, slot)
 	pos, _ := slices.BinarySearchFunc(t.order, k, compareKeys)

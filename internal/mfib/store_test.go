@@ -27,12 +27,12 @@ func (m *mapModel) Get(k Key) *Entry { return m.m[k] }
 func (m *mapModel) Len() int         { return len(m.m) }
 func (m *mapModel) Delete(k Key)     { delete(m.m, k) }
 
-func (m *mapModel) Upsert(k Key, now netsim.Time) (*Entry, bool) {
+func (m *mapModel) Upsert(k Key, _ netsim.Time) (*Entry, bool) {
 	if e := m.m[k]; e != nil {
 		return e, false
 	}
 	m.lifeSeq++
-	e := NewEntry(k, now)
+	e := NewEntry(k)
 	e.life = m.lifeSeq
 	m.m[k] = e
 	return e, true
@@ -89,9 +89,9 @@ func (m *mapModel) Sweep(now netsim.Time) []*Entry {
 // byte-for-byte.
 func dumpEntry(e *Entry) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%v/%v/%v rp=%v wc=%v spt=%v up=%v created=%d del=%d sup=%d life=%d",
+	fmt.Fprintf(&b, "%v/%v/%v rp=%v wc=%v spt=%v up=%v del=%d sup=%d life=%d",
 		e.Key.Source, e.Key.Group, e.Key.RPBit, e.RP, e.Wildcard, e.SPTBit,
-		e.UpstreamNeighbor, e.Created, e.DeleteAt, e.SuppressedUntil, e.Life())
+		e.UpstreamNeighbor, e.DeleteAt, e.SuppressedUntil, e.Life())
 	if e.IIF != nil {
 		fmt.Fprintf(&b, " iif=%d", e.IIF.Index)
 	}
@@ -401,9 +401,6 @@ func TestFlatStoreRecycleIdentity(t *testing.T) {
 	}
 	if e2 == e1 && e2.Gen() <= g1 {
 		t.Errorf("recycled slot reset its generation (%d -> %d)", g1, e2.Gen())
-	}
-	if e2.Created != 5 {
-		t.Error("recreated entry kept Created")
 	}
 	if e2.OIFCount() != 0 {
 		t.Error("recreated entry kept oifs")

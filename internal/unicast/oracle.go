@@ -28,6 +28,9 @@ type Oracle struct {
 	snap  *snapshot
 	views []*view // by Node.ID
 	gen   uint64  // topology changes seen; every view's Gen
+	// scratch is every snapshot's solve workspace: one queue and one
+	// beyond list, reused by every solve this oracle runs.
+	scratch solveScratch
 }
 
 // NewOracle snapshots the current topology and subscribes to link changes on
@@ -129,10 +132,21 @@ type snapshot struct {
 	start  []int32
 	arcs   []arc
 	owners map[uint32][]owner
+	// scratch is the building oracle's; a snapshot built bare gets its own
+	// on its first solve.
+	scratch *solveScratch
+}
+
+// solveScratch is what a solve needs besides the tree it returns.
+type solveScratch struct {
+	queue distQueue
+	// beyond collects nodes offered only distances over MaxPathMetric;
+	// one still unreached at the end has no path that fits.
+	beyond []int32
 }
 
 func (o *Oracle) snapshot(up []bool) *snapshot {
-	s := &snapshot{up: up, start: make([]int32, 0, len(o.net.Nodes)+1), owners: map[uint32][]owner{}}
+	s := &snapshot{up: up, start: make([]int32, 0, len(o.net.Nodes)+1), owners: map[uint32][]owner{}, scratch: &o.scratch}
 	for _, nd := range o.net.Nodes {
 		s.start = append(s.start, int32(len(s.arcs)))
 		for _, ifc := range nd.Ifaces {
@@ -176,12 +190,13 @@ const MaxPathMetric = math.MaxInt32
 // offset among the source's arcs.
 const MaxArcs = math.MaxUint16
 
-// solve runs Dijkstra from src. Ties are everywhere with small integer
-// delays, and which equal-cost first hop wins is source-relative: nodes
-// settle in (distance, ID) order, a node keeps the first relaxation that
-// reached its final distance, and between the source's own arcs to one
-// neighbour the lower peer address wins. A tree toward the destination, or a
-// different settling order, picks other next hops.
+// solve runs Dijkstra from src in the snapshot's scratch, allocating only
+// the tree it returns. Ties are everywhere with small integer delays, and
+// which equal-cost first hop wins is source-relative: nodes settle in
+// (distance, ID) order, a node keeps the first relaxation that reached its
+// final distance, and between the source's own arcs to one neighbour the
+// lower peer address wins. A tree toward the destination, or a different
+// settling order, picks other next hops.
 //
 // It panics when src has more than MaxArcs arcs or a node's distance exceeds
 // MaxPathMetric; scenario.CheckGraph refuses the graphs that could.
@@ -196,38 +211,45 @@ func (s *snapshot) solve(src int32) tree {
 		t.dist[i] = unreached
 	}
 	t.dist[src] = 0
-	// beyond collects nodes offered only distances over MaxPathMetric so
-	// far; one of them still unreached at the end has no path that fits.
-	var beyond []int32
-	h := distHeap{{0, src}}
-	for len(h) > 0 {
-		it := h.pop()
-		v := it.node
-		if it.dist > t.dist[v] {
+	if s.scratch == nil {
+		s.scratch = new(solveScratch)
+	}
+	q, beyond := &s.scratch.queue, s.scratch.beyond[:0]
+	q.reset()
+	q.push(distKey(0, src))
+	dist, first := t.dist, t.first
+	for q.len() > 0 {
+		k := q.pop()
+		d, v := int32(k>>32), int32(uint32(k))
+		if d > dist[v] {
 			continue // v settled at a shorter distance pushed later
 		}
-		for a := s.start[v]; a < s.start[v+1]; a++ {
-			arc := &s.arcs[a]
+		// a is the arc's offset among v's, which names a first hop when v is
+		// the source.
+		arcs, room, fv := s.arcs[s.start[v]:s.start[v+1]], MaxPathMetric-int64(d), first[v]
+		for a := range arcs {
+			arc := &arcs[a]
 			u := arc.to
-			if arc.delay > MaxPathMetric-int64(it.dist) {
+			if arc.delay > room {
 				beyond = append(beyond, u)
 				continue
 			}
-			nd := it.dist + int32(arc.delay)
-			switch old := t.dist[u]; {
+			nd := d + int32(arc.delay)
+			switch old := dist[u]; {
 			case old == unreached || nd < old:
-				t.dist[u] = nd
+				dist[u] = nd
 				if v == src {
-					t.first[u] = uint16(a - base)
+					first[u] = uint16(a)
 				} else {
-					t.first[u] = t.first[v]
+					first[u] = fv
 				}
-				h.push(distItem{nd, u})
-			case nd == old && v == src && arc.hop < s.arcs[base+int32(t.first[u])].hop:
-				t.first[u] = uint16(a - base)
+				q.push(distKey(nd, u))
+			case nd == old && v == src && arc.hop < arcs[first[u]].hop:
+				first[u] = uint16(a)
 			}
 		}
 	}
+	s.scratch.beyond = beyond
 	for _, u := range beyond {
 		if t.dist[u] == unreached {
 			panic(fmt.Sprintf("unicast: node %d is farther than %d µs from node %d, beyond the oracle's path metric bound", u, MaxPathMetric, src))
@@ -307,53 +329,3 @@ func (v *view) Gen() uint64 { return v.o.gen }
 // Len returns the number of destinations resolved since the last topology
 // change — what this node's table currently holds.
 func (v *view) Len() int { return len(v.memo) }
-
-// distItem is a Dijkstra work item; distHeap a binary min-heap of them
-// ordered by (dist, node), a total order, so the settling sequence does not
-// depend on the heap's internals.
-type distItem struct {
-	dist int32
-	node int32
-}
-
-type distHeap []distItem
-
-func (a distItem) less(b distItem) bool {
-	return a.dist < b.dist || (a.dist == b.dist && a.node < b.node)
-}
-
-func (h *distHeap) push(it distItem) {
-	q := append(*h, it)
-	*h = q
-	for i := len(q) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !q[i].less(q[p]) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-}
-
-func (h *distHeap) pop() distItem {
-	q := *h
-	top, n := q[0], len(q)-1
-	q[0] = q[n]
-	q = q[:n]
-	*h = q
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && q[c+1].less(q[c]) {
-			c++
-		}
-		if !q[c].less(q[i]) {
-			break
-		}
-		q[i], q[c] = q[c], q[i]
-		i = c
-	}
-	return top
-}

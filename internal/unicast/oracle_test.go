@@ -53,8 +53,9 @@ func randomInternet(rng *rand.Rand, n, links, stubs, maxDelay int, transit bool)
 
 // TestOracleMatchesReference holds the lazy oracle to the eager reference
 // (oracle_ref_test.go) on random internets whose 1–3 ms delays make
-// equal-cost ties the common case. Both oracles watch the same network;
-// after every random link or interface flip
+// equal-cost ties the common case, and on one of 256 routers whose
+// equal-distance batches exercise the radix queue at depth. Both oracles
+// watch the same network; after every random link or interface flip
 //
 //   - the sequence of node IDs whose OnChange fired must be identical, and
 //   - for a random half of the nodes — so that other views stay unsolved
@@ -65,58 +66,73 @@ func randomInternet(rng *rand.Rand, n, links, stubs, maxDelay int, transit bool)
 // route that reads live Up() instead of the old snapshot, notify-every-
 // listener, and solving an unsolved view's "old" tree on the new snapshot;
 // the route comparison kills the higher address winning (or no rule at all)
-// between the source's own arcs, a heap ordered by distance alone, keeping
+// between the source's own arcs, a queue ordered by distance alone, keeping
 // the last equal-cost relaxation, the higher next hop winning between owners,
-// and a memo kept across a change. `<=` for `<` between the source's arcs
+// and a memo kept across a change; only the 256-router internet kills queue
+// keys that keep 8 bits of node ID. `<=` for `<` between the source's arcs
 // survives, being no change: two arcs to one node never share a peer address.
 func TestOracleMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 32; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 + rng.Intn(33)
 		net, _ := randomInternet(rng, n, n-1+n/2+rng.Intn(n), n/3, 3, true)
-		ref, o := newRefOracle(net), NewOracle(net)
-		var refFired, fired []int
+		matchReference(t, fmt.Sprintf("seed %d", seed), rng, net, 40)
+	}
+	// An internet shaped like the repository benchmark's: 256 routers of
+	// degree 4, 1–10 ms delays and stub LANs. Its equal-distance batches run
+	// to hundreds of nodes.
+	rng := rand.New(rand.NewSource(1))
+	net, _ := randomInternet(rng, 256, 512, 64, 10, false)
+	matchReference(t, "256 routers", rng, net, 4)
+}
+
+// matchReference watches net with both oracles through `flips` random link
+// or interface flips, checking OnChange firings and lookups as
+// TestOracleMatchesReference describes.
+func matchReference(t *testing.T, name string, rng *rand.Rand, net *netsim.Network, flips int) {
+	t.Helper()
+	ref, o := newRefOracle(net), NewOracle(net)
+	var refFired, fired []int
+	for _, nd := range net.Nodes {
+		if rng.Intn(3) == 0 {
+			continue
+		}
+		id := nd.ID
+		ref.RouterFor(nd).OnChange(func() { refFired = append(refFired, id) })
+		o.RouterFor(nd).OnChange(func() { fired = append(fired, id) })
+	}
+	dsts := append(ifaceAddrs(net), addr.V4(192, 0, 2, 1))
+	var ifaces []*netsim.Iface
+	for _, nd := range net.Nodes {
+		ifaces = append(ifaces, nd.Ifaces...)
+	}
+	ifaceDown := map[*netsim.Iface]bool{}
+	for flip := 0; flip <= flips; flip++ {
+		what := "initial state"
+		if flip > 0 && rng.Intn(5) < 3 {
+			l := net.Links[rng.Intn(len(net.Links))]
+			what = fmt.Sprintf("link %d up=%v", l.ID, !l.Up())
+			net.SetLinkUp(l, !l.Up())
+		} else if flip > 0 {
+			ifc := ifaces[rng.Intn(len(ifaces))]
+			what = fmt.Sprintf("iface %v up=%v", ifc, ifaceDown[ifc])
+			net.SetIfaceUp(ifc, ifaceDown[ifc])
+			ifaceDown[ifc] = !ifaceDown[ifc]
+		}
+		if !slices.Equal(fired, refFired) {
+			t.Fatalf("%s flip %d (%s): OnChange fired on nodes %v, reference %v", name, flip, what, fired, refFired)
+		}
+		refFired, fired = refFired[:0], fired[:0]
 		for _, nd := range net.Nodes {
-			if rng.Intn(3) == 0 {
+			if rng.Intn(2) == 0 {
 				continue
 			}
-			id := nd.ID
-			ref.RouterFor(nd).OnChange(func() { refFired = append(refFired, id) })
-			o.RouterFor(nd).OnChange(func() { fired = append(fired, id) })
-		}
-		dsts := append(ifaceAddrs(net), addr.V4(192, 0, 2, 1))
-		var ifaces []*netsim.Iface
-		for _, nd := range net.Nodes {
-			ifaces = append(ifaces, nd.Ifaces...)
-		}
-		ifaceDown := map[*netsim.Iface]bool{}
-		for flip := 0; flip <= 40; flip++ {
-			what := "initial state"
-			if flip > 0 && rng.Intn(5) < 3 {
-				l := net.Links[rng.Intn(len(net.Links))]
-				what = fmt.Sprintf("link %d up=%v", l.ID, !l.Up())
-				net.SetLinkUp(l, !l.Up())
-			} else if flip > 0 {
-				ifc := ifaces[rng.Intn(len(ifaces))]
-				what = fmt.Sprintf("iface %v up=%v", ifc, ifaceDown[ifc])
-				net.SetIfaceUp(ifc, ifaceDown[ifc])
-				ifaceDown[ifc] = !ifaceDown[ifc]
-			}
-			if !slices.Equal(fired, refFired) {
-				t.Fatalf("seed %d flip %d (%s): OnChange fired on nodes %v, reference %v", seed, flip, what, fired, refFired)
-			}
-			refFired, fired = refFired[:0], fired[:0]
-			for _, nd := range net.Nodes {
-				if rng.Intn(2) == 0 {
-					continue
-				}
-				for _, dst := range dsts {
-					want, wok := ref.RouterFor(nd).Lookup(dst)
-					got, ok := o.RouterFor(nd).Lookup(dst)
-					if got != want || ok != wok {
-						t.Fatalf("seed %d flip %d (%s): %s to %v: got %+v %v, reference %+v %v",
-							seed, flip, what, nd.Name, dst, got, ok, want, wok)
-					}
+			for _, dst := range dsts {
+				want, wok := ref.RouterFor(nd).Lookup(dst)
+				got, ok := o.RouterFor(nd).Lookup(dst)
+				if got != want || ok != wok {
+					t.Fatalf("%s flip %d (%s): %s to %v: got %+v %v, reference %+v %v",
+						name, flip, what, nd.Name, dst, got, ok, want, wok)
 				}
 			}
 		}
@@ -161,6 +177,31 @@ func TestOracleUnknownNode(t *testing.T) {
 		}
 	}()
 	o.RouterFor(late)
+}
+
+// TestSolveFootprint pins a warm solve's garbage to the tree it returns.
+// Once the oracle's scratch has grown, solving a router allocates exactly
+// its dist and first arrays. That holds on the current snapshot and on one a
+// link change has retired, which Recompute solves for the old half of its
+// comparison.
+func TestSolveFootprint(t *testing.T) {
+	net, routers := randomInternet(rand.New(rand.NewSource(1)), 256, 512, 64, 10, false)
+	o := NewOracle(net)
+	old := o.snap
+	net.SetLinkUp(net.Links[300], false)
+	if old.scratch != &o.scratch || o.snap.scratch != &o.scratch {
+		t.Fatal("a snapshot solves outside its oracle's scratch")
+	}
+	solveAll := func() {
+		for _, nd := range routers {
+			old.solve(int32(nd.ID))
+			o.snap.solve(int32(nd.ID))
+		}
+	}
+	solveAll()
+	if got, want := testing.AllocsPerRun(3, solveAll), float64(2*2*len(routers)); got != want {
+		t.Errorf("%d warm solves allocated %v times, want %v (dist and first each)", 2*len(routers), got, want)
+	}
 }
 
 // benchInternet is the 1 024-router internet of the two oracle benchmarks:
