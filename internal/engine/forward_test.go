@@ -58,7 +58,7 @@ func TestDataForwardZeroAllocBeyondHeader(t *testing.T) {
 			return &r.Chassis
 		}},
 		{"mospf", upAddr, func(nd *netsim.Node, _ unicast.Router, lan *netsim.Iface) *engine.Chassis {
-			r := mospf.New(nd, mospf.NewDomain([]*netsim.Node{nd}))
+			r := mospf.New(nd, mospf.NewTrees(unicast.NewOracle(nd.Net)))
 			r.Start()
 			r.LocalJoin(lan, g)
 			return &r.Chassis

@@ -5,6 +5,7 @@ import (
 
 	"pim/internal/addr"
 	"pim/internal/netsim"
+	"pim/internal/unicast"
 )
 
 // TestLSAFloodZeroAlloc pins the warm LSA wire path — marshal into the
@@ -22,9 +23,9 @@ func TestLSAFloodZeroAlloc(t *testing.T) {
 	ib := net.AddIface(nb, addr.V4(10, 0, 0, 2))
 	net.Connect(ia, ib, netsim.Millisecond)
 
-	dom := NewDomain([]*netsim.Node{na, nb})
-	ra := New(na, dom)
-	rb := New(nb, dom)
+	trees := NewTrees(unicast.NewOracle(net))
+	ra := New(na, trees)
+	rb := New(nb, trees)
 	ra.Start()
 	rb.Start()
 	g := addr.GroupForIndex(0)
@@ -35,7 +36,7 @@ func TestLSAFloodZeroAlloc(t *testing.T) {
 	}
 
 	// Re-flood the already-installed LSA: same origin, same sequence.
-	lsa := &membershipLSA{Origin: uint32(ra.self), Seq: ra.seq, Groups: nil}
+	lsa := &membershipLSA{Origin: uint32(na.ID), Seq: ra.seq, Groups: nil}
 	cycle := func() {
 		ra.flood(lsa, nil)
 		net.Sched.RunUntil(net.Sched.Now() + 10*netsim.Millisecond)

@@ -7,6 +7,7 @@ import (
 	"pim/internal/addr"
 	"pim/internal/netsim"
 	"pim/internal/packet"
+	"pim/internal/unicast"
 )
 
 // lsaRouter returns router 0 of a two-router domain and its interface toward
@@ -16,7 +17,7 @@ func lsaRouter() (*Router, *netsim.Iface) {
 	na, nb := net.AddNode("a"), net.AddNode("b")
 	ia := net.AddIface(na, addr.V4(10, 0, 0, 1))
 	net.Connect(ia, net.AddIface(nb, addr.V4(10, 0, 0, 2)), netsim.Millisecond)
-	return New(na, NewDomain([]*netsim.Node{na, nb})), ia
+	return New(na, NewTrees(unicast.NewOracle(net))), ia
 }
 
 // receive hands r one LSA through the wire path: marshal, then handleLSA's

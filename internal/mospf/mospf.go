@@ -9,9 +9,10 @@
 // comparison benchmarks measure here: LSA counts (metrics.CtrlLSA), stored
 // membership per router, and SPF runs (metrics.SPFRuns).
 //
-// Substitution note (DESIGN.md §4): unicast topology is shared through a
-// Domain object rather than re-flooded, standing in for the identical OSPF
-// link-state databases every MOSPF router would hold; group membership,
+// Substitution note (DESIGN.md §4): the router-link half of the link-state
+// database every MOSPF router would hold identically is the unicast
+// oracle's live graph, so a source's tree is the oracle's own shortest-path
+// tree from the source and follows every link change; group membership,
 // which is the scaling cost under study, travels as real flooded messages.
 package mospf
 
@@ -27,84 +28,27 @@ import (
 	"pim/internal/netsim"
 	"pim/internal/packet"
 	"pim/internal/telemetry"
-	"pim/internal/topology"
 	"pim/internal/unicast"
 )
 
-// Domain is the topology view shared by all routers in one MOSPF domain:
-// the router-level graph and the interface realizing each graph edge.
-type Domain struct {
-	Routers []*netsim.Node
-	index   map[*netsim.Node]int
-	Graph   *topology.Graph
-	// edgeIfaces[e] are the two interfaces of graph edge e, ordered (A,B).
-	edgeIfaces [][2]*netsim.Iface
-	// sp caches per-source Dijkstra results (the "forwarding cache"
-	// amortization MOSPF performs); invalidated on membership change.
-	sp map[int]*topology.ShortestPaths
-	// solver holds the reusable Dijkstra scratch buffers shared by every
-	// SPF run in the domain — membership churn triggers recomputation for
-	// each active source, and refilling warm buffers beats reallocating
-	// heap and distance arrays per run.
-	solver *topology.SPSolver
+// Trees is the per-source tree cache the routers of one MOSPF domain share
+// (the "forwarding cache" amortization MOSPF performs): the oracle's tree
+// from each source node, dropped when a membership LSA arrives and when the
+// oracle's topology moves.
+type Trees struct {
+	oracle *unicast.Oracle
+	gen    uint64
+	bySrc  map[*netsim.Node]*unicast.SourceTree
 }
 
-// NewDomain derives the router graph from the live links joining the given
-// routers.
-func NewDomain(routers []*netsim.Node) *Domain {
-	d := &Domain{Routers: routers, index: map[*netsim.Node]int{}}
-	for i, nd := range routers {
-		d.index[nd] = i
-	}
-	d.Graph = topology.New(len(routers))
-	seen := map[*netsim.Link]bool{}
-	for i, nd := range routers {
-		for _, ifc := range nd.Ifaces {
-			l := ifc.Link
-			if l == nil || seen[l] {
-				continue
-			}
-			for _, peer := range l.Ifaces {
-				j, ok := d.index[peer.Node]
-				if !ok || peer.Node == nd || j < i {
-					continue
-				}
-				e := d.Graph.AddEdge(i, j, int64(l.Delay))
-				d.edgeIfaces = append(d.edgeIfaces, [2]*netsim.Iface{ifc, peer})
-				_ = e
-			}
-			seen[l] = true
-		}
-	}
-	d.sp = map[int]*topology.ShortestPaths{}
-	d.solver = d.Graph.NewSolver()
-	return d
-}
-
-// RouterFor locates the router whose connected subnet contains ip, or -1.
-func (d *Domain) RouterFor(ip addr.IP) int {
-	for i, nd := range d.Routers {
-		for _, ifc := range nd.Ifaces {
-			if ifc.Addr != 0 && unicast.LinkPrefix(ifc.Addr).Contains(ip) {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-// ifaceOnEdge returns router r's interface on graph edge e.
-func (d *Domain) ifaceOnEdge(r, e int) *netsim.Iface {
-	pair := d.edgeIfaces[e]
-	if d.index[pair[0].Node] == r {
-		return pair[0]
-	}
-	return pair[1]
+// NewTrees returns an empty cache over the oracle's link-state view.
+func NewTrees(o *unicast.Oracle) *Trees {
+	return &Trees{oracle: o, bySrc: map[*netsim.Node]*unicast.SourceTree{}}
 }
 
 // membershipLSA is the flooded group-membership advertisement:
 //
-//	uint32 origin (router index), uint32 seq, uint16 #groups, uint32 group...
+//	uint32 origin (the router's Node.ID), uint32 seq, uint16 #groups, uint32 group...
 type membershipLSA struct {
 	Origin uint32
 	Seq    uint32
@@ -151,12 +95,11 @@ func (m *membershipLSA) unmarshal(b []byte) error {
 
 // Router is one MOSPF router instance.
 type Router struct {
-	// Chassis carries no unicast view (the Domain stands in for it). Its
-	// Telemetry bus, when non-nil, receives LSA-flood, cache and lifecycle
-	// events; set it before Start.
+	// Chassis carries the oracle's view of this router, whose Gen tells it
+	// the topology moved. Its Telemetry bus, when non-nil, receives
+	// LSA-flood, cache and lifecycle events; set it before Start.
 	engine.Chassis
-	Domain *Domain
-	MFIB   *mfib.Table // (S,G) forwarding cache
+	MFIB *mfib.Table // (S,G) forwarding cache
 
 	// RefreshInterval, when nonzero, re-originates this router's membership
 	// LSA periodically. Base MOSPF floods only on change; periodic
@@ -166,16 +109,19 @@ type Router struct {
 	// LSA counts — of the existing overhead ledgers. Set before Start.
 	RefreshInterval netsim.Time
 
-	self int // index in the domain
+	trees *Trees
+	// gen is the topology generation MFIB was computed at.
+	gen uint64
 	// seq is this router's LSA sequence number. It survives Stop/Restart:
 	// peers' databases never expire old sequence numbers, so an instance
 	// restarting from zero would have its post-restart LSAs discarded as
 	// stale forever.
 	seq uint32
-	// membership[origin] is the sorted, deduplicated group list of origin's
-	// latest LSA: the domain-wide membership database every router stores
-	// (the §1.1 scaling cost). Rows are owned copies, never an alias of the
-	// decode scratch dec.Groups.
+	// membership[origin] is the sorted, deduplicated group list of the
+	// latest LSA of origin, a Node.ID: the domain-wide membership database
+	// every router stores (the §1.1 scaling cost), this router's own row
+	// included. Rows are owned copies, never an alias of the decode scratch
+	// dec.Groups.
 	membership map[uint32][]addr.IP
 	seqs       map[uint32]uint32
 	// local is IGMP-reported membership.
@@ -186,9 +132,9 @@ type Router struct {
 	dec membershipLSA
 }
 
-// New builds an MOSPF router within a domain.
-func New(nd *netsim.Node, d *Domain) *Router {
-	r := &Router{Chassis: engine.NewChassis(nd, nil, nil), Domain: d, self: d.index[nd]}
+// New builds an MOSPF router reading its source trees from the shared cache.
+func New(nd *netsim.Node, t *Trees) *Router {
+	r := &Router{Chassis: engine.NewChassis(nd, t.oracle.RouterFor(nd), nil), trees: t}
 	r.reset()
 	r.Handle(packet.ProtoMOSPF, r.handleLSA)
 	r.Handle(packet.ProtoUDP, r.handleData)
@@ -208,16 +154,14 @@ func (r *Router) Start() {
 // Stop detaches the router and discards its soft state: the forwarding
 // cache, the stored domain-wide membership database, peer sequence numbers,
 // and local membership. The router's own LSA sequence number is kept (see
-// its field comment). The shared Domain Dijkstra cache is also dropped so
-// no tree computed with the dead router's membership view survives.
+// its field comment).
 func (r *Router) Stop() { r.Chassis.Stop(0, r.reset) }
 
 func (r *Router) reset() {
-	r.MFIB = mfib.NewTable()
+	r.MFIB, r.gen = mfib.NewTable(), r.Unicast.Gen()
 	r.membership = map[uint32][]addr.IP{}
 	r.seqs = map[uint32]uint32{}
 	r.local.Reset()
-	r.Domain.sp = map[int]*topology.ShortestPaths{}
 }
 
 // Restart brings a stopped router back empty; with RefreshInterval set the
@@ -229,13 +173,7 @@ func (r *Router) Restart() {
 
 // StateCount returns forwarding cache entries plus stored membership rows —
 // both components of MOSPF's per-router state.
-func (r *Router) StateCount() int {
-	n := r.MFIB.Len()
-	for _, groups := range r.membership {
-		n += len(groups)
-	}
-	return n
-}
+func (r *Router) StateCount() int { return r.MFIB.Len() + r.MembershipRows() }
 
 // MembershipRows returns only the stored foreign-membership count.
 func (r *Router) MembershipRows() int {
@@ -262,7 +200,7 @@ func (r *Router) LocalLeave(ifc *netsim.Iface, g addr.IP) {
 
 func (r *Router) originate() {
 	r.seq++
-	lsa := &membershipLSA{Origin: uint32(r.self), Seq: r.seq, Groups: r.local.Groups(nil)}
+	lsa := &membershipLSA{Origin: uint32(r.Node.ID), Seq: r.seq, Groups: r.local.Groups(nil)}
 	r.install(lsa)
 	r.flood(lsa, nil)
 }
@@ -272,7 +210,7 @@ func (r *Router) handleLSA(in *netsim.Iface, pkt *packet.Packet) {
 	if err := lsa.unmarshal(pkt.Payload); err != nil {
 		return
 	}
-	if lsa.Origin == uint32(r.self) {
+	if lsa.Origin == uint32(r.Node.ID) {
 		return
 	}
 	if cur, ok := r.seqs[lsa.Origin]; ok && int32(lsa.Seq-cur) <= 0 {
@@ -287,15 +225,20 @@ func (r *Router) install(lsa *membershipLSA) {
 	row := append(r.membership[lsa.Origin][:0], lsa.Groups...)
 	slices.Sort(row)
 	r.membership[lsa.Origin] = slices.Compact(row)
-	// Membership changed: drop cached trees (they will be recomputed on
-	// the next data packet) and any shared Dijkstra cache.
+	// Membership changed: drop the (S,G) entries, recomputed on the next
+	// data packet, and the domain's source trees with them.
+	r.flush()
+	clear(r.trees.bySrc)
+}
+
+// flush drops every (S,G) entry.
+func (r *Router) flush() {
 	if r.Telemetry != nil {
 		r.MFIB.ForEach(func(e *mfib.Entry) {
 			r.Pub(telemetry.EntryExpire, -1, e.Key.Source, e.Key.Group, telemetry.EntrySG)
 		})
 	}
 	r.MFIB = mfib.NewTable()
-	r.Domain.sp = map[int]*topology.ShortestPaths{}
 }
 
 func (r *Router) flood(lsa *membershipLSA, except *netsim.Iface) {
@@ -310,17 +253,14 @@ func (r *Router) flood(lsa *membershipLSA, except *netsim.Iface) {
 	}
 }
 
-// memberRouters returns the domain routers with members of g (per the
-// flooded database plus local knowledge).
+// memberRouters returns the origins, Node.IDs, with members of g per the
+// flooded database, in order.
 func (r *Router) memberRouters(g addr.IP) []int {
 	var out []int
 	for origin, groups := range r.membership {
 		if _, ok := slices.BinarySearch(groups, g); ok {
 			out = append(out, int(origin))
 		}
-	}
-	if r.local.Any(g) && !slices.Contains(out, r.self) {
-		out = append(out, r.self)
 	}
 	slices.Sort(out)
 	return out
@@ -333,6 +273,11 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 	if !g.IsMulticast() || g.IsLinkLocalMulticast() {
 		return
 	}
+	if gen := r.Unicast.Gen(); gen != r.gen {
+		// The topology moved: every entry may name a dead link.
+		r.gen = gen
+		r.flush()
+	}
 	s := pkt.Src
 	e := r.MFIB.SG(s, g)
 	if e == nil {
@@ -343,8 +288,7 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 			return
 		}
 	}
-	srcLocal := in.Addr != 0 && unicast.LinkPrefix(in.Addr).Contains(s)
-	if e.IIF != nil && in != e.IIF && !srcLocal {
+	if e.IIF != nil && in != e.IIF {
 		r.Metrics.Inc(metrics.DataDropped)
 		r.Pub(telemetry.RPFDrop, in.Index, s, g, 0)
 		return
@@ -358,39 +302,52 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 	}
 }
 
-// computeEntry runs (or reuses) the source-rooted Dijkstra and derives this
-// router's (S,G) forwarding cache entry.
+// computeEntry derives this router's (S,G) forwarding cache entry from the
+// shortest-path tree rooted at the source itself, so the first-hop router's
+// incoming interface is the source's LAN. The router is on the tree when a
+// member's path climbs through it; its children are the nodes it climbs
+// from.
 func (r *Router) computeEntry(s, g addr.IP) *mfib.Entry {
-	src := r.Domain.RouterFor(s)
-	if src < 0 {
+	src := r.Node.Net.IfaceByAddr(s)
+	if src == nil {
 		return nil
+	}
+	// An entry with no members is a negative cache: each packet does not
+	// recompute.
+	e, created := r.MFIB.Upsert(mfib.Key{Source: s, Group: g}, r.Now())
+	if created {
+		r.Pub(telemetry.EntryCreate, -1, s, g, telemetry.EntrySG)
 	}
 	members := r.memberRouters(g)
 	if len(members) == 0 {
-		// Negative cache: remember that this source/group pair has no
-		// members so each packet does not recompute.
-		return r.upsert(s, g)
+		return e
 	}
-	sp := r.Domain.sp[src]
-	if sp == nil {
-		sp = r.Domain.solver.Solve(src)
-		r.Domain.sp[src] = sp
-		r.Metrics.Inc(metrics.SPFRuns)
+	tree := r.tree(src.Node)
+	onTree := false
+	nodes := r.Node.Net.Nodes
+	for _, m := range members {
+		if m >= len(nodes) {
+			continue // an origin no node answers to
+		}
+		u := nodes[m]
+		for u != r.Node {
+			out, _, ok := tree.Parent(u)
+			if !ok {
+				break
+			}
+			if out.Node == r.Node {
+				e.AddOIF(out, engine.Forever)
+			}
+			u = out.Node
+		}
+		onTree = onTree || u == r.Node
 	}
-	tree := r.Domain.Graph.SPTreeFromSP(sp, members)
-	e := r.upsert(s, g)
-	if !tree.InTree[r.self] {
+	if !onTree {
 		return e // off-tree: entry with no oifs (packets dropped cheaply)
 	}
-	if pe := tree.ParentEdge[r.self]; pe >= 0 {
-		e.IIF = r.Domain.ifaceOnEdge(r.self, pe)
+	if _, in, ok := tree.Parent(r.Node); ok {
+		e.IIF = in
 		e.Touch()
-	}
-	// Children: tree nodes whose parent is self.
-	for v := 0; v < r.Domain.Graph.N(); v++ {
-		if tree.InTree[v] && tree.Parent[v] == r.self {
-			e.AddOIF(r.Domain.ifaceOnEdge(r.self, tree.ParentEdge[v]), engine.Forever)
-		}
 	}
 	// Local member LANs.
 	for _, ifc := range r.Node.Ifaces {
@@ -401,11 +358,18 @@ func (r *Router) computeEntry(s, g addr.IP) *mfib.Entry {
 	return e
 }
 
-// upsert installs the (s,g) cache entry, publishing EntryCreate when new.
-func (r *Router) upsert(s, g addr.IP) *mfib.Entry {
-	e, created := r.MFIB.Upsert(mfib.Key{Source: s, Group: g}, r.Now())
-	if created {
-		r.Pub(telemetry.EntryCreate, -1, s, g, telemetry.EntrySG)
+// tree returns the domain's tree from src, solving it — one SPF run — when
+// the cache lacks it or holds trees of an older topology.
+func (r *Router) tree(src *netsim.Node) *unicast.SourceTree {
+	t := r.trees
+	if t.gen != r.gen {
+		clear(t.bySrc)
+		t.gen = r.gen
 	}
-	return e
+	if t.bySrc[src] == nil {
+		st := t.oracle.Tree(src)
+		t.bySrc[src] = &st
+		r.Metrics.Inc(metrics.SPFRuns)
+	}
+	return t.bySrc[src]
 }

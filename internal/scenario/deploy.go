@@ -186,7 +186,8 @@ func WithMOSPFRefresh(d netsim.Time) DeployOption {
 
 // Deploy starts the chosen multicast protocol plus IGMP on every router of
 // the simulation. Call after FinishUnicast (and after convergence for DV/LS
-// modes); MOSPFMode carries its own topology view and needs neither.
+// modes); MOSPFMode reads its router-link state from the oracle and refuses
+// any other substrate.
 // SparseMode WithDenseRouters deploys the mixed internet of §4 as a
 // *MixedDeployment, each router in its role (see roles).
 //
@@ -260,14 +261,17 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 			return cbt.New(nd, o.CBT, s.UnicastFor(i))
 		})
 	case MOSPFMode:
-		// MOSPF carries its own topology view (the shared Domain), so
-		// FinishUnicast is not required.
-		dom := mospf.NewDomain(s.Routers)
-		dep = &MOSPFDeployment{Domain: dom, Deployed: deployEngines(s, o, chk, p, func(_ int, nd *netsim.Node) *mospf.Router {
-			r := mospf.New(nd, dom)
+		// MOSPF's router-link state is the oracle's live graph; a DV or LS
+		// substrate has no such view to read.
+		if s.oracle == nil {
+			panic("scenario: MOSPF reads its link-state view from the unicast oracle: deploy it after FinishUnicast(UseOracle)")
+		}
+		trees := mospf.NewTrees(s.oracle)
+		dep = deployEngines(s, o, chk, p, func(_ int, nd *netsim.Node) *mospf.Router {
+			r := mospf.New(nd, trees)
 			r.RefreshInterval, r.Telemetry = o.MOSPFRefresh, o.Telemetry
 			return r
-		})}
+		})
 	default:
 		panic("scenario: unknown protocol")
 	}

@@ -88,15 +88,9 @@ type (
 	PIMDMDeployment = Deployed[*pimdm.Router]
 	DVMRPDeployment = Deployed[*dvmrp.Router]
 	CBTDeployment   = Deployed[*cbt.Router]
+	MOSPFDeployment = Deployed[*mospf.Router]
 	MixedDeployment = Deployed[Engine]
 )
-
-// MOSPFDeployment additionally exposes the link-state Domain its routers
-// share.
-type MOSPFDeployment struct {
-	*Deployed[*mospf.Router]
-	Domain *mospf.Domain
-}
 
 // ctrlCounters lists, per protocol, the counters whose sum is its
 // control-message total (§1.2's "control message processing" axis): the

@@ -130,6 +130,9 @@ func (s *Sim) DeployRecipe(rec Recipe, extra ...DeployOption) (Deployment, error
 	case "cbt":
 		p, engine = CBTMode, WithCBTConfig(cbt.Config{CoreMapping: firstAnchors(rec.Anchors), EchoInterval: t.hello})
 	case "mospf":
+		if s.oracle == nil {
+			return nil, fmt.Errorf("mospf reads its link-state view from the unicast oracle; write unicast oracle")
+		}
 		// Event-driven LSAs alone cannot survive a crash — the restarted
 		// router missed them — so the fast grade re-originates periodically.
 		p, engine = MOSPFMode, WithMOSPFRefresh(t.refresh)

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -74,12 +75,38 @@ func TestAddHostCreatesLANOnceAndGrows(t *testing.T) {
 	}
 }
 
+// TestUnicastForAllModes: every substrate gives router 0 a route to router
+// 2's host LAN. MOSPF reads its router-link state from the oracle alone, so
+// deploying it before FinishUnicast, or over DV or LS, must refuse by naming
+// the view it lacks rather than route over nothing; a script's recipe gets
+// an error instead of the panic.
 func TestUnicastForAllModes(t *testing.T) {
+	mospfRefusal := func(sim *Sim) (msg string) {
+		defer func() {
+			if v := recover(); v != nil {
+				msg = fmt.Sprint(v)
+			}
+		}()
+		sim.Deploy(MOSPFMode)
+		return ""
+	}
+	const refusal = "scenario: MOSPF reads its link-state view from the unicast oracle"
 	for _, mode := range []UnicastMode{UseOracle, UseDV, UseLS} {
 		sim := Build(square())
 		sim.AddHost(0)
 		sim.AddHost(2)
+		if msg := mospfRefusal(sim); !strings.HasPrefix(msg, refusal) {
+			t.Errorf("mode %d: MOSPF before FinishUnicast: panic %q, want %q", mode, msg, refusal)
+		}
 		sim.FinishUnicast(mode)
+		if mode != UseOracle {
+			if _, err := sim.DeployRecipe(Recipe{Protocol: "mospf"}); err == nil {
+				t.Errorf("mode %d: the mospf recipe deployed without the oracle", mode)
+			}
+		}
+		if msg, want := mospfRefusal(sim), mode != UseOracle; strings.HasPrefix(msg, refusal) != want || !want && msg != "" {
+			t.Errorf("mode %d: MOSPF deploy panicked with %q, refusal wanted: %v", mode, msg, want)
+		}
 		sim.Run(sim.ConvergenceTime())
 		uni := sim.UnicastFor(0)
 		if uni == nil {

@@ -233,7 +233,7 @@ func (g *Graph) SPTree(root int, members []int) *Tree {
 
 // SPTreeFromSP is SPTree with a precomputed Dijkstra result, letting
 // callers that evaluate many member sets from the same root (Figure 2's
-// flow counting, MOSPF's per-source caches) amortize the search.
+// flow counting) amortize the search.
 func (g *Graph) SPTreeFromSP(sp *ShortestPaths, members []int) *Tree {
 	return g.SPTreeInto(nil, sp, members)
 }

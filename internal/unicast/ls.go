@@ -13,9 +13,9 @@ import (
 // LS is an OSPF-like link-state unicast routing process: each router floods
 // a sequence-numbered LSA describing its adjacencies and attached prefixes,
 // maintains a database of everyone's LSAs, and runs SPF over the resulting
-// graph. MOSPF extends exactly this machinery with membership LSAs
-// (internal/mospf); the unicast part lives here so both MOSPF and PIM can
-// share it.
+// graph. MOSPF is this machinery plus membership LSAs; internal/mospf reads
+// its router-link half from the Oracle, which stands for a database that
+// converged the instant a link changed.
 type LS struct {
 	Node *netsim.Node
 	// RefreshPeriod re-originates our LSA; foreign LSAs age out after

@@ -258,6 +258,54 @@ func (s *snapshot) solve(src int32) tree {
 	return t
 }
 
+// SourceTree is the shortest-path tree from one node over the topology of
+// one instant, as the oracle's own solve settles it: the tree the node's
+// route lookups read its first hops from, with each node's parent besides.
+type SourceTree struct {
+	snap *snapshot
+	tree // the root is the one node at distance 0
+}
+
+// Tree solves the shortest-path tree from nd over the live topology. Nothing
+// is memoised: a caller that keeps the tree drops it when a view's Gen moves.
+func (o *Oracle) Tree(nd *netsim.Node) SourceTree {
+	return SourceTree{o.snap, o.snap.solve(o.RouterFor(nd).(*view).id)}
+}
+
+// Parent returns the link by which the tree reaches nd: the parent's
+// interface onto it and nd's own. ok is false at the root and at a node the
+// tree does not reach.
+//
+// The parent is the relaxation that fixed nd's distance in solve, the same
+// one that fixed its first hop: of the tight predecessors — a neighbour p
+// with dist[p] + delay = dist[nd] — the one that settled first, least in
+// (distance, ID), over its first tight arc in its own arc order; at the root,
+// over the tight arc to the lower peer address.
+func (t SourceTree) Parent(nd *netsim.Node) (out, in *netsim.Iface, ok bool) {
+	s, u, du := t.snap, int32(nd.ID), t.dist[nd.ID]
+	if du == 0 || du == unreached {
+		return nil, nil, false
+	}
+	p := int32(-1) // arcs are symmetric: u's own name its neighbours, all reached
+	for _, a := range s.arcs[s.start[u]:s.start[u+1]] {
+		if dp := t.dist[a.to]; int64(dp)+a.delay == int64(du) && (p < 0 || distKey(dp, a.to) < distKey(t.dist[p], p)) {
+			p = a.to
+		}
+	}
+	var via *arc
+	for i := s.start[p]; i < s.start[p+1]; i++ {
+		if a := &s.arcs[i]; a.to == u && int64(t.dist[p])+a.delay == int64(du) && (via == nil || t.dist[p] == 0 && a.hop < via.hop) {
+			via = a
+		}
+	}
+	for _, in := range via.ifc.Link.Ifaces {
+		if in.Node == nd {
+			return via.ifc, in, true
+		}
+	}
+	panic("unicast: a tree arc without its far end")
+}
+
 // best resolves one /24 for src: the lowest metric over the prefix's owners,
 // then the lower next hop; an interface of src's own in the prefix wins at
 // metric 0. The zero Route means no route.

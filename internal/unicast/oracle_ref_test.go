@@ -73,7 +73,7 @@ func (o *refOracle) Recompute() {
 		}
 	}
 	for _, src := range o.net.Nodes {
-		dist, firstIface, firstHop := o.dijkstra(src)
+		dist, firstIface, firstHop, _ := o.dijkstra(src)
 		entries := map[addr.Prefix]Route{}
 		for p, owners := range prefixes {
 			best := Route{Metric: InfMetric}
@@ -116,12 +116,14 @@ func (o *refOracle) Recompute() {
 }
 
 // dijkstra runs shortest paths from src over live links, returning distance,
-// plus the src-local first-hop interface and first-hop neighbor address used
-// to reach each node.
-func (o *refOracle) dijkstra(src *netsim.Node) (map[*netsim.Node]int64, map[*netsim.Node]*netsim.Iface, map[*netsim.Node]addr.IP) {
+// the src-local first-hop interface and first-hop neighbor address used to
+// reach each node, and the relaxation that did: the parent's interface and
+// the node's own on the link.
+func (o *refOracle) dijkstra(src *netsim.Node) (map[*netsim.Node]int64, map[*netsim.Node]*netsim.Iface, map[*netsim.Node]addr.IP, map[*netsim.Node][2]*netsim.Iface) {
 	dist := map[*netsim.Node]int64{src: 0}
 	firstIface := map[*netsim.Node]*netsim.Iface{}
 	firstHop := map[*netsim.Node]addr.IP{}
+	parent := map[*netsim.Node][2]*netsim.Iface{}
 	done := map[*netsim.Node]bool{}
 	h := &refHeap{{node: src}}
 	for h.Len() > 0 {
@@ -148,6 +150,7 @@ func (o *refOracle) dijkstra(src *netsim.Node) (map[*netsim.Node]int64, map[*net
 				}
 				if better {
 					dist[u] = nd
+					parent[u] = [2]*netsim.Iface{ifc, peer}
 					if v == src {
 						firstIface[u] = ifc
 						firstHop[u] = peer.Addr
@@ -162,10 +165,11 @@ func (o *refOracle) dijkstra(src *netsim.Node) (map[*netsim.Node]int64, map[*net
 					if peer.Addr < firstHop[u] {
 						firstIface[u] = ifc
 						firstHop[u] = peer.Addr
+						parent[u] = [2]*netsim.Iface{ifc, peer}
 					}
 				}
 			}
 		}
 	}
-	return dist, firstIface, firstHop
+	return dist, firstIface, firstHop, parent
 }

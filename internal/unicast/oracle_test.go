@@ -73,9 +73,7 @@ func randomInternet(rng *rand.Rand, n, links, stubs, maxDelay int, transit bool)
 // survives, being no change: two arcs to one node never share a peer address.
 func TestOracleMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 32; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 8 + rng.Intn(33)
-		net, _ := randomInternet(rng, n, n-1+n/2+rng.Intn(n), n/3, 3, true)
+		rng, net := tieInternet(seed)
 		matchReference(t, fmt.Sprintf("seed %d", seed), rng, net, 40)
 	}
 	// An internet shaped like the repository benchmark's: 256 routers of
@@ -84,6 +82,16 @@ func TestOracleMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net, _ := randomInternet(rng, 256, 512, 64, 10, false)
 	matchReference(t, "256 routers", rng, net, 4)
+}
+
+// tieInternet is seed's internet of TestOracleMatchesReference: 8–40
+// routers, 1–3 ms delays, stub LANs and a transit LAN. It returns the random
+// source for the flips that follow.
+func tieInternet(seed int64) (*rand.Rand, *netsim.Network) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 8 + rng.Intn(33)
+	net, _ := randomInternet(rng, n, n-1+n/2+rng.Intn(n), n/3, 3, true)
+	return rng, net
 }
 
 // matchReference watches net with both oracles through `flips` random link
@@ -201,6 +209,82 @@ func TestSolveFootprint(t *testing.T) {
 	solveAll()
 	if got, want := testing.AllocsPerRun(3, solveAll), float64(2*2*len(routers)); got != want {
 		t.Errorf("%d warm solves allocated %v times, want %v (dist and first each)", 2*len(routers), got, want)
+	}
+}
+
+// TestTreeParents holds SourceTree.Parent to the solve it reads, on
+// TestOracleMatchesReference's internets and on a 256-router one before and
+// after a link flip. For every root and every node the tree reaches, the
+// parents lead back to the root, each step is tight (the child's distance is
+// the parent's plus the link's delay), and the climb leaves the root by the
+// arc first[u] names, the first hop of u's routes. Each parent link is the
+// relaxation that fixed the node's distance in the reference Dijkstra
+// (oracle_ref_test.go), which pins the rule between parallel links too. The
+// root and unreached nodes have no parent.
+func TestTreeParents(t *testing.T) {
+	for seed := int64(0); seed < 32; seed++ {
+		_, net := tieInternet(seed)
+		checkParents(t, fmt.Sprintf("seed %d", seed), NewOracle(net))
+	}
+	net, _ := randomInternet(rand.New(rand.NewSource(1)), 256, 512, 64, 10, false)
+	o := NewOracle(net)
+	checkParents(t, "256 routers", o)
+	net.SetLinkUp(net.Links[300], false)
+	checkParents(t, "256 routers, link 300 down", o)
+}
+
+func checkParents(t *testing.T, name string, o *Oracle) {
+	t.Helper()
+	for _, root := range o.net.Nodes {
+		st := o.Tree(root)
+		_, _, _, relaxed := (&refOracle{}).dijkstra(root)
+		for _, nd := range o.net.Nodes {
+			if nd == root || st.dist[nd.ID] == unreached {
+				if _, _, ok := st.Parent(nd); ok {
+					t.Fatalf("%s: tree from %s gives %s a parent", name, root.Name, nd.Name)
+				}
+				continue
+			}
+			if out, in, _ := st.Parent(nd); relaxed[nd] != [2]*netsim.Iface{out, in} {
+				t.Fatalf("%s: tree from %s: %s hangs off %v to %v, the reference relaxed it over %v", name, root.Name, nd.Name, out, in, relaxed[nd])
+			}
+			var out, in *netsim.Iface
+			for v, steps := nd, 0; v != root; steps++ {
+				o, i, ok := st.Parent(v)
+				switch {
+				case !ok || steps == len(st.dist):
+					t.Fatalf("%s: tree from %s: %s's parents stop at %s", name, root.Name, nd.Name, v.Name)
+				case i.Node != v || o.Link != i.Link:
+					t.Fatalf("%s: tree from %s: %s's parent link is %v to %v", name, root.Name, v.Name, o, i)
+				case st.dist[v.ID] != st.dist[o.Node.ID]+int32(o.Link.Delay):
+					t.Fatalf("%s: tree from %s: %s at %d µs under %s at %d µs over %d µs", name, root.Name,
+						v.Name, st.dist[v.ID], o.Node.Name, st.dist[o.Node.ID], o.Link.Delay)
+				}
+				out, in, v = o, i, o.Node
+			}
+			s := st.snap
+			if first := &s.arcs[s.start[root.ID]+int32(st.first[nd.ID])]; out != first.ifc || int32(in.Node.ID) != first.to {
+				t.Fatalf("%s: tree from %s: %s hangs off %v to %v, its first hop is %v to node %d",
+					name, root.Name, nd.Name, out, in, first.ifc, first.to)
+			}
+		}
+	}
+}
+
+// TestTreeFootprint pins a warm tree query to the solve's two tree arrays:
+// climbing the tree allocates nothing.
+func TestTreeFootprint(t *testing.T) {
+	net, routers := randomInternet(rand.New(rand.NewSource(1)), 256, 512, 64, 10, false)
+	o := NewOracle(net)
+	query := func() {
+		st := o.Tree(routers[0])
+		for _, nd := range net.Nodes {
+			st.Parent(nd)
+		}
+	}
+	query()
+	if got := testing.AllocsPerRun(3, query); got != 2 {
+		t.Errorf("warm tree query and climb: %v allocations, want 2 (dist and first)", got)
 	}
 }
 
