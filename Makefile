@@ -63,8 +63,9 @@ update-goldens:
 # AllocsPerRun counts — control refresh at 0, one data packet through one
 # forwarding router of each engine at exactly the Forwarded header copy (§20)
 # — the per-router footprint pins (one shared RP table per deployment, a
-# node's nine-slot demux, a 32-byte MFIB oif; §7, §8), a warm unicast solve at
-# exactly its two tree arrays (§18), and the arena-vs-map-model lockstep (§16),
+# node's nine-slot demux, a 32-byte MFIB oif, a 152-byte MFIB entry in a
+# 1 280-byte slab; §7, §8, §16), a warm unicast solve at exactly its parent
+# array (§18), and the arena-vs-map-model lockstep (§16),
 # holds the lazy unicast oracle to its eager reference under the race
 # detector (§18),
 # prices one query interval of the §4 member-existence exchange with and

@@ -24,9 +24,22 @@ type benchmarkDecl struct {
 	Workloads []struct{ Name string } `json:"workloads"`
 	EndToEnd  []struct {
 		Name   string  `json:"name"`
+		Unit   string  `json:"unit"`
 		Better string  `json:"better"`
 		Bound  float64 `json:"bound"`
 	} `json:"end_to_end"`
+}
+
+// readDecl reads the benchmark declaration at path.
+func readDecl(path string) (benchmarkDecl, error) {
+	var decl benchmarkDecl
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		if err = json.Unmarshal(raw, &decl); err != nil {
+			err = fmt.Errorf("%s: %v", path, err)
+		}
+	}
+	return decl, err
 }
 
 // resultLine is one pimperf result.
@@ -48,8 +61,13 @@ func readResults(path string) (samples, error) {
 		return nil, err
 	}
 	defer f.Close()
+	return parseResults(f, path)
+}
+
+// parseResults reads results from in, naming it path in errors.
+func parseResults(in io.Reader, path string) (samples, error) {
 	s := samples{}
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(in)
 	current := ""
 	for n := 1; sc.Scan(); n++ {
 		line := strings.TrimSpace(sc.Text())
@@ -104,13 +122,9 @@ func (s samples) failedShare(workload string) float64 {
 // worse than a's by more than its bound, a metric a has and b lacks, or a
 // larger share of failed operations.
 func diffResults(w io.Writer, benchmarkPath, aPath, bPath string) (regressed bool, err error) {
-	raw, err := os.ReadFile(benchmarkPath)
+	decl, err := readDecl(benchmarkPath)
 	if err != nil {
 		return false, err
-	}
-	var decl benchmarkDecl
-	if err := json.Unmarshal(raw, &decl); err != nil {
-		return false, fmt.Errorf("%s: %v", benchmarkPath, err)
 	}
 	var side [2]samples
 	for i, path := range []string{aPath, bPath} {

@@ -7,12 +7,21 @@
 //	pimbench list                     # registered benchmarks, one line each
 //	pimbench run <name|all> [flags]   # run one benchmark, or every one
 //	pimbench diff <a> <b>             # two pimperf result files vs BENCHMARK.json bounds
+//	pimbench pairs -base <rev> [-head <rev>] [-n 9] [-workload W] [-seed S] [-record LABEL]
 //
 // diff reads two files of pimperf results (captured `bash benchmarks/run.sh`
 // output, or lines of BENCH_pimperf.jsonl), prints per workload × end-to-end
 // metric the two medians, the relative change and ok/REGRESSED/improved, and
 // exits 1 on any regression beyond its bound in ./BENCHMARK.json or any rise
 // in failed/attempted.
+//
+// pairs runs `bash benchmarks/run.sh` on the base revision and on the head
+// (a revision, or the working tree) in n alternating pairs per workload and
+// prints, per end-to-end metric, both medians and quartiles, the median
+// paired head/base ratio, the pairs head won, and the runs each side's
+// output check refused. It exits 1 when two runs of one tree disagree on a
+// simulated metric. -record appends both sides' median rows to
+// BENCH_pimperf.jsonl, which diff reads like any other.
 //
 // Benchmarks live in the bench registry (internal/bench): each experiment
 // harness registers a named Spec at init time, and this command is a thin
@@ -57,7 +66,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: pimbench list | pimbench run <name|all> [-smoke] [flags] | pimbench diff <a> <b>")
+	fmt.Fprintln(os.Stderr, "usage: pimbench list | pimbench run <name|all> [-smoke] [flags] | pimbench diff <a> <b> | pimbench pairs -base <rev> [flags]")
 	fmt.Fprintf(os.Stderr, "benchmarks: %v\n", bench.Names())
 	os.Exit(2)
 }
@@ -85,6 +94,8 @@ func main() {
 		if regressed {
 			os.Exit(1)
 		}
+	case "pairs":
+		pairsCmd(os.Args[2:])
 	default:
 		usage()
 	}

@@ -299,7 +299,8 @@ func (r *Router) IsDR(ifc *netsim.Iface) bool {
 	return !r.nbrs.Live(ifc.Index, r.Now(), ifc.Addr)
 }
 
-// Neighbors returns the live PIM neighbors on an interface, sorted.
+// Neighbors returns the live PIM neighbors on an interface, sorted: the
+// table walks each interface in address order.
 func (r *Router) Neighbors(ifc *netsim.Iface) []addr.IP {
 	var out []addr.IP
 	r.nbrs.Each(r.Now(), func(iface int, a addr.IP) {
@@ -307,7 +308,6 @@ func (r *Router) Neighbors(ifc *netsim.Iface) []addr.IP {
 			out = append(out, a)
 		}
 	})
-	slices.Sort(out)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -8,28 +9,32 @@ import (
 	"pim/internal/netsim"
 )
 
-// TestNeighborsExpireOrder pins the PR 6 bug class in one place: entries that
-// expire in the same sweep are reported in (iface, address) order whatever
-// order they were inserted in (and so whatever order the maps iterate in).
+// TestNeighborsExpireOrder pins the PR 6 bug class in one place: Each visits
+// live entries, and Expire reports the entries one sweep removes, in
+// (interface, address) order whatever order they were heard in.
 func TestNeighborsExpireOrder(t *testing.T) {
 	want := []ifaceAddr{{0, 5}, {0, 9}, {1, 2}, {1, 7}, {3, 1}, {3, 4}, {3, 8}}
-	perms := [][]int{{0, 1, 2, 3, 4, 5, 6}, {6, 5, 4, 3, 2, 1, 0}, {3, 0, 6, 2, 5, 1, 4}, {4, 6, 1, 3, 0, 5, 2}}
-	for _, perm := range perms {
-		// Repeat: Go randomizes map iteration per range statement.
-		for rep := 0; rep < 20; rep++ {
-			var n Neighbors
-			for _, i := range perm {
-				n.Heard(want[i].iface, want[i].a, 0, 10)
-			}
-			n.Heard(1, 3, 0, 100) // outlives the sweep
-			var got []ifaceAddr
-			n.Expire(11, func(iface int, a addr.IP) { got = append(got, ifaceAddr{iface, a}) })
-			if !slices.Equal(got, want) {
-				t.Fatalf("insertion order %v: expired %v, want %v", perm, got, want)
-			}
-			if c := n.Count(11); c != 1 {
-				t.Fatalf("after sweep: %d live entries, want the 1 unexpired", c)
-			}
+	rng := rand.New(rand.NewSource(1))
+	for rep := 0; rep < 50; rep++ {
+		heard := slices.Clone(want)
+		rng.Shuffle(len(heard), func(i, j int) { heard[i], heard[j] = heard[j], heard[i] })
+		var n Neighbors
+		for _, h := range heard {
+			n.Heard(h.iface, h.a, 0, 10)
+		}
+		var got []ifaceAddr
+		n.Each(10, func(iface int, a addr.IP) { got = append(got, ifaceAddr{iface, a}) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("heard in order %v: Each visited %v, want %v", heard, got, want)
+		}
+		n.Heard(1, 3, 0, 100) // outlives the sweep
+		got = got[:0]
+		n.Expire(11, func(iface int, a addr.IP) { got = append(got, ifaceAddr{iface, a}) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("heard in order %v: expired %v, want %v", heard, got, want)
+		}
+		if c := n.Count(11); c != 1 {
+			t.Fatalf("after sweep: %d live entries, want the 1 unexpired", c)
 		}
 	}
 }

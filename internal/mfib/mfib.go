@@ -66,10 +66,11 @@ type OIF struct {
 }
 
 // inlineOIFCap is the number of outgoing interfaces stored directly in the
-// entry; fan-outs beyond it spill to a heap slice. Four covers the typical
-// degree of the random internets the experiments build (§6 talks in terms
-// of a handful of tree neighbors per router).
-const inlineOIFCap = 4
+// entry; fan-outs beyond it spill to a heap slice. One covers most entries:
+// on a 1 024-router sparse-mode internet with membership churn, most hold
+// at most one oif (DESIGN.md §16), and a wider inline list would cost every
+// entry its bytes.
+const inlineOIFCap = 1
 
 // Entry is one multicast forwarding entry.
 type Entry struct {
@@ -82,17 +83,16 @@ type Entry struct {
 	// SPTBit records a completed shared-tree→SPT transition (§3.3); only
 	// meaningful on (S,G) entries without the RP bit.
 	SPTBit bool
+	// dead marks a freed arena slot awaiting recycling.
+	dead bool
+	// UpstreamNeighbor is the next-hop address toward the source/RP that
+	// periodic join/prune messages target; 0 when IIF is nil.
+	UpstreamNeighbor addr.IP
 	// IIF is the expected arrival interface (RPF interface toward the
 	// source, or toward the RP for wildcard/RP-bit entries). Nil at the RP
 	// itself for (*,G) (§3.2: "the incoming interface in the RP's (*,G)
 	// entry is set to null") and at a source's first-hop router for (S,G).
 	IIF *netsim.Iface
-	// UpstreamNeighbor is the next-hop address toward the source/RP that
-	// periodic join/prune messages target; 0 when IIF is nil.
-	UpstreamNeighbor addr.IP
-	// noif is the length of the outgoing-interface list below (placed here
-	// to share UpstreamNeighbor's word).
-	noif int32
 	// DeleteAt, when nonzero, marks the entry for removal once reached
 	// (set when the oif list goes null, §3.6).
 	DeleteAt netsim.Time
@@ -106,9 +106,9 @@ type Entry struct {
 	// never sets it.
 	PrunedUntil netsim.Time
 
-	// The outgoing-interface list: noif total, packed and sorted by
-	// Iface.Index, the first inlineOIFCap elements inline and the rest in
-	// oifSpill.
+	// The outgoing-interface list, packed and sorted by Iface.Index: the
+	// first inlineOIFCap elements inline and the rest in oifSpill. An unused
+	// inline slot has a nil Iface, so the list keeps no length of its own.
 	oifInline [inlineOIFCap]OIF
 	oifSpill  []OIF
 
@@ -117,8 +117,6 @@ type Entry struct {
 	// can detect delete/re-create across their delay by comparing Life()
 	// (pointer identity is not enough: the arena recycles slots).
 	life uint64
-	// dead marks a freed arena slot awaiting recycling.
-	dead bool
 	// gen is the entry's mutation generation; plans compiled against this
 	// entry (plan.go) revalidate with one compare. Every method mutating
 	// forwarding-relevant state bumps it; code mutating OIF fields or IIF
@@ -151,10 +149,22 @@ func (e *Entry) oifAt(i int) *OIF {
 	return &e.oifSpill[i-inlineOIFCap]
 }
 
+// OIFCount returns the number of interfaces in the list (live or not).
+func (e *Entry) OIFCount() int {
+	if len(e.oifSpill) > 0 {
+		return inlineOIFCap + len(e.oifSpill)
+	}
+	n := 0
+	for n < inlineOIFCap && e.oifInline[n].Iface != nil {
+		n++
+	}
+	return n
+}
+
 // oifFind locates the interface index in the sorted list: (position, true)
 // when present, (insertion point, false) when absent.
 func (e *Entry) oifFind(idx int) (int, bool) {
-	n := int(e.noif)
+	n := e.OIFCount()
 	for i := 0; i < n; i++ {
 		j := e.oifAt(i).Iface.Index
 		if j == idx {
@@ -169,11 +179,10 @@ func (e *Entry) oifFind(idx int) (int, bool) {
 
 // oifInsert opens the slot at pos and writes o, keeping the list packed.
 func (e *Entry) oifInsert(pos int, o OIF) *OIF {
-	n := int(e.noif)
+	n := e.OIFCount()
 	if n >= inlineOIFCap {
 		e.oifSpill = append(e.oifSpill, OIF{})
 	}
-	e.noif++
 	for i := n; i > pos; i-- {
 		*e.oifAt(i) = *e.oifAt(i - 1)
 	}
@@ -184,19 +193,15 @@ func (e *Entry) oifInsert(pos int, o OIF) *OIF {
 
 // oifRemoveAt closes the slot at pos, keeping the list packed.
 func (e *Entry) oifRemoveAt(pos int) {
-	n := int(e.noif)
+	n := e.OIFCount()
 	for i := pos; i < n-1; i++ {
 		*e.oifAt(i) = *e.oifAt(i + 1)
 	}
-	*e.oifAt(n - 1) = OIF{} // drop the Iface pointer
+	*e.oifAt(n - 1) = OIF{} // drop the Iface pointer, ending the list
 	if n-1 >= inlineOIFCap {
 		e.oifSpill = e.oifSpill[:n-1-inlineOIFCap]
 	}
-	e.noif--
 }
-
-// OIFCount returns the number of interfaces in the list (live or not).
-func (e *Entry) OIFCount() int { return int(e.noif) }
 
 // OIFAt returns the i-th outgoing interface in index order. The pointer is
 // valid only until the next structural list mutation.
@@ -280,7 +285,7 @@ func (o *OIF) Live(now netsim.Time) bool {
 // Appending into a recycled dst keeps compiled-plan rebuilds and other hot
 // walks allocation-free.
 func (e *Entry) AppendLiveOIFs(dst []*netsim.Iface, now netsim.Time, except *netsim.Iface) []*netsim.Iface {
-	for i := 0; i < int(e.noif); i++ {
+	for i, n := 0, e.OIFCount(); i < n; i++ {
 		o := e.oifAt(i)
 		if !o.Live(now) {
 			continue
@@ -295,7 +300,7 @@ func (e *Entry) AppendLiveOIFs(dst []*netsim.Iface, now netsim.Time, except *net
 
 // OIFEmpty reports whether no live outgoing interface remains.
 func (e *Entry) OIFEmpty(now netsim.Time) bool {
-	for i := 0; i < int(e.noif); i++ {
+	for i, n := 0, e.OIFCount(); i < n; i++ {
 		if e.oifAt(i).Live(now) {
 			return false
 		}

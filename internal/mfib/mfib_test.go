@@ -1,6 +1,7 @@
 package mfib
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -227,11 +228,45 @@ func TestEntryStringNotation(t *testing.T) {
 }
 
 // TestOIFFootprint pins an outgoing interface at 32 bytes: the inline list
-// holds four per entry, and the flood-and-prune Pruned flag rides in the
+// holds one per entry, and the flood-and-prune Pruned flag rides in the
 // padding after the two other flags.
 func TestOIFFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(OIF{}); size != 32 {
 		t.Errorf("OIF is %d bytes, want 32", size)
+	}
+}
+
+// TestEntryFootprint pins an entry at 152 bytes — one inline oif, the dead
+// flag in the padding after the two other flags, UpstreamNeighbor beside
+// them and no stored list length — and a slab of eight at one 1 280-byte
+// size class with less than one entry of slack. The runtime puts an 8-byte
+// header on a pointerful object over 512 bytes, so a slab of 160-byte
+// entries (1 288 bytes) would round up to 1 408.
+func TestEntryFootprint(t *testing.T) {
+	const size, class = 152, 1280
+	if got := unsafe.Sizeof(Entry{}); got != size {
+		t.Errorf("Entry is %d bytes, want %d", got, size)
+	}
+	// Whatever else allocates meanwhile only adds bytes, so the least of a
+	// few tries is the slabs' own.
+	const n = 64
+	got := uint64(1 << 62)
+	for try := 0; try < 5; try++ {
+		slabs := make([][]Entry, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range slabs {
+			slabs[i] = make([]Entry, slabSize)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(slabs)
+		got = min(got, (after.TotalAlloc-before.TotalAlloc)/n)
+	}
+	if got != class {
+		t.Errorf("a slab of %d entries takes %d heap bytes, want %d", slabSize, got, class)
+	}
+	if slack := class - (slabSize*size + 8); slack < 0 || slack >= size {
+		t.Errorf("a slab leaves %d bytes of its size class unused, want under one entry", slack)
 	}
 }
 

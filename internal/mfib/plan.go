@@ -99,7 +99,7 @@ func minFutureExpiry(e *Entry, now, until netsim.Time) netsim.Time {
 	if e == nil {
 		return until
 	}
-	for i := 0; i < int(e.noif); i++ {
+	for i, n := 0, e.OIFCount(); i < n; i++ {
 		o := e.oifAt(i)
 		if o.LocalMember {
 			continue
@@ -168,7 +168,7 @@ func UnionForward(sg, wc, rpt *Entry, now netsim.Time, except *netsim.Iface) []*
 // appendShared appends the shared-tree fan-out to dst: the (*,G) live list
 // minus the interfaces the negative cache prunes for this source.
 func appendShared(dst []*netsim.Iface, wc, rpt *Entry, now netsim.Time, except *netsim.Iface) []*netsim.Iface {
-	for i := 0; i < int(wc.noif); i++ {
+	for i, n := 0, wc.OIFCount(); i < n; i++ {
 		o := wc.oifAt(i)
 		if !o.Live(now) {
 			continue
@@ -195,7 +195,7 @@ func appendUnion(dst []*netsim.Iface, sg, wc, rpt *Entry, now netsim.Time, excep
 	if wc == nil {
 		return dst
 	}
-	for i := 0; i < int(wc.noif); i++ {
+	for i, n := 0, wc.OIFCount(); i < n; i++ {
 		o := wc.oifAt(i)
 		if !o.Live(now) {
 			continue

@@ -341,7 +341,7 @@ func (t *Table) walk(lo, hi int, fn func(*Entry)) {
 func (t *Table) Sweep(now netsim.Time) []*Entry {
 	var removed []*Entry
 	t.ForEach(func(e *Entry) {
-		for i := int(e.noif) - 1; i >= 0; i-- {
+		for i := e.OIFCount() - 1; i >= 0; i-- {
 			o := e.oifAt(i)
 			if !o.LocalMember && now > o.Expires {
 				e.oifRemoveAt(i)

@@ -285,15 +285,16 @@ func TestStatsClassification(t *testing.T) {
 	b.Handle(packet.ProtoPIM, HandlerFunc(func(in *Iface, pkt *packet.Packet) {}))
 	a.Send(a.Ifaces[0], packet.New(1, 2, packet.ProtoUDP, make([]byte, 100)), 0)
 	a.Send(a.Ifaces[0], packet.New(1, 2, packet.ProtoPIM, make([]byte, 10)), 0)
+	a.Send(a.Ifaces[0], packet.New(1, 2, packet.ProtoIGMP, make([]byte, 8)), 0) // b has no IGMP handler
 	n.Sched.Run(0)
-	if n.Stats.Totals.DataPackets != 1 || n.Stats.Totals.ControlPackets != 1 {
+	if n.Stats.Totals.DataPackets != 1 || n.Stats.Totals.ControlPackets != 2 {
 		t.Errorf("totals = %+v", n.Stats.Totals)
 	}
 	if n.Stats.Totals.DataBytes != 120 {
 		t.Errorf("data bytes = %d", n.Stats.Totals.DataBytes)
 	}
-	if n.Stats.Received != 2 {
-		t.Errorf("received = %d", n.Stats.Received)
+	if n.Stats.Received != 2 || n.Stats.Drops[DropNoHandler] != 1 {
+		t.Errorf("received = %d, no-handler drops = %d; want 2 and 1", n.Stats.Received, n.Stats.Drops[DropNoHandler])
 	}
 	if n.Stats.LinksCarryingData() != 1 {
 		t.Errorf("links carrying data = %d", n.Stats.LinksCarryingData())

@@ -408,7 +408,6 @@ func (n *Network) deliver(from, to *Iface, pkt *packet.Packet) {
 		stats.Drop(DropInjectedLoss)
 		return
 	}
-	stats.Receive(pkt)
 	if n.Trace != nil {
 		n.Trace(TraceEvent{At: n.Sched.Now(), From: from, To: to, Pkt: pkt})
 	}
@@ -417,6 +416,7 @@ func (n *Network) deliver(from, to *Iface, pkt *packet.Packet) {
 		stats.Drop(DropNoHandler)
 		return
 	}
+	stats.Received++
 	h.HandlePacket(to, pkt)
 }
 

@@ -53,7 +53,8 @@ type LinkStats struct {
 type Stats struct {
 	PerLink []LinkStats // indexed by Link.ID
 	Totals  LinkStats
-	// Received counts packets successfully delivered to a handler's node.
+	// Received counts packets delivered to a handler: a frame its node has
+	// no handler for is a DropNoHandler, not a receipt.
 	Received int64
 	Drops    [NumDropReasons]int64
 }
@@ -85,9 +86,6 @@ func (s *Stats) Transmit(l *Link, pkt *packet.Packet) {
 		s.Totals.ControlBytes += n
 	}
 }
-
-// Receive records a successful delivery.
-func (s *Stats) Receive(pkt *packet.Packet) { s.Received++ }
 
 // Drop records a dropped frame.
 func (s *Stats) Drop(reason DropReason) { s.Drops[reason]++ }

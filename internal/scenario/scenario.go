@@ -14,8 +14,7 @@
 // at MaxRouters (25 600) routers and the backbone block wraps into the host
 // block at MaxLinks (39 936) links. Build refuses a larger graph, and Build
 // and AddHost panic, naming both interfaces, rather than hand an address out
-// twice. The plan also keeps every node's adjacencies (at most MaxLinks
-// backbone peers plus 254 stub-LAN stations) below unicast.MaxArcs.
+// twice.
 package scenario
 
 import (

@@ -28,8 +28,8 @@ type Oracle struct {
 	snap  *snapshot
 	views []*view // by Node.ID
 	gen   uint64  // topology changes seen; every view's Gen
-	// scratch is every snapshot's solve workspace: one queue and one
-	// beyond list, reused by every solve this oracle runs.
+	// scratch is every snapshot's solve workspace: one queue, one beyond
+	// list and two trees' routes, reused by every solve this oracle runs.
 	scratch solveScratch
 }
 
@@ -57,7 +57,7 @@ func (o *Oracle) RouterFor(nd *netsim.Node) Router {
 // Solved reports whether the node currently holds a shortest-path tree: it
 // has looked something up, or had listeners to decide for, since the last
 // topology change. Hosts and LAN anchors never should.
-func (o *Oracle) Solved(nd *netsim.Node) bool { return o.RouterFor(nd).(*view).tree.dist != nil }
+func (o *Oracle) Solved(nd *netsim.Node) bool { return o.RouterFor(nd).(*view).tree != nil }
 
 // Recompute brings the oracle up to date with the live topology. A link
 // change calls it once per attached node; only the first call finds the up
@@ -74,18 +74,21 @@ func (o *Oracle) Recompute() {
 	o.snap = o.snapshot(up)
 	o.gen++
 	var changed []*view
+	was, now := &o.scratch.paths[0], &o.scratch.paths[1]
 	for _, v := range o.views {
-		was := v.tree
-		v.tree = tree{}
+		t := v.tree
+		v.tree = nil
 		clear(v.memo)
 		if len(v.listeners) == 0 {
 			continue
 		}
-		if was.dist == nil {
-			was = old.solve(v.id)
+		if t == nil {
+			old.solve(v.id, was)
+		} else {
+			was.fold(old, t, v.id)
 		}
-		v.tree = o.snap.solve(v.id)
-		if routesDiffer(v.id, old, was, o.snap, v.tree) {
+		v.tree = o.snap.solve(v.id, now)
+		if routesDiffer(v.id, old, was, o.snap, now) {
 			changed = append(changed, v)
 		}
 	}
@@ -111,6 +114,7 @@ func (o *Oracle) upBits() []bool {
 // on its link (a LAN is a clique at the LAN's delay).
 type arc struct {
 	to    int32 // peer's Node.ID
+	from  int32 // local Node.ID
 	delay int64
 	ifc   *netsim.Iface // local interface
 	hop   addr.IP       // peer's address
@@ -143,6 +147,9 @@ type solveScratch struct {
 	// beyond collects nodes offered only distances over MaxPathMetric;
 	// one still unreached at the end has no path that fits.
 	beyond []int32
+	// paths hold the routes of two trees: a solve fills one, and Recompute
+	// compares a view's old routes, solved or folded, with its new.
+	paths [2]paths
 }
 
 func (o *Oracle) snapshot(up []bool) *snapshot {
@@ -159,7 +166,7 @@ func (o *Oracle) snapshot(up []bool) *snapshot {
 			}
 			for _, peer := range ifc.Link.Ifaces {
 				if peer != ifc && peer.Up() {
-					s.arcs = append(s.arcs, arc{int32(peer.Node.ID), int64(ifc.Link.Delay), ifc, peer.Addr})
+					s.arcs = append(s.arcs, arc{int32(peer.Node.ID), int32(nd.ID), int64(ifc.Link.Delay), ifc, peer.Addr})
 				}
 			}
 		}
@@ -168,67 +175,56 @@ func (o *Oracle) snapshot(up []bool) *snapshot {
 	return s
 }
 
-// tree is one node's shortest-path tree over a snapshot, six bytes per node
-// of the network (every router that looks anything up holds one): each
-// node's distance from the source in µs (unreached if there is no path), and
-// which of the source's own arcs its path starts on, as an offset from the
-// source's first arc. MaxPathMetric and MaxArcs are the bounds the two cells
-// hold; solve refuses a graph beyond either rather than wrap.
-type tree struct {
-	dist  []int32
-	first []uint16
-}
+// tree is one node's shortest-path tree over a snapshot, four bytes per node
+// of the network (every router that looks anything up holds one): the index
+// in snapshot.arcs of the arc that fixed each node's distance in solve, noArc
+// at the root and at a node the tree does not reach. A node's distance and
+// first hop are a climb up its parent arcs.
+type tree []int32
 
-const unreached = -1
+const (
+	unreached = -1
+	noArc     = -1
+)
 
 // MaxPathMetric is the longest shortest path the oracle can hold, in µs
-// (about 35.8 simulated minutes): a tree keeps distances in 32 bits.
+// (about 35.8 simulated minutes): solve keeps distances in 32 bits.
 const MaxPathMetric = math.MaxInt32
 
-// MaxArcs is the most adjacencies (one per peer interface on each up link)
-// a node can have under the oracle: a tree names a first hop by its 16-bit
-// offset among the source's arcs.
-const MaxArcs = math.MaxUint16
-
 // solve runs Dijkstra from src in the snapshot's scratch, allocating only
-// the tree it returns. Ties are everywhere with small integer delays, and
-// which equal-cost first hop wins is source-relative: nodes settle in
-// (distance, ID) order, a node keeps the first relaxation that reached its
-// final distance, and between the source's own arcs to one neighbour the
-// lower peer address wins. A tree toward the destination, or a different
-// settling order, picks other next hops.
+// the tree it returns, and leaves every node's distance and first hop in p.
+// Ties are everywhere with small integer delays, and which equal-cost first
+// hop wins is source-relative: nodes settle in (distance, ID) order, a node
+// keeps the first relaxation that reached its final distance, and between
+// the source's own arcs to one neighbour the lower peer address wins. A tree
+// toward the destination, or a different settling order, picks other next
+// hops.
 //
-// It panics when src has more than MaxArcs arcs or a node's distance exceeds
-// MaxPathMetric; scenario.CheckGraph refuses the graphs that could.
-func (s *snapshot) solve(src int32) tree {
+// It panics when a node's distance exceeds MaxPathMetric;
+// scenario.CheckGraph refuses the graphs that could.
+func (s *snapshot) solve(src int32, p *paths) tree {
 	n := len(s.start) - 1
-	base := s.start[src]
-	if arcs := s.start[src+1] - base; arcs > MaxArcs {
-		panic(fmt.Sprintf("unicast: node %d has %d arcs, beyond the oracle's %d", src, arcs, MaxArcs))
-	}
-	t := tree{dist: make([]int32, n), first: make([]uint16, n)}
-	for i := range t.dist {
-		t.dist[i] = unreached
-	}
-	t.dist[src] = 0
 	if s.scratch == nil {
 		s.scratch = new(solveScratch)
 	}
+	t := make(tree, n)
+	dist, first := p.size(n)
+	for i := range t {
+		dist[i], first[i], t[i] = unreached, noArc, noArc
+	}
+	dist[src] = 0
 	q, beyond := &s.scratch.queue, s.scratch.beyond[:0]
 	q.reset()
 	q.push(distKey(0, src))
-	dist, first := t.dist, t.first
 	for q.len() > 0 {
 		k := q.pop()
 		d, v := int32(k>>32), int32(uint32(k))
 		if d > dist[v] {
 			continue // v settled at a shorter distance pushed later
 		}
-		// a is the arc's offset among v's, which names a first hop when v is
-		// the source.
-		arcs, room, fv := s.arcs[s.start[v]:s.start[v+1]], MaxPathMetric-int64(d), first[v]
-		for a := range arcs {
-			arc := &arcs[a]
+		room, fv := MaxPathMetric-int64(d), first[v]
+		for a := s.start[v]; a < s.start[v+1]; a++ {
+			arc := &s.arcs[a]
 			u := arc.to
 			if arc.delay > room {
 				beyond = append(beyond, u)
@@ -237,25 +233,83 @@ func (s *snapshot) solve(src int32) tree {
 			nd := d + int32(arc.delay)
 			switch old := dist[u]; {
 			case old == unreached || nd < old:
-				dist[u] = nd
+				dist[u], t[u], first[u] = nd, a, fv
 				if v == src {
-					first[u] = uint16(a)
-				} else {
-					first[u] = fv
+					first[u] = a
 				}
 				q.push(distKey(nd, u))
-			case nd == old && v == src && arc.hop < arcs[first[u]].hop:
-				first[u] = uint16(a)
+			case nd == old && v == src && arc.hop < s.arcs[t[u]].hop:
+				t[u], first[u] = a, a
 			}
 		}
 	}
 	s.scratch.beyond = beyond
 	for _, u := range beyond {
-		if t.dist[u] == unreached {
+		if dist[u] == unreached {
 			panic(fmt.Sprintf("unicast: node %d is farther than %d µs from node %d, beyond the oracle's path metric bound", u, MaxPathMetric, src))
 		}
 	}
 	return t
+}
+
+// climb walks u's parent arcs up to root: u's distance from it in µs
+// (unreached if the tree does not reach u) and the root's arc the path
+// leaves by (noArc at the root). Each step adds the delay that fixed the
+// child's distance in solve, so the sum is that distance.
+func (s *snapshot) climb(t tree, root, u int32) (dist int64, first int32) {
+	if u != root && t[u] == noArc {
+		return unreached, noArc
+	}
+	for first = noArc; u != root; u = s.arcs[first].from {
+		first = t[u]
+		dist += s.arcs[first].delay
+	}
+	return dist, first
+}
+
+// paths is every node's route in one tree: its distance from the root in µs
+// (unreached if none) and the root's arc the path leaves by, so that all of
+// a tree's routes can be read at once.
+type paths struct {
+	dist, first []int32
+	stack       []int32 // fold's scratch
+}
+
+// size resizes dist and first to n nodes, reusing their capacity.
+func (p *paths) size(n int) (dist, first []int32) {
+	p.dist, p.first = slices.Grow(p.dist[:0], n)[:n], slices.Grow(p.first[:0], n)[:n]
+	return p.dist, p.first
+}
+
+// fold fills p from t in one pass over its parent arcs: a node's route is
+// its parent's plus one arc, so each is computed once.
+func (p *paths) fold(s *snapshot, t tree, root int32) {
+	const unknown = -2
+	dist, first := p.size(len(t))
+	for i := range dist {
+		dist[i] = unknown
+	}
+	dist[root], first[root] = 0, noArc
+	stack := p.stack[:0]
+	for u := range t {
+		for v := int32(u); dist[v] == unknown; v = s.arcs[t[v]].from {
+			if t[v] == noArc {
+				dist[v], first[v] = unreached, noArc
+				break
+			}
+			stack = append(stack, v)
+		}
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			a := &s.arcs[t[v]]
+			dist[v], first[v] = dist[a.from]+int32(a.delay), first[a.from]
+			if a.from == root {
+				first[v] = t[v]
+			}
+		}
+	}
+	p.stack = stack
 }
 
 // SourceTree is the shortest-path tree from one node over the topology of
@@ -263,41 +317,25 @@ func (s *snapshot) solve(src int32) tree {
 // route lookups read its first hops from, with each node's parent besides.
 type SourceTree struct {
 	snap *snapshot
-	tree // the root is the one node at distance 0
+	tree
 }
 
 // Tree solves the shortest-path tree from nd over the live topology. Nothing
 // is memoised: a caller that keeps the tree drops it when a view's Gen moves.
 func (o *Oracle) Tree(nd *netsim.Node) SourceTree {
-	return SourceTree{o.snap, o.snap.solve(o.RouterFor(nd).(*view).id)}
+	return SourceTree{o.snap, o.snap.solve(o.RouterFor(nd).(*view).id, &o.scratch.paths[0])}
 }
 
 // Parent returns the link by which the tree reaches nd: the parent's
 // interface onto it and nd's own. ok is false at the root and at a node the
-// tree does not reach.
-//
-// The parent is the relaxation that fixed nd's distance in solve, the same
-// one that fixed its first hop: of the tight predecessors — a neighbour p
-// with dist[p] + delay = dist[nd] — the one that settled first, least in
-// (distance, ID), over its first tight arc in its own arc order; at the root,
-// over the tight arc to the lower peer address.
+// tree does not reach. The parent is the relaxation that fixed nd's distance
+// in solve, the same one that fixed its first hop.
 func (t SourceTree) Parent(nd *netsim.Node) (out, in *netsim.Iface, ok bool) {
-	s, u, du := t.snap, int32(nd.ID), t.dist[nd.ID]
-	if du == 0 || du == unreached {
+	a := t.tree[nd.ID]
+	if a == noArc {
 		return nil, nil, false
 	}
-	p := int32(-1) // arcs are symmetric: u's own name its neighbours, all reached
-	for _, a := range s.arcs[s.start[u]:s.start[u+1]] {
-		if dp := t.dist[a.to]; int64(dp)+a.delay == int64(du) && (p < 0 || distKey(dp, a.to) < distKey(t.dist[p], p)) {
-			p = a.to
-		}
-	}
-	var via *arc
-	for i := s.start[p]; i < s.start[p+1]; i++ {
-		if a := &s.arcs[i]; a.to == u && int64(t.dist[p])+a.delay == int64(du) && (via == nil || t.dist[p] == 0 && a.hop < via.hop) {
-			via = a
-		}
-	}
+	via := &t.snap.arcs[a]
 	for _, in := range via.ifc.Link.Ifaces {
 		if in.Node == nd {
 			return via.ifc, in, true
@@ -306,18 +344,20 @@ func (t SourceTree) Parent(nd *netsim.Node) (out, in *netsim.Iface, ok bool) {
 	panic("unicast: a tree arc without its far end")
 }
 
-// best resolves one /24 for src: the lowest metric over the prefix's owners,
-// then the lower next hop; an interface of src's own in the prefix wins at
-// metric 0. The zero Route means no route.
-func (s *snapshot) best(src int32, t tree, key uint32) Route {
+// best resolves one /24 for src over the prefix's owners: the lowest
+// metric, then the lower next hop; an interface of src's own in the prefix
+// wins at metric 0. route gives an owner's distance from src (unreached if
+// none) and the arc of src's its path leaves by. The zero Route means no
+// route.
+func (s *snapshot) best(src int32, owners []owner, route func(u int32) (int64, int32)) Route {
 	best := Route{Metric: InfMetric}
-	for _, own := range s.owners[key] {
+	for _, own := range owners {
 		var r Route
 		if own.node == src {
 			r = Route{Iface: own.ifc}
-		} else if d := t.dist[own.node]; d != unreached {
-			a := &s.arcs[s.start[src]+int32(t.first[own.node])]
-			r = Route{Iface: a.ifc, NextHop: a.hop, Metric: int64(d)}
+		} else if d, first := route(own.node); d != unreached {
+			a := &s.arcs[first]
+			r = Route{Iface: a.ifc, NextHop: a.hop, Metric: d}
 		} else {
 			continue
 		}
@@ -331,14 +371,22 @@ func (s *snapshot) best(src int32, t tree, key uint32) Route {
 	return best
 }
 
+// read is best's route over a fold or a solve's paths.
+func (p *paths) read(u int32) (int64, int32) { return int64(p.dist[u]), p.first[u] }
+
 // routesDiffer reports whether any prefix of either snapshot resolves
-// differently for src in the two.
-func routesDiffer(src int32, a *snapshot, at tree, b *snapshot, bt tree) bool {
-	for _, s := range [2]*snapshot{a, b} {
-		for key := range s.owners {
-			if a.best(src, at, key) != b.best(src, bt, key) {
-				return true
-			}
+// differently for src in the two, given src's routes over each as paths,
+// so that the comparison costs O(prefixes), not a climb per prefix. A
+// prefix only b has resolves to no route in a.
+func routesDiffer(src int32, a *snapshot, pa *paths, b *snapshot, pb *paths) bool {
+	for key, owners := range a.owners {
+		if a.best(src, owners, pa.read) != b.best(src, b.owners[key], pb.read) {
+			return true
+		}
+	}
+	for key, owners := range b.owners {
+		if _, both := a.owners[key]; !both && b.best(src, owners, pb.read) != (Route{}) {
+			return true
 		}
 	}
 	return false
@@ -349,7 +397,7 @@ type view struct {
 	o         *Oracle
 	id        int32
 	listeners []func()
-	tree      tree             // zero until the first Lookup after a topology change
+	tree      tree             // nil until the first Lookup after a topology change
 	memo      map[uint32]Route // /24 key → best's answer, reachable or not
 }
 
@@ -359,10 +407,11 @@ func (v *view) Lookup(dst addr.IP) (Route, bool) {
 	key := uint32(dst) >> 8
 	r, hit := v.memo[key]
 	if !hit {
-		if v.tree.dist == nil {
-			v.tree = v.o.snap.solve(v.id)
+		s := v.o.snap
+		if v.tree == nil {
+			v.tree = s.solve(v.id, &v.o.scratch.paths[0])
 		}
-		r = v.o.snap.best(v.id, v.tree, key)
+		r = s.best(v.id, s.owners[key], func(u int32) (int64, int32) { return s.climb(v.tree, v.id, u) })
 		v.memo[key] = r
 	}
 	return r, r.Iface != nil
