@@ -364,11 +364,14 @@ func (t *Table) Sweep(now netsim.Time) []*Entry {
 
 // Footprint sizes, for the Bytes estimator.
 const (
-	entryBytes = int64(unsafe.Sizeof(Entry{}))
-	oifBytes   = int64(unsafe.Sizeof(OIF{}))
-	planBytes  = int64(unsafe.Sizeof(plan{}))
-	keyBytes   = int64(unsafe.Sizeof(Key{}))
-	ptrBytes   = int64(unsafe.Sizeof((*Entry)(nil)))
+	// slabBytes is what the allocator holds for one slab: its entries plus
+	// the 8-byte header the runtime puts on a pointerful object over 512
+	// bytes, rounded up to the size class. TestEntryFootprint measures it.
+	slabBytes = 1280
+	oifBytes  = int64(unsafe.Sizeof(OIF{}))
+	planBytes = int64(unsafe.Sizeof(plan{}))
+	keyBytes  = int64(unsafe.Sizeof(Key{}))
+	ptrBytes  = int64(unsafe.Sizeof((*Entry)(nil)))
 )
 
 // Bytes estimates the table's resident state footprint: the arena slabs
@@ -376,7 +379,7 @@ const (
 // and compiled-plan capacities hanging off live entries. It is a
 // deterministic estimator, not a heap measurement.
 func (t *Table) Bytes() int64 {
-	b := int64(len(t.slabs)) * slabSize * entryBytes
+	b := int64(len(t.slabs)) * slabBytes
 	b += int64(len(t.index.vals)) * 4
 	b += int64(cap(t.order)) * keyBytes
 	b += int64(cap(t.free)) * 4

@@ -14,7 +14,9 @@
 // at MaxRouters (25 600) routers and the backbone block wraps into the host
 // block at MaxLinks (39 936) links. Build refuses a larger graph, and Build
 // and AddHost panic, naming both interfaces, rather than hand an address out
-// twice.
+// twice. No node can then pass the unicast oracle's unicast.MaxArcs: a
+// router's arcs are its backbone links plus its stub LAN's peers, and hosts
+// end at .253, so that is at most MaxLinks + 254 (253 hosts and the anchor).
 package scenario
 
 import (
@@ -55,6 +57,11 @@ const (
 	MaxRouters = (200 - 100) * 256
 	MaxLinks   = (256 - 200 + 100) * 256
 )
+
+// The plan's busiest node fits the oracle's per-node arc bound (see the
+// package comment); the constant would overflow uint, and not compile, if
+// it did not.
+const _ uint = unicast.MaxArcs - (MaxLinks + 254)
 
 // Sim is a wired simulation.
 type Sim struct {

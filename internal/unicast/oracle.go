@@ -114,10 +114,12 @@ func (o *Oracle) upBits() []bool {
 // on its link (a LAN is a clique at the LAN's delay).
 type arc struct {
 	to    int32 // peer's Node.ID
-	from  int32 // local Node.ID
 	delay int64
 	ifc   *netsim.Iface // local interface
 	hop   addr.IP       // peer's address
+	// back is the offset among the peer's arcs of the arc that runs the
+	// other way between the same two interfaces (it fills padding).
+	back uint16
 }
 
 // owner is one up, addressed interface inside a /24.
@@ -152,11 +154,21 @@ type solveScratch struct {
 	paths [2]paths
 }
 
+// snapshot builds the graph of the live topology, whose up bits are up. It
+// panics when a node has more than MaxArcs arcs.
 func (o *Oracle) snapshot(up []bool) *snapshot {
 	s := &snapshot{up: up, start: make([]int32, 0, len(o.net.Nodes)+1), owners: map[uint32][]owner{}, scratch: &o.scratch}
+	// ifcs[i] is the first arc of the i-th interface in Nodes × Ifaces
+	// order, and base[v] the i of node v's first interface. An arc's
+	// reverse is found when the later of its two interfaces is reached.
+	ifcs, base := make([]int32, len(up)), make([]int32, len(o.net.Nodes))
+	i := int32(0)
 	for _, nd := range o.net.Nodes {
 		s.start = append(s.start, int32(len(s.arcs)))
+		base[nd.ID] = i
 		for _, ifc := range nd.Ifaces {
+			ifcs[i] = int32(len(s.arcs))
+			i++
 			if !ifc.Up() {
 				continue
 			}
@@ -164,28 +176,60 @@ func (o *Oracle) snapshot(up []bool) *snapshot {
 				key := uint32(ifc.Addr) >> 8
 				s.owners[key] = append(s.owners[key], owner{int32(nd.ID), ifc})
 			}
+			// An interface's arcs run to its link's other up interfaces in
+			// order, so peer's arc back to ifc is at ifc's offset among
+			// those of peer: the up interfaces before ifc, less peer if it
+			// is one of them.
+			off := int32(-1)
 			for _, peer := range ifc.Link.Ifaces {
-				if peer != ifc && peer.Up() {
-					s.arcs = append(s.arcs, arc{int32(peer.Node.ID), int32(nd.ID), int64(ifc.Link.Delay), ifc, peer.Addr})
+				if peer == ifc {
+					break
+				}
+				if peer.Up() {
+					off++
 				}
 			}
+			for _, peer := range ifc.Link.Ifaces {
+				if peer == ifc {
+					off++ // peers from here on come after ifc
+					continue
+				}
+				if !peer.Up() {
+					continue
+				}
+				a := int32(len(s.arcs))
+				s.arcs = append(s.arcs, arc{to: int32(peer.Node.ID), delay: int64(ifc.Link.Delay), ifc: ifc, hop: peer.Addr})
+				if pn := peer.Node; pn.ID < nd.ID || pn == nd && peer.Index < ifc.Index {
+					b := ifcs[base[pn.ID]+int32(peer.Index)] + off
+					s.arcs[a].back, s.arcs[b].back = uint16(b-s.start[pn.ID]), uint16(a-s.start[nd.ID])
+				}
+			}
+		}
+		if arcs := len(s.arcs) - int(s.start[nd.ID]); arcs > MaxArcs {
+			panic(fmt.Sprintf("unicast: node %s has %d arcs, beyond the oracle's %d", nd.Name, arcs, MaxArcs))
 		}
 	}
 	s.start = append(s.start, int32(len(s.arcs)))
 	return s
 }
 
-// tree is one node's shortest-path tree over a snapshot, four bytes per node
-// of the network (every router that looks anything up holds one): the index
-// in snapshot.arcs of the arc that fixed each node's distance in solve, noArc
-// at the root and at a node the tree does not reach. A node's distance and
-// first hop are a climb up its parent arcs.
-type tree []int32
+// tree is one node's shortest-path tree over a snapshot, two bytes per node
+// of the network (every router that looks anything up holds one): for each
+// node, the offset among its own arcs of the arc back over the link by which
+// solve fixed its distance, noParent at the root and at a node the tree does
+// not reach. A node's distance and first hop are a climb up its parents.
+type tree []uint16
 
 const (
 	unreached = -1
 	noArc     = -1
+	noParent  = math.MaxUint16
 )
+
+// MaxArcs is the most arcs (one per peer interface on each up link) a node
+// may have: a tree names a node's arc to its parent by its 16-bit offset
+// among them, and noParent takes the last value.
+const MaxArcs = noParent - 1
 
 // MaxPathMetric is the longest shortest path the oracle can hold, in µs
 // (about 35.8 simulated minutes): solve keeps distances in 32 bits.
@@ -210,7 +254,7 @@ func (s *snapshot) solve(src int32, p *paths) tree {
 	t := make(tree, n)
 	dist, first := p.size(n)
 	for i := range t {
-		dist[i], first[i], t[i] = unreached, noArc, noArc
+		dist[i], first[i], t[i] = unreached, noArc, noParent
 	}
 	dist[src] = 0
 	q, beyond := &s.scratch.queue, s.scratch.beyond[:0]
@@ -233,13 +277,15 @@ func (s *snapshot) solve(src int32, p *paths) tree {
 			nd := d + int32(arc.delay)
 			switch old := dist[u]; {
 			case old == unreached || nd < old:
-				dist[u], t[u], first[u] = nd, a, fv
+				dist[u], t[u], first[u] = nd, arc.back, fv
 				if v == src {
 					first[u] = a
 				}
 				q.push(distKey(nd, u))
-			case nd == old && v == src && arc.hop < s.arcs[t[u]].hop:
-				t[u], first[u] = a, a
+			case nd == old && v == src && arc.hop < s.arcs[first[u]].hop:
+				// u's distance is the delay of an arc of src's, so its
+				// parent is src, over arc first[u].
+				t[u], first[u] = arc.back, a
 			}
 		}
 	}
@@ -252,19 +298,40 @@ func (s *snapshot) solve(src int32, p *paths) tree {
 	return t
 }
 
-// climb walks u's parent arcs up to root: u's distance from it in µs
+// reverse returns the arc that runs the other way between arc a's two
+// interfaces. It carries a's delay, since both ends of a link share one.
+func (s *snapshot) reverse(a int32) int32 {
+	return s.start[s.arcs[a].to] + int32(s.arcs[a].back)
+}
+
+// toParent returns u's own arc to its parent in t, noArc at the root and at
+// a node t does not reach. Its reverse is the arc solve relaxed to fix u's
+// distance, and it carries the same delay.
+func (s *snapshot) toParent(t tree, u int32) int32 {
+	if t[u] == noParent {
+		return noArc
+	}
+	return s.start[u] + int32(t[u])
+}
+
+// climb walks u's parents up to root: u's distance from it in µs
 // (unreached if the tree does not reach u) and the root's arc the path
 // leaves by (noArc at the root). Each step adds the delay that fixed the
 // child's distance in solve, so the sum is that distance.
 func (s *snapshot) climb(t tree, root, u int32) (dist int64, first int32) {
-	if u != root && t[u] == noArc {
-		return unreached, noArc
+	if u == root {
+		return 0, noArc
 	}
-	for first = noArc; u != root; u = s.arcs[first].from {
-		first = t[u]
-		dist += s.arcs[first].delay
+	for {
+		up := s.toParent(t, u)
+		if up == noArc {
+			return unreached, noArc
+		}
+		dist += s.arcs[up].delay
+		if u = s.arcs[up].to; u == root {
+			return dist, s.reverse(up)
+		}
 	}
-	return dist, first
 }
 
 // paths is every node's route in one tree: its distance from the root in µs
@@ -292,8 +359,8 @@ func (p *paths) fold(s *snapshot, t tree, root int32) {
 	dist[root], first[root] = 0, noArc
 	stack := p.stack[:0]
 	for u := range t {
-		for v := int32(u); dist[v] == unknown; v = s.arcs[t[v]].from {
-			if t[v] == noArc {
+		for v := int32(u); dist[v] == unknown; v = s.arcs[s.toParent(t, v)].to {
+			if t[v] == noParent {
 				dist[v], first[v] = unreached, noArc
 				break
 			}
@@ -302,10 +369,11 @@ func (p *paths) fold(s *snapshot, t tree, root int32) {
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			a := &s.arcs[t[v]]
-			dist[v], first[v] = dist[a.from]+int32(a.delay), first[a.from]
-			if a.from == root {
-				first[v] = t[v]
+			up := s.toParent(t, v)
+			a := &s.arcs[up]
+			dist[v], first[v] = dist[a.to]+int32(a.delay), first[a.to]
+			if a.to == root {
+				first[v] = s.reverse(up)
 			}
 		}
 	}
@@ -329,19 +397,14 @@ func (o *Oracle) Tree(nd *netsim.Node) SourceTree {
 // Parent returns the link by which the tree reaches nd: the parent's
 // interface onto it and nd's own. ok is false at the root and at a node the
 // tree does not reach. The parent is the relaxation that fixed nd's distance
-// in solve, the same one that fixed its first hop.
+// in solve, the same one that fixed its first hop: the parent's interface is
+// that arc's, and nd's is its reverse's, nd's own arc to its parent.
 func (t SourceTree) Parent(nd *netsim.Node) (out, in *netsim.Iface, ok bool) {
-	a := t.tree[nd.ID]
-	if a == noArc {
+	up := t.snap.toParent(t.tree, int32(nd.ID))
+	if up == noArc {
 		return nil, nil, false
 	}
-	via := &t.snap.arcs[a]
-	for _, in := range via.ifc.Link.Ifaces {
-		if in.Node == nd {
-			return via.ifc, in, true
-		}
-	}
-	panic("unicast: a tree arc without its far end")
+	return t.snap.arcs[t.snap.reverse(up)].ifc, t.snap.arcs[up].ifc, true
 }
 
 // best resolves one /24 for src over the prefix's owners: the lowest

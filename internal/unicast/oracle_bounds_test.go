@@ -6,17 +6,19 @@ import (
 	"testing"
 
 	"pim/internal/addr"
+	"pim/internal/netsim"
 )
 
 // testSnapshot builds a snapshot over n nodes from undirected edges
-// {a, b, delay}; a node's arcs keep edge order, and the peer address is the
-// peer's ID + 1.
+// {a, b, delay}; a node's arcs keep edge order, each names its reverse, and
+// the peer address is the peer's ID + 1.
 func testSnapshot(n int, edges ...[3]int64) *snapshot {
 	adj := make([][]arc, n)
 	for _, e := range edges {
 		a, b := int32(e[0]), int32(e[1])
-		adj[a] = append(adj[a], arc{to: b, from: a, delay: e[2], hop: addr.IP(b + 1)})
-		adj[b] = append(adj[b], arc{to: a, from: b, delay: e[2], hop: addr.IP(a + 1)})
+		ab, ba := uint16(len(adj[a])), uint16(len(adj[b]))
+		adj[a] = append(adj[a], arc{to: b, delay: e[2], hop: addr.IP(b + 1), back: ba})
+		adj[b] = append(adj[b], arc{to: a, delay: e[2], hop: addr.IP(a + 1), back: ab})
 	}
 	s := &snapshot{}
 	for _, as := range adj {
@@ -64,22 +66,38 @@ func TestSolveRefusesPathBeyondMetricBound(t *testing.T) {
 	}
 }
 
-// TestSolveTakesAnyArcCount: a tree names a parent by its global arc index,
-// so a source may have more arcs than 16 bits count. Among 65 536 parallel
-// arcs to one neighbour the last, with the lowest peer address, is both the
-// neighbour's parent and its first hop.
-func TestSolveTakesAnyArcCount(t *testing.T) {
-	const k = 1 << 16
-	s := &snapshot{start: []int32{0, k, 2 * k}}
-	for i := 0; i < k; i++ {
-		s.arcs = append(s.arcs, arc{to: 1, from: 0, delay: 1, hop: addr.IP(k - i)})
+// TestNodeArcBound: a tree names a node's parent by a 16-bit offset among
+// the node's own arcs, so a node may have MaxArcs of them and no more. Among
+// MaxArcs parallel links whose addresses fall with the link's number, the
+// last, with the lowest address, is the neighbour's parent and first hop in
+// the root's tree; it is the neighbour's arc at the largest offset a tree
+// holds. One more link refuses the snapshot, naming the bound.
+func TestNodeArcBound(t *testing.T) {
+	parallel := func(k int) (*netsim.Network, *netsim.Node, *netsim.Node) {
+		net := netsim.NewNetwork()
+		r0, r1 := net.AddNode("r0"), net.AddNode("r1")
+		for i := 0; i < k; i++ {
+			a := uint32(addr.V4(10, 0, 0, 0)) + uint32(2*(k-i))
+			net.Connect(net.AddIface(r0, addr.IP(a)), net.AddIface(r1, addr.IP(a+1)), netsim.Millisecond)
+		}
+		return net, r0, r1
 	}
-	for i := 0; i < k; i++ {
-		s.arcs = append(s.arcs, arc{to: 0, from: 1, delay: 1, hop: addr.IP(k + 1)})
+	net, r0, r1 := parallel(MaxArcs)
+	o := NewOracle(net)
+	st := o.Tree(r0)
+	out, in, ok := st.Parent(r1)
+	if !ok || out != r0.Ifaces[MaxArcs-1] || in != r1.Ifaces[MaxArcs-1] || st.tree[r1.ID] != MaxArcs-1 {
+		t.Errorf("%d parallel links: r1 hangs off %v to %v (offset %d), want %v to %v (offset %d)",
+			MaxArcs, out, in, st.tree[r1.ID], r0.Ifaces[MaxArcs-1], r1.Ifaces[MaxArcs-1], MaxArcs-1)
 	}
-	var p paths
-	tr := s.solve(0, &p)
-	if tr[1] != k-1 || p.first[1] != k-1 || p.dist[1] != 1 {
-		t.Errorf("%d parallel arcs: parent arc %d, first hop %d, dist %d; want %d, %d, 1", k, tr[1], p.first[1], p.dist[1], k-1, k-1)
+	if d, first := st.snap.climb(st.tree, int32(r0.ID), int32(r1.ID)); d != int64(netsim.Millisecond) || st.snap.arcs[first].ifc != out {
+		t.Errorf("%d parallel links: r1 climbs to %d µs over arc %d, want %d µs over %v", MaxArcs, d, first, netsim.Millisecond, out)
 	}
+	net, _, _ = parallel(MaxArcs + 1)
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, fmt.Sprint(MaxArcs)) {
+			t.Errorf("%d parallel links: panic %q, want one naming %d", MaxArcs+1, msg, MaxArcs)
+		}
+	}()
+	NewOracle(net)
 }

@@ -2,6 +2,7 @@ package unicast
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -190,9 +191,9 @@ func TestOracleUnknownNode(t *testing.T) {
 
 // TestSolveFootprint pins a warm solve's garbage to the tree it returns.
 // Once the oracle's scratch has grown, solving a router allocates exactly
-// its parent array. That holds on the current snapshot and on one a link
-// change has retired, which Recompute solves for the old half of its
-// comparison.
+// its parent array, two bytes per node. That holds on the current snapshot
+// and on one a link change has retired, which Recompute solves for the old
+// half of its comparison.
 func TestSolveFootprint(t *testing.T) {
 	net, routers := randomInternet(rand.New(rand.NewSource(1)), 256, 512, 64, 10, false)
 	o := NewOracle(net)
@@ -207,29 +208,70 @@ func TestSolveFootprint(t *testing.T) {
 			o.snap.solve(int32(nd.ID), &o.scratch.paths[1])
 		}
 	}
-	solveAll()
-	// The process's first collection starts the runtime's mark workers,
-	// which allocate; collect once so that the count is the solves' alone.
-	runtime.GC()
-	if got, want := testing.AllocsPerRun(3, solveAll), float64(2*len(routers)); got != want {
-		t.Errorf("%d warm solves allocated %v times, want %v (the parent array each)", 2*len(routers), got, want)
+	allocs, bytes := footprint(solveAll)
+	if want := float64(2 * len(routers)); allocs != want {
+		t.Errorf("%d warm solves allocated %v times, want %v (the parent array each)", 2*len(routers), allocs, want)
+	}
+	if per, want := bytes/float64(2*len(routers)), treeBytes(len(net.Nodes)); per != want {
+		t.Errorf("a warm solve over %d nodes allocated %v bytes, want %v (two per node, rounded to a size class)", len(net.Nodes), per, want)
 	}
 }
 
+// footprint calls f once to warm it, then returns the heap allocations and
+// bytes of one more call, the least of a few tries: whatever else allocates
+// meanwhile only adds.
+func footprint(f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	// The process's first collection starts the runtime's mark workers,
+	// which allocate; collect once so that the count is f's alone.
+	runtime.GC()
+	allocs, bytes = math.Inf(1), math.Inf(1)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, float64(after.Mallocs-before.Mallocs))
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc))
+	}
+	return allocs, bytes
+}
+
+// treeBytes is what the allocator holds for a tree over n nodes: measured
+// on a plain two-byte-element slice of that length, which a tree must be.
+func treeBytes(n int) float64 {
+	var s []uint16
+	_, b := footprint(func() { s = make([]uint16, n) })
+	runtime.KeepAlive(s)
+	return b
+}
+
 // TestTreeParents holds SourceTree.Parent to the solve it reads, on
-// TestOracleMatchesReference's internets and on a 256-router one before and
-// after a link flip. For every root and every node the tree reaches, the
-// parents lead back to the root, each step is tight (the child's reference
-// distance is the parent's plus the link's delay), and the climb leaves the
-// root by the reference's first hop, the first hop of the node's routes;
-// the fold of the tree agrees on both. Each parent link is the relaxation
-// that fixed the node's distance in the reference Dijkstra
-// (oracle_ref_test.go), which pins the rule between parallel links too. The
-// root and unreached nodes have no parent.
+// TestOracleMatchesReference's internets, on a small one of parallel links
+// and stub LANs, and on a 256-router one before and after a link flip. For
+// every root and every node the tree reaches, the parents lead back to the
+// root, each step is tight (the child's reference distance is the parent's
+// plus the link's delay), and the climb leaves the root by the reference's
+// first hop, the first hop of the node's routes; the fold of the tree agrees
+// on both. Each parent link is the relaxation that fixed the node's distance
+// in the reference Dijkstra (oracle_ref_test.go), which pins the rule
+// between parallel links too. The root and unreached nodes have no parent.
+// A tree stores a node's own arc to its parent and reads the parent's as its
+// reverse, so the trees must cross the links where that mapping can slip:
+// one of several parallel links, and a stub LAN's hop to a host and to its
+// anchor.
 func TestTreeParents(t *testing.T) {
+	var seen shapes
 	for seed := int64(0); seed < 32; seed++ {
 		_, net := tieInternet(seed)
-		checkParents(t, fmt.Sprintf("seed %d", seed), NewOracle(net))
+		seen.add(checkParents(t, fmt.Sprintf("seed %d", seed), NewOracle(net)))
+	}
+	if seen.parallel == 0 || seen.host == 0 || seen.anchor == 0 {
+		t.Errorf("TestOracleMatchesReference's internets: parents over %+v, want every shape", seen)
+	}
+	if got := checkParents(t, "parallel links and stub LANs", NewOracle(shapesInternet())); got.parallel == 0 || got.host == 0 || got.anchor == 0 {
+		t.Errorf("parallel links and stub LANs: parents over %+v, want every shape", got)
 	}
 	net, _ := randomInternet(rand.New(rand.NewSource(1)), 256, 512, 64, 10, false)
 	o := NewOracle(net)
@@ -238,7 +280,67 @@ func TestTreeParents(t *testing.T) {
 	checkParents(t, "256 routers, link 300 down", o)
 }
 
-func checkParents(t *testing.T, name string, o *Oracle) {
+// shapes counts the tree parents over links where a reverse arc can be
+// mistaken for another: one of several parallel point-to-point links, and a
+// LAN's hop to a host or to an anchor.
+type shapes struct{ parallel, host, anchor int }
+
+func (s *shapes) add(o shapes) {
+	s.parallel, s.host, s.anchor = s.parallel+o.parallel, s.host+o.host, s.anchor+o.anchor
+}
+
+// note counts the parent link out → in among s.
+func (s *shapes) note(out, in *netsim.Iface) {
+	if len(out.Link.Ifaces) > 2 {
+		switch {
+		case in.Addr == 0:
+			s.anchor++
+		case len(in.Node.Ifaces) == 1:
+			s.host++
+		}
+		return
+	}
+	links := 0
+	for _, ifc := range out.Node.Ifaces {
+		if l := ifc.Link; len(l.Ifaces) == 2 && (l.Ifaces[0].Node == in.Node || l.Ifaces[1].Node == in.Node) {
+			links++
+		}
+	}
+	if links > 1 {
+		s.parallel++
+	}
+}
+
+// shapesInternet is four routers in a ring whose r0–r1 hop is three
+// parallel links of one delay, the later links with the lower addresses,
+// and a stub LAN of a router, a host and an anchor off r1 and off r3.
+func shapesInternet() *netsim.Network {
+	net := netsim.NewNetwork()
+	var r [4]*netsim.Node
+	for i := range r {
+		r[i] = net.AddNode(fmt.Sprintf("r%d", i))
+	}
+	link := func(a, b int, sub byte) {
+		net.Connect(net.AddIface(r[a], addr.V4(10, 200, sub, 1)), net.AddIface(r[b], addr.V4(10, 200, sub, 2)), netsim.Millisecond)
+	}
+	link(0, 1, 9)
+	link(0, 1, 8)
+	link(0, 1, 7)
+	link(1, 2, 1)
+	link(2, 3, 2)
+	link(3, 0, 3)
+	for _, i := range []int{1, 3} {
+		host := net.AddNode(fmt.Sprintf("h%d", i))
+		anchor := net.AddNode(fmt.Sprintf("lan%d", i))
+		net.ConnectLAN(netsim.Millisecond, net.AddIface(r[i], addr.V4(10, 100, byte(i), 254)),
+			net.AddIface(host, addr.V4(10, 100, byte(i), 1)), net.AddIface(anchor, 0))
+	}
+	return net
+}
+
+// checkParents checks every tree of o as TestTreeParents describes and
+// counts the parents over the links shapes names.
+func checkParents(t *testing.T, name string, o *Oracle) (seen shapes) {
 	t.Helper()
 	var p paths
 	for _, root := range o.net.Nodes {
@@ -252,10 +354,11 @@ func checkParents(t *testing.T, name string, o *Oracle) {
 				}
 				continue
 			}
-			if out, in, _ := st.Parent(nd); relaxed[nd] != [2]*netsim.Iface{out, in} {
+			out, in, _ := st.Parent(nd)
+			if relaxed[nd] != [2]*netsim.Iface{out, in} {
 				t.Fatalf("%s: tree from %s: %s hangs off %v to %v, the reference relaxed it over %v", name, root.Name, nd.Name, out, in, relaxed[nd])
 			}
-			var out, in *netsim.Iface
+			seen.note(out, in)
 			for v, steps := nd, 0; v != root; steps++ {
 				o, i, ok := st.Parent(v)
 				switch {
@@ -279,10 +382,11 @@ func checkParents(t *testing.T, name string, o *Oracle) {
 			}
 		}
 	}
+	return seen
 }
 
-// TestTreeFootprint pins a warm tree query to the solve's parent array:
-// climbing the tree allocates nothing.
+// TestTreeFootprint pins a warm tree query to the solve's parent array, two
+// bytes per node: climbing the tree allocates nothing.
 func TestTreeFootprint(t *testing.T) {
 	net, routers := randomInternet(rand.New(rand.NewSource(1)), 256, 512, 64, 10, false)
 	o := NewOracle(net)
@@ -292,9 +396,9 @@ func TestTreeFootprint(t *testing.T) {
 			st.Parent(nd)
 		}
 	}
-	query()
-	if got := testing.AllocsPerRun(3, query); got != 1 {
-		t.Errorf("warm tree query and climb: %v allocations, want 1 (the parent array)", got)
+	allocs, bytes := footprint(query)
+	if want := treeBytes(len(net.Nodes)); allocs != 1 || bytes != want {
+		t.Errorf("warm tree query and climb: %v allocations of %v bytes, want 1 of %v (the parent array)", allocs, bytes, want)
 	}
 }
 
