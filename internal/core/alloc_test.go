@@ -5,7 +5,6 @@ import (
 
 	"pim/internal/addr"
 	"pim/internal/netsim"
-	"pim/internal/pimmsg"
 	"pim/internal/unicast"
 )
 
@@ -139,6 +138,25 @@ func TestLocalRejoinZeroAlloc(t *testing.T) {
 	})
 }
 
+// TestLocalLeaveRejoinZeroAlloc pins one member leave and re-join on a warm
+// (*,G) (§3.6, §3.2): the member router goes Joined → PrunePending → Joined
+// through upstream (DESIGN.md §21), sending its prune and its triggered join
+// from the router's scratch, and b and the RP follow the prune.
+func TestLocalLeaveRejoinZeroAlloc(t *testing.T) {
+	net, ra, _, _, host, groups := sparseLine(t, 1)
+	g := groups[0]
+	step := func() { net.Sched.RunUntil(net.Sched.Now() + 5*netsim.Millisecond) }
+	warmZeroAlloc(t, "warm local leave and re-join", func() {
+		ra.LocalLeave(host, g)
+		step()
+		if ra.MFIB.Wildcard(g).DeleteAt == 0 {
+			t.Fatal("a left its last member but did not prune")
+		}
+		ra.LocalJoin(host, g)
+		step()
+	})
+}
+
 // TestRPReachZeroAlloc pins one RP-reachability message from the RP down
 // the shared tree to a router with local members (§3.2, §3.9): the transit
 // router relays it, and the member router re-arms its fail-over timer in
@@ -163,17 +181,16 @@ func TestPointToPointPruneZeroAlloc(t *testing.T) {
 	g := groups[0]
 	rb.LocalJoin(net.AddIface(rb.Node, addr.V4(10, 100, 1, 1)), g)
 	wc := ra.MFIB.Wildcard(g)
-	up := []pimmsg.Addr{{Addr: wc.RP, WC: true, RP: true}}
-	send := func(joins, prunes []pimmsg.Addr) {
-		ra.sendJoinPrune(wc.IIF, wc.UpstreamNeighbor, g, joins, prunes)
+	send := func(prune bool) {
+		ra.sendJoinPrune(wc.IIF, wc.UpstreamNeighbor, g, jpAddr(wc, 0), prune)
 		net.Sched.RunUntil(net.Sched.Now() + 10*netsim.Millisecond)
 	}
 	bwc := rb.MFIB.Wildcard(g)
-	if send(nil, up); bwc.OIFCount() != 1 || bwc.DeleteAt != 0 {
+	if send(true); bwc.OIFCount() != 1 || bwc.DeleteAt != 0 {
 		t.Fatalf("after the prune b holds %d oifs (delete at %v), want its member LAN only", bwc.OIFCount(), bwc.DeleteAt)
 	}
 	warmZeroAlloc(t, "warm point-to-point prune and re-join", func() {
-		send(up, nil)
-		send(nil, up)
+		send(false)
+		send(true)
 	})
 }

@@ -103,8 +103,7 @@ func (r *Router) forwardData(in *netsim.Iface, pkt *packet.Packet) {
 				// ...and §3.3: prune the source off the shared tree if the
 				// two trees diverge here.
 				if wc != nil && sg.IIF != wc.IIF {
-					r.sendJoinPrune(wc.IIF, wc.UpstreamNeighbor, g, nil,
-						[]pimmsg.Addr{{Addr: s, RP: true}})
+					r.upstream(wc, upEvent{kind: evSPTPrune, src: s})
 				}
 			}
 			r.emit(pkt, in, r.unionOIFs(sg, wc, s, in), false)
@@ -253,5 +252,5 @@ func (r *Router) initiateSPTSwitch(s, g addr.IP, wc *mfib.Entry) {
 			sg.AddLocalOIF(o.Iface)
 		}
 	}
-	r.sendJoinPrune(sg.IIF, sg.UpstreamNeighbor, g, []pimmsg.Addr{{Addr: s}}, nil)
+	r.upstream(sg, upEvent{kind: evSPTJoin, created: true})
 }

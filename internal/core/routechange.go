@@ -1,18 +1,14 @@
 package core
 
-import (
-	"pim/internal/mfib"
-	"pim/internal/pimmsg"
-)
+import "pim/internal/mfib"
 
 // routesChanged is the §3.8 adaptation: when unicast routing changes, every
 // entry's RPF interface is re-checked. A moved incoming interface is
-// removed from the outgoing list if it appears there, a join is sent out
-// the new interface to draw the distribution tree over it, and a prune is
-// sent over the old interface (if still operational) to release the stale
-// branch.
+// removed from the outgoing list if it appears there, and the entry's
+// upstream state takes the RPF-change event: a join out the new interface
+// to draw the distribution tree over it, and a prune over the old one (if
+// still operational) to release the stale branch.
 func (r *Router) routesChanged() {
-	now := r.Now()
 	r.MFIB.ForEach(func(e *mfib.Entry) {
 		target := upstreamTarget(e)
 		if target == 0 || r.Node.OwnsAddr(target) {
@@ -27,7 +23,7 @@ func (r *Router) routesChanged() {
 		if newIIF == e.IIF && newUp == e.UpstreamNeighbor {
 			return
 		}
-		oldIIF, oldUp := e.IIF, e.UpstreamNeighbor
+		ev := upEvent{kind: evRPFChange, oldIIF: e.IIF, oldUp: e.UpstreamNeighbor}
 		e.IIF, e.UpstreamNeighbor = newIIF, newUp
 		e.Touch()
 
@@ -42,17 +38,6 @@ func (r *Router) routesChanged() {
 		if newIIF != nil {
 			e.RemoveOIF(newIIF)
 		}
-		if e.OIFEmpty(now) {
-			r.checkEmptyOIF(e)
-			return
-		}
-
-		a := pimmsg.Addr{Addr: target, WC: e.Wildcard, RP: e.Wildcard}
-		// Join out the new interface so upstream routers expect us.
-		r.sendJoinPrune(newIIF, newUp, e.Key.Group, []pimmsg.Addr{a}, nil)
-		// Prune over the old interface if the link still works.
-		if oldIIF != nil && oldUp != 0 && oldIIF.Up() {
-			r.sendJoinPrune(oldIIF, oldUp, e.Key.Group, nil, []pimmsg.Addr{a})
-		}
+		r.upstream(e, ev)
 	})
 }

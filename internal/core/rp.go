@@ -65,9 +65,7 @@ func (r *Router) rpAcceptSource(s, g addr.IP, via *netsim.Iface) {
 	// Shared-tree branches are served through the inherited outgoing list
 	// at forwarding time (unionOIFs), so no oif copy is needed here; the
 	// paper's copy-at-creation is subsumed by inheritance (DESIGN.md §4).
-	if sg.UpstreamNeighbor != 0 {
-		r.sendJoinPrune(sg.IIF, sg.UpstreamNeighbor, g, []pimmsg.Addr{{Addr: s}}, nil)
-	}
+	r.upstream(sg, upEvent{kind: evSPTJoin, created: true})
 }
 
 // originateRPReach sends RP reachability messages down every (*,G) tree
@@ -237,7 +235,6 @@ func (r *Router) rpFailover(g addr.IP) {
 			wc.AddLocalOIF(ifc)
 		}
 	}
-	r.sendJoinPrune(wc.IIF, wc.UpstreamNeighbor, g,
-		[]pimmsg.Addr{{Addr: next, WC: true, RP: true}}, nil)
+	r.upstream(wc, upEvent{kind: evRPChange, created: true})
 	r.armRPTimer(g)
 }

@@ -94,7 +94,8 @@ type Entry struct {
 	// entry is set to null") and at a source's first-hop router for (S,G).
 	IIF *netsim.Iface
 	// DeleteAt, when nonzero, marks the entry for removal once reached
-	// (set when the oif list goes null, §3.6).
+	// (set when the oif list goes null, §3.6). Adding an oif leaves it
+	// alone: the engine that sets it decides when an entry revives.
 	DeleteAt netsim.Time
 	// SuppressedUntil implements §3.7 join suppression on LANs: hearing
 	// another router's identical join postpones this entry's own periodic
@@ -230,7 +231,6 @@ func (e *Entry) AddOIF(ifc *netsim.Iface, expires netsim.Time) *OIF {
 		o.Expires = expires
 	}
 	o.PrunePending, o.Pruned = false, false
-	e.DeleteAt = 0
 	e.Touch()
 	return o
 }
@@ -246,7 +246,6 @@ func (e *Entry) AddLocalOIF(ifc *netsim.Iface) *OIF {
 	}
 	o.LocalMember = true
 	o.PrunePending, o.Pruned = false, false
-	e.DeleteAt = 0
 	e.Touch()
 	return o
 }

@@ -171,14 +171,18 @@ func TestSweepExpiredOIFsAndDeadEntries(t *testing.T) {
 	}
 }
 
-func TestAddOIFResetsDeleteAt(t *testing.T) {
-	ifs := testIfaces(1)
+// TestAddOIFLeavesDeleteAt: a scheduled deletion is the engine's upstream
+// state (PIM-SM's PrunePending, DESIGN.md §21), so adding an oif, local or
+// downstream, must not cancel it behind the engine's back.
+func TestAddOIFLeavesDeleteAt(t *testing.T) {
+	ifs := testIfaces(2)
 	tb := NewTable()
 	e, _ := tb.Upsert(Key{Group: addr.GroupForIndex(0), RPBit: true}, 0)
 	e.DeleteAt = 100
 	e.AddOIF(ifs[0], 200)
-	if e.DeleteAt != 0 {
-		t.Error("AddOIF should cancel scheduled deletion")
+	e.AddLocalOIF(ifs[1])
+	if e.DeleteAt != 100 {
+		t.Errorf("DeleteAt = %v after adding oifs, want 100", e.DeleteAt)
 	}
 }
 
