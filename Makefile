@@ -111,12 +111,16 @@ loc:
 # bench-record runs the repository benchmark's five workloads (BENCHMARK.json)
 # on this tree and appends one {label, commit, timestamp, workload, ...result}
 # line each to BENCH_pimperf.jsonl — the single PR-to-PR trajectory file.
+# A tree with uncommitted changes is stamped <hash>+worktree, as `pimbench
+# pairs` stamps its working-tree side; the check runs once, before the loop,
+# and ignores BENCH_pimperf.jsonl, which the loop itself writes.
 # Compare two labels, or any two captured run.sh outputs, with
 #   go run ./cmd/pimbench diff <a> <b>
 # which exits non-zero on a regression beyond a BENCHMARK.json bound.
 bench-record:
 	@test -n "$(LABEL)" || { echo "usage: make bench-record LABEL=<name>"; exit 2; }
 	@commit=$$(git rev-parse --short HEAD); ts=$$(date -u +%Y-%m-%dT%H:%M:%SZ); \
+	test -z "$$(git status --porcelain -- . ':!BENCH_pimperf.jsonl')" || commit=$$commit+worktree; \
 	for w in sparse-data sparse-churn dense-data dense-ctrl baselines-data; do \
 		line=$$(bash benchmarks/run.sh --workload $$w | tail -n 1); \
 		case "$$line" in '{"attempted"'*) ;; *) echo "bench-record: $$w printed no result line"; exit 1;; esac; \
