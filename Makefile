@@ -32,7 +32,8 @@ race:
 # "survives hostile bytes" (ROADMAP aim 3) with bytes nobody wrote down. A
 # crasher is saved under the package's testdata/fuzz/ — commit it with the fix.
 FUZZ_TARGETS = script:FuzzParse script:FuzzComposeParse packet:FuzzUnmarshal packet:FuzzChecksum pimmsg:FuzzOpen \
-	igmp:FuzzUnmarshalInto cbt:FuzzUnmarshalInto dvmrp:FuzzUnmarshalInto mospf:FuzzMembershipLSAUnmarshal
+	igmp:FuzzUnmarshalInto cbt:FuzzUnmarshalInto dvmrp:FuzzUnmarshalInto mospf:FuzzMembershipLSAUnmarshal \
+	unicast:FuzzLSAUnmarshal unicast:FuzzDVUnmarshal
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run XXX -fuzz "^$${t#*:}\$$" -fuzztime 3s ./internal/$${t%%:*}/ || exit 1; \
@@ -87,6 +88,7 @@ bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkEngineFig2a' -benchtime 1x .
 	$(GO) test -run XXX -bench 'BenchmarkLPM(Trie|Linear)256' -benchtime 10x ./internal/unicast/
 	$(GO) test -run XXX -bench 'BenchmarkOracle(FirstLookups|LinkFlap)1024' -benchtime 3x -benchmem ./internal/unicast/
+	$(GO) test -run XXX -bench 'BenchmarkLSConverge' -benchtime 1x -benchmem ./internal/unicast/
 	$(GO) test -run XXX -bench 'BenchmarkRPF(CacheHit|Uncached)' -benchtime 10x ./internal/rpf/
 	$(GO) test -run XXX -bench 'BenchmarkMemberAdRegion256' -benchtime 3x -benchmem ./internal/pimdm/
 	$(GO) test -run XXX -bench 'BenchmarkFanout(Compiled|Reference)|BenchmarkGetMiss(Flat|Reference)' -benchtime 10x ./internal/mfib/

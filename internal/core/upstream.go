@@ -83,9 +83,14 @@ func (r *Router) upstream(e *mfib.Entry, ev upEvent) bool {
 	default: // evUnwanted, evSweep, evRefresh, evRPFChange: wanted(e) decides
 		if !r.wanted(e) {
 			if st == joined {
-				// §3.6: prune, and delete the entry after the hold time.
+				// §3.6: prune, and delete the entry after the hold time. After
+				// an RPF change the branch hangs off the old upstream.
 				e.DeleteAt = r.Now() + r.Cfg.holdTime()
-				r.sendJoinPrune(e.IIF, e.UpstreamNeighbor, g, jpAddr(e, 0), true)
+				iif, up := e.IIF, e.UpstreamNeighbor
+				if ev.kind == evRPFChange {
+					iif, up = ev.oldIIF, ev.oldUp
+				}
+				r.sendJoinPrune(iif, up, g, jpAddr(e, 0), true)
 			}
 			return false
 		}

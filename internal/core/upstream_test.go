@@ -180,7 +180,8 @@ func TestUpstreamTable(t *testing.T) {
 		{name: "refresh (S,G) PrunePending, inherited", sg: true, from: prunePending, inherit: true, ev: evRefresh, want: []string{"join (S,G)→c"}, next: joined},
 
 		{name: "RPF change Joined", from: joined, oif: true, ev: evRPFChange, want: []string{"join (*,G)→c", "prune (*,G)→a"}, next: joined},
-		{name: "RPF change Joined, unwanted", from: joined, ev: evRPFChange, want: []string{"prune (*,G)→c"}, next: prunePending},
+		// §3.6 over §3.8: the branch to release hangs off the old upstream.
+		{name: "RPF change Joined, unwanted", from: joined, ev: evRPFChange, want: []string{"prune (*,G)→a"}, next: prunePending},
 		{name: "RPF change PrunePending", from: prunePending, ev: evRPFChange, next: prunePending},
 		{name: "RPF change (S,G) Joined", sg: true, from: joined, oif: true, ev: evRPFChange, want: []string{"join (S,G)→c", "prune (S,G)→a"}, next: joined},
 		// §3.8: an (S,G) wanted only through the inherited list re-joins

@@ -130,3 +130,90 @@ func TestCorpusProtocolSwap(t *testing.T) {
 		t.Errorf("only %d fault-free corpus scripts", swapped)
 	}
 }
+
+// unicastSwap rewrites a parsed script's `unicast` line to name substrate,
+// keeping everything else, its expectations included.
+func unicastSwap(s *Script, substrate string) string {
+	lines := strings.Split(s.Body(), "\n")
+	for _, st := range s.stmts {
+		if st.row.name == "unicast" {
+			lines[st.line-1] = "unicast " + substrate
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
+// declares reports whether s has a row statement whose first operand is arg.
+func declares(s *Script, row, arg string) bool {
+	return slices.ContainsFunc(s.stmts, func(st stmt) bool { return st.row.name == row && st.args[0] == arg })
+}
+
+// TestCorpusUnicastSwap: PIM consumes unicast tables "independent of the
+// underlying unicast routing" (§2), so every corpus script that runs over
+// the oracle must also pass over the routing protocols: under `dv` and
+// under `ls`, with the checker on, each holds its expectations with no
+// violation it does not record, and each fault-free script delivers the
+// oracle run's per-host counts. A fault script's counts may differ: a
+// protocol reroutes only once it has converged. MOSPF reads the oracle's
+// trees and runs over nothing else.
+func TestCorpusUnicastSwap(t *testing.T) {
+	// knownDefects pins, by "<script> <substrate>", the failures a cell
+	// reports today; the fix of the defect empties its pin.
+	knownDefects := map[string][]string{
+		// ROADMAP item 8, unclassified: only over DV does the leaf fall
+		// short and r2 keep an entry after its restart.
+		"baselines/cbt-crash.pim dv": {
+			"line 22: leaf received G0 = 136, want >= 150",
+			"line 24: router r2 state = 1, want == 0",
+		},
+	}
+	paths, err := Discover("../../scenarios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := 0
+	for _, path := range paths {
+		s, err := ParseFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !declares(s, "unicast", "oracle") || declares(s, "protocol", "mospf") {
+			continue
+		}
+		swapped++
+		name := strings.TrimPrefix(path, "../../scenarios/")
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			var owed map[string]int
+			if faultFree(s) {
+				res, err := s.RunWith(RunConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				owed = res.Delivered
+			}
+			for _, substrate := range []string{"dv", "ls"} {
+				sw, err := Parse(unicastSwap(s, substrate))
+				if err != nil {
+					t.Fatalf("%s: %v", substrate, err)
+				}
+				res, err := sw.RunWith(RunConfig{Checked: true})
+				if err != nil {
+					t.Fatalf("%s: %v", substrate, err)
+				}
+				if want := knownDefects[name+" "+substrate]; !slices.Equal(res.Failures, want) {
+					t.Errorf("%s: failures %q, want %q", substrate, res.Failures, want)
+				}
+				if !s.ExpectsViolations() && len(res.Violations) > 0 {
+					t.Errorf("%s: %d invariant violations, the first %s", substrate, len(res.Violations), res.Violations[0])
+				}
+				if owed != nil && !maps.Equal(res.Delivered, owed) {
+					t.Errorf("%s delivers %v, the oracle %v", substrate, res.Delivered, owed)
+				}
+			}
+		})
+	}
+	if swapped != 20 {
+		t.Errorf("%d corpus scripts run over the oracle without MOSPF, want 20", swapped)
+	}
+}

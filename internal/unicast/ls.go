@@ -1,9 +1,10 @@
 package unicast
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"errors"
+	"math"
+	"slices"
 
 	"pim/internal/addr"
 	"pim/internal/netsim"
@@ -11,11 +12,16 @@ import (
 )
 
 // LS is an OSPF-like link-state unicast routing process: each router floods
-// a sequence-numbered LSA describing its adjacencies and attached prefixes,
-// maintains a database of everyone's LSAs, and runs SPF over the resulting
-// graph. MOSPF is this machinery plus membership LSAs; internal/mospf reads
-// its router-link half from the Oracle, which stands for a database that
+// a sequence-numbered LSA naming its live interface pairs and attached
+// prefixes, keeps a database of everyone's LSAs, and runs SPF over it with
+// the oracle's own snapshot, solve and best (DESIGN.md §18). Its converged
+// tables are therefore the oracle's, route for route, ties included.
+// MOSPF is this machinery plus membership LSAs; internal/mospf reads its
+// router-link half from the Oracle, which stands for a database that
 // converged the instant a link changed.
+//
+// Its timers are plain scheduler callbacks outside any chassis, so LS has
+// no crash or restart of its own (DESIGN.md §9).
 type LS struct {
 	Node *netsim.Node
 	// RefreshPeriod re-originates our LSA; foreign LSAs age out after
@@ -26,6 +32,14 @@ type LS struct {
 	id    addr.IP // router ID = primary interface address
 	seq   uint32
 	db    map[addr.IP]*lsaRecord
+
+	// spf's workspace, reused by every run: the database as a live rule,
+	// the snapshot it admits with the solve's scratch, and the table's
+	// next entries.
+	rule    lsaRule
+	snap    snapshot
+	scratch solveScratch
+	entries map[addr.Prefix]Route
 }
 
 type lsaRecord struct {
@@ -38,7 +52,9 @@ const LSDefaultRefresh = 30 * netsim.Second
 
 // NewLS attaches a link-state routing process to a node.
 func NewLS(nd *netsim.Node) *LS {
-	return &LS{Node: nd, RefreshPeriod: LSDefaultRefresh, table: &Table{}, db: map[addr.IP]*lsaRecord{}}
+	l := &LS{Node: nd, RefreshPeriod: LSDefaultRefresh, table: &Table{}, db: map[addr.IP]*lsaRecord{}, entries: map[addr.Prefix]Route{}}
+	l.snap = snapshot{owners: map[uint32][]owner{}, scratch: &l.scratch}
+	return l
 }
 
 // Table exposes the node's routing table (implements Router).
@@ -59,7 +75,7 @@ func (l *LS) Start() {
 	sched.After(0, tick)
 }
 
-// originate builds our LSA from live adjacencies and floods it.
+// originate builds our LSA from live interface pairs and floods it.
 func (l *LS) originate() {
 	l.seq++
 	a := lsa{Origin: l.id, Seq: l.seq}
@@ -67,15 +83,12 @@ func (l *LS) originate() {
 		if !ifc.Up() || ifc.Addr == 0 {
 			continue
 		}
-		a.Prefixes = append(a.Prefixes, lsaPrefix{Prefix: LinkPrefix(ifc.Addr), Cost: 0})
+		a.Prefixes = append(a.Prefixes, LinkPrefix(ifc.Addr))
 		for _, peer := range ifc.Link.Ifaces {
 			if peer == ifc || !peer.Up() {
 				continue
 			}
-			a.Neighbors = append(a.Neighbors, lsaNeighbor{
-				Router: peer.Node.Addr(),
-				Cost:   int64(ifc.Link.Delay),
-			})
+			a.Neighbors = append(a.Neighbors, lsaNeighbor{Local: ifc.Addr, Peer: peer.Addr, Cost: int64(ifc.Link.Delay)})
 		}
 	}
 	l.install(a)
@@ -135,202 +148,109 @@ func (l *LS) ageOut() {
 	}
 }
 
-// spf recomputes the routing table from the LSA database: Dijkstra over
-// routers (an edge requires both endpoints to advertise each other —
-// bidirectional check), then prefixes resolve through their advertising
+// spf recomputes the routing table from the LSA database with the
+// oracle's build, solve and best. The snapshot is every node of the network
+// in Node.ID order, so nodes settle and ties break exactly as in the
+// oracle's; but it joins two interfaces only where both routers' LSAs
+// advertise the pair, and counts an interface an owner only where its
+// router's LSA lists the prefix. The network only names each LSA's origin
 // router.
 func (l *LS) spf() {
-	// advertises[a][b] == cost if a's LSA lists neighbor b.
-	advertises := map[addr.IP]map[addr.IP]int64{}
+	net := l.Node.Net
+	l.rule = grown(l.rule, len(net.Nodes))
+	clear(l.rule)
 	for origin, rec := range l.db {
-		m := map[addr.IP]int64{}
-		for _, nb := range rec.lsa.Neighbors {
-			if c, ok := m[nb.Router]; !ok || nb.Cost < c {
-				m[nb.Router] = nb.Cost
-			}
-		}
-		advertises[origin] = m
-	}
-	dist := map[addr.IP]int64{l.id: 0}
-	firstHop := map[addr.IP]addr.IP{} // router -> first-hop neighbor router
-	done := map[addr.IP]bool{}
-	h := &lsHeap{{router: l.id}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(lsItem)
-		v := it.router
-		if done[v] {
-			continue
-		}
-		done[v] = true
-		for nb, cost := range advertises[v] {
-			back, ok := advertises[nb]
-			if !ok {
-				continue
-			}
-			if _, bidir := back[v]; !bidir {
-				continue
-			}
-			nd := dist[v] + cost
-			old, seen := dist[nb]
-			if !seen || nd < old || (nd == old && v != l.id && firstHop[v] < firstHop[nb]) {
-				dist[nb] = nd
-				if v == l.id {
-					firstHop[nb] = nb
-				} else {
-					firstHop[nb] = firstHop[v]
-				}
-				heap.Push(h, lsItem{router: nb, dist: nd})
-			}
+		if ifc := net.IfaceByAddr(origin); ifc != nil {
+			l.rule[ifc.Node.ID] = &rec.lsa
 		}
 	}
-	// Resolve first-hop routers to local (iface, nexthop addr).
-	adj := l.localAdjacency()
-	entries := map[addr.Prefix]Route{}
-	for origin, rec := range l.db {
-		d, reach := dist[origin]
-		for _, lp := range rec.lsa.Prefixes {
-			var r Route
-			if origin == l.id {
-				var ifc *netsim.Iface
-				for _, c := range l.Node.Ifaces {
-					if c.Up() && c.Addr != 0 && lp.Prefix.Contains(c.Addr) {
-						ifc = c
-						break
-					}
-				}
-				if ifc == nil {
-					continue
-				}
-				r = Route{Iface: ifc, NextHop: 0, Metric: 0}
-			} else {
-				if !reach {
-					continue
-				}
-				hop, ok := adj[firstHop[origin]]
-				if !ok {
-					continue
-				}
-				r = Route{Iface: hop.iface, NextHop: hop.addr, Metric: d + lp.Cost}
-			}
-			if cur, ok := entries[lp.Prefix]; !ok || r.Metric < cur.Metric {
-				entries[lp.Prefix] = r
-			}
+	l.snap.build(net, l.rule)
+	src, p := int32(l.Node.ID), &l.scratch.paths[0]
+	l.snap.solve(src, p)
+	clear(l.entries)
+	for key, owners := range l.snap.owners {
+		if r := l.snap.best(src, owners, p.read); r.Iface != nil {
+			l.entries[LinkPrefix(addr.IP(key<<8))] = r
 		}
 	}
-	if l.table.Replace(entries) {
+	if l.table.Replace(l.entries) {
 		l.table.NotifyChanged()
 	}
 }
 
-type lsAdj struct {
-	iface *netsim.Iface
-	addr  addr.IP
+// lsaRule is an LS router's live rule: its database's LSAs, each at the
+// Node.ID of the router its origin names, nil where it holds none.
+type lsaRule []*lsa
+
+// arc joins a and b where each one's router advertises the pair, at the
+// larger of the two costs (both ends advertise their link's one delay) and
+// at least 1 µs, which the solve's monotone queue needs.
+func (r lsaRule) arc(a, b *netsim.Iface) (int64, bool) {
+	ca, ok := r[a.Node.ID].cost(a.Addr, b.Addr)
+	if !ok {
+		return 0, false
+	}
+	cb, ok := r[b.Node.ID].cost(b.Addr, a.Addr)
+	return max(ca, cb, 1), ok
 }
 
-// localAdjacency maps neighbor router IDs to the local interface and
-// neighbor interface address reaching them, preferring the cheapest link.
-func (l *LS) localAdjacency() map[addr.IP]lsAdj {
-	out := map[addr.IP]lsAdj{}
-	best := map[addr.IP]int64{}
-	for _, ifc := range l.Node.Ifaces {
-		if !ifc.Up() || ifc.Addr == 0 {
-			continue
-		}
-		for _, peer := range ifc.Link.Ifaces {
-			if peer == ifc || !peer.Up() {
-				continue
-			}
-			id := peer.Node.Addr()
-			c := int64(ifc.Link.Delay)
-			if old, ok := best[id]; !ok || c < old {
-				best[id] = c
-				out[id] = lsAdj{iface: ifc, addr: peer.Addr}
+// owns holds where ifc's router's LSA lists ifc's /24.
+func (r lsaRule) owns(ifc *netsim.Iface) bool {
+	a := r[ifc.Node.ID]
+	return a != nil && slices.Contains(a.Prefixes, LinkPrefix(ifc.Addr))
+}
+
+// cost is what a advertises for the interface pair (local, peer); ok is
+// false when a is nil or does not list the pair.
+func (a *lsa) cost(local, peer addr.IP) (int64, bool) {
+	if a != nil {
+		for _, nb := range a.Neighbors {
+			if nb.Local == local && nb.Peer == peer {
+				return nb.Cost, true
 			}
 		}
 	}
-	return out
-}
-
-type lsItem struct {
-	router addr.IP
-	dist   int64
-}
-
-type lsHeap []lsItem
-
-func (h lsHeap) Len() int { return len(h) }
-func (h lsHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	return h[i].router < h[j].router
-}
-func (h lsHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *lsHeap) Push(x interface{}) { *h = append(*h, x.(lsItem)) }
-func (h *lsHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return 0, false
 }
 
 // lsa is the wire link-state advertisement:
 //
 //	uint32 origin, uint32 seq,
-//	uint16 #neighbors { uint32 router, uint32 cost },
-//	uint16 #prefixes  { uint32 addr, uint8 len, uint32 cost }
+//	uint16 #neighbors { uint32 local, uint32 peer, uint32 cost },
+//	uint16 #prefixes  { uint32 addr, uint8 len }
+//
+// A neighbour record is one interface pair: the origin's interface address,
+// the peer interface's address on the same link, and the link's cost.
 type lsa struct {
 	Origin    addr.IP
 	Seq       uint32
 	Neighbors []lsaNeighbor
-	Prefixes  []lsaPrefix
+	Prefixes  []addr.Prefix
 }
 
 type lsaNeighbor struct {
-	Router addr.IP
-	Cost   int64
-}
-
-type lsaPrefix struct {
-	Prefix addr.Prefix
-	Cost   int64
+	Local, Peer addr.IP
+	Cost        int64
 }
 
 var errBadLSA = errors.New("unicast: malformed LSA")
 
 func (a *lsa) marshal() []byte {
-	b := make([]byte, 0, 12+8*len(a.Neighbors)+9*len(a.Prefixes))
-	var hdr [12]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(a.Origin))
-	binary.BigEndian.PutUint32(hdr[4:], a.Seq)
-	binary.BigEndian.PutUint16(hdr[8:], uint16(len(a.Neighbors)))
-	binary.BigEndian.PutUint16(hdr[10:], uint16(len(a.Prefixes)))
-	b = append(b, hdr[:]...)
+	b := make([]byte, 12, 12+12*len(a.Neighbors)+5*len(a.Prefixes))
+	binary.BigEndian.PutUint32(b[0:], uint32(a.Origin))
+	binary.BigEndian.PutUint32(b[4:], a.Seq)
+	binary.BigEndian.PutUint16(b[8:], uint16(len(a.Neighbors)))
+	binary.BigEndian.PutUint16(b[10:], uint16(len(a.Prefixes)))
 	for _, nb := range a.Neighbors {
-		var e [8]byte
-		binary.BigEndian.PutUint32(e[0:], uint32(nb.Router))
-		binary.BigEndian.PutUint32(e[4:], clampCost(nb.Cost))
-		b = append(b, e[:]...)
+		b = binary.BigEndian.AppendUint32(b, uint32(nb.Local))
+		b = binary.BigEndian.AppendUint32(b, uint32(nb.Peer))
+		b = binary.BigEndian.AppendUint32(b, uint32(min(max(nb.Cost, 0), math.MaxUint32)))
 	}
 	for _, p := range a.Prefixes {
-		var e [9]byte
-		binary.BigEndian.PutUint32(e[0:], uint32(p.Prefix.Addr))
-		e[4] = byte(p.Prefix.Len)
-		binary.BigEndian.PutUint32(e[5:], clampCost(p.Cost))
-		b = append(b, e[:]...)
+		b = binary.BigEndian.AppendUint32(b, uint32(p.Addr))
+		b = append(b, byte(p.Len))
 	}
 	return b
-}
-
-func clampCost(c int64) uint32 {
-	if c < 0 {
-		return 0
-	}
-	if c > 0xFFFFFFFE {
-		return 0xFFFFFFFE
-	}
-	return uint32(c)
 }
 
 func (a *lsa) unmarshal(b []byte) error {
@@ -342,25 +262,26 @@ func (a *lsa) unmarshal(b []byte) error {
 	nn := int(binary.BigEndian.Uint16(b[8:]))
 	np := int(binary.BigEndian.Uint16(b[10:]))
 	b = b[12:]
-	if len(b) < 8*nn+9*np {
+	if len(b) < 12*nn+5*np {
 		return errBadLSA
 	}
 	a.Neighbors = make([]lsaNeighbor, nn)
-	for i := 0; i < nn; i++ {
+	for i := range a.Neighbors {
 		a.Neighbors[i] = lsaNeighbor{
-			Router: addr.IP(binary.BigEndian.Uint32(b[0:])),
-			Cost:   int64(binary.BigEndian.Uint32(b[4:])),
+			Local: addr.IP(binary.BigEndian.Uint32(b[0:])),
+			Peer:  addr.IP(binary.BigEndian.Uint32(b[4:])),
+			Cost:  int64(binary.BigEndian.Uint32(b[8:])),
 		}
-		b = b[8:]
+		b = b[12:]
 	}
-	a.Prefixes = make([]lsaPrefix, np)
-	for i := 0; i < np; i++ {
+	a.Prefixes = make([]addr.Prefix, np)
+	for i := range a.Prefixes {
 		p, err := addr.NewPrefix(addr.IP(binary.BigEndian.Uint32(b[0:])), int(b[4]))
 		if err != nil {
 			return errBadLSA
 		}
-		a.Prefixes[i] = lsaPrefix{Prefix: p, Cost: int64(binary.BigEndian.Uint32(b[5:]))}
-		b = b[9:]
+		a.Prefixes[i] = p
+		b = b[5:]
 	}
 	return nil
 }

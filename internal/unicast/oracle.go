@@ -122,28 +122,30 @@ type arc struct {
 	back uint16
 }
 
-// owner is one up, addressed interface inside a /24.
+// owner is one interface of a /24 that a snapshot's live rule admits.
 type owner struct {
 	node int32
 	ifc  *netsim.Iface
 }
 
-// snapshot is the live graph at one link state, shared read-only by all
-// views. Node v's arcs are arcs[start[v]:start[v+1]], in Ifaces ×
-// Link.Ifaces order over up interfaces; owners lists each /24's interfaces
-// in Nodes × Ifaces order, keyed by the prefix's top 24 bits (every oracle
-// prefix is a LinkPrefix, so longest-prefix match is exact match on those).
+// snapshot is the graph of a network at one instant, as a live rule admits
+// it; the oracle's are shared read-only by all views. Node v's arcs are
+// arcs[start[v]:start[v+1]], in Ifaces × Link.Ifaces order; owners lists
+// each /24's interfaces in Nodes × Ifaces order, keyed by the prefix's top
+// 24 bits (every routed prefix is a LinkPrefix, so longest-prefix match is
+// exact match on those).
 type snapshot struct {
-	up     []bool
+	up     []bool // the oracle's: the up bits it was built at
 	start  []int32
 	arcs   []arc
 	owners map[uint32][]owner
-	// scratch is the building oracle's; a snapshot built bare gets its own
-	// on its first solve.
+	// scratch is the building oracle's or LS router's; a snapshot built
+	// bare gets its own on its first solve.
 	scratch *solveScratch
 }
 
-// solveScratch is what a solve needs besides the tree it returns.
+// solveScratch is what a build and a solve need besides the snapshot and
+// the tree they return.
 type solveScratch struct {
 	queue distQueue
 	// beyond collects nodes offered only distances over MaxPathMetric;
@@ -152,66 +154,110 @@ type solveScratch struct {
 	// paths hold the routes of two trees: a solve fills one, and Recompute
 	// compares a view's old routes, solved or folded, with its new.
 	paths [2]paths
+	// base, next and joints are build's: each node's first interface in
+	// Nodes × Ifaces order, each interface's arc count and then its next
+	// arc, and the interface pairs it joins.
+	base, next []int32
+	joints     []joint
+}
+
+// liveRule says which of a network's arcs and owners a snapshot holds. arc
+// is asked once for each two interfaces a, b of one link (a first in
+// Link.Ifaces): whether the snapshot joins them, and the delay of both of
+// the arcs that join them. owns is asked of each addressed interface.
+type liveRule interface {
+	arc(a, b *netsim.Iface) (delay int64, ok bool)
+	owns(ifc *netsim.Iface) bool
+}
+
+// upRule is the oracle's: two up interfaces are joined at their link's
+// delay, and an up, addressed interface owns its /24.
+type upRule struct{}
+
+func (upRule) arc(a, b *netsim.Iface) (int64, bool) { return int64(a.Link.Delay), a.Up() && b.Up() }
+func (upRule) owns(ifc *netsim.Iface) bool          { return ifc.Up() }
+
+// joint is two interfaces a snapshot joins: an arc each way.
+type joint struct {
+	a, b  *netsim.Iface
+	delay int64
 }
 
 // snapshot builds the graph of the live topology, whose up bits are up. It
 // panics when a node has more than MaxArcs arcs.
 func (o *Oracle) snapshot(up []bool) *snapshot {
-	s := &snapshot{up: up, start: make([]int32, 0, len(o.net.Nodes)+1), owners: map[uint32][]owner{}, scratch: &o.scratch}
-	// ifcs[i] is the first arc of the i-th interface in Nodes × Ifaces
-	// order, and base[v] the i of node v's first interface. An arc's
-	// reverse is found when the later of its two interfaces is reached.
-	ifcs, base := make([]int32, len(up)), make([]int32, len(o.net.Nodes))
-	i := int32(0)
-	for _, nd := range o.net.Nodes {
-		s.start = append(s.start, int32(len(s.arcs)))
-		base[nd.ID] = i
-		for _, ifc := range nd.Ifaces {
-			ifcs[i] = int32(len(s.arcs))
-			i++
-			if !ifc.Up() {
-				continue
-			}
-			if ifc.Addr != 0 {
-				key := uint32(ifc.Addr) >> 8
-				s.owners[key] = append(s.owners[key], owner{int32(nd.ID), ifc})
-			}
-			// An interface's arcs run to its link's other up interfaces in
-			// order, so peer's arc back to ifc is at ifc's offset among
-			// those of peer: the up interfaces before ifc, less peer if it
-			// is one of them.
-			off := int32(-1)
-			for _, peer := range ifc.Link.Ifaces {
-				if peer == ifc {
-					break
-				}
-				if peer.Up() {
-					off++
-				}
-			}
-			for _, peer := range ifc.Link.Ifaces {
-				if peer == ifc {
-					off++ // peers from here on come after ifc
-					continue
-				}
-				if !peer.Up() {
-					continue
-				}
-				a := int32(len(s.arcs))
-				s.arcs = append(s.arcs, arc{to: int32(peer.Node.ID), delay: int64(ifc.Link.Delay), ifc: ifc, hop: peer.Addr})
-				if pn := peer.Node; pn.ID < nd.ID || pn == nd && peer.Index < ifc.Index {
-					b := ifcs[base[pn.ID]+int32(peer.Index)] + off
-					s.arcs[a].back, s.arcs[b].back = uint16(b-s.start[pn.ID]), uint16(a-s.start[nd.ID])
+	s := &snapshot{up: up, owners: map[uint32][]owner{}, scratch: &o.scratch}
+	s.build(o.net, upRule{})
+	return s
+}
+
+// build lays out in s the graph that live admits over net, reusing s's
+// arrays; a reused owners map keeps its keys, emptied. One pass over the
+// links collects the joints and counts each interface's arcs; the counts'
+// prefix sums place every interface's arcs after those of the interfaces
+// before it in Nodes × Ifaces order, and a second pass over the joints
+// fills them. An interface's joints come in Link.Ifaces order of its peers,
+// so its arcs do too, and each arc's back offset is known when it is
+// placed. It panics when a node has more than MaxArcs arcs.
+func (s *snapshot) build(net *netsim.Network, live liveRule) {
+	sc := s.scratch
+	n := len(net.Nodes)
+	base := grown(sc.base, n+1)
+	base[0] = 0
+	for v, nd := range net.Nodes {
+		base[v+1] = base[v] + int32(len(nd.Ifaces))
+	}
+	index := func(ifc *netsim.Iface) int32 { return base[ifc.Node.ID] + int32(ifc.Index) }
+	next, joints := grown(sc.next, int(base[n])+1), sc.joints[:0]
+	clear(next)
+	for _, l := range net.Links {
+		for i, a := range l.Ifaces {
+			for _, b := range l.Ifaces[i+1:] {
+				if d, ok := live.arc(a, b); ok {
+					joints = append(joints, joint{a, b, d})
+					next[index(a)+1]++
+					next[index(b)+1]++
 				}
 			}
 		}
-		if arcs := len(s.arcs) - int(s.start[nd.ID]); arcs > MaxArcs {
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	s.start = grown(s.start, n+1)
+	for v := range s.start {
+		s.start[v] = next[base[v]]
+	}
+	for v, nd := range net.Nodes {
+		if arcs := s.start[v+1] - s.start[v]; arcs > MaxArcs {
 			panic(fmt.Sprintf("unicast: node %s has %d arcs, beyond the oracle's %d", nd.Name, arcs, MaxArcs))
 		}
 	}
-	s.start = append(s.start, int32(len(s.arcs)))
-	return s
+	s.arcs = grown(s.arcs, int(s.start[n]))
+	for _, j := range joints {
+		a, b := &next[index(j.a)], &next[index(j.b)]
+		va, vb := int32(j.a.Node.ID), int32(j.b.Node.ID)
+		s.arcs[*a] = arc{to: vb, delay: j.delay, ifc: j.a, hop: j.b.Addr, back: uint16(*b - s.start[vb])}
+		s.arcs[*b] = arc{to: va, delay: j.delay, ifc: j.b, hop: j.a.Addr, back: uint16(*a - s.start[va])}
+		*a, *b = *a+1, *b+1
+	}
+	sc.base, sc.next, sc.joints = base, next, joints
+	for key, owners := range s.owners {
+		s.owners[key] = owners[:0]
+	}
+	for _, nd := range net.Nodes {
+		for _, ifc := range nd.Ifaces {
+			if ifc.Addr != 0 && live.owns(ifc) {
+				key := uint32(ifc.Addr) >> 8
+				s.owners[key] = append(s.owners[key], owner{int32(nd.ID), ifc})
+			}
+		}
+	}
 }
+
+// grown returns x resized to n elements, reusing its capacity; the
+// elements keep whatever they held.
+func grown[T any](x []T, n int) []T { return slices.Grow(x[:0], n)[:n] }
 
 // tree is one node's shortest-path tree over a snapshot, two bytes per node
 // of the network (every router that looks anything up holds one): for each
@@ -344,7 +390,7 @@ type paths struct {
 
 // size resizes dist and first to n nodes, reusing their capacity.
 func (p *paths) size(n int) (dist, first []int32) {
-	p.dist, p.first = slices.Grow(p.dist[:0], n)[:n], slices.Grow(p.first[:0], n)[:n]
+	p.dist, p.first = grown(p.dist, n), grown(p.first, n)
 	return p.dist, p.first
 }
 

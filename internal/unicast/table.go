@@ -8,10 +8,16 @@
 //     the default substrate for protocol experiments;
 //   - DV: a RIP-like distance-vector protocol with split horizon and
 //     poisoned reverse, running over simulated message exchange;
-//   - LS: an OSPF-like link-state protocol flooding LSAs and running SPF.
+//   - LS: an OSPF-like link-state protocol flooding LSAs and running the
+//     oracle's own SPF over its database, so that once converged its
+//     tables are the oracle's, route for route.
 //
-// PIM runs identically over all three (asserted by integration tests),
-// demonstrating the protocol-independence claim.
+// The oracle and LS share one graph builder, solve and owner rule
+// (oracle.go); they differ only in the live rule that says which links
+// and prefixes the graph holds: the network's up bits, or the LSAs. PIM
+// runs identically over all three (asserted by integration tests and by
+// the corpus run over each), demonstrating the protocol-independence
+// claim.
 package unicast
 
 import (
@@ -170,8 +176,8 @@ func (t *Table) NotifyChanged() {
 }
 
 // Replace swaps the whole table contents for the given entries (already
-// validated) and reports whether anything changed. Used by Oracle and LS
-// which recompute from scratch.
+// validated) and reports whether anything changed. LS recomputes its whole
+// table on every SPF and installs it here.
 func (t *Table) Replace(entries map[addr.Prefix]Route) bool {
 	if len(entries) == len(t.entries) {
 		same := true

@@ -1,6 +1,7 @@
 package unicast
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -397,23 +398,17 @@ func TestLSARoundTrip(t *testing.T) {
 		Origin: addr.V4(10, 0, 0, 1),
 		Seq:    77,
 		Neighbors: []lsaNeighbor{
-			{Router: addr.V4(10, 0, 0, 2), Cost: 5},
-			{Router: addr.V4(10, 0, 0, 3), Cost: 9},
+			{Local: addr.V4(10, 200, 0, 1), Peer: addr.V4(10, 200, 0, 2), Cost: 5},
+			{Local: addr.V4(10, 200, 1, 1), Peer: addr.V4(10, 200, 1, 3), Cost: 9},
 		},
-		Prefixes: []lsaPrefix{
-			{Prefix: addr.MustPrefix(addr.V4(10, 200, 0, 0), 24), Cost: 0},
-		},
+		Prefixes: []addr.Prefix{addr.MustPrefix(addr.V4(10, 200, 0, 0), 24)},
 	}
 	var got lsa
 	if err := got.unmarshal(a.marshal()); err != nil {
 		t.Fatal(err)
 	}
-	if got.Origin != a.Origin || got.Seq != a.Seq ||
-		len(got.Neighbors) != 2 || len(got.Prefixes) != 1 {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	if got.Neighbors[1] != a.Neighbors[1] || got.Prefixes[0] != a.Prefixes[0] {
-		t.Fatal("entry mismatch")
+	if !reflect.DeepEqual(got, a) {
+		t.Fatalf("round trip %+v, want %+v", got, a)
 	}
 }
 
