@@ -40,6 +40,7 @@ type LS struct {
 	snap    snapshot
 	scratch solveScratch
 	entries map[addr.Prefix]Route
+	spfRuns int // SPFs run, for tests
 }
 
 type lsaRecord struct {
@@ -114,9 +115,16 @@ func (l *LS) handle(in *netsim.Iface, pkt *packet.Packet) {
 // newerSeq compares wrapping sequence numbers.
 func newerSeq(a, b uint32) bool { return int32(a-b) > 0 }
 
+// install holds a as its origin's LSA, received now. An SPF runs only when
+// a's records differ from the held LSA's: a periodic refresh that repeats
+// them changes no table, since spf reads nothing of a record but its
+// neighbours and prefixes.
 func (l *LS) install(a lsa) {
+	cur, ok := l.db[a.Origin]
 	l.db[a.Origin] = &lsaRecord{lsa: a, received: l.Node.Sched().Now()}
-	l.spf()
+	if !ok || !slices.Equal(a.Neighbors, cur.lsa.Neighbors) || !slices.Equal(a.Prefixes, cur.lsa.Prefixes) {
+		l.spf()
+	}
 }
 
 func (l *LS) flood(a lsa, except *netsim.Iface) {
@@ -156,6 +164,7 @@ func (l *LS) ageOut() {
 // router's LSA lists the prefix. The network only names each LSA's origin
 // router.
 func (l *LS) spf() {
+	l.spfRuns++
 	net := l.Node.Net
 	l.rule = grown(l.rule, len(net.Nodes))
 	clear(l.rule)

@@ -122,10 +122,37 @@ func TestLSTieIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestLSRefreshRunsNoSPF: a periodic refresh that repeats its origin's
+// records changes no table, so on BenchmarkLSConverge's internet ten quiet
+// refresh periods after convergence run no SPF anywhere (64 routers × 64
+// LSAs a period ran 40 960 while every install ran one). A link flip
+// changes two LSAs and must still run them.
+func TestLSRefreshRunsNoSPF(t *testing.T) {
+	net, _ := randomInternet(rand.New(rand.NewSource(1)), 64, 128, 16, 10, false)
+	lss := startLS(net)
+	runs := func() (n int) {
+		for _, l := range lss {
+			n += l.spfRuns
+		}
+		return n
+	}
+	before := runs()
+	net.Sched.RunUntil(net.Sched.Now() + 10*LSDefaultRefresh)
+	if n := runs() - before; n != 0 {
+		t.Errorf("ten quiet refresh periods ran %d SPFs, want 0", n)
+	}
+	before = runs()
+	net.SetLinkUp(net.Links[0], false)
+	converge(net)
+	if n := runs() - before; n == 0 {
+		t.Error("a link going down ran no SPF")
+	}
+}
+
 // BenchmarkLSConverge builds a 64-router internet with 16 stub LANs and
 // 1–10 ms delays and runs LS on every router from start to convergence:
-// each router floods its LSA at start and once a refresh period, and every
-// install runs one SPF.
+// each router floods its LSA at start and once a refresh period, and an
+// install runs one SPF when the LSA's records are new.
 func BenchmarkLSConverge(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

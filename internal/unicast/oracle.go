@@ -17,10 +17,12 @@ import (
 // Nothing is computed until it is asked for (§2: PIM only consults unicast
 // tables, and §3.2/§3.8 only about sources and RPs). A link change rebuilds
 // one shared, immutable snapshot of the live graph; a node's first Lookup
-// after that runs one Dijkstra from the node over the snapshot; each
-// destination /24 is then resolved once and memoised. The routes, and the
-// OnChange firings, are exactly those of computing every table on every link
-// change: oracle_ref_test.go keeps that implementation as the reference.
+// after that runs one Dijkstra from the node over the snapshot, and every
+// lookup reads its destination /24's owners off that tree. Nothing is
+// memoised per destination: rpf.Cache, in front of every substrate, is the
+// one route memo. The routes, and the OnChange firings, are exactly those of
+// computing every table on every link change: oracle_ref_test.go keeps that
+// implementation as the reference.
 //
 // A simulation runs on one goroutine, so nothing here is locked.
 type Oracle struct {
@@ -38,7 +40,7 @@ type Oracle struct {
 func NewOracle(net *netsim.Network) *Oracle {
 	o := &Oracle{net: net}
 	for _, nd := range net.Nodes {
-		o.views = append(o.views, &view{o: o, id: int32(nd.ID), memo: map[uint32]Route{}})
+		o.views = append(o.views, &view{o: o, id: int32(nd.ID)})
 		nd.OnLinkChange(func(*netsim.Iface) { o.Recompute() })
 	}
 	o.snap = o.snapshot(o.upBits())
@@ -78,7 +80,6 @@ func (o *Oracle) Recompute() {
 	for _, v := range o.views {
 		t := v.tree
 		v.tree = nil
-		clear(v.memo)
 		if len(v.listeners) == 0 {
 			continue
 		}
@@ -501,37 +502,28 @@ func routesDiffer(src int32, a *snapshot, pa *paths, b *snapshot, pb *paths) boo
 	return false
 }
 
-// view is one node's Router over the oracle.
+// view is one node's Router over the oracle. It memoises no answers: the
+// rpf.Cache in front of it does.
 type view struct {
 	o         *Oracle
 	id        int32
 	listeners []func()
-	tree      tree             // nil until the first Lookup after a topology change
-	memo      map[uint32]Route // /24 key → best's answer, reachable or not
+	tree      tree // nil until the first Lookup after a topology change
 }
 
-// Lookup resolves dst's /24, solving and memoising on first use. Filling the
-// memo is not a route change and leaves Gen alone.
+// Lookup resolves dst's /24 over the view's tree, solving it on first use.
+// Solving is not a route change and leaves Gen alone.
 func (v *view) Lookup(dst addr.IP) (Route, bool) {
-	key := uint32(dst) >> 8
-	r, hit := v.memo[key]
-	if !hit {
-		s := v.o.snap
-		if v.tree == nil {
-			v.tree = s.solve(v.id, &v.o.scratch.paths[0])
-		}
-		r = s.best(v.id, s.owners[key], func(u int32) (int64, int32) { return s.climb(v.tree, v.id, u) })
-		v.memo[key] = r
+	s := v.o.snap
+	if v.tree == nil {
+		v.tree = s.solve(v.id, &v.o.scratch.paths[0])
 	}
+	r := s.best(v.id, s.owners[uint32(dst)>>8], func(u int32) (int64, int32) { return s.climb(v.tree, v.id, u) })
 	return r, r.Iface != nil
 }
 
 // OnChange registers a route-change listener.
 func (v *view) OnChange(fn func()) { v.listeners = append(v.listeners, fn) }
 
-// Gen counts topology changes; memo fills do not move it.
+// Gen counts topology changes; lookups and solves do not move it.
 func (v *view) Gen() uint64 { return v.o.gen }
-
-// Len returns the number of destinations resolved since the last topology
-// change — what this node's table currently holds.
-func (v *view) Len() int { return len(v.memo) }

@@ -150,7 +150,7 @@ func matchReference(t *testing.T, name string, rng *rand.Rand, net *netsim.Netwo
 }
 
 // TestOracleFillDoesNotBumpGen: resolving a destination is not a route
-// change — a bump per memo fill would flush rpf.Cache on every first lookup —
+// change — a bump per first lookup would flush rpf.Cache on every miss —
 // while a link change is one, for every view.
 func TestOracleFillDoesNotBumpGen(t *testing.T) {
 	net, nodes := buildLine(4, netsim.Millisecond)
@@ -163,15 +163,44 @@ func TestOracleFillDoesNotBumpGen(t *testing.T) {
 	if r0.Gen() != g {
 		t.Errorf("lookups moved Gen %d -> %d", g, r0.Gen())
 	}
-	if n := r0.(*view).Len(); n != 4 {
-		t.Errorf("Len = %d after resolving 3 link prefixes and a miss, want 4", n)
-	}
 	net.SetLinkUp(net.Links[2], false)
 	if r0.Gen() == g || r3.Gen() == g {
 		t.Error("link change did not move Gen on every view")
 	}
-	if n := r0.(*view).Len(); n != 0 {
-		t.Errorf("Len = %d after a link change, want 0", n)
+}
+
+// TestOracleLookupZeroAlloc: a view keeps no per-destination answers, so
+// once its tree is solved a lookup allocates nothing, however many /24s it
+// has not resolved before. Each try takes a fresh router, solves its tree
+// with one lookup, and counts one pass over every /24 of a 256-router
+// internet plus one nobody owns.
+func TestOracleLookupZeroAlloc(t *testing.T) {
+	net, routers := randomInternet(rand.New(rand.NewSource(1)), 256, 512, 64, 10, false)
+	o := NewOracle(net)
+	seen := map[uint32]bool{}
+	var dsts []addr.IP
+	for _, dst := range append(ifaceAddrs(net), addr.V4(192, 0, 2, 1)) {
+		if !seen[uint32(dst)>>8] {
+			seen[uint32(dst)>>8] = true
+			dsts = append(dsts, dst)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	allocs := math.Inf(1)
+	for _, nd := range routers[:3] {
+		v := o.RouterFor(nd)
+		v.Lookup(dsts[0])
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, dst := range dsts[1:] {
+			v.Lookup(dst)
+		}
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, float64(after.Mallocs-before.Mallocs))
+	}
+	if per := allocs / float64(len(dsts)-1); per != 0 {
+		t.Errorf("a solved view's lookups of %d fresh /24s allocated %v objects each, want 0", len(dsts)-1, per)
 	}
 }
 
@@ -410,7 +439,7 @@ func benchInternet() (*netsim.Network, []*netsim.Node) {
 
 // BenchmarkOracleFirstLookups1024 is what a deployment pays the oracle for:
 // build it, then every router resolves 64 destinations (one solve and 64
-// memo fills each).
+// climbs each).
 func BenchmarkOracleFirstLookups1024(b *testing.B) {
 	net, routers := benchInternet()
 	dsts := ifaceAddrs(net)
