@@ -64,8 +64,8 @@ update-goldens:
 # AllocsPerRun counts — control refresh at 0, one data packet through one
 # forwarding router of each engine at exactly the Forwarded header copy (§20)
 # — the per-router footprint pins (one shared RP table per deployment, a
-# node's nine-slot demux, a 32-byte MFIB oif, a 152-byte MFIB entry in a
-# 1 280-byte slab; §7, §8, §16), a warm unicast solve at exactly its parent
+# node's nine-slot demux, a 32-byte MFIB oif, a 120-byte MFIB entry in a
+# 1 024-byte slab; §7, §8, §16), a warm unicast solve at exactly its parent
 # array (§18), and the arena-vs-map-model lockstep (§16),
 # holds the lazy unicast oracle to its eager reference under the race
 # detector (§18),
@@ -91,7 +91,7 @@ bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkLSConverge' -benchtime 1x -benchmem ./internal/unicast/
 	$(GO) test -run XXX -bench 'BenchmarkRPF(CacheHit|Uncached)' -benchtime 10x ./internal/rpf/
 	$(GO) test -run XXX -bench 'BenchmarkMemberAdRegion256' -benchtime 3x -benchmem ./internal/pimdm/
-	$(GO) test -run XXX -bench 'BenchmarkFanout(Compiled|Reference)|BenchmarkGetMiss(Flat|Reference)' -benchtime 10x ./internal/mfib/
+	$(GO) test -run XXX -bench 'BenchmarkFanout$$|BenchmarkGetMiss(Flat|Reference)' -benchtime 10x ./internal/mfib/
 	$(GO) test -run XXX -bench 'BenchmarkCBTFanout' -benchtime 10x -benchmem ./internal/cbt/
 
 # bench-driver proves the frozen benchmark driver still compiles and runs

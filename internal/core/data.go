@@ -144,10 +144,10 @@ func ifaceIndex(ifc *netsim.Iface) int {
 }
 
 // sharedOIFs is the (*,G) outgoing list minus effective negative-cache
-// prunes for s (§3.3 fn. 11). The computation lives in internal/mfib, which
-// serves it from a compiled plan.
+// prunes for s (§3.3 fn. 11), computed into the chassis fan-out scratch.
 func (r *Router) sharedOIFs(wc *mfib.Entry, s addr.IP, except *netsim.Iface) []*netsim.Iface {
-	return mfib.SharedForward(wc, r.MFIB.SGRpt(s, wc.Key.Group), r.Now(), except)
+	r.Fanout = mfib.AppendShared(r.Fanout[:0], wc, r.MFIB.SGRpt(s, wc.Key.Group), r.Now(), except)
+	return r.Fanout
 }
 
 // unionOIFs is the (S,G) list united with the inherited shared-tree list —
@@ -157,7 +157,8 @@ func (r *Router) unionOIFs(sg, wc *mfib.Entry, s addr.IP, except *netsim.Iface) 
 	if wc != nil {
 		rpt = r.MFIB.SGRpt(s, wc.Key.Group)
 	}
-	return mfib.UnionForward(sg, wc, rpt, r.Now(), except)
+	r.Fanout = mfib.AppendUnion(r.Fanout[:0], sg, wc, rpt, r.Now(), except)
+	return r.Fanout
 }
 
 // emit transmits the packet over each outgoing interface with a TTL

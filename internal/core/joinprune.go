@@ -46,7 +46,6 @@ func (r *Router) LocalLeave(ifc *netsim.Iface, g addr.IP) {
 			return
 		}
 		o.LocalMember = false
-		e.Touch()
 		if !o.Live(now) {
 			e.RemoveOIF(ifc)
 		}
@@ -110,7 +109,6 @@ func (r *Router) setUpstream(e *mfib.Entry, target addr.IP) {
 		iif, up = nil, 0
 	}
 	e.IIF, e.UpstreamNeighbor = iif, up
-	e.Touch()
 	r.Pub(telemetry.IIFSet, ifaceIndex(iif), target, e.Key.Group, entryKind(e.Key))
 }
 
@@ -463,7 +461,6 @@ func (r *Router) scheduleOIFPrune(e *mfib.Entry, in *netsim.Iface) {
 	now := r.Now()
 	o.PrunePending = true
 	o.PruneDeadline = now + r.Cfg.PruneOverrideDelay
-	e.Touch()
 	key, life := e.Key, e.Life()
 	r.After(r.Cfg.PruneOverrideDelay, func() {
 		cur := r.MFIB.Get(key)
@@ -505,7 +502,6 @@ func (r *Router) pruneSourceOnShared(in *netsim.Iface, g, s addr.IP, hold netsim
 		// across the delay (see scheduleOIFPrune).
 		o.PrunePending = true
 		o.PruneDeadline = now + r.Cfg.PruneOverrideDelay
-		rpt.Touch()
 		rptKey, rptLife := rpt.Key, rpt.Life()
 		r.After(r.Cfg.PruneOverrideDelay, func() {
 			cur := r.MFIB.Get(rptKey)
@@ -517,7 +513,6 @@ func (r *Router) pruneSourceOnShared(in *netsim.Iface, g, s addr.IP, hold netsim
 				return
 			}
 			co.PrunePending = false
-			cur.Touch()
 			if wcNow := r.MFIB.Wildcard(g); wcNow != nil {
 				r.propagateRptPrune(g, s, cur, wcNow)
 			}

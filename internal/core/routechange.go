@@ -25,7 +25,6 @@ func (r *Router) routesChanged() {
 		}
 		ev := upEvent{kind: evRPFChange, oldIIF: e.IIF, oldUp: e.UpstreamNeighbor}
 		e.IIF, e.UpstreamNeighbor = newIIF, newUp
-		e.Touch()
 
 		// Negative caches just follow the new shared-tree interface; their
 		// prune refreshes flow along the new path on the next cycle.

@@ -56,9 +56,6 @@ type Router struct {
 	jpBatch    []jpDest
 	jpMsg      pimmsg.JoinPrune
 	rptScratch []addr.IP
-	// oifScratch holds the oif list an RP-reach message is relayed on
-	// (rp.go); Send is asynchronous, so nothing re-enters it.
-	oifScratch []*netsim.Iface
 
 	// onChangeHooked: Unicast.OnChange registration is append-only, so the
 	// callback is installed once and gated on started instead of being

@@ -84,8 +84,8 @@ func (r *Router) originateRPReach() {
 func (r *Router) distributeRPReach(wc *mfib.Entry, m *pimmsg.RPReach, except *netsim.Iface) {
 	r.Enc.Buf = pimmsg.AppendEnvelope(r.Enc.Buf[:0], pimmsg.TypeRPReach)
 	r.Enc.Buf = m.MarshalTo(r.Enc.Buf)
-	r.oifScratch = wc.AppendLiveOIFs(r.oifScratch[:0], r.Now(), except)
-	for _, ifc := range r.oifScratch {
+	r.Fanout = wc.AppendLiveOIFs(r.Fanout[:0], r.Now(), except)
+	for _, ifc := range r.Fanout {
 		r.Node.Send(ifc, r.Enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
 		r.Metrics.Inc(metrics.CtrlRPReach)
 	}

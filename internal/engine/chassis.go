@@ -41,6 +41,14 @@ type Chassis struct {
 	// allocate nothing. Safe because Node.Send copies the payload into its
 	// transmit frame before returning.
 	Enc packet.Scratch
+	// Fanout is the reusable outgoing-interface scratch: a forwarding site
+	// appends the packet's fan-out into Fanout[:0] (mfib.AppendShared and
+	// friends) and walks it, so a warm forward allocates no list. Safe
+	// because nothing in a walk re-enters a forward on this chassis:
+	// Node.Send only enqueues the frame, and telemetry subscribers only read.
+	// A border router hands one packet to two instances, and each has its
+	// own chassis.
+	Fanout []*netsim.Iface
 
 	handlers []handler
 	started  bool

@@ -159,7 +159,6 @@ func (f *Flood) LocalLeave(ifc *netsim.Iface, g addr.IP) {
 	f.MFIB.ForGroup(g, func(e *mfib.Entry) {
 		if o := e.OIF(ifc.Index); o != nil && o.LocalMember {
 			o.LocalMember = false
-			e.Touch()
 			if !o.Live(now) {
 				e.RemoveOIF(ifc)
 			}
@@ -216,7 +215,6 @@ func (f *Flood) Prune(e *mfib.Entry, in *netsim.Iface, hold netsim.Time) {
 		o = e.AddOIF(in, Forever)
 	}
 	o.Pruned, o.PrunePending, o.PruneDeadline = true, false, f.Now()+hold
-	e.Touch()
 	f.maybePruneUpstream(e)
 }
 
@@ -364,7 +362,6 @@ func (f *Flood) linkChanged(ifc *netsim.Iface) {
 	f.MFIB.ForEach(func(e *mfib.Entry) {
 		if o := e.OIF(ifc.Index); o != nil && o.Pruned {
 			o.Pruned = false
-			e.Touch()
 			f.graftIfPruned(e)
 		}
 	})
@@ -423,8 +420,8 @@ func (f *Flood) HandleData(in *netsim.Iface, pkt *packet.Packet) (wrongIface boo
 			}
 		}
 	}
-	oifs := e.ForwardOIFs(now, in)
-	if len(oifs) == 0 {
+	f.Fanout = e.AppendLiveOIFs(f.Fanout[:0], now, in)
+	if len(f.Fanout) == 0 {
 		f.maybePruneUpstream(e)
 		return false
 	}
@@ -432,7 +429,7 @@ func (f *Flood) HandleData(in *netsim.Iface, pkt *packet.Packet) (wrongIface boo
 	if !ok {
 		return false
 	}
-	for _, out := range oifs {
+	for _, out := range f.Fanout {
 		f.Forward(out, fwd, 0, s, 0)
 	}
 	return false

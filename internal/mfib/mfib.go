@@ -32,6 +32,7 @@ package mfib
 
 import (
 	"fmt"
+	"slices"
 
 	"pim/internal/addr"
 	"pim/internal/netsim"
@@ -118,24 +119,7 @@ type Entry struct {
 	// can detect delete/re-create across their delay by comparing Life()
 	// (pointer identity is not enough: the arena recycles slots).
 	life uint64
-	// gen is the entry's mutation generation; plans compiled against this
-	// entry (plan.go) revalidate with one compare. Every method mutating
-	// forwarding-relevant state bumps it; code mutating OIF fields or IIF
-	// directly must call Touch. Slot recycling continues the sequence
-	// (never resets it) so a stale plan dependency can never revalidate
-	// against a later incarnation.
-	gen uint64
-	// plans holds the compiled fan-out slices derived from this entry.
-	plans []plan
 }
-
-// Touch invalidates any compiled plan depending on this entry. Mutating
-// methods call it internally; callers flipping OIF fields (LocalMember,
-// PrunePending, ...) or IIF in place must call it themselves.
-func (e *Entry) Touch() { e.gen++ }
-
-// Gen returns the entry's mutation generation.
-func (e *Entry) Gen() uint64 { return e.gen }
 
 // Life identifies this incarnation of the entry's key in its table. A timer
 // closure that must act on "the entry as it was scheduled" captures the Key
@@ -231,7 +215,6 @@ func (e *Entry) AddOIF(ifc *netsim.Iface, expires netsim.Time) *OIF {
 		o.Expires = expires
 	}
 	o.PrunePending, o.Pruned = false, false
-	e.Touch()
 	return o
 }
 
@@ -246,7 +229,6 @@ func (e *Entry) AddLocalOIF(ifc *netsim.Iface) *OIF {
 	}
 	o.LocalMember = true
 	o.PrunePending, o.Pruned = false, false
-	e.Touch()
 	return o
 }
 
@@ -255,7 +237,6 @@ func (e *Entry) RemoveOIF(ifc *netsim.Iface) {
 	if pos, ok := e.oifFind(ifc.Index); ok {
 		e.oifRemoveAt(pos)
 	}
-	e.Touch()
 }
 
 // HasOIF reports whether the interface is currently in the live list.
@@ -281,7 +262,7 @@ func (o *OIF) Live(now netsim.Time) bool {
 
 // AppendLiveOIFs appends the interfaces to forward over — excluding the
 // given arrival interface, in ascending index order — to dst and returns it.
-// Appending into a recycled dst keeps compiled-plan rebuilds and other hot
+// Appending into a recycled dst keeps per-packet fan-outs and other hot
 // walks allocation-free.
 func (e *Entry) AppendLiveOIFs(dst []*netsim.Iface, now netsim.Time, except *netsim.Iface) []*netsim.Iface {
 	for i, n := 0, e.OIFCount(); i < n; i++ {
@@ -295,6 +276,51 @@ func (e *Entry) AppendLiveOIFs(dst []*netsim.Iface, now netsim.Time, except *net
 		dst = append(dst, o.Iface)
 	}
 	return dst
+}
+
+// AppendShared appends the §3.5 shared-tree fan-out to dst: the (*,G) live
+// list minus the interfaces the (S,G)RP-bit negative cache rpt effectively
+// prunes for this source (§3.3 fn. 11). rpt may be nil.
+func AppendShared(dst []*netsim.Iface, wc, rpt *Entry, now netsim.Time, except *netsim.Iface) []*netsim.Iface {
+	for i, n := 0, wc.OIFCount(); i < n; i++ {
+		o := wc.oifAt(i)
+		if o.Live(now) && o.Iface != except && !rpt.prunes(o.Iface, now) {
+			dst = append(dst, o.Iface)
+		}
+	}
+	return dst
+}
+
+// AppendUnion appends the (S,G)∪shared fan-out used when a packet passes the
+// (S,G) iif check: the SPT list united with the inherited shared-tree list
+// (§3.3's copy-at-creation, done race-free at forwarding time — DESIGN.md
+// §4), never back out of the SPT iif. wc and rpt may be nil. Deduplication
+// is a linear scan over the handful of interfaces already appended: fan-outs
+// are small, and it keeps the append allocation-free.
+func AppendUnion(dst []*netsim.Iface, sg, wc, rpt *Entry, now netsim.Time, except *netsim.Iface) []*netsim.Iface {
+	base := len(dst)
+	dst = sg.AppendLiveOIFs(dst, now, except)
+	if wc == nil {
+		return dst
+	}
+	for i, n := 0, wc.OIFCount(); i < n; i++ {
+		o := wc.oifAt(i)
+		if o.Live(now) && o.Iface != except && o.Iface != sg.IIF &&
+			!slices.Contains(dst[base:], o.Iface) && !rpt.prunes(o.Iface, now) {
+			dst = append(dst, o.Iface)
+		}
+	}
+	return dst
+}
+
+// prunes reports whether the negative cache e (nil for none) cuts ifc off
+// the shared tree: a live entry whose LAN prune is no longer pending.
+func (e *Entry) prunes(ifc *netsim.Iface, now netsim.Time) bool {
+	if e == nil {
+		return false
+	}
+	o := e.OIF(ifc.Index)
+	return o != nil && o.Live(now) && !o.PrunePending
 }
 
 // OIFEmpty reports whether no live outgoing interface remains.

@@ -240,15 +240,15 @@ func TestOIFFootprint(t *testing.T) {
 	}
 }
 
-// TestEntryFootprint pins an entry at 152 bytes — one inline oif, the dead
+// TestEntryFootprint pins an entry at 120 bytes — one inline oif, the dead
 // flag in the padding after the two other flags, UpstreamNeighbor beside
-// them and no stored list length — and a slab of eight at one 1 280-byte
-// size class with less than one entry of slack, the slabBytes that Bytes
-// charges per slab. The runtime puts an 8-byte header on a pointerful object
-// over 512 bytes, so a slab of 160-byte entries (1 288 bytes) would round up
-// to 1 408.
+// them, no stored list length and no per-entry fan-out cache — and a slab of
+// eight at one 1 024-byte size class with less than one entry of slack, the
+// slabBytes that Bytes charges per slab. The runtime puts an 8-byte header on
+// a pointerful object over 512 bytes, so a slab of 128-byte entries
+// (1 032 bytes) would round up to 1 152.
 func TestEntryFootprint(t *testing.T) {
-	const size, class = 152, slabBytes
+	const size, class = 120, slabBytes
 	if got := unsafe.Sizeof(Entry{}); got != size {
 		t.Errorf("Entry is %d bytes, want %d", got, size)
 	}

@@ -21,10 +21,9 @@ import (
 //
 // Slot recycling contract: Delete marks the slot dead but leaves the fields
 // in place, so entries returned by Sweep stay readable until the next
-// insertion into the table. Recycling bumps the slot's plan generation
-// (never resets it) and the table stamps a fresh Life() on every creation,
-// so stale plan dependencies and timer closures can never revalidate
-// against a later incarnation of the same key or slot.
+// insertion into the table. The table stamps a fresh Life() on every
+// creation, so a timer closure can never act on a later incarnation of the
+// same key or slot.
 
 // Handle addresses an entry in the arena: slot+1, so the zero Handle
 // means "none".
@@ -265,13 +264,8 @@ func (t *Table) Upsert(k Key, _ netsim.Time) (e *Entry, created bool) {
 		t.used++
 	}
 	e = t.entryAt(slot)
-	// Recycle in place: keep the spill/plan capacities, continue the plan
-	// generation, and zero everything else.
-	spill := e.oifSpill[:0]
-	plans := e.plans[:0]
-	gen := e.gen + 1
-	*e = Entry{Key: k, Wildcard: k.Source == 0,
-		gen: gen, life: t.lifeSeq, oifSpill: spill, plans: plans}
+	// Recycle in place: keep the spill capacity and zero everything else.
+	*e = Entry{Key: k, Wildcard: k.Source == 0, life: t.lifeSeq, oifSpill: e.oifSpill[:0]}
 	t.indexPut(k, slot)
 	pos, _ := slices.BinarySearchFunc(t.order, k, compareKeys)
 	t.order = slices.Insert(t.order, pos, k)
@@ -345,7 +339,6 @@ func (t *Table) Sweep(now netsim.Time) []*Entry {
 			o := e.oifAt(i)
 			if !o.LocalMember && now > o.Expires {
 				e.oifRemoveAt(i)
-				e.Touch()
 			}
 		}
 		if e.DeleteAt != 0 && now >= e.DeleteAt {
@@ -367,29 +360,22 @@ const (
 	// slabBytes is what the allocator holds for one slab: its entries plus
 	// the 8-byte header the runtime puts on a pointerful object over 512
 	// bytes, rounded up to the size class. TestEntryFootprint measures it.
-	slabBytes = 1280
+	slabBytes = 1024
 	oifBytes  = int64(unsafe.Sizeof(OIF{}))
-	planBytes = int64(unsafe.Sizeof(plan{}))
 	keyBytes  = int64(unsafe.Sizeof(Key{}))
-	ptrBytes  = int64(unsafe.Sizeof((*Entry)(nil)))
 )
 
 // Bytes estimates the table's resident state footprint: the arena slabs
 // including free slack, the index array, the order slice, plus the spill
-// and compiled-plan capacities hanging off live entries. It is a
-// deterministic estimator, not a heap measurement.
+// capacity hanging off live entries. It is a deterministic estimator, not a
+// heap measurement.
 func (t *Table) Bytes() int64 {
 	b := int64(len(t.slabs)) * slabBytes
 	b += int64(len(t.index.vals)) * 4
 	b += int64(cap(t.order)) * keyBytes
 	b += int64(cap(t.free)) * 4
 	for _, k := range t.order {
-		e := t.Get(k)
-		b += int64(cap(e.oifSpill)) * oifBytes
-		b += int64(cap(e.plans)) * planBytes
-		for i := range e.plans {
-			b += int64(cap(e.plans[i].out)) * ptrBytes
-		}
+		b += int64(cap(t.Get(k).oifSpill)) * oifBytes
 	}
 	return b
 }

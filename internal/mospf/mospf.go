@@ -297,7 +297,8 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 	if !ok {
 		return
 	}
-	for _, out := range e.ForwardOIFs(r.Now(), in) {
+	r.Fanout = e.AppendLiveOIFs(r.Fanout[:0], r.Now(), in)
+	for _, out := range r.Fanout {
 		r.Forward(out, fwd, 0, s, 0)
 	}
 }
@@ -347,7 +348,6 @@ func (r *Router) computeEntry(s, g addr.IP) *mfib.Entry {
 	}
 	if _, in, ok := tree.Parent(r.Node); ok {
 		e.IIF = in
-		e.Touch()
 	}
 	// Local member LANs.
 	for _, ifc := range r.Node.Ifaces {

@@ -516,7 +516,6 @@ func (r *Router) schedulePrune(e *mfib.Entry, in *netsim.Iface, g addr.IP, hold 
 	}
 	o.Pruned, o.PrunePending = false, true
 	o.PruneDeadline = r.Now() + r.Cfg.PruneOverrideDelay
-	e.Touch()
 	// Re-look the entry up at fire time: entry/oif pointers must not be
 	// held across the delay (the flat store recycles slots), and a join
 	// override in the window clears PrunePending, cancelling the prune.

@@ -160,8 +160,12 @@ func TestCorpusUnicastSwap(t *testing.T) {
 	// knownDefects pins, by "<script> <substrate>", the failures a cell
 	// reports today; the fix of the defect empties its pin.
 	knownDefects := map[string][]string{
-		// ROADMAP item 8, unclassified: only over DV does the leaf fall
-		// short and r2 keep an entry after its restart.
+		// ROADMAP item 8: DV convergence, not a CBT leak. A crashed
+		// router's routes expire only after 3 × 30 s of silence, so for
+		// the whole 60 s crash the leaf's re-join heads for the dead r2;
+		// after r2's restart the leaf re-joins through it, and r2's one
+		// entry is the leaf's live branch. A longer run keeps it, and a
+		// crash longer than the route timeout gives r2 state 0.
 		"baselines/cbt-crash.pim dv": {
 			"line 22: leaf received G0 = 136, want >= 150",
 			"line 24: router r2 state = 1, want == 0",
