@@ -111,25 +111,20 @@ loc:
 		| xargs cat | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'
 
 # bench-record runs the repository benchmark's five workloads (BENCHMARK.json)
-# on this tree and appends one {label, commit, timestamp, workload, ...result}
-# line each to BENCH_pimperf.jsonl — the single PR-to-PR trajectory file.
-# A tree with uncommitted changes is stamped <hash>+worktree, as `pimbench
-# pairs` stamps its working-tree side; the check runs once, before the loop,
-# and ignores BENCH_pimperf.jsonl, which the loop itself writes.
+# on revision BASE and on this working tree in N pairs each, in ABBA order
+# (`pimbench pairs`: base first, then head first, so a drift over the session
+# falls on both sides alike), and appends each side's median row, labelled
+# LABEL-base and LABEL-head, to BENCH_pimperf.jsonl — the single PR-to-PR
+# trajectory file, whose one writer is `pimbench pairs -record`. A working
+# tree with changes other than BENCH_pimperf.jsonl is stamped <hash>+worktree.
+# Set TMPDIR to keep BASE's exported tree and build cache off a small /tmp.
 # Compare two labels, or any two captured run.sh outputs, with
 #   go run ./cmd/pimbench diff <a> <b>
 # which exits non-zero on a regression beyond a BENCHMARK.json bound.
+N ?= 3
 bench-record:
-	@test -n "$(LABEL)" || { echo "usage: make bench-record LABEL=<name>"; exit 2; }
-	@commit=$$(git rev-parse --short HEAD); ts=$$(date -u +%Y-%m-%dT%H:%M:%SZ); \
-	test -z "$$(git status --porcelain -- . ':!BENCH_pimperf.jsonl')" || commit=$$commit+worktree; \
-	for w in sparse-data sparse-churn dense-data dense-ctrl baselines-data; do \
-		line=$$(bash benchmarks/run.sh --workload $$w | tail -n 1); \
-		case "$$line" in '{"attempted"'*) ;; *) echo "bench-record: $$w printed no result line"; exit 1;; esac; \
-		printf '{"label":"%s","commit":"%s","timestamp":"%s","workload":"%s",%s\n' \
-			"$(LABEL)" "$$commit" "$$ts" "$$w" "$${line#\{}" >> BENCH_pimperf.jsonl; \
-		echo "recorded $$w"; \
-	done
+	@test -n "$(LABEL)" && test -n "$(BASE)" || { echo "usage: make bench-record LABEL=<name> BASE=<rev> [N=3]"; exit 2; }
+	$(GO) run ./cmd/pimbench pairs -base $(BASE) -n $(N) -record $(LABEL)
 
 # bench is the full metric-reporting benchmark suite (EXPERIMENTS.md).
 bench:

@@ -267,6 +267,24 @@ func revParse(repo, rev string) (string, error) {
 	return strings.TrimSpace(string(out)), err
 }
 
+// worktreeCommit names the working tree: HEAD's short hash, stamped
+// "+worktree" when the tree differs from it outside BENCH_pimperf.jsonl,
+// which -record itself writes.
+func worktreeCommit(repo string) (string, error) {
+	commit, err := revParse(repo, "HEAD")
+	if err != nil {
+		return "", err
+	}
+	out, err := exec.Command("git", "-C", repo, "status", "--porcelain", "--", ".", ":!BENCH_pimperf.jsonl").Output()
+	if err != nil {
+		return "", err
+	}
+	if len(bytes.TrimSpace(out)) > 0 {
+		commit += "+worktree"
+	}
+	return commit, nil
+}
+
 // pairsOpts is what pimbench pairs was asked for.
 type pairsOpts struct {
 	baseRev, headRev string
@@ -327,9 +345,7 @@ func runPairs(o pairsOpts, decl benchmarkDecl) (disagree []string, err error) {
 	for s, rev := range [2]string{o.baseRev, o.headRev} {
 		if rev == "" {
 			roots[s] = repo
-			if commits[s], err = revParse(repo, "HEAD"); err == nil {
-				commits[s] += "+worktree"
-			}
+			commits[s], err = worktreeCommit(repo)
 		} else {
 			roots[s] = filepath.Join(tmp, sideNames[s])
 			if commits[s], err = revParse(repo, rev); err == nil {

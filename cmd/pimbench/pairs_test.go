@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -164,5 +167,48 @@ func TestParseRun(t *testing.T) {
 	}
 	if _, err := parseRun([]byte("pimperf: seed=42\n")); err == nil {
 		t.Error("output without a result line parsed")
+	}
+}
+
+// TestWorktreeCommitStamp: the working tree is stamped "+worktree" only when
+// it differs from HEAD, and a change to BENCH_pimperf.jsonl, which -record
+// writes, does not count.
+func TestWorktreeCommitStamp(t *testing.T) {
+	repo := t.TempDir()
+	git := func(args ...string) {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{"-C", repo, "-c", "user.name=t", "-c", "user.email=t@t"}, args...)...)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("git %v: %v: %s", args, err, out)
+		}
+	}
+	write := func(name, text string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(repo, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	git("init", "-q")
+	write("a.go", "package a\n")
+	write("BENCH_pimperf.jsonl", "")
+	git("add", ".")
+	git("commit", "-q", "-m", "x")
+	head, err := revParse(repo, "HEAD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		file, want string
+	}{
+		{"", head},
+		{"BENCH_pimperf.jsonl", head},
+		{"a.go", head + "+worktree"},
+	} {
+		if c.file != "" {
+			write(c.file, "changed\n")
+		}
+		if got, err := worktreeCommit(repo); err != nil || got != c.want {
+			t.Errorf("after changing %q: stamped %q (%v), want %q", c.file, got, err, c.want)
+		}
 	}
 }

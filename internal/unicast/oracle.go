@@ -140,6 +140,9 @@ type snapshot struct {
 	start  []int32
 	arcs   []arc
 	owners map[uint32][]owner
+	// wlog is log2 of the width in bits of a tree cell over the snapshot:
+	// cellLog of the most arcs any one node has.
+	wlog uint8
 	// scratch is the building oracle's or LS router's; a snapshot built
 	// bare gets its own on its first solve.
 	scratch *solveScratch
@@ -199,7 +202,8 @@ func (o *Oracle) snapshot(up []bool) *snapshot {
 // before it in Nodes × Ifaces order, and a second pass over the joints
 // fills them. An interface's joints come in Link.Ifaces order of its peers,
 // so its arcs do too, and each arc's back offset is known when it is
-// placed. It panics when a node has more than MaxArcs arcs.
+// placed. The most arcs at one node fix the width of a tree cell. It panics
+// when a node has more than MaxArcs arcs.
 func (s *snapshot) build(net *netsim.Network, live liveRule) {
 	sc := s.scratch
 	n := len(net.Nodes)
@@ -229,11 +233,15 @@ func (s *snapshot) build(net *netsim.Network, live liveRule) {
 	for v := range s.start {
 		s.start[v] = next[base[v]]
 	}
+	var most int32
 	for v, nd := range net.Nodes {
-		if arcs := s.start[v+1] - s.start[v]; arcs > MaxArcs {
+		arcs := s.start[v+1] - s.start[v]
+		if arcs > MaxArcs {
 			panic(fmt.Sprintf("unicast: node %s has %d arcs, beyond the oracle's %d", nd.Name, arcs, MaxArcs))
 		}
+		most = max(most, arcs)
 	}
+	s.wlog = cellLog(most)
 	s.arcs = grown(s.arcs, int(s.start[n]))
 	for _, j := range joints {
 		a, b := &next[index(j.a)], &next[index(j.b)]
@@ -260,23 +268,51 @@ func (s *snapshot) build(net *netsim.Network, live liveRule) {
 // elements keep whatever they held.
 func grown[T any](x []T, n int) []T { return slices.Grow(x[:0], n)[:n] }
 
-// tree is one node's shortest-path tree over a snapshot, two bytes per node
-// of the network (every router that looks anything up holds one): for each
-// node, the offset among its own arcs of the arc back over the link by which
-// solve fixed its distance, noParent at the root and at a node the tree does
-// not reach. A node's distance and first hop are a climb up its parents.
-type tree []uint16
+// tree is one node's shortest-path tree over a snapshot (every router that
+// looks anything up holds one): for each node, a cell holding the offset
+// among its own arcs of the arc back over the link by which solve fixed its
+// distance, noParent at the root and at a node the tree does not reach. A
+// node's distance and first hop are a climb up its parents. The cells are
+// as wide as the snapshot's (cellLog) and packed into 64-bit words, read
+// and written by cell and setCell; the width is a power of two, so no cell
+// straddles two words.
+type tree []uint64
 
 const (
 	unreached = -1
 	noArc     = -1
-	noParent  = math.MaxUint16
 )
 
 // MaxArcs is the most arcs (one per peer interface on each up link) a node
-// may have: a tree names a node's arc to its parent by its 16-bit offset
-// among them, and noParent takes the last value.
-const MaxArcs = noParent - 1
+// may have: a tree names a node's arc to its parent by its offset among
+// them in a cell of at most 16 bits, and noParent takes the last value.
+const MaxArcs = math.MaxUint16 - 1
+
+// cellLog returns log2 of the width of a tree cell over a snapshot whose
+// nodes have at most most arcs: the narrowest of 1, 2, 4, 8 and 16 bits
+// whose all-ones value, noParent, is no arc's offset (those run to most−1).
+func cellLog(most int32) uint8 {
+	var wlog uint8
+	for 1<<(1<<wlog)-1 < int64(most) {
+		wlog++
+	}
+	return wlog
+}
+
+// noParent is the all-ones cell of a tree over s.
+func (s *snapshot) noParent() uint64 { return 1<<(1<<s.wlog) - 1 }
+
+// cell returns u's cell of t, a tree over s.
+func (s *snapshot) cell(t tree, u int32) uint64 {
+	bit := uint(u) << s.wlog
+	return t[bit/64] >> (bit % 64) & s.noParent()
+}
+
+// setCell sets u's cell of t, a tree over s, to c.
+func (s *snapshot) setCell(t tree, u int32, c uint64) {
+	bit := uint(u) << s.wlog
+	t[bit/64] = t[bit/64]&^(s.noParent()<<(bit%64)) | c<<(bit%64)
+}
 
 // MaxPathMetric is the longest shortest path the oracle can hold, in µs
 // (about 35.8 simulated minutes): solve keeps distances in 32 bits.
@@ -298,10 +334,13 @@ func (s *snapshot) solve(src int32, p *paths) tree {
 	if s.scratch == nil {
 		s.scratch = new(solveScratch)
 	}
-	t := make(tree, n)
-	dist, first := p.size(n)
+	t := make(tree, (n<<s.wlog+63)/64)
 	for i := range t {
-		dist[i], first[i], t[i] = unreached, noArc, noParent
+		t[i] = math.MaxUint64
+	}
+	dist, first := p.size(n)
+	for i := range dist {
+		dist[i], first[i] = unreached, noArc
 	}
 	dist[src] = 0
 	q, beyond := &s.scratch.queue, s.scratch.beyond[:0]
@@ -324,7 +363,8 @@ func (s *snapshot) solve(src int32, p *paths) tree {
 			nd := d + int32(arc.delay)
 			switch old := dist[u]; {
 			case old == unreached || nd < old:
-				dist[u], t[u], first[u] = nd, arc.back, fv
+				dist[u], first[u] = nd, fv
+				s.setCell(t, u, uint64(arc.back))
 				if v == src {
 					first[u] = a
 				}
@@ -332,7 +372,8 @@ func (s *snapshot) solve(src int32, p *paths) tree {
 			case nd == old && v == src && arc.hop < s.arcs[first[u]].hop:
 				// u's distance is the delay of an arc of src's, so its
 				// parent is src, over arc first[u].
-				t[u], first[u] = arc.back, a
+				s.setCell(t, u, uint64(arc.back))
+				first[u] = a
 			}
 		}
 	}
@@ -355,10 +396,11 @@ func (s *snapshot) reverse(a int32) int32 {
 // a node t does not reach. Its reverse is the arc solve relaxed to fix u's
 // distance, and it carries the same delay.
 func (s *snapshot) toParent(t tree, u int32) int32 {
-	if t[u] == noParent {
+	c := s.cell(t, u)
+	if c == s.noParent() {
 		return noArc
 	}
-	return s.start[u] + int32(t[u])
+	return s.start[u] + int32(c)
 }
 
 // climb walks u's parents up to root: u's distance from it in µs
@@ -399,19 +441,21 @@ func (p *paths) size(n int) (dist, first []int32) {
 // its parent's plus one arc, so each is computed once.
 func (p *paths) fold(s *snapshot, t tree, root int32) {
 	const unknown = -2
-	dist, first := p.size(len(t))
+	dist, first := p.size(len(s.start) - 1)
 	for i := range dist {
 		dist[i] = unknown
 	}
 	dist[root], first[root] = 0, noArc
 	stack := p.stack[:0]
-	for u := range t {
-		for v := int32(u); dist[v] == unknown; v = s.arcs[s.toParent(t, v)].to {
-			if t[v] == noParent {
+	for u := range dist {
+		for v := int32(u); dist[v] == unknown; {
+			up := s.toParent(t, v)
+			if up == noArc {
 				dist[v], first[v] = unreached, noArc
 				break
 			}
 			stack = append(stack, v)
+			v = s.arcs[up].to
 		}
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]

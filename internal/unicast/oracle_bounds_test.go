@@ -10,8 +10,8 @@ import (
 )
 
 // testSnapshot builds a snapshot over n nodes from undirected edges
-// {a, b, delay}; a node's arcs keep edge order, each names its reverse, and
-// the peer address is the peer's ID + 1.
+// {a, b, delay}; a node's arcs keep edge order, each names its reverse, the
+// peer address is the peer's ID + 1, and the cell width is build's.
 func testSnapshot(n int, edges ...[3]int64) *snapshot {
 	adj := make([][]arc, n)
 	for _, e := range edges {
@@ -21,11 +21,14 @@ func testSnapshot(n int, edges ...[3]int64) *snapshot {
 		adj[b] = append(adj[b], arc{to: a, delay: e[2], hop: addr.IP(a + 1), back: ab})
 	}
 	s := &snapshot{}
+	var most int32
 	for _, as := range adj {
 		s.start = append(s.start, int32(len(s.arcs)))
 		s.arcs = append(s.arcs, as...)
+		most = max(most, int32(len(as)))
 	}
 	s.start = append(s.start, int32(len(s.arcs)))
+	s.wlog = cellLog(most)
 	return s
 }
 
@@ -66,12 +69,15 @@ func TestSolveRefusesPathBeyondMetricBound(t *testing.T) {
 	}
 }
 
-// TestNodeArcBound: a tree names a node's parent by a 16-bit offset among
-// the node's own arcs, so a node may have MaxArcs of them and no more. Among
-// MaxArcs parallel links whose addresses fall with the link's number, the
-// last, with the lowest address, is the neighbour's parent and first hop in
-// the root's tree; it is the neighbour's arc at the largest offset a tree
-// holds. One more link refuses the snapshot, naming the bound.
+// TestNodeArcBound: a tree names a node's parent by its offset among the
+// node's own arcs, in a cell of the narrowest of 1, 2, 4, 8 and 16 bits
+// whose all-ones value, noParent, is no offset; so a node may have MaxArcs
+// arcs and no more. Among k parallel links whose addresses fall with the
+// link's number, the last, with the lowest address, is the neighbour's
+// parent and first hop in the root's tree: its arc at the largest offset,
+// k−1. At each width boundary that is the largest offset a cell holds, or
+// the smallest that needs the next width. One more link than MaxArcs
+// refuses the snapshot, naming the bound.
 func TestNodeArcBound(t *testing.T) {
 	parallel := func(k int) (*netsim.Network, *netsim.Node, *netsim.Node) {
 		net := netsim.NewNetwork()
@@ -82,18 +88,29 @@ func TestNodeArcBound(t *testing.T) {
 		}
 		return net, r0, r1
 	}
-	net, r0, r1 := parallel(MaxArcs)
-	o := NewOracle(net)
-	st := o.Tree(r0)
-	out, in, ok := st.Parent(r1)
-	if !ok || out != r0.Ifaces[MaxArcs-1] || in != r1.Ifaces[MaxArcs-1] || st.tree[r1.ID] != MaxArcs-1 {
-		t.Errorf("%d parallel links: r1 hangs off %v to %v (offset %d), want %v to %v (offset %d)",
-			MaxArcs, out, in, st.tree[r1.ID], r0.Ifaces[MaxArcs-1], r1.Ifaces[MaxArcs-1], MaxArcs-1)
+	for _, c := range []struct{ k, width int }{
+		{1, 1}, {2, 2}, {3, 2}, {4, 4}, {15, 4}, {16, 8}, {255, 8}, {256, 16}, {MaxArcs, 16},
+	} {
+		net, r0, r1 := parallel(c.k)
+		o := NewOracle(net)
+		st := o.Tree(r0)
+		if w := st.snap.width(); w != c.width {
+			t.Errorf("%d parallel links: %d-bit cells, want %d", c.k, w, c.width)
+		}
+		if root := st.snap.cell(st.tree, int32(r0.ID)); root != st.snap.noParent() {
+			t.Errorf("%d parallel links: the root's cell is %d, want noParent", c.k, root)
+		}
+		last := c.k - 1
+		out, in, ok := st.Parent(r1)
+		if cell := st.snap.cell(st.tree, int32(r1.ID)); !ok || out != r0.Ifaces[last] || in != r1.Ifaces[last] || cell != uint64(last) {
+			t.Errorf("%d parallel links: r1 hangs off %v to %v (cell %d), want %v to %v (offset %d)",
+				c.k, out, in, cell, r0.Ifaces[last], r1.Ifaces[last], last)
+		}
+		if d, first := st.snap.climb(st.tree, int32(r0.ID), int32(r1.ID)); d != int64(netsim.Millisecond) || first == noArc || st.snap.arcs[first].ifc != r0.Ifaces[last] {
+			t.Errorf("%d parallel links: r1 climbs to %d µs over arc %d, want %d µs over %v", c.k, d, first, netsim.Millisecond, r0.Ifaces[last])
+		}
 	}
-	if d, first := st.snap.climb(st.tree, int32(r0.ID), int32(r1.ID)); d != int64(netsim.Millisecond) || st.snap.arcs[first].ifc != out {
-		t.Errorf("%d parallel links: r1 climbs to %d µs over arc %d, want %d µs over %v", MaxArcs, d, first, netsim.Millisecond, out)
-	}
-	net, _, _ = parallel(MaxArcs + 1)
+	net, _, _ := parallel(MaxArcs + 1)
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, fmt.Sprint(MaxArcs)) {
 			t.Errorf("%d parallel links: panic %q, want one naming %d", MaxArcs+1, msg, MaxArcs)

@@ -69,10 +69,10 @@ func randomInternet(rng *rand.Rand, n, links, stubs, maxDelay int, transit bool)
 // listener, and solving an unsolved view's "old" tree on the new snapshot;
 // the route comparison kills the higher address winning (or no rule at all)
 // between the source's own arcs, a queue ordered by distance alone, keeping
-// the last equal-cost relaxation, the higher next hop winning between owners,
-// and a memo kept across a change; only the 256-router internet kills queue
-// keys that keep 8 bits of node ID. `<=` for `<` between the source's arcs
-// survives, being no change: two arcs to one node never share a peer address.
+// the last equal-cost relaxation and the higher next hop winning between
+// owners; only the 256-router internet kills queue keys that keep 8 bits of
+// node ID. `<=` for `<` between the source's arcs survives, being no change:
+// two arcs to one node never share a peer address.
 func TestOracleMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 32; seed++ {
 		rng, net := tieInternet(seed)
@@ -220,9 +220,9 @@ func TestOracleUnknownNode(t *testing.T) {
 
 // TestSolveFootprint pins a warm solve's garbage to the tree it returns.
 // Once the oracle's scratch has grown, solving a router allocates exactly
-// its parent array, two bytes per node. That holds on the current snapshot
-// and on one a link change has retired, which Recompute solves for the old
-// half of its comparison.
+// its parent array, one cell of the snapshot's width per node. That holds
+// on the current snapshot and on one a link change has retired, which
+// Recompute solves for the old half of its comparison.
 func TestSolveFootprint(t *testing.T) {
 	net, routers := randomInternet(rand.New(rand.NewSource(1)), 256, 512, 64, 10, false)
 	o := NewOracle(net)
@@ -241,8 +241,10 @@ func TestSolveFootprint(t *testing.T) {
 	if want := float64(2 * len(routers)); allocs != want {
 		t.Errorf("%d warm solves allocated %v times, want %v (the parent array each)", 2*len(routers), allocs, want)
 	}
-	if per, want := bytes/float64(2*len(routers)), treeBytes(len(net.Nodes)); per != want {
-		t.Errorf("a warm solve over %d nodes allocated %v bytes, want %v (two per node, rounded to a size class)", len(net.Nodes), per, want)
+	n := len(net.Nodes)
+	if per, want := bytes/float64(len(routers)), treeBytes(n, old.width())+treeBytes(n, o.snap.width()); per != want {
+		t.Errorf("a warm solve over %d nodes on each snapshot allocated %v bytes, want %v (cells of %d and %d bits, rounded to size classes)",
+			n, per, want, old.width(), o.snap.width())
 	}
 }
 
@@ -267,14 +269,17 @@ func footprint(f func()) (allocs, bytes float64) {
 	return allocs, bytes
 }
 
-// treeBytes is what the allocator holds for a tree over n nodes: measured
-// on a plain two-byte-element slice of that length, which a tree must be.
-func treeBytes(n int) float64 {
-	var s []uint16
-	_, b := footprint(func() { s = make([]uint16, n) })
+// treeBytes is what the allocator holds for a tree over n nodes of w-bit
+// cells: measured on a plain slice of the ⌈n·w/64⌉ words a tree must be.
+func treeBytes(n, w int) float64 {
+	var s []uint64
+	_, b := footprint(func() { s = make([]uint64, (n*w+63)/64) })
 	runtime.KeepAlive(s)
 	return b
 }
+
+// width is the width in bits of a tree cell over s.
+func (s *snapshot) width() int { return 1 << s.wlog }
 
 // TestTreeParents holds SourceTree.Parent to the solve it reads, on
 // TestOracleMatchesReference's internets, on a small one of parallel links
@@ -391,7 +396,7 @@ func checkParents(t *testing.T, name string, o *Oracle) (seen shapes) {
 			for v, steps := nd, 0; v != root; steps++ {
 				o, i, ok := st.Parent(v)
 				switch {
-				case !ok || steps == len(st.tree):
+				case !ok || steps == len(st.snap.start):
 					t.Fatalf("%s: tree from %s: %s's parents stop at %s", name, root.Name, nd.Name, v.Name)
 				case i.Node != v || o.Link != i.Link:
 					t.Fatalf("%s: tree from %s: %s's parent link is %v to %v", name, root.Name, v.Name, o, i)
@@ -414,8 +419,9 @@ func checkParents(t *testing.T, name string, o *Oracle) (seen shapes) {
 	return seen
 }
 
-// TestTreeFootprint pins a warm tree query to the solve's parent array, two
-// bytes per node: climbing the tree allocates nothing.
+// TestTreeFootprint pins a warm tree query to the solve's parent array, one
+// cell of the snapshot's width per node: climbing the tree allocates
+// nothing.
 func TestTreeFootprint(t *testing.T) {
 	net, routers := randomInternet(rand.New(rand.NewSource(1)), 256, 512, 64, 10, false)
 	o := NewOracle(net)
@@ -426,7 +432,7 @@ func TestTreeFootprint(t *testing.T) {
 		}
 	}
 	allocs, bytes := footprint(query)
-	if want := treeBytes(len(net.Nodes)); allocs != 1 || bytes != want {
+	if want := treeBytes(len(net.Nodes), o.snap.width()); allocs != 1 || bytes != want {
 		t.Errorf("warm tree query and climb: %v allocations of %v bytes, want 1 of %v (the parent array)", allocs, bytes, want)
 	}
 }
