@@ -65,8 +65,10 @@ update-goldens:
 # forwarding router of each engine at exactly the Forwarded header copy (§20)
 # — the per-router footprint pins (one shared RP table per deployment, a
 # node's nine-slot demux, a 32-byte MFIB oif, a 120-byte MFIB entry in a
-# 1 024-byte slab; §7, §8, §16), a warm unicast solve at exactly its parent
-# array (§18), and the arena-vs-map-model lockstep (§16),
+# 1 024-byte slab, a 48-byte in-flight frame, one per-call scratch per
+# simulation, collected with it; §7, §8, §13, §16), a
+# warm unicast solve at exactly its parent array (§18), and the
+# arena-vs-map-model lockstep over two tables sharing one walk stack (§16),
 # holds the lazy unicast oracle to its eager reference under the race
 # detector (§18),
 # prices one query interval of the §4 member-existence exchange with and

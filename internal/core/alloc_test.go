@@ -1,7 +1,10 @@
 package core
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pim/internal/addr"
 	"pim/internal/netsim"
@@ -107,7 +110,7 @@ func warmZeroAlloc(t *testing.T, what string, cycle func()) {
 
 // TestJoinPruneRefreshZeroAlloc pins the warm periodic join/prune refresh —
 // the batching walk over the MFIB, per-destination record assembly in the
-// router's reusable jpBatch/jpMsg scratch, append-encode, pooled transmit,
+// simulation's reusable jpBatch/jpMsg scratch, append-encode, pooled transmit,
 // and the receivers' into-decode plus oif refresh — at zero heap
 // allocations per cycle. This is the steady-state control-plane path every
 // sparse-mode router runs every JoinPruneInterval for every entry, so a
@@ -117,13 +120,54 @@ func warmZeroAlloc(t *testing.T, what string, cycle func()) {
 // several joined groups, so the refresh carries multiple group records per
 // message and the grab/add batching paths are all exercised; nothing
 // triggers non-periodic sends mid-measure.
+//
+// a and b batch into one scratch, the simulation's: b's refresh, right after
+// a's, must reuse what a's left grown, not grow it again.
 func TestJoinPruneRefreshZeroAlloc(t *testing.T) {
 	net, ra, rb, _, _, _ := sparseLine(t, 4)
+	if ra.s != rb.s {
+		t.Fatal("two routers of one simulation hold different scratch")
+	}
 	warmZeroAlloc(t, "warm join/prune refresh cycle", func() {
 		ra.periodicRefresh()
 		rb.periodicRefresh()
 		net.Sched.RunUntil(net.Sched.Now() + 10*netsim.Millisecond)
 	})
+}
+
+// TestSimulationScratchFootprint pins who owns the per-call scratch
+// (DESIGN.md §13): every router of one simulation shares its network's, a
+// restart keeps it, a second simulation gets a fresh one, and a finished
+// simulation — scratch included — is garbage once nothing refers to it. A
+// scratch per router costs each of sparse-churn's 1 024 routers its own
+// high-water buffers; one at package level, or kept in a map keyed by
+// simulation, outlives the simulation, and the last check fails.
+func TestSimulationScratchFootprint(t *testing.T) {
+	collected := new(atomic.Bool)
+	func() {
+		net, ra, rb, rc, _, _ := sparseLine(t, 2)
+		if ra.s != rb.s || rb.s != rc.s || ra.s != netsim.Scratch[scratch](net) {
+			t.Fatal("the routers of one simulation hold different scratch")
+		}
+		first := ra.s
+		ra.Restart()
+		net.Sched.RunUntil(net.Sched.Now() + 2*netsim.Second)
+		if ra.s != first {
+			t.Fatal("a restarted router took a new scratch")
+		}
+		_, sa, _, _, _, _ := sparseLine(t, 1)
+		if sa.s == first {
+			t.Fatal("a second simulation shares the first one's scratch")
+		}
+		runtime.AddCleanup(net, func(done *atomic.Bool) { done.Store(true) }, collected)
+	}()
+	for i := 0; i < 50 && !collected.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !collected.Load() {
+		t.Fatal("a finished simulation's network was never collected: something outside it keeps it alive")
+	}
 }
 
 // TestLocalRejoinZeroAlloc pins a member re-joining a group whose (*,G)

@@ -70,12 +70,12 @@ func (r *Router) senderSide(in *netsim.Iface, s, g addr.IP, pkt *packet.Packet) 
 			continue
 		}
 		var err error
-		r.regInner, err = pkt.MarshalTo(r.regInner[:0])
+		r.s.regInner, err = pkt.MarshalTo(r.s.regInner[:0])
 		if err != nil {
 			continue
 		}
 		r.Enc.Buf = pimmsg.AppendEnvelope(r.Enc.Buf[:0], pimmsg.TypeRegister)
-		r.Enc.Buf = (&pimmsg.Register{Inner: r.regInner}).MarshalTo(r.Enc.Buf)
+		r.Enc.Buf = (&pimmsg.Register{Inner: r.s.regInner}).MarshalTo(r.Enc.Buf)
 		nextHop := rt.NextHop
 		if nextHop == 0 {
 			nextHop = rp

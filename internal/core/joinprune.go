@@ -125,7 +125,7 @@ func upstreamTarget(e *mfib.Entry) addr.IP {
 
 // jpRecord collects one group's joins and prunes for one destination during
 // a periodic refresh; jpDest is one (interface, upstream neighbor) batch.
-// Both live in reusable per-router scratch: the slices are truncated, never
+// Both live in the simulation's scratch: the slices are truncated, never
 // reallocated, between refreshes, so the steady-state batching path is
 // allocation-free (pinned by TestJoinPruneRefreshZeroAlloc).
 type jpRecord struct {
@@ -148,17 +148,18 @@ func (r *Router) periodicRefresh() {
 	// consumed in delivery order. Destinations are emitted in the order the
 	// (MFIB-sorted) walk first produced them, and a destination's groups
 	// arrive already sorted because the walk is group-ordered.
+	s := r.s
 	nb := 0
 	grab := func(ifc *netsim.Iface, up addr.IP) *jpDest {
 		for i := 0; i < nb; i++ {
-			if d := &r.jpBatch[i]; d.iface == ifc && d.upstream == up {
+			if d := &s.jpBatch[i]; d.iface == ifc && d.upstream == up {
 				return d
 			}
 		}
-		if nb == len(r.jpBatch) {
-			r.jpBatch = append(r.jpBatch, jpDest{})
+		if nb == len(s.jpBatch) {
+			s.jpBatch = append(s.jpBatch, jpDest{})
 		}
-		d := &r.jpBatch[nb]
+		d := &s.jpBatch[nb]
 		nb++
 		d.iface, d.upstream = ifc, up
 		d.recs = d.recs[:0]
@@ -202,15 +203,15 @@ func (r *Router) periodicRefresh() {
 		if e.Wildcard {
 			// §3.3 fn. 13: negative caches upstream are kept alive by
 			// periodic prunes traveling with the shared-tree refresh.
-			for _, s := range r.rptPrunesToRefresh(g, e) {
-				add(e.IIF, e.UpstreamNeighbor, g, jpAddr(e, s), true)
+			for _, src := range r.rptPrunesToRefresh(g, e) {
+				add(e.IIF, e.UpstreamNeighbor, g, jpAddr(e, src), true)
 			}
 		}
 	})
 
 	for i := 0; i < nb; i++ {
-		d := &r.jpBatch[i]
-		m := &r.jpMsg
+		d := &s.jpBatch[i]
+		m := &s.jpMsg
 		m.UpstreamNeighbor = d.upstream
 		m.HoldTime = r.Cfg.holdTimeSeconds()
 		m.Groups = m.Groups[:0]
@@ -227,25 +228,25 @@ func (r *Router) periodicRefresh() {
 // with a divergent incoming interface (§3.3), and sources whose negative
 // cache covers every remaining shared-tree oif (full-branch prune
 // propagation).
-// The result lives in per-router scratch reused across refreshes; callers
-// consume it before the next call.
+// The result lives in the simulation's scratch, reused across refreshes;
+// callers consume it before the next call.
 func (r *Router) rptPrunesToRefresh(g addr.IP, wc *mfib.Entry) []addr.IP {
-	now := r.Now()
-	r.rptScratch = r.rptScratch[:0]
+	now, s := r.Now(), r.s
+	s.rptPrunes = s.rptPrunes[:0]
 	r.MFIB.ForGroup(g, func(e *mfib.Entry) {
 		switch {
 		case e.Wildcard:
 		case e.Key.RPBit:
-			if r.rptCoversSharedOifs(e, wc) && !containsIP(r.rptScratch, e.Key.Source) {
-				r.rptScratch = append(r.rptScratch, e.Key.Source)
+			if r.rptCoversSharedOifs(e, wc) && !containsIP(s.rptPrunes, e.Key.Source) {
+				s.rptPrunes = append(s.rptPrunes, e.Key.Source)
 			}
 		default:
-			if e.SPTBit && e.IIF != wc.IIF && !e.OIFEmpty(now) && !containsIP(r.rptScratch, e.Key.Source) {
-				r.rptScratch = append(r.rptScratch, e.Key.Source)
+			if e.SPTBit && e.IIF != wc.IIF && !e.OIFEmpty(now) && !containsIP(s.rptPrunes, e.Key.Source) {
+				s.rptPrunes = append(s.rptPrunes, e.Key.Source)
 			}
 		}
 	})
-	return r.rptScratch
+	return s.rptPrunes
 }
 
 // containsIP is the linear dedup over the handful of sources a group
@@ -316,9 +317,9 @@ func (r *Router) maintain() {
 // --- Receiving (§3.2, §3.6, §3.7) ---
 
 func (r *Router) handleJoinPrune(in *netsim.Iface, body []byte) {
-	// Decode into the router's scratch: the record slices are recycled
+	// Decode into the simulation's scratch: the record slices are recycled
 	// between messages, and nothing below retains them past this call.
-	m := &r.jpDec
+	m := &r.s.jpDec
 	if err := pimmsg.UnmarshalJoinPruneInto(m, body); err != nil {
 		return
 	}

@@ -42,6 +42,23 @@ type Router struct {
 	rpReportSeqs map[addr.IP]uint32
 	learnedRP    map[addr.IP]learnedMapping
 
+	// s is the per-call scratch this router shares with every PIM-SM
+	// router of its simulation.
+	s *scratch
+
+	// onChangeHooked: Unicast.OnChange registration is append-only, so the
+	// callback is installed once and gated on started instead of being
+	// re-registered per Start.
+	onChangeHooked bool
+}
+
+// scratch is the working memory of one handler call or timer body, one per
+// simulation (netsim.Scratch, DESIGN.md §13): a simulation runs on one
+// goroutine and no core handler runs inside another router's, so 1 024
+// routers need one set of buffers, not 1 024 sets each at its own
+// high-water mark. Reused across calls, so the steady-state paths allocate
+// nothing.
+type scratch struct {
 	// regInner is the second buffer the register path needs for the
 	// encapsulated inner datagram (it is alive while Enc.Buf is being built
 	// around it).
@@ -49,18 +66,12 @@ type Router struct {
 	// jpDec is the join/prune decode scratch; valid only within one
 	// handleJoinPrune call (the record slices are recycled across calls).
 	jpDec pimmsg.JoinPrune
-	// jpBatch/jpMsg/rptScratch are the periodic-refresh batching scratches
+	// jpBatch/jpMsg/rptPrunes are the periodic-refresh batching scratch
 	// (joinprune.go): destination batches, the outgoing message shell, and
-	// the per-group rpt-prune source list. All reused across refreshes so
-	// the steady-state batching path allocates nothing.
-	jpBatch    []jpDest
-	jpMsg      pimmsg.JoinPrune
-	rptScratch []addr.IP
-
-	// onChangeHooked: Unicast.OnChange registration is append-only, so the
-	// callback is installed once and gated on started instead of being
-	// re-registered per Start.
-	onChangeHooked bool
+	// the per-group rpt-prune source list.
+	jpBatch   []jpDest
+	jpMsg     pimmsg.JoinPrune
+	rptPrunes []addr.IP
 }
 
 // learnedMapping is a cached group→RP mapping from an RP-report.
@@ -77,7 +88,7 @@ type sptCounter struct {
 // New constructs a PIM-SM router bound to a node and a unicast routing view.
 func New(nd *netsim.Node, cfg Config, uni unicast.Router) *Router {
 	cfg.fillDefaults()
-	r := &Router{Chassis: engine.NewChassis(nd, uni, cfg.Telemetry), Cfg: cfg}
+	r := &Router{Chassis: engine.NewChassis(nd, uni, cfg.Telemetry), Cfg: cfg, s: netsim.Scratch[scratch](nd.Net)}
 	r.reset()
 	r.Handle(packet.ProtoPIM, r.handlePIM)
 	r.Handle(packet.ProtoPIMData, r.handlePIM)
@@ -126,7 +137,7 @@ func (r *Router) reset() {
 	for _, t := range r.rpTimer {
 		t.Stop()
 	}
-	r.MFIB = mfib.NewTable()
+	r.MFIB = r.NewMFIB()
 	r.rpMap = map[addr.IP][]addr.IP{}
 	r.currentRP = map[addr.IP]addr.IP{}
 	r.rpTimer = map[addr.IP]*netsim.Timer{}

@@ -12,6 +12,7 @@ package engine
 import (
 	"pim/internal/addr"
 	"pim/internal/metrics"
+	"pim/internal/mfib"
 	"pim/internal/netsim"
 	"pim/internal/packet"
 	"pim/internal/rpf"
@@ -122,6 +123,12 @@ func (c *Chassis) Started() bool { return c.started }
 // Counters returns the engine's counter bag (the Metrics field), for callers
 // that hold the engine behind an interface.
 func (c *Chassis) Counters() *metrics.Counters { return c.Metrics }
+
+// NewMFIB returns an empty forwarding table whose walks snapshot into the
+// simulation's one stack (mfib.Walks, DESIGN.md §16).
+func (c *Chassis) NewMFIB() *mfib.Table {
+	return mfib.NewTable(netsim.Scratch[mfib.Walks](c.Node.Net))
+}
 
 // Now is the node's simulated clock.
 func (c *Chassis) Now() netsim.Time { return c.Node.Sched().Now() }

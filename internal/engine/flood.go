@@ -120,7 +120,7 @@ func (f *Flood) Reset() {
 	for _, t := range f.grafts {
 		t.Stop()
 	}
-	f.MFIB = mfib.NewTable()
+	f.MFIB = f.NewMFIB()
 	f.Nbrs.Reset()
 	f.Local.Reset()
 	f.grafts = map[mfib.Key]*netsim.Timer{}

@@ -27,7 +27,7 @@ func testIfaces(n int) []*netsim.Iface {
 }
 
 func TestKeyKinds(t *testing.T) {
-	tb := NewTable()
+	tb := NewTable(new(Walks))
 	g := addr.GroupForIndex(0)
 	s := addr.V4(10, 100, 1, 1)
 	wc, created := tb.Upsert(Key{Group: g, RPBit: true}, 0)
@@ -51,7 +51,7 @@ func TestKeyKinds(t *testing.T) {
 }
 
 func TestUpsertIdempotent(t *testing.T) {
-	tb := NewTable()
+	tb := NewTable(new(Walks))
 	k := Key{Group: addr.GroupForIndex(0), RPBit: true}
 	e1, c1 := tb.Upsert(k, 5)
 	life := e1.Life()
@@ -144,7 +144,7 @@ func TestJoinClearsPendingPrune(t *testing.T) {
 
 func TestSweepExpiredOIFsAndDeadEntries(t *testing.T) {
 	ifs := testIfaces(2)
-	tb := NewTable()
+	tb := NewTable(new(Walks))
 	g := addr.GroupForIndex(0)
 	e, _ := tb.Upsert(Key{Group: g, RPBit: true}, 0)
 	e.AddOIF(ifs[0], 100)
@@ -176,7 +176,7 @@ func TestSweepExpiredOIFsAndDeadEntries(t *testing.T) {
 // downstream, must not cancel it behind the engine's back.
 func TestAddOIFLeavesDeleteAt(t *testing.T) {
 	ifs := testIfaces(2)
-	tb := NewTable()
+	tb := NewTable(new(Walks))
 	e, _ := tb.Upsert(Key{Group: addr.GroupForIndex(0), RPBit: true}, 0)
 	e.DeleteAt = 100
 	e.AddOIF(ifs[0], 200)
@@ -187,7 +187,7 @@ func TestAddOIFLeavesDeleteAt(t *testing.T) {
 }
 
 func TestForGroupDeterministicOrder(t *testing.T) {
-	tb := NewTable()
+	tb := NewTable(new(Walks))
 	g := addr.GroupForIndex(0)
 	tb.Upsert(Key{Source: addr.V4(10, 0, 0, 2), Group: g}, 0)
 	tb.Upsert(Key{Group: g, RPBit: true}, 0)

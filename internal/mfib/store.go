@@ -172,8 +172,8 @@ func compareKeys(a, b Key) int {
 	return boolToInt(a.RPBit) - boolToInt(b.RPBit)
 }
 
-// Table stores a router's multicast forwarding entries. The zero value is
-// an empty table.
+// Table stores a router's multicast forwarding entries. Make one with
+// NewTable.
 type Table struct {
 	slabs [][]Entry
 	used  int      // slots ever allocated
@@ -186,15 +186,24 @@ type Table struct {
 	// delete/re-create of one key is detectable.
 	lifeSeq uint64
 
-	// walks is the per-depth key-snapshot scratch for the deterministic
-	// walks; walks nest (a ForGroup inside a ForEach), so each depth keeps
-	// its own reusable buffer.
-	walks [][]Key
+	// walks is the key-snapshot stack the deterministic walks copy into,
+	// shared by every table of one simulation.
+	walks *Walks
+}
+
+// Walks is the key-snapshot stack of the deterministic walks: walks nest (a
+// ForGroup inside a ForEach, or a walk of one table inside a walk of
+// another), so each depth keeps its own reusable buffer. Walks run to
+// completion on one goroutine, so one stack serves every table of a
+// simulation (DESIGN.md §16); it holds only the deepest, largest snapshots
+// any of them took, not each table's own.
+type Walks struct {
+	bufs  [][]Key
 	depth int
 }
 
-// NewTable returns an empty table.
-func NewTable() *Table { return &Table{} }
+// NewTable returns an empty table whose walks snapshot into w.
+func NewTable(w *Walks) *Table { return &Table{walks: w} }
 
 func (t *Table) entryAt(slot int) *Entry {
 	return &t.slabs[slot>>slabShift][slot&slabMask]
@@ -313,19 +322,20 @@ func (t *Table) ForEach(fn func(*Entry)) { t.walk(0, len(t.order), fn) }
 // present, so fn may insert or delete entries mid-walk: entries deleted
 // after the snapshot are skipped, entries created after it are not visited.
 func (t *Table) walk(lo, hi int, fn func(*Entry)) {
-	d := t.depth
-	t.depth++
-	if d >= len(t.walks) {
-		t.walks = append(t.walks, nil)
+	w := t.walks
+	d := w.depth
+	w.depth++
+	if d >= len(w.bufs) {
+		w.bufs = append(w.bufs, nil)
 	}
-	keys := append(t.walks[d][:0], t.order[lo:hi]...)
-	t.walks[d] = keys
+	keys := append(w.bufs[d][:0], t.order[lo:hi]...)
+	w.bufs[d] = keys
 	for _, k := range keys {
 		if e := t.Get(k); e != nil {
 			fn(e)
 		}
 	}
-	t.depth--
+	w.depth--
 }
 
 // Sweep removes entries whose DeleteAt deadline has passed and prunes

@@ -109,6 +109,32 @@ type store interface {
 	ForEach(func(*Entry))
 }
 
+// walkStore is what walkNested drives on either side of the lockstep.
+type walkStore interface {
+	ForGroup(addr.IP, func(*Entry))
+	Delete(Key)
+	Upsert(Key, netsim.Time) (*Entry, bool)
+}
+
+// walkNested walks a's group g, deleting del and creating ins in a at each
+// visit; each visit nests a walk of b's group g2 that deletes del2 and
+// creates ins2 in b, and each of those visits nests a read-only walk of a's
+// group g. It returns the keys of every visit of the three walks in order.
+func walkNested(a, b walkStore, g, g2 addr.IP, del, ins, del2, ins2 Key, now netsim.Time) (seq []Key) {
+	a.ForGroup(g, func(e *Entry) {
+		seq = append(seq, e.Key)
+		a.Delete(del)
+		a.Upsert(ins, now)
+		b.ForGroup(g2, func(e *Entry) {
+			seq = append(seq, e.Key)
+			b.Delete(del2)
+			b.Upsert(ins2, now)
+			a.ForGroup(g, func(e *Entry) { seq = append(seq, e.Key) })
+		})
+	})
+	return seq
+}
+
 func dumpTable(t store) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "len=%d\n", t.Len())
@@ -125,12 +151,24 @@ func dumpTable(t store) string {
 // insert/delete-during-walk visibility, same Sweep results, same Life()
 // stamps, same full-table dumps. This is the differential oracle for the
 // arena/index/order machinery of DESIGN.md §16.
+//
+// A second table shares the first one's walk stack, as every table of one
+// simulation does, and keeps its own model and its own mutation stream
+// (drawn from rng2, so the first table's sequence is the one-table test's).
+// Each walk of the first table nests a mutating walk of the second, which
+// nests a read-only walk of the first: a stack that mixed up two tables'
+// snapshots at one depth, or restored its depth wrongly, changes a visit
+// sequence or a dump.
 func TestFlatMapStoreLockstep(t *testing.T) {
 	const ops = 60000
 	rng := rand.New(rand.NewSource(7))
 	ifs := testIfaces(7) // wider than inlineOIFCap to exercise the spill path
-	flat := NewTable()
+	walks := new(Walks)
+	flat := NewTable(walks)
 	ref := &mapModel{m: map[Key]*Entry{}}
+	flat2 := NewTable(walks)
+	ref2 := &mapModel{m: map[Key]*Entry{}}
+	rng2 := rand.New(rand.NewSource(13))
 
 	groups := make([]addr.IP, 5)
 	for i := range groups {
@@ -138,9 +176,22 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 	}
 	sources := []addr.IP{0, addr.V4(10, 1, 0, 1), addr.V4(10, 2, 0, 1), addr.V4(10, 3, 0, 1)}
 
-	randKey := func() Key {
+	keyFrom := func(rng *rand.Rand) Key {
 		s := sources[rng.Intn(len(sources))]
 		return Key{Source: s, Group: groups[rng.Intn(len(groups))], RPBit: s == 0 || rng.Intn(2) == 0}
+	}
+	randKey := func() Key { return keyFrom(rng) }
+
+	// step2 upserts or deletes one key of the second table and its model.
+	step2 := func(now netsim.Time) {
+		k := keyFrom(rng2)
+		if rng2.Intn(3) == 0 {
+			flat2.Delete(k)
+			ref2.Delete(k)
+			return
+		}
+		flat2.Upsert(k, now)
+		ref2.Upsert(k, now)
 	}
 
 	// Miss-heavy probes, forwardData's three lookups per packet over a
@@ -244,20 +295,12 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 					t.Fatalf("op %d: Sweep[%d] key %v vs %v", i, j, fr[j].Key, rr[j].Key)
 				}
 			}
-		case op < 18: // walk with mid-walk mutation
+		case op < 18: // walk with mid-walk mutation, nesting the second table's
 			g := groups[rng.Intn(len(groups))]
-			var fseq, rseq []Key
 			del, ins := randKey(), randKey()
-			flat.ForGroup(g, func(e *Entry) {
-				fseq = append(fseq, e.Key)
-				flat.Delete(del)
-				flat.Upsert(ins, now)
-			})
-			ref.ForGroup(g, func(e *Entry) {
-				rseq = append(rseq, e.Key)
-				ref.Delete(del)
-				ref.Upsert(ins, now)
-			})
+			g2, del2, ins2 := groups[rng2.Intn(len(groups))], keyFrom(rng2), keyFrom(rng2)
+			fseq := walkNested(flat, flat2, g, g2, del, ins, del2, ins2, now)
+			rseq := walkNested(ref, ref2, g, g2, del, ins, del2, ins2, now)
 			if len(fseq) != len(rseq) {
 				t.Fatalf("op %d: ForGroup visited %d vs %d", i, len(fseq), len(rseq))
 			}
@@ -287,8 +330,9 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 				}
 			}
 		}
-		if flat.Len() != ref.Len() {
-			t.Fatalf("op %d: Len %d vs %d", i, flat.Len(), ref.Len())
+		step2(now)
+		if flat.Len() != ref.Len() || flat2.Len() != ref2.Len() {
+			t.Fatalf("op %d: Len %d vs %d, second table %d vs %d", i, flat.Len(), ref.Len(), flat2.Len(), ref2.Len())
 		}
 		// Handle self-consistency on the arena side.
 		if fe2 := flat.Get(k); fe2 != nil {
@@ -303,10 +347,19 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 			if fd, rd := dumpTable(flat), dumpTable(ref); fd != rd {
 				t.Fatalf("op %d: full dumps diverge\nflat:\n%s\nref:\n%s", i, fd, rd)
 			}
+			if fd, rd := dumpTable(flat2), dumpTable(ref2); fd != rd {
+				t.Fatalf("op %d: second table's dumps diverge\nflat:\n%s\nref:\n%s", i, fd, rd)
+			}
 		}
 	}
 	if fd, rd := dumpTable(flat), dumpTable(ref); fd != rd {
 		t.Fatalf("final dumps diverge\nflat:\n%s\nref:\n%s", fd, rd)
+	}
+	if fd, rd := dumpTable(flat2), dumpTable(ref2); fd != rd {
+		t.Fatalf("second table's final dumps diverge\nflat:\n%s\nref:\n%s", fd, rd)
+	}
+	if walks.depth != 0 {
+		t.Fatalf("walk stack left at depth %d", walks.depth)
 	}
 
 	// Grow the index through several doublings and shrink it back with
@@ -353,7 +406,7 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 // entries (here the (S,G,rpt) twin of a present (S,G)), on the arena index
 // and on the map model.
 func BenchmarkGetMissFlat(b *testing.B) {
-	tb := NewTable()
+	tb := NewTable(new(Walks))
 	benchMiss(b, func(k Key) { tb.Upsert(k, 0) }, func(k Key) bool { return tb.Get(k) != nil })
 }
 
@@ -383,7 +436,7 @@ func benchMiss(b *testing.B, put func(Key), get func(Key) bool) {
 // and re-creating a key must yield a fresh Life() and an empty oif list.
 func TestFlatStoreRecycleIdentity(t *testing.T) {
 	k := Key{Group: addr.GroupForIndex(0), RPBit: true}
-	tb := NewTable()
+	tb := NewTable(new(Walks))
 	e1, _ := tb.Upsert(k, 0)
 	l1 := e1.Life()
 	tb.Delete(k)
@@ -402,7 +455,7 @@ func TestFlatStoreRecycleIdentity(t *testing.T) {
 // TestFlatStoreSpill exercises the inline→spill transition both ways.
 func TestFlatStoreSpill(t *testing.T) {
 	ifs := testIfaces(inlineOIFCap + 3)
-	tb := NewTable()
+	tb := NewTable(new(Walks))
 	e, _ := tb.Upsert(Key{Group: addr.GroupForIndex(0), RPBit: true}, 0)
 	for i, ifc := range ifs {
 		e.AddOIF(ifc, netsim.Time(100+i))

@@ -158,7 +158,7 @@ func (r *Router) Start() {
 func (r *Router) Stop() { r.Chassis.Stop(0, r.reset) }
 
 func (r *Router) reset() {
-	r.MFIB, r.gen = mfib.NewTable(), r.Unicast.Gen()
+	r.MFIB, r.gen = r.NewMFIB(), r.Unicast.Gen()
 	r.membership = map[uint32][]addr.IP{}
 	r.seqs = map[uint32]uint32{}
 	r.local.Reset()
@@ -238,7 +238,7 @@ func (r *Router) flush() {
 			r.Pub(telemetry.EntryExpire, -1, e.Key.Source, e.Key.Group, telemetry.EntrySG)
 		})
 	}
-	r.MFIB = mfib.NewTable()
+	r.MFIB = r.NewMFIB()
 }
 
 func (r *Router) flood(lsa *membershipLSA, except *netsim.Iface) {

@@ -125,11 +125,31 @@ type Network struct {
 	Jitter func(from *Iface, pkt *packet.Packet) Time
 
 	byAddr map[addr.IP]*Iface
+	// scratch holds one value of each type Scratch was asked for.
+	scratch []any
 }
 
 // NewNetwork creates an empty network with a fresh scheduler.
 func NewNetwork() *Network {
 	return &Network{Sched: NewScheduler(), byAddr: map[addr.IP]*Iface{}}
+}
+
+// Scratch returns the simulation's one *T, made zero on first use: the
+// per-call working memory every protocol instance of one kind shares
+// (DESIGN.md §13). A simulation runs on one goroutine and a handler call or
+// timer body runs to completion, so a buffer used only inside one call needs
+// one copy per simulation, not one per router; it lives and dies with the
+// Network, like the frame pool. Callers look it up when they build what uses
+// it and keep the pointer, not once per call.
+func Scratch[T any](n *Network) *T {
+	for _, s := range n.scratch {
+		if p, ok := s.(*T); ok {
+			return p
+		}
+	}
+	p := new(T)
+	n.scratch = append(n.scratch, p)
+	return p
 }
 
 // EventsProcessed returns the number of scheduler events executed so far.
@@ -336,7 +356,7 @@ func (nd *Node) Send(out *Iface, pkt *packet.Packet, nextHop addr.IP) {
 	if err != nil {
 		panic("netsim: marshal failed: " + err.Error())
 	}
-	f.from, f.link, f.nextHop = out, link, nextHop
+	f.from, f.nextHop = out, nextHop
 	net.Stats.Transmit(link, pkt)
 	// Jitter is drawn once per transmission (per link crossing).
 	var jit Time
@@ -380,7 +400,8 @@ func (nd *Node) Send(out *Iface, pkt *packet.Packet, nextHop addr.IP) {
 // station's delivery.
 func (n *Network) deliverFrame(f *frame, rx *rxScratch) {
 	err := packet.UnmarshalInto(&rx.hdr, f.buf)
-	from, link := f.from, f.link
+	from := f.from
+	link := from.Link
 	lan := link.IsLAN()
 	for _, to := range link.Ifaces {
 		if to == from {

@@ -48,11 +48,11 @@ func SetPoisonFrames(on bool) (prev bool) { return poisonOn.Swap(on) }
 // frame is one in-flight link crossing: the marshalled bytes plus the
 // delivery route, owned by exactly one scheduler's free list when idle and
 // by the event queue while in flight. A message flood puts tens of thousands
-// in flight at once, so it carries nothing a delivery can derive (the
-// network is link.Net) or decode (the header lives in rxScratch).
+// in flight at once, so it carries nothing a delivery can derive (the link is
+// from.Link, set once at attachment; the network is from.Node.Net) or decode
+// (the header lives in rxScratch).
 type frame struct {
 	from    *Iface
-	link    *Link
 	nextHop addr.IP
 	buf     []byte
 	// next links the scheduler free list.

@@ -407,7 +407,7 @@ func (s *Scheduler) fire(ev event) {
 		f := (*frame)(ev.p)
 		// Pooled frame delivery: fan out synchronously, then the frame —
 		// and everything borrowed from it — is dead and recycled.
-		f.link.Net.deliverFrame(f, &s.rx)
+		f.from.Node.Net.deliverFrame(f, &s.rx)
 		if poisonOn.Load() {
 			s.rx = rxScratch{}
 		}

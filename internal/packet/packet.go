@@ -154,15 +154,14 @@ func UnmarshalInto(p *Packet, b []byte) error {
 // TTL is exhausted and the packet must be dropped.
 //
 // The copy is a heap allocation per forwarded packet, the last one left on
-// the data path, and it stays for now. Removing it alone took the repository
-// benchmark's dense-data window from 165 289 to 11 233 allocations, where
-// the relative rebuild-agreement check (0.01 %) allows one: the check then
-// failed 14 of 150 runs on a 2-vCPU host, each on a single rebuild's five
-// extra runtime allocations. So the check needs an absolute floor first
-// (ROADMAP.md item 12). The fix must copy into scratch the forwarding
-// chassis owns, never decrement p.TTL in place: border.handleData hands one
-// *Packet to its dense and then its sparse instance, and the second must
-// see the TTL that arrived.
+// the data path, and it stays for now. Removing it takes the repository
+// benchmark's dense windows so close to zero allocations that pimperf's
+// relative rebuild-agreement check (0.01 %) fails on a single rebuild's
+// extra runtime allocations, so the check needs an absolute floor first;
+// ROADMAP.md item 12 holds the measured figures. The fix must copy into
+// scratch the forwarding chassis owns, never decrement p.TTL in place:
+// border.handleData hands one *Packet to its dense and then its sparse
+// instance, and the second must see the TTL that arrived.
 func (p *Packet) Forwarded() (*Packet, bool) {
 	if p.TTL <= 1 {
 		return nil, false
