@@ -96,15 +96,7 @@ func (r *Router) forwardData(in *netsim.Iface, pkt *packet.Packet) {
 		iifMatch := in == sg.IIF || (sg.IIF == nil && r.sourceIsLocal(in, pkt.Src))
 		if iifMatch {
 			if !sg.SPTBit {
-				// §3.5 exception 2: first packet arriving on the SPT
-				// interface completes the transition...
-				sg.SPTBit = true
-				r.Pub(telemetry.SPTSwitch, -1, s, g, 1)
-				// ...and §3.3: prune the source off the shared tree if the
-				// two trees diverge here.
-				if wc != nil && sg.IIF != wc.IIF {
-					r.upstream(wc, upEvent{kind: evSPTPrune, src: s})
-				}
+				r.upstream(sg, upEvent{kind: evSPTData})
 			}
 			r.emit(pkt, in, r.unionOIFs(sg, wc, s, in), false)
 			return
@@ -241,7 +233,6 @@ func (r *Router) initiateSPTSwitch(s, g addr.IP, wc *mfib.Entry) {
 	}
 	sg.RP = wc.RP
 	sg.IIF, sg.UpstreamNeighbor = iif, up
-	sg.SPTBit = false
 	r.Pub(telemetry.IIFSet, iif.Index, s, g, entryKind(sg.Key))
 	r.Pub(telemetry.SPTSwitch, -1, s, g, 0)
 	// "All local shared tree branches are replicated in the new shortest

@@ -58,7 +58,6 @@ func (r *Router) rpAcceptSource(s, g addr.IP, via *netsim.Iface) {
 	}
 	if via != nil {
 		sg.IIF, sg.UpstreamNeighbor = via, 0
-		sg.SPTBit = true
 	} else {
 		r.setUpstream(sg, s)
 	}
