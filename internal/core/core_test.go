@@ -457,16 +457,15 @@ func TestUnicastRouteChange(t *testing.T) {
 	}
 }
 
-// TestRPRejoinsSourceOnRouteChange is §3.8 at the RP: an RP's (S,G) that
-// forwards only through the inherited (*,G) list has no oif of its own,
-// yet when unicast moves its route toward the source it must join out the
-// new interface at once, not at its next periodic refresh.
-// TestUnicastRouteChange covers the (*,G) side.
-func TestRPRejoinsSourceOnRouteChange(t *testing.T) {
-	// recv — r0 — r1=RP — r2 — r3 — send, with the detour r1 — r4 — r3.
+// rerouteAtRP is recv — r0 — r1=RP — r2 — r3 — send, with the detour
+// r1 — r4 — r3, shared tree only, after three packets: the RP's (S,G) has
+// no oif of its own and serves the receiver through (*,G). Cutting edge 1
+// (r1 — r2) moves the RP's route toward the source onto the detour.
+func rerouteAtRP(t *testing.T) (*scenario.Sim, *core.Router, *igmp.Host, addr.IP, addr.IP) {
+	t.Helper()
 	g := topology.New(5)
 	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1) // edge 1: cut below
+	g.AddEdge(1, 2, 1)
 	g.AddEdge(2, 3, 1)
 	g.AddEdge(1, 4, 2)
 	g.AddEdge(4, 3, 2)
@@ -487,10 +486,20 @@ func TestRPRejoinsSourceOnRouteChange(t *testing.T) {
 		sim.Run(500 * netsim.Millisecond)
 	}
 	src, rp := sender.Iface.Addr, dep.Routers[1]
-	sg := rp.MFIB.SG(src, group)
-	if sg == nil || !sg.OIFEmpty(sim.Net.Sched.Now()) || receiver.Received[group] == 0 {
+	if sg := rp.MFIB.SG(src, group); sg == nil || !sg.OIFEmpty(sim.Net.Sched.Now()) || receiver.Received[group] == 0 {
 		t.Fatalf("RP's (S,G) = %v, want one with no oif of its own serving the receiver", sg)
 	}
+	return sim, rp, receiver, src, group
+}
+
+// TestRPRejoinsSourceOnRouteChange is §3.8 at the RP: an RP's (S,G) that
+// forwards only through the inherited (*,G) list has no oif of its own,
+// yet when unicast moves its route toward the source it must join out the
+// new interface at once, not at its next periodic refresh.
+// TestUnicastRouteChange covers the (*,G) side.
+func TestRPRejoinsSourceOnRouteChange(t *testing.T) {
+	sim, rp, _, src, group := rerouteAtRP(t)
+	sg := rp.MFIB.SG(src, group)
 
 	var joinedOn *netsim.Iface
 	sim.Net.Trace = func(ev netsim.TraceEvent) {
@@ -517,6 +526,36 @@ func TestRPRejoinsSourceOnRouteChange(t *testing.T) {
 	}
 	if joinedOn != sg.IIF {
 		t.Fatalf("no (S,G) join out the new RPF interface %v within 10 ms of the route change", sg.IIF)
+	}
+}
+
+// TestRPForwardsRegistersAfterRouteChange: native data set the RP's SPT
+// bit, so it dropped Registers as redundant. Once unicast moves its route
+// toward the source, no native data arrives on the new iif yet, so the
+// bit clears and the next Register goes down the shared tree (§3.8).
+func TestRPForwardsRegistersAfterRouteChange(t *testing.T) {
+	sim, rp, receiver, src, group := rerouteAtRP(t)
+	if sg := rp.MFIB.SG(src, group); !sg.SPTBit {
+		t.Fatalf("RP's (S,G) = %v, want the SPT bit set by native data", sg)
+	}
+	sim.Net.SetLinkUp(sim.EdgeLinks[1], false)
+	sim.Run(10 * netsim.Millisecond)
+
+	// The source's DR r3 registers one packet; r4 relays it to the RP.
+	inner, err := packet.New(src, group, packet.ProtoUDP, make([]byte, 8)).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := pimmsg.Envelope(pimmsg.TypeRegister, (&pimmsg.Register{Inner: inner}).Marshal())
+	toRP, atRP := sim.EdgeLinks[3].Ifaces[1], sim.EdgeLinks[3].Ifaces[0]
+	if toRP.Node != sim.Routers[4] {
+		toRP, atRP = atRP, toRP
+	}
+	before := receiver.Received[group]
+	toRP.Node.Send(toRP, packet.New(sim.RouterAddr(3), sim.RouterAddr(1), packet.ProtoPIMData, body), atRP.Addr)
+	sim.Run(10 * netsim.Millisecond)
+	if got := receiver.Received[group] - before; got != 1 {
+		t.Errorf("receiver got %d copies of the registered packet, want 1", got)
 	}
 }
 

@@ -82,7 +82,8 @@ type Entry struct {
 	// Wildcard is the WC bit: set for (*,G).
 	Wildcard bool
 	// SPTBit records a completed shared-tree→SPT transition (§3.3); only
-	// meaningful on (S,G) entries without the RP bit.
+	// meaningful on (S,G) entries without the RP bit. Its one writer in
+	// PIM-SM is core's Router.upstream (DESIGN.md §21).
 	SPTBit bool
 	// dead marks a freed arena slot awaiting recycling.
 	dead bool
