@@ -64,11 +64,12 @@ update-goldens:
 # AllocsPerRun counts — control refresh at 0, one data packet through one
 # forwarding router of each engine at exactly the Forwarded header copy (§20)
 # — the per-router footprint pins (one shared RP table per deployment, a
-# node's nine-slot demux, a 32-byte MFIB oif, a 120-byte MFIB entry in a
-# 1 024-byte slab, a 48-byte in-flight frame, one per-call scratch per
-# simulation, collected with it; §7, §8, §13, §16), a
+# node's nine-slot demux, a 32-byte MFIB oif, a 104-byte MFIB entry in a
+# 13-page arena slab, a 24-byte RPF cache cell, a 48-byte in-flight frame,
+# one per-call scratch and one entry arena per
+# simulation, each collected with it; §7, §8, §13, §16), a
 # warm unicast solve at exactly its parent array (§18), and the
-# arena-vs-map-model lockstep over two tables sharing one walk stack (§16),
+# arena-vs-map-model lockstep over two tables sharing one arena (§16),
 # holds the lazy unicast oracle to its eager reference under the race
 # detector (§18),
 # prices one query interval of the §4 member-existence exchange with and
@@ -81,7 +82,7 @@ bench-smoke:
 	$(GO) run ./cmd/pimbench run all -smoke
 	$(GO) run ./cmd/pimscript -check scenarios/rpfailover.pim
 	$(GO) test -run 'TestScenariosPoisonedPool' -count=1 ./internal/script/
-	$(GO) test -run 'ZeroAlloc|Footprint' -count=1 ./internal/engine/ ./internal/core/ ./internal/mfib/ ./internal/netsim/ ./internal/pimdm/ ./internal/dvmrp/ ./internal/cbt/ ./internal/mospf/ ./internal/igmp/ ./internal/scenario/ ./internal/unicast/
+	$(GO) test -run 'ZeroAlloc|Footprint' -count=1 ./internal/engine/ ./internal/core/ ./internal/mfib/ ./internal/netsim/ ./internal/pimdm/ ./internal/dvmrp/ ./internal/cbt/ ./internal/mospf/ ./internal/igmp/ ./internal/scenario/ ./internal/unicast/ ./internal/rpf/
 	$(GO) test -run 'TestFlatMapStoreLockstep' -count=1 ./internal/mfib/
 	$(GO) test -race -count=1 -run 'TestOracle' ./internal/unicast/
 	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/script/ ./internal/netsim/... ./internal/parallel/... ./internal/faultsearch/ ./internal/faults/ ./internal/mfib/

@@ -89,6 +89,7 @@ type sptCounter struct {
 func New(nd *netsim.Node, cfg Config, uni unicast.Router) *Router {
 	cfg.fillDefaults()
 	r := &Router{Chassis: engine.NewChassis(nd, uni, cfg.Telemetry), Cfg: cfg, s: netsim.Scratch[scratch](nd.Net)}
+	r.MFIB = r.NewMFIB()
 	r.reset()
 	r.Handle(packet.ProtoPIM, r.handlePIM)
 	r.Handle(packet.ProtoPIMData, r.handlePIM)
@@ -137,7 +138,7 @@ func (r *Router) reset() {
 	for _, t := range r.rpTimer {
 		t.Stop()
 	}
-	r.MFIB = r.NewMFIB()
+	r.MFIB.Clear()
 	r.rpMap = map[addr.IP][]addr.IP{}
 	r.currentRP = map[addr.IP]addr.IP{}
 	r.rpTimer = map[addr.IP]*netsim.Timer{}

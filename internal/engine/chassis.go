@@ -124,10 +124,11 @@ func (c *Chassis) Started() bool { return c.started }
 // that hold the engine behind an interface.
 func (c *Chassis) Counters() *metrics.Counters { return c.Metrics }
 
-// NewMFIB returns an empty forwarding table whose walks snapshot into the
-// simulation's one stack (mfib.Walks, DESIGN.md §16).
+// NewMFIB returns an empty forwarding table whose entries live in the
+// simulation's one arena (mfib.Arena, DESIGN.md §16). An engine takes one
+// table for its lifetime and empties it with Table.Clear.
 func (c *Chassis) NewMFIB() *mfib.Table {
-	return mfib.NewTable(netsim.Scratch[mfib.Walks](c.Node.Net))
+	return mfib.NewTable(netsim.Scratch[mfib.Arena](c.Node.Net))
 }
 
 // Now is the node's simulated clock.

@@ -88,6 +88,7 @@ const nonRPFHold = 1<<16 - 1
 // retransmission interval (doubling, capped at 8×).
 func NewFlood(c Chassis, codec Codec, pruneHold, graftRetry netsim.Time) Flood {
 	f := Flood{Chassis: c, codec: codec, pruneHold: pruneHold, graftRetry: graftRetry}
+	f.MFIB = f.NewMFIB()
 	f.Reset()
 	return f
 }
@@ -120,7 +121,7 @@ func (f *Flood) Reset() {
 	for _, t := range f.grafts {
 		t.Stop()
 	}
-	f.MFIB = f.NewMFIB()
+	f.MFIB.Clear()
 	f.Nbrs.Reset()
 	f.Local.Reset()
 	f.grafts = map[mfib.Key]*netsim.Timer{}

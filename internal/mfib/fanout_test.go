@@ -73,7 +73,7 @@ func TestFanoutMatchesReferenceSets(t *testing.T) {
 	prefix := testIfaces(1)[0]
 	scratch := make([]*netsim.Iface, 0, 2)
 	for trial := 0; trial < 30; trial++ {
-		tb := NewTable(new(Walks))
+		tb := NewTable(new(Arena))
 		wc, _ := tb.Upsert(Key{Group: g, RPBit: true}, 0)
 		sg, _ := tb.Upsert(Key{Source: s, Group: g}, 0)
 		sg.IIF = ifs[5]
@@ -157,7 +157,7 @@ func TestAppendFanoutCases(t *testing.T) {
 	s := addr.V4(10, 100, 1, 1)
 	type entries struct{ sg, wc, rpt *Entry }
 	build := func(setup func(e entries)) entries {
-		tb := NewTable(new(Walks))
+		tb := NewTable(new(Arena))
 		wc, _ := tb.Upsert(Key{Group: g, RPBit: true}, 0)
 		sg, _ := tb.Upsert(Key{Source: s, Group: g}, 0)
 		rpt, _ := tb.Upsert(Key{Source: s, Group: g, RPBit: true}, 0)
@@ -263,7 +263,7 @@ func TestAppendFanoutCases(t *testing.T) {
 // exactly at its deadline, with no mutation in between.
 func TestFanoutPruneLapse(t *testing.T) {
 	ifs := testIfaces(2)
-	e, _ := NewTable(new(Walks)).Upsert(Key{Source: addr.V4(10, 100, 1, 1), Group: addr.GroupForIndex(0)}, 0)
+	e, _ := NewTable(new(Arena)).Upsert(Key{Source: addr.V4(10, 100, 1, 1), Group: addr.GroupForIndex(0)}, 0)
 	e.AddOIF(ifs[0], 1<<40)
 	o := e.AddOIF(ifs[1], 1<<40)
 	o.Pruned, o.PruneDeadline = true, 100
@@ -285,7 +285,7 @@ func TestFanoutPruneLapse(t *testing.T) {
 // the entry in between.
 func TestPlanTimerInvalidation(t *testing.T) {
 	ifs := testIfaces(2)
-	e, _ := NewTable(new(Walks)).Upsert(Key{Group: addr.GroupForIndex(0), RPBit: true}, 0)
+	e, _ := NewTable(new(Arena)).Upsert(Key{Group: addr.GroupForIndex(0), RPBit: true}, 0)
 	e.AddOIF(ifs[0], 100)
 	e.AddLocalOIF(ifs[1])
 	if got := e.AppendLiveOIFs(nil, 50, nil); len(got) != 2 {
@@ -301,7 +301,7 @@ func TestPlanTimerInvalidation(t *testing.T) {
 // empty rather than serving the old subtraction.
 func TestPlanStaleNegativeCache(t *testing.T) {
 	ifs := testIfaces(2)
-	tb := NewTable(new(Walks))
+	tb := NewTable(new(Arena))
 	g := addr.GroupForIndex(0)
 	s := addr.V4(10, 100, 1, 1)
 	wc, _ := tb.Upsert(Key{Group: g, RPBit: true}, 0)
@@ -326,7 +326,7 @@ func TestPlanStaleNegativeCache(t *testing.T) {
 // TestWarmForwardAllocFree pins the per-packet fan-out's cost: appending
 // each of the three fan-outs into a warm scratch allocates nothing.
 func TestWarmForwardAllocFree(t *testing.T) {
-	wc, sg, rpt, in := benchEntries(NewTable(new(Walks)))
+	wc, sg, rpt, in := benchEntries(NewTable(new(Arena)))
 	now := netsim.Time(10)
 	var scratch []*netsim.Iface
 	run := func() {
@@ -345,7 +345,7 @@ func TestWarmForwardAllocFree(t *testing.T) {
 // and forwarding once into a warm scratch allocates nothing.
 func TestRecycledSlotZeroAlloc(t *testing.T) {
 	ifs := testIfaces(4)
-	tb := NewTable(new(Walks))
+	tb := NewTable(new(Arena))
 	k := Key{Group: addr.GroupForIndex(0), RPBit: true}
 	var scratch []*netsim.Iface
 	cycle := func() {
@@ -384,7 +384,7 @@ func benchEntries(tb *Table) (wc, sg, rpt *Entry, in *netsim.Iface) {
 // interfaces, with a two-interface negative cache, appended into a warm
 // scratch.
 func BenchmarkFanout(b *testing.B) {
-	wc, sg, rpt, in := benchEntries(NewTable(new(Walks)))
+	wc, sg, rpt, in := benchEntries(NewTable(new(Arena)))
 	scratch := AppendUnion(nil, sg, wc, rpt, 10, in)
 	b.ReportAllocs()
 	b.ResetTimer()

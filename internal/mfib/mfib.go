@@ -21,7 +21,7 @@
 //
 // Storage layout (DESIGN.md §16): the outgoing-interface list is stored
 // inline in the entry — a fixed [inlineOIFCap]OIF array covers the common
-// small fan-out, with a spill slice for wider lists. The list is kept packed
+// small fan-out, with a spill array for wider lists. The list is kept packed
 // and sorted by interface index, so iteration is deterministic without a
 // per-walk sort and the steady-state refresh walk touches contiguous
 // memory. OIF pointers returned by accessors are invalidated by any
@@ -32,7 +32,9 @@ package mfib
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"unsafe"
 
 	"pim/internal/addr"
 	"pim/internal/netsim"
@@ -85,8 +87,6 @@ type Entry struct {
 	// meaningful on (S,G) entries without the RP bit. Its one writer in
 	// PIM-SM is core's Router.upstream (DESIGN.md §21).
 	SPTBit bool
-	// dead marks a freed arena slot awaiting recycling.
-	dead bool
 	// UpstreamNeighbor is the next-hop address toward the source/RP that
 	// periodic join/prune messages target; 0 when IIF is nil.
 	UpstreamNeighbor addr.IP
@@ -110,35 +110,55 @@ type Entry struct {
 	PrunedUntil netsim.Time
 
 	// The outgoing-interface list, packed and sorted by Iface.Index: the
-	// first inlineOIFCap elements inline and the rest in oifSpill. An unused
-	// inline slot has a nil Iface, so the list keeps no length of its own.
+	// first inlineOIFCap elements inline and the rest in the spill array,
+	// spillLen of its spillCap elements in use. An unused inline slot has a
+	// nil Iface, so the list keeps no length of its own. The spill array is
+	// a pointer and two 16-bit counts rather than a 24-byte slice header:
+	// an entry's oifs are distinct interfaces of one node, of which there
+	// are fewer than 2^16 (unicast.MaxArcs).
 	oifInline [inlineOIFCap]OIF
-	oifSpill  []OIF
+	spill     *OIF
+	spillLen  uint16
+	spillCap  uint16
 
-	// life identifies this incarnation of the (table, key) pair: the table
-	// assigns a fresh monotone value on every creation, so timer closures
-	// can detect delete/re-create across their delay by comparing Life()
-	// (pointer identity is not enough: the arena recycles slots).
-	life uint64
+	// life identifies this incarnation of the entry: the arena assigns a
+	// fresh value on every creation, so timer closures can detect
+	// delete/re-create across their delay by comparing Life() (pointer
+	// identity is not enough: the arena recycles slots). It is 32-bit to
+	// fit beside the spill counts; it would repeat only after 2^32
+	// creations in one simulation.
+	life uint32
 }
 
-// Life identifies this incarnation of the entry's key in its table. A timer
-// closure that must act on "the entry as it was scheduled" captures the Key
-// and Life, re-looks the entry up at fire time, and bails if Life changed.
-func (e *Entry) Life() uint64 { return e.life }
+// Life identifies this incarnation of the entry. A timer closure that must
+// act on "the entry as it was scheduled" captures the Key and Life,
+// re-looks the entry up at fire time, and bails if Life changed.
+func (e *Entry) Life() uint32 { return e.life }
+
+// spilled returns the spill array's elements in use (nil when the entry
+// never spilled).
+func (e *Entry) spilled() []OIF { return unsafe.Slice(e.spill, e.spillCap)[:e.spillLen] }
+
+// setSpill records s as the spill array.
+func (e *Entry) setSpill(s []OIF) {
+	if len(s) > math.MaxUint16 {
+		panic(fmt.Sprintf("mfib: %v has %d spilled oifs, beyond 16 bits", e, len(s)))
+	}
+	e.spill, e.spillLen, e.spillCap = unsafe.SliceData(s), uint16(len(s)), uint16(min(cap(s), math.MaxUint16))
+}
 
 // oifAt returns the i-th slot of the packed oif list.
 func (e *Entry) oifAt(i int) *OIF {
 	if i < inlineOIFCap {
 		return &e.oifInline[i]
 	}
-	return &e.oifSpill[i-inlineOIFCap]
+	return &e.spilled()[i-inlineOIFCap]
 }
 
 // OIFCount returns the number of interfaces in the list (live or not).
 func (e *Entry) OIFCount() int {
-	if len(e.oifSpill) > 0 {
-		return inlineOIFCap + len(e.oifSpill)
+	if e.spillLen > 0 {
+		return inlineOIFCap + int(e.spillLen)
 	}
 	n := 0
 	for n < inlineOIFCap && e.oifInline[n].Iface != nil {
@@ -167,7 +187,7 @@ func (e *Entry) oifFind(idx int) (int, bool) {
 func (e *Entry) oifInsert(pos int, o OIF) *OIF {
 	n := e.OIFCount()
 	if n >= inlineOIFCap {
-		e.oifSpill = append(e.oifSpill, OIF{})
+		e.setSpill(append(e.spilled(), OIF{}))
 	}
 	for i := n; i > pos; i-- {
 		*e.oifAt(i) = *e.oifAt(i - 1)
@@ -185,7 +205,7 @@ func (e *Entry) oifRemoveAt(pos int) {
 	}
 	*e.oifAt(n - 1) = OIF{} // drop the Iface pointer, ending the list
 	if n-1 >= inlineOIFCap {
-		e.oifSpill = e.oifSpill[:n-1-inlineOIFCap]
+		e.spillLen = uint16(n - 1 - inlineOIFCap)
 	}
 }
 

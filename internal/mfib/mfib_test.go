@@ -27,7 +27,7 @@ func testIfaces(n int) []*netsim.Iface {
 }
 
 func TestKeyKinds(t *testing.T) {
-	tb := NewTable(new(Walks))
+	tb := NewTable(new(Arena))
 	g := addr.GroupForIndex(0)
 	s := addr.V4(10, 100, 1, 1)
 	wc, created := tb.Upsert(Key{Group: g, RPBit: true}, 0)
@@ -51,7 +51,7 @@ func TestKeyKinds(t *testing.T) {
 }
 
 func TestUpsertIdempotent(t *testing.T) {
-	tb := NewTable(new(Walks))
+	tb := NewTable(new(Arena))
 	k := Key{Group: addr.GroupForIndex(0), RPBit: true}
 	e1, c1 := tb.Upsert(k, 5)
 	life := e1.Life()
@@ -144,7 +144,7 @@ func TestJoinClearsPendingPrune(t *testing.T) {
 
 func TestSweepExpiredOIFsAndDeadEntries(t *testing.T) {
 	ifs := testIfaces(2)
-	tb := NewTable(new(Walks))
+	tb := NewTable(new(Arena))
 	g := addr.GroupForIndex(0)
 	e, _ := tb.Upsert(Key{Group: g, RPBit: true}, 0)
 	e.AddOIF(ifs[0], 100)
@@ -176,7 +176,7 @@ func TestSweepExpiredOIFsAndDeadEntries(t *testing.T) {
 // downstream, must not cancel it behind the engine's back.
 func TestAddOIFLeavesDeleteAt(t *testing.T) {
 	ifs := testIfaces(2)
-	tb := NewTable(new(Walks))
+	tb := NewTable(new(Arena))
 	e, _ := tb.Upsert(Key{Group: addr.GroupForIndex(0), RPBit: true}, 0)
 	e.DeleteAt = 100
 	e.AddOIF(ifs[0], 200)
@@ -187,7 +187,7 @@ func TestAddOIFLeavesDeleteAt(t *testing.T) {
 }
 
 func TestForGroupDeterministicOrder(t *testing.T) {
-	tb := NewTable(new(Walks))
+	tb := NewTable(new(Arena))
 	g := addr.GroupForIndex(0)
 	tb.Upsert(Key{Source: addr.V4(10, 0, 0, 2), Group: g}, 0)
 	tb.Upsert(Key{Group: g, RPBit: true}, 0)
@@ -240,21 +240,20 @@ func TestOIFFootprint(t *testing.T) {
 	}
 }
 
-// TestEntryFootprint pins an entry at 120 bytes — one inline oif, the dead
-// flag in the padding after the two other flags, UpstreamNeighbor beside
-// them, no stored list length and no per-entry fan-out cache — and a slab of
-// eight at one 1 024-byte size class with less than one entry of slack, the
-// slabBytes that Bytes charges per slab. The runtime puts an 8-byte header on
-// a pointerful object over 512 bytes, so a slab of 128-byte entries
-// (1 032 bytes) would round up to 1 152.
+// TestEntryFootprint pins an entry at 104 bytes — one inline oif, the
+// spill array as a pointer and two 16-bit counts, a 32-bit life beside
+// them, UpstreamNeighbor after the two flags, no stored list length and no
+// per-entry fan-out cache — and an arena slab at less than one entry of
+// allocator slack: 1 024 entries of 104 bytes are exactly 13 pages, and
+// the runtime keeps a large object's type in its span, not in a header.
 func TestEntryFootprint(t *testing.T) {
-	const size, class = 120, slabBytes
+	const size = 104
 	if got := unsafe.Sizeof(Entry{}); got != size {
 		t.Errorf("Entry is %d bytes, want %d", got, size)
 	}
 	// Whatever else allocates meanwhile only adds bytes, so the least of a
 	// few tries is the slabs' own.
-	const n = 64
+	const n = 16
 	got := uint64(1 << 62)
 	for try := 0; try < 5; try++ {
 		slabs := make([][]Entry, n)
@@ -267,11 +266,8 @@ func TestEntryFootprint(t *testing.T) {
 		runtime.KeepAlive(slabs)
 		got = min(got, (after.TotalAlloc-before.TotalAlloc)/n)
 	}
-	if got != class {
-		t.Errorf("a slab of %d entries takes %d heap bytes, want %d", slabSize, got, class)
-	}
-	if slack := class - (slabSize*size + 8); slack < 0 || slack >= size {
-		t.Errorf("a slab leaves %d bytes of its size class unused, want under one entry", slack)
+	if slack := got - slabSize*size; got < slabSize*size || slack >= size {
+		t.Errorf("a slab of %d entries takes %d heap bytes, %d of them slack; want under one entry", slabSize, got, slack)
 	}
 }
 

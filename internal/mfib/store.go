@@ -9,43 +9,83 @@ import (
 	"pim/internal/netsim"
 )
 
-// This file holds the entry store behind Table (DESIGN.md §16): entries
-// kept by value in append-only arena slabs ([]Entry, never reallocated, so
-// &slab[i] is stable for the table's lifetime) addressed by 32-bit handles,
-// with an open-addressed (linear probe + backward-shift delete) index from
-// Key to handle and a sorted key slice driving the deterministic walks. The
-// GC sees a few dozen slabs per router instead of one object per entry plus
-// one per oif. TestFlatMapStoreLockstep holds every observable — lookups,
-// walk order, walk-mutation visibility, Sweep results, Life() stamps — to a
-// test-local map[Key]*Entry model.
+// This file holds the entry store behind Table (DESIGN.md §16). Every
+// table of one simulation keeps its entries in one Arena: entries by value
+// in append-only slabs ([]Entry, never reallocated, so &slab[i] is stable
+// for the simulation's lifetime) and one free list of recycled slots. A
+// Table holds only an open-addressed (linear probe + backward-shift delete)
+// index from Key to arena slot and a sorted key slice driving the
+// deterministic walks. The GC sees a few large slabs per simulation instead
+// of one object per entry plus one per oif. TestFlatMapStoreLockstep holds
+// every observable — lookups, walk order, walk-mutation visibility, Sweep
+// results, Life() stamps — to a test-local map[Key]*Entry model.
 //
-// Slot recycling contract: Delete marks the slot dead but leaves the fields
-// in place, so entries returned by Sweep stay readable until the next
-// insertion into the table. The table stamps a fresh Life() on every
-// creation, so a timer closure can never act on a later incarnation of the
-// same key or slot.
-
-// Handle addresses an entry in the arena: slot+1, so the zero Handle
-// means "none".
-type Handle uint32
+// Slot recycling contract: Delete frees the slot but leaves the fields in
+// place, so entries returned by Sweep stay readable until the next Upsert
+// into any table of the simulation. The arena stamps a fresh Life() on
+// every creation, so a timer closure can never act on a later incarnation
+// of the same key or slot.
 
 const (
-	// 8 entries per slab: small enough that a lightly loaded router (a
-	// handful of entries) doesn't pay for a mostly empty arena, large
-	// enough that the arena stays a handful of objects at full load.
-	// Slabs are never reallocated, so &slab[i] is stable for an entry's
-	// whole slot lifetime.
-	slabShift = 3
+	// 1 024 entries per slab: 1 024 × 104 bytes is exactly 13 pages, so a
+	// slab is one large object with no size-class slack
+	// (TestEntryFootprint), and a simulation holds at most one slab of
+	// unused slots.
+	slabShift = 10
 	slabSize  = 1 << slabShift
 	slabMask  = slabSize - 1
 )
 
-// rhIndex is the open-addressed Key → slot index: linear probing with
+// Arena holds the entries of every table of one simulation, their free
+// list and the walks' key-snapshot stack. Chassis.NewMFIB hands each table
+// the simulation's one arena (netsim.Scratch); a table that is emptied
+// (Clear) or loses entries (Delete) returns their slots here, and any table
+// of the simulation may recycle them. The simulator runs one simulation on
+// one goroutine, so the arena needs no lock.
+type Arena struct {
+	slabs   [][]Entry
+	used    int      // slots ever handed out: the arena's high-water
+	free    []uint32 // recycled slots, the most recently freed last
+	lifeSeq uint32
+
+	// Walks nest (a ForGroup inside a ForEach, or a walk of one table
+	// inside a walk of another), so each depth keeps its own reusable
+	// key buffer; the stack holds only the deepest, largest snapshots any
+	// table took, not each table's own.
+	walks [][]Key
+	depth int
+}
+
+// HighWater returns the number of slots the arena has ever handed out: its
+// live entries plus its free list.
+func (a *Arena) HighWater() int { return a.used }
+
+func (a *Arena) at(slot uint32) *Entry {
+	return &a.slabs[slot>>slabShift][slot&slabMask]
+}
+
+// alloc returns a slot for a new entry, recycling the most recently freed
+// one first.
+func (a *Arena) alloc() uint32 {
+	if n := len(a.free); n > 0 {
+		slot := a.free[n-1]
+		a.free = a.free[:n-1]
+		return slot
+	}
+	if a.used>>slabShift == len(a.slabs) {
+		a.slabs = append(a.slabs, make([]Entry, slabSize))
+	}
+	a.used++
+	return uint32(a.used - 1)
+}
+
+// rhIndex is the open-addressed Key → arena slot index: linear probing with
 // backward-shift deletion (the robin-hood deletion rule), power-of-two
-// capacity, grown at 80% load. Values are slot+1 with 0 meaning empty.
-// The index stores no key copies — a probed slot's key is read from its
-// arena cell — so each index slot costs 4 bytes. The probe loops live on
-// Table (indexGet/indexPut/indexDel) because they need the slabs.
+// capacity, grown at 80% load. Values are slot+1 with 0 meaning empty; n is
+// the table's entry count. The index stores no key copies — a probed slot's
+// key is read from its arena cell — so each index slot costs 4 bytes. The
+// probe loops live on Table (indexGet/indexPut/indexDel) because they need
+// the arena.
 type rhIndex struct {
 	vals []uint32
 	mask uint32
@@ -66,12 +106,12 @@ func hashKey(k Key) uint32 {
 	return uint32(x)
 }
 
-// slotKey reads a slot's key straight from its arena cell; every slot the
-// index holds is live (Delete removes the index mapping before marking the
-// slot dead), so the key field is always current.
-func (t *Table) slotKey(slot int) Key { return t.entryAt(slot).Key }
+// slotKey reads the key of the slot an index value names straight from
+// its arena cell; every slot the index holds is live (Delete removes the
+// index mapping before freeing the slot), so the key field is current.
+func (t *Table) slotKey(v uint32) Key { return t.arena.at(v - 1).Key }
 
-func (t *Table) indexGet(k Key) (int, bool) {
+func (t *Table) indexGet(k Key) (uint32, bool) {
 	ix := &t.index
 	if ix.n == 0 {
 		return 0, false
@@ -82,8 +122,8 @@ func (t *Table) indexGet(k Key) (int, bool) {
 		if v == 0 {
 			return 0, false
 		}
-		if t.slotKey(int(v-1)) == k {
-			return int(v - 1), true
+		if t.slotKey(v) == k {
+			return v - 1, true
 		}
 		i = (i + 1) & ix.mask
 	}
@@ -91,7 +131,7 @@ func (t *Table) indexGet(k Key) (int, bool) {
 
 // indexPut inserts k → slot; the caller guarantees k is absent and has
 // already stamped k into the slot's arena cell.
-func (t *Table) indexPut(k Key, slot int) {
+func (t *Table) indexPut(k Key, slot uint32) {
 	ix := &t.index
 	if len(ix.vals) == 0 {
 		t.indexGrow(16)
@@ -102,7 +142,7 @@ func (t *Table) indexPut(k Key, slot int) {
 	for ix.vals[i] != 0 {
 		i = (i + 1) & ix.mask
 	}
-	ix.vals[i] = uint32(slot + 1)
+	ix.vals[i] = slot + 1
 	ix.n++
 }
 
@@ -115,7 +155,7 @@ func (t *Table) indexGrow(capacity int) {
 		if v == 0 {
 			continue
 		}
-		j := hashKey(t.slotKey(int(v-1))) & ix.mask
+		j := hashKey(t.slotKey(v)) & ix.mask
 		for ix.vals[j] != 0 {
 			j = (j + 1) & ix.mask
 		}
@@ -123,25 +163,26 @@ func (t *Table) indexGrow(capacity int) {
 	}
 }
 
-// indexDel removes k, backward-shifting the probe chain so no tombstones
-// are needed: each following element whose ideal position lies at or before
-// the hole moves into it.
-func (t *Table) indexDel(k Key) bool {
+// indexDel removes k and returns its slot, backward-shifting the probe
+// chain so no tombstones are needed: each following element whose ideal
+// position lies at or before the hole moves into it.
+func (t *Table) indexDel(k Key) (uint32, bool) {
 	ix := &t.index
 	if ix.n == 0 {
-		return false
+		return 0, false
 	}
 	i := hashKey(k) & ix.mask
 	for {
 		v := ix.vals[i]
 		if v == 0 {
-			return false
+			return 0, false
 		}
-		if t.slotKey(int(v-1)) == k {
+		if t.slotKey(v) == k {
 			break
 		}
 		i = (i + 1) & ix.mask
 	}
+	slot := ix.vals[i] - 1
 	ix.n--
 	j := i
 	for {
@@ -149,9 +190,9 @@ func (t *Table) indexDel(k Key) bool {
 		for {
 			j = (j + 1) & ix.mask
 			if ix.vals[j] == 0 {
-				return true
+				return slot, true
 			}
-			ideal := hashKey(t.slotKey(int(ix.vals[j]-1))) & ix.mask
+			ideal := hashKey(t.slotKey(ix.vals[j])) & ix.mask
 			if ((j - ideal) & ix.mask) >= ((j - i) & ix.mask) {
 				break
 			}
@@ -172,70 +213,23 @@ func compareKeys(a, b Key) int {
 	return boolToInt(a.RPBit) - boolToInt(b.RPBit)
 }
 
-// Table stores a router's multicast forwarding entries. Make one with
-// NewTable.
+// Table stores a router's multicast forwarding entries in its simulation's
+// arena. Make one with NewTable.
 type Table struct {
-	slabs [][]Entry
-	used  int      // slots ever allocated
-	free  []Handle // recycled slots
-	live  int
+	arena *Arena
 	index rhIndex
 	order []Key // live keys sorted by compareKeys
-
-	// lifeSeq stamps each created entry with a fresh incarnation id, so
-	// delete/re-create of one key is detectable.
-	lifeSeq uint64
-
-	// walks is the key-snapshot stack the deterministic walks copy into,
-	// shared by every table of one simulation.
-	walks *Walks
 }
 
-// Walks is the key-snapshot stack of the deterministic walks: walks nest (a
-// ForGroup inside a ForEach, or a walk of one table inside a walk of
-// another), so each depth keeps its own reusable buffer. Walks run to
-// completion on one goroutine, so one stack serves every table of a
-// simulation (DESIGN.md §16); it holds only the deepest, largest snapshots
-// any of them took, not each table's own.
-type Walks struct {
-	bufs  [][]Key
-	depth int
-}
-
-// NewTable returns an empty table whose walks snapshot into w.
-func NewTable(w *Walks) *Table { return &Table{walks: w} }
-
-func (t *Table) entryAt(slot int) *Entry {
-	return &t.slabs[slot>>slabShift][slot&slabMask]
-}
+// NewTable returns an empty table whose entries live in a.
+func NewTable(a *Arena) *Table { return &Table{arena: a} }
 
 // Get returns the entry for the exact key, or nil.
 func (t *Table) Get(k Key) *Entry {
 	if slot, ok := t.indexGet(k); ok {
-		return t.entryAt(slot)
+		return t.arena.at(slot)
 	}
 	return nil
-}
-
-// HandleOf returns the handle for k, or 0 when absent.
-func (t *Table) HandleOf(k Key) Handle {
-	if slot, ok := t.indexGet(k); ok {
-		return Handle(slot + 1)
-	}
-	return 0
-}
-
-// At resolves a handle to its entry, or nil if the slot is out of range or
-// currently dead.
-func (t *Table) At(h Handle) *Entry {
-	if h == 0 || int(h) > t.used {
-		return nil
-	}
-	e := t.entryAt(int(h) - 1)
-	if e.dead {
-		return nil
-	}
-	return e
 }
 
 // Wildcard returns the (*,G) entry, or nil.
@@ -260,49 +254,47 @@ func (t *Table) Upsert(k Key, _ netsim.Time) (e *Entry, created bool) {
 	if e = t.Get(k); e != nil {
 		return e, false
 	}
-	t.lifeSeq++
-	var slot int
-	if n := len(t.free); n > 0 {
-		slot = int(t.free[n-1]) - 1
-		t.free = t.free[:n-1]
-	} else {
-		if t.used>>slabShift == len(t.slabs) {
-			t.slabs = append(t.slabs, make([]Entry, slabSize))
-		}
-		slot = t.used
-		t.used++
-	}
-	e = t.entryAt(slot)
-	// Recycle in place: keep the spill capacity and zero everything else.
-	*e = Entry{Key: k, Wildcard: k.Source == 0, life: t.lifeSeq, oifSpill: e.oifSpill[:0]}
+	a := t.arena
+	a.lifeSeq++
+	slot := a.alloc()
+	e = a.at(slot)
+	// Recycle in place: keep the spill storage and zero everything else.
+	*e = Entry{Key: k, Wildcard: k.Source == 0, life: a.lifeSeq, spill: e.spill, spillCap: e.spillCap}
 	t.indexPut(k, slot)
 	pos, _ := slices.BinarySearchFunc(t.order, k, compareKeys)
 	t.order = slices.Insert(t.order, pos, k)
-	t.live++
 	return e, true
 }
 
-// Delete removes an entry. The slot is marked dead and recycled by a later
-// Upsert; its fields stay readable until then.
+// Delete removes an entry and frees its slot for any table of the arena
+// to recycle; its fields stay readable until the next Upsert into one.
 func (t *Table) Delete(k Key) {
-	slot, ok := t.indexGet(k)
+	slot, ok := t.indexDel(k)
 	if !ok {
 		return
 	}
-	t.indexDel(k)
-	e := t.entryAt(slot)
-	e.dead = true
-	pos, found := slices.BinarySearchFunc(t.order, k, compareKeys)
-	if found {
-		t.order = slices.Delete(t.order, pos, pos+1)
+	pos, _ := slices.BinarySearchFunc(t.order, k, compareKeys)
+	t.order = slices.Delete(t.order, pos, pos+1)
+	t.arena.free = append(t.arena.free, slot)
+}
+
+// Clear removes every entry, returning all of their slots to the arena. An
+// engine empties its table with Clear on a restart or a flush rather than
+// taking a new one, which would strand the old table's slots.
+func (t *Table) Clear() {
+	for i, v := range t.index.vals {
+		if v != 0 {
+			t.arena.free = append(t.arena.free, v-1)
+			t.index.vals[i] = 0
+		}
 	}
-	t.free = append(t.free, Handle(slot+1))
-	t.live--
+	t.index.n = 0
+	t.order = t.order[:0]
 }
 
 // Len returns the number of entries — the "state" axis of the paper's
 // overhead metric.
-func (t *Table) Len() int { return t.live }
+func (t *Table) Len() int { return t.index.n }
 
 // ForGroup calls fn for every entry of the group, in deterministic order.
 func (t *Table) ForGroup(g addr.IP, fn func(*Entry)) {
@@ -322,26 +314,26 @@ func (t *Table) ForEach(fn func(*Entry)) { t.walk(0, len(t.order), fn) }
 // present, so fn may insert or delete entries mid-walk: entries deleted
 // after the snapshot are skipped, entries created after it are not visited.
 func (t *Table) walk(lo, hi int, fn func(*Entry)) {
-	w := t.walks
-	d := w.depth
-	w.depth++
-	if d >= len(w.bufs) {
-		w.bufs = append(w.bufs, nil)
+	a := t.arena
+	d := a.depth
+	a.depth++
+	if d >= len(a.walks) {
+		a.walks = append(a.walks, nil)
 	}
-	keys := append(w.bufs[d][:0], t.order[lo:hi]...)
-	w.bufs[d] = keys
+	keys := append(a.walks[d][:0], t.order[lo:hi]...)
+	a.walks[d] = keys
 	for _, k := range keys {
 		if e := t.Get(k); e != nil {
 			fn(e)
 		}
 	}
-	w.depth--
+	a.depth--
 }
 
 // Sweep removes entries whose DeleteAt deadline has passed and prunes
 // expired non-local oifs; it returns the removed entries so the protocol
-// can emit triggered prunes. The returned entries are dead slots whose
-// fields stay readable until the next Upsert.
+// can emit triggered prunes. The returned entries are freed slots whose
+// fields stay readable until the next Upsert into any table of the arena.
 func (t *Table) Sweep(now netsim.Time) []*Entry {
 	var removed []*Entry
 	t.ForEach(func(e *Entry) {
@@ -367,25 +359,22 @@ func (t *Table) Sweep(now netsim.Time) []*Entry {
 
 // Footprint sizes, for the Bytes estimator.
 const (
-	// slabBytes is what the allocator holds for one slab: its entries plus
-	// the 8-byte header the runtime puts on a pointerful object over 512
-	// bytes, rounded up to the size class. TestEntryFootprint measures it.
-	slabBytes = 1024
-	oifBytes  = int64(unsafe.Sizeof(OIF{}))
-	keyBytes  = int64(unsafe.Sizeof(Key{}))
+	entryBytes = int64(unsafe.Sizeof(Entry{}))
+	oifBytes   = int64(unsafe.Sizeof(OIF{}))
+	keyBytes   = int64(unsafe.Sizeof(Key{}))
 )
 
-// Bytes estimates the table's resident state footprint: the arena slabs
-// including free slack, the index array, the order slice, plus the spill
-// capacity hanging off live entries. It is a deterministic estimator, not a
-// heap measurement.
+// Bytes estimates the table's resident state footprint: its live entries'
+// arena slots, the index array, the order slice, plus the spill capacity
+// hanging off live entries. The arena's free slots and slab slack belong to
+// the simulation, not to a table, and are not charged. It is a
+// deterministic estimator, not a heap measurement.
 func (t *Table) Bytes() int64 {
-	b := int64(len(t.slabs)) * slabBytes
+	b := int64(t.index.n) * entryBytes
 	b += int64(len(t.index.vals)) * 4
 	b += int64(cap(t.order)) * keyBytes
-	b += int64(cap(t.free)) * 4
 	for _, k := range t.order {
-		b += int64(cap(t.Get(k).oifSpill)) * oifBytes
+		b += int64(t.Get(k).spillCap) * oifBytes
 	}
 	return b
 }

@@ -17,11 +17,14 @@ import (
 // snapshotting and sorting its keys. It defines the observable contract —
 // lookups, (Group, Source, RPBit) walk order, walk-mutation visibility,
 // Sweep results, a fresh Life() per creation — with none of the arena,
-// index, or order-slice machinery.
+// index, or order-slice machinery. The models of tables that share one
+// arena share its creation counter, life.
 type mapModel struct {
-	m       map[Key]*Entry
-	lifeSeq uint64
+	m    map[Key]*Entry
+	life *uint32
 }
+
+func newModel(life *uint32) *mapModel { return &mapModel{m: map[Key]*Entry{}, life: life} }
 
 func (m *mapModel) Get(k Key) *Entry { return m.m[k] }
 func (m *mapModel) Len() int         { return len(m.m) }
@@ -31,9 +34,9 @@ func (m *mapModel) Upsert(k Key, _ netsim.Time) (*Entry, bool) {
 	if e := m.m[k]; e != nil {
 		return e, false
 	}
-	m.lifeSeq++
+	*m.life++
 	e := NewEntry(k)
-	e.life = m.lifeSeq
+	e.life = *m.life
 	m.m[k] = e
 	return e, true
 }
@@ -152,22 +155,25 @@ func dumpTable(t store) string {
 // stamps, same full-table dumps. This is the differential oracle for the
 // arena/index/order machinery of DESIGN.md §16.
 //
-// A second table shares the first one's walk stack, as every table of one
-// simulation does, and keeps its own model and its own mutation stream
+// A second table shares the first one's arena, as every table of one
+// simulation does — its slabs, its one free list, its creation counter and
+// its walk stack — and keeps its own model and its own mutation stream
 // (drawn from rng2, so the first table's sequence is the one-table test's).
-// Each walk of the first table nests a mutating walk of the second, which
-// nests a read-only walk of the first: a stack that mixed up two tables'
-// snapshots at one depth, or restored its depth wrongly, changes a visit
-// sequence or a dump.
+// Slots one table frees are recycled by the other, so a table that read
+// another's slot, or a recycle that kept a field, changes a dump. Each walk
+// of the first table nests a mutating walk of the second, which nests a
+// read-only walk of the first: a stack that mixed up two tables' snapshots
+// at one depth, or restored its depth wrongly, changes a visit sequence or
+// a dump.
 func TestFlatMapStoreLockstep(t *testing.T) {
 	const ops = 60000
 	rng := rand.New(rand.NewSource(7))
 	ifs := testIfaces(7) // wider than inlineOIFCap to exercise the spill path
-	walks := new(Walks)
-	flat := NewTable(walks)
-	ref := &mapModel{m: map[Key]*Entry{}}
-	flat2 := NewTable(walks)
-	ref2 := &mapModel{m: map[Key]*Entry{}}
+	arena, life := new(Arena), new(uint32)
+	flat := NewTable(arena)
+	ref := newModel(life)
+	flat2 := NewTable(arena)
+	ref2 := newModel(life)
 	rng2 := rand.New(rand.NewSource(13))
 
 	groups := make([]addr.IP, 5)
@@ -334,15 +340,6 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 		if flat.Len() != ref.Len() || flat2.Len() != ref2.Len() {
 			t.Fatalf("op %d: Len %d vs %d, second table %d vs %d", i, flat.Len(), ref.Len(), flat2.Len(), ref2.Len())
 		}
-		// Handle self-consistency on the arena side.
-		if fe2 := flat.Get(k); fe2 != nil {
-			h := flat.HandleOf(k)
-			if h == 0 || flat.At(h) != fe2 {
-				t.Fatalf("op %d: handle round-trip broken for %v", i, k)
-			}
-		} else if h := flat.HandleOf(k); h != 0 {
-			t.Fatalf("op %d: dead key %v still has handle %d", i, k, h)
-		}
 		if i%500 == 0 {
 			if fd, rd := dumpTable(flat), dumpTable(ref); fd != rd {
 				t.Fatalf("op %d: full dumps diverge\nflat:\n%s\nref:\n%s", i, fd, rd)
@@ -358,8 +355,49 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 	if fd, rd := dumpTable(flat2), dumpTable(ref2); fd != rd {
 		t.Fatalf("second table's final dumps diverge\nflat:\n%s\nref:\n%s", fd, rd)
 	}
-	if walks.depth != 0 {
-		t.Fatalf("walk stack left at depth %d", walks.depth)
+	if arena.depth != 0 {
+		t.Fatalf("walk stack left at depth %d", arena.depth)
+	}
+	if live := flat.Len() + flat2.Len(); arena.used != live+len(arena.free) {
+		t.Fatalf("arena holds %d slots: %d live and %d free", arena.used, live, len(arena.free))
+	}
+
+	// A slot one table frees is the next the other takes: the recycled
+	// entry carries a fresh Life() and nothing of its last incarnation, and
+	// the first table no longer sees it.
+	for j := 0; j < 20; j++ {
+		k, k2 := randKey(), keyFrom(rng2)
+		if flat.Get(k) != nil {
+			continue
+		}
+		flat2.Delete(k2)
+		ref2.Delete(k2)
+		fe, _ := flat.Upsert(k, now)
+		re, _ := ref.Upsert(k, now)
+		for _, e := range []*Entry{fe, re} {
+			e.AddOIF(ifs[1], now+100)
+			e.AddOIF(ifs[3], now+100) // spills
+		}
+		old := fe.Life()
+		flat.Delete(k)
+		ref.Delete(k)
+		fe2, _ := flat2.Upsert(k2, now)
+		re2, _ := ref2.Upsert(k2, now)
+		if fe2 != fe {
+			t.Fatalf("recycle %d: the second table did not take the slot the first freed", j)
+		}
+		if fe2.Life() == old || fe2.Life() != re2.Life() || fe2.OIFCount() != 0 || fe2.Key != k2 {
+			t.Fatalf("recycle %d: recycled entry is %s, model %s (last life %d)", j, dumpEntry(fe2), dumpEntry(re2), old)
+		}
+		if flat.Get(k) != nil {
+			t.Fatalf("recycle %d: the first table still finds %v", j, k)
+		}
+		if fd, rd := dumpTable(flat), dumpTable(ref); fd != rd {
+			t.Fatalf("recycle %d: dumps diverge\nflat:\n%s\nref:\n%s", j, fd, rd)
+		}
+		if fd, rd := dumpTable(flat2), dumpTable(ref2); fd != rd {
+			t.Fatalf("recycle %d: second table's dumps diverge\nflat:\n%s\nref:\n%s", j, fd, rd)
+		}
 	}
 
 	// Grow the index through several doublings and shrink it back with
@@ -374,7 +412,7 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 	probeAll := func(phase string) {
 		for _, k := range bulk {
 			for _, pk := range []Key{k, {Source: k.Source, Group: k.Group, RPBit: true}, {Group: k.Group, RPBit: true}} {
-				if (flat.Get(pk) == nil) != (ref.Get(pk) == nil) || (flat.HandleOf(pk) == 0) != (ref.Get(pk) == nil) {
+				if (flat.Get(pk) == nil) != (ref.Get(pk) == nil) {
 					t.Fatalf("%s: Get(%v) presence differs from the model", phase, pk)
 				}
 			}
@@ -406,12 +444,12 @@ func TestFlatMapStoreLockstep(t *testing.T) {
 // entries (here the (S,G,rpt) twin of a present (S,G)), on the arena index
 // and on the map model.
 func BenchmarkGetMissFlat(b *testing.B) {
-	tb := NewTable(new(Walks))
+	tb := NewTable(new(Arena))
 	benchMiss(b, func(k Key) { tb.Upsert(k, 0) }, func(k Key) bool { return tb.Get(k) != nil })
 }
 
 func BenchmarkGetMissReference(b *testing.B) {
-	ref := &mapModel{m: map[Key]*Entry{}}
+	ref := newModel(new(uint32))
 	benchMiss(b, func(k Key) { ref.Upsert(k, 0) }, func(k Key) bool { return ref.Get(k) != nil })
 }
 
@@ -436,7 +474,7 @@ func benchMiss(b *testing.B, put func(Key), get func(Key) bool) {
 // and re-creating a key must yield a fresh Life() and an empty oif list.
 func TestFlatStoreRecycleIdentity(t *testing.T) {
 	k := Key{Group: addr.GroupForIndex(0), RPBit: true}
-	tb := NewTable(new(Walks))
+	tb := NewTable(new(Arena))
 	e1, _ := tb.Upsert(k, 0)
 	l1 := e1.Life()
 	tb.Delete(k)
@@ -455,7 +493,7 @@ func TestFlatStoreRecycleIdentity(t *testing.T) {
 // TestFlatStoreSpill exercises the inline→spill transition both ways.
 func TestFlatStoreSpill(t *testing.T) {
 	ifs := testIfaces(inlineOIFCap + 3)
-	tb := NewTable(new(Walks))
+	tb := NewTable(new(Arena))
 	e, _ := tb.Upsert(Key{Group: addr.GroupForIndex(0), RPBit: true}, 0)
 	for i, ifc := range ifs {
 		e.AddOIF(ifc, netsim.Time(100+i))

@@ -135,6 +135,7 @@ type Router struct {
 // New builds an MOSPF router reading its source trees from the shared cache.
 func New(nd *netsim.Node, t *Trees) *Router {
 	r := &Router{Chassis: engine.NewChassis(nd, t.oracle.RouterFor(nd), nil), trees: t}
+	r.MFIB = r.NewMFIB()
 	r.reset()
 	r.Handle(packet.ProtoMOSPF, r.handleLSA)
 	r.Handle(packet.ProtoUDP, r.handleData)
@@ -158,7 +159,8 @@ func (r *Router) Start() {
 func (r *Router) Stop() { r.Chassis.Stop(0, r.reset) }
 
 func (r *Router) reset() {
-	r.MFIB, r.gen = r.NewMFIB(), r.Unicast.Gen()
+	r.MFIB.Clear()
+	r.gen = r.Unicast.Gen()
 	r.membership = map[uint32][]addr.IP{}
 	r.seqs = map[uint32]uint32{}
 	r.local.Reset()
@@ -238,7 +240,7 @@ func (r *Router) flush() {
 			r.Pub(telemetry.EntryExpire, -1, e.Key.Source, e.Key.Group, telemetry.EntrySG)
 		})
 	}
-	r.MFIB = r.NewMFIB()
+	r.MFIB.Clear()
 }
 
 func (r *Router) flood(lsa *membershipLSA, except *netsim.Iface) {

@@ -87,7 +87,7 @@ func TestUnlistedProtocolOnTheWireDrops(t *testing.T) {
 
 // TestNodeFootprint pins a node's fixed size: the demux is nine inline
 // slots, not one per possible protocol number (a 256-entry table was 4 KB of
-// every router, host and LAN anchor).
+// every router and host).
 func TestNodeFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(Node{}); size > 256 {
 		t.Errorf("sizeof(Node) = %d B, want <= 256", size)

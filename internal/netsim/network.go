@@ -37,7 +37,7 @@ type Node struct {
 	// handlers holds one slot per protocol a stack speaks (protos), indexed
 	// through the package-wide protoSlot table. Every packet crossing every
 	// link is demultiplexed here, so the lookup is two loads of L1-resident
-	// memory; and every router, host and LAN anchor carries the slots, so
+	// memory; and every router and host carries the slots, so
 	// there are nine of them, not one per possible protocol number.
 	handlers     [len(protos)]Handler
 	onLinkChange []func(*Iface)
@@ -74,6 +74,7 @@ type Link struct {
 	Delay  Time
 	Ifaces []*Iface
 	up     bool
+	lan    bool // made by ConnectLAN
 
 	// Bandwidth, when nonzero, is the link capacity in bytes per second:
 	// each frame occupies the transmitter for len/Bandwidth and later
@@ -87,8 +88,9 @@ type Link struct {
 	MaxQueueDelay Time
 }
 
-// IsLAN reports whether the link attaches more than two interfaces.
-func (l *Link) IsLAN() bool { return len(l.Ifaces) > 2 }
+// IsLAN reports whether the link is a shared multi-access link, made by
+// ConnectLAN, whatever the number of interfaces it attaches.
+func (l *Link) IsLAN() bool { return l.lan }
 
 // Up reports whether the link is operational.
 func (l *Link) Up() bool { return l.up }
@@ -187,7 +189,9 @@ func (n *Network) Connect(a, b *Iface, delay Time) *Link {
 
 // ConnectLAN joins any number of interfaces on a shared multi-access link.
 func (n *Network) ConnectLAN(delay Time, ifaces ...*Iface) *Link {
-	return n.link(delay, ifaces...)
+	l := n.link(delay, ifaces...)
+	l.lan = true
+	return l
 }
 
 func (n *Network) link(delay Time, ifaces ...*Iface) *Link {

@@ -8,7 +8,7 @@
 // destinations — sources, RPs, cores — are resolved over and over, once per
 // data packet or Join/Prune refresh, while the underlying routes change
 // rarely. The cache turns those repeated longest-prefix matches into one
-// generation compare and a short linear probe of a flat table whose 32-byte
+// generation compare and a short linear probe of a flat table whose 24-byte
 // cells hold the destination and its route inline, so a warm hit usually
 // reads one cache line of the table.
 //
@@ -27,22 +27,33 @@ import (
 	"math/bits"
 
 	"pim/internal/addr"
+	"pim/internal/netsim"
 	"pim/internal/unicast"
 )
 
-// Cell states. The zero value is an empty cell, so clearing the table is
-// one clear of its slice.
-const (
-	empty uint8 = iota
-	routed
-	unrouted // a cached "no route"
-)
+// noRoute is the metric of a cached "no route". A cell without an
+// interface holds nothing when its metric is 0 — the zero value, so
+// clearing the table is one clear of its slice — and a cached "no route"
+// when its metric is noRoute; every other cell holds a route. Every route a
+// substrate resolves has an interface, and metrics are never negative.
+const noRoute = -1
 
-// cell remembers one resolution, including "no route".
+// cell remembers one resolution, including "no route": the route's three
+// fields laid out around the destination so the cell is 24 bytes.
 type cell struct {
-	dst   addr.IP
-	state uint8
-	route unicast.Route
+	iface   *netsim.Iface
+	nextHop addr.IP
+	dst     addr.IP
+	metric  int64
+}
+
+func (e *cell) empty() bool { return e.iface == nil && e.metric == 0 }
+
+func (e *cell) route() (unicast.Route, bool) {
+	if e.iface == nil && e.metric == noRoute {
+		return unicast.Route{}, false
+	}
+	return unicast.Route{Iface: e.iface, NextHop: e.nextHop, Metric: e.metric}, true
 }
 
 // Cache is a generation-validated memo of Router.Lookup results: an
@@ -68,7 +79,8 @@ func New(uni unicast.Router) *Cache { return &Cache{uni: uni} }
 func (c *Cache) home(dst addr.IP) uint32 { return uint32(dst) * 0x9E3779B9 >> c.shift }
 
 // Lookup resolves the RPF route toward dst: from the cache when the table
-// generation is unchanged, from the underlying router otherwise.
+// generation is unchanged, from the underlying router otherwise. A cached
+// "no route" is the zero Route.
 func (c *Cache) Lookup(dst addr.IP) (unicast.Route, bool) {
 	if g := c.uni.Gen(); g != c.gen {
 		clear(c.cells)
@@ -79,23 +91,28 @@ func (c *Cache) Lookup(dst addr.IP) (unicast.Route, bool) {
 		mask := uint32(len(c.cells) - 1)
 		for i := c.home(dst); ; i = (i + 1) & mask {
 			e := &c.cells[i]
-			if e.state == empty {
+			if e.empty() {
 				break
 			}
 			if e.dst == dst {
-				return e.route, e.state == routed
+				return e.route()
 			}
 		}
 	}
 	rt, ok := c.uni.Lookup(dst)
-	state := unrouted
-	if ok {
-		state = routed
+	if ok && rt.Iface == nil && (rt.Metric == 0 || rt.Metric == noRoute) {
+		// A cell cannot tell such a route from an empty cell or a cached
+		// miss: serve it uncached.
+		return rt, ok
+	}
+	e := cell{iface: rt.Iface, nextHop: rt.NextHop, dst: dst, metric: rt.Metric}
+	if !ok {
+		e = cell{dst: dst, metric: noRoute}
 	}
 	if (c.n+1)*4 > len(c.cells)*3 {
 		c.grow()
 	}
-	c.put(cell{dst: dst, state: state, route: rt})
+	c.put(e)
 	return rt, ok
 }
 
@@ -103,7 +120,7 @@ func (c *Cache) Lookup(dst addr.IP) (unicast.Route, bool) {
 func (c *Cache) put(e cell) {
 	mask := uint32(len(c.cells) - 1)
 	i := c.home(e.dst)
-	for c.cells[i].state != empty {
+	for !c.cells[i].empty() {
 		i = (i + 1) & mask
 	}
 	c.cells[i] = e
@@ -118,7 +135,7 @@ func (c *Cache) grow() {
 	c.shift = uint8(32 - bits.TrailingZeros(uint(size)))
 	c.n = 0
 	for _, e := range old {
-		if e.state != empty {
+		if !e.empty() {
 			c.put(e)
 		}
 	}

@@ -3,8 +3,10 @@ package rpf
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"pim/internal/addr"
+	"pim/internal/netsim"
 	"pim/internal/unicast"
 )
 
@@ -161,6 +163,47 @@ func TestDifferentialAgainstMapCache(t *testing.T) {
 	}
 	if len(flat.cells) < 1024 {
 		t.Errorf("table never grew past %d cells", len(flat.cells))
+	}
+}
+
+// TestCellFootprint pins a cache cell at 24 bytes — the route's interface,
+// next hop and metric around the destination, the cell's state folded into
+// a nil interface and a sentinel metric — and round-trips each kind of
+// cell exactly: a routed one, a connected one (next hop 0, metric 0) and a
+// cached "no route", each served once by the unicast table and then from
+// the cache.
+func TestCellFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(cell{}); size != 24 {
+		t.Errorf("cell is %d bytes, want 24", size)
+	}
+	nd := netsim.NewNetwork().AddNode("r")
+	ifc := nd.Net.AddIface(nd, addr.V4(10, 1, 0, 1))
+	tb := &unicast.Table{}
+	routed := unicast.Route{Iface: ifc, NextHop: addr.V4(10, 1, 0, 2), Metric: unicast.InfMetric - 1}
+	connected := unicast.Route{Iface: ifc}
+	tb.Set(addr.MustPrefix(addr.V4(10, 2, 0, 0), 16), routed)
+	tb.Set(addr.MustPrefix(addr.V4(10, 1, 0, 0), 16), connected)
+	uni := &countingRouter{Router: tb}
+	c := New(uni)
+	for _, tc := range []struct {
+		dst  addr.IP
+		want unicast.Route
+		ok   bool
+	}{
+		{addr.V4(10, 2, 3, 4), routed, true},
+		{addr.V4(10, 1, 0, 9), connected, true},
+		{addr.V4(99, 9, 9, 9), unicast.Route{}, false},
+	} {
+		for pass := 0; pass < 2; pass++ {
+			before := uni.lookups
+			got, ok := c.Lookup(tc.dst)
+			if got != tc.want || ok != tc.ok {
+				t.Errorf("pass %d: Lookup(%v) = %+v,%v; want %+v,%v", pass, tc.dst, got, ok, tc.want, tc.ok)
+			}
+			if hit := uni.lookups == before; hit != (pass == 1) {
+				t.Errorf("pass %d: Lookup(%v) served from the cache: %v", pass, tc.dst, hit)
+			}
+		}
 	}
 }
 

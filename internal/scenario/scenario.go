@@ -16,7 +16,7 @@
 // and AddHost panic, naming both interfaces, rather than hand an address out
 // twice. No node can then pass the unicast oracle's unicast.MaxArcs: a
 // router's arcs are its backbone links plus its stub LAN's peers, and hosts
-// end at .253, so that is at most MaxLinks + 254 (253 hosts and the anchor).
+// end at .253, so that is at most MaxLinks + 253.
 package scenario
 
 import (
@@ -61,7 +61,7 @@ const (
 // The plan's busiest node fits the oracle's per-node arc bound (see the
 // package comment); the constant would overflow uint, and not compile, if
 // it did not.
-const _ uint = unicast.MaxArcs - (MaxLinks + 254)
+const _ uint = unicast.MaxArcs - (MaxLinks + 253)
 
 // Sim is a wired simulation.
 type Sim struct {
@@ -164,12 +164,10 @@ func (s *Sim) AddHost(r int) *igmp.Host {
 	nd := s.Net.AddNode(fmt.Sprintf("h%d.%d", r, len(s.Hosts[r])))
 	hif := s.addIface(nd, HostLANAddr(r, len(s.Hosts[r])))
 	if s.HostLANs[r] == nil {
+		// The stub is a LAN from its first host on, so §3.7 semantics
+		// (multicast join/prune visibility) apply uniformly.
 		rif := s.addIface(s.Routers[r], RouterLANAddr(r))
-		// A third, always-silent interface makes the stub a true LAN so
-		// §3.7 semantics (multicast join/prune visibility) apply uniformly.
-		anchorNode := s.Net.AddNode(fmt.Sprintf("lan%d", r))
-		anchor := s.Net.AddIface(anchorNode, 0)
-		s.HostLANs[r] = s.Net.ConnectLAN(DelayUnit, rif, hif, anchor)
+		s.HostLANs[r] = s.Net.ConnectLAN(DelayUnit, rif, hif)
 	} else {
 		// Join the existing LAN.
 		lan := s.HostLANs[r]

@@ -57,6 +57,9 @@ func TestBuildWiring(t *testing.T) {
 func TestAddHostCreatesLANOnceAndGrows(t *testing.T) {
 	sim := Build(square())
 	h1 := sim.AddHost(2)
+	if lan := sim.HostLANs[2]; lan == nil || !lan.IsLAN() || len(lan.Ifaces) != 2 {
+		t.Fatal("a one-host stub is not a LAN of the router and its host")
+	}
 	h2 := sim.AddHost(2)
 	if sim.HostLANs[2] == nil {
 		t.Fatal("no host LAN")
@@ -197,7 +200,7 @@ func TestAddHostAfterFinishUnicastPanics(t *testing.T) {
 // TestOracleHostsNeverSolve: the oracle computes a shortest-path tree only
 // for a node that asks it something (or, across a link change, has route
 // listeners to decide for). Across join, data, a link failure and its repair
-// that is routers only — never a host or a stub LAN's anchor.
+// that is routers only — never a host.
 func TestOracleHostsNeverSolve(t *testing.T) {
 	for _, p := range []Protocol{SparseMode, DenseMode} {
 		sim := Build(square())
