@@ -13,46 +13,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current run")
 
-// TestScenariosUpholdInvariants runs every scenario script in the repository
-// under the online invariant checker: the §3.8 soft-state contracts must
-// hold through every documented workload, including the fault scripts and
-// the mixed sparse/dense internets, whose border routers are checked like any
-// other router (interop-border-crash.pim crashes one).
-// Counterexamples emitted by the fault-schedule search live under
-// scenarios/found/ and RECORD their bug in their expectations (`expect
-// violations >= 1`, or a negated delivery oracle): for those, the script's
-// own verdict is the contract — a violation is the expected outcome, and
-// the file failing means the bug stopped reproducing (fix the file to pin
-// the fix, don't delete it).
-func TestScenariosUpholdInvariants(t *testing.T) {
-	paths, err := Discover("../../scenarios")
-	if err != nil {
-		t.Fatalf("no scenario scripts found: %v", err)
-	}
-	for _, path := range paths {
-		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			t.Parallel()
-			s, err := ParseFile(path)
-			if err != nil {
-				t.Fatalf("parse: %v", err)
-			}
-			res, err := s.RunWith(RunConfig{Checked: true})
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			for _, f := range res.Failures {
-				t.Errorf("expectation failed: %s", f)
-			}
-			if !s.ExpectsViolations() {
-				for _, v := range res.Violations {
-					t.Errorf("invariant violation: %s", v)
-				}
-			}
-		})
-	}
-}
-
 // TestTelemetryGoldenDump pins the sampler's JSON dump for the RP-failover
 // scenario byte-for-byte: the per-router counter curves are a deterministic
 // function of the simulation, so any drift in event emission, bucketing, or
